@@ -51,9 +51,9 @@ impl<F: gzkp_ff::PrimeField> GpuNttEngine<F> for TimedNtt<'_, F> {
     }
 }
 
-/// Wall-clock-accumulating wrapper around an MSM engine. With concurrent
-/// MSMs the accumulated value is summed engine time (CPU time), which on
-/// overlapping executions can exceed the stage's wall-clock share.
+/// Wall-clock-accumulating wrapper around an MSM engine. The prover runs
+/// its MSMs back to back, so the accumulated value is the MSM share of
+/// the stage's wall-clock.
 struct TimedMsm<'a, C: CurveParams> {
     inner: &'a dyn MsmEngine<C>,
     ns: AtomicU64,

@@ -443,60 +443,74 @@ pub fn batch_add_affine_pairs<C: CurveParams>(
     qs: &[Affine<C>],
 ) -> (Vec<Affine<C>>, usize) {
     assert_eq!(ps.len(), qs.len(), "pair slices must match");
-    // λ denominators; zero marks a trivial pair (no inversion needed),
-    // which `batch_inverse_count` skips. Non-trivial denominators are
-    // never zero: x₂ ≠ x₁ for chords, y ≠ 0 for tangents.
     let mut dens: Vec<C::Base> = ps
         .iter()
         .zip(qs)
-        .map(|(p, q)| {
-            if p.infinity || q.infinity {
-                C::Base::zero()
-            } else if p.x == q.x {
-                if p.y == q.y && !p.y.is_zero() {
-                    p.y.double() // tangent: 2y
-                } else {
-                    C::Base::zero() // p = −q, or 2-torsion double → ∞
-                }
-            } else {
-                q.x - p.x // chord: x₂ − x₁
-            }
-        })
+        .map(|(p, q)| affine_add_denominator(p, q))
         .collect();
     let amortized = gzkp_ff::batch_inverse_count(&mut dens);
     let out = ps
         .iter()
         .zip(qs)
         .zip(&dens)
-        .map(|((p, q), dinv)| {
-            if p.infinity {
-                return *q;
-            }
-            if q.infinity {
-                return *p;
-            }
-            if p.x == q.x && (p.y != q.y || p.y.is_zero()) {
-                return Affine::identity();
-            }
-            let lambda = if p.x == q.x {
-                // Tangent slope (3x² + a) / 2y.
-                let xx = p.x.square();
-                let a = C::coeff_a();
-                let num = if a.is_zero() {
-                    xx.double() + xx
-                } else {
-                    xx.double() + xx + a
-                };
-                num * *dinv
-            } else {
-                (q.y - p.y) * *dinv
-            };
-            let x3 = lambda.square() - p.x - q.x;
-            let y3 = lambda * (p.x - x3) - p.y;
-            Affine::new_unchecked(x3, y3)
-        })
+        .map(|((p, q), dinv)| affine_add_with_inverse(p, q, dinv))
         .collect();
     (out, amortized)
+}
+
+/// The slope denominator of the affine addition `p + q`: `x₂ − x₁` for a
+/// chord, `2y` for a tangent, and zero for a trivial pair that needs no
+/// inversion (an identity operand, `p = −q`, or a 2-torsion double) —
+/// which is what batched inversion skips. Non-trivial denominators are
+/// never zero. Pair with [`affine_add_with_inverse`].
+#[inline]
+pub fn affine_add_denominator<C: CurveParams>(p: &Affine<C>, q: &Affine<C>) -> C::Base {
+    if p.infinity || q.infinity {
+        C::Base::zero()
+    } else if p.x == q.x {
+        if p.y == q.y && !p.y.is_zero() {
+            p.y.double() // tangent: 2y
+        } else {
+            C::Base::zero() // p = −q, or 2-torsion double → ∞
+        }
+    } else {
+        q.x - p.x // chord: x₂ − x₁
+    }
+}
+
+/// `p + q` in affine coordinates given `dinv`, the inverse of
+/// [`affine_add_denominator`]`(p, q)` (ignored for trivial pairs).
+#[inline]
+pub fn affine_add_with_inverse<C: CurveParams>(
+    p: &Affine<C>,
+    q: &Affine<C>,
+    dinv: &C::Base,
+) -> Affine<C> {
+    if p.infinity {
+        return *q;
+    }
+    if q.infinity {
+        return *p;
+    }
+    if p.x == q.x && (p.y != q.y || p.y.is_zero()) {
+        return Affine::identity();
+    }
+    let lambda = if p.x == q.x {
+        // Tangent slope (3x² + a) / 2y.
+        let xx = p.x.square();
+        let a = C::coeff_a();
+        let num = if a.is_zero() {
+            xx.double() + xx
+        } else {
+            xx.double() + xx + a
+        };
+        num * *dinv
+    } else {
+        (q.y - p.y) * *dinv
+    };
+    let x3 = lambda.square() - p.x - q.x;
+    let y3 = lambda * (p.x - x3) - p.y;
+    Affine::new_unchecked(x3, y3)
 }
 
 /// Computes the width-`w` non-adjacent form of a little-endian limb

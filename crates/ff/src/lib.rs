@@ -42,4 +42,4 @@ pub mod traits;
 
 pub use bigint::BigInt;
 pub use fp::{Fp, FpParams};
-pub use traits::{batch_inverse, batch_inverse_count, Field, PrimeField};
+pub use traits::{batch_inverse, batch_inverse_count, batch_inverse_scratch, Field, PrimeField};

@@ -170,8 +170,16 @@ pub fn batch_inverse<F: Field>(values: &mut [F]) {
 /// trick amortized into the single one performed here. The MSM's
 /// batch-affine accumulator feeds the count into its savings telemetry.
 pub fn batch_inverse_count<F: Field>(values: &mut [F]) -> usize {
+    batch_inverse_scratch(values, &mut Vec::with_capacity(values.len()))
+}
+
+/// [`batch_inverse_count`] with a caller-owned prefix-product buffer, so
+/// a loop of batched inversions (the MSM's in-place bucket reducer runs
+/// one per round) allocates nothing. `prod` is cleared first and left
+/// empty.
+pub fn batch_inverse_scratch<F: Field>(values: &mut [F], prod: &mut Vec<F>) -> usize {
     // Prefix products of the non-zero entries.
-    let mut prod = Vec::with_capacity(values.len());
+    prod.clear();
     let mut acc = F::one();
     for v in values.iter() {
         if !v.is_zero() {

@@ -15,7 +15,6 @@ use gzkp_msm::ScalarVec;
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_telemetry::{self as telemetry, NoopSink, TelemetrySink};
 use rand::Rng;
-use rayon::prelude::*;
 use std::marker::PhantomData;
 
 /// A Groth16 proof: two G1 points and one G2 point (<1 KB — the
@@ -217,82 +216,31 @@ pub fn prove_msm<P: PairingConfig, R: Rng + ?Sized>(
     let _msm_span = telemetry::span(sink, telemetry::counters::SPAN_MSM);
     let mut msm_report = StageReport::new("MSM");
 
-    // The five MSMs are independent once POLY finishes, so they execute
-    // concurrently; the span tree and kernel-report order stay exactly
-    // as in the sequential prover because telemetry is emitted after
-    // the join (the recorder tracks a single span path). Each MSM's
-    // internal parallelism self-serializes when nested, so the thread
-    // pool is shared rather than oversubscribed.
-    let g1_jobs: [(&[Affine<P::G1>], &ScalarVec); 4] = [
-        (&pk.a_query, &z_scalars),
-        (&pk.b_g1_query, &z_scalars),
-        (&pk.h_query, &h_scalars),
-        (&pk.l_query, &aux_scalars),
-    ];
-    enum MsmOut<P: PairingConfig> {
-        G1(gzkp_msm::MsmRun<P::G1>),
-        G2(gzkp_msm::MsmRun<P::G2>),
-    }
-    let mut outs: Vec<MsmOut<P>> = (0..5usize)
-        .into_par_iter()
-        .map(|j| {
-            if j < 4 {
-                let (points, scalars) = g1_jobs[j];
-                MsmOut::G1(engines.msm_g1.msm(points, scalars))
-            } else {
-                MsmOut::G2(engines.msm_g2.msm(&pk.b_g2_query, &z_scalars))
-            }
-        })
-        .collect();
-
-    let b_g2_run = match outs.pop() {
-        Some(MsmOut::G2(run)) => run,
-        _ => unreachable!("fifth job is the G2 MSM"),
-    };
-    let mut take = |run: gzkp_msm::MsmRun<P::G1>, label: &str| {
-        for mut k in run.report.kernels {
-            k.name = format!("{label}.{}", k.name);
-            msm_report.kernels.push(k);
-        }
+    // The five MSMs run back to back: each is one flat parallel region
+    // over its bucket tasks, so every core works on the current MSM
+    // until it is done, whatever the G1/G2 cost mix. A scalar vector is
+    // dropped (with its memoised `p_index`) after its last MSM. Span
+    // names come from the telemetry registry's per-backend stage table;
+    // kernel-report labels keep the historical query names.
+    let stage_spans = telemetry::counters::GROTH16_MSM_STAGES;
+    let mut msm_g1 = |stage: usize, label: &str, points: &[Affine<P::G1>], scalars: &ScalarVec| {
+        let _span = telemetry::span(sink, stage_spans[stage]);
+        let run = engines.msm_g1.msm_traced(points, scalars, sink);
+        take(&mut msm_report, run.report, label);
         run.result
     };
-    // Span names come from the telemetry registry's per-backend stage
-    // table; kernel-report labels keep the historical query names.
-    let stage_spans = telemetry::counters::GROTH16_MSM_STAGES;
-    let spans = [
-        (stage_spans[0], "a_query"),
-        (stage_spans[1], "b_g1"),
-        (stage_spans[2], "h_query"),
-        (stage_spans[3], "l_query"),
-    ];
-    let mut g1_sums = Vec::with_capacity(4);
-    for (out, (span, label)) in outs.into_iter().zip(spans) {
-        let MsmOut::G1(run) = out else {
-            unreachable!("first four jobs are G1 MSMs")
-        };
-        let (points, scalars) = g1_jobs[g1_sums.len()];
-        {
-            let _span = telemetry::span(sink, span);
-            engines
-                .msm_g1
-                .emit_msm_telemetry(points, scalars, &run, sink);
-        }
-        g1_sums.push(take(run, label));
-    }
-    let [a_sum, b_g1_sum, h_sum, l_sum] = g1_sums[..] else {
-        unreachable!("four G1 sums")
+    let a_sum = msm_g1(0, "a_query", &pk.a_query, &z_scalars);
+    let b_g1_sum = msm_g1(1, "b_g1", &pk.b_g1_query, &z_scalars);
+    let h_sum = msm_g1(2, "h_query", &pk.h_query, &h_scalars);
+    drop(h_scalars);
+    let l_sum = msm_g1(3, "l_query", &pk.l_query, &aux_scalars);
+    drop(aux_scalars);
+    let b_g2_sum = {
+        let _span = telemetry::span(sink, stage_spans[4]);
+        let run = engines.msm_g2.msm_traced(&pk.b_g2_query, &z_scalars, sink);
+        take(&mut msm_report, run.report, "b_g2");
+        run.result
     };
-    {
-        let _g2_span = telemetry::span(sink, stage_spans[4]);
-        engines
-            .msm_g2
-            .emit_msm_telemetry(&pk.b_g2_query, &z_scalars, &b_g2_run, sink);
-    }
-    for mut k in b_g2_run.report.kernels {
-        k.name = format!("b_g2.{}", k.name);
-        msm_report.kernels.push(k);
-    }
-    let b_g2_sum = b_g2_run.result;
     drop(_msm_span);
 
     // Blinding factors (zero-knowledge).
@@ -324,6 +272,14 @@ pub fn prove_msm<P: PairingConfig, R: Rng + ?Sized>(
     )
 }
 
+/// Moves one MSM's kernel reports, `label`-prefixed, into the stage report.
+fn take(stage: &mut StageReport, msm: StageReport, label: &str) {
+    for mut k in msm.kernels {
+        k.name = format!("{label}.{}", k.name);
+        stage.kernels.push(k);
+    }
+}
+
 /// Cost-only proof-generation plan: runs the POLY stage functionally (it
 /// is cheap) but prices the five MSMs from the actual scalar digit
 /// distributions without performing curve arithmetic. This is what the
@@ -341,17 +297,15 @@ pub fn prove_plan<P: PairingConfig>(
     let h_scalars = ScalarVec::from_field(&poly.h[..qap.domain.size - 1]);
 
     let mut msm_report = StageReport::new("MSM");
-    let mut take = |rep: StageReport, label: &str| {
-        for mut k in rep.kernels {
-            k.name = format!("{label}.{}", k.name);
-            msm_report.kernels.push(k);
-        }
-    };
-    take(engines.msm_g1.plan(&z_scalars), "a_query");
-    take(engines.msm_g1.plan(&z_scalars), "b_g1");
-    take(engines.msm_g1.plan(&h_scalars), "h_query");
-    take(engines.msm_g1.plan(&aux_scalars), "l_query");
-    take(engines.msm_g2.plan(&z_scalars), "b_g2");
+    take(&mut msm_report, engines.msm_g1.plan(&z_scalars), "a_query");
+    take(&mut msm_report, engines.msm_g1.plan(&z_scalars), "b_g1");
+    take(&mut msm_report, engines.msm_g1.plan(&h_scalars), "h_query");
+    take(
+        &mut msm_report,
+        engines.msm_g1.plan(&aux_scalars),
+        "l_query",
+    );
+    take(&mut msm_report, engines.msm_g2.plan(&z_scalars), "b_g2");
 
     Ok(ProveReport {
         poly: poly.report,

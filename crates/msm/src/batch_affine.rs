@@ -7,17 +7,19 @@
 //! mixed Jacobian — by amortizing the chord/tangent inversion over many
 //! independent additions with Montgomery's trick.
 //!
-//! This module schedules that amortization as a **tree reduction**: the
-//! entries of every bucket in a task's range are laid out contiguously
-//! (CSR via counting sort), then rounds of pairwise additions halve each
-//! bucket's pending list, and each round batches *all* pairs across
-//! *all* buckets of the range into one [`gzkp_ff::batch_inverse`] call.
-//! The number of inversions is therefore `⌈log₂(max bucket load)⌉` per
-//! task rather than one per addition, and because every intermediate is
-//! an exact affine point the result is independent of thread count and
-//! schedule — bit-identical to the serial accumulator.
+//! [`reduce_segments`] is the one reducer every engine shares. Its input
+//! is a CSR buffer: the pending points of every bucket of a task laid out
+//! contiguously, one segment per bucket. Each round adds the points of
+//! every segment pairwise **in place** — pair `j` of a segment lands in
+//! its slot `j`, an odd last point is carried behind the sums — and
+//! batches the denominators of *all* pairs of *all* segments into one
+//! field inversion, so a task costs `⌈log₂(max bucket load)⌉` inversions
+//! rather than one per addition, and no allocation after the scratch's
+//! first growth. Every intermediate is an exact affine point and the
+//! schedule is a pure function of the segment lengths, so the sums do
+//! not depend on thread count or on which task a bucket fell into.
 
-use gzkp_curves::group::{batch_add_affine_pairs, Affine};
+use gzkp_curves::group::{affine_add_denominator, affine_add_with_inverse, Affine};
 use gzkp_curves::CurveParams;
 
 /// Work counters for one batch-affine accumulation, feeding the
@@ -44,15 +46,91 @@ impl BatchAffineStats {
     }
 }
 
+/// Buffers [`reduce_segments`] reuses from call to call: the live length
+/// of every segment, one slope denominator per pair of the current
+/// round, and the prefix products of their batched inversion.
+pub struct ReduceScratch<C: CurveParams> {
+    lens: Vec<usize>,
+    dens: Vec<C::Base>,
+    prods: Vec<C::Base>,
+}
+
+impl<C: CurveParams> Default for ReduceScratch<C> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<C: CurveParams> ReduceScratch<C> {
+    /// Scratch that reduces up to `points` points without growing.
+    pub fn with_capacity(points: usize) -> Self {
+        Self {
+            lens: Vec::new(),
+            dens: Vec::with_capacity(points / 2),
+            prods: Vec::with_capacity(points / 2),
+        }
+    }
+}
+
+/// Sums every segment `flat[offsets[b]..offsets[b + 1]]` into `sums[b]`
+/// (the identity for an empty segment), overwriting `flat` as it goes.
+///
+/// # Panics
+///
+/// Panics if `offsets` is not `sums.len() + 1` ascending positions
+/// inside `flat`.
+pub fn reduce_segments<C: CurveParams>(
+    flat: &mut [Affine<C>],
+    offsets: &[usize],
+    sums: &mut [Affine<C>],
+    scratch: &mut ReduceScratch<C>,
+    stats: &mut BatchAffineStats,
+) {
+    assert_eq!(offsets.len(), sums.len() + 1, "one segment per sum");
+    let ReduceScratch { lens, dens, prods } = scratch;
+    lens.clear();
+    lens.extend(offsets.windows(2).map(|w| w[1] - w[0]));
+    loop {
+        dens.clear();
+        for (&start, &len) in offsets.iter().zip(lens.iter()) {
+            for pair in flat[start..start + len].chunks_exact(2) {
+                dens.push(affine_add_denominator(&pair[0], &pair[1]));
+            }
+        }
+        if dens.is_empty() {
+            break;
+        }
+        let amortized = gzkp_ff::batch_inverse_scratch(dens, prods) as u64;
+        stats.padds += amortized;
+        stats.inversions += u64::from(amortized > 0);
+        let mut dinv = dens.iter();
+        for (&start, len) in offsets.iter().zip(lens.iter_mut()) {
+            let seg = &mut flat[start..start + *len];
+            for (j, dinv) in (0..*len / 2).zip(&mut dinv) {
+                seg[j] = affine_add_with_inverse(&seg[2 * j], &seg[2 * j + 1], dinv);
+            }
+            if *len % 2 == 1 {
+                seg[*len / 2] = seg[*len - 1];
+            }
+            *len = len.div_ceil(2);
+        }
+    }
+    for ((sum, &start), &len) in sums.iter_mut().zip(offsets).zip(lens.iter()) {
+        *sum = match len {
+            1 if !flat[start].infinity => flat[start],
+            _ => Affine::identity(),
+        };
+    }
+}
+
 /// Folds `entries` — `(local bucket index, source point index)` pairs —
-/// into `buckets` using tree rounds of batched affine additions.
+/// into `buckets`: a counting sort into the CSR layout, then
+/// [`reduce_segments`].
 ///
 /// A non-identity accumulator already present in `buckets[b]` joins that
 /// bucket's pending list, so the function composes across windows and
 /// repeated calls. Entry order within a bucket does not affect the
-/// result (the group is abelian and every intermediate is exact), but
-/// the reduction schedule is a pure function of the input layout, so
-/// identical inputs give bit-identical outputs on every run.
+/// result (the group is abelian and every intermediate is exact).
 pub fn accumulate_batch_affine<C: CurveParams>(
     buckets: &mut [Affine<C>],
     sources: &[Affine<C>],
@@ -60,94 +138,33 @@ pub fn accumulate_batch_affine<C: CurveParams>(
     stats: &mut BatchAffineStats,
 ) {
     let nb = buckets.len();
-    if nb == 0 {
-        return;
-    }
-    // Counting sort into CSR: per-bucket segment lengths, then a flat
-    // array holding each bucket's pending points contiguously (existing
-    // accumulator first, then entries in input order).
-    let mut lens = vec![0u32; nb];
+    let mut offsets = vec![0usize; nb + 1];
     for &(b, _) in entries {
-        lens[b as usize] += 1;
+        offsets[b as usize + 1] += 1;
     }
-    for (len, acc) in lens.iter_mut().zip(buckets.iter()) {
-        if !acc.infinity {
-            *len += 1;
-        }
-    }
-    let mut starts = vec![0u32; nb + 1];
-    for b in 0..nb {
-        starts[b + 1] = starts[b] + lens[b];
-    }
-    let total = starts[nb] as usize;
-    let mut flat: Vec<Affine<C>> = vec![Affine::identity(); total];
-    let mut cursor: Vec<u32> = starts[..nb].to_vec();
     for (b, acc) in buckets.iter().enumerate() {
+        offsets[b + 1] += offsets[b] + usize::from(!acc.infinity);
+    }
+    let mut flat: Vec<Affine<C>> = vec![Affine::identity(); offsets[nb]];
+    let mut cursor = offsets[..nb].to_vec();
+    for (acc, c) in buckets.iter().zip(cursor.iter_mut()) {
         if !acc.infinity {
-            flat[cursor[b] as usize] = *acc;
-            cursor[b] += 1;
+            flat[*c] = *acc;
+            *c += 1;
         }
     }
     for &(b, i) in entries {
         let c = &mut cursor[b as usize];
-        flat[*c as usize] = sources[i as usize];
+        flat[*c] = sources[i as usize];
         *c += 1;
     }
-
-    // Tree rounds: pair up each segment's points, batch every pair in
-    // the range into one inversion, carry odd leftovers unchanged.
-    let mut ps: Vec<Affine<C>> = Vec::new();
-    let mut qs: Vec<Affine<C>> = Vec::new();
-    loop {
-        ps.clear();
-        qs.clear();
-        for b in 0..nb {
-            let seg = &flat[starts[b] as usize..(starts[b] + lens[b]) as usize];
-            for pair in seg.chunks_exact(2) {
-                ps.push(pair[0]);
-                qs.push(pair[1]);
-            }
-        }
-        if ps.is_empty() {
-            break;
-        }
-        let (sums, amortized) = batch_add_affine_pairs(&ps, &qs);
-        stats.padds += amortized as u64;
-        if amortized > 0 {
-            stats.inversions += 1;
-        }
-        // Rebuild the CSR with halved segments: pair results in order,
-        // then the carried odd element.
-        let mut next_lens = vec![0u32; nb];
-        let mut next_starts = vec![0u32; nb + 1];
-        for b in 0..nb {
-            next_lens[b] = lens[b] / 2 + lens[b] % 2;
-            next_starts[b + 1] = next_starts[b] + next_lens[b];
-        }
-        let mut next_flat: Vec<Affine<C>> = vec![Affine::identity(); next_starts[nb] as usize];
-        let mut sums_it = sums.into_iter();
-        for b in 0..nb {
-            let out = &mut next_flat[next_starts[b] as usize..];
-            let npairs = (lens[b] / 2) as usize;
-            for slot in out.iter_mut().take(npairs) {
-                *slot = sums_it.next().expect("one sum per pair");
-            }
-            if lens[b] % 2 == 1 {
-                out[npairs] = flat[(starts[b] + lens[b] - 1) as usize];
-            }
-        }
-        flat = next_flat;
-        starts = next_starts;
-        lens = next_lens;
-    }
-
-    for (b, bucket) in buckets.iter_mut().enumerate() {
-        *bucket = if lens[b] == 1 {
-            flat[starts[b] as usize]
-        } else {
-            Affine::identity()
-        };
-    }
+    reduce_segments(
+        &mut flat,
+        &offsets,
+        buckets,
+        &mut ReduceScratch::default(),
+        stats,
+    );
 }
 
 #[cfg(test)]

@@ -81,9 +81,8 @@ pub trait MsmEngine<C: CurveParams>: Send + Sync {
     /// (e.g. [`crate::GzkpMsm`]'s bucket loads) override this to add
     /// PADD/PDBL counts and occupancy histograms.
     ///
-    /// Split from [`Self::msm_traced`] so concurrent MSMs can compute in
-    /// parallel and emit into the (single-span-path) recorder
-    /// sequentially once they are all joined.
+    /// Split from [`Self::msm_traced`] for callers that run the MSM and
+    /// open its span at different times (the checkpointing tasks).
     fn emit_msm_telemetry(
         &self,
         points: &[Affine<C>],
@@ -195,31 +194,27 @@ pub fn naive_msm<C: CurveParams>(points: &[Affine<C>], scalars: &ScalarVec) -> P
 /// The running-sum ("bucket reduction") identity: given bucket sums
 /// `B_1..B_m`, computes `Σ j·B_j` with `2(m−1)` PADDs instead of `m` PMULs.
 pub fn bucket_reduce<C: CurveParams>(buckets: &[Projective<C>]) -> Projective<C> {
+    bucket_reduce_range(buckets, 0)
+}
+
+/// Bucket reduction of a *shifted* bucket slice: given the sums of buckets
+/// `lo+1..lo+len` (so `buckets[i]` holds bucket `lo+1+i`), computes
+/// `Σ_j (lo+1+i)·B_{lo+1+i}` via the identity
+/// `Σ (lo+i)·Bᵢ = lo·ΣBᵢ + Σ i·Bᵢ` — the running sum over the slice
+/// (which ends as the slice total `ΣBᵢ`) plus one `lo`-weighted PMUL of
+/// it. This is what lets a bucket task reduce locally and hand back an
+/// exact partial.
+pub fn bucket_reduce_range<C: CurveParams>(buckets: &[Projective<C>], lo: u64) -> Projective<C> {
     let mut running = Projective::<C>::identity();
     let mut total = Projective::<C>::identity();
     for b in buckets.iter().rev() {
         running = running.add(b);
         total = total.add(&running);
     }
-    total
-}
-
-/// Bucket reduction of a *shifted* bucket slice: given the sums of buckets
-/// `lo+1..lo+len` (so `buckets[i]` holds bucket `lo+1+i`), computes
-/// `Σ_j (lo+1+i)·B_{lo+1+i}` via the identity
-/// `Σ (lo+i)·Bᵢ = lo·ΣBᵢ + Σ i·Bᵢ` — the running sum over the slice plus
-/// one `lo`-weighted PMUL of the slice total. This is what lets a
-/// bucket-range shard reduce locally and hand the host an exact partial.
-pub fn bucket_reduce_range<C: CurveParams>(buckets: &[Projective<C>], lo: u64) -> Projective<C> {
-    let local = bucket_reduce(buckets);
     if lo == 0 {
-        return local;
+        return total;
     }
-    let mut sum = Projective::<C>::identity();
-    for b in buckets {
-        sum = sum.add(b);
-    }
-    local.add(&sum.mul_u64(lo))
+    total.add(&running.mul_u64(lo))
 }
 
 #[cfg(test)]

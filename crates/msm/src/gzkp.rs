@@ -11,9 +11,21 @@
 //! `M`-th weight level; intermediate weights cost `(t mod M)·k` on-the-fly
 //! doublings (Algorithm 1), trading memory for PADDs — which is how GZKP's
 //! memory curve stays flat past 2²² in Figure 9.
+//!
+//! The host fold is the paper's pipeline in four steps, one function
+//! ([`ShardTask::partial`]) behind [`GzkpMsm::msm`],
+//! [`GzkpMsm::msm_sharded`] and the cross-device engine: the scalars'
+//! [`crate::scalars::PIndex`] (every non-zero digit counting-sorted by
+//! bucket, built once per scalar vector and window size) → bucket tasks
+//! sized by entry load alone → per task, one gather of its entries into a
+//! CSR buffer reduced in place with one batched inversion per round
+//! ([`crate::batch_affine::reduce_segments`]) → the task's own
+//! bucket-range reduction, so only one partial sum per task is merged
+//! serially. The simulated clock (`GzkpMsm::stage`) prices the same
+//! load profile and does not depend on how the host executes it.
 
-use crate::batch_affine::{accumulate_batch_affine, BatchAffineStats};
-use crate::engine::{bucket_reduce, bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
+use crate::batch_affine::{reduce_segments, BatchAffineStats, ReduceScratch};
+use crate::engine::{bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
 use crate::scalars::{default_window_size, ScalarVec};
 use crate::store::{PreKey, PreprocessStore};
 use gzkp_curves::{batch_to_affine, Affine, CurveParams, Projective};
@@ -200,11 +212,13 @@ impl GzkpMsm {
         out.push(points.to_vec());
         let mut current: Vec<Projective<C>> = points.iter().map(|p| p.to_projective()).collect();
         for _ in 1..levels {
-            for p in current.iter_mut() {
+            // Across cores: a proof's MSMs run one after the other, so a
+            // cold key's tables are built one vector at a time.
+            current.par_iter_mut().for_each(|p| {
                 for _ in 0..(m * k) {
                     *p = p.double();
                 }
-            }
+            });
             out.push(batch_to_affine(&current));
         }
         out
@@ -252,37 +266,38 @@ impl GzkpMsm {
 
     /// Splits the bucket index space into up to `tasks` contiguous
     /// ranges of roughly equal *entry load* (§4.2's load-grouped bucket
-    /// tasks, with a range granularity suited to CPU threads). Returns
-    /// half-open `(lo, hi)` ranges covering `0..loads.len()`.
+    /// tasks): range `j` ends at the first bucket where the cumulative
+    /// load reaches `(j+1)·total/tasks`, so no range exceeds that share
+    /// by more than its last bucket and a hot bucket cannot shrink the
+    /// ranges after it. Returns half-open `(lo, hi)` ranges covering
+    /// `0..loads.len()`.
     fn balanced_ranges(loads: &[(u64, u64)], tasks: usize) -> Vec<(usize, usize)> {
         let nb = loads.len();
-        if nb == 0 {
-            return vec![(0, 0)];
-        }
-        let tasks = tasks.clamp(1, nb);
-        let total: u64 = loads.iter().map(|l| l.0).sum();
-        let target = total.div_ceil(tasks as u64).max(1);
-        let mut ranges = Vec::with_capacity(tasks);
-        let mut lo = 0usize;
-        let mut acc = 0u64;
+        let tasks = tasks.max(1) as u128;
+        let total: u128 = loads.iter().map(|l| u128::from(l.0)).sum();
+        let mut ranges = Vec::new();
+        let (mut lo, mut acc) = (0usize, 0u128);
         for (b, l) in loads.iter().enumerate() {
-            acc += l.0;
-            if acc >= target && ranges.len() + 1 < tasks && b + 1 < nb {
+            acc += u128::from(l.0);
+            let next = ranges.len() as u128 + 1;
+            if total > 0 && next < tasks && b + 1 < nb && acc * tasks >= next * total {
                 ranges.push((lo, b + 1));
                 lo = b + 1;
-                acc = 0;
             }
         }
         ranges.push((lo, nb));
         ranges
     }
 
-    /// Per-bucket load profile: `(entries, on_the_fly_doublings)` for each
-    /// bucket 1..2^k — the data behind Figure 6 and the load balancer.
-    ///
-    /// With the streamed realization, a non-checkpoint window costs `k`
-    /// shared doublings per point (charged to the entries it produces).
+    /// Per-bucket load profile `(entries, on_the_fly_doublings)` for each
+    /// bucket 1..2^k (see [`crate::scalars::PIndex::loads`]), for callers
+    /// that only price the work: served from the scalars' `p_index` when
+    /// an MSM already built it, else by one counting pass that stores no
+    /// entries.
     fn bucket_loads(scalars: &ScalarVec, k: u32, m: u32) -> Vec<(u64, u64)> {
+        if let Some(index) = scalars.cached_p_index(k) {
+            return index.loads(m);
+        }
         let windows = scalars.num_windows(k);
         let mut loads = vec![(0u64, 0u64); (1usize << k) - 1];
         for i in 0..scalars.len() {
@@ -469,84 +484,6 @@ impl GzkpMsm {
         stage
     }
 
-    /// Cross-window batch-affine accumulation of the bucket slots
-    /// `base..base + buckets.len()` (absolute slot indices; slot `j` holds
-    /// digit `j+1`), carved into the absolute half-open `ranges` (which
-    /// must tile the slice in order) for the parallel bucket tasks.
-    /// Algorithm 1's streamed weight vector is advanced window by window
-    /// exactly as in the whole-task path, so a single range covering all
-    /// slots reproduces the unsharded computation bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_bucket_ranges<C: CurveParams>(
-        &self,
-        pre: &[Vec<Affine<C>>],
-        scalars: &ScalarVec,
-        k: u32,
-        m: u32,
-        windows: usize,
-        ranges: &[(usize, usize)],
-        buckets: &mut [Affine<C>],
-        base: usize,
-    ) -> MsmStats {
-        let n = scalars.len();
-        let mut stats = MsmStats::default();
-        let mut temp: Vec<Projective<C>> = Vec::new();
-        let mut temp_aff: Vec<Affine<C>> = Vec::new();
-        for t in 0..windows {
-            let level = (t as u32 / m) as usize;
-            let rem = t as u32 % m;
-            if m > 1 {
-                if rem == 0 {
-                    temp.clear();
-                } else {
-                    if temp.is_empty() {
-                        temp = pre[level].iter().map(|p| p.to_projective()).collect();
-                    }
-                    temp.par_iter_mut().for_each(|p| {
-                        for _ in 0..k {
-                            *p = p.double();
-                        }
-                    });
-                    temp_aff = batch_to_affine(&temp);
-                }
-            }
-            let sources: &[Affine<C>] = if rem == 0 { &pre[level] } else { &temp_aff };
-
-            // Carve the bucket slice into the task ranges and let every
-            // task scan the digit stream for its own buckets.
-            let mut parts: Vec<(usize, &mut [Affine<C>])> = Vec::with_capacity(ranges.len());
-            let mut rest = &mut buckets[..];
-            let mut off = base;
-            for &(lo, hi) in ranges {
-                let (head, tail) = rest.split_at_mut(hi - off);
-                parts.push((lo, head));
-                rest = tail;
-                off = hi;
-            }
-            let window_stats: Vec<BatchAffineStats> = parts
-                .into_par_iter()
-                .map(|(lo, slice)| {
-                    let hi = lo + slice.len();
-                    let mut entries: Vec<(u32, u32)> = Vec::new();
-                    for i in 0..n {
-                        let d = scalars.window(i, t, k) as usize;
-                        if d != 0 && (lo + 1..=hi).contains(&d) {
-                            entries.push(((d - 1 - lo) as u32, i as u32));
-                        }
-                    }
-                    let mut s = BatchAffineStats::default();
-                    accumulate_batch_affine(slice, sources, &entries, &mut s);
-                    s
-                })
-                .collect();
-            for s in &window_stats {
-                stats.batch_padds += s.padds;
-                stats.batch_inversions += s.inversions;
-            }
-        }
-        stats
-    }
-
     /// Serial mixed-Jacobian accumulation of the bucket slots `lo..hi`
     /// (the non-batch-affine fallback), returning the bucket sums of
     /// digits `lo+1..=hi`.
@@ -628,57 +565,40 @@ impl GzkpMsm {
         shards
     }
 
-    /// Functional MSM split into `shards` bucket-range partials, each
-    /// locally reduced ([`bucket_reduce_range`]) and merged on the host
-    /// by projective addition. Partials are exact group elements, so the
-    /// merged result is bit-identical to the unsharded run for every
-    /// shard count (proptested across both curves).
+    /// Functional MSM split into `shards` bucket-range partials
+    /// ([`ShardTask::partial`]), merged on the host in range order.
+    /// Partials are exact group elements, so the merged result is
+    /// bit-identical for every shard count (proptested across both
+    /// curves); one shard is the whole-task run.
     pub fn msm_sharded<C: CurveParams>(
         &self,
         points: &[Affine<C>],
         scalars: &ScalarVec,
         shards: usize,
     ) -> MsmRun<C> {
-        assert_eq!(points.len(), scalars.len());
-        let n = points.len();
-        let k = self.k_for(n);
-        let windows = scalars.num_windows(k);
-        let m = self.interval_for::<C>(n, windows);
-        let pre = self.preprocess_cached(points, k, m, windows);
-        let loads = Self::bucket_loads(scalars, k, m);
-        let shard_ranges = Self::balanced_ranges(&loads, shards.max(1));
-
+        let task = self.shard_task(points, scalars, shards);
         let mut stats = MsmStats {
-            shards: shard_ranges.len() as u64,
+            shards: task.num_ranges() as u64,
             ..MsmStats::default()
         };
-        let mut result = Projective::<C>::identity();
-        for &(lo, hi) in &shard_ranges {
-            let partial = if self.batch_affine {
-                let tasks = if self.parallel {
-                    rayon::current_num_threads().max(1)
-                } else {
-                    1
-                };
-                let sub = Self::balanced_ranges(&loads[lo..hi], tasks);
-                let abs: Vec<(usize, usize)> = sub.iter().map(|&(a, b)| (lo + a, lo + b)).collect();
-                let mut buckets = vec![Affine::<C>::identity(); hi - lo];
-                let s =
-                    self.fold_bucket_ranges(&pre, scalars, k, m, windows, &abs, &mut buckets, lo);
+        let partials: Vec<Projective<C>> = (0..task.num_ranges())
+            .map(|i| {
+                let (partial, s) = task.partial(self, scalars, i);
                 stats.batch_padds += s.batch_padds;
                 stats.batch_inversions += s.batch_inversions;
-                let projective: Vec<Projective<C>> =
-                    buckets.iter().map(Affine::to_projective).collect();
-                bucket_reduce_range(&projective, lo as u64)
-            } else {
-                let buckets = self.fold_projective_range(&pre, scalars, k, m, windows, lo, hi);
-                bucket_reduce_range(&buckets, lo as u64)
-            };
-            result = result.add(&partial);
-        }
-        let report = self.stage_sharded::<C>(n, k, m, windows, &loads, &shard_ranges);
+                partial
+            })
+            .collect();
+        let report = self.stage_sharded::<C>(
+            task.n,
+            task.k,
+            task.m,
+            task.windows,
+            &task.loads,
+            &task.ranges,
+        );
         MsmRun {
-            result,
+            result: task.merge(&partials),
             report,
             stats,
         }
@@ -803,8 +723,12 @@ impl GzkpMsm {
         let windows = scalars.num_windows(k);
         let m = self.interval_for::<C>(n, windows);
         let pre = self.preprocess_cached(points, k, m, windows);
-        let loads = Self::bucket_loads(scalars, k, m);
-        let ranges = Self::balanced_ranges(&loads, shards.max(1));
+        let loads = if self.batch_affine {
+            scalars.p_index(k).loads(m)
+        } else {
+            Self::bucket_loads(scalars, k, m)
+        };
+        let ranges = Self::balanced_ranges(&loads, shards);
         ShardTask {
             pre,
             loads,
@@ -838,63 +762,9 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
     }
 
     fn msm(&self, points: &[Affine<C>], scalars: &ScalarVec) -> MsmRun<C> {
-        assert_eq!(points.len(), scalars.len());
-        let n = points.len();
-        let planned = self.shard_plan::<C>(n);
-        if planned > 1 {
-            // Checkpoint tables + point vectors exceed device memory:
-            // run device-sized bucket-range passes merged on the host.
-            return self.msm_sharded(points, scalars, planned);
-        }
-        let k = self.k_for(n);
-        let windows = scalars.num_windows(k);
-        let m = self.interval_for::<C>(n, windows);
-        let pre = self.preprocess_cached(points, k, m, windows);
-        let loads = Self::bucket_loads(scalars, k, m);
-
-        // Cross-window point-merging into 2^k − 1 consolidated buckets.
-        // Algorithm 1 realized with a streamed weight vector: inside each
-        // checkpoint span the whole vector is advanced by k doublings per
-        // window (shared across that window's entries), so the on-the-fly
-        // work is k doublings per point per non-aligned window instead of
-        // `(t mod M)·k` per entry — same results, the time/space tradeoff
-        // the checkpoint interval is for.
-        let nb = (1usize << k) - 1;
-        let mut stats = MsmStats {
-            shards: 1,
-            ..MsmStats::default()
-        };
-        let result = if self.batch_affine {
-            // Bucket-task partitioning across threads: each task owns a
-            // contiguous bucket range of roughly equal entry load and
-            // folds its entries with Montgomery-batched affine adds.
-            // Affine intermediates are exact group elements, so the
-            // result is bit-identical at every thread count.
-            let tasks = if self.parallel {
-                rayon::current_num_threads().max(1)
-            } else {
-                1
-            };
-            let ranges = Self::balanced_ranges(&loads, tasks);
-            let mut buckets = vec![Affine::<C>::identity(); nb];
-            let s = self.fold_bucket_ranges(&pre, scalars, k, m, windows, &ranges, &mut buckets, 0);
-            stats.batch_padds = s.batch_padds;
-            stats.batch_inversions = s.batch_inversions;
-            let projective: Vec<Projective<C>> =
-                buckets.iter().map(Affine::to_projective).collect();
-            bucket_reduce(&projective)
-        } else {
-            // One bucket reduction; no window reduction remains (§4.1).
-            let buckets = self.fold_projective_range(&pre, scalars, k, m, windows, 0, nb);
-            bucket_reduce(&buckets)
-        };
-
-        let report = self.stage::<C>(n, k, windows, &loads);
-        MsmRun {
-            result,
-            report,
-            stats,
-        }
+        // One bucket-range pass when checkpoint tables + point vectors
+        // fit device memory, else device-sized passes merged on the host.
+        self.msm_sharded(points, scalars, self.shard_plan::<C>(points.len()))
     }
 
     fn emit_msm_telemetry(
@@ -983,6 +853,27 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
             + n as u64 * 8 // p_index (per window batch)
             + ((1u64 << k) - 1) * cost.jacobian_bytes() // buckets
     }
+}
+
+/// Entry budget of one bucket task. A range of `e` entries is cut into
+/// `⌈e / TASK_ENTRIES⌉` equal-load tasks, rounded up to a multiple of four
+/// so the count divides evenly over two or four workers (a ninth task
+/// would leave one of two cores idle for a whole task). A task's CSR
+/// gather buffer holds its entries — at most this many unless a hot
+/// bucket exceeds it, a bucket is never split — which keeps the buffers
+/// the size of the one-window buffers the window-major fold used, and is
+/// large enough that a task's `⌈log₂(max bucket load)⌉` inversions
+/// amortize over thousands of additions.
+const TASK_ENTRIES: u64 = 24576;
+
+/// What one worker of the fold owns: the buffers its bucket tasks reuse —
+/// the CSR gather buffer, its segment offsets, the reducer's scratch —
+/// and the counters of the tasks it ran.
+struct TaskScratch<C: CurveParams> {
+    flat: Vec<Affine<C>>,
+    offsets: Vec<usize>,
+    reduce: ReduceScratch<C>,
+    stats: BatchAffineStats,
 }
 
 /// One MSM frozen into bucket-range partials that distinct devices can
@@ -1102,11 +993,27 @@ impl<C: CurveParams> ShardTask<C> {
         merge.time_ns + reduce.time_ns
     }
 
-    /// Executes range `index` with `engine`'s fold configuration
-    /// (batch-affine / parallel), returning the exact partial group
-    /// element and its operation stats. Deterministic at every thread
-    /// count: affine intermediates are exact, so the partial bytes do not
-    /// depend on how the fold was parallelized.
+    /// Executes range `index` with `engine`'s fold configuration,
+    /// returning the exact partial group element `Σ (b+1)·B_b` over the
+    /// range's buckets and its operation stats — the one fold behind
+    /// [`GzkpMsm::msm`], [`GzkpMsm::msm_sharded`] and the cross-device
+    /// engine.
+    ///
+    /// The range is cut into bucket tasks of about `TASK_ENTRIES`
+    /// entries each — boundaries are a pure function of the load profile,
+    /// never of the thread count — and all tasks run in one parallel
+    /// region. A task gathers the `p_index` entries of its buckets into
+    /// one CSR buffer, reduces every bucket in place
+    /// ([`reduce_segments`]) and finishes with its own
+    /// [`bucket_reduce_range`]; the task sums are merged in range order.
+    /// Bucket sums are exact affine points, so the result and the stats
+    /// are the same at every thread count.
+    ///
+    /// Algorithm 1 with `M > 1`: the windows on the checkpoint grid read
+    /// the stored levels and are gathered together in a first pass; every
+    /// other window is one more pass over a streamed weight vector that
+    /// is advanced by `k` doublings per window (shared by that window's
+    /// entries), with the bucket sums carried from pass to pass.
     pub fn partial(
         &self,
         engine: &GzkpMsm,
@@ -1114,44 +1021,124 @@ impl<C: CurveParams> ShardTask<C> {
         index: usize,
     ) -> (Projective<C>, MsmStats) {
         let (lo, hi) = self.ranges[index];
-        let mut stats = MsmStats::default();
-        let partial = if engine.batch_affine {
-            let tasks = if engine.parallel {
-                rayon::current_num_threads().max(1)
-            } else {
-                1
-            };
-            let sub = GzkpMsm::balanced_ranges(&self.loads[lo..hi], tasks);
-            let abs: Vec<(usize, usize)> = sub.iter().map(|&(a, b)| (lo + a, lo + b)).collect();
-            let mut buckets = vec![Affine::<C>::identity(); hi - lo];
-            let s = engine.fold_bucket_ranges(
-                &self.pre,
-                scalars,
-                self.k,
-                self.m,
-                self.windows,
-                &abs,
-                &mut buckets,
-                lo,
+        let (k, m) = (self.k, self.m as usize);
+        if !engine.batch_affine {
+            let buckets =
+                engine.fold_projective_range(&self.pre, scalars, k, self.m, self.windows, lo, hi);
+            return (
+                bucket_reduce_range(&buckets, lo as u64),
+                MsmStats::default(),
             );
-            stats.batch_padds += s.batch_padds;
-            stats.batch_inversions += s.batch_inversions;
-            let projective: Vec<Projective<C>> =
-                buckets.iter().map(Affine::to_projective).collect();
-            bucket_reduce_range(&projective, lo as u64)
-        } else {
-            let buckets = engine.fold_projective_range(
-                &self.pre,
-                scalars,
-                self.k,
-                self.m,
-                self.windows,
-                lo,
-                hi,
-            );
-            bucket_reduce_range(&buckets, lo as u64)
+        }
+        let p_index = scalars.p_index(k);
+        let loads = &self.loads[lo..hi];
+        let entries: u64 = loads.iter().map(|l| l.0).sum();
+        let tasks = entries.div_ceil(TASK_ENTRIES).next_multiple_of(4);
+        let tasks = GzkpMsm::balanced_ranges(loads, tasks as usize);
+        let streamed: Vec<usize> = (0..self.windows).filter(|t| t % m != 0).collect();
+
+        let mut buckets = vec![Affine::<C>::identity(); hi - lo];
+        let mut weights: Vec<Projective<C>> = Vec::new();
+        let mut weights_aff: Vec<Affine<C>> = Vec::new();
+        let mut result = Projective::<C>::identity();
+        // One worker per participating thread, each with its own task
+        // buffers. They are allocated here, on the calling thread, so
+        // back-to-back MSMs reuse one heap instead of growing every pool
+        // thread's.
+        let workers = match engine.parallel {
+            true => rayon::current_num_threads(),
+            false => 1,
         };
-        (partial, stats)
+        let task_points = tasks
+            .iter()
+            .map(|&(a, b)| b - a + p_index.range_len(lo + a, lo + b))
+            .max()
+            .unwrap_or(0);
+        let mut scratch: Vec<TaskScratch<C>> = (0..workers)
+            .map(|_| TaskScratch {
+                flat: Vec::with_capacity(task_points),
+                offsets: Vec::new(),
+                reduce: ReduceScratch::with_capacity(task_points),
+                stats: BatchAffineStats::default(),
+            })
+            .collect();
+        for pass in 0..=streamed.len() {
+            // Pass 0 covers the checkpoint grid, pass p > 0 window
+            // `streamed[p − 1]`.
+            let window = pass.checked_sub(1).map(|p| streamed[p]);
+            if let Some(t) = window {
+                if t % m == 1 {
+                    weights = self.pre[t / m].iter().map(Affine::to_projective).collect();
+                }
+                weights.par_iter_mut().for_each(|p| {
+                    for _ in 0..k {
+                        *p = p.double();
+                    }
+                });
+                weights_aff = batch_to_affine(&weights);
+            }
+            let source = |t: usize, i: usize| match window {
+                None => t.is_multiple_of(m).then(|| self.pre[t / m][i]),
+                Some(w) => (t == w).then(|| weights_aff[i]),
+            };
+            let last = pass == streamed.len();
+
+            // The queue hands each task — its first bucket and its slice
+            // of the bucket sums — to the next idle worker, in range order.
+            let mut parts = Vec::with_capacity(tasks.len());
+            let mut rest = &mut buckets[..];
+            for &(a, b) in &tasks {
+                let (head, tail) = rest.split_at_mut(b - a);
+                parts.push((lo + a, head));
+                rest = tail;
+            }
+            let queue = Mutex::new(parts.into_iter());
+            let claim = || queue.lock().expect("bucket task panicked").next();
+            let done: Vec<Vec<(usize, Projective<C>)>> = scratch
+                .par_iter_mut()
+                .map(|s| {
+                    let mut partials = Vec::new();
+                    while let Some((first, sums)) = claim() {
+                        s.flat.clear();
+                        s.offsets.clear();
+                        s.offsets.push(0);
+                        for (j, sum) in sums.iter().enumerate() {
+                            if !sum.infinity {
+                                s.flat.push(*sum);
+                            }
+                            // Identity sources (unused key columns) add nothing.
+                            let entries = p_index.bucket(first + j);
+                            s.flat.extend(
+                                entries.filter_map(|(t, i)| source(t, i).filter(|p| !p.infinity)),
+                            );
+                            s.offsets.push(s.flat.len());
+                        }
+                        reduce_segments(&mut s.flat, &s.offsets, sums, &mut s.reduce, &mut s.stats);
+                        if last {
+                            let sums: Vec<Projective<C>> =
+                                sums.iter().map(Affine::to_projective).collect();
+                            partials.push((first, bucket_reduce_range(&sums, first as u64)));
+                        }
+                    }
+                    partials
+                })
+                .collect();
+            let mut partials = done.concat();
+            partials.sort_by_key(|&(first, _)| first);
+            for (_, partial) in &partials {
+                result = result.add(partial);
+            }
+        }
+        let mut stats = BatchAffineStats::default();
+        for worker in &scratch {
+            stats.merge(&worker.stats);
+        }
+        let stats = MsmStats {
+            batch_padds: stats.padds,
+            batch_inversions: stats.inversions,
+            shards: 0,
+        };
+        (result, stats)
     }
 
     /// Merges per-range partials in range order — the same left fold
@@ -1206,6 +1193,59 @@ mod tests {
         let (pts, sv) = setup(80, 41);
         let run = GzkpMsm::new(v100()).msm(&pts, &sv);
         assert_eq!(run.result, naive_msm(&pts, &sv));
+    }
+
+    #[test]
+    fn balanced_ranges_track_cumulative_targets() {
+        // No range may exceed its share by more than the heaviest bucket,
+        // on a dense vector and on a 0/1-heavy one (bucket 1 hot) — the
+        // old cut reset its accumulator at every boundary, so later
+        // ranges shrank and the last one was a stub.
+        let n = 1 << 10;
+        let mut rng = StdRng::seed_from_u64(50);
+        let dense: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        let sparse: Vec<Fr> = (0..n)
+            .map(|i| match i % 8 {
+                0 => Fr::random(&mut rng),
+                _ => Fr::from_u64((i % 2) as u64),
+            })
+            .collect();
+        for (scalars, hot) in [(dense, false), (sparse, true)] {
+            let loads = GzkpMsm::bucket_loads(&ScalarVec::from_field(&scalars), 7, 1);
+            let total: u64 = loads.iter().map(|l| l.0).sum();
+            let heaviest = loads.iter().map(|l| l.0).max().unwrap();
+            assert_eq!(hot, heaviest == loads[0].0 && heaviest > total / 16);
+            for tasks in [1usize, 2, 3, 7, 16, 40] {
+                let ranges = GzkpMsm::balanced_ranges(&loads, tasks);
+                assert!(ranges.len() <= tasks);
+                assert_eq!(ranges[0].0, 0);
+                assert_eq!(ranges.last().unwrap().1, loads.len());
+                assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
+                let target = total.div_ceil(tasks as u64);
+                for &(lo, hi) in &ranges {
+                    let load: u64 = loads[lo..hi].iter().map(|l| l.0).sum();
+                    assert!(
+                        lo < hi && load <= target + heaviest,
+                        "tasks={tasks} {lo}..{hi}"
+                    );
+                    // Without a hot bucket every range, the last included,
+                    // carries about its share.
+                    assert!(hot || load + heaviest >= target, "tasks={tasks} {lo}..{hi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loads_agree_with_and_without_p_index() {
+        // The counting pass cost-only callers fall back to and the
+        // memoised p_index must describe the same profile, for every M.
+        let (_, sv) = setup(200, 51);
+        for m in [1u32, 2, 5] {
+            let counted = GzkpMsm::bucket_loads(&sv.clone(), 8, m);
+            assert_eq!(sv.p_index(8).loads(m), counted, "M={m}");
+            assert_eq!(GzkpMsm::bucket_loads(&sv, 8, m), counted, "M={m}");
+        }
     }
 
     #[test]

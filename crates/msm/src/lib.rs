@@ -43,13 +43,13 @@ pub mod store;
 pub mod straus;
 pub mod submsm;
 
-pub use batch_affine::{accumulate_batch_affine, BatchAffineStats};
+pub use batch_affine::{accumulate_batch_affine, reduce_segments, BatchAffineStats, ReduceScratch};
 pub use cpu::CpuMsm;
 pub use engine::{
     bucket_reduce, bucket_reduce_range, naive_msm, CurveCost, MsmEngine, MsmRun, MsmStats,
 };
 pub use gzkp::{profile_window_size, GzkpMsm, ShardTask};
-pub use scalars::{bucket_histogram, default_window_size, window_loads, ScalarVec};
+pub use scalars::{bucket_histogram, default_window_size, window_loads, PIndex, ScalarVec};
 pub use signed::SignedGzkpMsm;
 pub use store::PreprocessStore;
 pub use straus::StrausMsm;

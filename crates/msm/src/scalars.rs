@@ -3,16 +3,107 @@
 //! Figure-6 load analysis).
 
 use gzkp_ff::PrimeField;
+use std::sync::{Arc, Mutex};
 
 /// A vector of scalars in canonical (non-Montgomery) representation,
 /// stored as one flat little-endian limb buffer — the column-friendly
 /// layout GPU MSM kernels consume.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScalarVec {
     limbs: Vec<u64>,
     per_scalar: usize,
     bits: u32,
     n: usize,
+    /// [`PIndex`] per window size, built on first use: the scalars are
+    /// immutable, and MSMs over different point vectors share them
+    /// (Groth16's `a`, `b_g1` and `b_g2` all consume `z⃗`).
+    p_indexes: Mutex<Vec<Arc<PIndex>>>,
+}
+
+impl Clone for ScalarVec {
+    fn clone(&self) -> Self {
+        Self::from_raw(self.limbs.clone(), self.per_scalar, self.bits)
+    }
+}
+
+/// The paper's `p_index` (§4.1): every non-zero `(window, point)` digit
+/// of a scalar vector, counting-sorted by bucket, so a bucket task reads
+/// exactly its own entries and nothing rescans the scalars. Bucket `b`
+/// holds digit `b + 1`.
+#[derive(Debug)]
+pub struct PIndex {
+    k: u32,
+    /// Bucket `b` owns `entries[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<usize>,
+    /// `point << 16 | window`, in point-then-window order per bucket.
+    entries: Vec<u64>,
+}
+
+impl PIndex {
+    fn build(scalars: &ScalarVec, k: u32) -> Self {
+        let windows = scalars.num_windows(k);
+        assert!(windows <= 1 << 16 && (scalars.len() as u64) < 1 << 48);
+        // Counting sort: the histogram's slot 0 (zero digits) becomes the
+        // leading offset, so its running sum is the CSR offsets.
+        let mut offsets: Vec<usize> = bucket_histogram(scalars, k)
+            .into_iter()
+            .map(|count| count as usize)
+            .collect();
+        offsets[0] = 0;
+        for b in 1..offsets.len() {
+            offsets[b] += offsets[b - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut entries = vec![0u64; offsets[offsets.len() - 1]];
+        for i in 0..scalars.len() {
+            for t in 0..windows {
+                let d = scalars.window(i, t, k) as usize;
+                if d != 0 {
+                    entries[cursor[d - 1]] = (i as u64) << 16 | t as u64;
+                    cursor[d - 1] += 1;
+                }
+            }
+        }
+        Self {
+            k,
+            offsets,
+            entries,
+        }
+    }
+
+    /// The `(window, point)` entries of bucket `b`.
+    pub fn bucket(&self, b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.entries[self.offsets[b]..self.offsets[b + 1]]
+            .iter()
+            .map(|&e| ((e & 0xffff) as usize, (e >> 16) as usize))
+    }
+
+    /// Number of entries in buckets `lo..hi`.
+    pub fn range_len(&self, lo: usize, hi: usize) -> usize {
+        self.offsets[hi] - self.offsets[lo]
+    }
+
+    /// Per-bucket load profile `(entries, on_the_fly_doublings)` under
+    /// checkpoint interval `m` — the data behind Figure 6, the simulated
+    /// merge kernel and the load balancer. A window off the checkpoint
+    /// grid costs `k` streamed doublings per entry it produces.
+    pub fn loads(&self, m: u32) -> Vec<(u64, u64)> {
+        (0..self.offsets.len() - 1)
+            .map(|b| {
+                let streamed = match m {
+                    1 => 0,
+                    _ => self
+                        .bucket(b)
+                        .filter(|(t, _)| !(*t as u32).is_multiple_of(m))
+                        .count(),
+                };
+                (
+                    (self.offsets[b + 1] - self.offsets[b]) as u64,
+                    streamed as u64 * self.k as u64,
+                )
+            })
+            .collect()
+    }
 }
 
 impl ScalarVec {
@@ -23,12 +114,7 @@ impl ScalarVec {
         for s in scalars {
             limbs.extend(s.to_limbs());
         }
-        Self {
-            limbs,
-            per_scalar,
-            bits: F::MODULUS_BITS,
-            n: scalars.len(),
-        }
+        Self::from_raw(limbs, per_scalar, F::MODULUS_BITS)
     }
 
     /// Builds directly from raw canonical limbs (testing, synthetic data).
@@ -44,7 +130,28 @@ impl ScalarVec {
             per_scalar,
             bits,
             n,
+            p_indexes: Mutex::default(),
         }
+    }
+
+    /// The [`PIndex`] for window size `k`, built on first use and shared
+    /// by every later MSM over these scalars.
+    pub fn p_index(&self, k: u32) -> Arc<PIndex> {
+        let mut memo = self.p_indexes.lock().expect("p_index build panicked");
+        if let Some(hit) = memo.iter().find(|ix| ix.k == k) {
+            return hit.clone();
+        }
+        let built = Arc::new(PIndex::build(self, k));
+        memo.push(built.clone());
+        built
+    }
+
+    /// The already-built [`PIndex`] for `k`, if any MSM made one: what
+    /// cost-only callers use, so planning a paper-scale vector never
+    /// materialises its entries.
+    pub fn cached_p_index(&self, k: u32) -> Option<Arc<PIndex>> {
+        let memo = self.p_indexes.lock().expect("p_index build panicked");
+        memo.iter().find(|ix| ix.k == k).cloned()
     }
 
     /// Number of scalars.

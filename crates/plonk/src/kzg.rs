@@ -76,6 +76,21 @@ impl<P: PairingConfig> KzgSrs<P> {
     ///
     /// Panics if `coeffs` exceeds the SRS size.
     pub fn commit(&self, coeffs: &[P::Fr], msm: &dyn MsmEngine<P::G1>) -> MsmRun<P::G1> {
+        self.commit_traced(coeffs, msm, &gzkp_telemetry::NoopSink)
+    }
+
+    /// [`Self::commit`] that also emits the MSM's telemetry into `sink`
+    /// (nothing for the empty polynomial).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` exceeds the SRS size.
+    pub fn commit_traced(
+        &self,
+        coeffs: &[P::Fr],
+        msm: &dyn MsmEngine<P::G1>,
+        sink: &dyn gzkp_telemetry::TelemetrySink,
+    ) -> MsmRun<P::G1> {
         assert!(
             coeffs.len() <= self.g1_powers.len(),
             "polynomial degree {} exceeds SRS degree {}",
@@ -91,9 +106,10 @@ impl<P: PairingConfig> KzgSrs<P> {
                 stats: Default::default(),
             };
         }
-        msm.msm(
+        msm.msm_traced(
             &self.g1_powers[..coeffs.len()],
             &ScalarVec::from_field(coeffs),
+            sink,
         )
     }
 }

@@ -56,14 +56,12 @@ use gzkp_curves::serialize::{compress, decompress, CoordField};
 use gzkp_curves::{Affine, CurveParams};
 use gzkp_ff::{batch_inverse, Field, PrimeField};
 use gzkp_gpu_sim::StageReport;
-use gzkp_msm::ScalarVec;
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
 use gzkp_proof_system::{Engines, ProveReport};
 use gzkp_telemetry::{self as telemetry, TelemetrySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Current checkpoint wire-format version.
 pub const CHECKPOINT_VERSION: u8 = 1;
@@ -215,11 +213,11 @@ where
     t
 }
 
-/// Commits each `(span, coeffs)` job concurrently through the G1 engine,
-/// then (after the join, so the span tree stays deterministic) emits each
-/// job's telemetry under its span and folds its kernels — span-prefixed —
-/// into `msm_report`. Mirrors the concurrent-MSM pattern of the Groth16
-/// prover.
+/// Commits each `(span, coeffs)` job through the G1 engine, one after the
+/// other — an MSM is one flat parallel region over its bucket tasks, so
+/// every core works on the current commitment — emitting each job's
+/// telemetry under its span and folding its kernels, span-prefixed, into
+/// `msm_report`.
 fn commit_batch<P: PairingConfig>(
     pk: &PlonkProvingKey<P>,
     engines: &Engines<'_, P>,
@@ -227,28 +225,19 @@ fn commit_batch<P: PairingConfig>(
     msm_report: &mut StageReport,
     sink: &dyn TelemetrySink,
 ) -> Vec<Affine<P::G1>> {
-    let runs: Vec<_> = jobs
-        .into_par_iter()
-        .map(|(_, coeffs)| pk.srs.commit(coeffs, engines.msm_g1))
-        .collect();
-    let mut out = Vec::with_capacity(runs.len());
-    for ((label, coeffs), run) in jobs.iter().zip(runs) {
-        if !coeffs.is_empty() {
-            let _span = telemetry::span(sink, label);
-            engines.msm_g1.emit_msm_telemetry(
-                &pk.srs.g1_powers[..coeffs.len()],
-                &ScalarVec::from_field(coeffs),
-                &run,
-                sink,
-            );
-        }
-        for mut k in run.report.kernels {
-            k.name = format!("{label}.{}", k.name);
-            msm_report.kernels.push(k);
-        }
-        out.push(run.result.to_affine());
-    }
-    out
+    jobs.iter()
+        .map(|&(label, coeffs)| {
+            let run = {
+                let _span = (!coeffs.is_empty()).then(|| telemetry::span(sink, label));
+                pk.srs.commit_traced(coeffs, engines.msm_g1, sink)
+            };
+            for mut k in run.report.kernels {
+                k.name = format!("{label}.{}", k.name);
+                msm_report.kernels.push(k);
+            }
+            run.result.to_affine()
+        })
+        .collect()
 }
 
 /// Fiat–Shamir challenges recovered by replaying a checkpoint's

@@ -250,9 +250,11 @@ fn fleet_work_stealing_is_counted_and_safe() {
     // Stealing is a race between the poly worker and an idle peer grabbing
     // the freshly staged MSM, so drive enough instant jobs through a
     // two-device fleet that a steal is (overwhelmingly) certain, and check
-    // stolen jobs still resolve with the right payload.
+    // stolen jobs still resolve with the right payload. A round sees no
+    // steal about 97.5 % of the time on a 2-core box (50 rounds failed one
+    // run in four), so the loop allows 1000; it stops at the first steal.
     let mut total_steals = 0u64;
-    for round in 0..50 {
+    for round in 0..1000 {
         let service = ProvingService::start(ServiceConfig {
             queue_capacity: 64,
             devices: parse_devices("2").expect("spec"),
@@ -274,11 +276,11 @@ fn fleet_work_stealing_is_counted_and_safe() {
         total_steals += util.devices.iter().map(|d| d.steals).sum::<u64>();
         service.shutdown();
         if total_steals > 0 {
-            assert!(round < 50);
+            assert!(round < 1000);
             break;
         }
     }
-    assert!(total_steals > 0, "no steal observed across 2400 jobs");
+    assert!(total_steals > 0, "no steal observed across 48000 jobs");
 }
 
 #[test]

@@ -1,0 +1,115 @@
+//! The range-major `p_index` fold is one function behind `GzkpMsm::msm`,
+//! `msm_sharded` and `ShardTask::partial`, and its bucket tasks are cut
+//! from the load profile alone. So for every fold configuration — each
+//! checkpoint interval `M`, each shard count, each frozen partial — the
+//! compressed result **and the `MsmStats`** must be the same at every
+//! thread count, and every configuration must agree with the serial
+//! mixed-addition reference. Checked on BN254 G1, G2 and the 753-bit
+//! curve, over scalars with a hot bucket and points with duplicates and
+//! identities.
+//!
+//! Everything lives in ONE test function: the thread count is driven by
+//! the `GZKP_THREADS` env override, and env mutation must stay
+//! sequential within the test binary (see `parallel_determinism.rs`).
+
+use gzkp_curves::{bn254, compress, random_points, t753, Affine, CoordField, CurveParams};
+use gzkp_ff::Field;
+use gzkp_gpu_sim::v100;
+use gzkp_msm::{GzkpMsm, MsmEngine, MsmStats, ScalarVec};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Every fold configuration's `(label, compressed result, stats)`.
+fn fold_outputs<C: CurveParams>(
+    points: &[Affine<C>],
+    scalars: &ScalarVec,
+    window: u32,
+) -> Vec<(String, Vec<u8>, MsmStats)>
+where
+    C::Base: CoordField,
+{
+    let bytes = |p: &gzkp_curves::Projective<C>| compress(&p.to_affine());
+    let mut out = Vec::new();
+    for m in [1u32, 2, 5] {
+        let engine = GzkpMsm {
+            window: Some(window),
+            checkpoint_interval: Some(m),
+            ..GzkpMsm::new(v100())
+        };
+        let run = engine.msm(points, scalars);
+        out.push((format!("msm M={m}"), bytes(&run.result), run.stats));
+    }
+    let engine = GzkpMsm {
+        window: Some(window),
+        ..GzkpMsm::new(v100())
+    };
+    for shards in [1usize, 2, 7] {
+        let run = engine.msm_sharded(points, scalars, shards);
+        assert_eq!(run.stats.shards, shards as u64);
+        out.push((format!("sharded x{shards}"), bytes(&run.result), run.stats));
+    }
+    let task = engine.shard_task::<C>(points, scalars, 3);
+    let partials: Vec<_> = (0..task.num_ranges())
+        .map(|i| task.partial(&engine, scalars, i))
+        .collect();
+    for (i, (partial, stats)) in partials.iter().enumerate() {
+        out.push((format!("partial {i}/3"), bytes(partial), *stats));
+    }
+    let merged = task.merge(&partials.iter().map(|p| p.0).collect::<Vec<_>>());
+    out.push(("merged x3".into(), bytes(&merged), MsmStats::default()));
+    out
+}
+
+fn check_curve<C: CurveParams>(n: usize, window: u32, seed: u64, several_tasks: bool)
+where
+    C::Base: CoordField,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut points = random_points::<C, _>(n, &mut rng);
+    // Duplicates meet in a bucket as a tangent; identities add nothing.
+    for i in (0..n).step_by(7) {
+        points[i] = points[(i + 1) % n];
+    }
+    points[n / 2] = Affine::identity();
+    // A 0/1-heavy vector: bucket 1 is hot, as in a real witness.
+    let scalars: Vec<C::Scalar> = (0..n)
+        .map(|i| match i % 3 {
+            2 => C::Scalar::from_u64((i % 2) as u64),
+            _ => C::Scalar::random(&mut rng),
+        })
+        .collect();
+    let scalars = ScalarVec::from_field(&scalars);
+
+    std::env::set_var("GZKP_THREADS", "1");
+    let reference = GzkpMsm {
+        window: Some(window),
+        ..GzkpMsm::serial_reference(v100())
+    };
+    let expect = compress(&reference.msm(&points, &scalars).result.to_affine());
+    let baseline = fold_outputs::<C>(&points, &scalars, window);
+    for (label, bytes, stats) in &baseline {
+        if !label.starts_with("partial") {
+            assert_eq!(bytes, &expect, "{} {label} vs serial reference", C::NAME);
+            assert!(label.starts_with("merged") || stats.batch_padds > 0);
+        }
+    }
+    // The entry budget really cut this MSM into several bucket tasks: a
+    // single one needs at most ⌈log₂(longest bucket)⌉ + 1 inversions.
+    let one_task = (n * scalars.num_windows(window)).ilog2() as u64 + 2;
+    assert!(!several_tasks || baseline[0].2.batch_inversions > one_task);
+
+    for threads in ["2", "3", "8"] {
+        std::env::set_var("GZKP_THREADS", threads);
+        // A fresh scalar vector, so the p_index is rebuilt here too.
+        let got = fold_outputs::<C>(&points, &scalars.clone(), window);
+        assert_eq!(got, baseline, "{} at GZKP_THREADS={threads}", C::NAME);
+    }
+    std::env::remove_var("GZKP_THREADS");
+}
+
+#[test]
+fn fold_is_identical_across_threads_intervals_shards_and_partials() {
+    check_curve::<bn254::G1Config>(1000, 5, 61, true);
+    check_curve::<bn254::G2Config>(120, 4, 62, false);
+    check_curve::<t753::G1Config>(40, 4, 63, false);
+}
