@@ -44,9 +44,9 @@ pub struct TaskBuild {
 pub type TaskFactory = Arc<dyn Fn(TaskBuild) -> Result<Box<dyn ProofTask>, String> + Send + Sync>;
 
 /// A [`TaskFactory`] over an explicit circuit/key pair under any
-/// [`ProofSystem`] backend: builds [`gzkp_service::CheckpointingTask`]s,
-/// resuming from checkpoint bytes when present. `vk` arms
-/// verify-before-return.
+/// [`ProofSystem`](gzkp_proof_system::ProofSystem) backend: builds
+/// checkpoint-persisting [`gzkp_service::SystemTask`]s, resuming from
+/// checkpoint bytes when present. `vk` arms verify-before-return.
 pub fn system_factory<S: gzkp_proof_system::ProofSystem>(
     circuit: Arc<S::Circuit>,
     pk: Arc<S::ProvingKey>,
@@ -54,48 +54,23 @@ pub fn system_factory<S: gzkp_proof_system::ProofSystem>(
     seed: u64,
 ) -> TaskFactory {
     Arc::new(move |build: TaskBuild| {
-        let mut task = match &build.checkpoint {
-            Some(bytes) => gzkp_service::CheckpointingTask::<S>::resume(
-                circuit.clone(),
-                pk.clone(),
-                build.device.clone(),
-                build.store.clone(),
-                bytes,
-                build.slot.clone(),
-                build.interrupt.clone(),
-            )?,
-            None => gzkp_service::CheckpointingTask::<S>::new(
-                circuit.clone(),
-                pk.clone(),
-                build.device.clone(),
-                build.store.clone(),
-                seed,
-                build.slot.clone(),
-                build.interrupt.clone(),
-            ),
-        };
+        let mut task = gzkp_service::SystemTask::<S>::persisting(
+            circuit.clone(),
+            pk.clone(),
+            build.device,
+            build.store,
+            seed,
+            build.slot,
+            build.interrupt,
+        );
+        if let Some(bytes) = &build.checkpoint {
+            task = task.resume(bytes)?;
+        }
         if let Some(vk) = &vk {
             task = task.with_verifying_key(vk.clone());
         }
         Ok(Box::new(task) as Box<dyn ProofTask>)
     })
-}
-
-/// [`system_factory`] specialized to Groth16 over curve `P`.
-pub fn groth16_factory<P>(
-    cs: Arc<gzkp_groth16::r1cs::ConstraintSystem<P::Fr>>,
-    pk: Arc<gzkp_groth16::ProvingKey<P>>,
-    vk: Option<Arc<gzkp_groth16::VerifyingKey<P>>>,
-    seed: u64,
-) -> TaskFactory
-where
-    P: gzkp_curves::pairing::PairingConfig + 'static,
-    <P::G1 as gzkp_curves::CurveParams>::Base: gzkp_curves::CoordField,
-    <P::G2 as gzkp_curves::CurveParams>::Base: gzkp_curves::CoordField,
-    <P::Fq12C as gzkp_ff::ext::Fp12Config>::Fp6C: gzkp_ff::ext::Fp6Config<Fp2C = P::Fq2C>,
-    P::Fq2C: gzkp_ff::ext::Fp2Config,
-{
-    system_factory::<gzkp_groth16::Groth16System<P>>(cs, pk, vk, seed)
 }
 
 /// A [`TaskFactory`] over request `index` of a prepared replay workload

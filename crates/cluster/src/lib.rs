@@ -9,15 +9,16 @@
 //! loss of a whole host mid-proof, and growing/shrinking the host pool
 //! with demand. This crate models that layer end to end:
 //!
-//! * **Checkpointed jobs** — every job runs as a
-//!   [`gzkp_service::CheckpointingTask`] over a pluggable
+//! * **Checkpointed jobs** — every job runs as the service's one task
+//!   type, [`gzkp_service::SystemTask`], over a pluggable
 //!   [`gzkp_proof_system::ProofSystem`] backend (Groth16 or PLONK),
-//!   persisting versioned checkpoint bytes after the POLY stage
-//!   and after each MSM step. When chaos kills a host, the
+//!   built by [`system_factory`] in its persisting form: the checkpoint
+//!   the MSM stage steps through is written out as versioned bytes after
+//!   the POLY stage and between MSM steps. When chaos kills a host, the
 //!   cluster resumes the interrupted jobs on survivors from those bytes,
 //!   and the final proofs are **byte-identical** to uninterrupted runs
-//!   (the blinding seed travels inside the checkpoint and is drawn only
-//!   after the last MSM).
+//!   (resuming continues the same state machine; the blinding seed
+//!   travels inside the checkpoint).
 //! * **The front door** ([`FrontDoor`]) — per-tenant token-bucket rate
 //!   limiting in front of weighted-fair queuing, with typed backpressure
 //!   ([`AdmissionError`]) so clients can tell "slow down" from "shed
@@ -38,9 +39,9 @@
 //! ## Example
 //!
 //! ```
-//! use gzkp_cluster::{groth16_factory, Cluster, ClusterConfig, ClusterJobOptions, TenantSpec};
+//! use gzkp_cluster::{system_factory, Cluster, ClusterConfig, ClusterJobOptions, TenantSpec};
 //! use gzkp_curves::bn254::{Bn254, Fr};
-//! use gzkp_groth16::{setup, r1cs::{ConstraintSystem, LinearCombination}};
+//! use gzkp_groth16::{setup, r1cs::{ConstraintSystem, LinearCombination}, Groth16System};
 //! use gzkp_ff::Field;
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use std::sync::Arc;
@@ -68,7 +69,7 @@
 //! let job = cluster
 //!     .submit(
 //!         "zcash",
-//!         groth16_factory::<Bn254>(cs, pk, Some(vk), 7),
+//!         system_factory::<Groth16System<Bn254>>(cs, pk, Some(vk), 7),
 //!         ClusterJobOptions::default(),
 //!     )
 //!     .unwrap();
@@ -88,8 +89,8 @@ pub mod scheduler;
 
 pub use autoscale::{AutoscalePolicy, Autoscaler};
 pub use cluster::{
-    groth16_factory, system_factory, workload_factory, Cluster, ClusterConfig, ClusterJobOptions,
-    ClusterOutcome, ClusterReportJson, ClusterResult, ClusterStats, TaskBuild, TaskFactory,
+    system_factory, workload_factory, Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome,
+    ClusterReportJson, ClusterResult, ClusterStats, TaskBuild, TaskFactory,
 };
 pub use frontdoor::{AdmissionError, FrontDoor, RateLimit, TenantSpec, TenantStats};
 pub use host::{HostConfig, HostReport, HostState, SimHost};

@@ -1,12 +1,10 @@
-//! Portable proof checkpoints: a versioned byte encoding of the prover's
-//! mid-flight state, so a job interrupted between stages — or between any
-//! two of the five MSMs — can resume *on a different host* and still
-//! produce a proof byte-identical to the uninterrupted run.
-//!
-//! The prover is already split at the POLY/MSM boundary
-//! ([`crate::prove::prove_poly`] / [`crate::prove::prove_msm`]); this
-//! module extends that split *into* the MSM stage. A
-//! [`ProofCheckpoint`] captures:
+//! The Groth16 MSM stage as a resumable state machine with a versioned
+//! byte encoding: a [`ProofCheckpoint`] is opened from the POLY
+//! artifacts, stepped through the five MSMs, and finished into a proof —
+//! which is how [`crate::prove::prove_msm`] runs the stage, and why a job
+//! interrupted between any two MSMs can resume *on a different host* and
+//! still produce a proof byte-identical to the uninterrupted run. A
+//! checkpoint holds:
 //!
 //! * the POLY artifacts (the three packed scalar vectors and the POLY
 //!   stage report), and
@@ -16,41 +14,36 @@
 //!
 //! Byte-identity across interruption holds by construction: every MSM is
 //! an exact group computation (the same on any device or host), the
-//! blinding factors `r, s` are drawn from the job's seeded RNG only in
-//! [`ProofCheckpoint::finish`] — after the last MSM, exactly where the
-//! monolithic prover draws them — and the final proof points are
-//! normalized by `to_affine`, so round-tripping a partial sum through its
-//! compressed affine form cannot change the proof bytes.
+//! blinding factors `r, s` are drawn only in [`ProofCheckpoint::finish`]
+//! — after the last MSM — and the final proof points are normalized by
+//! `to_affine`, so round-tripping a partial sum through its compressed
+//! affine form cannot change the proof bytes.
 //!
 //! ## Wire format (version 1)
 //!
+//! The shared header of [`gzkp_proof_system::codec`] under magic
+//! `"GZKPCKP"`, then:
+//!
 //! ```text
-//! "GZKPCKP" ++ version:u8
-//! fr_bits:u32 fr_limbs:u32 g1_coord_len:u32 g2_coord_len:u32   // curve shape guard
-//! seed:u64  done:u8 (bit i ⇒ MSM step i complete)
-//! poly_report: len:u64 ++ JSON      msm_report: len:u64 ++ JSON
 //! z⃗, aux, h⃗: per_scalar:u32 bits:u32 n:u64 ++ n·per_scalar little-endian u64 limbs
 //! for each set bit of `done`, ascending: len:u64 ++ compressed affine point
 //! ```
 //!
-//! All integers are little-endian. Decoding validates the magic, the
-//! version, the curve shape against the target `P`, and every point
-//! against the curve equation — a checkpoint from the wrong curve or a
-//! truncated byte stream returns an error, never a panic.
+//! On top of the header's checks, decoding requires every scalar vector
+//! to have the scalar field's limb count and bit width.
 
 use crate::prove::{PolyArtifacts, Proof, ProveReport, ProverEngines};
 use crate::setup::ProvingKey;
 use gzkp_curves::pairing::PairingConfig;
-use gzkp_curves::serialize::{compress, decompress, CoordField};
+use gzkp_curves::serialize::CoordField;
 use gzkp_curves::{Affine, CurveParams, Projective};
-use gzkp_ff::PrimeField;
+use gzkp_ff::{Field, PrimeField};
 use gzkp_gpu_sim::StageReport;
-use gzkp_msm::ScalarVec;
+use gzkp_msm::{MsmEngine, ScalarVec};
+use gzkp_proof_system::codec::{self, Reader};
+use gzkp_proof_system::MsmSteps;
 use gzkp_telemetry::{self as telemetry, TelemetrySink};
 use rand::Rng;
-
-/// Current checkpoint wire-format version.
-pub const CHECKPOINT_VERSION: u8 = 1;
 
 /// Number of MSM steps a checkpoint tracks (`a`, `b_g1`, `h`, `l`,
 /// `b_g2`, in execution order).
@@ -58,21 +51,13 @@ pub const MSM_STEPS: usize = 5;
 
 const MAGIC: &[u8; 7] = b"GZKPCKP";
 
-/// Span names of the five MSM steps — the registry's Groth16 stage
-/// table, the same names the monolithic [`crate::prove::prove_msm`]
-/// emits, so stepwise traces line up.
+/// Span names of the five MSM steps: the registry's Groth16 stage table.
 const STEP_SPANS: [&str; MSM_STEPS] = telemetry::counters::GROTH16_MSM_STAGES;
-/// Kernel-report label prefixes, matching the monolithic prover.
+/// Kernel-report label prefixes (the historical query names).
 const STEP_LABELS: [&str; MSM_STEPS] = ["a_query", "b_g1", "h_query", "l_query", "b_g2"];
 
-/// Human-readable label of MSM step `step` (for logs and errors).
-///
-/// # Panics
-///
-/// Panics if `step >= MSM_STEPS`.
-pub fn step_label(step: usize) -> &'static str {
-    STEP_LABELS[step]
-}
+/// The scalar vector (`z⃗`, aux, `h⃗`: indices 0, 1, 2) each step consumes.
+const STEP_SCALARS: [usize; MSM_STEPS] = [0, 0, 2, 1, 0];
 
 /// Resumable mid-proof state: POLY artifacts plus zero or more completed
 /// MSM partial sums. See the module docs for the serialized form.
@@ -83,74 +68,99 @@ pub struct ProofCheckpoint<P: PairingConfig> {
     /// [`ProofCheckpoint::finish`].
     pub seed: u64,
     poly_report: StageReport,
-    z: ScalarVec,
-    aux: ScalarVec,
-    h: ScalarVec,
+    /// `z⃗`, aux, `h⃗`.
+    scalars: [ScalarVec; 3],
     msm_report: StageReport,
     g1_partials: [Option<Projective<P::G1>>; 4],
     g2_partial: Option<Projective<P::G2>>,
 }
 
-impl<P: PairingConfig> ProofCheckpoint<P> {
-    /// Opens a checkpoint right after the POLY stage: no MSM steps done.
-    pub fn from_poly(seed: u64, poly: PolyArtifacts<P>) -> Self {
-        let (poly_report, z, aux, h) = poly.into_parts();
-        Self {
-            seed,
-            poly_report,
-            z,
-            aux,
-            h,
-            msm_report: StageReport::new("MSM"),
-            g1_partials: [None, None, None, None],
-            g2_partial: None,
-        }
+/// Moves step `step`'s kernel reports, label-prefixed, into the stage
+/// report.
+fn take(msm_report: &mut StageReport, step: usize, report: StageReport) {
+    for mut k in report.kernels {
+        k.name = format!("{}.{}", STEP_LABELS[step], k.name);
+        msm_report.kernels.push(k);
+    }
+}
+
+/// Prices the five MSMs from the digit distributions of `z⃗`, aux, `h⃗`,
+/// without touching a point: the cost-only counterpart of the steps.
+pub(crate) fn plan_steps<P: PairingConfig>(
+    scalars: &[ScalarVec; 3],
+    engines: &ProverEngines<'_, P>,
+) -> StageReport {
+    let mut msm_report = StageReport::new("MSM");
+    for (step, &vector) in STEP_SCALARS.iter().enumerate() {
+        let planned = match step {
+            4 => engines.msm_g2.plan(&scalars[vector]),
+            _ => engines.msm_g1.plan(&scalars[vector]),
+        };
+        take(&mut msm_report, step, planned);
+    }
+    msm_report
+}
+
+/// Runs one step's MSM under its span.
+fn step_msm<C: CurveParams>(
+    engine: &dyn MsmEngine<C>,
+    points: &[Affine<C>],
+    scalars: &ScalarVec,
+    step: usize,
+    msm_report: &mut StageReport,
+    sink: &dyn TelemetrySink,
+) -> Result<Projective<C>, String> {
+    let label = STEP_LABELS[step];
+    if scalars.len() != points.len() {
+        return Err(format!(
+            "msm step {step} ({label}): {} scalars do not match the key's {} points",
+            scalars.len(),
+            points.len()
+        ));
+    }
+    let run = {
+        let _span = telemetry::span(sink, STEP_SPANS[step]);
+        engine.msm_traced(points, scalars, sink)
+    };
+    take(msm_report, step, run.report);
+    Ok(run.result)
+}
+
+impl<P: PairingConfig> MsmSteps for ProofCheckpoint<P> {
+    type Pairing = P;
+    type ProvingKey = ProvingKey<P>;
+
+    const STEPS: usize = MSM_STEPS;
+
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// Per-step completion flags, in execution order.
-    pub fn completed(&self) -> [bool; MSM_STEPS] {
-        [
-            self.g1_partials[0].is_some(),
-            self.g1_partials[1].is_some(),
-            self.g1_partials[2].is_some(),
-            self.g1_partials[3].is_some(),
-            self.g2_partial.is_some(),
-        ]
+    fn done_mask(&self) -> u8 {
+        let g1 = self.g1_partials.iter().map(Option::is_some);
+        g1.chain([self.g2_partial.is_some()])
+            .enumerate()
+            .fold(0, |mask, (step, done)| mask | u8::from(done) << step)
     }
 
-    /// Number of MSM steps already executed.
-    pub fn steps_done(&self) -> usize {
-        self.completed().iter().filter(|&&d| d).count()
-    }
-
-    /// The first MSM step still to run, or `None` when all five are done
-    /// and only [`ProofCheckpoint::finish`] remains.
-    pub fn next_step(&self) -> Option<usize> {
-        self.completed().iter().position(|&d| !d)
-    }
-
-    /// The POLY stage report captured at checkpoint time.
-    pub fn poly_report(&self) -> &StageReport {
+    fn poly_report(&self) -> &StageReport {
         &self.poly_report
     }
 
-    /// Bytes of packed scalars the MSM stage uploads (mirrors
-    /// [`PolyArtifacts::scalar_bytes`]).
-    pub fn scalar_bytes(&self) -> u64 {
-        [&self.z, &self.aux, &self.h]
+    /// The three vectors feeding the five MSMs; `z⃗` is consumed by three
+    /// of them but transferred once.
+    fn scalar_bytes(&self) -> u64 {
+        self.scalars
             .iter()
             .map(|v| (v.len() * v.limbs_per_scalar() * 8) as u64)
             .sum()
     }
 
-    /// Executes MSM step `step` (one of the five inner products) and
-    /// records its partial sum and kernel reports. A step already done is
-    /// a no-op, so replays after a resume are harmless.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `step >= MSM_STEPS`.
-    pub fn run_step(
+    /// Executes MSM step `step` (one of the five inner products, one flat
+    /// parallel region over its bucket tasks). Also fails if the step's
+    /// scalar vector and `pk`'s query differ in length (a checkpoint
+    /// taken under another key).
+    fn run_step(
         &mut self,
         pk: &ProvingKey<P>,
         engines: &ProverEngines<'_, P>,
@@ -160,49 +170,47 @@ impl<P: PairingConfig> ProofCheckpoint<P> {
         if step >= MSM_STEPS {
             return Err(format!("msm step {step} out of range (0..{MSM_STEPS})"));
         }
-        if self.completed()[step] {
+        if self.done_mask() & (1 << step) != 0 {
             return Ok(());
         }
+        let scalars = &self.scalars[STEP_SCALARS[step]];
         if step < 4 {
-            let (points, scalars): (&[Affine<P::G1>], &ScalarVec) = match step {
-                0 => (&pk.a_query, &self.z),
-                1 => (&pk.b_g1_query, &self.z),
-                2 => (&pk.h_query, &self.h),
-                _ => (&pk.l_query, &self.aux),
-            };
-            let run = engines.msm_g1.msm(points, scalars);
-            {
-                let _span = telemetry::span(sink, STEP_SPANS[step]);
-                engines
-                    .msm_g1
-                    .emit_msm_telemetry(points, scalars, &run, sink);
-            }
-            for mut k in run.report.kernels {
-                k.name = format!("{}.{}", STEP_LABELS[step], k.name);
-                self.msm_report.kernels.push(k);
-            }
-            self.g1_partials[step] = Some(run.result);
+            let points = [&pk.a_query, &pk.b_g1_query, &pk.h_query, &pk.l_query][step];
+            let report = &mut self.msm_report;
+            let sum = step_msm(engines.msm_g1, points, scalars, step, report, sink)?;
+            self.g1_partials[step] = Some(sum);
         } else {
-            let run = engines.msm_g2.msm(&pk.b_g2_query, &self.z);
-            {
-                let _span = telemetry::span(sink, STEP_SPANS[4]);
-                engines
-                    .msm_g2
-                    .emit_msm_telemetry(&pk.b_g2_query, &self.z, &run, sink);
-            }
-            for mut k in run.report.kernels {
-                k.name = format!("{}.{}", STEP_LABELS[4], k.name);
-                self.msm_report.kernels.push(k);
-            }
-            self.g2_partial = Some(run.result);
+            let report = &mut self.msm_report;
+            let sum = step_msm(engines.msm_g2, &pk.b_g2_query, scalars, step, report, sink)?;
+            self.g2_partial = Some(sum);
+        }
+        // A vector's memoised `p_index` is dead weight once no remaining
+        // step reads the vector.
+        let done = self.done_mask();
+        let reads_again = |s: usize| done & (1 << s) == 0 && STEP_SCALARS[s] == STEP_SCALARS[step];
+        if !(0..MSM_STEPS).any(reads_again) {
+            scalars.release_p_indexes();
         }
         Ok(())
     }
+}
 
-    /// Blinding and proof assembly, identical to the tail of
-    /// [`crate::prove::prove_msm`]: draws `r, s` from `rng` (seed it from
-    /// [`ProofCheckpoint::seed`] for byte-identity with the uninterrupted
-    /// run) and combines the five partial sums with the key elements.
+impl<P: PairingConfig> ProofCheckpoint<P> {
+    /// Opens a checkpoint right after the POLY stage: no MSM steps done.
+    pub fn from_poly(seed: u64, poly: PolyArtifacts<P>) -> Self {
+        Self {
+            seed,
+            poly_report: poly.report,
+            scalars: [poly.z_scalars, poly.aux_scalars, poly.h_scalars],
+            msm_report: StageReport::new("MSM"),
+            g1_partials: [None, None, None, None],
+            g2_partial: None,
+        }
+    }
+
+    /// Blinding and proof assembly: draws `r, s` from `rng` (seed it from
+    /// [`ProofCheckpoint::seed`] for byte-identity across a resume) and
+    /// combines the five partial sums with the key elements.
     ///
     /// # Errors
     ///
@@ -215,20 +223,23 @@ impl<P: PairingConfig> ProofCheckpoint<P> {
         if let Some(step) = self.next_step() {
             return Err(format!(
                 "cannot finish: msm step {step} ({}) not yet run",
-                step_label(step)
+                STEP_LABELS[step]
             ));
         }
         let [a_sum, b_g1_sum, h_sum, l_sum] =
             self.g1_partials.map(|p| p.expect("all g1 steps done"));
         let b_g2_sum = self.g2_partial.expect("g2 step done");
 
-        use gzkp_ff::Field;
+        // Blinding factors (zero-knowledge).
         let r = P::Fr::random(rng);
         let s = P::Fr::random(rng);
 
+        // A = α + Σ z·a_query + r·δ
         let a = a_sum.add_mixed(&pk.alpha_g1).add(&pk.delta_g1.mul(&r));
+        // B = β + Σ z·b_query + s·δ (in G2; and its G1 shadow for C)
         let b_g2 = b_g2_sum.add_mixed(&pk.beta_g2).add(&pk.delta_g2.mul(&s));
         let b_g1 = b_g1_sum.add_mixed(&pk.beta_g1).add(&pk.delta_g1.mul(&s));
+        // C = Σ_aux z·l_query + Σ h·h_query + s·A + r·B₁ − r·s·δ
         let c = l_sum
             .add(&h_sum)
             .add(&a.mul(&s))
@@ -249,11 +260,6 @@ impl<P: PairingConfig> ProofCheckpoint<P> {
     }
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend((bytes.len() as u64).to_le_bytes());
-    out.extend(bytes);
-}
-
 fn put_scalars(out: &mut Vec<u8>, v: &ScalarVec) {
     out.extend((v.limbs_per_scalar() as u32).to_le_bytes());
     out.extend(v.bits().to_le_bytes());
@@ -263,63 +269,34 @@ fn put_scalars(out: &mut Vec<u8>, v: &ScalarVec) {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("checkpoint truncated at offset {}", self.pos))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+/// Reads one scalar vector of field `F`. The limb count and bit width
+/// are part of the format but not free: anything other than `F`'s would
+/// reach the MSM engines as a window count of the attacker's choosing.
+fn read_scalars<F: PrimeField>(r: &mut Reader<'_>, which: &str) -> Result<ScalarVec, String> {
+    let per_scalar = r.u32()? as usize;
+    let bits = r.u32()?;
+    if per_scalar != F::NUM_LIMBS {
+        return Err(format!(
+            "{which} scalars: limbs-per-scalar {per_scalar} is not the scalar field's {}",
+            F::NUM_LIMBS
+        ));
     }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    if bits != F::MODULUS_BITS {
+        return Err(format!(
+            "{which} scalars: bits {bits} is not the scalar field's {}",
+            F::MODULUS_BITS
+        ));
     }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn section(&mut self) -> Result<&'a [u8], String> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| "section length overflow".to_string())?;
-        self.take(len)
-    }
-
-    fn scalars(&mut self) -> Result<ScalarVec, String> {
-        let per_scalar = self.u32()? as usize;
-        let bits = self.u32()?;
-        let n = usize::try_from(self.u64()?).map_err(|_| "scalar count overflow".to_string())?;
-        if per_scalar == 0 || per_scalar > 64 {
-            return Err(format!("implausible limbs-per-scalar {per_scalar}"));
-        }
-        let total = n
-            .checked_mul(per_scalar)
-            .ok_or_else(|| "scalar buffer overflow".to_string())?;
-        let raw = self.take(total * 8)?;
-        let limbs = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(ScalarVec::from_raw(limbs, per_scalar, bits))
-    }
-}
-
-fn report_from_json(bytes: &[u8], which: &str) -> Result<StageReport, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| format!("{which} report is not UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| format!("{which} report: {e:?}"))
+    let total = r
+        .count()?
+        .checked_mul(per_scalar * 8)
+        .ok_or_else(|| format!("{which} scalars: buffer overflow"))?;
+    let limbs = r
+        .take(total)?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("eight-byte chunk")))
+        .collect();
+    Ok(ScalarVec::from_raw(limbs, per_scalar, bits))
 }
 
 impl<P: PairingConfig> ProofCheckpoint<P>
@@ -327,126 +304,64 @@ where
     <P::G1 as CurveParams>::Base: CoordField,
     <P::G2 as CurveParams>::Base: CoordField,
 {
-    fn curve_shape() -> [u32; 4] {
-        [
-            P::Fr::MODULUS_BITS,
-            P::Fr::NUM_LIMBS as u32,
-            <P::G1 as CurveParams>::Base::encoded_len() as u32,
-            <P::G2 as CurveParams>::Base::encoded_len() as u32,
-        ]
-    }
-
     /// Serializes to the versioned byte format (module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.scalar_bytes() as usize);
-        out.extend(MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        for word in Self::curve_shape() {
-            out.extend(word.to_le_bytes());
+        let mut out = codec::begin::<P>(
+            MAGIC,
+            self.seed,
+            self.done_mask(),
+            &self.poly_report,
+            &self.msm_report,
+            self.scalar_bytes() as usize,
+        );
+        for v in &self.scalars {
+            put_scalars(&mut out, v);
         }
-        out.extend(self.seed.to_le_bytes());
-        let done = self
-            .completed()
-            .iter()
-            .enumerate()
-            .fold(0u8, |m, (i, &d)| if d { m | (1 << i) } else { m });
-        out.push(done);
-        put_bytes(
-            &mut out,
-            serde_json::to_string(&self.poly_report)
-                .expect("report serializes")
-                .as_bytes(),
-        );
-        put_bytes(
-            &mut out,
-            serde_json::to_string(&self.msm_report)
-                .expect("report serializes")
-                .as_bytes(),
-        );
-        put_scalars(&mut out, &self.z);
-        put_scalars(&mut out, &self.aux);
-        put_scalars(&mut out, &self.h);
-        for (step, done) in self.completed().iter().enumerate() {
-            if !done {
-                continue;
-            }
-            let point = if step < 4 {
-                compress(&self.g1_partials[step].as_ref().unwrap().to_affine())
-            } else {
-                compress(&self.g2_partial.as_ref().unwrap().to_affine())
-            };
-            put_bytes(&mut out, &point);
+        for partial in self.g1_partials.iter().flatten() {
+            codec::put_point(&mut out, &partial.to_affine());
+        }
+        if let Some(partial) = &self.g2_partial {
+            codec::put_point(&mut out, &partial.to_affine());
         }
         out
     }
 
-    /// Decodes a checkpoint, validating the magic, version, curve shape,
-    /// and every stored point against the curve equation.
+    /// Decodes a checkpoint, validating the header, the shape of every
+    /// scalar vector, and every stored point against the curve equation.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed field; never panics
     /// on attacker-controlled input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(MAGIC.len())? != MAGIC {
-            return Err("not a GZKP checkpoint (bad magic)".into());
+        let mut r = Reader::open::<P>(bytes, MAGIC, MSM_STEPS)?;
+        let (seed, done) = (r.seed, r.done);
+        let scalars = [
+            read_scalars::<P::Fr>(&mut r, "z")?,
+            read_scalars::<P::Fr>(&mut r, "aux")?,
+            read_scalars::<P::Fr>(&mut r, "h")?,
+        ];
+        let mut g1_partials = [None, None, None, None];
+        for (step, partial) in g1_partials.iter_mut().enumerate() {
+            if done & (1 << step) != 0 {
+                let which = format!("msm step {step} partial");
+                *partial = Some(r.point::<P::G1>(&which)?.to_projective());
+            }
         }
-        let version = r.u8()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-            ));
-        }
-        let shape = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-        if shape != Self::curve_shape() {
-            return Err(format!(
-                "checkpoint curve shape {shape:?} does not match target curve {:?}",
-                Self::curve_shape()
-            ));
-        }
-        let seed = r.u64()?;
-        let done = r.u8()?;
-        if done >= 1 << MSM_STEPS {
-            return Err(format!("invalid msm completion mask {done:#x}"));
-        }
-        let poly_report = report_from_json(r.section()?, "poly")?;
-        let msm_report = report_from_json(r.section()?, "msm")?;
-        let z = r.scalars()?;
-        let aux = r.scalars()?;
-        let h = r.scalars()?;
-        let mut ckpt = Self {
+        let g2_partial = if done & (1 << 4) != 0 {
+            Some(r.point::<P::G2>("msm step 4 partial")?.to_projective())
+        } else {
+            None
+        };
+        let [poly_report, msm_report] = r.finish()?;
+        Ok(Self {
             seed,
             poly_report,
-            z,
-            aux,
-            h,
+            scalars,
             msm_report,
-            g1_partials: [None, None, None, None],
-            g2_partial: None,
-        };
-        for step in 0..MSM_STEPS {
-            if done & (1 << step) == 0 {
-                continue;
-            }
-            let raw = r.section()?;
-            if step < 4 {
-                let affine = decompress::<P::G1>(raw)
-                    .ok_or_else(|| format!("msm step {step} partial: invalid point"))?;
-                ckpt.g1_partials[step] = Some(affine.to_projective());
-            } else {
-                let affine = decompress::<P::G2>(raw)
-                    .ok_or_else(|| format!("msm step {step} partial: invalid point"))?;
-                ckpt.g2_partial = Some(affine.to_projective());
-            }
-        }
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after checkpoint",
-                bytes.len() - r.pos
-            ));
-        }
-        Ok(ckpt)
+            g1_partials,
+            g2_partial,
+        })
     }
 }
 
@@ -467,11 +382,15 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_cs<F: gzkp_ff::PrimeField>() -> ConstraintSystem<F> {
-        // A handful of multiplicative constraints: x_{i+1} = x_i · x_i.
+        squaring_cs(6)
+    }
+
+    /// `depth` multiplicative constraints: x_{i+1} = x_i · x_i.
+    fn squaring_cs<F: gzkp_ff::PrimeField>(depth: usize) -> ConstraintSystem<F> {
         let mut cs = ConstraintSystem::<F>::new();
         let mut cur = F::from_u64(3);
         let mut var = cs.alloc_input(cur);
-        for _ in 0..6 {
+        for _ in 0..depth {
             let next = cur * cur;
             let next_var = cs.alloc(next);
             cs.enforce(
@@ -575,6 +494,57 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(ProofCheckpoint::<Bn254>::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn forged_scalar_vectors_are_rejected_by_name() {
+        let cs = small_cs::<Fr>();
+        let mut rng = StdRng::seed_from_u64(6);
+        let (pk, _vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+        let (ntt, msm_g1, msm_g2) = engines_for(v100());
+        let poly = prove_poly::<Bn254>(&cs, &pk, &ntt, &NoopSink).unwrap();
+        let bytes = ProofCheckpoint::<Bn254>::from_poly(0, poly).to_bytes();
+
+        // z⃗'s `per_scalar:u32 bits:u32` sit right after the two
+        // length-prefixed report sections that follow the 33-byte header.
+        let section_len =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let msm_report_at = 33 + 8 + section_len(33);
+        let z_at = msm_report_at + 8 + section_len(msm_report_at);
+        let forge = |at: usize, value: u32| {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            ProofCheckpoint::<Bn254>::from_bytes(&forged)
+                .err()
+                .expect("forged field must be rejected")
+        };
+        for per_scalar in [0, 1, 5, 64] {
+            let err = forge(z_at, per_scalar);
+            assert!(err.contains("z scalars: limbs-per-scalar"), "{err}");
+        }
+        for bits in [8, 253, 256, u32::MAX] {
+            let err = forge(z_at + 4, bits);
+            assert!(err.contains("z scalars: bits"), "{err}");
+        }
+
+        // A well-formed checkpoint of a *different* circuit: its vectors
+        // do not fit this key's queries, which is an error, not a panic
+        // inside the engine.
+        let other = squaring_cs::<Fr>(3);
+        let (other_pk, _) = setup::<Bn254, _>(&other, &mut rng).unwrap();
+        let poly = prove_poly::<Bn254>(&other, &other_pk, &ntt, &NoopSink).unwrap();
+        let mut ckpt = ProofCheckpoint::<Bn254>::from_poly(0, poly);
+        let engines = ProverEngines::<Bn254> {
+            ntt: &ntt,
+            msm_g1: &msm_g1,
+            msm_g2: &msm_g2,
+        };
+        let err = ckpt.run_step(&pk, &engines, 0, &NoopSink).unwrap_err();
+        assert!(
+            err.contains("a_query") && err.contains("scalars do not match the key's"),
+            "{err}"
+        );
+        assert_eq!(ckpt.steps_done(), 0);
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub mod system;
 pub mod verify;
 
 pub use batch::{batch_verify, proof_from_bytes, proof_to_bytes, PreparedVerifyingKey};
-pub use checkpoint::{ProofCheckpoint, CHECKPOINT_VERSION, MSM_STEPS};
+pub use checkpoint::{ProofCheckpoint, MSM_STEPS};
+pub use gzkp_proof_system::MsmSteps;
 pub use prove::{
     prove, prove_msm, prove_plan, prove_poly, prove_with_telemetry, PolyArtifacts, Proof,
     ProveReport, ProverEngines,

@@ -1,26 +1,25 @@
 //! [`ProofSystem`] implementation for Groth16: a thin static adapter
-//! over the crate's existing split prover
-//! ([`crate::prove::prove_poly`] / [`crate::prove::prove_msm`]) and
-//! [`crate::checkpoint::ProofCheckpoint`], so the generic service-side
-//! task types (`SystemTask<S>`, `CheckpointingTask<S>`) can schedule
-//! Groth16 jobs without knowing anything Groth16-specific.
+//! over [`crate::prove::prove_poly`] and
+//! [`crate::checkpoint::ProofCheckpoint`], so the service's generic
+//! `SystemTask<S>` can schedule Groth16 jobs without knowing anything
+//! Groth16-specific.
 //!
-//! The adapter adds no computation of its own: proofs produced through
-//! this surface are byte-identical to calling the underlying functions
-//! directly with `StdRng::seed_from_u64(seed)`.
+//! The adapter adds no computation of its own: the MSM stage is the
+//! trait's provided `prove_msm` — the checkpoint stepped to completion —
+//! and its proofs are byte-identical to [`crate::prove::prove`] with
+//! `StdRng::seed_from_u64(seed)`, which runs the same steps.
 
 use crate::batch::proof_to_bytes;
 use crate::checkpoint::ProofCheckpoint;
-use crate::prove::{prove_msm, prove_poly, PolyArtifacts};
+use crate::prove::{prove_poly, PolyArtifacts};
 use crate::r1cs::ConstraintSystem;
 use crate::setup::{ProvingKey, VerifyingKey};
 use crate::verify::verify_proof_bytes;
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::{CoordField, CurveParams};
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
-use gzkp_gpu_sim::StageReport;
 use gzkp_ntt::gpu::GpuNttEngine;
-use gzkp_proof_system::{Engines, ProofSystem, ProofSystemKind, ProveReport};
+use gzkp_proof_system::{ProofSystem, ProofSystemKind, ProveReport};
 use gzkp_telemetry::TelemetrySink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,10 +44,6 @@ where
 
     const KIND: ProofSystemKind = ProofSystemKind::Groth16;
 
-    fn total_msm_steps() -> usize {
-        crate::checkpoint::MSM_STEPS
-    }
-
     fn prove_poly(
         circuit: &Self::Circuit,
         pk: &Self::ProvingKey,
@@ -56,26 +51,6 @@ where
         sink: &dyn TelemetrySink,
     ) -> Result<Self::PolyArtifacts, String> {
         prove_poly::<P>(circuit, pk, ntt, sink).map_err(|e| format!("poly stage failed: {e:?}"))
-    }
-
-    fn poly_report(poly: &Self::PolyArtifacts) -> &StageReport {
-        &poly.report
-    }
-
-    fn poly_scalar_bytes(poly: &Self::PolyArtifacts) -> u64 {
-        poly.scalar_bytes()
-    }
-
-    fn prove_msm(
-        pk: &Self::ProvingKey,
-        engines: &Engines<'_, P>,
-        poly: Self::PolyArtifacts,
-        seed: u64,
-        sink: &dyn TelemetrySink,
-    ) -> Result<(Vec<u8>, ProveReport), String> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (proof, report) = prove_msm::<P, _>(pk, engines, poly, &mut rng, sink);
-        Ok((proof_to_bytes(&proof), report))
     }
 
     fn verify_bytes(vk: &Self::VerifyingKey, circuit: &Self::Circuit, proof: &[u8]) -> bool {
@@ -113,36 +88,6 @@ where
 
     fn checkpoint_from_bytes(bytes: &[u8]) -> Result<Self::Checkpoint, String> {
         ProofCheckpoint::from_bytes(bytes)
-    }
-
-    fn checkpoint_seed(ckpt: &Self::Checkpoint) -> u64 {
-        ckpt.seed
-    }
-
-    fn checkpoint_scalar_bytes(ckpt: &Self::Checkpoint) -> u64 {
-        ckpt.scalar_bytes()
-    }
-
-    fn checkpoint_steps_done(ckpt: &Self::Checkpoint) -> usize {
-        ckpt.steps_done()
-    }
-
-    fn checkpoint_next_step(ckpt: &Self::Checkpoint) -> Option<usize> {
-        ckpt.next_step()
-    }
-
-    fn checkpoint_poly_report(ckpt: &Self::Checkpoint) -> StageReport {
-        ckpt.poly_report().clone()
-    }
-
-    fn checkpoint_run_step(
-        ckpt: &mut Self::Checkpoint,
-        pk: &Self::ProvingKey,
-        engines: &Engines<'_, P>,
-        step: usize,
-        sink: &dyn TelemetrySink,
-    ) -> Result<(), String> {
-        ckpt.run_step(pk, engines, step, sink)
     }
 
     fn checkpoint_finish(

@@ -81,8 +81,9 @@ pub trait MsmEngine<C: CurveParams>: Send + Sync {
     /// (e.g. [`crate::GzkpMsm`]'s bucket loads) override this to add
     /// PADD/PDBL counts and occupancy histograms.
     ///
-    /// Split from [`Self::msm_traced`] for callers that run the MSM and
-    /// open its span at different times (the checkpointing tasks).
+    /// Split from [`Self::msm_traced`] so an engine that wraps another
+    /// (`gzkp_runtime::CrossDeviceMsm`) can emit the inner engine's
+    /// telemetry for its own run.
     fn emit_msm_telemetry(
         &self,
         points: &[Affine<C>],

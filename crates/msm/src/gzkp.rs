@@ -35,8 +35,7 @@ use gzkp_gpu_sim::kernel::{simulate_kernel, BlockCost, KernelSpec, StageReport};
 use gzkp_gpu_sim::stream::DeviceTimeline;
 use gzkp_gpu_sim::transfer::HostMem;
 use rayon::prelude::*;
-use std::any::Any;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Fixed per-MSM host-side cost (driver synchronization, scalar transfer,
 /// result readback) shared by all simulated GPU MSM engines. Calibration
@@ -82,30 +81,16 @@ pub struct GzkpMsm {
     /// Reuse the checkpoint tables across MSMs over the same point
     /// vector (the paper treats preprocessing as per-application setup).
     pub cache_preprocess: bool,
-    /// Optional shared, byte-budgeted LRU table store. When set it
-    /// replaces the process-wide FIFO cache, letting a proving service
-    /// bound table memory across many proving keys explicitly.
+    /// The byte-budgeted LRU table store this engine caches its
+    /// checkpoint tables in; `None` means the process-wide default
+    /// ([`PreprocessStore::process_default`]). A proving service sets its
+    /// own to bound table memory across many proving keys explicitly.
     pub store: Option<Arc<PreprocessStore>>,
     /// Proof-system tag folded into preprocess-cache keys
     /// (`ProofSystemKind::cache_tag()`: 0 = Groth16, 1 = PLONK), so mixed
     /// backend streams sharing one store never alias each other's tables.
     pub system_tag: u8,
 }
-
-/// Process-wide store for checkpoint tables, keyed by the point
-/// vector's identity and the `(k, M, windows)` shape: proving-key
-/// vectors are fixed per application, so every engine instance reuses
-/// the same tables (the paper's setup/execution split).
-type PreCacheEntries = Vec<(PreKey, Arc<dyn Any + Send + Sync>)>;
-static PRE_CACHE: OnceLock<Mutex<PreCacheEntries>> = OnceLock::new();
-
-fn pre_cache() -> &'static Mutex<PreCacheEntries> {
-    PRE_CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Tables for at most this many distinct point vectors are retained
-/// (FIFO): a Groth16 proving key has four G1 vectors plus one G2.
-const PRE_CACHE_CAP: usize = 8;
 
 impl GzkpMsm {
     /// Full GZKP configuration on a device.
@@ -125,7 +110,7 @@ impl GzkpMsm {
     }
 
     /// Attaches a shared [`PreprocessStore`], replacing the process-wide
-    /// FIFO cache for this engine instance.
+    /// default store for this engine instance.
     pub fn with_store(mut self, store: Arc<PreprocessStore>) -> Self {
         self.store = Some(store);
         self
@@ -238,30 +223,14 @@ impl GzkpMsm {
         if !self.cache_preprocess {
             return Arc::new(self.preprocess(points, k, m, windows));
         }
-        if let Some(store) = &self.store {
-            let key = PreKey::of(points, k, m, windows, self.system_tag);
-            let levels = Self::levels(windows, m) as u64;
-            let bytes = levels * points.len() as u64 * CurveCost::of::<C>().affine_bytes();
-            return store.get_or_insert(key, bytes, || self.preprocess(points, k, m, windows));
-        }
+        let store = match &self.store {
+            Some(store) => store,
+            None => PreprocessStore::process_default(),
+        };
         let key = PreKey::of(points, k, m, windows, self.system_tag);
-        {
-            let entries = pre_cache().lock().unwrap();
-            for (k2, tables) in entries.iter() {
-                if *k2 == key {
-                    if let Ok(hit) = Arc::downcast::<Vec<Vec<Affine<C>>>>(tables.clone()) {
-                        return hit;
-                    }
-                }
-            }
-        }
-        let tables = Arc::new(self.preprocess(points, k, m, windows));
-        let mut entries = pre_cache().lock().unwrap();
-        if entries.len() >= PRE_CACHE_CAP {
-            entries.remove(0);
-        }
-        entries.push((key, tables.clone()));
-        tables
+        let levels = Self::levels(windows, m) as u64;
+        let bytes = levels * points.len() as u64 * CurveCost::of::<C>().affine_bytes();
+        store.get_or_insert(key, bytes, || self.preprocess(points, k, m, windows))
     }
 
     /// Splits the bucket index space into up to `tasks` contiguous

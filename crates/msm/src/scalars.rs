@@ -154,6 +154,16 @@ impl ScalarVec {
         memo.iter().find(|ix| ix.k == k).cloned()
     }
 
+    /// Drops every memoised [`PIndex`]: for an owner that keeps the
+    /// scalars after their last MSM (a proof checkpoint) and should not
+    /// keep the entries, several times the scalars' own size, with them.
+    pub fn release_p_indexes(&self) {
+        self.p_indexes
+            .lock()
+            .expect("p_index build panicked")
+            .clear();
+    }
+
     /// Number of scalars.
     pub fn len(&self) -> usize {
         self.n

@@ -1,23 +1,29 @@
-//! Byte-budgeted LRU store for GZKP checkpoint tables.
+//! Byte-budgeted LRU store for GZKP checkpoint tables — the one table
+//! cache in the workspace.
 //!
-//! [`crate::GzkpMsm`] ships a small process-wide FIFO cache good enough
-//! for one prover working on one key. A proving *service* juggles many
-//! `(curve, proving-key)` pairs at once, where that FIFO thrashes: an
-//! interleaved request mix touching more point vectors than the FIFO
-//! holds re-runs Algorithm 1's `levels·M·k` doublings per point on every
-//! proof. [`PreprocessStore`] replaces it with an explicitly sized cache:
-//! entries are keyed by the point vector's identity and table shape,
-//! charged by their actual table footprint, and evicted
-//! least-recently-used once the byte budget is exceeded. Attach one to an
-//! engine via [`crate::GzkpMsm`]'s `store` field; engines without one
-//! keep the legacy FIFO behavior.
+//! Proving-key point vectors are fixed per application, so the tables of
+//! Algorithm 1 (`levels·M·k` doublings per point) are built once and
+//! reused by every later MSM over the same vector: the paper's
+//! setup/execution split. Entries are keyed by the point vector's
+//! identity and table shape, charged by their actual table footprint, and
+//! evicted least-recently-used once the byte budget is exceeded; hits,
+//! misses and evictions are counted per store. A proving service, which
+//! juggles many `(curve, proving-key)` pairs at once, owns a store sized
+//! by its configuration and attaches it to its engines
+//! ([`crate::GzkpMsm::with_store`]); an engine without one uses
+//! [`PreprocessStore::process_default`]. The serial reference engine
+//! (`cache_preprocess: false`) bypasses both.
+//!
+//! The key identifies a point vector by address, length and a sampled
+//! fingerprint, not by content — fixing that is ROADMAP "Cold start", not
+//! part of this module's contract yet.
 
 use gzkp_curves::{Affine, CurveParams};
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identity of one checkpoint-table computation: the proof system the
 /// tables serve, the curve, the point vector (by address, length, and a
@@ -106,6 +112,17 @@ impl std::fmt::Debug for PreprocessStore {
 }
 
 impl PreprocessStore {
+    /// Budget of [`PreprocessStore::process_default`], and the proving
+    /// service's default: 256 MiB.
+    pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
+
+    /// The process-wide store of engines built without
+    /// [`crate::GzkpMsm::with_store`].
+    pub fn process_default() -> &'static PreprocessStore {
+        static STORE: OnceLock<PreprocessStore> = OnceLock::new();
+        STORE.get_or_init(|| PreprocessStore::new(Self::DEFAULT_BUDGET_BYTES))
+    }
+
     /// Empty store with the given byte budget.
     pub fn new(budget_bytes: u64) -> Self {
         Self {

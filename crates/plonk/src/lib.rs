@@ -42,6 +42,7 @@ pub mod transcript;
 pub mod verify;
 
 pub use circuit::{PlonkCircuit, PlonkGate, MIN_DOMAIN};
+pub use gzkp_proof_system::MsmSteps;
 pub use kzg::{KzgOpening, KzgSrs};
 pub use proof::{PlonkEvals, PlonkProof};
 pub use prove::{prove, prove_bytes, prove_poly, PlonkCheckpoint, PlonkPolyArtifacts, MSM_STEPS};

@@ -21,19 +21,18 @@
 //! Determinism: all blinding comes from `StdRng` generators seeded as a
 //! fixed function of the job seed and the step index, drawn at fixed
 //! points — so proofs are byte-identical across `GZKP_THREADS`, device
-//! counts, and checkpoint/resume boundaries (the monolithic [`prove`]
-//! literally drives the same state machine). Fiat–Shamir challenges are
+//! counts, and checkpoint/resume boundaries ([`prove`] steps the same
+//! state machine a resumed job does). Fiat–Shamir challenges are
 //! re-derived on every step by replaying the transcript over the
 //! commitments riding in the checkpoint, so a resuming host needs no
 //! hidden state.
 //!
 //! ## Checkpoint wire format (version 1)
 //!
+//! The shared header of [`gzkp_proof_system::codec`] under magic
+//! `"GZKPPLK"` (bit i of `done` ⇒ commit step i complete), then:
+//!
 //! ```text
-//! "GZKPPLK" ++ version:u8
-//! fr_bits:u32 fr_limbs:u32 g1_coord_len:u32 g2_coord_len:u32  // curve shape guard
-//! seed:u64  done:u8 (bit i ⇒ commit step i complete)
-//! poly_report: len:u64 ++ JSON      msm_report: len:u64 ++ JSON
 //! public_inputs, wire_values ×3, wire_coeffs ×3, z_coeffs, t_parts ×3:
 //!     n:u64 ++ n·NUM_LIMBS little-endian u64 limbs each
 //! if done₀: 3 point sections (len:u64 ++ compressed affine)
@@ -42,9 +41,8 @@
 //! if done₃: evals (14-scalar field vector) ++ 2 point sections
 //! ```
 //!
-//! Decoding validates the magic, version, curve shape, every scalar
-//! (canonical range) and every point (curve equation) — a checkpoint from
-//! the wrong curve or a truncated stream returns an error, never a panic.
+//! On top of the header's checks, decoding requires `done` to be a
+//! prefix of the steps and every scalar to be in canonical range.
 
 use crate::circuit::PlonkCircuit;
 use crate::kzg::{divide_at_point, evaluate_poly};
@@ -52,19 +50,17 @@ use crate::proof::{PlonkEvals, PlonkProof};
 use crate::setup::{PlonkProvingKey, PlonkVerifyingKey};
 use crate::transcript::Transcript;
 use gzkp_curves::pairing::PairingConfig;
-use gzkp_curves::serialize::{compress, decompress, CoordField};
+use gzkp_curves::serialize::CoordField;
 use gzkp_curves::{Affine, CurveParams};
 use gzkp_ff::{batch_inverse, Field, PrimeField};
 use gzkp_gpu_sim::StageReport;
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
-use gzkp_proof_system::{Engines, ProveReport};
+use gzkp_proof_system::codec::{self, Reader};
+use gzkp_proof_system::{run_msm_steps, Engines, MsmSteps, ProveReport};
 use gzkp_telemetry::{self as telemetry, TelemetrySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Current checkpoint wire-format version.
-pub const CHECKPOINT_VERSION: u8 = 1;
 
 /// Number of checkpointable commit steps.
 pub const MSM_STEPS: usize = 4;
@@ -77,15 +73,6 @@ const STAGES: [&str; 9] = telemetry::counters::PLONK_MSM_STAGES;
 
 /// Human-readable labels of the four commit steps (logs and errors).
 const STEP_LABELS: [&str; MSM_STEPS] = ["wires", "perm_z", "quotient", "open"];
-
-/// Human-readable label of commit step `step`.
-///
-/// # Panics
-///
-/// Panics if `step >= MSM_STEPS`.
-pub fn step_label(step: usize) -> &'static str {
-    STEP_LABELS[step]
-}
 
 /// The per-step blinding RNG: a fixed function of the job seed and the
 /// step index, so a resuming host re-derives exactly the generator the
@@ -102,22 +89,6 @@ pub struct PlonkPolyArtifacts<P: PairingConfig> {
     wire_values: [Vec<P::Fr>; 3],
     wire_coeffs: [Vec<P::Fr>; 3],
     public_inputs: Vec<P::Fr>,
-}
-
-impl<P: PairingConfig> PlonkPolyArtifacts<P> {
-    /// H2D bytes of the scalar state the MSM stage consumes (values feed
-    /// the permutation accumulator, coefficients the commitments).
-    pub fn scalar_bytes(&self) -> u64 {
-        let per = (P::Fr::NUM_LIMBS * 8) as u64;
-        let elems: usize = self
-            .wire_values
-            .iter()
-            .chain(self.wire_coeffs.iter())
-            .map(Vec::len)
-            .sum::<usize>()
-            + self.public_inputs.len();
-        elems as u64 * per
-    }
 }
 
 /// Stage 1 of the prover: checks satisfiability, extracts the wire
@@ -296,47 +267,6 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
         }
     }
 
-    /// Per-step completion flags, in execution order.
-    pub fn completed(&self) -> [bool; MSM_STEPS] {
-        [
-            self.wire_comms.is_some(),
-            self.z_comm.is_some(),
-            self.t_comms.is_some(),
-            self.w_z_comm.is_some(),
-        ]
-    }
-
-    /// Number of commit steps already executed.
-    pub fn steps_done(&self) -> usize {
-        self.completed().iter().filter(|&&d| d).count()
-    }
-
-    /// The first step still to run, or `None` when only
-    /// [`PlonkCheckpoint::finish`] remains.
-    pub fn next_step(&self) -> Option<usize> {
-        self.completed().iter().position(|&d| !d)
-    }
-
-    /// The POLY stage report captured at checkpoint time.
-    pub fn poly_report(&self) -> &StageReport {
-        &self.poly_report
-    }
-
-    /// H2D bytes of the checkpointed scalar state.
-    pub fn scalar_bytes(&self) -> u64 {
-        let per = (P::Fr::NUM_LIMBS * 8) as u64;
-        let elems: usize = self
-            .wire_values
-            .iter()
-            .chain(self.wire_coeffs.iter())
-            .chain(self.t_parts.iter())
-            .map(Vec::len)
-            .sum::<usize>()
-            + self.z_coeffs.len()
-            + self.public_inputs.len();
-        elems as u64 * per
-    }
-
     /// Replays the transcript across the first `steps` steps' recorded
     /// commitments — every challenge is a pure function of the verifying
     /// key, public inputs, and commitments riding in the checkpoint, so
@@ -371,44 +301,6 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
             ch.zeta = Some(t.challenge("zeta"));
         }
         (t, ch)
-    }
-
-    /// Executes commit step `step`. A step already done is a no-op, so
-    /// replays after a resume are harmless; steps must otherwise run in
-    /// order (each consumes the previous step's transcript state).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `step` is out of range or a prerequisite step is missing.
-    pub fn run_step(
-        &mut self,
-        pk: &PlonkProvingKey<P>,
-        engines: &Engines<'_, P>,
-        step: usize,
-        sink: &dyn TelemetrySink,
-    ) -> Result<(), String>
-    where
-        <P::G1 as CurveParams>::Base: CoordField,
-    {
-        if step >= MSM_STEPS {
-            return Err(format!("plonk step {step} out of range (0..{MSM_STEPS})"));
-        }
-        if self.completed()[step] {
-            return Ok(());
-        }
-        if step > 0 && !self.completed()[step - 1] {
-            return Err(format!(
-                "plonk step {step} ({}) scheduled before step {}",
-                STEP_LABELS[step],
-                step - 1
-            ));
-        }
-        match step {
-            0 => self.step_wires(pk, engines, sink),
-            1 => self.step_perm_z(pk, engines, sink),
-            2 => self.step_quotient(pk, engines, sink),
-            _ => self.step_open(pk, engines, sink),
-        }
     }
 
     /// Step 0: blind the three wire polynomials and commit them.
@@ -718,7 +610,10 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     /// # Errors
     ///
     /// Fails if any step has not run yet.
-    pub fn finish(self) -> Result<(PlonkProof<P>, ProveReport), String> {
+    pub fn finish(self) -> Result<(PlonkProof<P>, ProveReport), String>
+    where
+        <P::G1 as CurveParams>::Base: CoordField,
+    {
         if let Some(step) = self.next_step() {
             return Err(format!(
                 "cannot finish: plonk step {step} ({}) not yet run",
@@ -742,9 +637,77 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     }
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend((bytes.len() as u64).to_le_bytes());
-    out.extend(bytes);
+impl<P: PairingConfig> MsmSteps for PlonkCheckpoint<P>
+where
+    <P::G1 as CurveParams>::Base: CoordField,
+{
+    type Pairing = P;
+    type ProvingKey = PlonkProvingKey<P>;
+
+    const STEPS: usize = MSM_STEPS;
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn done_mask(&self) -> u8 {
+        let done = [
+            self.wire_comms.is_some(),
+            self.z_comm.is_some(),
+            self.t_comms.is_some(),
+            self.w_z_comm.is_some(),
+        ];
+        (0..MSM_STEPS).fold(0, |mask, step| mask | u8::from(done[step]) << step)
+    }
+
+    fn poly_report(&self) -> &StageReport {
+        &self.poly_report
+    }
+
+    fn scalar_bytes(&self) -> u64 {
+        let per = (P::Fr::NUM_LIMBS * 8) as u64;
+        let elems: usize = self
+            .wire_values
+            .iter()
+            .chain(self.wire_coeffs.iter())
+            .chain(self.t_parts.iter())
+            .map(Vec::len)
+            .sum::<usize>()
+            + self.z_coeffs.len()
+            + self.public_inputs.len();
+        elems as u64 * per
+    }
+
+    /// Executes commit step `step`. Steps must run in order (each
+    /// consumes the previous step's transcript state), so a missing
+    /// prerequisite is an error too.
+    fn run_step(
+        &mut self,
+        pk: &PlonkProvingKey<P>,
+        engines: &Engines<'_, P>,
+        step: usize,
+        sink: &dyn TelemetrySink,
+    ) -> Result<(), String> {
+        if step >= MSM_STEPS {
+            return Err(format!("plonk step {step} out of range (0..{MSM_STEPS})"));
+        }
+        if self.done_mask() & (1 << step) != 0 {
+            return Ok(());
+        }
+        if self.next_step() != Some(step) {
+            return Err(format!(
+                "plonk step {step} ({}) scheduled before step {}",
+                STEP_LABELS[step],
+                step - 1
+            ));
+        }
+        match step {
+            0 => self.step_wires(pk, engines, sink),
+            1 => self.step_perm_z(pk, engines, sink),
+            2 => self.step_quotient(pk, engines, sink),
+            _ => self.step_open(pk, engines, sink),
+        }
+    }
 }
 
 fn put_fvec<F: PrimeField>(out: &mut Vec<u8>, v: &[F]) {
@@ -756,64 +719,21 @@ fn put_fvec<F: PrimeField>(out: &mut Vec<u8>, v: &[F]) {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("checkpoint truncated at offset {}", self.pos))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+fn read_fvec<F: PrimeField>(r: &mut Reader<'_>) -> Result<Vec<F>, String> {
+    let n = r.count()?;
+    let total = n
+        .checked_mul(F::NUM_LIMBS * 8)
+        .ok_or_else(|| "field vec overflow".to_string())?;
+    let raw = r.take(total)?;
+    let mut out = Vec::with_capacity(n);
+    for (i, elem) in raw.chunks_exact(F::NUM_LIMBS * 8).enumerate() {
+        let limbs: Vec<u64> = elem
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("eight-byte chunk")))
+            .collect();
+        out.push(F::from_limbs(&limbs).ok_or_else(|| format!("field element {i}: non-canonical"))?);
     }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn section(&mut self) -> Result<&'a [u8], String> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| "section length overflow".to_string())?;
-        self.take(len)
-    }
-
-    fn fvec<F: PrimeField>(&mut self) -> Result<Vec<F>, String> {
-        let n = usize::try_from(self.u64()?).map_err(|_| "field vec overflow".to_string())?;
-        let total = n
-            .checked_mul(F::NUM_LIMBS * 8)
-            .ok_or_else(|| "field vec overflow".to_string())?;
-        let raw = self.take(total)?;
-        let mut out = Vec::with_capacity(n);
-        for (i, elem) in raw.chunks_exact(F::NUM_LIMBS * 8).enumerate() {
-            let limbs: Vec<u64> = elem
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            out.push(
-                F::from_limbs(&limbs).ok_or_else(|| format!("field element {i}: non-canonical"))?,
-            );
-        }
-        Ok(out)
-    }
-}
-
-fn report_from_json(bytes: &[u8], which: &str) -> Result<StageReport, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| format!("{which} report is not UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| format!("{which} report: {e:?}"))
+    Ok(out)
 }
 
 impl<P: PairingConfig> PlonkCheckpoint<P>
@@ -821,41 +741,15 @@ where
     <P::G1 as CurveParams>::Base: CoordField,
     <P::G2 as CurveParams>::Base: CoordField,
 {
-    fn curve_shape() -> [u32; 4] {
-        [
-            P::Fr::MODULUS_BITS,
-            P::Fr::NUM_LIMBS as u32,
-            <P::G1 as CurveParams>::Base::encoded_len() as u32,
-            <P::G2 as CurveParams>::Base::encoded_len() as u32,
-        ]
-    }
-
     /// Serializes to the versioned byte format (module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.scalar_bytes() as usize);
-        out.extend(MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        for word in Self::curve_shape() {
-            out.extend(word.to_le_bytes());
-        }
-        out.extend(self.seed.to_le_bytes());
-        let done = self
-            .completed()
-            .iter()
-            .enumerate()
-            .fold(0u8, |m, (i, &d)| if d { m | (1 << i) } else { m });
-        out.push(done);
-        put_bytes(
-            &mut out,
-            serde_json::to_string(&self.poly_report)
-                .expect("report serializes")
-                .as_bytes(),
-        );
-        put_bytes(
-            &mut out,
-            serde_json::to_string(&self.msm_report)
-                .expect("report serializes")
-                .as_bytes(),
+        let mut out = codec::begin::<P>(
+            MAGIC,
+            self.seed,
+            self.done_mask(),
+            &self.poly_report,
+            &self.msm_report,
+            self.scalar_bytes() as usize,
         );
         put_fvec(&mut out, &self.public_inputs);
         for v in &self.wire_values {
@@ -868,114 +762,75 @@ where
         for v in &self.t_parts {
             put_fvec(&mut out, v);
         }
-        if let Some(comms) = &self.wire_comms {
-            for c in comms {
-                put_bytes(&mut out, &compress(c));
-            }
-        }
-        if let Some(c) = &self.z_comm {
-            put_bytes(&mut out, &compress(c));
-        }
-        if let Some(comms) = &self.t_comms {
-            for c in comms {
-                put_bytes(&mut out, &compress(c));
-            }
+        let wire_comms = self.wire_comms.iter().flatten();
+        let t_comms = self.t_comms.iter().flatten();
+        for c in wire_comms.chain(&self.z_comm).chain(t_comms) {
+            codec::put_point(&mut out, c);
         }
         if let Some(evals) = &self.evals {
             put_fvec(&mut out, &evals.in_order());
-            put_bytes(&mut out, &compress(&self.w_z_comm.expect("open done")));
-            put_bytes(&mut out, &compress(&self.w_zw_comm.expect("open done")));
+            codec::put_point(&mut out, &self.w_z_comm.expect("open done"));
+            codec::put_point(&mut out, &self.w_zw_comm.expect("open done"));
         }
         out
     }
 
-    /// Decodes a checkpoint, validating the magic, version, curve shape,
-    /// every scalar (canonical range), and every point (curve equation).
+    /// Decodes a checkpoint, validating the header, every scalar
+    /// (canonical range), and every point (curve equation).
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed field; never panics
     /// on attacker-controlled input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(MAGIC.len())? != MAGIC {
-            return Err("not a GZKP plonk checkpoint (bad magic)".into());
-        }
-        let version = r.u8()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-            ));
-        }
-        let shape = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-        if shape != Self::curve_shape() {
-            return Err(format!(
-                "checkpoint curve shape {shape:?} does not match target curve {:?}",
-                Self::curve_shape()
-            ));
-        }
-        let seed = r.u64()?;
-        let done = r.u8()?;
-        if done >= 1 << MSM_STEPS {
-            return Err(format!("invalid completion mask {done:#x}"));
-        }
+        let mut reader = Reader::open::<P>(bytes, MAGIC, MSM_STEPS)?;
+        let (seed, done) = (reader.seed, reader.done);
         // Steps complete strictly in order, so the mask must be a prefix.
         if (done & (done + 1)) != 0 {
             return Err(format!("non-contiguous completion mask {done:#x}"));
         }
-        let poly_report = report_from_json(r.section()?, "poly")?;
-        let msm_report = report_from_json(r.section()?, "msm")?;
-        let public_inputs = r.fvec::<P::Fr>()?;
-        let wire_values = [r.fvec()?, r.fvec()?, r.fvec()?];
-        let wire_coeffs = [r.fvec()?, r.fvec()?, r.fvec()?];
-        let z_coeffs = r.fvec()?;
-        let t_parts = [r.fvec()?, r.fvec()?, r.fvec()?];
-        let read_point = |r: &mut Reader<'_>, which: &str| -> Result<Affine<P::G1>, String> {
-            decompress::<P::G1>(r.section()?)
-                .ok_or_else(|| format!("{which} commitment: invalid point"))
-        };
+        let r = &mut reader;
+        let public_inputs = read_fvec::<P::Fr>(r)?;
+        let wire_values = [read_fvec(r)?, read_fvec(r)?, read_fvec(r)?];
+        let wire_coeffs = [read_fvec(r)?, read_fvec(r)?, read_fvec(r)?];
+        let z_coeffs = read_fvec(r)?;
+        let t_parts = [read_fvec(r)?, read_fvec(r)?, read_fvec(r)?];
         let wire_comms = if done & 1 != 0 {
             Some([
-                read_point(&mut r, "wire a")?,
-                read_point(&mut r, "wire b")?,
-                read_point(&mut r, "wire c")?,
+                r.point::<P::G1>("wire a commitment")?,
+                r.point::<P::G1>("wire b commitment")?,
+                r.point::<P::G1>("wire c commitment")?,
             ])
         } else {
             None
         };
         let z_comm = if done & 2 != 0 {
-            Some(read_point(&mut r, "z")?)
+            Some(r.point::<P::G1>("z commitment")?)
         } else {
             None
         };
         let t_comms = if done & 4 != 0 {
             Some([
-                read_point(&mut r, "t_lo")?,
-                read_point(&mut r, "t_mid")?,
-                read_point(&mut r, "t_hi")?,
+                r.point::<P::G1>("t_lo commitment")?,
+                r.point::<P::G1>("t_mid commitment")?,
+                r.point::<P::G1>("t_hi commitment")?,
             ])
         } else {
             None
         };
         let (evals, w_z_comm, w_zw_comm) = if done & 8 != 0 {
-            let ev = r.fvec::<P::Fr>()?;
-            let ev: [P::Fr; 14] = ev
+            let ev: [P::Fr; 14] = read_fvec::<P::Fr>(r)?
                 .try_into()
                 .map_err(|_| "evaluation list must have 14 entries".to_string())?;
             (
                 Some(PlonkEvals::from_order(ev)),
-                Some(read_point(&mut r, "w_z")?),
-                Some(read_point(&mut r, "w_zw")?),
+                Some(r.point::<P::G1>("w_z commitment")?),
+                Some(r.point::<P::G1>("w_zw commitment")?),
             )
         } else {
             (None, None, None)
         };
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after checkpoint",
-                bytes.len() - r.pos
-            ));
-        }
+        let [poly_report, msm_report] = reader.finish()?;
         Ok(Self {
             seed,
             poly_report,
@@ -995,10 +850,9 @@ where
     }
 }
 
-/// Generates a PLONK proof end to end: POLY stage then the four commit
-/// steps, inside a `prove` span. Drives the same checkpoint state
-/// machine the service's stepwise path runs, so both paths produce
-/// byte-identical proofs for the same `seed`.
+/// Generates a PLONK proof end to end, inside a `prove` span: POLY stage,
+/// then a fresh [`PlonkCheckpoint`] stepped through the four commit steps
+/// and finished — the same state machine a resumed job runs.
 ///
 /// # Errors
 ///
@@ -1016,12 +870,7 @@ where
     let _prove_span = telemetry::span(sink, telemetry::counters::SPAN_PROVE);
     let poly = prove_poly(circuit, pk, engines.ntt, sink)?;
     let mut ckpt = PlonkCheckpoint::from_poly(seed, poly);
-    {
-        let _msm_span = telemetry::span(sink, telemetry::counters::SPAN_MSM);
-        while let Some(step) = ckpt.next_step() {
-            ckpt.run_step(pk, engines, step, sink)?;
-        }
-    }
+    run_msm_steps(&mut ckpt, pk, engines, sink, |_, _| Ok(()))?;
     ckpt.finish()
 }
 

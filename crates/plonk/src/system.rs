@@ -1,24 +1,22 @@
 //! [`ProofSystem`] implementation for KZG-committed PLONK: a thin static
-//! adapter over the crate's split prover
-//! ([`crate::prove::prove_poly`] / [`crate::prove::PlonkCheckpoint`]) and
-//! verifier, so the generic service-side task types (`SystemTask<S>`,
-//! `CheckpointingTask<S>`) schedule PLONK jobs through exactly the code
-//! paths they use for Groth16.
+//! adapter over [`crate::prove::prove_poly`], the
+//! [`crate::prove::PlonkCheckpoint`] state machine and the verifier, so
+//! the service's generic `SystemTask<S>` schedules PLONK jobs through
+//! exactly the code path it uses for Groth16.
 //!
-//! `prove_msm` drives the checkpoint state machine from step 0 to
-//! completion — it *is* the checkpoint path with no interruptions — so
-//! monolithic and stepwise proofs are byte-identical by construction.
+//! The MSM stage is the trait's provided `prove_msm` — the checkpoint
+//! stepped to completion, as [`crate::prove::prove`] does — so direct,
+//! served and resumed proofs are byte-identical by construction.
 
 use crate::circuit::PlonkCircuit;
-use crate::prove::{prove_poly, PlonkCheckpoint, PlonkPolyArtifacts, MSM_STEPS};
+use crate::prove::{prove_poly, PlonkCheckpoint, PlonkPolyArtifacts};
 use crate::setup::{PlonkProvingKey, PlonkVerifyingKey};
 use crate::verify::verify_bytes;
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::{CoordField, CurveParams};
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
-use gzkp_gpu_sim::StageReport;
 use gzkp_ntt::gpu::GpuNttEngine;
-use gzkp_proof_system::{Engines, ProofSystem, ProofSystemKind, ProveReport};
+use gzkp_proof_system::{ProofSystem, ProofSystemKind, ProveReport};
 use gzkp_telemetry::TelemetrySink;
 use std::marker::PhantomData;
 
@@ -41,10 +39,6 @@ where
 
     const KIND: ProofSystemKind = ProofSystemKind::Plonk;
 
-    fn total_msm_steps() -> usize {
-        MSM_STEPS
-    }
-
     fn prove_poly(
         circuit: &Self::Circuit,
         pk: &Self::ProvingKey,
@@ -52,29 +46,6 @@ where
         sink: &dyn TelemetrySink,
     ) -> Result<Self::PolyArtifacts, String> {
         prove_poly::<P>(circuit, pk, ntt, sink)
-    }
-
-    fn poly_report(poly: &Self::PolyArtifacts) -> &StageReport {
-        &poly.report
-    }
-
-    fn poly_scalar_bytes(poly: &Self::PolyArtifacts) -> u64 {
-        poly.scalar_bytes()
-    }
-
-    fn prove_msm(
-        pk: &Self::ProvingKey,
-        engines: &Engines<'_, P>,
-        poly: Self::PolyArtifacts,
-        seed: u64,
-        sink: &dyn TelemetrySink,
-    ) -> Result<(Vec<u8>, ProveReport), String> {
-        let mut ckpt = PlonkCheckpoint::from_poly(seed, poly);
-        while let Some(step) = ckpt.next_step() {
-            ckpt.run_step(pk, engines, step, sink)?;
-        }
-        let (proof, report) = ckpt.finish()?;
-        Ok((proof.to_bytes(), report))
     }
 
     fn verify_bytes(vk: &Self::VerifyingKey, circuit: &Self::Circuit, proof: &[u8]) -> bool {
@@ -121,36 +92,6 @@ where
 
     fn checkpoint_from_bytes(bytes: &[u8]) -> Result<Self::Checkpoint, String> {
         PlonkCheckpoint::from_bytes(bytes)
-    }
-
-    fn checkpoint_seed(ckpt: &Self::Checkpoint) -> u64 {
-        ckpt.seed
-    }
-
-    fn checkpoint_scalar_bytes(ckpt: &Self::Checkpoint) -> u64 {
-        ckpt.scalar_bytes()
-    }
-
-    fn checkpoint_steps_done(ckpt: &Self::Checkpoint) -> usize {
-        ckpt.steps_done()
-    }
-
-    fn checkpoint_next_step(ckpt: &Self::Checkpoint) -> Option<usize> {
-        ckpt.next_step()
-    }
-
-    fn checkpoint_poly_report(ckpt: &Self::Checkpoint) -> StageReport {
-        ckpt.poly_report().clone()
-    }
-
-    fn checkpoint_run_step(
-        ckpt: &mut Self::Checkpoint,
-        pk: &Self::ProvingKey,
-        engines: &Engines<'_, P>,
-        step: usize,
-        sink: &dyn TelemetrySink,
-    ) -> Result<(), String> {
-        ckpt.run_step(pk, engines, step, sink)
     }
 
     fn checkpoint_finish(

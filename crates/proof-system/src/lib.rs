@@ -6,17 +6,20 @@
 //! MSM steps whose partial results can be checkpointed. This crate names
 //! that contract. A [`ProofSystem`] packages one zkSNARK backend —
 //! Groth16 in `gzkp-groth16`, KZG/PLONK in `gzkp-plonk` — behind static
-//! entry points for the two prover stages, verification, and the
-//! step-granular checkpoint surface the cluster layer migrates across
-//! hosts.
+//! entry points for the POLY stage, verification, and a resumable
+//! checkpoint of the MSM stage.
 //!
-//! The service's `SystemTask<S>` / `CheckpointingTask<S>` are generic
-//! over this trait, which is what lets mixed Groth16+PLONK request
-//! streams flow through one queue, one fleet placement policy, and one
-//! cluster front door.
+//! The checkpoint state machine *is* the MSM stage: [`run_msm_steps`] is
+//! the one loop that steps a checkpoint to completion, and every prover
+//! entry point — [`ProofSystem::prove_msm`], each backend's direct
+//! `prove`, the service's `SystemTask<S>` (which persists the checkpoint
+//! between steps when the cluster asks it to) — is that loop followed by
+//! the backend's `finish`. A proof interrupted and resumed on another
+//! host is therefore the same computation as an uninterrupted one, not a
+//! second path kept in step with it. [`codec`] is the one wire framing
+//! the backends' checkpoints share.
 //!
-//! Determinism contract: `prove_msm` (and the checkpoint path, which must
-//! be byte-for-byte the same computation) receives an RNG **seed**, not an
+//! Determinism contract: the MSM stage receives an RNG **seed**, not an
 //! RNG — every backend draws its blinding randomness at fixed points from
 //! seeded generators so the same seed yields identical proof bytes at any
 //! `GZKP_THREADS` value, on any simulated device, and across host
@@ -24,11 +27,13 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
+
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_gpu_sim::StageReport;
 use gzkp_msm::MsmEngine;
 use gzkp_ntt::gpu::GpuNttEngine;
-use gzkp_telemetry::TelemetrySink;
+use gzkp_telemetry::{self as telemetry, TelemetrySink};
 
 /// Which proof system a job, cache entry, or telemetry series belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,14 +118,90 @@ impl ProveReport {
     }
 }
 
-/// One zkSNARK backend, split along the POLY/MSM boundary the service
-/// pipelines and extended with the step-granular checkpoint surface the
-/// cluster migrates between hosts.
+/// The MSM stage of one proof as a resumable state machine: a fixed
+/// sequence of steps, each an engine MSM (or a few) whose result is
+/// recorded in the value itself, so the value can be serialized between
+/// any two steps. Implemented by each backend's checkpoint type.
+pub trait MsmSteps {
+    /// The curve family the steps run over.
+    type Pairing: PairingConfig;
+    /// Prover-side key material the steps read their points from.
+    type ProvingKey;
+
+    /// Number of steps the stage runs.
+    const STEPS: usize;
+
+    /// Seed of the job's blinding RNG, which rides in the checkpoint.
+    fn seed(&self) -> u64;
+
+    /// Bit `i` set ⇒ step `i` has run.
+    fn done_mask(&self) -> u8;
+
+    /// The POLY stage report captured when the checkpoint was opened.
+    fn poly_report(&self) -> &StageReport;
+
+    /// Bytes of scalar state the steps upload to the device — the stage's
+    /// H2D footprint for transfer-pipelining schedulers.
+    fn scalar_bytes(&self) -> u64;
+
+    /// Executes step `step`, recording its partial result and kernel
+    /// reports. Re-running a done step is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `step` is out of range or the state does not match `pk`.
+    fn run_step(
+        &mut self,
+        pk: &Self::ProvingKey,
+        engines: &Engines<'_, Self::Pairing>,
+        step: usize,
+        sink: &dyn TelemetrySink,
+    ) -> Result<(), String>;
+
+    /// Number of steps already executed.
+    fn steps_done(&self) -> usize {
+        self.done_mask().count_ones() as usize
+    }
+
+    /// The first step still to run, or `None` when only the backend's
+    /// `finish` remains.
+    fn next_step(&self) -> Option<usize> {
+        (0..Self::STEPS).find(|&step| self.done_mask() & (1 << step) == 0)
+    }
+}
+
+/// Runs every remaining step of `ckpt`, in order, inside one `msm`
+/// telemetry span. `before_step` sees the checkpoint as it stands before
+/// each step (with that step's index) and stops the stage by returning
+/// an error — where a caller persists progress or honors an interrupt.
+///
+/// # Errors
+///
+/// The first error of `before_step` or of a step; `ckpt` keeps the
+/// progress made until then.
+pub fn run_msm_steps<C: MsmSteps>(
+    ckpt: &mut C,
+    pk: &C::ProvingKey,
+    engines: &Engines<'_, C::Pairing>,
+    sink: &dyn TelemetrySink,
+    mut before_step: impl FnMut(&C, usize) -> Result<(), String>,
+) -> Result<(), String> {
+    let _msm_span = telemetry::span(sink, telemetry::counters::SPAN_MSM);
+    while let Some(step) = ckpt.next_step() {
+        before_step(ckpt, step)?;
+        ckpt.run_step(pk, engines, step, sink)?;
+    }
+    Ok(())
+}
+
+/// One zkSNARK backend: the POLY stage, verification, sizing hooks for
+/// the fleet's transfer model, and the checkpoint ([`MsmSteps`]) whose
+/// steps are the MSM stage.
 ///
 /// All methods are static (the system type is a marker): per-proof state
 /// travels through [`ProofSystem::PolyArtifacts`] and
 /// [`ProofSystem::Checkpoint`] values, which keeps the service's task
-/// types `Send` without backend-specific bounds. Curve/serialization
+/// type `Send` without backend-specific bounds. Curve/serialization
 /// bounds live on each backend's `impl`, not here, so generic service
 /// code needs only `S: ProofSystem`.
 pub trait ProofSystem: 'static {
@@ -134,14 +215,13 @@ pub trait ProofSystem: 'static {
     type VerifyingKey: Send + Sync + 'static;
     /// Output of the POLY stage, consumed by the MSM stage.
     type PolyArtifacts: Send + 'static;
-    /// Resumable mid-MSM state with a portable byte encoding.
-    type Checkpoint: Send + 'static;
+    /// Resumable MSM-stage state with a portable byte encoding.
+    type Checkpoint: MsmSteps<Pairing = Self::Pairing, ProvingKey = Self::ProvingKey>
+        + Send
+        + 'static;
 
     /// Which system this is (labels, cache tags, workload routing).
     const KIND: ProofSystemKind;
-
-    /// Number of checkpointable MSM steps the MSM stage runs.
-    fn total_msm_steps() -> usize;
 
     /// Stage 1 — POLY: satisfiability check, witness reduction, and the
     /// backend's NTT batch, emitted under a `poly` telemetry span.
@@ -156,17 +236,10 @@ pub trait ProofSystem: 'static {
         sink: &dyn TelemetrySink,
     ) -> Result<Self::PolyArtifacts, String>;
 
-    /// The POLY stage report captured inside the artifacts.
-    fn poly_report(poly: &Self::PolyArtifacts) -> &StageReport;
-
-    /// Bytes of packed scalars the MSM stage uploads to the device — the
-    /// stage's H2D footprint for transfer-pipelining schedulers.
-    fn poly_scalar_bytes(poly: &Self::PolyArtifacts) -> u64;
-
-    /// Stage 2 — the MSM/commit steps, blinding (from `seed`), and proof
-    /// assembly, returning the serialized proof and the stage report.
-    /// Must be byte-for-byte the computation the checkpoint path runs, so
-    /// monolithic and checkpointed proofs are identical.
+    /// Stage 2 — the MSM/commit steps (under an `msm` telemetry span),
+    /// blinding (from `seed`), and proof assembly, returning the
+    /// serialized proof and the stage report: a fresh checkpoint stepped
+    /// to completion by [`run_msm_steps`] and finished.
     ///
     /// # Errors
     ///
@@ -177,7 +250,11 @@ pub trait ProofSystem: 'static {
         poly: Self::PolyArtifacts,
         seed: u64,
         sink: &dyn TelemetrySink,
-    ) -> Result<(Vec<u8>, ProveReport), String>;
+    ) -> Result<(Vec<u8>, ProveReport), String> {
+        let mut ckpt = Self::checkpoint_from_poly(seed, poly);
+        run_msm_steps(&mut ckpt, pk, engines, sink, |_, _| Ok(()))?;
+        Self::checkpoint_finish(ckpt, pk)
+    }
 
     /// Verifies serialized proof bytes against the circuit's public
     /// inputs. Malformed bytes verify as `false`, never panic.
@@ -203,7 +280,7 @@ pub trait ProofSystem: 'static {
     fn checkpoint_to_bytes(ckpt: &Self::Checkpoint) -> Vec<u8>;
 
     /// Decodes a checkpoint, validating magic/version/curve shape and
-    /// every stored point.
+    /// every stored scalar vector and point.
     ///
     /// # Errors
     ///
@@ -211,39 +288,28 @@ pub trait ProofSystem: 'static {
     /// on attacker-controlled input.
     fn checkpoint_from_bytes(bytes: &[u8]) -> Result<Self::Checkpoint, String>;
 
-    /// The blinding-RNG seed carried inside the checkpoint.
-    fn checkpoint_seed(ckpt: &Self::Checkpoint) -> u64;
+    /// [`MsmSteps::next_step`] of the checkpoint.
+    fn checkpoint_next_step(ckpt: &Self::Checkpoint) -> Option<usize> {
+        ckpt.next_step()
+    }
 
-    /// H2D bytes of the checkpointed scalar state (mirrors
-    /// [`ProofSystem::poly_scalar_bytes`]).
-    fn checkpoint_scalar_bytes(ckpt: &Self::Checkpoint) -> u64;
-
-    /// Number of MSM steps already executed.
-    fn checkpoint_steps_done(ckpt: &Self::Checkpoint) -> usize;
-
-    /// The first MSM step still to run, or `None` when only
-    /// [`ProofSystem::checkpoint_finish`] remains.
-    fn checkpoint_next_step(ckpt: &Self::Checkpoint) -> Option<usize>;
-
-    /// The POLY stage report captured at checkpoint time.
-    fn checkpoint_poly_report(ckpt: &Self::Checkpoint) -> StageReport;
-
-    /// Executes MSM step `step`, recording its partial result and kernel
-    /// reports into the checkpoint. Re-running a done step is a no-op.
+    /// [`MsmSteps::run_step`] of the checkpoint.
     ///
     /// # Errors
     ///
-    /// Fails if `step` is out of range.
+    /// Fails if `step` is out of range or the checkpoint does not match
+    /// `pk`.
     fn checkpoint_run_step(
         ckpt: &mut Self::Checkpoint,
         pk: &Self::ProvingKey,
         engines: &Engines<'_, Self::Pairing>,
         step: usize,
         sink: &dyn TelemetrySink,
-    ) -> Result<(), String>;
+    ) -> Result<(), String> {
+        ckpt.run_step(pk, engines, step, sink)
+    }
 
-    /// Blinding and proof assembly from a fully-stepped checkpoint,
-    /// byte-identical to the tail of [`ProofSystem::prove_msm`].
+    /// Blinding and proof assembly from a fully-stepped checkpoint.
     ///
     /// # Errors
     ///

@@ -1,19 +1,19 @@
 //! Job-side types: the type-erased [`ProofTask`] the queue schedules, the
-//! backend-generic [`SystemTask`] implementation, and the [`JobHandle`]
-//! callers hold.
+//! backend-generic [`SystemTask`] implementation (which also carries the
+//! cluster's checkpoint persistence), and the [`JobHandle`] callers hold.
 
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_msm::{GzkpMsm, MsmEngine, PreprocessStore};
 use gzkp_ntt::gpu::GzkpNtt;
-use gzkp_proof_system::{Engines, ProofSystem, ProveReport};
+use gzkp_proof_system::{run_msm_steps, Engines, MsmSteps, ProofSystem, ProveReport};
 use gzkp_runtime::{CrossDeviceMsm, FleetRuntime};
 use gzkp_telemetry::{TelemetrySink, Trace};
 use std::any::TypeId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A proof request the service can schedule, split along the prover's two
@@ -89,10 +89,11 @@ pub trait ProofTask: Send {
 
     /// Verify-before-return guard: checks the finished proof before the
     /// service publishes it. `Some(false)` marks the output corrupt — the
-    /// scheduler re-executes the job once and surfaces
-    /// [`JobError::Failed`] if the re-run's proof is rejected too.
-    /// `None` (the default) means the task cannot self-verify and the
-    /// output is returned as-is.
+    /// scheduler re-executes the job from POLY until one run's proof
+    /// verifies, and surfaces [`JobError::Failed`] only once
+    /// [`crate::VERIFY_VOTE_RUNS`] runs have all been rejected. `None`
+    /// (the default) means the task cannot self-verify and the output is
+    /// returned as-is.
     fn verify_output(&self, output: &TaskOutput) -> Option<bool> {
         let _ = output;
         None
@@ -126,13 +127,31 @@ pub struct TaskOutput {
     pub report: Option<ProveReport>,
 }
 
+/// Shared cell holding a job's latest serialized checkpoint. The cluster
+/// keeps one per job; a persisting [`SystemTask`] overwrites it at every
+/// stage and step boundary and clears it when the proof completes, so
+/// `Some(bytes)` always means mid-proof.
+pub type CheckpointSlot = Arc<Mutex<Option<Vec<u8>>>>;
+
+/// Stores `bytes` into `slot`, surviving a poisoned lock (a worker that
+/// panicked mid-store left consistent `Option` state either way).
+fn store_slot(slot: &CheckpointSlot, bytes: Option<Vec<u8>>) {
+    *slot.lock().unwrap_or_else(PoisonError::into_inner) = bytes;
+}
+
 /// The standard [`ProofTask`]: one proof under any [`ProofSystem`]
 /// backend, using the GZKP NTT and MSM engines.
 ///
-/// The blinding factors come from seeded rngs drawn inside the backend's
-/// MSM stage, exactly where its direct prover draws them — a task with
-/// seed `s` produces bytes identical to the backend's monolithic prover
-/// with the same seed.
+/// POLY opens the backend's checkpoint and the MSM stage steps it to
+/// completion ([`run_msm_steps`]) — exactly what the backend's direct
+/// prover does, so a task with seed `s` produces bytes identical to the
+/// direct prover with the same seed. A task built with
+/// [`SystemTask::persisting`] additionally writes the checkpoint to a
+/// [`CheckpointSlot`] after POLY and before every MSM step, and fails
+/// fast there when its interrupt flag is up — the cluster's
+/// host-migration building block: the job's next placement calls
+/// [`SystemTask::resume`] with the slot's bytes (the blinding seed rides
+/// inside them) and the proof still comes out byte-identical.
 pub struct SystemTask<S: ProofSystem> {
     circuit: Arc<S::Circuit>,
     pk: Arc<S::ProvingKey>,
@@ -148,23 +167,22 @@ pub struct SystemTask<S: ProofSystem> {
     cross_g1: Option<CrossDeviceMsm>,
     cross_g2: Option<CrossDeviceMsm>,
     seed: u64,
-    poly_out: Option<S::PolyArtifacts>,
-    /// Scalar bytes the MSM stage will upload; captured at the end of
-    /// POLY because the artifacts are consumed by the MSM stage itself.
+    /// The MSM stage's state: opened by POLY (or restored by
+    /// [`SystemTask::resume`]), consumed by the MSM stage.
+    ckpt: Option<S::Checkpoint>,
+    /// Scalar bytes the MSM stage will upload; captured when the
+    /// checkpoint is opened because the MSM stage consumes it.
     msm_h2d_bytes: u64,
+    /// Where the checkpoint is persisted, and the flag that aborts the
+    /// task at the next boundary once it is.
+    persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
 }
-
-/// A Groth16 proof task over one of the workspace curves.
-pub type Groth16Task<P> = SystemTask<gzkp_groth16::Groth16System<P>>;
-
-/// A KZG/PLONK proof task over one of the workspace curves.
-pub type PlonkTask<P> = SystemTask<gzkp_plonk::PlonkSystem<P>>;
 
 impl<S: ProofSystem> SystemTask<S> {
     /// Builds a task proving `circuit` under `pk` on the given simulated
     /// device. `store` wires the MSM engines to the service's shared
     /// checkpoint-table cache (pass [`crate::ProvingService::store`]);
-    /// `None` leaves them on the process-wide default cache — either way
+    /// `None` leaves them on the process-wide default store — either way
     /// the entries are tagged with the backend's cache tag so Groth16 and
     /// PLONK preprocessing of the same points never alias. `seed` feeds
     /// the blinding-factor rng.
@@ -192,9 +210,45 @@ impl<S: ProofSystem> SystemTask<S> {
             cross_g1: None,
             cross_g2: None,
             seed,
-            poly_out: None,
+            ckpt: None,
             msm_h2d_bytes: 0,
+            persist: None,
         }
+    }
+
+    /// [`SystemTask::new`] for a job that may have to move hosts: `slot`
+    /// receives the serialized checkpoint at every stage and step
+    /// boundary, and a raised `interrupt` aborts the task at the next
+    /// one (the cluster raises it when it kills the task's host).
+    pub fn persisting(
+        circuit: Arc<S::Circuit>,
+        pk: Arc<S::ProvingKey>,
+        device: DeviceConfig,
+        store: Option<Arc<PreprocessStore>>,
+        seed: u64,
+        slot: CheckpointSlot,
+        interrupt: Arc<AtomicBool>,
+    ) -> Self {
+        let mut task = Self::new(circuit, pk, device, store, seed);
+        task.persist = Some((slot, interrupt));
+        task
+    }
+
+    /// Continues from checkpoint `bytes` taken by an earlier placement of
+    /// the job: the POLY stage becomes a no-op and the MSM stage picks up
+    /// at the first incomplete step. The blinding seed comes from the
+    /// checkpoint, so the finished proof matches the uninterrupted run
+    /// byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `bytes` is not a valid checkpoint for system `S`.
+    pub fn resume(mut self, bytes: &[u8]) -> Result<Self, String> {
+        let ckpt = S::checkpoint_from_bytes(bytes)?;
+        self.seed = ckpt.seed();
+        self.msm_h2d_bytes = ckpt.scalar_bytes();
+        self.ckpt = Some(ckpt);
+        Ok(self)
     }
 
     /// Enables the verify-before-return guard: the finished proof is
@@ -216,16 +270,29 @@ impl<S: ProofSystem> ProofTask for SystemTask<S> {
     }
 
     fn poly(&mut self, sink: &dyn TelemetrySink) -> Result<(), String> {
+        if self.ckpt.is_some() {
+            // Resumed past POLY already; nothing to recompute.
+            return Ok(());
+        }
+        if let Some((_, interrupt)) = &self.persist {
+            if interrupt.load(Ordering::Relaxed) {
+                return Err("interrupted before poly stage".to_string());
+            }
+        }
         let artifacts = S::prove_poly(&self.circuit, &self.pk, &self.ntt, sink)
             .map_err(|e| format!("poly stage failed: {e}"))?;
-        self.msm_h2d_bytes = S::poly_scalar_bytes(&artifacts);
-        self.poly_out = Some(artifacts);
+        let ckpt = S::checkpoint_from_poly(self.seed, artifacts);
+        self.msm_h2d_bytes = ckpt.scalar_bytes();
+        if let Some((slot, _)) = &self.persist {
+            store_slot(slot, Some(S::checkpoint_to_bytes(&ckpt)));
+        }
+        self.ckpt = Some(ckpt);
         Ok(())
     }
 
     fn msm(&mut self, sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
-        let poly = self
-            .poly_out
+        let mut ckpt = self
+            .ckpt
             .take()
             .ok_or_else(|| "msm stage scheduled before poly stage".to_string())?;
         let engines = Engines::<S::Pairing> {
@@ -239,7 +306,32 @@ impl<S: ProofSystem> ProofTask for SystemTask<S> {
                 |c| c,
             ),
         };
-        let (proof, report) = S::prove_msm(&self.pk, &engines, poly, self.seed, sink)?;
+        let persist = self.persist.as_ref();
+        let stepped = run_msm_steps(&mut ckpt, &self.pk, &engines, sink, |ckpt, step| {
+            let Some((slot, interrupt)) = persist else {
+                return Ok(());
+            };
+            store_slot(slot, Some(S::checkpoint_to_bytes(ckpt)));
+            if interrupt.load(Ordering::Relaxed) {
+                return Err(format!(
+                    "host killed mid-proof: interrupted before msm step {step} ({}/{} done)",
+                    ckpt.steps_done(),
+                    S::Checkpoint::STEPS
+                ));
+            }
+            Ok(())
+        });
+        if let Err(e) = stepped {
+            // Put the checkpoint back so a retry on this task (rather
+            // than a cross-host resume) also continues instead of
+            // restarting.
+            self.ckpt = Some(ckpt);
+            return Err(e);
+        }
+        let (proof, report) = S::checkpoint_finish(ckpt, &self.pk)?;
+        if let Some((slot, _)) = persist {
+            store_slot(slot, None);
+        }
         Ok(TaskOutput {
             proof,
             report: Some(report),
@@ -310,9 +402,9 @@ impl<S: ProofSystem> ProofTask for SystemTask<S> {
         StageProfile {
             h2d_bytes: S::witness_elems(&self.circuit) as u64 * fr_bytes,
             kernel_ns: self
-                .poly_out
+                .ckpt
                 .as_ref()
-                .map_or(0.0, |a| S::poly_report(a).total_ns()),
+                .map_or(0.0, |c| c.poly_report().total_ns()),
             d2h_bytes: S::poly_d2h_elems(&self.pk) as u64 * fr_bytes,
             shards: 0,
         }
@@ -465,5 +557,208 @@ impl JobHandle {
             }
             slot = self.shared.done.wait(slot).unwrap();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gzkp_curves::bn254::{Bn254, Fr};
+    use gzkp_gpu_sim::v100;
+    use gzkp_groth16::proof_to_bytes;
+    use gzkp_groth16::prove::{prove, ProverEngines};
+    use gzkp_groth16::r1cs::{ConstraintSystem, LinearCombination};
+    use gzkp_groth16::setup::setup;
+    use gzkp_groth16::Groth16System;
+    use gzkp_plonk::PlonkSystem;
+    use gzkp_telemetry::{NoopSink, TraceRecorder};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn factor_cs() -> ConstraintSystem<Fr> {
+        use gzkp_ff::Field;
+        let mut cs = ConstraintSystem::<Fr>::new();
+        let n = cs.alloc_input(Fr::from_u64(35));
+        let p = cs.alloc(Fr::from_u64(5));
+        let q = cs.alloc(Fr::from_u64(7));
+        cs.enforce(
+            LinearCombination::from_var(p),
+            LinearCombination::from_var(q),
+            LinearCombination::from_var(n),
+        );
+        cs
+    }
+
+    #[test]
+    fn interrupt_persists_and_resume_matches_direct_prove() {
+        let cs = Arc::new(factor_cs());
+        let mut rng = StdRng::seed_from_u64(1);
+        let (pk, vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+        let (pk, vk) = (Arc::new(pk), Arc::new(vk));
+
+        // Ground truth: the direct prover with the same seed.
+        let ntt = GzkpNtt::auto::<Fr>(v100());
+        let msm_g1 = GzkpMsm::new(v100());
+        let msm_g2 = GzkpMsm::new(v100());
+        let engines = ProverEngines::<Bn254> {
+            ntt: &ntt,
+            msm_g1: &msm_g1,
+            msm_g2: &msm_g2,
+        };
+        let (expected, _) = prove(&cs, &pk, &engines, &mut StdRng::seed_from_u64(42)).unwrap();
+        let expected = proof_to_bytes(&expected);
+
+        // Run on "host 0", interrupt immediately at the MSM stage.
+        let slot: CheckpointSlot = Arc::new(Mutex::new(None));
+        let interrupt = Arc::new(AtomicBool::new(false));
+        let mut task = SystemTask::<Groth16System<Bn254>>::persisting(
+            cs.clone(),
+            pk.clone(),
+            v100(),
+            None,
+            42,
+            slot.clone(),
+            interrupt.clone(),
+        );
+        task.poly(&NoopSink).unwrap();
+        interrupt.store(true, Ordering::Relaxed);
+        let err = task.msm(&NoopSink).expect_err("interrupt must abort");
+        assert!(err.contains("host killed"), "{err}");
+
+        // "Host 1" picks the slot bytes up and finishes the proof; its
+        // own seed argument is overridden by the checkpoint's.
+        let bytes = slot.lock().unwrap().clone().expect("checkpoint persisted");
+        let slot2: CheckpointSlot = Arc::new(Mutex::new(None));
+        let mut resumed = SystemTask::<Groth16System<Bn254>>::persisting(
+            cs.clone(),
+            pk.clone(),
+            v100(),
+            None,
+            0,
+            slot2.clone(),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .resume(&bytes)
+        .unwrap()
+        .with_verifying_key(vk);
+        resumed.poly(&NoopSink).unwrap();
+        let out = resumed.msm(&NoopSink).unwrap();
+        assert_eq!(out.proof, expected);
+        assert_eq!(resumed.verify_output(&out), Some(true));
+        assert!(
+            slot2.lock().unwrap().is_none(),
+            "slot must clear on completion"
+        );
+    }
+
+    #[test]
+    fn plonk_interrupt_persists_and_resume_matches_direct_prove() {
+        use gzkp_ff::Field;
+        use gzkp_plonk::{prove_bytes, setup as plonk_setup, PlonkCircuit, PlonkGate};
+
+        // x² = 9 with public x² exposed.
+        let mut circuit = PlonkCircuit::new(&[Fr::from_u64(9)]);
+        let x = circuit.alloc(Fr::from_u64(3));
+        circuit.push_gate(PlonkGate {
+            q_m: Fr::one(),
+            q_o: -Fr::one(),
+            a: x,
+            b: x,
+            c: 1, // the public variable
+            ..PlonkGate::empty()
+        });
+        let circuit = Arc::new(circuit);
+        let mut rng = StdRng::seed_from_u64(2);
+        let (pk, vk) = plonk_setup::<Bn254, _>(&circuit, &mut rng).unwrap();
+        let (pk, vk) = (Arc::new(pk), Arc::new(vk));
+
+        let ntt = GzkpNtt::auto::<Fr>(v100());
+        let msm_g1 = GzkpMsm::new(v100());
+        let msm_g2 = GzkpMsm::new(v100());
+        let engines = Engines::<Bn254> {
+            ntt: &ntt,
+            msm_g1: &msm_g1,
+            msm_g2: &msm_g2,
+        };
+        let (expected, _) = prove_bytes(&circuit, &pk, &engines, 42, &NoopSink).unwrap();
+
+        let slot: CheckpointSlot = Arc::new(Mutex::new(None));
+        let interrupt = Arc::new(AtomicBool::new(false));
+        let mut task = SystemTask::<PlonkSystem<Bn254>>::persisting(
+            circuit.clone(),
+            pk.clone(),
+            v100(),
+            None,
+            42,
+            slot.clone(),
+            interrupt.clone(),
+        );
+        task.poly(&NoopSink).unwrap();
+        interrupt.store(true, Ordering::Relaxed);
+        let err = task.msm(&NoopSink).expect_err("interrupt must abort");
+        assert!(err.contains("host killed"), "{err}");
+        assert!(err.contains("0/4 done"), "{err}");
+        assert_eq!(task.system(), "plonk");
+
+        let bytes = slot.lock().unwrap().clone().expect("checkpoint persisted");
+        let slot2: CheckpointSlot = Arc::new(Mutex::new(None));
+        let mut resumed = SystemTask::<PlonkSystem<Bn254>>::persisting(
+            circuit.clone(),
+            pk.clone(),
+            v100(),
+            None,
+            0,
+            slot2.clone(),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .resume(&bytes)
+        .unwrap()
+        .with_verifying_key(vk);
+        resumed.poly(&NoopSink).unwrap();
+        let out = resumed.msm(&NoopSink).unwrap();
+        assert_eq!(out.proof, expected);
+        assert_eq!(resumed.verify_output(&out), Some(true));
+        assert!(slot2.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn persisting_task_emits_the_plain_tasks_spans_and_profiles() {
+        let cs = Arc::new(factor_cs());
+        let (pk, _vk) = setup::<Bn254, _>(&cs, &mut StdRng::seed_from_u64(3)).unwrap();
+        let pk = Arc::new(pk);
+        let run = |mut task: SystemTask<Groth16System<Bn254>>| {
+            let rec = TraceRecorder::new("V100");
+            task.poly(&rec).unwrap();
+            let poly_profile = task.poly_profile();
+            let out = task.msm(&rec).unwrap();
+            (
+                rec.finish(),
+                poly_profile,
+                task.msm_profile(&out),
+                out.proof,
+            )
+        };
+        let plain = run(SystemTask::new(cs.clone(), pk.clone(), v100(), None, 9));
+        let persisting = run(SystemTask::persisting(
+            cs.clone(),
+            pk.clone(),
+            v100(),
+            None,
+            9,
+            Arc::new(Mutex::new(None)),
+            Arc::new(AtomicBool::new(false)),
+        ));
+        let steps: Vec<&str> = plain
+            .0
+            .find(&["msm"])
+            .expect("steps run under one msm span")
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(steps, gzkp_telemetry::counters::GROTH16_MSM_STAGES);
+        assert_eq!(plain.0.root, persisting.0.root);
+        assert_eq!((plain.1, plain.2), (persisting.1, persisting.2));
+        assert_eq!(plain.3, persisting.3);
     }
 }

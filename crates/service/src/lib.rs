@@ -25,7 +25,12 @@
 //!   and joins the workers.
 //!
 //! Jobs are type-erased [`ProofTask`]s, so one queue serves proofs over
-//! different curves; [`Groth16Task`] is the standard implementation.
+//! different curves and proof systems; [`SystemTask`] is the one
+//! implementation, generic over the backend
+//! ([`gzkp_proof_system::ProofSystem`]): its MSM stage steps the
+//! backend's checkpoint to completion, and a task built with
+//! [`SystemTask::persisting`] also writes that checkpoint out between
+//! steps so the cluster layer can move the job to another host.
 //! Per-job telemetry (opt-in via [`JobOptions::trace`]) wraps the prover's
 //! span tree in `service → {queue_wait, execute}` spans with the
 //! `service.*` counters.
@@ -33,9 +38,9 @@
 //! ## Example
 //!
 //! ```
-//! use gzkp_service::{Groth16Task, JobOptions, ProvingService, ServiceConfig};
+//! use gzkp_service::{JobOptions, ProvingService, ServiceConfig, SystemTask};
 //! use gzkp_curves::bn254::{Bn254, Fr};
-//! use gzkp_groth16::{setup, verify, proof_from_bytes};
+//! use gzkp_groth16::{setup, verify, proof_from_bytes, Groth16System};
 //! use gzkp_gpu_sim::v100;
 //! use gzkp_workloads::synthetic::synthetic_circuit;
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -47,7 +52,7 @@
 //! let (pk, inputs) = (Arc::new(pk), cs.input_assignment.clone());
 //!
 //! let service = ProvingService::start(ServiceConfig::default());
-//! let task = Groth16Task::new(cs, pk, v100(), Some(service.store()), 7);
+//! let task = SystemTask::<Groth16System<Bn254>>::new(cs, pk, v100(), Some(service.store()), 7);
 //! let handle = service.submit(Box::new(task), JobOptions::default()).unwrap();
 //! let result = handle.wait();
 //! let proof = proof_from_bytes::<Bn254>(&result.outcome.unwrap().proof).unwrap();
@@ -57,17 +62,12 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod job;
 pub mod replay;
 pub mod service;
 
-pub use checkpoint::{
-    CheckpointSlot, CheckpointingGroth16Task, CheckpointingPlonkTask, CheckpointingTask,
-};
 pub use job::{
-    Groth16Task, JobError, JobHandle, JobResult, PlonkTask, ProofTask, StageProfile, SystemTask,
-    TaskOutput,
+    CheckpointSlot, JobError, JobHandle, JobResult, ProofTask, StageProfile, SystemTask, TaskOutput,
 };
 pub use replay::{prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome};
 pub use service::{ProvingService, ServiceStats, VERIFY_VOTE_RUNS};
@@ -226,7 +226,7 @@ impl Default for ServiceConfig {
         Self {
             queue_capacity: 64,
             workers: (cores / 2).max(1),
-            prep_cache_bytes: 256 << 20,
+            prep_cache_bytes: gzkp_msm::PreprocessStore::DEFAULT_BUDGET_BYTES,
             default_deadline: Some(Duration::from_secs(60)),
             key_affinity: true,
             devices: Vec::new(),

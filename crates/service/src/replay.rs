@@ -8,24 +8,31 @@
 //! PLONK circuits migrated from the synthetic R1CS by
 //! [`gzkp_plonk::PlonkCircuit::from_r1cs`].
 
-use crate::checkpoint::{CheckpointSlot, CheckpointingTask};
 use crate::service::ServiceStats;
-use crate::{JobError, JobOptions, Priority, ProvingService, ServiceConfig, SystemTask};
+use crate::{
+    CheckpointSlot, JobError, JobOptions, Priority, ProofTask, ProvingService, ServiceConfig,
+    SystemTask,
+};
 use gzkp_curves::bls12_381::Bls12_381;
 use gzkp_curves::bn254::Bn254;
 use gzkp_curves::pairing::PairingConfig;
+use gzkp_curves::{CoordField, CurveParams};
+use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
 use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_gpu_sim::FaultSummary;
 use gzkp_groth16::Groth16System;
-use gzkp_msm::GzkpMsm;
+use gzkp_msm::{GzkpMsm, PreprocessStore};
 use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_plonk::{PlonkCircuit, PlonkSystem};
 use gzkp_proof_system::{Engines, ProofSystem};
 use gzkp_telemetry::NoopSink;
-use gzkp_workloads::requests::{RequestCurve, RequestPriority, RequestSystem, RequestWorkload};
+use gzkp_workloads::requests::{
+    RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
+};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,63 +43,86 @@ struct Keyed<S: ProofSystem> {
     vk: Arc<S::VerifyingKey>,
 }
 
-impl<S: ProofSystem> Clone for Keyed<S> {
-    fn clone(&self) -> Self {
-        Self {
-            circuit: self.circuit.clone(),
-            pk: self.pk.clone(),
-            vk: self.vk.clone(),
-        }
+/// What replay needs of a request class, whatever its curve and proof
+/// system: the one step from the type-erased request stream to the
+/// generic task code. Implemented once, for every [`Keyed<S>`].
+trait RequestClass: Send + Sync {
+    /// Wire label of the class's proof system.
+    fn system(&self) -> &'static str;
+
+    /// A service task for one request of the class. With `persist` it
+    /// writes its checkpoint there and honors the interrupt flag; with
+    /// `checkpoint` bytes it resumes from them.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `checkpoint` doesn't decode for the class.
+    fn task(
+        &self,
+        device: &DeviceConfig,
+        store: Option<Arc<PreprocessStore>>,
+        seed: u64,
+        persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
+        checkpoint: Option<&[u8]>,
+        verify: bool,
+    ) -> Result<Box<dyn ProofTask>, String>;
+
+    /// One request proved directly on the given engines, no service.
+    fn prove_direct(&self, ntt: &GzkpNtt, msm_g1: &GzkpMsm, msm_g2: &GzkpMsm, seed: u64)
+        -> Vec<u8>;
+}
+
+impl<S: ProofSystem> RequestClass for Keyed<S> {
+    fn system(&self) -> &'static str {
+        S::KIND.as_str()
     }
-}
 
-enum PreparedClass {
-    Groth16Bn254(Keyed<Groth16System<Bn254>>),
-    Groth16Bls12_381(Keyed<Groth16System<Bls12_381>>),
-    PlonkBn254(Keyed<PlonkSystem<Bn254>>),
-    PlonkBls12_381(Keyed<PlonkSystem<Bls12_381>>),
-}
-
-impl Clone for PreparedClass {
-    fn clone(&self) -> Self {
-        match self {
-            PreparedClass::Groth16Bn254(k) => PreparedClass::Groth16Bn254(k.clone()),
-            PreparedClass::Groth16Bls12_381(k) => PreparedClass::Groth16Bls12_381(k.clone()),
-            PreparedClass::PlonkBn254(k) => PreparedClass::PlonkBn254(k.clone()),
-            PreparedClass::PlonkBls12_381(k) => PreparedClass::PlonkBls12_381(k.clone()),
+    fn task(
+        &self,
+        device: &DeviceConfig,
+        store: Option<Arc<PreprocessStore>>,
+        seed: u64,
+        persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
+        checkpoint: Option<&[u8]>,
+        verify: bool,
+    ) -> Result<Box<dyn ProofTask>, String> {
+        let (circuit, pk, device) = (self.circuit.clone(), self.pk.clone(), device.clone());
+        let mut task = match persist {
+            Some((slot, interrupt)) => {
+                SystemTask::<S>::persisting(circuit, pk, device, store, seed, slot, interrupt)
+            }
+            None => SystemTask::new(circuit, pk, device, store, seed),
+        };
+        if let Some(bytes) = checkpoint {
+            task = task.resume(bytes)?;
         }
+        if verify {
+            task = task.with_verifying_key(self.vk.clone());
+        }
+        Ok(Box::new(task))
     }
-}
 
-/// Expands to `$body` with `$k` bound to the class's [`Keyed`] and `$S`
-/// aliased to its concrete [`ProofSystem`] type — the one dispatch point
-/// from the type-erased request stream to generic task code.
-macro_rules! dispatch_class {
-    ($class:expr, $k:ident, $S:ident, $body:expr) => {
-        match $class {
-            PreparedClass::Groth16Bn254($k) => {
-                type $S = Groth16System<Bn254>;
-                $body
-            }
-            PreparedClass::Groth16Bls12_381($k) => {
-                type $S = Groth16System<Bls12_381>;
-                $body
-            }
-            PreparedClass::PlonkBn254($k) => {
-                type $S = PlonkSystem<Bn254>;
-                $body
-            }
-            PreparedClass::PlonkBls12_381($k) => {
-                type $S = PlonkSystem<Bls12_381>;
-                $body
-            }
-        }
-    };
+    fn prove_direct(
+        &self,
+        ntt: &GzkpNtt,
+        msm_g1: &GzkpMsm,
+        msm_g2: &GzkpMsm,
+        seed: u64,
+    ) -> Vec<u8> {
+        let engines = Engines::<S::Pairing> {
+            ntt,
+            msm_g1,
+            msm_g2,
+        };
+        let poly = S::prove_poly(&self.circuit, &self.pk, ntt, &NoopSink).expect("poly");
+        let (proof, _) = S::prove_msm(&self.pk, &engines, poly, seed, &NoopSink).expect("prove");
+        proof
+    }
 }
 
 /// One concrete proof request of the prepared stream.
 struct PreparedRequest {
-    class: PreparedClass,
+    class: Arc<dyn RequestClass>,
     priority: Priority,
     deadline: Option<Duration>,
     seed: u64,
@@ -124,10 +154,7 @@ impl PreparedWorkload {
     ///
     /// Panics if `index` is out of range.
     pub fn request_system(&self, index: usize) -> &'static str {
-        dispatch_class!(&self.requests[index].class, k, S, {
-            let _ = k;
-            S::KIND.as_str()
-        })
+        self.requests[index].class.system()
     }
 
     /// Submission options of request `index` (its priority/deadline from
@@ -145,11 +172,11 @@ impl PreparedWorkload {
         }
     }
 
-    /// Builds a checkpointing task for request `index` — the cluster
-    /// layer's entry point. With `checkpoint` bytes (taken from a dead
-    /// host's [`CheckpointSlot`]) the task resumes mid-proof; without,
-    /// it starts fresh. `verify` arms verify-before-return against the
-    /// request's verifying key.
+    /// Builds a checkpoint-persisting task for request `index` — the
+    /// cluster layer's entry point. With `checkpoint` bytes (taken from a
+    /// dead host's [`CheckpointSlot`]) the task resumes mid-proof;
+    /// without, it starts fresh. `verify` arms verify-before-return
+    /// against the request's verifying key.
     ///
     /// # Errors
     ///
@@ -160,42 +187,19 @@ impl PreparedWorkload {
         &self,
         index: usize,
         device: &DeviceConfig,
-        store: Option<Arc<gzkp_msm::PreprocessStore>>,
+        store: Option<Arc<PreprocessStore>>,
         slot: CheckpointSlot,
-        interrupt: Arc<std::sync::atomic::AtomicBool>,
+        interrupt: Arc<AtomicBool>,
         checkpoint: Option<&[u8]>,
         verify: bool,
-    ) -> Result<Box<dyn crate::ProofTask>, String> {
+    ) -> Result<Box<dyn ProofTask>, String> {
         let req = self
             .requests
             .get(index)
             .ok_or_else(|| format!("request {index} out of range ({})", self.requests.len()))?;
-        dispatch_class!(&req.class, k, S, {
-            let mut task = match checkpoint {
-                Some(bytes) => CheckpointingTask::<S>::resume(
-                    k.circuit.clone(),
-                    k.pk.clone(),
-                    device.clone(),
-                    store,
-                    bytes,
-                    slot,
-                    interrupt,
-                )?,
-                None => CheckpointingTask::<S>::new(
-                    k.circuit.clone(),
-                    k.pk.clone(),
-                    device.clone(),
-                    store,
-                    req.seed,
-                    slot,
-                    interrupt,
-                ),
-            };
-            if verify {
-                task = task.with_verifying_key(k.vk.clone());
-            }
-            Ok(Box::new(task) as Box<dyn crate::ProofTask>)
-        })
+        let persist = Some((slot, interrupt));
+        req.class
+            .task(device, store, req.seed, persist, checkpoint, verify)
     }
 
     /// Proves request `index` directly (no service, fresh engines on
@@ -209,7 +213,8 @@ impl PreparedWorkload {
         let ntt = GzkpNtt::auto::<gzkp_ff::fields::Fr254>(device.clone());
         let msm_g1 = GzkpMsm::new(device.clone());
         let msm_g2 = GzkpMsm::new(device.clone());
-        prove_one(&self.requests[index], &ntt, &msm_g1, &msm_g2)
+        let req = &self.requests[index];
+        req.class.prove_direct(&ntt, &msm_g1, &msm_g2, req.seed)
     }
 }
 
@@ -221,74 +226,54 @@ fn to_priority(p: RequestPriority) -> Priority {
     }
 }
 
+/// Synthesizes one class's circuit over curve family `P` and runs the
+/// trusted setup of its proof system. PLONK classes reuse the synthetic
+/// R1CS generator and migrate the circuit with
+/// [`PlonkCircuit::from_r1cs`], so both backends prove the same relation.
+fn prepare_class<P: PairingConfig>(spec: &RequestSpec, rng: &mut StdRng) -> Arc<dyn RequestClass>
+where
+    <P::G1 as CurveParams>::Base: CoordField,
+    <P::G2 as CurveParams>::Base: CoordField,
+    <P::Fq12C as Fp12Config>::Fp6C: Fp6Config<Fp2C = P::Fq2C>,
+    P::Fq2C: Fp2Config,
+{
+    let cs = synthetic_circuit::<P::Fr, _>(spec.constraints, rng);
+    match spec.system {
+        RequestSystem::Groth16 => {
+            let (pk, vk) = gzkp_groth16::setup::<P, _>(&cs, rng).expect("setup");
+            Arc::new(Keyed::<Groth16System<P>> {
+                circuit: Arc::new(cs),
+                pk: Arc::new(pk),
+                vk: Arc::new(vk),
+            })
+        }
+        RequestSystem::Plonk => {
+            let circuit = PlonkCircuit::from_r1cs(&cs);
+            let (pk, vk) = gzkp_plonk::setup::<P, _>(&circuit, rng).expect("plonk setup");
+            Arc::new(Keyed::<PlonkSystem<P>> {
+                circuit: Arc::new(circuit),
+                pk: Arc::new(pk),
+                vk: Arc::new(vk),
+            })
+        }
+    }
+}
+
 /// Synthesizes each class's circuit and runs its trusted setup (once per
 /// class), then expands the per-class counts into the round-robin arrival
-/// order. Deterministic in `workload.seed`. PLONK classes reuse the same
-/// synthetic R1CS generator and migrate the circuit with
-/// [`PlonkCircuit::from_r1cs`], so both backends prove the same relation.
+/// order. Deterministic in `workload.seed`.
 pub fn prepare(workload: &RequestWorkload, device: &DeviceConfig) -> PreparedWorkload {
     let _ = device; // reserved for device-dependent preparation
     let mut rng = StdRng::seed_from_u64(workload.seed);
-    let classes: Vec<(PreparedClass, &gzkp_workloads::requests::RequestSpec)> = workload
+    let classes: Vec<(Arc<dyn RequestClass>, &RequestSpec)> = workload
         .requests
         .iter()
         .map(|spec| {
-            let prepared = match (spec.curve, spec.system) {
-                (RequestCurve::Bn254, RequestSystem::Groth16) => {
-                    let cs = Arc::new(synthetic_circuit::<<Bn254 as PairingConfig>::Fr, _>(
-                        spec.constraints,
-                        &mut rng,
-                    ));
-                    let (pk, vk) = gzkp_groth16::setup::<Bn254, _>(&cs, &mut rng).expect("setup");
-                    PreparedClass::Groth16Bn254(Keyed {
-                        circuit: cs,
-                        pk: Arc::new(pk),
-                        vk: Arc::new(vk),
-                    })
-                }
-                (RequestCurve::Bls12_381, RequestSystem::Groth16) => {
-                    let cs = Arc::new(synthetic_circuit::<<Bls12_381 as PairingConfig>::Fr, _>(
-                        spec.constraints,
-                        &mut rng,
-                    ));
-                    let (pk, vk) =
-                        gzkp_groth16::setup::<Bls12_381, _>(&cs, &mut rng).expect("setup");
-                    PreparedClass::Groth16Bls12_381(Keyed {
-                        circuit: cs,
-                        pk: Arc::new(pk),
-                        vk: Arc::new(vk),
-                    })
-                }
-                (RequestCurve::Bn254, RequestSystem::Plonk) => {
-                    let cs = synthetic_circuit::<<Bn254 as PairingConfig>::Fr, _>(
-                        spec.constraints,
-                        &mut rng,
-                    );
-                    let circuit = Arc::new(PlonkCircuit::from_r1cs(&cs));
-                    let (pk, vk) =
-                        gzkp_plonk::setup::<Bn254, _>(&circuit, &mut rng).expect("plonk setup");
-                    PreparedClass::PlonkBn254(Keyed {
-                        circuit,
-                        pk: Arc::new(pk),
-                        vk: Arc::new(vk),
-                    })
-                }
-                (RequestCurve::Bls12_381, RequestSystem::Plonk) => {
-                    let cs = synthetic_circuit::<<Bls12_381 as PairingConfig>::Fr, _>(
-                        spec.constraints,
-                        &mut rng,
-                    );
-                    let circuit = Arc::new(PlonkCircuit::from_r1cs(&cs));
-                    let (pk, vk) =
-                        gzkp_plonk::setup::<Bls12_381, _>(&circuit, &mut rng).expect("plonk setup");
-                    PreparedClass::PlonkBls12_381(Keyed {
-                        circuit,
-                        pk: Arc::new(pk),
-                        vk: Arc::new(vk),
-                    })
-                }
+            let class = match spec.curve {
+                RequestCurve::Bn254 => prepare_class::<Bn254>(spec, &mut rng),
+                RequestCurve::Bls12_381 => prepare_class::<Bls12_381>(spec, &mut rng),
             };
-            (prepared, spec)
+            (class, spec)
         })
         .collect();
 
@@ -363,21 +348,8 @@ impl ReplayOutcome {
     }
 }
 
-fn prove_one(req: &PreparedRequest, ntt: &GzkpNtt, msm_g1: &GzkpMsm, msm_g2: &GzkpMsm) -> Vec<u8> {
-    dispatch_class!(&req.class, k, S, {
-        let engines = Engines::<<S as ProofSystem>::Pairing> {
-            ntt,
-            msm_g1,
-            msm_g2,
-        };
-        let poly = S::prove_poly(&k.circuit, &k.pk, ntt, &NoopSink).expect("poly");
-        let (proof, _) = S::prove_msm(&k.pk, &engines, poly, req.seed, &NoopSink).expect("prove");
-        proof
-    })
-}
-
 /// The baseline: prove every request in arrival order on stock engines
-/// (process-wide FIFO preprocessing cache), one at a time. Deadlines and
+/// (the process-wide default table store), one at a time. Deadlines and
 /// priorities are ignored — this is the prove-in-a-loop a deployment
 /// without a serving layer would run.
 pub fn run_sequential(workload: &PreparedWorkload, device: &DeviceConfig) -> ReplayOutcome {
@@ -388,7 +360,7 @@ pub fn run_sequential(workload: &PreparedWorkload, device: &DeviceConfig) -> Rep
     let mut proofs = Vec::with_capacity(workload.requests.len());
     let mut latencies_ms = Vec::with_capacity(workload.requests.len());
     for req in &workload.requests {
-        let proof = prove_one(req, &ntt, &msm_g1, &msm_g2);
+        let proof = req.class.prove_direct(&ntt, &msm_g1, &msm_g2, req.seed);
         latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
         proofs.push(Some(proof));
     }
@@ -424,19 +396,10 @@ pub fn run_service(
         .requests
         .iter()
         .map(|req| {
-            let task: Box<dyn crate::ProofTask> = dispatch_class!(&req.class, k, S, {
-                let mut t = SystemTask::<S>::new(
-                    k.circuit.clone(),
-                    k.pk.clone(),
-                    device.clone(),
-                    Some(store.clone()),
-                    req.seed,
-                );
-                if verify {
-                    t = t.with_verifying_key(k.vk.clone());
-                }
-                Box::new(t)
-            });
+            let task = req
+                .class
+                .task(device, Some(store.clone()), req.seed, None, None, verify)
+                .expect("no checkpoint to reject");
             let opts = JobOptions {
                 priority: req.priority,
                 deadline: req.deadline,

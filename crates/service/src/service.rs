@@ -320,7 +320,7 @@ impl ProvingService {
     }
 
     /// The shared checkpoint-table store; wire it into each job's MSM
-    /// engines (e.g. [`crate::Groth16Task::new`]) so proving keys are
+    /// engines (e.g. [`crate::SystemTask::new`]) so proving keys are
     /// preprocessed once service-wide.
     pub fn store(&self) -> Arc<PreprocessStore> {
         self.inner.store.clone()

@@ -138,6 +138,32 @@ pub fn emit_stage(sink: &dyn TelemetrySink, stage: &StageReport) {
     sink.counter(counters::DRAM_SECTORS, sectors as f64);
 }
 
+/// JSON bytes of one simulated stage report: the form in which stage
+/// reports ride inside proof checkpoints.
+pub fn stage_report_to_json(stage: &StageReport) -> Vec<u8> {
+    serde_json::to_string(stage)
+        .expect("report serializes")
+        .into_bytes()
+}
+
+/// Inverse of [`stage_report_to_json`] for untrusted bytes. Accepts only
+/// the exact text the encoder writes, so a decoded report always
+/// re-encodes to its input.
+///
+/// # Errors
+///
+/// Describes why `bytes` is not a canonical report; `which` names the
+/// report in the message.
+pub fn stage_report_from_json(bytes: &[u8], which: &str) -> Result<StageReport, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| format!("{which} report is not UTF-8"))?;
+    let report: StageReport =
+        serde_json::from_str(text).map_err(|e| format!("{which} report: {e:?}"))?;
+    if stage_report_to_json(&report) != bytes {
+        return Err(format!("{which} report is not in canonical form"));
+    }
+    Ok(report)
+}
+
 /// Builds a power-of-two histogram of `values`: bucket label `b` counts
 /// values in `[2^b, 2^{b+1})`; label 0 additionally counts zeros.
 pub fn log2_histogram(values: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {

@@ -9,7 +9,7 @@
 //! saturation without starving anyone.
 
 use gzkp_cluster::{
-    groth16_factory, AdmissionError, Cluster, ClusterConfig, ClusterJobOptions, HostConfig,
+    system_factory, AdmissionError, Cluster, ClusterConfig, ClusterJobOptions, HostConfig,
     TenantSpec,
 };
 use gzkp_curves::bn254::{Bn254, Fr};
@@ -17,7 +17,7 @@ use gzkp_gpu_sim::v100;
 use gzkp_groth16::{
     proof_to_bytes,
     prove::{prove, ProverEngines},
-    setup, ConstraintSystem, ProofCheckpoint, ProvingKey, VerifyingKey,
+    setup, ConstraintSystem, Groth16System, MsmSteps, ProofCheckpoint, ProvingKey, VerifyingKey,
 };
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::GzkpNtt;
@@ -81,7 +81,7 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
             cluster
                 .submit(
                     "zcash",
-                    groth16_factory::<Bn254>(
+                    system_factory::<Groth16System<Bn254>>(
                         cs.clone(),
                         pk.clone(),
                         Some(vk.clone()),
@@ -170,7 +170,7 @@ fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
             cluster
                 .submit(
                     tenant,
-                    groth16_factory::<Bn254>(cs.clone(), pk.clone(), None, i),
+                    system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, i),
                     ClusterJobOptions::default(),
                 )
                 .expect("admitted");
@@ -221,7 +221,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     for i in 0..6u64 {
         match cluster.submit_at(
             "metered",
-            groth16_factory::<Bn254>(cs.clone(), pk.clone(), None, i),
+            system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, i),
             ClusterJobOptions::default(),
             now,
         ) {
@@ -244,7 +244,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
         cluster
             .submit_at(
                 "unmetered",
-                groth16_factory::<Bn254>(cs.clone(), pk.clone(), None, 50 + i),
+                system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, 50 + i),
                 ClusterJobOptions::default(),
                 now,
             )
@@ -272,7 +272,7 @@ fn unknown_tenant_and_saturation_are_typed_at_the_cluster_api() {
         pending_capacity: 2,
         ..ClusterConfig::default()
     });
-    let factory = || groth16_factory::<Bn254>(cs.clone(), pk.clone(), None, 1);
+    let factory = || system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, 1);
     assert!(matches!(
         cluster.submit("ghost", factory(), ClusterJobOptions::default()),
         Err(AdmissionError::UnknownTenant(t)) if t == "ghost"

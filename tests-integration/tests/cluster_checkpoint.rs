@@ -10,7 +10,7 @@
 
 use gzkp_gpu_sim::v100;
 use gzkp_groth16::prove::{prove, prove_poly, ProverEngines};
-use gzkp_groth16::{proof_to_bytes, setup, ProofCheckpoint, MSM_STEPS};
+use gzkp_groth16::{proof_to_bytes, setup, MsmSteps, ProofCheckpoint, MSM_STEPS};
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::GzkpNtt;
 use gzkp_telemetry::NoopSink;

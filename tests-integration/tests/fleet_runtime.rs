@@ -7,11 +7,13 @@ use gzkp_curves::bls12_381::Bls12_381;
 use gzkp_curves::bn254::Bn254;
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_gpu_sim::{gtx1080ti, v100};
-use gzkp_groth16::{proof_from_bytes, proof_to_bytes, prove, setup, verify, ProverEngines};
+use gzkp_groth16::{
+    proof_from_bytes, proof_to_bytes, prove, setup, verify, Groth16System, ProverEngines,
+};
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_runtime::parse_devices;
-use gzkp_service::{Groth16Task, JobOptions, ProofTask, ProvingService, ServiceConfig, TaskOutput};
+use gzkp_service::{JobOptions, ProofTask, ProvingService, ServiceConfig, SystemTask, TaskOutput};
 use gzkp_telemetry::{counters, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
@@ -186,7 +188,7 @@ fn fleet_proofs_bit_identical_across_heterogeneous_devices() {
     let mut expected = Vec::new();
     for seed in 0..6u64 {
         expected.push(direct_proof::<Bn254>(&cs_bn, &pk_bn, 100 + seed));
-        let task = Groth16Task::<Bn254>::new(
+        let task = SystemTask::<Groth16System<Bn254>>::new(
             cs_bn.clone(),
             pk_bn.clone(),
             v100(),
@@ -201,7 +203,7 @@ fn fleet_proofs_bit_identical_across_heterogeneous_devices() {
     }
     for seed in 0..3u64 {
         expected.push(direct_proof::<Bls12_381>(&cs_bls, &pk_bls, 200 + seed));
-        let task = Groth16Task::<Bls12_381>::new(
+        let task = SystemTask::<Groth16System<Bls12_381>>::new(
             cs_bls.clone(),
             pk_bls.clone(),
             v100(),
@@ -311,7 +313,7 @@ fn preprocess_store_eviction_under_concurrent_provers() {
     for seed in 0..4u64 {
         for (cs, pk) in &classes {
             expected.push(direct_proof::<Bn254>(cs, pk, 300 + seed));
-            let task = Groth16Task::<Bn254>::new(
+            let task = SystemTask::<Groth16System<Bn254>>::new(
                 cs.clone(),
                 pk.clone(),
                 v100(),

@@ -5,8 +5,8 @@
 
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::v100;
-use gzkp_groth16::setup;
-use gzkp_service::{prepare, run_service, Groth16Task, JobOptions, ProvingService, ServiceConfig};
+use gzkp_groth16::{setup, Groth16System};
+use gzkp_service::{prepare, run_service, JobOptions, ProvingService, ServiceConfig, SystemTask};
 use gzkp_telemetry::{counters, folded_stacks, MetricsRegistry, MetricsSnapshot, Trace};
 use gzkp_workloads::requests::{
     RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
@@ -32,7 +32,7 @@ fn run_traced_jobs(jobs: usize) -> (MetricsSnapshot, Vec<Trace>, gzkp_service::S
     let service = ProvingService::start(cfg);
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
-            let task = Groth16Task::<Bn254>::new(
+            let task = SystemTask::<Groth16System<Bn254>>::new(
                 cs.clone(),
                 pk.clone(),
                 v100(),

@@ -7,13 +7,15 @@ use gzkp_curves::bn254::Bn254;
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
 use gzkp_gpu_sim::{v100, FaultPlan, FaultRates};
-use gzkp_groth16::{proof_from_bytes, proof_to_bytes, prove, setup, verify, ProverEngines};
+use gzkp_groth16::{
+    proof_from_bytes, proof_to_bytes, prove, setup, verify, Groth16System, ProverEngines,
+};
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_runtime::HealthPolicy;
 use gzkp_service::{
-    Groth16Task, JobError, JobOptions, Priority, ProofTask, ProvingService, RetryPolicy,
-    ServiceConfig, SubmitError, TaskOutput, VERIFY_VOTE_RUNS,
+    JobError, JobOptions, Priority, ProofTask, ProvingService, RetryPolicy, ServiceConfig,
+    SubmitError, SystemTask, TaskOutput, VERIFY_VOTE_RUNS,
 };
 use gzkp_telemetry::TelemetrySink;
 use gzkp_workloads::synthetic::synthetic_circuit;
@@ -559,7 +561,7 @@ where
     let expected = direct_proof::<P>(&cs, &pk, blind_seed);
 
     let service = ProvingService::start(ServiceConfig::default());
-    let task = Groth16Task::<P>::new(
+    let task = SystemTask::<Groth16System<P>>::new(
         cs.clone(),
         pk.clone(),
         v100(),
