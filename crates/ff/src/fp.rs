@@ -471,8 +471,9 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
 
     fn two_adic_root_of_unity() -> Self {
         // g^((p-1)/2^s); cached per concrete field via a type-keyed map is
-        // overkill — the pow is ~MODULUS_BITS squarings, and every NTT caller
-        // caches twiddles anyway.
+        // overkill — the pow is ~MODULUS_BITS squarings, and every transform
+        // reads its twiddles from `gzkp_ntt`'s process-wide store, built once
+        // per (field, size).
         let (pm1, _) = P::MODULUS.const_sub(&BigInt::ONE);
         let mut exp = pm1;
         for _ in 0..P::TWO_ADICITY {

@@ -7,15 +7,18 @@
 //! engines differ only in how groups are mapped to blocks and how the data
 //! reaches shared memory; the butterfly math here is common — which is also
 //! what guarantees both engines are bit-identical to the CPU reference.
+//! On the host every batch runs as tiles of adjacent groups (§5.3), handed
+//! out across all cores.
 
 use crate::cpu::Direction;
-use crate::domain::{bit_reverse_permute, Radix2Domain};
+use crate::domain::{bit_reverse_permute, reverse_for_inverse, share_len, Radix2Domain};
 use gzkp_ff::PrimeField;
 use rayon::prelude::*;
 
-/// Transforms below this size run single-threaded: the butterfly work of
-/// a tiny batch would not cover the fork/join overhead.
-const PAR_MIN_LEN: usize = 1 << 12;
+/// Adjacent groups per tile (the paper's `G`): a tile's `2^B` row pieces
+/// are `TILE` contiguous elements each, so a gather moves whole cache
+/// lines, and its `TILE · 2^B` staged elements stay cache-resident.
+const TILE: usize = 16;
 
 /// One batch of iterations: `[start, start + iters)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,69 +62,92 @@ pub fn fixed_batches(log_n: u32, max_iters: u32) -> Vec<Batch> {
     out
 }
 
-/// Processes every group of one batch functionally (gather → local
-/// butterflies → scatter). `tw` is the half-size twiddle table.
+/// Runs one batch over the whole vector, then multiplies by `scale` if
+/// given. `tw` is the half-size twiddle table.
 ///
-/// The `outer`-element blocks are the batch's independent groups
-/// (§2.2's shuffle-less decomposition): no butterfly crosses a block
-/// boundary and the twiddle index depends only on the intra-block
-/// position, so large batches fan the blocks out across cores. Each
-/// block runs the identical math either way — bit-identical results at
-/// any thread count.
-pub fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch) {
+/// The unit of work is the paper's block (§3): a *tile* of [`TILE`]
+/// adjacent groups, whose union is `2^iters` contiguous row pieces. Tiles
+/// of all blocks are handed out together, so the last batch — a single
+/// block — fans out like every other. No butterfly crosses a tile and
+/// field arithmetic is exact, so results are bit-identical at any thread
+/// count.
+fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: Option<F>) {
     let n = data.len();
-    let outer = 1usize << (batch.start + batch.iters); // group period
-    if n >= PAR_MIN_LEN && n > outer {
-        data.par_chunks_mut(outer)
-            .for_each(|block| process_block(block, tw, n, batch));
-    } else {
-        for block in data.chunks_mut(outer) {
-            process_block(block, tw, n, batch);
-        }
-    }
-}
-
-/// One group period of [`process_batch`]: gathers each strided group of
-/// the block, applies the fused butterflies, scatters back.
-fn process_block<F: PrimeField>(block: &mut [F], tw: &[F], n: usize, batch: Batch) {
     let stride = batch.stride();
-    let mut buf = vec![F::zero(); batch.group_size()];
-    for l in 0..stride {
-        for (j, slot) in buf.iter_mut().enumerate() {
-            *slot = block[j * stride + l];
+    let outer = stride << batch.iters; // elements per block
+    let finish = |tile: &mut [F], width: usize, first: usize| {
+        tile_butterflies(tile, width, first, tw, n, batch);
+        if let Some(s) = scale {
+            tile.iter_mut().for_each(|v| *v *= s);
         }
-        group_butterflies(&mut buf, tw, n, batch.start, batch.iters, l);
-        for (j, slot) in buf.iter().enumerate() {
-            block[j * stride + l] = *slot;
+    };
+    if stride <= TILE {
+        // A block is one tile, already laid out `[j][l]`: run it in place.
+        let share = share_len(n / outer, n) * outer;
+        data.par_chunks_mut(share).for_each(|blocks| {
+            blocks.chunks_mut(outer).for_each(|b| finish(b, stride, 0));
+        });
+        return;
+    }
+    // Tile `t` of a block: columns `[t·TILE, (t+1)·TILE)` of each stride-long row.
+    let mut tiles: Vec<(usize, Vec<&mut [F]>)> = Vec::with_capacity(n / (TILE << batch.iters));
+    for block in data.chunks_mut(outer) {
+        let mut rows: Vec<_> = block
+            .chunks_mut(stride)
+            .map(|r| r.chunks_mut(TILE))
+            .collect();
+        for first in (0..stride).step_by(TILE) {
+            let pieces = rows
+                .iter_mut()
+                .map(|r| r.next().expect("stride / TILE pieces"));
+            tiles.push((first, pieces.collect()));
         }
     }
+    let share = share_len(tiles.len(), n);
+    tiles.par_chunks_mut(share).for_each(|mine| {
+        let mut staged = vec![F::zero(); TILE << batch.iters];
+        for (first, pieces) in mine {
+            for (row, piece) in staged.chunks_mut(TILE).zip(pieces.iter()) {
+                row.copy_from_slice(piece);
+            }
+            finish(&mut staged, TILE, *first);
+            for (row, piece) in staged.chunks(TILE).zip(pieces.iter_mut()) {
+                piece.copy_from_slice(row);
+            }
+        }
+    });
 }
 
-/// Applies `iters` butterfly iterations to one group's local buffer.
+/// Applies the batch's butterfly iterations to one tile: `width` adjacent
+/// groups, the first at offset `first` in its block, laid out `[j][g]` so
+/// the inner loop and its twiddle reads walk consecutive groups.
 ///
 /// For global iteration `i = start + ii`, the butterfly pairing local
-/// indices `j` and `j + 2^ii` uses twiddle `ω^{((jj·2^start) + l)·N/2^{i+1}}`
-/// where `jj = j mod 2^ii`.
-pub fn group_butterflies<F: PrimeField>(
-    buf: &mut [F],
+/// indices `j` and `j + 2^ii` of group `l` uses twiddle
+/// `ω^{((jj·2^start) + l)·N/2^{i+1}}` where `jj = j mod 2^ii`.
+fn tile_butterflies<F: PrimeField>(
+    tile: &mut [F],
+    width: usize,
+    first: usize,
     tw: &[F],
     n: usize,
-    start: u32,
-    iters: u32,
-    l: usize,
+    batch: Batch,
 ) {
-    for ii in 0..iters {
-        let half = 1usize << ii;
-        let i = start + ii;
-        let tw_stride = n >> (i + 1);
-        for chunk in (0..buf.len()).step_by(2 * half) {
-            for jj in 0..half {
-                let j = chunk + jj;
-                let tw_idx = ((jj << start) + l) * tw_stride;
-                let w = tw[tw_idx];
-                let t = buf[j + half] * w;
-                buf[j + half] = buf[j] - t;
-                buf[j] += t;
+    for ii in 0..batch.iters {
+        let half = width << ii;
+        let tw_stride = n >> (batch.start + ii + 1);
+        // In a whole-block tile row `jj + 1` continues row `jj`'s twiddle walk.
+        let run = if width == batch.stride() { half } else { width };
+        for span in tile.chunks_mut(2 * half) {
+            let (lo, hi) = span.split_at_mut(half);
+            for (jj, (lo, hi)) in lo.chunks_mut(run).zip(hi.chunks_mut(run)).enumerate() {
+                let w0 = ((jj << batch.start) + first) * tw_stride;
+                let ws = tw[w0..].iter().step_by(tw_stride);
+                for ((a, b), w) in lo.iter_mut().zip(hi).zip(ws) {
+                    let t = *b * *w;
+                    *b = *a - t;
+                    *a += t;
+                }
             }
         }
     }
@@ -139,27 +165,15 @@ pub fn batched_transform<F: PrimeField>(
     if data.len() == 1 {
         return;
     }
-    bit_reverse_permute(data);
-    let tw = match dir {
-        Direction::Forward => domain.twiddles(),
-        Direction::Inverse => domain.inv_twiddles(),
-    };
-    for b in batches {
-        process_batch(data, &tw, *b);
-    }
     if dir == Direction::Inverse {
-        let s = domain.size_inv;
-        if data.len() >= PAR_MIN_LEN {
-            data.par_chunks_mut(PAR_MIN_LEN).for_each(|chunk| {
-                for v in chunk {
-                    *v *= s;
-                }
-            });
-        } else {
-            for v in data.iter_mut() {
-                *v *= s;
-            }
-        }
+        reverse_for_inverse(data);
+    }
+    bit_reverse_permute(data);
+    let tw = domain.twiddles();
+    for (bi, b) in batches.iter().enumerate() {
+        // The inverse's 1/N scaling rides on the last batch's tiles.
+        let last = bi + 1 == batches.len() && dir == Direction::Inverse;
+        process_batch(data, &tw, *b, last.then_some(domain.size_inv));
     }
 }
 

@@ -10,7 +10,7 @@
 //!   ("GZKP avoids this cost by preprocessing … libsnark fails to scale
 //!   linearly", §5.3). Each butterfly pays an extra multiplication chain.
 
-use crate::domain::{bit_reverse_permute, Radix2Domain};
+use crate::domain::{bit_reverse_permute, reverse_for_inverse, Radix2Domain};
 use gzkp_ff::PrimeField;
 use rayon::prelude::*;
 
@@ -82,15 +82,12 @@ impl CpuNtt {
         if n == 1 {
             return;
         }
+        if dir == Direction::Inverse && self.mode == TwiddleMode::Precomputed {
+            reverse_for_inverse(data);
+        }
         bit_reverse_permute(data);
         match self.mode {
-            TwiddleMode::Precomputed => {
-                let tw = match dir {
-                    Direction::Forward => domain.twiddles(),
-                    Direction::Inverse => domain.inv_twiddles(),
-                };
-                self.iterations_precomputed(data, &tw);
-            }
+            TwiddleMode::Precomputed => self.iterations_precomputed(data, &domain.twiddles()),
             TwiddleMode::Recompute => {
                 let omega = match dir {
                     Direction::Forward => domain.omega,
@@ -199,21 +196,25 @@ mod tests {
 
     #[test]
     fn recompute_mode_matches_precomputed() {
+        // The inverse too: `Precomputed` reads it off the stored forward
+        // table, `Recompute` multiplies by `ω⁻¹` itself.
         let d = Radix2Domain::<Fr254>::new(256).unwrap();
         let coeffs = random_vec::<Fr254>(256, 2);
-        let mut a = coeffs.clone();
-        let mut b = coeffs;
-        CpuNtt {
-            mode: TwiddleMode::Precomputed,
-            parallel: false,
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut a = coeffs.clone();
+            let mut b = coeffs.clone();
+            CpuNtt {
+                mode: TwiddleMode::Precomputed,
+                parallel: false,
+            }
+            .transform(&d, &mut a, dir);
+            CpuNtt {
+                mode: TwiddleMode::Recompute,
+                parallel: false,
+            }
+            .transform(&d, &mut b, dir);
+            assert_eq!(a, b, "{dir:?}");
         }
-        .transform(&d, &mut a, Direction::Forward);
-        CpuNtt {
-            mode: TwiddleMode::Recompute,
-            parallel: false,
-        }
-        .transform(&d, &mut b, Direction::Forward);
-        assert_eq!(a, b);
     }
 
     #[test]

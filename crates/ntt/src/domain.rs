@@ -6,6 +6,38 @@
 //! coset so `Z` never vanishes).
 
 use gzkp_ff::PrimeField;
+use rayon::prelude::*;
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+/// Vectors below this size are processed single-threaded: their work
+/// would not cover the fork/join overhead.
+pub(crate) const PAR_MIN_LEN: usize = 1 << 12;
+
+/// Items per parallel work share when `len` items of a size-`n` vector
+/// are handed out: a few shares per thread so a straggler does not idle
+/// the others, one share (serial, in place) below [`PAR_MIN_LEN`].
+pub(crate) fn share_len(len: usize, n: usize) -> usize {
+    if n < PAR_MIN_LEN {
+        return len.max(1);
+    }
+    len.div_ceil(4 * rayon::current_num_threads()).max(1)
+}
+
+/// The process-wide twiddle store (§5.3: twiddles are preprocessed once).
+/// Keyed by content — the field type and `log_n` fix ω, hence the whole
+/// table — so every domain of one size shares one table.
+type TwiddleStore = BTreeMap<(TypeId, u32), Arc<dyn Any + Send + Sync>>;
+static TWIDDLES: Mutex<TwiddleStore> = Mutex::new(BTreeMap::new());
+
+/// The stored twiddle table of the size-`2^log_n` domain over `F`, if a
+/// transform has built it. Never builds one.
+pub fn stored_twiddles<F: PrimeField>(log_n: u32) -> Option<Arc<Vec<F>>> {
+    let store = TWIDDLES.lock().expect("no panic while the store is held");
+    let table = store.get(&(TypeId::of::<F>(), log_n))?.clone();
+    Some(table.downcast().expect("the key names the element type"))
+}
 
 /// A power-of-two evaluation domain in a prime field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,18 +86,27 @@ impl<F: PrimeField> Radix2Domain<F> {
         Self::new(n.next_power_of_two())
     }
 
-    /// Precomputes the half-size twiddle table `[ω⁰, ω¹, …, ω^{N/2−1}]`.
+    /// The half-size twiddle table `[ω⁰, ω¹, …, ω^{N/2−1}]`, built on first
+    /// use and then read from the process-wide store.
     ///
     /// Iteration `i` of the Cooley–Tukey loop uses `tw[j · N / 2^{i+1}]`,
     /// so one table serves every iteration — the layout GZKP's
-    /// preprocessing stores once, without redundancy (§5.3).
-    pub fn twiddles(&self) -> Vec<F> {
-        Self::powers(self.omega, self.size / 2)
-    }
-
-    /// Twiddles for the inverse transform.
-    pub fn inv_twiddles(&self) -> Vec<F> {
-        Self::powers(self.omega_inv, self.size / 2)
+    /// preprocessing stores once, without redundancy (§5.3). It serves the
+    /// inverse direction too: `Σ x_i ω^{−ik} = Σ x_{−i mod N} ω^{ik}`, so an
+    /// inverse transform is a forward one over the input with `x_i ↔ x_{N−i}`.
+    pub fn twiddles(&self) -> Arc<Vec<F>> {
+        if let Some(table) = stored_twiddles(self.log_n) {
+            return table;
+        }
+        // Built outside the lock so a first use never stalls transforms of
+        // other sizes; of racing builders the first insert is kept.
+        let built = Arc::new(Self::powers(self.omega, self.size / 2));
+        let mut store = TWIDDLES.lock().expect("no panic while the store is held");
+        let kept = store
+            .entry((TypeId::of::<F>(), self.log_n))
+            .or_insert(built)
+            .clone();
+        kept.downcast().expect("the key names the element type")
     }
 
     /// `[base⁰, …, base^{n−1}]`.
@@ -87,21 +128,35 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// Scales a vector by successive coset-generator powers in place
     /// (entering the coset before a forward NTT).
     pub fn coset_scale(&self, data: &mut [F]) {
-        let mut p = F::one();
-        for v in data.iter_mut() {
-            *v *= p;
-            p *= self.coset_gen;
-        }
+        scale_by_powers(data, self.coset_gen);
     }
 
     /// Undoes [`Self::coset_scale`] (after an inverse NTT on the coset).
     pub fn coset_unscale(&self, data: &mut [F]) {
-        let mut p = F::one();
-        for v in data.iter_mut() {
-            *v *= p;
-            p *= self.coset_gen_inv;
-        }
+        scale_by_powers(data, self.coset_gen_inv);
     }
+}
+
+/// `data[i] *= g^i`. The running product is a dependent multiply chain, so
+/// large vectors are cut into shares that each start from `g^{first index}`
+/// (one `pow` per share) — the same field elements, share-parallel.
+fn scale_by_powers<F: PrimeField>(data: &mut [F], g: F) {
+    let share = share_len(data.len(), data.len());
+    data.par_chunks_mut(share)
+        .enumerate()
+        .for_each(|(c, vals)| {
+            let mut p = g.pow(&[(c * share) as u64]);
+            for v in vals {
+                *v *= p;
+                p *= g;
+            }
+        });
+}
+
+/// Reorders the input of an inverse transform so that the forward twiddle
+/// table computes it: `x_i ↔ x_{N−i}` for `0 < i < N`.
+pub(crate) fn reverse_for_inverse<T>(data: &mut [T]) {
+    data[1..].reverse();
 }
 
 /// In-place bit-reversal permutation (the standard pre-pass of the
@@ -187,6 +242,17 @@ mod tests {
         assert_ne!(v, orig);
         d.coset_unscale(&mut v);
         assert_eq!(v, orig);
+    }
+
+    #[test]
+    fn coset_scale_in_shares_matches_the_serial_chain() {
+        // Above PAR_MIN_LEN each share starts from its own `g^k`.
+        let d = Radix2Domain::<Fr254>::new(1 << 13).unwrap();
+        let mut v = vec![Fr254::one(); d.size];
+        d.coset_scale(&mut v);
+        assert_eq!(v, Radix2Domain::powers(d.coset_gen, d.size));
+        d.coset_unscale(&mut v);
+        assert!(v.iter().all(|x| *x == Fr254::one()));
     }
 
     #[test]

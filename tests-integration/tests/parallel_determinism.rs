@@ -15,7 +15,7 @@ use gzkp_gpu_sim::v100;
 use gzkp_groth16::{prove, setup, ConstraintSystem, Proof, ProverEngines, ProvingKey};
 use gzkp_msm::{GzkpMsm, MsmEngine, ScalarVec};
 use gzkp_ntt::gpu::GpuNttEngine;
-use gzkp_ntt::{Direction, GzkpNtt, Radix2Domain};
+use gzkp_ntt::{CpuNtt, Direction, GzkpNtt, Radix2Domain};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,19 +67,21 @@ fn check_curve<P: PairingConfig>(constraints: usize) {
     std::env::remove_var("GZKP_THREADS");
 }
 
-/// MSM + NTT determinism on the pairing-less 753-bit curve.
+/// MSM + NTT determinism on the pairing-less 753-bit curve. The NTT runs
+/// at 2^12 — the smallest size the engine spreads over threads, its last
+/// batch a single block — and is held to the serial CPU reference.
 fn check_t753() {
     let mut rng = StdRng::seed_from_u64(17);
     let pts = random_points::<t753::G1Config, _>(257, &mut rng);
     let scalars: Vec<Fr753> = (0..257).map(|_| Fr753::random(&mut rng)).collect();
     let sv = ScalarVec::from_field(&scalars);
-    let domain = Radix2Domain::<Fr753>::new(1 << 8).expect("domain");
+    let domain = Radix2Domain::<Fr753>::new(1 << 12).expect("domain");
     let coeffs: Vec<Fr753> = (0..domain.size).map(|_| Fr753::random(&mut rng)).collect();
 
     std::env::set_var("GZKP_THREADS", "1");
     let msm_ref = GzkpMsm::serial_reference(v100()).msm(&pts, &sv).result;
     let mut ntt_ref = coeffs.clone();
-    GzkpNtt::auto::<Fr753>(v100()).transform(&domain, &mut ntt_ref, Direction::Forward);
+    CpuNtt::reference().transform(&domain, &mut ntt_ref, Direction::Forward);
 
     for threads in ["1", "2", "4"] {
         std::env::set_var("GZKP_THREADS", threads);
@@ -89,9 +91,18 @@ fn check_t753() {
             msm_ref.to_affine(),
             "t753 MSM diverged at GZKP_THREADS={threads}"
         );
+        let engine = GzkpNtt::auto::<Fr753>(v100());
         let mut data = coeffs.clone();
-        GzkpNtt::auto::<Fr753>(v100()).transform(&domain, &mut data, Direction::Forward);
-        assert_eq!(data, ntt_ref, "t753 NTT diverged at GZKP_THREADS={threads}");
+        engine.transform(&domain, &mut data, Direction::Forward);
+        assert!(
+            data == ntt_ref,
+            "t753 NTT diverged at GZKP_THREADS={threads}"
+        );
+        engine.transform(&domain, &mut data, Direction::Inverse);
+        assert!(
+            data == coeffs,
+            "t753 inverse NTT diverged at GZKP_THREADS={threads}"
+        );
     }
     std::env::remove_var("GZKP_THREADS");
 }
