@@ -110,11 +110,6 @@ fn main() {
 
     // --- Baseline: prove every request in arrival order. ---
     let sequential = run_sequential(&prepared, &device);
-    rec.row(
-        "sequential",
-        "ms",
-        vec![("total".into(), sequential.total.as_secs_f64() * 1e3)],
-    );
 
     // --- The cluster at 1/2/4/8 hosts. ---
     let host_counts = [1usize, 2, 4, 8];

@@ -6,7 +6,7 @@
 use gzkp_bench::{full_mode, speedup, Recorder};
 use gzkp_curves::bls12_381::G1Config;
 use gzkp_ff::fields::Fr381;
-use gzkp_gpu_sim::v100;
+use gzkp_gpu_sim::{v100, Backend};
 use gzkp_msm::{GzkpMsm, MsmEngine, SubMsmPippenger};
 use gzkp_workloads::{SparsityProfile, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -17,9 +17,15 @@ fn main() {
     let dev = v100();
     let mut rng = StdRng::seed_from_u64(10);
     let bg = SubMsmPippenger::new(dev.clone());
-    let no_lb = GzkpMsm::no_load_balance(dev.clone());
-    let no_lb_lib = GzkpMsm::no_load_balance_with_lib(dev.clone());
     let gzkp = GzkpMsm::new(dev.clone());
+    let no_lb_lib = GzkpMsm {
+        load_balance: false,
+        ..gzkp.clone()
+    };
+    let no_lb = GzkpMsm {
+        backend: Backend::Integer,
+        ..no_lb_lib.clone()
+    };
 
     let max_log = if full_mode() { 24 } else { 22 };
     for log_n in 18..=max_log {

@@ -113,7 +113,7 @@ fn main() {
                 fleet.p2p_transfers() > 0,
                 "{devs}-device run must merge partials over P2P"
             );
-            // The acceptance criterion's timeline: the P2P lane renders
+            // The timeline the acceptance test asks for: the P2P lane renders
             // populated (`^` cells) alongside the bucket kernels.
             let timeline = gzkp_telemetry::render_timeline(&fleet.trace())
                 .expect("fleet trace renders as a timeline");

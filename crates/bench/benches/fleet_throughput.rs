@@ -3,18 +3,18 @@
 //! service at one versus two simulated V100s — the scaling number the CI
 //! regression gate diffs.
 //!
-//! Wall-clock rows are recorded like `service_throughput`'s, but the
-//! scaling number the gate diffs is the fleet's *simulated* makespan —
-//! the completion time of the last command-stream operation across all
-//! device timelines. Host wall-clock cannot express device parallelism
-//! here: the devices are simulated, so every "device" ultimately burns
-//! the same host cores (a one-core CI runner would show 2 devices as
-//! *slower* than 1). The simulator's makespan is the number the paper
-//! reports, and it is machine-independent. Going from one to two V100s
-//! must scale the simulated throughput with device count (the run
-//! asserts ≥1.3x), and both fleets must produce proofs byte-identical
-//! to the sequential baseline — placement and stealing may move work,
-//! never change it.
+//! Every recorded row is on the simulated clock. The scaling number the
+//! gate diffs is the fleet's *simulated* makespan — the completion time
+//! of the last command-stream operation across all device timelines —
+//! which is the number the paper reports and is machine-independent.
+//! Host wall-clock is not recorded here (that clock is `benchmark/`'s),
+//! and it could not express device parallelism anyway: every simulated
+//! "device" burns the same host cores, so a one-core CI runner would
+//! show 2 devices as *slower* than 1. Going from one to two V100s must
+//! scale the simulated throughput with device count (the run asserts
+//! ≥1.3x), and both fleets must produce proofs byte-identical to the
+//! sequential baseline — placement and stealing may move work, never
+//! change it.
 //!
 //! Modes: `GZKP_BENCH_SMOKE=1` replays the example workload once; the
 //! default and `GZKP_BENCH_FULL=1` scale up the per-class counts.
@@ -41,18 +41,6 @@ fn fleet_cfg(spec: &str) -> ServiceConfig {
         default_deadline: None,
         ..ServiceConfig::default()
     }
-}
-
-fn outcome_rows(rec: &mut Recorder, label: &str, outcome: &ReplayOutcome) {
-    rec.row(
-        label,
-        "ms",
-        vec![
-            ("total".into(), outcome.total.as_secs_f64() * 1e3),
-            ("p50".into(), outcome.percentile_ms(50.0)),
-            ("p95".into(), outcome.percentile_ms(95.0)),
-        ],
-    );
 }
 
 fn assert_clean(label: &str, outcome: &ReplayOutcome) {
@@ -84,13 +72,10 @@ fn main() {
 
     // --- Baseline: prove every request in arrival order. ---
     let sequential = run_sequential(&prepared, &device);
-    outcome_rows(&mut rec, "sequential", &sequential);
 
     // --- Fleet mode at one and two simulated V100s. ---
     let one = run_service(&prepared, fleet_cfg("1"), &device);
-    outcome_rows(&mut rec, "fleet-1xv100", &one);
     let two = run_service(&prepared, fleet_cfg("2"), &device);
-    outcome_rows(&mut rec, "fleet-2xv100", &two);
     std::env::remove_var("GZKP_THREADS");
 
     assert_clean("fleet-1xv100", &one);
@@ -122,8 +107,7 @@ fn main() {
     );
 
     // Simulated makespans: the device-timeline completion times the
-    // scaling claim is about (host wall-clock rows above are informative
-    // only — simulated devices share the host's cores).
+    // scaling claim is about.
     rec.row(
         "sim-makespan",
         "ms",

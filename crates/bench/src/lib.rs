@@ -1,9 +1,15 @@
-//! Shared machinery for the paper-table benchmark harnesses.
+//! Shared machinery for the simulated-clock benchmark harnesses.
 //!
 //! Every `benches/tableN_*.rs` / `benches/figN_*.rs` target prints a
 //! human-readable table mirroring the paper's layout and appends a
 //! machine-readable JSON record under `target/paper-results/` so
-//! `EXPERIMENTS.md` can be regenerated reproducibly.
+//! `EXPERIMENTS.md` can be regenerated reproducibly; the `fleet_*` and
+//! `cluster_throughput` targets do the same for the simulated scaling
+//! numbers CI gates.
+//!
+//! Every recorded value is priced by `gpu-sim`'s cost model or counted;
+//! none is host time. The host clock has its own harness, `benchmark/`
+//! at the repo root, and `tests/one_clock.rs` keeps it out of this crate.
 //!
 //! Scale policy: simulated sweeps (driven by the analytic cost models) run
 //! the paper's full ranges; anything requiring per-element scalar synthesis
@@ -118,6 +124,7 @@ impl Recorder {
             root.time_ns += node.time_ns;
             root.children.push(node);
         }
+        // True of every row because `tests/one_clock.rs` lets no host time in.
         Trace::new("gzkp-bench", "simulated", root)
     }
 }

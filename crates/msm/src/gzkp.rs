@@ -72,15 +72,6 @@ pub struct GzkpMsm {
     /// Load-balanced task grouping + fine-grained warp mapping (§4.2);
     /// `false` reproduces the "GZKP-no-LB" ablation of Figure 10.
     pub load_balance: bool,
-    /// Thread-parallel bucket accumulation across load-grouped bucket
-    /// ranges (the multi-core realization of the paper's bucket tasks).
-    pub parallel: bool,
-    /// Batch-affine bucket accumulation (Montgomery-batched inversions);
-    /// `false` falls back to mixed Jacobian additions.
-    pub batch_affine: bool,
-    /// Reuse the checkpoint tables across MSMs over the same point
-    /// vector (the paper treats preprocessing as per-application setup).
-    pub cache_preprocess: bool,
     /// The byte-budgeted LRU table store this engine caches its
     /// checkpoint tables in; `None` means the process-wide default
     /// ([`PreprocessStore::process_default`]). A proving service sets its
@@ -101,9 +92,6 @@ impl GzkpMsm {
             window: None,
             checkpoint_interval: None,
             load_balance: true,
-            parallel: true,
-            batch_affine: true,
-            cache_preprocess: true,
             store: None,
             system_tag: 0,
         }
@@ -120,36 +108,6 @@ impl GzkpMsm {
     pub fn with_system_tag(mut self, tag: u8) -> Self {
         self.system_tag = tag;
         self
-    }
-
-    /// The pre-optimization serial reference: single-threaded mixed
-    /// Jacobian accumulation, no table reuse. The determinism test and
-    /// the e2e bench baseline pin the original execution against it.
-    pub fn serial_reference(device: DeviceConfig) -> Self {
-        Self {
-            parallel: false,
-            batch_affine: false,
-            cache_preprocess: false,
-            ..Self::new(device)
-        }
-    }
-
-    /// The "GZKP-no-LB" ablation: bucket-based consolidation without load
-    /// balancing, integer backend.
-    pub fn no_load_balance(device: DeviceConfig) -> Self {
-        Self {
-            load_balance: false,
-            backend: Backend::Integer,
-            ..Self::new(device)
-        }
-    }
-
-    /// The "GZKP-no-LB w. lib" ablation.
-    pub fn no_load_balance_with_lib(device: DeviceConfig) -> Self {
-        Self {
-            load_balance: false,
-            ..Self::new(device)
-        }
     }
 
     fn k_for(&self, n: usize) -> u32 {
@@ -220,9 +178,6 @@ impl GzkpMsm {
         m: u32,
         windows: usize,
     ) -> Arc<Vec<Vec<Affine<C>>>> {
-        if !self.cache_preprocess {
-            return Arc::new(self.preprocess(points, k, m, windows));
-        }
         let store = match &self.store {
             Some(store) => store,
             None => PreprocessStore::process_default(),
@@ -361,7 +316,7 @@ impl GzkpMsm {
 
     /// Cost stage: p_index build, cross-window point-merging, prefix-sum
     /// bucket reduction.
-    pub(crate) fn stage<C: CurveParams>(
+    fn stage<C: CurveParams>(
         &self,
         n: usize,
         k: u32,
@@ -453,53 +408,6 @@ impl GzkpMsm {
         stage
     }
 
-    /// Serial mixed-Jacobian accumulation of the bucket slots `lo..hi`
-    /// (the non-batch-affine fallback), returning the bucket sums of
-    /// digits `lo+1..=hi`.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_projective_range<C: CurveParams>(
-        &self,
-        pre: &[Vec<Affine<C>>],
-        scalars: &ScalarVec,
-        k: u32,
-        m: u32,
-        windows: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<Projective<C>> {
-        let n = scalars.len();
-        let mut buckets = vec![Projective::<C>::identity(); hi - lo];
-        let mut temp: Vec<Projective<C>> = Vec::new();
-        for t in 0..windows {
-            let level = (t as u32 / m) as usize;
-            let rem = t as u32 % m;
-            if m > 1 {
-                if rem == 0 {
-                    temp = pre[level].iter().map(|p| p.to_projective()).collect();
-                } else {
-                    for p in temp.iter_mut() {
-                        for _ in 0..k {
-                            *p = p.double();
-                        }
-                    }
-                }
-            }
-            for i in 0..n {
-                let d = scalars.window(i, t, k) as usize;
-                if d == 0 || !(lo + 1..=hi).contains(&d) {
-                    continue;
-                }
-                let slot = &mut buckets[d - 1 - lo];
-                if m == 1 {
-                    *slot = slot.add_mixed(&pre[level][i]);
-                } else {
-                    *slot = slot.add(&temp[i]);
-                }
-            }
-        }
-        buckets
-    }
-
     /// Device-resident footprint of one bucket-range pass when the task
     /// is split into `shards` passes: each pass streams the level
     /// sources, scalars, `p_index` and weight workspace through
@@ -552,7 +460,7 @@ impl GzkpMsm {
         };
         let partials: Vec<Projective<C>> = (0..task.num_ranges())
             .map(|i| {
-                let (partial, s) = task.partial(self, scalars, i);
+                let (partial, s) = task.partial(scalars, i);
                 stats.batch_padds += s.batch_padds;
                 stats.batch_inversions += s.batch_inversions;
                 partial
@@ -692,11 +600,7 @@ impl GzkpMsm {
         let windows = scalars.num_windows(k);
         let m = self.interval_for::<C>(n, windows);
         let pre = self.preprocess_cached(points, k, m, windows);
-        let loads = if self.batch_affine {
-            scalars.p_index(k).loads(m)
-        } else {
-            Self::bucket_loads(scalars, k, m)
-        };
+        let loads = scalars.p_index(k).loads(m);
         let ranges = Self::balanced_ranges(&loads, shards);
         ShardTask {
             pre,
@@ -764,16 +668,14 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
                 counters::MSM_OCCUPIED_BUCKETS,
                 loads.iter().filter(|l| l.0 > 0).count() as f64,
             );
-            if self.batch_affine {
-                sink.counter(
-                    counters::MSM_BATCH_INVERSIONS,
-                    run.stats.batch_inversions as f64,
-                );
-                sink.counter(
-                    counters::MSM_BATCH_INV_SAVED,
-                    run.stats.inversions_saved() as f64,
-                );
-            }
+            sink.counter(
+                counters::MSM_BATCH_INVERSIONS,
+                run.stats.batch_inversions as f64,
+            );
+            sink.counter(
+                counters::MSM_BATCH_INV_SAVED,
+                run.stats.inversions_saved() as f64,
+            );
             if run.stats.shards > 1 {
                 sink.counter(counters::RUNTIME_SHARDS, run.stats.shards as f64);
             }
@@ -851,11 +753,11 @@ struct TaskScratch<C: CurveParams> {
 ///
 /// All parameters — window size, checkpoint interval, checkpoint tables,
 /// bucket loads, range boundaries — are fixed at construction by the
-/// reference engine ([`GzkpMsm::shard_task`]); executing engines only
-/// contribute their device for kernel pricing and their thread pool for
-/// the fold. Each [`Self::partial`] is an exact group element, and
-/// merging the partials in range order ([`Self::merge`]) reproduces the
-/// reference engine's single-device result bit for bit.
+/// reference engine ([`GzkpMsm::shard_task`]); an executing engine only
+/// contributes its device, for kernel pricing
+/// ([`Self::range_kernel_ns`]). Each [`Self::partial`] is an exact group
+/// element, and merging the partials in range order ([`Self::merge`])
+/// reproduces the reference engine's single-device result bit for bit.
 pub struct ShardTask<C: CurveParams> {
     pre: Arc<Vec<Vec<Affine<C>>>>,
     loads: Vec<(u64, u64)>,
@@ -962,11 +864,10 @@ impl<C: CurveParams> ShardTask<C> {
         merge.time_ns + reduce.time_ns
     }
 
-    /// Executes range `index` with `engine`'s fold configuration,
-    /// returning the exact partial group element `Σ (b+1)·B_b` over the
-    /// range's buckets and its operation stats — the one fold behind
-    /// [`GzkpMsm::msm`], [`GzkpMsm::msm_sharded`] and the cross-device
-    /// engine.
+    /// Executes range `index`, returning the exact partial group element
+    /// `Σ (b+1)·B_b` over the range's buckets and its operation stats —
+    /// the one fold behind [`GzkpMsm::msm`], [`GzkpMsm::msm_sharded`] and
+    /// the cross-device engine.
     ///
     /// The range is cut into bucket tasks of about `TASK_ENTRIES`
     /// entries each — boundaries are a pure function of the load profile,
@@ -983,22 +884,9 @@ impl<C: CurveParams> ShardTask<C> {
     /// other window is one more pass over a streamed weight vector that
     /// is advanced by `k` doublings per window (shared by that window's
     /// entries), with the bucket sums carried from pass to pass.
-    pub fn partial(
-        &self,
-        engine: &GzkpMsm,
-        scalars: &ScalarVec,
-        index: usize,
-    ) -> (Projective<C>, MsmStats) {
+    pub fn partial(&self, scalars: &ScalarVec, index: usize) -> (Projective<C>, MsmStats) {
         let (lo, hi) = self.ranges[index];
         let (k, m) = (self.k, self.m as usize);
-        if !engine.batch_affine {
-            let buckets =
-                engine.fold_projective_range(&self.pre, scalars, k, self.m, self.windows, lo, hi);
-            return (
-                bucket_reduce_range(&buckets, lo as u64),
-                MsmStats::default(),
-            );
-        }
         let p_index = scalars.p_index(k);
         let loads = &self.loads[lo..hi];
         let entries: u64 = loads.iter().map(|l| l.0).sum();
@@ -1014,10 +902,7 @@ impl<C: CurveParams> ShardTask<C> {
         // buffers. They are allocated here, on the calling thread, so
         // back-to-back MSMs reuse one heap instead of growing every pool
         // thread's.
-        let workers = match engine.parallel {
-            true => rayon::current_num_threads(),
-            false => 1,
-        };
+        let workers = rayon::current_num_threads();
         let task_points = tasks
             .iter()
             .map(|&(a, b)| b - a + p_index.range_len(lo + a, lo + b))
@@ -1219,7 +1104,10 @@ mod tests {
 
     #[test]
     fn checkpoint_interval_invariance() {
-        // Algorithm 1 must give the same result for every M.
+        // Algorithm 1 must give the same result for every M. With one fold
+        // in the engine, this comparison against `naive_msm` is what pins
+        // the streamed (off-grid) windows: M = 1 has none, M = 64 streams
+        // every window but the first.
         let (pts, sv) = setup(24, 42);
         let expect = naive_msm(&pts, &sv);
         for m in [1u32, 2, 3, 5, 64] {
@@ -1251,40 +1139,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_without_batch_affine() {
-        let (pts, sv) = setup(48, 47);
-        let engine = GzkpMsm {
-            batch_affine: false,
-            parallel: false,
-            ..GzkpMsm::new(v100())
-        };
-        let whole = engine.msm(&pts, &sv).result;
-        for shards in [2usize, 5] {
-            assert_eq!(engine.msm_sharded(&pts, &sv, shards).result, whole);
-        }
-    }
-
-    #[test]
     fn shard_task_partials_merge_bit_identically() {
-        // The cross-device contract: partials computed by *different*
-        // engine instances (different devices, different fold configs)
-        // against one frozen task merge to the reference engine's exact
-        // single-device bytes.
+        // The cross-device contract: the partials of one frozen task
+        // merge to the reference engine's exact single-device bytes.
         let (pts, sv) = setup(96, 49);
         let reference = GzkpMsm::new(v100());
         let whole = reference.msm(&pts, &sv);
         for shards in [2usize, 3, 4] {
             let task = reference.shard_task::<G1Config>(&pts, &sv, shards);
             assert_eq!(task.num_ranges(), shards);
-            let other = GzkpMsm {
-                parallel: false,
-                ..GzkpMsm::new(gzkp_gpu_sim::gtx1080ti())
-            };
             let partials: Vec<_> = (0..task.num_ranges())
-                .map(|i| {
-                    let engine = if i % 2 == 0 { &reference } else { &other };
-                    task.partial(engine, &sv, i).0
-                })
+                .map(|i| task.partial(&sv, i).0)
                 .collect();
             let merged = task.merge(&partials);
             assert_eq!(
@@ -1370,7 +1235,12 @@ mod tests {
     fn no_lb_variant_is_functionally_identical() {
         let (pts, sv) = setup(40, 43);
         let a = GzkpMsm::new(v100()).msm(&pts, &sv).result;
-        let b = GzkpMsm::no_load_balance(v100()).msm(&pts, &sv).result;
+        let no_lb = GzkpMsm {
+            load_balance: false,
+            backend: Backend::Integer,
+            ..GzkpMsm::new(v100())
+        };
+        let b = no_lb.msm(&pts, &sv).result;
         assert_eq!(a, b);
     }
 
@@ -1395,7 +1265,10 @@ mod tests {
             backend: Backend::Integer,
             ..GzkpMsm::new(v100())
         };
-        let no_lb = GzkpMsm::no_load_balance(v100());
+        let no_lb = GzkpMsm {
+            load_balance: false,
+            ..lb.clone()
+        };
         let t_lb = MsmEngine::<G1Config>::plan(&lb, &sv).total_ns();
         let t_no = MsmEngine::<G1Config>::plan(&no_lb, &sv).total_ns();
         assert!(t_lb < t_no, "LB {t_lb} should beat no-LB {t_no}");

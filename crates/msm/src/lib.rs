@@ -38,7 +38,6 @@ pub mod cpu;
 pub mod engine;
 pub mod gzkp;
 pub mod scalars;
-pub mod signed;
 pub mod store;
 pub mod straus;
 pub mod submsm;
@@ -50,7 +49,6 @@ pub use engine::{
 };
 pub use gzkp::{profile_window_size, GzkpMsm, ShardTask};
 pub use scalars::{bucket_histogram, default_window_size, window_loads, PIndex, ScalarVec};
-pub use signed::SignedGzkpMsm;
 pub use store::PreprocessStore;
 pub use straus::StrausMsm;
 pub use submsm::SubMsmPippenger;

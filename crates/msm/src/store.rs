@@ -11,8 +11,7 @@
 //! juggles many `(curve, proving-key)` pairs at once, owns a store sized
 //! by its configuration and attaches it to its engines
 //! ([`crate::GzkpMsm::with_store`]); an engine without one uses
-//! [`PreprocessStore::process_default`]. The serial reference engine
-//! (`cache_preprocess: false`) bypasses both.
+//! [`PreprocessStore::process_default`].
 //!
 //! The key identifies a point vector by address, length and a sampled
 //! fingerprint, not by content — fixing that is ROADMAP "Cold start", not

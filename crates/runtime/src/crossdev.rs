@@ -92,11 +92,11 @@ impl<C: CurveParams> MsmEngine<C> for CrossDeviceMsm {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let label = format!("{}.x{}", self.label, call);
 
-        // Functional partials, computed with the reference fold config —
-        // exact group elements, deterministic at every thread count.
+        // Functional partials: exact group elements, deterministic at
+        // every thread count.
         let partials: Vec<(gzkp_curves::Projective<C>, MsmStats)> = (0..task.num_ranges())
             .into_par_iter()
-            .map(|i| task.partial(&self.reference, scalars, i))
+            .map(|i| task.partial(scalars, i))
             .collect();
 
         // Simulated schedule: each device streams its passes on its own

@@ -1,7 +1,7 @@
 //! Workload replay: turn a [`RequestWorkload`] file into circuits and
 //! keys once, then run the request stream either as a sequential
 //! prove-in-a-loop baseline or through the [`ProvingService`] — the
-//! comparison `zkserve` and the `service_throughput` bench report.
+//! comparison `zkserve --compare` reports.
 //!
 //! Request classes carry a proof system (`groth16` or `plonk`) as well as
 //! a curve; mixed streams flow through the same service front door, with

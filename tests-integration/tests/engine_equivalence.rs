@@ -6,9 +6,7 @@ use gzkp_curves::{bls12_381, bn254, compress, random_points, t753};
 use gzkp_ff::fields::{Fr254, Fr381, Fr753};
 use gzkp_ff::{Field, PrimeField};
 use gzkp_gpu_sim::v100;
-use gzkp_msm::{
-    naive_msm, CpuMsm, GzkpMsm, MsmEngine, ScalarVec, SignedGzkpMsm, StrausMsm, SubMsmPippenger,
-};
+use gzkp_msm::{naive_msm, CpuMsm, GzkpMsm, MsmEngine, ScalarVec, StrausMsm, SubMsmPippenger};
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{BaselineGpuNtt, CpuNtt, Direction, GzkpNtt, Radix2Domain, TwiddleMode};
 use proptest::prelude::*;
@@ -43,10 +41,6 @@ proptest! {
         prop_assert_eq!(SubMsmPippenger::new(v100()).msm(&pts, &sv).result, expect);
         prop_assert_eq!(StrausMsm::new(v100()).msm(&pts, &sv).result, expect);
         prop_assert_eq!(GzkpMsm::new(v100()).msm(&pts, &sv).result, expect);
-        prop_assert_eq!(
-            SignedGzkpMsm::new(GzkpMsm::new(v100())).msm(&pts, &sv).result,
-            expect
-        );
     }
 
     #[test]

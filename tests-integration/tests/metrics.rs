@@ -6,7 +6,9 @@
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::v100;
 use gzkp_groth16::{setup, Groth16System};
-use gzkp_service::{prepare, run_service, JobOptions, ProvingService, ServiceConfig, SystemTask};
+use gzkp_service::{
+    prepare, run_sequential, run_service, JobOptions, ProvingService, ServiceConfig, SystemTask,
+};
 use gzkp_telemetry::{counters, folded_stacks, MetricsRegistry, MetricsSnapshot, Trace};
 use gzkp_workloads::requests::{
     RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
@@ -159,6 +161,13 @@ fn proofs_are_byte_identical_with_metrics_on_and_off() {
         plain.proofs, observed.proofs,
         "metrics must not perturb proof bytes"
     );
+    // Nor does the service: same bytes as proving in a loop, and the
+    // default queue and deadline absorb the whole stream either way.
+    assert_eq!(run_sequential(&prepared, &device).proofs, plain.proofs);
+    for outcome in [&plain, &observed] {
+        let dropped = outcome.rejected + outcome.deadline_missed + outcome.failed;
+        assert_eq!(dropped, 0, "rejected, missed or failed requests");
+    }
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter(counters::SERVICE_COMPLETED), Some(3));
     // Fleet mode registered per-device series for every device.

@@ -4,9 +4,11 @@
 //! checkpoint interval `M`, each shard count, each frozen partial — the
 //! compressed result **and the `MsmStats`** must be the same at every
 //! thread count, and every configuration must agree with the serial
-//! mixed-addition reference. Checked on BN254 G1, G2 and the 753-bit
-//! curve, over scalars with a hot bucket and points with duplicates and
-//! identities.
+//! mixed-addition oracle (`CpuMsm::serial()`: window-serial Pippenger on
+//! one thread — no `p_index`, no batch-affine reducer; all it shares with
+//! the fold is the running-sum `bucket_reduce`). Checked on BN254 G1, G2
+//! and the 753-bit curve, over scalars with a hot bucket and points with
+//! duplicates and identities.
 //!
 //! Everything lives in ONE test function: the thread count is driven by
 //! the `GZKP_THREADS` env override, and env mutation must stay
@@ -15,7 +17,7 @@
 use gzkp_curves::{bn254, compress, random_points, t753, Affine, CoordField, CurveParams};
 use gzkp_ff::Field;
 use gzkp_gpu_sim::v100;
-use gzkp_msm::{GzkpMsm, MsmEngine, MsmStats, ScalarVec};
+use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, MsmStats, ScalarVec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +52,7 @@ where
     }
     let task = engine.shard_task::<C>(points, scalars, 3);
     let partials: Vec<_> = (0..task.num_ranges())
-        .map(|i| task.partial(&engine, scalars, i))
+        .map(|i| task.partial(scalars, i))
         .collect();
     for (i, (partial, stats)) in partials.iter().enumerate() {
         out.push((format!("partial {i}/3"), bytes(partial), *stats));
@@ -81,15 +83,15 @@ where
     let scalars = ScalarVec::from_field(&scalars);
 
     std::env::set_var("GZKP_THREADS", "1");
-    let reference = GzkpMsm {
+    let reference = CpuMsm {
         window: Some(window),
-        ..GzkpMsm::serial_reference(v100())
+        ..CpuMsm::serial()
     };
     let expect = compress(&reference.msm(&points, &scalars).result.to_affine());
     let baseline = fold_outputs::<C>(&points, &scalars, window);
     for (label, bytes, stats) in &baseline {
         if !label.starts_with("partial") {
-            assert_eq!(bytes, &expect, "{} {label} vs serial reference", C::NAME);
+            assert_eq!(bytes, &expect, "{} {label} vs serial oracle", C::NAME);
             assert!(label.starts_with("merged") || stats.batch_padds > 0);
         }
     }

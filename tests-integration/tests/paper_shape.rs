@@ -5,7 +5,7 @@
 
 use gzkp_curves::{bls12_381, bn254, t753};
 use gzkp_ff::fields::{Fr254, Fr381, Fr753};
-use gzkp_gpu_sim::{gtx1080ti, v100};
+use gzkp_gpu_sim::{gtx1080ti, v100, Backend};
 use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, ScalarVec, StrausMsm, SubMsmPippenger};
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{BaselineGpuNtt, GzkpNtt};
@@ -145,9 +145,16 @@ fn fig10_ablation_ordering() {
     let t = |e: &GzkpMsm| MsmEngine::<bls12_381::G1Config>::plan_dense(e, n).total_ns();
     let bg =
         MsmEngine::<bls12_381::G1Config>::plan_dense(&SubMsmPippenger::new(v100()), n).total_ns();
-    let no_lb = t(&GzkpMsm::no_load_balance(v100()));
-    let no_lb_lib = t(&GzkpMsm::no_load_balance_with_lib(v100()));
-    let full = t(&GzkpMsm::new(v100()));
+    let gzkp = GzkpMsm::new(v100());
+    let no_lb_lib = GzkpMsm {
+        load_balance: false,
+        ..gzkp.clone()
+    };
+    let no_lb = GzkpMsm {
+        backend: Backend::Integer,
+        ..no_lb_lib.clone()
+    };
+    let (no_lb, no_lb_lib, full) = (t(&no_lb), t(&no_lb_lib), t(&gzkp));
     assert!(bg > no_lb, "BG {bg} vs no-LB {no_lb}");
     assert!(no_lb > no_lb_lib);
     assert!(no_lb_lib >= full * 0.99);

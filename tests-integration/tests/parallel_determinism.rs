@@ -1,7 +1,9 @@
-//! Parallel-prover determinism: the optimized prover (lock-free thread
-//! pool, batch-affine bucket accumulation, cached preprocessing,
-//! concurrent MSMs) produces *bit-identical* proofs to the serial
-//! pre-PR reference at every thread count.
+//! Parallel-prover determinism: the prover on the production engines
+//! (thread pool, batch-affine range-major fold, cached checkpoint tables)
+//! produces *bit-identical* proofs at every thread count to a prover on
+//! the serial oracle `CpuMsm::serial()` — window-serial Pippenger with
+//! mixed Jacobian additions on one thread: no `p_index`, no batch-affine
+//! reducer, no table store.
 //!
 //! Everything lives in ONE test function: the thread count is driven by
 //! the `GZKP_THREADS` env override, and env mutation must stay
@@ -13,35 +15,27 @@ use gzkp_ff::fields::Fr753;
 use gzkp_ff::Field;
 use gzkp_gpu_sim::v100;
 use gzkp_groth16::{prove, setup, ConstraintSystem, Proof, ProverEngines, ProvingKey};
-use gzkp_msm::{GzkpMsm, MsmEngine, ScalarVec};
+use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, ScalarVec};
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{CpuNtt, Direction, GzkpNtt, Radix2Domain};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs one proof with either the optimized or the serial-reference
-/// engine configuration. The rng seed is fixed and the blinding factors
-/// are drawn after the MSM stage, so equal proofs mean equal MSM/NTT
-/// outputs bit for bit.
+/// Runs one proof on the given MSM engines. The rng seed is fixed and
+/// the blinding factors are drawn after the MSM stage, so equal proofs
+/// mean equal MSM/NTT outputs bit for bit.
 fn proof_with<P: PairingConfig>(
     cs: &ConstraintSystem<P::Fr>,
     pk: &ProvingKey<P>,
-    optimized: bool,
+    msm_g1: &dyn MsmEngine<P::G1>,
+    msm_g2: &dyn MsmEngine<P::G2>,
 ) -> Proof<P> {
-    let (g1, g2) = if optimized {
-        (GzkpMsm::new(v100()), GzkpMsm::new(v100()))
-    } else {
-        (
-            GzkpMsm::serial_reference(v100()),
-            GzkpMsm::serial_reference(v100()),
-        )
-    };
     let ntt = GzkpNtt::auto::<P::Fr>(v100());
     let engines = ProverEngines::<P> {
         ntt: &ntt,
-        msm_g1: &g1,
-        msm_g2: &g2,
+        msm_g1,
+        msm_g2,
     };
     let mut rng = StdRng::seed_from_u64(99);
     prove(cs, pk, &engines, &mut rng).expect("prove").0
@@ -55,10 +49,11 @@ fn check_curve<P: PairingConfig>(constraints: usize) {
     let (pk, _vk) = setup::<P, _>(&cs, &mut rng).expect("setup");
 
     std::env::set_var("GZKP_THREADS", "1");
-    let reference = proof_with::<P>(&cs, &pk, false);
+    let reference = proof_with::<P>(&cs, &pk, &CpuMsm::serial(), &CpuMsm::serial());
     for threads in ["1", "2", "4"] {
         std::env::set_var("GZKP_THREADS", threads);
-        let got = proof_with::<P>(&cs, &pk, true);
+        let gzkp = GzkpMsm::new(v100());
+        let got = proof_with::<P>(&cs, &pk, &gzkp, &gzkp);
         assert!(
             got == reference,
             "parallel proof diverged at GZKP_THREADS={threads}"
@@ -79,7 +74,7 @@ fn check_t753() {
     let coeffs: Vec<Fr753> = (0..domain.size).map(|_| Fr753::random(&mut rng)).collect();
 
     std::env::set_var("GZKP_THREADS", "1");
-    let msm_ref = GzkpMsm::serial_reference(v100()).msm(&pts, &sv).result;
+    let msm_ref = CpuMsm::serial().msm(&pts, &sv).result;
     let mut ntt_ref = coeffs.clone();
     CpuNtt::reference().transform(&domain, &mut ntt_ref, Direction::Forward);
 

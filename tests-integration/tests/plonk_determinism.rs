@@ -12,7 +12,7 @@
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::{bls12_381, bn254};
 use gzkp_gpu_sim::v100;
-use gzkp_msm::GzkpMsm;
+use gzkp_msm::{CpuMsm, GzkpMsm};
 use gzkp_ntt::GzkpNtt;
 use gzkp_plonk::{prove_bytes, setup, verify_bytes, PlonkCircuit};
 use gzkp_proof_system::Engines;
@@ -51,6 +51,20 @@ where
     assert!(
         verify_bytes(&vk, circuit.public_inputs(), &reference),
         "reference proof does not verify"
+    );
+    // The serial oracle (window-serial mixed additions on one thread, no
+    // `p_index`, no batch-affine reducer) must commit to the same
+    // transcript.
+    let serial = CpuMsm::serial();
+    let oracle = Engines::<P> {
+        ntt: &ntt,
+        msm_g1: &serial,
+        msm_g2: &serial,
+    };
+    let (bytes, _) = prove_bytes(&circuit, &pk, &oracle, 42, &NoopSink).expect("prove");
+    assert!(
+        bytes == reference,
+        "PLONK proof on the serial oracle diverged"
     );
 
     for threads in ["1", "2", "4"] {
