@@ -8,7 +8,6 @@ use crate::scalars::{default_window_size, ScalarVec};
 use gzkp_curves::{Affine, CurveParams, Projective};
 use gzkp_gpu_sim::device::{cpu_xeon, Backend, DeviceConfig};
 use gzkp_gpu_sim::kernel::{BlockCost, KernelSpec, StageReport};
-use rayon::prelude::*;
 
 /// CPU Pippenger engine.
 #[derive(Debug, Clone)]
@@ -131,15 +130,11 @@ impl<C: CurveParams> MsmEngine<C> for CpuMsm {
         let n = points.len();
         let k = self.k_for(n);
         let windows = scalars.num_windows(k);
+        let window_sum = |t| self.window_sum(points, scalars, t, k);
         let window_sums: Vec<(Projective<C>, BatchAffineStats)> = if self.parallel {
-            (0..windows)
-                .into_par_iter()
-                .map(|t| self.window_sum(points, scalars, t, k))
-                .collect()
+            rayon::map(0..windows, window_sum)
         } else {
-            (0..windows)
-                .map(|t| self.window_sum(points, scalars, t, k))
-                .collect()
+            (0..windows).map(window_sum).collect()
         };
         let mut stats = MsmStats::default();
         for (_, s) in &window_sums {

@@ -34,8 +34,7 @@ use gzkp_gpu_sim::device::{Backend, DeviceConfig};
 use gzkp_gpu_sim::kernel::{simulate_kernel, BlockCost, KernelSpec, StageReport};
 use gzkp_gpu_sim::stream::DeviceTimeline;
 use gzkp_gpu_sim::transfer::HostMem;
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Fixed per-MSM host-side cost (driver synchronization, scalar transfer,
 /// result readback) shared by all simulated GPU MSM engines. Calibration
@@ -157,11 +156,7 @@ impl GzkpMsm {
         for _ in 1..levels {
             // Across cores: a proof's MSMs run one after the other, so a
             // cold key's tables are built one vector at a time.
-            current.par_iter_mut().for_each(|p| {
-                for _ in 0..(m * k) {
-                    *p = p.double();
-                }
-            });
+            double_each(&mut current, m * k);
             out.push(batch_to_affine(&current));
         }
         out
@@ -314,6 +309,43 @@ impl GzkpMsm {
         }
     }
 
+    /// Bucket-info construction: `windows · n` digit extracts + scatter.
+    fn p_index_kernel<C: CurveParams>(&self, n: usize, windows: usize) -> KernelSpec {
+        let entries = (windows * n) as u64;
+        KernelSpec::uniform(
+            "gzkp.p_index",
+            256,
+            0,
+            self.backend,
+            CurveCost::of::<C>().speedup_limbs(),
+            (entries / 4096).max(1) as usize,
+            BlockCost {
+                mac_ops: 4096.0 * 2.0,
+                dram_sectors: 4096 * 16 / self.device.sector_bytes.max(1),
+                shared_bytes: 0,
+            },
+        )
+    }
+
+    /// Parallel-prefix reduction of `buckets` bucket sums.
+    fn reduce_kernel<C: CurveParams>(&self, name: String, buckets: u64) -> KernelSpec {
+        let cost = CurveCost::of::<C>();
+        let blocks = (buckets / 256).max(1);
+        KernelSpec::uniform(
+            name,
+            256,
+            16 * 1024,
+            self.backend,
+            cost.speedup_limbs(),
+            blocks as usize,
+            BlockCost {
+                mac_ops: 2.0 * (buckets / blocks) as f64 * cost.padd(),
+                dram_sectors: (buckets / blocks) * cost.jacobian_bytes() / self.device.sector_bytes,
+                shared_bytes: 256 * cost.jacobian_bytes(),
+            },
+        )
+    }
+
     /// Cost stage: p_index build, cross-window point-merging, prefix-sum
     /// bucket reduction.
     fn stage<C: CurveParams>(
@@ -323,54 +355,17 @@ impl GzkpMsm {
         windows: usize,
         loads: &[(u64, u64)],
     ) -> StageReport {
-        let cost = CurveCost::of::<C>();
         let dev = &self.device;
         let mut stage = StageReport::new("msm-gzkp");
         stage.add_fixed("host-sync+transfer", MSM_HOST_OVERHEAD_NS);
-
-        // Bucket-info construction: windows·n digit extracts + scatter.
-        let entries = (windows * n) as u64;
-        let idx_blocks = (entries / 4096).max(1) as usize;
-        stage.run(
-            dev,
-            &KernelSpec::uniform(
-                "gzkp.p_index",
-                256,
-                0,
-                self.backend,
-                cost.speedup_limbs(),
-                idx_blocks,
-                BlockCost {
-                    mac_ops: 4096.0 * 2.0,
-                    dram_sectors: 4096 * 16 / dev.sector_bytes.max(1),
-                    shared_bytes: 0,
-                },
-            ),
-        );
+        stage.run(dev, &self.p_index_kernel::<C>(n, windows));
 
         // Point-merging (90% of MSM time per §4.1).
         stage.run(dev, &self.merge_kernel::<C>(loads));
 
         // Parallel-prefix bucket reduction over 2^k buckets.
-        let buckets = (1u64 << k) - 1;
-        let red_blocks = (buckets / 256).max(1) as usize;
-        stage.run(
-            dev,
-            &KernelSpec::uniform(
-                format!("gzkp.bucket-reduce(2^{k})"),
-                256,
-                16 * 1024,
-                self.backend,
-                cost.speedup_limbs(),
-                red_blocks,
-                BlockCost {
-                    mac_ops: 2.0 * (buckets / red_blocks as u64) as f64 * cost.padd(),
-                    dram_sectors: (buckets / red_blocks as u64) * cost.jacobian_bytes()
-                        / dev.sector_bytes,
-                    shared_bytes: 256 * cost.jacobian_bytes(),
-                },
-            ),
-        );
+        let reduce = format!("gzkp.bucket-reduce(2^{k})");
+        stage.run(dev, &self.reduce_kernel::<C>(reduce, (1 << k) - 1));
         stage
     }
 
@@ -505,24 +500,7 @@ impl GzkpMsm {
         stage.add_fixed("host-sync+transfer", MSM_HOST_OVERHEAD_NS);
 
         // Digit extraction once; its p_index is reused by every pass.
-        let entries = (windows * n) as u64;
-        let idx_blocks = (entries / 4096).max(1) as usize;
-        stage.run(
-            dev,
-            &KernelSpec::uniform(
-                "gzkp.p_index",
-                256,
-                0,
-                self.backend,
-                cost.speedup_limbs(),
-                idx_blocks,
-                BlockCost {
-                    mac_ops: 4096.0 * 2.0,
-                    dram_sectors: 4096 * 16 / dev.sector_bytes.max(1),
-                    shared_bytes: 0,
-                },
-            ),
-        );
+        stage.run(dev, &self.p_index_kernel::<C>(n, windows));
 
         // Every pass re-streams the stored levels + scalars + p_index;
         // that S-fold transfer amplification is the price of fitting, and
@@ -559,25 +537,8 @@ impl GzkpMsm {
         // Per-pass local reductions sum to the same running-sum work as
         // the whole-task reduction kernel; host-side partial merging is
         // a handful of PADDs, folded into host-sync.
-        let buckets = (1u64 << k) - 1;
-        let red_blocks = (buckets / 256).max(1) as usize;
-        stage.run(
-            dev,
-            &KernelSpec::uniform(
-                format!("gzkp.bucket-reduce(2^{k}, sharded)"),
-                256,
-                16 * 1024,
-                self.backend,
-                cost.speedup_limbs(),
-                red_blocks,
-                BlockCost {
-                    mac_ops: 2.0 * (buckets / red_blocks as u64) as f64 * cost.padd(),
-                    dram_sectors: (buckets / red_blocks as u64) * cost.jacobian_bytes()
-                        / dev.sector_bytes,
-                    shared_bytes: 256 * cost.jacobian_bytes(),
-                },
-            ),
-        );
+        let reduce = format!("gzkp.bucket-reduce(2^{k}, sharded)");
+        stage.run(dev, &self.reduce_kernel::<C>(reduce, (1 << k) - 1));
         stage
     }
 
@@ -747,6 +708,17 @@ struct TaskScratch<C: CurveParams> {
     stats: BatchAffineStats,
 }
 
+/// Doubles every point `times` times, shares of the vector across cores.
+fn double_each<C: CurveParams>(points: &mut [Projective<C>], times: u32) {
+    rayon::for_each(points.chunks_mut(rayon::share_len(points.len())), |share| {
+        for p in share {
+            for _ in 0..times {
+                *p = p.double();
+            }
+        }
+    });
+}
+
 /// One MSM frozen into bucket-range partials that distinct devices can
 /// execute independently (the cross-device realization of the paper's
 /// multi-GPU split, Table 4 / SZKP's cross-chip partitioning).
@@ -837,31 +809,11 @@ impl<C: CurveParams> ShardTask<C> {
     /// fleet overlaps uploads and P2P merges against.
     pub fn range_kernel_ns(&self, engine: &GzkpMsm, index: usize) -> f64 {
         let (lo, hi) = self.ranges[index];
-        let cost = CurveCost::of::<C>();
-        let merge = simulate_kernel(
-            &engine.device,
-            &engine.merge_kernel::<C>(&self.loads[lo..hi]),
-        );
-        let buckets = (hi - lo).max(1) as u64;
-        let red_blocks = (buckets / 256).max(1) as usize;
-        let reduce = simulate_kernel(
-            &engine.device,
-            &KernelSpec::uniform(
-                format!("gzkp.bucket-reduce({lo}..{hi})"),
-                256,
-                16 * 1024,
-                engine.backend,
-                cost.speedup_limbs(),
-                red_blocks,
-                BlockCost {
-                    mac_ops: 2.0 * (buckets / red_blocks as u64) as f64 * cost.padd(),
-                    dram_sectors: (buckets / red_blocks as u64) * cost.jacobian_bytes()
-                        / engine.device.sector_bytes,
-                    shared_bytes: 256 * cost.jacobian_bytes(),
-                },
-            ),
-        );
-        merge.time_ns + reduce.time_ns
+        let merge = engine.merge_kernel::<C>(&self.loads[lo..hi]);
+        let reduce = format!("gzkp.bucket-reduce({lo}..{hi})");
+        let reduce = engine.reduce_kernel::<C>(reduce, (hi - lo).max(1) as u64);
+        simulate_kernel(&engine.device, &merge).time_ns
+            + simulate_kernel(&engine.device, &reduce).time_ns
     }
 
     /// Executes range `index`, returning the exact partial group element
@@ -871,8 +823,8 @@ impl<C: CurveParams> ShardTask<C> {
     ///
     /// The range is cut into bucket tasks of about `TASK_ENTRIES`
     /// entries each — boundaries are a pure function of the load profile,
-    /// never of the thread count — and all tasks run in one parallel
-    /// region. A task gathers the `p_index` entries of its buckets into
+    /// never of the thread count — and the tasks of a pass are the items
+    /// of one fan-out. A task gathers the `p_index` entries of its buckets into
     /// one CSR buffer, reduces every bucket in place
     /// ([`reduce_segments`]) and finishes with its own
     /// [`bucket_reduce_range`]; the task sums are merged in range order.
@@ -897,9 +849,10 @@ impl<C: CurveParams> ShardTask<C> {
         let mut buckets = vec![Affine::<C>::identity(); hi - lo];
         let mut weights: Vec<Projective<C>> = Vec::new();
         let mut weights_aff: Vec<Affine<C>> = Vec::new();
-        let mut result = Projective::<C>::identity();
-        // One worker per participating thread, each with its own task
-        // buffers. They are allocated here, on the calling thread, so
+        // The last pass leaves every task's own bucket-range reduction here.
+        let mut partials = vec![Projective::<C>::identity(); tasks.len()];
+        // One state per participating thread, each with its own task
+        // buffers, built on this thread like every fan-out state: so
         // back-to-back MSMs reuse one heap instead of growing every pool
         // thread's.
         let workers = rayon::current_num_threads();
@@ -924,11 +877,7 @@ impl<C: CurveParams> ShardTask<C> {
                 if t % m == 1 {
                     weights = self.pre[t / m].iter().map(Affine::to_projective).collect();
                 }
-                weights.par_iter_mut().for_each(|p| {
-                    for _ in 0..k {
-                        *p = p.double();
-                    }
-                });
+                double_each(&mut weights, k);
                 weights_aff = batch_to_affine(&weights);
             }
             let source = |t: usize, i: usize| match window {
@@ -937,52 +886,39 @@ impl<C: CurveParams> ShardTask<C> {
             };
             let last = pass == streamed.len();
 
-            // The queue hands each task — its first bucket and its slice
-            // of the bucket sums — to the next idle worker, in range order.
+            // One item per task, in range order: its first bucket, its
+            // slice of the bucket sums, and the slot of its partial sum.
             let mut parts = Vec::with_capacity(tasks.len());
             let mut rest = &mut buckets[..];
-            for &(a, b) in &tasks {
+            for (&(a, b), partial) in tasks.iter().zip(&mut partials) {
                 let (head, tail) = rest.split_at_mut(b - a);
-                parts.push((lo + a, head));
+                parts.push((lo + a, head, partial));
                 rest = tail;
             }
-            let queue = Mutex::new(parts.into_iter());
-            let claim = || queue.lock().expect("bucket task panicked").next();
-            let done: Vec<Vec<(usize, Projective<C>)>> = scratch
-                .par_iter_mut()
-                .map(|s| {
-                    let mut partials = Vec::new();
-                    while let Some((first, sums)) = claim() {
-                        s.flat.clear();
-                        s.offsets.clear();
-                        s.offsets.push(0);
-                        for (j, sum) in sums.iter().enumerate() {
-                            if !sum.infinity {
-                                s.flat.push(*sum);
-                            }
-                            // Identity sources (unused key columns) add nothing.
-                            let entries = p_index.bucket(first + j);
-                            s.flat.extend(
-                                entries.filter_map(|(t, i)| source(t, i).filter(|p| !p.infinity)),
-                            );
-                            s.offsets.push(s.flat.len());
-                        }
-                        reduce_segments(&mut s.flat, &s.offsets, sums, &mut s.reduce, &mut s.stats);
-                        if last {
-                            let sums: Vec<Projective<C>> =
-                                sums.iter().map(Affine::to_projective).collect();
-                            partials.push((first, bucket_reduce_range(&sums, first as u64)));
-                        }
+            rayon::fan_out(parts, &mut scratch, |s, (first, sums, partial)| {
+                s.flat.clear();
+                s.offsets.clear();
+                s.offsets.push(0);
+                for (j, sum) in sums.iter().enumerate() {
+                    if !sum.infinity {
+                        s.flat.push(*sum);
                     }
-                    partials
-                })
-                .collect();
-            let mut partials = done.concat();
-            partials.sort_by_key(|&(first, _)| first);
-            for (_, partial) in &partials {
-                result = result.add(partial);
-            }
+                    // Identity sources (unused key columns) add nothing.
+                    let entries = p_index.bucket(first + j);
+                    s.flat
+                        .extend(entries.filter_map(|(t, i)| source(t, i).filter(|p| !p.infinity)));
+                    s.offsets.push(s.flat.len());
+                }
+                reduce_segments(&mut s.flat, &s.offsets, sums, &mut s.reduce, &mut s.stats);
+                if last {
+                    let sums: Vec<Projective<C>> = sums.iter().map(Affine::to_projective).collect();
+                    *partial = bucket_reduce_range(&sums, first as u64);
+                }
+            });
         }
+        let result = partials
+            .iter()
+            .fold(Projective::<C>::identity(), |acc, partial| acc.add(partial));
         let mut stats = BatchAffineStats::default();
         for worker in &scratch {
             stats.merge(&worker.stats);

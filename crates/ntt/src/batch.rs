@@ -11,9 +11,8 @@
 //! out across all cores.
 
 use crate::cpu::Direction;
-use crate::domain::{bit_reverse_permute, reverse_for_inverse, share_len, Radix2Domain};
+use crate::domain::{bit_reverse_permute, par_share, reverse_for_inverse, Radix2Domain};
 use gzkp_ff::PrimeField;
-use rayon::prelude::*;
 
 /// Adjacent groups per tile (the paper's `G`): a tile's `2^B` row pieces
 /// are `TILE` contiguous elements each, so a gather moves whole cache
@@ -83,8 +82,8 @@ fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: O
     };
     if stride <= TILE {
         // A block is one tile, already laid out `[j][l]`: run it in place.
-        let share = share_len(n / outer, n) * outer;
-        data.par_chunks_mut(share).for_each(|blocks| {
+        let share = par_share(n / outer, n) * outer;
+        rayon::for_each(data.chunks_mut(share), |blocks| {
             blocks.chunks_mut(outer).for_each(|b| finish(b, stride, 0));
         });
         return;
@@ -103,8 +102,8 @@ fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: O
             tiles.push((first, pieces.collect()));
         }
     }
-    let share = share_len(tiles.len(), n);
-    tiles.par_chunks_mut(share).for_each(|mine| {
+    let share = par_share(tiles.len(), n);
+    rayon::for_each(tiles.chunks_mut(share), |mine| {
         let mut staged = vec![F::zero(); TILE << batch.iters];
         for (first, pieces) in mine {
             for (row, piece) in staged.chunks_mut(TILE).zip(pieces.iter()) {

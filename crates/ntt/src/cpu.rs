@@ -12,7 +12,6 @@
 
 use crate::domain::{bit_reverse_permute, reverse_for_inverse, Radix2Domain};
 use gzkp_ff::PrimeField;
-use rayon::prelude::*;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +38,7 @@ pub enum TwiddleMode {
 pub struct CpuNtt {
     /// Twiddle strategy.
     pub mode: TwiddleMode,
-    /// Use all cores via rayon (the paper's CPU baselines are parallel).
+    /// Use all cores (the paper's CPU baselines are parallel).
     pub parallel: bool,
 }
 
@@ -98,13 +97,20 @@ impl CpuNtt {
         }
         if dir == Direction::Inverse {
             let s = domain.size_inv;
-            if self.parallel {
-                data.par_iter_mut().for_each(|v| *v *= s);
-            } else {
-                for v in data.iter_mut() {
-                    *v *= s;
-                }
-            }
+            rayon::for_each(data.chunks_mut(self.share(n, 1)), |vals| {
+                vals.iter_mut().for_each(|v| *v *= s)
+            });
+        }
+    }
+
+    /// Elements per fan-out item when a size-`n` vector is cut at multiples
+    /// of `unit`: shares of units across cores, or the whole vector as one
+    /// item (serial, in place) for the sequential engine and small `n`.
+    fn share(&self, n: usize, unit: usize) -> usize {
+        if self.parallel && n >= 1 << 14 {
+            rayon::share_len(n / unit) * unit
+        } else {
+            n
         }
     }
 
@@ -135,11 +141,9 @@ impl CpuNtt {
                     block[j] += t;
                 }
             };
-            if self.parallel && n >= 1 << 14 {
-                data.par_chunks_mut(chunk).for_each(work);
-            } else {
-                data.chunks_mut(chunk).for_each(work);
-            }
+            rayon::for_each(data.chunks_mut(self.share(n, chunk)), |blocks| {
+                blocks.chunks_mut(chunk).for_each(work)
+            });
         }
     }
 
@@ -161,11 +165,9 @@ impl CpuNtt {
                     w *= w_len;
                 }
             };
-            if self.parallel && n >= 1 << 14 {
-                data.par_chunks_mut(chunk).for_each(work);
-            } else {
-                data.chunks_mut(chunk).for_each(work);
-            }
+            rayon::for_each(data.chunks_mut(self.share(n, chunk)), |blocks| {
+                blocks.chunks_mut(chunk).for_each(work)
+            });
         }
     }
 }

@@ -6,7 +6,6 @@
 //! coset so `Z` never vanishes).
 
 use gzkp_ff::PrimeField;
-use rayon::prelude::*;
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -15,14 +14,14 @@ use std::sync::{Arc, Mutex};
 /// would not cover the fork/join overhead.
 pub(crate) const PAR_MIN_LEN: usize = 1 << 12;
 
-/// Items per parallel work share when `len` items of a size-`n` vector
-/// are handed out: a few shares per thread so a straggler does not idle
-/// the others, one share (serial, in place) below [`PAR_MIN_LEN`].
-pub(crate) fn share_len(len: usize, n: usize) -> usize {
+/// Units per fan-out item when `len` units (elements, blocks, tiles) of a
+/// size-`n` vector are handed out: the fan-out's shares, or everything in
+/// one item (serial, in place) below [`PAR_MIN_LEN`].
+pub(crate) fn par_share(len: usize, n: usize) -> usize {
     if n < PAR_MIN_LEN {
         return len.max(1);
     }
-    len.div_ceil(4 * rayon::current_num_threads()).max(1)
+    rayon::share_len(len)
 }
 
 /// The process-wide twiddle store (§5.3: twiddles are preprocessed once).
@@ -141,16 +140,14 @@ impl<F: PrimeField> Radix2Domain<F> {
 /// large vectors are cut into shares that each start from `g^{first index}`
 /// (one `pow` per share) — the same field elements, share-parallel.
 fn scale_by_powers<F: PrimeField>(data: &mut [F], g: F) {
-    let share = share_len(data.len(), data.len());
-    data.par_chunks_mut(share)
-        .enumerate()
-        .for_each(|(c, vals)| {
-            let mut p = g.pow(&[(c * share) as u64]);
-            for v in vals {
-                *v *= p;
-                p *= g;
-            }
-        });
+    let share = par_share(data.len(), data.len());
+    rayon::for_each(data.chunks_mut(share).enumerate(), |(c, vals)| {
+        let mut p = g.pow(&[(c * share) as u64]);
+        for v in vals {
+            *v *= p;
+            p *= g;
+        }
+    });
 }
 
 /// Reorders the input of an inverse transform so that the forward twiddle

@@ -19,7 +19,6 @@ use gzkp_curves::{Affine, CurveParams};
 use gzkp_gpu_sim::kernel::StageReport;
 use gzkp_msm::gzkp::MSM_HOST_OVERHEAD_NS;
 use gzkp_msm::{GzkpMsm, MsmEngine, MsmRun, MsmStats, ScalarVec};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -94,10 +93,8 @@ impl<C: CurveParams> MsmEngine<C> for CrossDeviceMsm {
 
         // Functional partials: exact group elements, deterministic at
         // every thread count.
-        let partials: Vec<(gzkp_curves::Projective<C>, MsmStats)> = (0..task.num_ranges())
-            .into_par_iter()
-            .map(|i| task.partial(scalars, i))
-            .collect();
+        let partials: Vec<(gzkp_curves::Projective<C>, MsmStats)> =
+            rayon::map(0..task.num_ranges(), |i| task.partial(scalars, i));
 
         // Simulated schedule: each device streams its passes on its own
         // upload/execute streams (pass i+1's upload hides under pass i's
