@@ -3,9 +3,8 @@
 //! Figure 1) and the short verification key.
 
 use crate::r1cs::{ConstraintSystem, SynthesisError};
-use gzkp_curves::group::batch_to_affine;
 use gzkp_curves::pairing::PairingConfig;
-use gzkp_curves::{Affine, Projective};
+use gzkp_curves::{Affine, CurveParams, FixedBaseTable};
 use gzkp_ff::{batch_inverse, Field, PrimeField};
 use gzkp_ntt::Radix2Domain;
 use rand::Rng;
@@ -78,6 +77,24 @@ fn lagrange_at_tau<F: PrimeField>(domain: &Radix2Domain<F>, tau: F) -> Vec<F> {
         .collect()
 }
 
+/// A uniform non-zero field element (γ and δ are divided by): redraws on
+/// zero.
+fn random_nonzero<F: Field, R: Rng + ?Sized>(rng: &mut R) -> F {
+    loop {
+        let value = F::random(rng);
+        if !value.is_zero() {
+            return value;
+        }
+    }
+}
+
+/// `s · G` for every scalar through the generator's `table`, shares of
+/// the list across cores.
+fn mul_shares<C: CurveParams>(table: &FixedBaseTable<C>, scalars: &[C::Scalar]) -> Vec<Affine<C>> {
+    let shares = scalars.chunks(rayon::share_len(scalars.len()));
+    rayon::map(shares, |share| table.mul_many(share)).concat()
+}
+
 /// Runs the trusted setup over a synthesized constraint system.
 ///
 /// # Errors
@@ -92,8 +109,8 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
     let tau = P::Fr::random(rng);
     let alpha = P::Fr::random(rng);
     let beta = P::Fr::random(rng);
-    let gamma = P::Fr::random(rng);
-    let delta = P::Fr::random(rng);
+    let gamma = random_nonzero::<P::Fr, _>(rng);
+    let delta = random_nonzero::<P::Fr, _>(rng);
 
     // Per-variable QAP polynomial evaluations at τ via the Lagrange basis.
     let lag = lagrange_at_tau(&domain, tau);
@@ -113,50 +130,51 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
         }
     }
 
-    let g1 = Projective::<P::G1>::generator();
-    let g2 = Projective::<P::G2>::generator();
-    let gamma_inv = gamma.inverse().expect("gamma nonzero");
-    let delta_inv = delta.inverse().expect("delta nonzero");
+    let gamma_inv = gamma.inverse().expect("drawn non-zero");
+    let delta_inv = delta.inverse().expect("drawn non-zero");
 
+    // (β·A_j + α·B_j + C_j)(τ) over γ for the public variables (`ic`),
+    // over δ for the private ones (`l`).
     let num_public = 1 + cs.num_inputs;
-    let ic: Vec<_> = (0..num_public)
-        .map(|j| g1.mul(&((beta * a_tau[j] + alpha * b_tau[j] + c_tau[j]) * gamma_inv)))
+    let mut kc_tau: Vec<P::Fr> = (0..nvars)
+        .map(|j| {
+            let divisor_inv = if j < num_public { gamma_inv } else { delta_inv };
+            (beta * a_tau[j] + alpha * b_tau[j] + c_tau[j]) * divisor_inv
+        })
         .collect();
-    let l_query: Vec<_> = (num_public..nvars)
-        .map(|j| g1.mul(&((beta * a_tau[j] + alpha * b_tau[j] + c_tau[j]) * delta_inv)))
-        .collect();
-    let a_query: Vec<_> = a_tau.iter().map(|v| g1.mul(v)).collect();
-    let b_g1_query: Vec<_> = b_tau.iter().map(|v| g1.mul(v)).collect();
-    let b_g2_query: Vec<_> = b_tau.iter().map(|v| g2.mul(v)).collect();
+    let l_tau = kc_tau.split_off(num_public);
 
-    // h-query: τ^i · Z(τ) / δ in G1, for i < N − 1.
-    let z_tau = domain.eval_vanishing(tau);
-    let mut h_query = Vec::with_capacity(domain.size - 1);
-    let mut tpow = z_tau * delta_inv;
-    for _ in 0..domain.size - 1 {
-        h_query.push(g1.mul(&tpow));
-        tpow *= tau;
-    }
+    // h-query: τ^i · Z(τ) / δ, for i < N − 1.
+    let h_first = domain.eval_vanishing(tau) * delta_inv;
+    let h_tau: Vec<P::Fr> = std::iter::successors(Some(h_first), |h| Some(*h * tau))
+        .take(domain.size - 1)
+        .collect();
+
+    // Every key element is a multiple of one of the two generators.
+    let g1 = FixedBaseTable::<P::G1>::new(3 * nvars + domain.size + 2);
+    let g2 = FixedBaseTable::<P::G2>::new(nvars + 3);
+    let in_g1 = g1.mul_many(&[alpha, beta, delta]);
+    let in_g2 = g2.mul_many(&[beta, gamma, delta]);
 
     let pk = ProvingKey {
-        alpha_g1: g1.mul(&alpha).to_affine(),
-        beta_g1: g1.mul(&beta).to_affine(),
-        beta_g2: g2.mul(&beta).to_affine(),
-        delta_g1: g1.mul(&delta).to_affine(),
-        delta_g2: g2.mul(&delta).to_affine(),
-        a_query: batch_to_affine(&a_query),
-        b_g1_query: batch_to_affine(&b_g1_query),
-        b_g2_query: batch_to_affine(&b_g2_query),
-        l_query: batch_to_affine(&l_query),
-        h_query: batch_to_affine(&h_query),
+        alpha_g1: in_g1[0],
+        beta_g1: in_g1[1],
+        beta_g2: in_g2[0],
+        delta_g1: in_g1[2],
+        delta_g2: in_g2[2],
+        a_query: mul_shares(&g1, &a_tau),
+        b_g1_query: mul_shares(&g1, &b_tau),
+        b_g2_query: mul_shares(&g2, &b_tau),
+        l_query: mul_shares(&g1, &l_tau),
+        h_query: mul_shares(&g1, &h_tau),
         domain_size: domain.size,
     };
     let vk = VerifyingKey {
         alpha_g1: pk.alpha_g1,
         beta_g2: pk.beta_g2,
-        gamma_g2: g2.mul(&gamma).to_affine(),
+        gamma_g2: in_g2[1],
         delta_g2: pk.delta_g2,
-        ic: batch_to_affine(&ic),
+        ic: mul_shares(&g1, &kc_tau),
     };
     Ok((pk, vk))
 }
@@ -167,7 +185,42 @@ mod tests {
     use crate::r1cs::LinearCombination;
     use gzkp_curves::bn254::{Bn254, Fr};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// Draws zeros first, then a seeded stream.
+    struct ZerosThen(usize, StdRng);
+    impl RngCore for ZerosThen {
+        fn next_u64(&mut self) -> u64 {
+            match self.0.checked_sub(1) {
+                Some(left) => {
+                    self.0 = left;
+                    0
+                }
+                None => self.1.next_u64(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_gamma_or_delta_is_redrawn() {
+        let mut rng = ZerosThen(2 * Fr::NUM_LIMBS, StdRng::seed_from_u64(6));
+        assert!(!random_nonzero::<Fr, _>(&mut rng).is_zero());
+        assert_eq!(rng.0, 0);
+
+        // τ, α, β and the first γ all drawn zero: setup still returns keys.
+        let mut cs = ConstraintSystem::<Fr>::new();
+        let x = cs.alloc(Fr::from_u64(2));
+        let out = cs.alloc_input(Fr::from_u64(4));
+        cs.enforce(
+            LinearCombination::from_var(x),
+            LinearCombination::from_var(x),
+            LinearCombination::from_var(out),
+        );
+        let mut rng = ZerosThen(4 * Fr::NUM_LIMBS, StdRng::seed_from_u64(6));
+        let (pk, vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+        assert!(pk.alpha_g1.infinity && pk.beta_g2.infinity);
+        assert!(!vk.gamma_g2.infinity && !vk.delta_g2.infinity);
+    }
 
     #[test]
     fn lagrange_partition_of_unity() {

@@ -28,8 +28,9 @@ use crate::batch_affine::{reduce_segments, BatchAffineStats, ReduceScratch};
 use crate::engine::{bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
 use crate::scalars::{default_window_size, ScalarVec};
 use crate::store::{PreKey, PreprocessStore};
-use gzkp_curves::{batch_to_affine, Affine, CurveParams, Projective};
-use gzkp_ff::PrimeField;
+use gzkp_curves::group::{affine_add_denominator, affine_add_with_inverse};
+use gzkp_curves::{Affine, CurveParams, Projective};
+use gzkp_ff::{batch_inverse_scratch, PrimeField};
 use gzkp_gpu_sim::device::{Backend, DeviceConfig};
 use gzkp_gpu_sim::kernel::{simulate_kernel, BlockCost, KernelSpec, StageReport};
 use gzkp_gpu_sim::stream::DeviceTimeline;
@@ -152,12 +153,12 @@ impl GzkpMsm {
         let levels = Self::levels(windows, m);
         let mut out = Vec::with_capacity(levels);
         out.push(points.to_vec());
-        let mut current: Vec<Projective<C>> = points.iter().map(|p| p.to_projective()).collect();
-        for _ in 1..levels {
+        for level in 1..levels {
             // Across cores: a proof's MSMs run one after the other, so a
             // cold key's tables are built one vector at a time.
-            double_each(&mut current, m * k);
-            out.push(batch_to_affine(&current));
+            let mut next = out[level - 1].clone();
+            double_each(&mut next, m * k);
+            out.push(next);
         }
         out
     }
@@ -708,12 +709,20 @@ struct TaskScratch<C: CurveParams> {
     stats: BatchAffineStats,
 }
 
-/// Doubles every point `times` times, shares of the vector across cores.
-fn double_each<C: CurveParams>(points: &mut [Projective<C>], times: u32) {
+/// Doubles every point `times` times in place, shares of the vector
+/// across cores. The points stay affine: each step of a share inverts its
+/// tangent denominators `2y` together, and identity entries (unused key
+/// columns) need none.
+fn double_each<C: CurveParams>(points: &mut [Affine<C>], times: u32) {
     rayon::for_each(points.chunks_mut(rayon::share_len(points.len())), |share| {
-        for p in share {
-            for _ in 0..times {
-                *p = p.double();
+        let mut dens = Vec::with_capacity(share.len());
+        let mut prod = Vec::with_capacity(share.len());
+        for _ in 0..times {
+            dens.clear();
+            dens.extend(share.iter().map(|p| affine_add_denominator(p, p)));
+            batch_inverse_scratch(&mut dens, &mut prod);
+            for (p, dinv) in share.iter_mut().zip(&dens) {
+                *p = affine_add_with_inverse(p, p, dinv);
             }
         }
     });
@@ -847,8 +856,7 @@ impl<C: CurveParams> ShardTask<C> {
         let streamed: Vec<usize> = (0..self.windows).filter(|t| t % m != 0).collect();
 
         let mut buckets = vec![Affine::<C>::identity(); hi - lo];
-        let mut weights: Vec<Projective<C>> = Vec::new();
-        let mut weights_aff: Vec<Affine<C>> = Vec::new();
+        let mut weights: Vec<Affine<C>> = Vec::new();
         // The last pass leaves every task's own bucket-range reduction here.
         let mut partials = vec![Projective::<C>::identity(); tasks.len()];
         // One state per participating thread, each with its own task
@@ -875,14 +883,13 @@ impl<C: CurveParams> ShardTask<C> {
             let window = pass.checked_sub(1).map(|p| streamed[p]);
             if let Some(t) = window {
                 if t % m == 1 {
-                    weights = self.pre[t / m].iter().map(Affine::to_projective).collect();
+                    weights.clone_from(&self.pre[t / m]);
                 }
                 double_each(&mut weights, k);
-                weights_aff = batch_to_affine(&weights);
             }
             let source = |t: usize, i: usize| match window {
                 None => t.is_multiple_of(m).then(|| self.pre[t / m][i]),
-                Some(w) => (t == w).then(|| weights_aff[i]),
+                Some(w) => (t == w).then(|| weights[i]),
             };
             let last = pass == streamed.len();
 

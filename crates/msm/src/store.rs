@@ -13,9 +13,15 @@
 //! ([`crate::GzkpMsm::with_store`]); an engine without one uses
 //! [`PreprocessStore::process_default`].
 //!
-//! The key identifies a point vector by address, length and a sampled
-//! fingerprint, not by content — fixing that is ROADMAP "Cold start", not
-//! part of this module's contract yet.
+//! What is left of ROADMAP "Cold start" lives here. A miss costs the
+//! doublings of [`crate::GzkpMsm::preprocess`] again — they are
+//! batch-affine and spread over cores, but still the largest part of a
+//! cold start — because the key identifies a point vector by address,
+//! length and a sampled fingerprint, not by content: the same key loaded
+//! at another address (another host, a resumed process) always misses,
+//! and nothing is kept across processes. A content digest carried on the
+//! key types and tables persisted to a directory are the two open steps;
+//! neither is part of this module's contract yet.
 
 use gzkp_curves::{Affine, CurveParams};
 use std::any::{Any, TypeId};

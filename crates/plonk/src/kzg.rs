@@ -14,10 +14,11 @@
 //! `e(C + z·W − y·G1, G2) · e(−W, τ·G2) = 1`.
 
 use gzkp_curves::pairing::{multi_pairing, Gt, PairingConfig};
-use gzkp_curves::{batch_to_affine, Affine, CoordField, CurveParams, Projective};
+use gzkp_curves::{Affine, CoordField, CurveParams, FixedBaseTable, Projective};
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
 use gzkp_ff::{Field, PrimeField};
 use gzkp_msm::{MsmEngine, MsmRun, ScalarVec};
+use gzkp_ntt::Radix2Domain;
 use rand::Rng;
 
 /// The powers-of-tau structured reference string, prover side plus the
@@ -43,18 +44,15 @@ impl<P: PairingConfig> KzgSrs<P> {
     /// also needs τ to commit to its selector/permutation polynomials
     /// cheaply (one scalar multiplication each) before discarding it.
     pub fn setup_with_tau(tau: P::Fr, max_powers: usize) -> Self {
-        let g1 = Projective::<P::G1>::generator();
-        let mut power = P::Fr::one();
-        let mut powers = Vec::with_capacity(max_powers);
-        for _ in 0..max_powers {
-            powers.push(g1.mul(&power));
-            power *= tau;
-        }
-        let g2 = Projective::<P::G2>::generator();
+        let powers = Radix2Domain::powers(tau, max_powers);
+        // Every element is a multiple of the G1 generator: one table,
+        // shares of the powers across cores.
+        let table = FixedBaseTable::<P::G1>::new(max_powers);
+        let shares = powers.chunks(rayon::share_len(max_powers));
         Self {
-            g1_powers: batch_to_affine(&powers),
-            g2: g2.to_affine(),
-            tau_g2: g2.mul(&tau).to_affine(),
+            g1_powers: rayon::map(shares, |share| table.mul_many(share)).concat(),
+            g2: Affine::generator(),
+            tau_g2: Affine::<P::G2>::generator().mul(&tau).to_affine(),
         }
     }
 
@@ -63,9 +61,9 @@ impl<P: PairingConfig> KzgSrs<P> {
         self.g1_powers.len().saturating_sub(1)
     }
 
-    /// The G1 generator (`τ⁰ · G1`).
+    /// The G1 generator (`τ⁰ · G1`, whatever the SRS length).
     pub fn g1(&self) -> Affine<P::G1> {
-        self.g1_powers[0]
+        Affine::generator()
     }
 
     /// Commits to `coeffs` (coefficient form, low degree first) as one
@@ -229,4 +227,24 @@ where
         (acc.to_affine(), srs.g2),
         (wit.to_affine().neg(), srs.tau_g2),
     ]) == Gt::<P>::one()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gzkp_curves::bn254::{Bn254, Fr, G1Affine};
+
+    #[test]
+    fn g1_does_not_index_the_powers() {
+        let tau = Fr::from_u64(5);
+        let empty = KzgSrs::<Bn254>::setup_with_tau(tau, 0);
+        assert!(empty.g1_powers.is_empty());
+        assert_eq!(empty.g1(), G1Affine::generator());
+        assert_eq!(empty.max_degree(), 0);
+
+        let srs = KzgSrs::<Bn254>::setup_with_tau(tau, 3);
+        let expect = [1u64, 5, 25].map(|p| G1Affine::generator().mul(&Fr::from_u64(p)).to_affine());
+        assert_eq!(srs.g1_powers, expect);
+        assert_eq!(srs.g1(), srs.g1_powers[0]);
+    }
 }

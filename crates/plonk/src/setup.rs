@@ -13,7 +13,7 @@
 use crate::circuit::PlonkCircuit;
 use crate::kzg::{evaluate_poly, KzgSrs};
 use gzkp_curves::pairing::PairingConfig;
-use gzkp_curves::{batch_to_affine, Affine, Projective};
+use gzkp_curves::{Affine, FixedBaseTable};
 use gzkp_ff::{Field, PrimeField};
 use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
 use rand::Rng;
@@ -161,15 +161,12 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
     // scalar multiplication per polynomial).
     let tau = P::Fr::random(rng);
     let srs = KzgSrs::<P>::setup_with_tau(tau, n + SRS_HEADROOM);
-    let g1 = Projective::<P::G1>::generator();
-    let commit_at_tau = |coeffs: &[P::Fr]| g1.mul(&evaluate_poly(coeffs, tau));
-    let comms = batch_to_affine(
-        &selectors
-            .iter()
-            .chain(sigma_coeffs.iter())
-            .map(|c| commit_at_tau(c))
-            .collect::<Vec<_>>(),
-    );
+    let at_tau: Vec<P::Fr> = selectors
+        .iter()
+        .chain(&sigma_coeffs)
+        .map(|coeffs| evaluate_poly(coeffs, tau))
+        .collect();
+    let comms = FixedBaseTable::<P::G1>::new(at_tau.len()).mul_many(&at_tau);
 
     let vk = PlonkVerifyingKey {
         n,
