@@ -138,7 +138,12 @@ pub struct ClusterConfig {
     /// Host-level circuit-breaker policy (quarantine after repeated
     /// failures, doubling probation).
     pub health: HealthPolicy,
-    /// Live metrics registry; `None` records nothing.
+    /// The registry the cluster counts into: one counter per
+    /// [`ClusterStats`] field, the queue/host gauges, the job-latency
+    /// histogram and each host's `host=hN` series. [`Cluster::stats`]
+    /// reads it back. `None` gives the cluster a private registry; host
+    /// services always count into their own. A registry passed here
+    /// belongs to this one cluster.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -269,17 +274,26 @@ pub struct ClusterReportJson {
     pub completed_by_tenant: BTreeMap<String, u64>,
 }
 
+/// The cluster's one set of handles, in the registry it always holds
+/// (the caller's [`ClusterConfig::metrics`] or a private one): one
+/// counter per [`ClusterStats`] field, which [`Cluster::stats`] reads
+/// back.
 struct ClusterMetrics {
     admitted: Counter,
     rejected_rate: Counter,
     rejected_saturated: Counter,
     completed: Counter,
     failed: Counter,
+    deadline_missed: Counter,
     resumes: Counter,
     host_kills: Counter,
+    hosts_started: Counter,
+    hosts_retired: Counter,
+    host_quarantines: Counter,
     queue_depth: Gauge,
     hosts_up: Gauge,
     latency: LatencyHistogram,
+    /// Where hosts started later (autoscaling) register their series.
     registry: Arc<MetricsRegistry>,
 }
 
@@ -291,8 +305,12 @@ impl ClusterMetrics {
             rejected_saturated: registry.counter(names::CLUSTER_REJECTED_SATURATED),
             completed: registry.counter(names::CLUSTER_COMPLETED),
             failed: registry.counter(names::CLUSTER_FAILED),
+            deadline_missed: registry.counter(names::CLUSTER_DEADLINE_MISSED),
             resumes: registry.counter(names::CLUSTER_RESUMES),
             host_kills: registry.counter(names::CLUSTER_HOST_KILLS),
+            hosts_started: registry.counter(names::CLUSTER_HOSTS_STARTED),
+            hosts_retired: registry.counter(names::CLUSTER_HOSTS_RETIRED),
+            host_quarantines: registry.counter(names::CLUSTER_HOST_QUARANTINES),
             queue_depth: registry.gauge(names::CLUSTER_QUEUE_DEPTH),
             hosts_up: registry.gauge(names::CLUSTER_HOSTS_UP),
             latency: registry.histogram(names::CLUSTER_JOB_LATENCY_NS),
@@ -300,28 +318,20 @@ impl ClusterMetrics {
         }
     }
 
-    fn host_label(id: usize) -> String {
-        format!("h{id}")
-    }
-
-    fn set_host_gauges(&self, host: &mut SimHost, now: Instant) {
-        let label = Self::host_label(host.id());
-        self.registry
-            .gauge_with(names::HOST_INFLIGHT, names::LABEL_HOST, &label)
-            .set(host.inflight() as f64);
-        self.registry
-            .gauge_with(names::HOST_STATE, names::LABEL_HOST, &label)
-            .set(host.view(now).state.as_gauge());
-    }
-
-    fn host_completed(&self, id: usize) {
-        self.registry
-            .counter_with(
-                names::HOST_COMPLETED,
-                names::LABEL_HOST,
-                &Self::host_label(id),
-            )
-            .inc();
+    fn stats(&self) -> ClusterStats {
+        ClusterStats {
+            admitted: self.admitted.get(),
+            rejected_rate_limited: self.rejected_rate.get(),
+            rejected_saturated: self.rejected_saturated.get(),
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+            deadline_missed: self.deadline_missed.get(),
+            resumes: self.resumes.get(),
+            host_kills: self.host_kills.get(),
+            hosts_started: self.hosts_started.get(),
+            hosts_retired: self.hosts_retired.get(),
+            host_quarantines: self.host_quarantines.get(),
+        }
     }
 }
 
@@ -349,11 +359,10 @@ pub struct Cluster {
     hosts: Vec<SimHost>,
     autoscaler: Option<Autoscaler>,
     injector: Option<FaultInjector>,
-    metrics: Option<ClusterMetrics>,
+    metrics: ClusterMetrics,
     tick: u64,
     next_job: u64,
     results: Vec<ClusterResult>,
-    stats: ClusterStats,
     /// `(tenant, job)` in completion order, for fairness analysis.
     completion_log: Vec<(String, u64)>,
 }
@@ -363,9 +372,10 @@ impl Cluster {
     /// only to autoscaler additions) and opens the front door.
     pub fn start(cfg: ClusterConfig) -> Self {
         let now = Instant::now();
+        let metrics = ClusterMetrics::new(cfg.metrics.clone().unwrap_or_default());
         let hosts: Vec<SimHost> = (0..cfg.hosts.max(1))
             .map(|id| {
-                let mut h = SimHost::start(id, &cfg.host, cfg.health, now);
+                let mut h = SimHost::start(id, &cfg.host, cfg.health, now, &metrics.registry);
                 h.promote_if_warm(now);
                 h
             })
@@ -377,12 +387,11 @@ impl Cluster {
             hosts,
             autoscaler: cfg.autoscale.map(Autoscaler::new),
             injector: cfg.chaos.clone().map(FaultInjector::new),
-            metrics: cfg.metrics.clone().map(ClusterMetrics::new),
+            metrics,
             cfg,
             tick: 0,
             next_job: 0,
             results: Vec::new(),
-            stats: ClusterStats::default(),
             completion_log: Vec::new(),
         }
     }
@@ -421,28 +430,15 @@ impl Cluster {
             Ok(()) => {}
             Err(e) => {
                 match &e {
-                    AdmissionError::RateLimited { .. } => {
-                        self.stats.rejected_rate_limited += 1;
-                        if let Some(m) = &self.metrics {
-                            m.rejected_rate.inc();
-                        }
-                    }
-                    AdmissionError::Saturated { .. } => {
-                        self.stats.rejected_saturated += 1;
-                        if let Some(m) = &self.metrics {
-                            m.rejected_saturated.inc();
-                        }
-                    }
+                    AdmissionError::RateLimited { .. } => self.metrics.rejected_rate.inc(),
+                    AdmissionError::Saturated { .. } => self.metrics.rejected_saturated.inc(),
                     _ => {}
                 }
                 return Err(e);
             }
         }
         self.next_job += 1;
-        self.stats.admitted += 1;
-        if let Some(m) = &self.metrics {
-            m.admitted.inc();
-        }
+        self.metrics.admitted.inc();
         self.jobs.insert(
             id,
             Job {
@@ -474,18 +470,12 @@ impl Cluster {
         self.dispatch_ready(now);
         let resolved = self.harvest(now);
 
-        if let Some(m) = &self.metrics {
-            m.queue_depth
-                .set((self.door.depth() + self.ready.len()) as f64);
-            m.hosts_up.set(
-                self.hosts
-                    .iter()
-                    .filter(|h| h.state() == HostState::Up)
-                    .count() as f64,
-            );
-            for host in &mut self.hosts {
-                m.set_host_gauges(host, now);
-            }
+        self.metrics
+            .queue_depth
+            .set((self.door.depth() + self.ready.len()) as f64);
+        self.metrics.hosts_up.set(self.up_hosts() as f64);
+        for host in &self.hosts {
+            host.publish_gauges();
         }
         resolved
     }
@@ -501,7 +491,7 @@ impl Cluster {
         let Some(injector) = &self.injector else {
             return;
         };
-        if self.stats.host_kills >= self.cfg.max_kills || self.up_hosts() < 2 {
+        if self.metrics.host_kills.get() >= self.cfg.max_kills || self.up_hosts() < 2 {
             return;
         }
         let candidates: Vec<usize> = self
@@ -524,10 +514,7 @@ impl Cluster {
     /// their checkpoints and are re-queued — front of the line, with
     /// anti-affinity for the dead host — on the next pump.
     pub fn kill_host(&mut self, id: usize) {
-        self.stats.host_kills += 1;
-        if let Some(m) = &self.metrics {
-            m.host_kills.inc();
-        }
+        self.metrics.host_kills.inc();
         let Some(host) = self.hosts.iter_mut().find(|h| h.id() == id) else {
             return;
         };
@@ -538,13 +525,8 @@ impl Cluster {
         let harvested = host.kill();
         for (job_id, result) in harvested {
             match result.outcome {
-                Ok(output) => {
-                    // The proof beat the interrupt; count it normally.
-                    self.finish_job(job_id, Ok(output.proof), now);
-                    if let Some(m) = &self.metrics {
-                        m.host_completed(id);
-                    }
-                }
+                // The proof beat the interrupt; count it normally.
+                Ok(output) => self.finish_job(job_id, Ok(output.proof), now),
                 Err(_) => self.requeue_after_kill(job_id, id, now),
             }
         }
@@ -562,10 +544,7 @@ impl Cluster {
             self.finish_job(job_id, Err(format!("gave up after {resumes} resumes")), now);
             return;
         }
-        self.stats.resumes += 1;
-        if let Some(m) = &self.metrics {
-            m.resumes.inc();
-        }
+        self.metrics.resumes.inc();
         // Resumes go to the front: they hold partial work and their
         // deadline clocks are already running.
         self.ready.push_front(job_id);
@@ -592,8 +571,9 @@ impl Cluster {
                     &self.cfg.host,
                     self.cfg.health,
                     now + warmup,
+                    &self.metrics.registry,
                 ));
-                self.stats.hosts_started += 1;
+                self.metrics.hosts_started.inc();
             }
         } else if target < active {
             // Retire idle hosts, newest first (their caches are coldest).
@@ -615,7 +595,7 @@ impl Cluster {
             if host.state() == HostState::Draining && host.inflight() == 0 {
                 let leftovers = host.retire();
                 debug_assert!(leftovers.is_empty());
-                self.stats.hosts_retired += 1;
+                self.metrics.hosts_retired.inc();
             }
         }
     }
@@ -670,7 +650,7 @@ impl Cluster {
             .deadline
             .map(|d| d.saturating_sub(now.saturating_duration_since(job.admitted_at)));
         if remaining == Some(Duration::ZERO) {
-            self.stats.deadline_missed += 1;
+            self.metrics.deadline_missed.inc();
             self.finish_job(job_id, Err(JobError::DeadlineMissed.to_string()), now);
             return true;
         }
@@ -733,19 +713,16 @@ impl Cluster {
                         if let Some(host) = self.hosts.iter_mut().find(|h| h.id() == host_id) {
                             host.record_outcome(now, true);
                         }
-                        if let Some(m) = &self.metrics {
-                            m.host_completed(host_id);
-                        }
                         self.finish_job(job_id, Ok(output.proof), now);
                     }
                     Err(e) => {
                         if let Some(host) = self.hosts.iter_mut().find(|h| h.id() == host_id) {
                             if host.record_outcome(now, false) {
-                                self.stats.host_quarantines += 1;
+                                self.metrics.host_quarantines.inc();
                             }
                         }
                         if matches!(e, JobError::DeadlineMissed) {
-                            self.stats.deadline_missed += 1;
+                            self.metrics.deadline_missed.inc();
                         }
                         self.finish_job(job_id, Err(e.to_string()), now);
                     }
@@ -759,21 +736,13 @@ impl Cluster {
         let Some(job) = self.jobs.remove(&job_id) else {
             return;
         };
-        let ok = outcome.is_ok();
-        if ok {
-            self.stats.completed += 1;
+        let latency = now.saturating_duration_since(job.admitted_at);
+        if outcome.is_ok() {
+            self.metrics.completed.inc();
+            self.metrics.latency.record(latency.as_nanos() as u64);
             self.completion_log.push((job.tenant.clone(), job_id));
         } else {
-            self.stats.failed += 1;
-        }
-        let latency = now.saturating_duration_since(job.admitted_at);
-        if let Some(m) = &self.metrics {
-            if ok {
-                m.completed.inc();
-                m.latency.record(latency.as_nanos() as u64);
-            } else {
-                m.failed.inc();
-            }
+            self.metrics.failed.inc();
         }
         self.results.push(ClusterResult {
             id: job_id,
@@ -784,9 +753,9 @@ impl Cluster {
         });
     }
 
-    /// Running counters so far.
+    /// Running counters so far, read from the cluster's registry.
     pub fn stats(&self) -> ClusterStats {
-        self.stats
+        self.metrics.stats()
     }
 
     /// `(tenant, job)` pairs in completion order — what the fair-share
@@ -851,13 +820,10 @@ impl Cluster {
         }
         // Final gauge sync so a snapshot taken after the drain shows the
         // terminal host states, not the last mid-run ones.
-        if let Some(m) = &self.metrics {
-            m.hosts_up.set(0.0);
-            m.queue_depth.set(0.0);
-            let now = Instant::now();
-            for host in &mut self.hosts {
-                m.set_host_gauges(host, now);
-            }
+        self.metrics.hosts_up.set(0.0);
+        self.metrics.queue_depth.set(0.0);
+        for host in &self.hosts {
+            host.publish_gauges();
         }
         let makespan_ns = self
             .hosts
@@ -872,7 +838,7 @@ impl Cluster {
             .collect();
         ClusterOutcome {
             results: std::mem::take(&mut self.results),
-            stats: self.stats,
+            stats: self.stats(),
             tenants,
             hosts: self.hosts.iter().map(|h| h.report()).collect(),
             makespan_ns,

@@ -9,6 +9,7 @@ use gzkp_service::{
     JobHandle, JobOptions, JobResult, ProofTask, ProvingService, RetryPolicy, ServiceConfig,
     ServiceStats, SubmitError,
 };
+use gzkp_telemetry::{names, Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -72,10 +73,12 @@ pub struct HostReport {
     pub state: HostState,
     /// Whether chaos killed this host (as opposed to retiring).
     pub killed: bool,
-    /// Jobs that resolved successfully on this host.
+    /// Jobs that resolved successfully on this host (its
+    /// `host.completed{host=hN}` counter).
     pub completed: u64,
-    /// Jobs that resolved with an error on this host (including the
-    /// interrupted ones later resumed elsewhere).
+    /// Jobs that resolved with an error on this host, including the
+    /// interrupted ones later resumed elsewhere (its
+    /// `host.failed{host=hN}` counter).
     pub failed: u64,
     /// Per-device utilization of the host's fleet, captured at stop.
     pub utilization: Option<FleetUtilization>,
@@ -98,8 +101,12 @@ pub struct SimHost {
     /// host from placement until its probation window passes.
     health: DeviceHealth,
     killed: bool,
-    completed: u64,
-    failed: u64,
+    /// This host's `host=hN` series in the cluster's registry: every
+    /// result the host hands back is counted in `completed` or `failed`.
+    completed: Counter,
+    failed: Counter,
+    inflight_gauge: Gauge,
+    state_gauge: Gauge,
     utilization: Option<FleetUtilization>,
     final_stats: Option<ServiceStats>,
     queue_capacity: usize,
@@ -112,9 +119,19 @@ impl SimHost {
     /// `warm_until`. Host services run with retries disabled — the
     /// cluster layer owns failure handling via checkpointed resume, and
     /// a host-local retry of an interrupted task could only stall the
-    /// kill path.
-    pub fn start(id: usize, cfg: &HostConfig, health: HealthPolicy, warm_until: Instant) -> Self {
+    /// kill path. The host's `host=hN` series live in `metrics` (the
+    /// cluster's registry); its service counts into a private one.
+    pub fn start(
+        id: usize,
+        cfg: &HostConfig,
+        health: HealthPolicy,
+        warm_until: Instant,
+        metrics: &MetricsRegistry,
+    ) -> Self {
         assert!(!cfg.devices.is_empty(), "a host needs at least one device");
+        let label = format!("h{id}");
+        let counter = |name| metrics.counter_with(name, names::LABEL_HOST, &label);
+        let gauge = |name| metrics.gauge_with(name, names::LABEL_HOST, &label);
         let service = ProvingService::start(ServiceConfig {
             queue_capacity: cfg.queue_capacity.max(1),
             prep_cache_bytes: cfg.prep_cache_bytes,
@@ -135,8 +152,10 @@ impl SimHost {
             inflight: HashMap::new(),
             health: DeviceHealth::new(health),
             killed: false,
-            completed: 0,
-            failed: 0,
+            completed: counter(names::HOST_COMPLETED),
+            failed: counter(names::HOST_FAILED),
+            inflight_gauge: gauge(names::HOST_INFLIGHT),
+            state_gauge: gauge(names::HOST_STATE),
             utilization: None,
             final_stats: None,
             queue_capacity: cfg.queue_capacity.max(1),
@@ -209,13 +228,17 @@ impl SimHost {
     /// Returns `true` when the failure newly quarantined the host.
     pub fn record_outcome(&mut self, now: Instant, ok: bool) -> bool {
         if ok {
-            self.completed += 1;
             self.health.on_success(now);
             false
         } else {
-            self.failed += 1;
             self.health.on_failure(now, false)
         }
+    }
+
+    /// Publishes the host's `host.inflight` and `host.state` gauges.
+    pub(crate) fn publish_gauges(&self) {
+        self.inflight_gauge.set(self.inflight.len() as f64);
+        self.state_gauge.set(self.state.as_gauge());
     }
 
     /// Submits a built task under cluster job id `job_id`.
@@ -238,16 +261,28 @@ impl SimHost {
 
     /// Harvests every job that has resolved since the last poll.
     pub fn poll_finished(&mut self) -> Vec<(u64, JobResult)> {
-        let done: Vec<u64> = self
+        self.take(JobHandle::is_finished)
+    }
+
+    /// Waits out and hands back the results of the in-flight jobs `pick`
+    /// selects, counting each in `host.completed` or `host.failed` — the
+    /// one place a host's results leave it, on the harvest, kill and
+    /// retire paths alike.
+    fn take(&mut self, pick: fn(&JobHandle) -> bool) -> Vec<(u64, JobResult)> {
+        let ids: Vec<u64> = self
             .inflight
             .iter()
-            .filter(|(_, h)| h.is_finished())
+            .filter(|(_, h)| pick(h))
             .map(|(&id, _)| id)
             .collect();
-        done.into_iter()
+        ids.into_iter()
             .map(|id| {
-                let handle = self.inflight.remove(&id).expect("id from this map");
-                (id, handle.wait())
+                let result = self.inflight.remove(&id).expect("id from this map").wait();
+                match result.outcome {
+                    Ok(_) => self.completed.inc(),
+                    Err(_) => self.failed.inc(),
+                }
+                (id, result)
             })
             .collect()
     }
@@ -260,7 +295,7 @@ impl SimHost {
         self.kill_flag.store(true, Ordering::Relaxed);
         self.killed = true;
         self.stop();
-        self.drain_inflight()
+        self.take(|_| true)
     }
 
     /// Graceful retirement (scale-down or end of run): waits for
@@ -268,7 +303,7 @@ impl SimHost {
     /// resolved during the final drain.
     pub fn retire(&mut self) -> Vec<(u64, JobResult)> {
         self.stop();
-        self.drain_inflight()
+        self.take(|_| true)
     }
 
     fn stop(&mut self) {
@@ -279,24 +314,14 @@ impl SimHost {
         self.state = HostState::Dead;
     }
 
-    fn drain_inflight(&mut self) -> Vec<(u64, JobResult)> {
-        let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        ids.into_iter()
-            .map(|id| {
-                let handle = self.inflight.remove(&id).expect("id from this map");
-                (id, handle.wait())
-            })
-            .collect()
-    }
-
     /// Final accounting row.
     pub fn report(&self) -> HostReport {
         HostReport {
             id: self.id,
             state: self.state,
             killed: self.killed,
-            completed: self.completed,
-            failed: self.failed,
+            completed: self.completed.get(),
+            failed: self.failed.get(),
             utilization: self.utilization.clone(),
             stats: self.final_stats,
         }

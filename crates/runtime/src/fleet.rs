@@ -19,7 +19,7 @@ use gzkp_telemetry::metrics::{Counter, Gauge, MetricsRegistry};
 use gzkp_telemetry::trace::{Trace, TraceNode};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// What happened to a device, for the fault/quarantine history shown in
@@ -59,9 +59,8 @@ pub struct HealthEvent {
     pub sim_ns: f64,
 }
 
-/// Lock-free per-device metric handles, attached once by
-/// [`FleetRuntime::attach_metrics`]. All series carry a
-/// `device="dev{n}"` label.
+/// Lock-free per-device metric handles in the fleet's registry. All
+/// series carry a `device="dev{n}"` label.
 struct DeviceCells {
     stages: Counter,
     steals: Counter,
@@ -73,6 +72,26 @@ struct DeviceCells {
     elapsed_ns: Gauge,
     quarantine_ns: Gauge,
     quarantines: Counter,
+}
+
+impl DeviceCells {
+    fn new(registry: &MetricsRegistry, index: usize) -> Self {
+        let dev = format!("dev{index}");
+        let counter = |name| registry.counter_with(name, "device", &dev);
+        let gauge = |name| registry.gauge_with(name, "device", &dev);
+        DeviceCells {
+            stages: counter(counters::DEVICE_STAGES),
+            steals: counter(counters::RUNTIME_STEALS),
+            shards: counter(counters::RUNTIME_SHARDS),
+            h2d_bytes: counter(counters::RUNTIME_H2D_BYTES),
+            d2h_bytes: counter(counters::RUNTIME_D2H_BYTES),
+            p2p_bytes: counter(counters::RUNTIME_P2P_BYTES),
+            busy_ns: gauge(counters::DEVICE_BUSY_NS),
+            elapsed_ns: gauge(counters::DEVICE_ELAPSED_NS),
+            quarantine_ns: gauge(counters::DEVICE_QUARANTINE_NS),
+            quarantines: counter(counters::QUARANTINE_EVENTS),
+        }
+    }
 }
 
 /// Relative sustained throughput of a device: SM count times per-SM MAC
@@ -106,20 +125,17 @@ struct DeviceRuntime {
     inflight: AtomicU64,
     /// Total stages ever placed on this device.
     jobs: AtomicU64,
-    /// Jobs this device stole from another device's queue.
-    steals: AtomicU64,
-    /// Bucket-range MSM shards executed on this device.
-    shards: AtomicU64,
     /// Circuit-breaker state (see [`crate::health`]).
     health: Mutex<DeviceHealth>,
     /// Fault/quarantine history, in record order.
     events: Mutex<Vec<HealthEvent>>,
-    /// Live metric handles, when a registry is attached.
-    cells: OnceLock<DeviceCells>,
+    /// The device's counters (steals, shards, quarantines, bytes) and
+    /// live gauges.
+    cells: DeviceCells,
 }
 
 impl DeviceRuntime {
-    fn new(config: DeviceConfig, policy: HealthPolicy) -> Self {
+    fn new(config: DeviceConfig, policy: HealthPolicy, cells: DeviceCells) -> Self {
         let mut timeline = DeviceTimeline::new(config.clone());
         let upload = timeline.stream();
         let execute = timeline.stream();
@@ -136,11 +152,9 @@ impl DeviceRuntime {
             }),
             inflight: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            shards: AtomicU64::new(0),
             health: Mutex::new(DeviceHealth::new(policy)),
             events: Mutex::new(Vec::new()),
-            cells: OnceLock::new(),
+            cells,
         }
     }
 }
@@ -238,39 +252,47 @@ impl FleetUtilization {
 /// Thread-safe: placement counters are atomics and each device's timeline
 /// sits behind its own mutex, so service workers pinned to different
 /// devices never contend.
+///
+/// Every per-device count (steals, shards, quarantines, stage bytes) is
+/// one `device="dev{n}"` counter in the registry the fleet was built
+/// with — the caller's through [`FleetRuntime::with_health_policy`], a
+/// private one through [`FleetRuntime::new`] — and
+/// [`FleetRuntime::utilization`] reads those same counters back.
 pub struct FleetRuntime {
     devices: Vec<DeviceRuntime>,
-    /// Fleet-wide D2D traffic, counted once per transfer (each endpoint's
-    /// timeline also shows the op, so summing per-device port bytes would
-    /// double-count).
-    p2p_bytes: AtomicU64,
     p2p_transfers: AtomicU64,
 }
 
 impl FleetRuntime {
-    /// Builds a fleet over `configs` (one timeline per device).
+    /// Builds a fleet over `configs` (one timeline per device), counting
+    /// into a private registry.
     ///
     /// # Panics
     ///
     /// Panics on an empty config list — a fleet without devices cannot
     /// place anything.
     pub fn new(configs: Vec<DeviceConfig>) -> Self {
-        Self::with_health_policy(configs, HealthPolicy::default())
+        Self::with_health_policy(configs, HealthPolicy::default(), &MetricsRegistry::new())
     }
 
-    /// Builds a fleet with an explicit circuit-breaker policy.
+    /// Builds a fleet with an explicit circuit-breaker policy whose
+    /// per-device series (`device="dev{n}"` labels) live in `registry`.
     ///
     /// # Panics
     ///
     /// Panics on an empty config list.
-    pub fn with_health_policy(configs: Vec<DeviceConfig>, policy: HealthPolicy) -> Self {
+    pub fn with_health_policy(
+        configs: Vec<DeviceConfig>,
+        policy: HealthPolicy,
+        registry: &MetricsRegistry,
+    ) -> Self {
         assert!(!configs.is_empty(), "fleet needs at least one device");
         FleetRuntime {
             devices: configs
                 .into_iter()
-                .map(|c| DeviceRuntime::new(c, policy))
+                .enumerate()
+                .map(|(i, c)| DeviceRuntime::new(c, policy, DeviceCells::new(registry, i)))
                 .collect(),
-            p2p_bytes: AtomicU64::new(0),
             p2p_transfers: AtomicU64::new(0),
         }
     }
@@ -327,27 +349,6 @@ impl FleetRuntime {
         self.devices[dev].jobs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Attaches per-device live-metric series (`device="dev{n}"` labels)
-    /// to `registry`. Idempotent; before this is called every recording
-    /// path skips metrics at the cost of one `OnceLock` load.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        for (i, d) in self.devices.iter().enumerate() {
-            let dev = format!("dev{i}");
-            let _ = d.cells.set(DeviceCells {
-                stages: registry.counter_with(counters::DEVICE_STAGES, "device", &dev),
-                steals: registry.counter_with(counters::RUNTIME_STEALS, "device", &dev),
-                shards: registry.counter_with(counters::RUNTIME_SHARDS, "device", &dev),
-                h2d_bytes: registry.counter_with(counters::RUNTIME_H2D_BYTES, "device", &dev),
-                d2h_bytes: registry.counter_with(counters::RUNTIME_D2H_BYTES, "device", &dev),
-                p2p_bytes: registry.counter_with(counters::RUNTIME_P2P_BYTES, "device", &dev),
-                busy_ns: registry.gauge_with(counters::DEVICE_BUSY_NS, "device", &dev),
-                elapsed_ns: registry.gauge_with(counters::DEVICE_ELAPSED_NS, "device", &dev),
-                quarantine_ns: registry.gauge_with(counters::DEVICE_QUARANTINE_NS, "device", &dev),
-                quarantines: registry.counter_with(counters::QUARANTINE_EVENTS, "device", &dev),
-            });
-        }
-    }
-
     /// Marks one placed stage on `dev` as finished.
     pub fn complete(&self, dev: usize) {
         self.devices[dev].inflight.fetch_sub(1, Ordering::Relaxed);
@@ -355,18 +356,12 @@ impl FleetRuntime {
 
     /// Counts a work steal *by* device `dev` (the thief).
     pub fn record_steal(&self, dev: usize) {
-        self.devices[dev].steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.devices[dev].cells.get() {
-            c.steals.inc();
-        }
+        self.devices[dev].cells.steals.inc();
     }
 
     /// Counts `count` bucket-range MSM shards executed on device `dev`.
     pub fn record_shards(&self, dev: usize, count: u64) {
-        self.devices[dev].shards.fetch_add(count, Ordering::Relaxed);
-        if let Some(c) = self.devices[dev].cells.get() {
-            c.shards.add(count);
-        }
+        self.devices[dev].cells.shards.add(count);
     }
 
     /// Simulated elapsed time on `dev`'s timeline right now.
@@ -389,10 +384,10 @@ impl FleetRuntime {
 
     /// Refreshes `dev`'s quarantine-time gauge from its breaker state.
     fn refresh_quarantine_gauge(&self, dev: usize, now: Instant) {
-        if let Some(c) = self.devices[dev].cells.get() {
-            c.quarantine_ns
-                .set(self.health(dev).quarantined_ns(now) as f64);
-        }
+        self.devices[dev]
+            .cells
+            .quarantine_ns
+            .set(self.health(dev).quarantined_ns(now) as f64);
     }
 
     fn health(&self, dev: usize) -> std::sync::MutexGuard<'_, DeviceHealth> {
@@ -436,9 +431,7 @@ impl FleetRuntime {
         );
         if newly {
             self.push_event(dev, HealthEventKind::Quarantined, sim_ns);
-            if let Some(c) = self.devices[dev].cells.get() {
-                c.quarantines.inc();
-            }
+            self.devices[dev].cells.quarantines.inc();
         }
         self.refresh_quarantine_gauge(dev, now);
         newly
@@ -451,9 +444,7 @@ impl FleetRuntime {
         let newly = self.health(dev).force_quarantine(now);
         if newly {
             self.push_event(dev, HealthEventKind::Quarantined, self.elapsed_sim_ns(dev));
-            if let Some(c) = self.devices[dev].cells.get() {
-                c.quarantines.inc();
-            }
+            self.devices[dev].cells.quarantines.inc();
         }
         self.refresh_quarantine_gauge(dev, now);
         newly
@@ -472,7 +463,7 @@ impl FleetRuntime {
 
     /// Times `dev` has entered quarantine.
     pub fn quarantine_count(&self, dev: usize) -> u64 {
-        self.health(dev).quarantine_count()
+        self.devices[dev].cells.quarantines.get()
     }
 
     /// Total quarantine entries across the fleet.
@@ -550,9 +541,9 @@ impl FleetRuntime {
     }
 
     /// Total device↔device bytes the fleet has routed (each transfer
-    /// counted once, regardless of link class).
+    /// counted once, at its source device, regardless of link class).
     pub fn p2p_bytes(&self) -> u64 {
-        self.p2p_bytes.load(Ordering::Relaxed)
+        self.devices.iter().map(|d| d.cells.p2p_bytes.get()).sum()
     }
 
     /// Total device↔device transfers the fleet has routed.
@@ -610,11 +601,8 @@ impl FleetRuntime {
         dst_lanes.timeline.wait(ex, Event::at(arrival));
         drop(src_lanes);
         drop(dst_lanes);
-        self.p2p_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.p2p_transfers.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.devices[src].cells.get() {
-            c.p2p_bytes.add(bytes);
-        }
+        self.devices[src].cells.p2p_bytes.add(bytes);
         arrival
     }
 
@@ -662,13 +650,12 @@ impl FleetRuntime {
             );
             last = ev.at_ns();
         }
-        if let Some(c) = self.devices[dev].cells.get() {
-            c.stages.inc();
-            c.h2d_bytes.add(h2d_bytes);
-            c.d2h_bytes.add(d2h_bytes);
-            c.busy_ns.set(lanes.timeline.busy_ns(EngineKind::Compute));
-            c.elapsed_ns.set(lanes.timeline.elapsed_ns());
-        }
+        let c = &self.devices[dev].cells;
+        c.stages.inc();
+        c.h2d_bytes.add(h2d_bytes);
+        c.d2h_bytes.add(d2h_bytes);
+        c.busy_ns.set(lanes.timeline.busy_ns(EngineKind::Compute));
+        c.elapsed_ns.set(lanes.timeline.elapsed_ns());
         last
     }
 
@@ -701,8 +688,8 @@ impl FleetRuntime {
                 index,
                 name: d.config.name.to_string(),
                 jobs: d.jobs.load(Ordering::Relaxed),
-                steals: d.steals.load(Ordering::Relaxed),
-                shards: d.shards.load(Ordering::Relaxed),
+                steals: d.cells.steals.get(),
+                shards: d.cells.shards.get(),
                 quarantines: self.quarantine_count(index),
                 h2d_bytes: lanes.timeline.h2d_bytes(),
                 d2h_bytes: lanes.timeline.d2h_bytes(),
@@ -722,11 +709,9 @@ impl FleetRuntime {
             };
             // A snapshot is also a good moment to bring the live gauges
             // up to date for devices that stopped recording stages.
-            if let Some(c) = d.cells.get() {
-                c.busy_ns.set(row.kernel_ns);
-                c.elapsed_ns.set(row.elapsed_ns);
-                c.quarantine_ns.set(row.quarantine_ns as f64);
-            }
+            d.cells.busy_ns.set(row.kernel_ns);
+            d.cells.elapsed_ns.set(row.elapsed_ns);
+            d.cells.quarantine_ns.set(row.quarantine_ns as f64);
             rows.push(row);
         }
         let elapsed_ns = rows.iter().fold(0.0f64, |m, r| m.max(r.elapsed_ns));
@@ -938,7 +923,12 @@ mod tests {
 
     #[test]
     fn utilization_rolls_up_engines() {
-        let fleet = FleetRuntime::new(parse_devices("2").unwrap());
+        let registry = MetricsRegistry::new();
+        let fleet = FleetRuntime::with_health_policy(
+            parse_devices("2").unwrap(),
+            HealthPolicy::default(),
+            &registry,
+        );
         fleet.assign(0);
         fleet.record_stage(0, "p", 1 << 20, 2.0e6, 4096);
         fleet.complete(0);
@@ -954,6 +944,14 @@ mod tests {
         assert_eq!(util.devices[1].steals, 1);
         assert_eq!(util.devices[1].jobs, 0);
         assert!((util.elapsed_ns - d0.elapsed_ns).abs() < 1e-9);
+        // The rows are reads of the registry's per-device counters.
+        let snap = registry.snapshot();
+        for d in &util.devices {
+            let dev = format!("dev{}", d.index);
+            let count = |name| snap.counter_labeled(name, "device", &dev);
+            assert_eq!(count(counters::RUNTIME_STEALS), Some(d.steals));
+            assert_eq!(count(counters::RUNTIME_SHARDS), Some(d.shards));
+        }
         let table = util.render();
         assert!(table.contains("dev0 V100"));
         assert!(table.contains("util"));
@@ -1052,7 +1050,8 @@ mod tests {
             probation: Duration::from_secs(60),
             max_probation: Duration::from_secs(60),
         };
-        let fleet = FleetRuntime::with_health_policy(vec![v100(), v100()], policy);
+        let fleet =
+            FleetRuntime::with_health_policy(vec![v100(), v100()], policy, &MetricsRegistry::new());
         assert_eq!(fleet.place_available(None), Some(0));
         // Retry placement avoids the device the stage just failed on.
         assert_eq!(fleet.place_available(Some(0)), Some(1));

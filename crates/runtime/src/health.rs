@@ -70,8 +70,6 @@ pub struct DeviceHealth {
     until: Instant,
     /// Current backoff window; doubles on each failed probe.
     window: Duration,
-    /// Times this device has entered quarantine.
-    quarantines: u64,
     /// When the device left `Healthy` (set on quarantine entry, cleared
     /// by the successful probe that restores it).
     degraded_since: Option<Instant>,
@@ -88,7 +86,6 @@ impl DeviceHealth {
             state: HealthState::Healthy,
             until: Instant::now(),
             window: policy.probation,
-            quarantines: 0,
             degraded_since: None,
             degraded_total: Duration::ZERO,
         }
@@ -156,15 +153,9 @@ impl DeviceHealth {
         self.state = HealthState::Quarantined;
         self.until = now + self.window;
         self.consecutive = 0;
-        self.quarantines += 1;
         if self.degraded_since.is_none() {
             self.degraded_since = Some(now);
         }
-    }
-
-    /// Times this device has entered quarantine.
-    pub fn quarantine_count(&self) -> u64 {
-        self.quarantines
     }
 
     /// Total wall-clock nanoseconds the device has spent degraded
@@ -200,7 +191,6 @@ mod tests {
         assert!(h.available(t0), "still healthy below the threshold");
         assert!(h.on_failure(t0, false), "third strike quarantines");
         assert!(!h.available(t0));
-        assert_eq!(h.quarantine_count(), 1);
     }
 
     #[test]
@@ -262,14 +252,13 @@ mod tests {
     fn failed_probe_doubles_the_window_up_to_the_cap() {
         let mut h = DeviceHealth::new(policy());
         let mut now = Instant::now();
-        h.on_failure(now, true); // window 100ms
+        assert!(h.on_failure(now, true)); // window 100ms
         for expected_ms in [200u64, 400, 400, 400] {
             now += Duration::from_millis(500);
             assert_eq!(h.state(now), HealthState::Probation);
             assert!(h.on_failure(now, false), "failed probe re-quarantines");
             assert_eq!(h.window, Duration::from_millis(expected_ms));
         }
-        assert_eq!(h.quarantine_count(), 5);
     }
 
     #[test]
@@ -278,6 +267,5 @@ mod tests {
         let t0 = Instant::now();
         assert!(h.force_quarantine(t0));
         assert!(!h.force_quarantine(t0), "already quarantined");
-        assert_eq!(h.quarantine_count(), 1);
     }
 }

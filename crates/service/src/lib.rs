@@ -209,10 +209,13 @@ pub struct ServiceConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker policy of the device fleet (fleet mode only).
     pub health: gzkp_runtime::HealthPolicy,
-    /// Live metrics: when set, the service registers its counters,
-    /// queue-depth gauge, and latency histograms in this registry (and
-    /// attaches per-device fleet series in fleet mode). `None` (the
-    /// default) records nothing — the hot path pays one branch per site.
+    /// The registry the service counts into: its counters, queue-depth
+    /// gauge and latency histograms, plus the per-device fleet series in
+    /// fleet mode. Every event is counted once, there, and
+    /// [`ProvingService::stats`] reads it back. `None` (the default)
+    /// gives the service a private registry. A registry passed here
+    /// belongs to this one service: two services sharing it would sum
+    /// into each other's stats.
     pub metrics: Option<std::sync::Arc<gzkp_telemetry::MetricsRegistry>>,
 }
 

@@ -11,7 +11,6 @@ use gzkp_telemetry::{
     TraceRecorder,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,9 +84,11 @@ struct Queue {
     next_id: u64,
 }
 
-/// Cached live-metrics handles, resolved once at service start so the
-/// hot path never touches the registry's name table. All cells are
-/// lock-free atomics shared with whoever else snapshots the registry.
+/// The service's one set of counter, gauge and histogram handles,
+/// resolved once at start in the registry it always holds (the caller's
+/// [`ServiceConfig::metrics`] or a private one), so the hot path never
+/// touches the registry's name table. [`ProvingService::stats`] reads
+/// these same cells back.
 struct ServiceMetrics {
     accepted: Counter,
     rejected: Counter,
@@ -147,22 +148,6 @@ impl ServiceMetrics {
     }
 }
 
-#[derive(Default)]
-struct StatCells {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    deadline_missed: AtomicU64,
-    cancelled: AtomicU64,
-    drained: AtomicU64,
-    failed: AtomicU64,
-    retries: AtomicU64,
-    faults_injected: AtomicU64,
-    verify_rejects: AtomicU64,
-    verify_votes: AtomicU64,
-    cpu_fallbacks: AtomicU64,
-}
-
 /// Snapshot of the service's lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -207,15 +192,13 @@ struct Inner {
     work_cv: Condvar,
     /// Signaled when `open` drops to zero (drain/shutdown waiters).
     idle_cv: Condvar,
-    stats: StatCells,
     store: Arc<PreprocessStore>,
     /// Fleet mode: per-device timelines and placement counters.
     fleet: Option<Arc<FleetRuntime>>,
     /// Chaos mode: the deterministic fault oracle rolled before every
     /// stage execution.
     injector: Option<Arc<FaultInjector>>,
-    /// Live metrics handles, present iff [`ServiceConfig::metrics`] is.
-    metrics: Option<ServiceMetrics>,
+    metrics: ServiceMetrics,
 }
 
 enum Stage {
@@ -232,9 +215,10 @@ pub const VERIFY_VOTE_RUNS: u32 = 3;
 /// Publishes the live queue depth. Queue lock held by the caller, so the
 /// gauge is always a value the queue actually had.
 fn gauge_queue_depth(inner: &Inner, q: &Queue) {
-    if let Some(m) = &inner.metrics {
-        m.queue_depth.set((q.pending.len() + q.staged.len()) as f64);
-    }
+    inner
+        .metrics
+        .queue_depth
+        .set((q.pending.len() + q.staged.len()) as f64);
 }
 
 /// The running service: worker threads plus the shared state they
@@ -249,10 +233,12 @@ impl ProvingService {
     /// service. With a non-empty [`ServiceConfig::devices`] fleet, one
     /// worker is pinned per device and `cfg.workers` is ignored.
     pub fn start(cfg: ServiceConfig) -> Self {
+        let registry = cfg.metrics.clone().unwrap_or_default();
         let fleet = (!cfg.devices.is_empty()).then(|| {
             Arc::new(FleetRuntime::with_health_policy(
                 cfg.devices.clone(),
                 cfg.health,
+                &registry,
             ))
         });
         let injector = cfg
@@ -260,12 +246,6 @@ impl ProvingService {
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
         let worker_count = fleet.as_ref().map_or(cfg.workers.max(1), |f| f.len());
-        let metrics = cfg.metrics.as_deref().map(|reg| {
-            if let Some(f) = &fleet {
-                f.attach_metrics(reg);
-            }
-            ServiceMetrics::new(reg)
-        });
         let inner = Arc::new(Inner {
             store: Arc::new(PreprocessStore::new(cfg.prep_cache_bytes)),
             queue: Mutex::new(Queue {
@@ -279,10 +259,9 @@ impl ProvingService {
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            stats: StatCells::default(),
             fleet,
             injector,
-            metrics,
+            metrics: ServiceMetrics::new(&registry),
             cfg,
         });
         let workers = (0..worker_count)
@@ -340,10 +319,7 @@ impl ProvingService {
             return Err(SubmitError::ShuttingDown);
         }
         if q.pending.len() + q.staged.len() >= self.inner.cfg.queue_capacity {
-            self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.inner.metrics {
-                m.rejected.inc();
-            }
+            self.inner.metrics.rejected.inc();
             return Err(SubmitError::QueueFull {
                 capacity: self.inner.cfg.queue_capacity,
             });
@@ -383,10 +359,7 @@ impl ProvingService {
             avoid_device: None,
         });
         q.open += 1;
-        self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.inner.metrics {
-            m.accepted.inc();
-        }
+        self.inner.metrics.accepted.inc();
         gauge_queue_depth(&self.inner, &q);
         drop(q);
         self.inner.work_cv.notify_one();
@@ -402,27 +375,27 @@ impl ProvingService {
         }
     }
 
-    /// Lifetime counters.
+    /// Lifetime counters, read from the service's registry handles.
     pub fn stats(&self) -> ServiceStats {
-        let s = &self.inner.stats;
+        let m = &self.inner.metrics;
         ServiceStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            deadline_missed: s.deadline_missed.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            drained: s.drained.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            faults_injected: s.faults_injected.load(Ordering::Relaxed),
-            verify_rejects: s.verify_rejects.load(Ordering::Relaxed),
-            verify_votes: s.verify_votes.load(Ordering::Relaxed),
+            accepted: m.accepted.get(),
+            rejected: m.rejected.get(),
+            completed: m.completed.get(),
+            deadline_missed: m.deadline_missed.get(),
+            cancelled: m.cancelled.get(),
+            drained: m.drained.get(),
+            failed: m.failed.get(),
+            retries: m.retries.get(),
+            faults_injected: m.faults_injected.get(),
+            verify_rejects: m.verify_rejects.get(),
+            verify_votes: m.verify_votes.get(),
             quarantines: self
                 .inner
                 .fleet
                 .as_ref()
                 .map_or(0, |f| f.quarantine_events()),
-            cpu_fallbacks: s.cpu_fallbacks.load(Ordering::Relaxed),
+            cpu_fallbacks: m.cpu_fallbacks.get(),
         }
     }
 
@@ -564,10 +537,7 @@ fn place_job(inner: &Inner, fleet: &FleetRuntime, job: &mut Job, own: usize) {
                 fleet.complete(prev);
             }
             job.task.bind_device(&gzkp_gpu_sim::cpu_xeon());
-            inner.stats.cpu_fallbacks.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &inner.metrics {
-                m.cpu_fallbacks.inc();
-            }
+            inner.metrics.cpu_fallbacks.inc();
         }
     }
 }
@@ -665,10 +635,7 @@ fn roll_fault(
     if !dead_hit {
         job.attempt += 1;
         job.faults += 1;
-        inner.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &inner.metrics {
-            m.faults_injected.inc();
-        }
+        inner.metrics.faults_injected.inc();
     }
     Some(kind)
 }
@@ -699,10 +666,7 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool, to_stage
         );
     }
     job.retries += 1;
-    inner.stats.retries.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.metrics {
-        m.retries.inc();
-    }
+    inner.metrics.retries.inc();
     if let Some(rec) = &job.recorder {
         rec.span_start(counters::SPAN_RETRY);
         rec.span_end(counters::SPAN_RETRY);
@@ -731,9 +695,8 @@ fn run_poly(inner: &Inner, mut job: Job) {
         // re-enter without reopening the service spans.
         job.started = true;
         job.queue_wait = job.submitted.elapsed();
-        if let Some(m) = &inner.metrics {
-            m.queue_wait.record(job.queue_wait.as_nanos() as u64);
-        }
+        let wait_ns = job.queue_wait.as_nanos() as u64;
+        inner.metrics.queue_wait.record(wait_ns);
         if let Some(rec) = &job.recorder {
             rec.span_start(counters::SPAN_SERVICE);
             rec.span_start(counters::SPAN_QUEUE_WAIT);
@@ -753,20 +716,10 @@ fn run_poly(inner: &Inner, mut job: Job) {
         let hard = kind == FaultKind::DeviceHang;
         return retry_or_fail(inner, job, &format!("poly {kind}"), hard, false);
     }
-    let stage_start = Instant::now();
-    let outcome = {
-        let task = &mut job.task;
-        let sink: &dyn TelemetrySink = match &job.recorder {
-            Some(rec) => rec,
-            None => &NoopSink,
-        };
-        catch_unwind(AssertUnwindSafe(|| task.poly(sink)))
-    };
-    if let Some(m) = &inner.metrics {
-        m.stage_poly.record(stage_start.elapsed().as_nanos() as u64);
-    }
-    match outcome {
-        Ok(Ok(())) => {
+    match run_stage(&mut job, &inner.metrics.stage_poly, |task, sink| {
+        task.poly(sink)
+    }) {
+        Ok(()) => {
             if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
                 let p = job.task.poly_profile();
                 fleet.record_stage_ctx(
@@ -782,9 +735,26 @@ fn run_poly(inner: &Inner, mut job: Job) {
             drop(q);
             inner.work_cv.notify_one();
         }
-        Ok(Err(msg)) => resolve(inner, job, Err(JobError::Failed(msg))),
-        Err(panic) => resolve(inner, job, Err(JobError::Failed(panic_message(&*panic)))),
+        Err(msg) => resolve(inner, job, Err(JobError::Failed(msg))),
     }
+}
+
+/// Runs one stage body with the job's trace sink under `catch_unwind`
+/// (a panic becomes its message) and records its wall time in `latency`.
+fn run_stage<T>(
+    job: &mut Job,
+    latency: &LatencyHistogram,
+    body: impl FnOnce(&mut dyn ProofTask, &dyn TelemetrySink) -> Result<T, String>,
+) -> Result<T, String> {
+    let start = Instant::now();
+    let sink: &dyn TelemetrySink = match &job.recorder {
+        Some(rec) => rec,
+        None => &NoopSink,
+    };
+    let task = &mut *job.task;
+    let outcome = catch_unwind(AssertUnwindSafe(|| body(task, sink)));
+    latency.record(start.elapsed().as_nanos() as u64);
+    outcome.unwrap_or_else(|panic| Err(panic_message(&*panic)))
 }
 
 fn run_msm(inner: &Inner, mut job: Job) {
@@ -806,20 +776,10 @@ fn run_msm(inner: &Inner, mut job: Job) {
         }
         None => false,
     };
-    let stage_start = Instant::now();
-    let outcome = {
-        let task = &mut job.task;
-        let sink: &dyn TelemetrySink = match &job.recorder {
-            Some(rec) => rec,
-            None => &NoopSink,
-        };
-        catch_unwind(AssertUnwindSafe(|| task.msm(sink)))
-    };
-    if let Some(m) = &inner.metrics {
-        m.stage_msm.record(stage_start.elapsed().as_nanos() as u64);
-    }
-    match outcome {
-        Ok(Ok(mut output)) => {
+    match run_stage(&mut job, &inner.metrics.stage_msm, |task, sink| {
+        task.msm(sink)
+    }) {
+        Ok(mut output) => {
             if corruption {
                 // A silently flipped limb: the stage "succeeded" and
                 // nothing downstream notices without verification.
@@ -849,17 +809,11 @@ fn run_msm(inner: &Inner, mut job: Job) {
             if verdict.is_some() {
                 // Every verification of a produced proof is one vote.
                 job.verify_votes += 1;
-                inner.stats.verify_votes.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &inner.metrics {
-                    m.verify_votes.inc();
-                }
+                inner.metrics.verify_votes.inc();
             }
             if verdict == Some(false) {
                 job.verify_rejects += 1;
-                inner.stats.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &inner.metrics {
-                    m.verify_rejects.inc();
-                }
+                inner.metrics.verify_rejects.inc();
                 if !corruption {
                     // Genuine (non-injected) corruption still advances the
                     // fault-draw index; injected corruption already did at
@@ -891,8 +845,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
             }
             resolve(inner, job, Ok(output));
         }
-        Ok(Err(msg)) => resolve(inner, job, Err(JobError::Failed(msg))),
-        Err(panic) => resolve(inner, job, Err(JobError::Failed(panic_message(&*panic)))),
+        Err(msg) => resolve(inner, job, Err(JobError::Failed(msg))),
     }
 }
 
@@ -919,34 +872,29 @@ fn resolve_locked(
     mut job: Job,
     outcome: Result<TaskOutput, JobError>,
 ) {
-    let stat = match &outcome {
-        Ok(_) => &inner.stats.completed,
-        Err(JobError::DeadlineMissed) => &inner.stats.deadline_missed,
-        Err(JobError::Cancelled) => &inner.stats.cancelled,
-        Err(JobError::Drained) => &inner.stats.drained,
-        Err(JobError::Failed(_)) => &inner.stats.failed,
-    };
-    stat.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.metrics {
-        let counter = match &outcome {
-            Ok(_) => &m.completed,
-            Err(JobError::DeadlineMissed) => &m.deadline_missed,
-            Err(JobError::Cancelled) => &m.cancelled,
-            Err(JobError::Drained) => &m.drained,
-            Err(JobError::Failed(_)) => &m.failed,
-        };
-        counter.inc();
-        if outcome.is_ok() {
-            let by_system = match job.task.system() {
-                counters::SYSTEM_PLONK => &m.completed_plonk,
-                _ => &m.completed_groth16,
-            };
-            by_system.inc();
+    let m = &inner.metrics;
+    // The outcome's counter, and its name in the per-job trace (drained
+    // and failed jobs carry none there).
+    let (counter, traced) = match &outcome {
+        Ok(_) => (&m.completed, Some(counters::SERVICE_COMPLETED)),
+        Err(JobError::DeadlineMissed) => {
+            (&m.deadline_missed, Some(counters::SERVICE_DEADLINE_MISSED))
         }
-        m.job_latency
-            .record(job.submitted.elapsed().as_nanos() as u64);
-        m.queue_depth.set((q.pending.len() + q.staged.len()) as f64);
+        Err(JobError::Cancelled) => (&m.cancelled, Some(counters::SERVICE_CANCELLED)),
+        Err(JobError::Drained) => (&m.drained, None),
+        Err(JobError::Failed(_)) => (&m.failed, None),
+    };
+    counter.inc();
+    if outcome.is_ok() {
+        let by_system = match job.task.system() {
+            counters::SYSTEM_PLONK => &m.completed_plonk,
+            _ => &m.completed_groth16,
+        };
+        by_system.inc();
     }
+    m.job_latency
+        .record(job.submitted.elapsed().as_nanos() as u64);
+    gauge_queue_depth(inner, q);
 
     if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
         fleet.complete(dev);
@@ -980,14 +928,7 @@ fn resolve_locked(
             // clean verified traces stay byte-identical.
             rec.counter(counters::VERIFY_VOTES, f64::from(job.verify_votes));
         }
-        let outcome_counter = match &outcome {
-            Ok(_) => Some(counters::SERVICE_COMPLETED),
-            Err(JobError::DeadlineMissed) => Some(counters::SERVICE_DEADLINE_MISSED),
-            Err(JobError::Cancelled) => Some(counters::SERVICE_CANCELLED),
-            Err(JobError::Drained) => None,
-            Err(JobError::Failed(_)) => None,
-        };
-        if let Some(name) = outcome_counter {
+        if let Some(name) = traced {
             rec.counter(name, 1.0);
         }
         rec.finish()

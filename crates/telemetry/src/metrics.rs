@@ -97,37 +97,6 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is larger (peak tracking).
-    pub fn set_max(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Adds `delta` to the gauge (CAS loop; gauges are f64).
-    pub fn add(&self, delta: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -1331,12 +1300,7 @@ mod tests {
         assert_eq!(c.get(), 10);
         let g = reg.gauge("g");
         g.set(2.5);
-        g.set_max(1.0);
         assert_eq!(g.get(), 2.5);
-        g.set_max(7.25);
-        assert_eq!(g.get(), 7.25);
-        g.add(0.75);
-        assert_eq!(g.get(), 8.0);
         // Labeled series are distinct from unlabeled ones.
         reg.counter_with("c", "device", "dev0").add(100);
         assert_eq!(c.get(), 10);
@@ -1344,7 +1308,7 @@ mod tests {
         assert_eq!(snap.counter("c"), Some(10));
         assert_eq!(snap.counter_labeled("c", "device", "dev0"), Some(100));
         assert_eq!(snap.counter_total("c"), 110);
-        assert_eq!(snap.gauge("g"), Some(8.0));
+        assert_eq!(snap.gauge("g"), Some(2.5));
     }
 
     #[test]
@@ -1398,7 +1362,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_totals_exact() {
-        // N threads hammer shared counter/gauge/histogram handles; the
+        // N threads hammer shared counter/histogram handles; the
         // snapshot must account for every single event.
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
@@ -1411,11 +1375,9 @@ mod tests {
                 // path under contention), half clone idiomatically.
                 let c = reg.counter("ops");
                 let h = reg.histogram_with("lat", "stage", "msm");
-                let g = reg.gauge("peak");
                 for i in 0..PER_THREAD {
                     c.add(1);
                     h.record(t * PER_THREAD + i + 1);
-                    g.set_max((t * PER_THREAD + i) as f64);
                 }
             }));
         }
@@ -1429,7 +1391,6 @@ mod tests {
         let expect_sum: u64 = (1..=THREADS * PER_THREAD).sum();
         assert_eq!(h.sum, expect_sum);
         assert_eq!(h.buckets.iter().map(|&(_, c)| c).sum::<u64>(), h.count);
-        assert_eq!(snap.gauge("peak"), Some((THREADS * PER_THREAD - 1) as f64));
     }
 
     #[test]

@@ -199,6 +199,14 @@ pub const CLUSTER_FAILED: &str = "cluster.failed";
 pub const CLUSTER_RESUMES: &str = "cluster.resumes";
 /// Simulated host-kill faults the cluster chaos plan fired.
 pub const CLUSTER_HOST_KILLS: &str = "cluster.host_kills";
+/// Cluster jobs dropped at a deadline (at dispatch or inside a host).
+pub const CLUSTER_DEADLINE_MISSED: &str = "cluster.deadline_missed";
+/// Hosts the autoscaler started beyond the initial set.
+pub const CLUSTER_HOSTS_STARTED: &str = "cluster.hosts_started";
+/// Hosts the autoscaler retired.
+pub const CLUSTER_HOSTS_RETIRED: &str = "cluster.hosts_retired";
+/// Times the host-level circuit breaker quarantined a host.
+pub const CLUSTER_HOST_QUARANTINES: &str = "cluster.host_quarantines";
 /// Jobs waiting in the front door's fair-share queue (gauge).
 pub const CLUSTER_QUEUE_DEPTH: &str = "cluster.queue_depth";
 /// Hosts currently accepting work (gauge).
@@ -207,6 +215,9 @@ pub const CLUSTER_HOSTS_UP: &str = "cluster.hosts_up";
 pub const CLUSTER_JOB_LATENCY_NS: &str = "cluster.job_latency_ns";
 /// Jobs a host completed (per-host counter, labeled `host=hN`).
 pub const HOST_COMPLETED: &str = "host.completed";
+/// Jobs that resolved with an error on a host, interrupted ones
+/// included (per-host counter, labeled `host=hN`).
+pub const HOST_FAILED: &str = "host.failed";
 /// Jobs in flight on a host (per-host gauge, labeled `host=hN`).
 pub const HOST_INFLIGHT: &str = "host.inflight";
 /// Host lifecycle state as a number (per-host gauge, labeled `host=hN`):

@@ -21,6 +21,7 @@ use gzkp_groth16::{
 };
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::GzkpNtt;
+use gzkp_telemetry::{counters, MetricsRegistry};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,6 +148,59 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
         .find(|h| h.id == killed_host)
         .expect("host report");
     assert!(dead.killed, "killed host not marked killed in its report");
+    // Every interrupted job failed on the dead host, then resumed.
+    let host_failed: u64 = outcome.hosts.iter().map(|h| h.failed).sum();
+    assert_eq!(host_failed, outcome.stats.resumes);
+}
+
+/// A proof that beats a host kill is counted once, and everywhere: in
+/// the cluster's stats, in the killed host's report and in its
+/// `host.completed{host=hN}` series.
+#[test]
+fn proof_that_beats_a_host_kill_counts_on_its_host() {
+    let (cs, pk, vk) = keyed_circuit(128, 13);
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut cluster = Cluster::start(ClusterConfig {
+        hosts: 2,
+        tenants: vec![TenantSpec::new("zcash", 1.0)],
+        metrics: Some(registry.clone()),
+        ..ClusterConfig::default()
+    });
+    let id = cluster
+        .submit(
+            "zcash",
+            system_factory::<Groth16System<Bn254>>(cs, pk, Some(vk), 7),
+            ClusterJobOptions::default(),
+        )
+        .expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while cluster.job_host(id).is_none() {
+        assert!(Instant::now() < deadline, "job never placed");
+        cluster.pump();
+    }
+    // The slot fills after POLY and clears once the proof is done; with
+    // no further pump the finished job stays unharvested on its host.
+    let mut persisted = false;
+    loop {
+        assert!(Instant::now() < deadline, "proof never finished");
+        match cluster.job_checkpoint(id) {
+            Some(_) => persisted = true,
+            None if persisted => break,
+            None => {}
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    cluster.kill_host(cluster.job_host(id).expect("still placed"));
+    let outcome = cluster.drain(Duration::from_secs(60));
+
+    assert_eq!(outcome.stats.completed, 1);
+    assert_eq!(outcome.stats.resumes, 0, "the proof beat the interrupt");
+    let host_completed: u64 = outcome.hosts.iter().map(|h| h.completed).sum();
+    assert_eq!(host_completed, outcome.stats.completed);
+    assert_eq!(
+        registry.snapshot().counter_total(counters::HOST_COMPLETED),
+        outcome.stats.completed
+    );
 }
 
 /// Fair share through the full stack: one single-device host, two

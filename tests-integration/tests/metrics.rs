@@ -3,11 +3,14 @@
 //! metrics must never perturb proof bytes, and the flame export must
 //! cover a real prover trace.
 
+use gzkp_cluster::{system_factory, Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome};
 use gzkp_curves::bn254::{Bn254, Fr};
-use gzkp_gpu_sim::v100;
+use gzkp_gpu_sim::{v100, FaultPlan, FaultRates};
 use gzkp_groth16::{setup, Groth16System};
+use gzkp_runtime::FleetUtilization;
 use gzkp_service::{
-    prepare, run_sequential, run_service, JobOptions, ProvingService, ServiceConfig, SystemTask,
+    prepare, run_sequential, run_service, JobOptions, ProvingService, RetryPolicy, ServiceConfig,
+    ServiceStats, SystemTask,
 };
 use gzkp_telemetry::{counters, folded_stacks, MetricsRegistry, MetricsSnapshot, Trace};
 use gzkp_workloads::requests::{
@@ -16,11 +19,13 @@ use gzkp_workloads::requests::{
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Runs `jobs` traced proofs through a metrics-armed service and returns
 /// the final snapshot, the per-job traces, and the lifetime stats.
-fn run_traced_jobs(jobs: usize) -> (MetricsSnapshot, Vec<Trace>, gzkp_service::ServiceStats) {
+fn run_traced_jobs(jobs: usize) -> (MetricsSnapshot, Vec<Trace>, ServiceStats) {
     let mut rng = StdRng::seed_from_u64(17);
     let cs = Arc::new(synthetic_circuit::<Fr, _>(64, &mut rng));
     let (pk, _vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
@@ -64,23 +69,14 @@ fn run_traced_jobs(jobs: usize) -> (MetricsSnapshot, Vec<Trace>, gzkp_service::S
     (registry.snapshot(), traces, stats)
 }
 
+/// The trace half of the observability contract; the counter half —
+/// snapshot counters equal to the stats — is structural now and checked
+/// for every layer by `every_layer_counts_each_event_once_in_its_registry`.
 #[test]
 fn metrics_snapshot_is_consistent_with_job_traces_and_stats() {
     let jobs = 4;
     let (snapshot, traces, stats) = run_traced_jobs(jobs);
-
-    // Counters agree with the service's own lifetime stats.
-    assert_eq!(
-        snapshot.counter(counters::SERVICE_ACCEPTED),
-        Some(stats.accepted)
-    );
-    assert_eq!(
-        snapshot.counter(counters::SERVICE_COMPLETED),
-        Some(stats.completed)
-    );
     assert_eq!(stats.completed, jobs as u64);
-    assert_eq!(snapshot.counter_total(counters::SERVICE_FAILED), 0);
-    assert_eq!(snapshot.counter_total(counters::SERVICE_DEADLINE_MISSED), 0);
 
     // Every job recorded exactly one queue wait and one end-to-end
     // latency, and the registry's queue-wait total is the exact sum of
@@ -178,6 +174,284 @@ fn proofs_are_byte_identical_with_metrics_on_and_off() {
         .filter_map(|d| snapshot.counter_labeled(counters::DEVICE_STAGES, "device", d))
         .sum();
     assert_eq!(staged, 6, "two stages per job across the fleet");
+}
+
+/// One counted field of a layer's report: its value, the registry
+/// series it reads (summed over labels — zero when absent, like the
+/// no-fleet service's quarantines — unless `label` pins one), and
+/// whether it is a pure function of the run's seeds. Placement races —
+/// steals, dead-device hits and the retries, quarantines and CPU
+/// fallbacks they cause — are not.
+struct Row {
+    field: String,
+    value: u64,
+    series: &'static str,
+    label: Option<(&'static str, String)>,
+    seeded: bool,
+}
+
+fn row(field: &str, value: u64, series: &'static str, seeded: bool) -> Row {
+    Row {
+        field: field.to_string(),
+        value,
+        series,
+        label: None,
+        seeded,
+    }
+}
+
+fn service_rows(s: &ServiceStats, racy: bool) -> Vec<Row> {
+    vec![
+        row("accepted", s.accepted, counters::SERVICE_ACCEPTED, true),
+        row("rejected", s.rejected, counters::SERVICE_REJECTED, true),
+        row("completed", s.completed, counters::SERVICE_COMPLETED, true),
+        row(
+            "deadline_missed",
+            s.deadline_missed,
+            counters::SERVICE_DEADLINE_MISSED,
+            true,
+        ),
+        row("cancelled", s.cancelled, counters::SERVICE_CANCELLED, true),
+        row("drained", s.drained, counters::SERVICE_DRAINED, true),
+        row("failed", s.failed, counters::SERVICE_FAILED, true),
+        row("retries", s.retries, counters::SERVICE_RETRIES, !racy),
+        row(
+            "faults_injected",
+            s.faults_injected,
+            counters::FAULT_INJECTED,
+            true,
+        ),
+        row(
+            "verify_rejects",
+            s.verify_rejects,
+            counters::VERIFY_REJECTS,
+            true,
+        ),
+        row("verify_votes", s.verify_votes, counters::VERIFY_VOTES, true),
+        row(
+            "quarantines",
+            s.quarantines,
+            counters::QUARANTINE_EVENTS,
+            !racy,
+        ),
+        row(
+            "cpu_fallbacks",
+            s.cpu_fallbacks,
+            counters::SERVICE_CPU_FALLBACKS,
+            !racy,
+        ),
+    ]
+}
+
+fn device_rows(fleet: &FleetUtilization) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for d in &fleet.devices {
+        let dev = format!("dev{}", d.index);
+        for (field, value, series) in [
+            ("steals", d.steals, counters::RUNTIME_STEALS),
+            ("shards", d.shards, counters::RUNTIME_SHARDS),
+        ] {
+            rows.push(Row {
+                field: format!("{dev}.{field}"),
+                label: Some(("device", dev.clone())),
+                ..row(field, value, series, false)
+            });
+        }
+    }
+    rows
+}
+
+fn cluster_rows(o: &ClusterOutcome) -> Vec<Row> {
+    let s = &o.stats;
+    let mut rows = vec![
+        row("admitted", s.admitted, counters::CLUSTER_ADMITTED, true),
+        row(
+            "rejected_rate_limited",
+            s.rejected_rate_limited,
+            counters::CLUSTER_REJECTED_RATE,
+            true,
+        ),
+        row(
+            "rejected_saturated",
+            s.rejected_saturated,
+            counters::CLUSTER_REJECTED_SATURATED,
+            true,
+        ),
+        row("completed", s.completed, counters::CLUSTER_COMPLETED, true),
+        row("failed", s.failed, counters::CLUSTER_FAILED, true),
+        row(
+            "deadline_missed",
+            s.deadline_missed,
+            counters::CLUSTER_DEADLINE_MISSED,
+            true,
+        ),
+        row("resumes", s.resumes, counters::CLUSTER_RESUMES, true),
+        row(
+            "host_kills",
+            s.host_kills,
+            counters::CLUSTER_HOST_KILLS,
+            true,
+        ),
+        row(
+            "hosts_started",
+            s.hosts_started,
+            counters::CLUSTER_HOSTS_STARTED,
+            true,
+        ),
+        row(
+            "hosts_retired",
+            s.hosts_retired,
+            counters::CLUSTER_HOSTS_RETIRED,
+            true,
+        ),
+        row(
+            "host_quarantines",
+            s.host_quarantines,
+            counters::CLUSTER_HOST_QUARANTINES,
+            true,
+        ),
+    ];
+    for h in &o.hosts {
+        let host = format!("h{}", h.id);
+        for (field, value, series) in [
+            ("completed", h.completed, counters::HOST_COMPLETED),
+            ("failed", h.failed, counters::HOST_FAILED),
+        ] {
+            rows.push(Row {
+                field: format!("{host}.{field}"),
+                label: Some((counters::LABEL_HOST, host.clone())),
+                ..row(field, value, series, true)
+            });
+        }
+    }
+    rows
+}
+
+/// Runs one layer twice — counting into a private registry, then into
+/// the caller's — and checks every row: seeded rows agree across the two
+/// runs, and every row of the second run is exactly its registry series.
+/// Returns the second run's rows by field name.
+fn check_layer(
+    layer: &str,
+    run: impl Fn(Option<Arc<MetricsRegistry>>) -> Vec<Row>,
+) -> BTreeMap<String, u64> {
+    let private = run(None);
+    let registry = Arc::new(MetricsRegistry::new());
+    let external = run(Some(registry.clone()));
+    let snapshot = registry.snapshot();
+    assert_eq!(private.len(), external.len(), "{layer}: row sets differ");
+    for (p, e) in private.iter().zip(&external) {
+        assert_eq!(p.field, e.field, "{layer}: row order differs");
+        if e.seeded {
+            assert_eq!(
+                p.value, e.value,
+                "{layer}: {} differs between a private and an external registry",
+                e.field
+            );
+        }
+        let counted = match &e.label {
+            Some((key, value)) => snapshot.counter_labeled(e.series, key, value),
+            None => Some(snapshot.counter_total(e.series)),
+        };
+        assert_eq!(
+            counted,
+            Some(e.value),
+            "{layer}: {} is not a read of `{}`",
+            e.field,
+            e.series
+        );
+    }
+    external.into_iter().map(|r| (r.field, r.value)).collect()
+}
+
+#[test]
+fn every_layer_counts_each_event_once_in_its_registry() {
+    let device = v100();
+
+    // The service without a fleet, fault-free.
+    let prepared = prepare(&tiny_workload(), &device);
+    let plain = check_layer("service", |metrics| {
+        let cfg = ServiceConfig {
+            metrics,
+            ..ServiceConfig::default()
+        };
+        service_rows(&run_service(&prepared, cfg, &device).stats.unwrap(), false)
+    });
+    assert_eq!(plain["completed"], prepared.len() as u64);
+    assert_eq!(plain["accepted"], prepared.len() as u64);
+    assert_eq!(plain["failed"] + plain["deadline_missed"], 0);
+
+    // A two-device fleet under `--chaos`-style faults with one dead
+    // device: retries, faults and verification votes all move.
+    let chaos = check_layer("fleet service", |metrics| {
+        let cfg = ServiceConfig {
+            devices: gzkp_runtime::parse_devices("2").unwrap(),
+            chaos: Some(FaultPlan {
+                seed: 5,
+                rates: FaultRates {
+                    kernel: 0.2,
+                    transfer: 0.1,
+                    hang: 0.02,
+                    corrupt: 0.1,
+                    host_kill: 0.0,
+                },
+                device_scale: Vec::new(),
+                dead: vec![1],
+            }),
+            retry: RetryPolicy {
+                max_retries: 24,
+                backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(8),
+            },
+            default_deadline: None,
+            metrics,
+            ..ServiceConfig::default()
+        };
+        let outcome = run_service(&prepared, cfg, &device);
+        let mut rows = service_rows(&outcome.stats.unwrap(), true);
+        rows.extend(device_rows(&outcome.fleet.unwrap()));
+        rows
+    });
+    assert_eq!(chaos["completed"], prepared.len() as u64);
+    for field in ["retries", "faults_injected", "verify_votes"] {
+        assert!(chaos[field] > 0, "the chaos run never moved {field}");
+    }
+
+    // A two-host cluster with one host killed right after dispatch: the
+    // interrupted job fails on the dead host and resumes on the other.
+    let mut rng = StdRng::seed_from_u64(23);
+    let cs = Arc::new(synthetic_circuit::<Fr, _>(64, &mut rng));
+    let (pk, vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+    let (pk, vk) = (Arc::new(pk), Arc::new(vk));
+    let cluster = check_layer("cluster", |metrics| {
+        let mut cluster = Cluster::start(ClusterConfig {
+            hosts: 2,
+            metrics,
+            ..ClusterConfig::default()
+        });
+        let ids: Vec<u64> = (0..2)
+            .map(|seed| {
+                let factory = system_factory::<Groth16System<Bn254>>(
+                    cs.clone(),
+                    pk.clone(),
+                    Some(vk.clone()),
+                    seed,
+                );
+                cluster
+                    .submit("default", factory, ClusterJobOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        cluster.pump();
+        let host = cluster
+            .job_host(ids[0])
+            .expect("dispatched on the first pump");
+        cluster.kill_host(host);
+        cluster_rows(&cluster.drain(Duration::from_secs(120)))
+    });
+    assert_eq!(cluster["completed"], 2);
+    assert_eq!(cluster["resumes"], 1);
+    assert_eq!(cluster["h0.failed"] + cluster["h1.failed"], 1);
 }
 
 #[test]
