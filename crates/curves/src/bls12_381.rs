@@ -6,6 +6,7 @@
 //! * `G2: y² = x³ + 4(1+u)` over `Fq2 = Fq[u]/(u²+1)` (M-type sextic twist).
 //! * Ate pairing with loop count `|x|`, `x = -0xd201000000010000`.
 
+use crate::glv::{Glv, ScalarSplit};
 use crate::group::{Affine, CurveParams, Projective};
 use crate::pairing::{self, frobenius_coeffs, PairingConfig};
 use gzkp_ff::ext::{Fp12, Fp12Config, Fp2, Fp2Config, Fp6Config};
@@ -95,6 +96,16 @@ impl CurveParams for G1Config {
             fq_from_hex("0x08b3f481e3aaa0f1a09e30ed741d8ae4fcf5e095d5d00af600db18cb2c04b3edd03cc744a2888ae40caa232946c5e7e1"),
         )
     }
+    fn glv() -> Option<&'static Glv<Self>> {
+        static GLV: OnceLock<Glv<G1Config>> = OnceLock::new();
+        Some(GLV.get_or_init(|| Glv::derive(fr_split())))
+    }
+}
+
+/// The GLV split of `Fr`, one for G1 and G2.
+fn fr_split() -> &'static ScalarSplit {
+    static SPLIT: OnceLock<ScalarSplit> = OnceLock::new();
+    SPLIT.get_or_init(ScalarSplit::new::<Fr>)
 }
 /// Affine G1 point.
 pub type G1Affine = Affine<G1Config>;
@@ -125,6 +136,10 @@ impl CurveParams for G2Config {
             fq_from_hex("0x0606c4a02ea734cc32acd2b02bc28b99cb3e287e85a763af267492ab572e99ab3f370d275cec1da1aaa9075ff05f79be"),
         );
         (x, y)
+    }
+    fn glv() -> Option<&'static Glv<Self>> {
+        static GLV: OnceLock<Glv<G2Config>> = OnceLock::new();
+        Some(GLV.get_or_init(|| Glv::derive(fr_split())))
     }
 }
 /// Affine G2 point.

@@ -5,6 +5,7 @@
 //! * `G2: y² = x³ + 3/(9+u)` over `Fq2 = Fq[u]/(u²+1)` (D-type sextic twist).
 //! * Optimal ate pairing with loop count `6x+2`, `x = 4965661367192848881`.
 
+use crate::glv::{Glv, ScalarSplit};
 use crate::group::{Affine, CurveParams, Projective};
 use crate::pairing::{self, frobenius_coeffs, PairingConfig};
 use gzkp_ff::ext::{Fp12, Fp12Config, Fp2, Fp2Config, Fp6Config};
@@ -87,6 +88,16 @@ impl CurveParams for G1Config {
     fn generator() -> (Fq, Fq) {
         (Fq::from_u64(1), Fq::from_u64(2))
     }
+    fn glv() -> Option<&'static Glv<Self>> {
+        static GLV: OnceLock<Glv<G1Config>> = OnceLock::new();
+        Some(GLV.get_or_init(|| Glv::derive(fr_split())))
+    }
+}
+
+/// The GLV split of `Fr`, one for G1 and G2.
+fn fr_split() -> &'static ScalarSplit {
+    static SPLIT: OnceLock<ScalarSplit> = OnceLock::new();
+    SPLIT.get_or_init(ScalarSplit::new::<Fr>)
 }
 /// Affine G1 point.
 pub type G1Affine = Affine<G1Config>;
@@ -133,6 +144,10 @@ impl CurveParams for G2Config {
             ),
         );
         (x, y)
+    }
+    fn glv() -> Option<&'static Glv<Self>> {
+        static GLV: OnceLock<Glv<G2Config>> = OnceLock::new();
+        Some(GLV.get_or_init(|| Glv::derive(fr_split())))
     }
 }
 /// Affine G2 point.

@@ -7,6 +7,7 @@
 //! over a [`CurveParams`] marker so the same MSM/Groth16 code serves G1 of
 //! all three curve families and G2 of the pairing curves.
 
+use crate::glv::Glv;
 use core::fmt;
 use core::marker::PhantomData;
 use gzkp_ff::{Field, PrimeField};
@@ -29,6 +30,11 @@ pub trait CurveParams:
     fn coeff_b() -> Self::Base;
     /// A fixed base point.
     fn generator() -> (Self::Base, Self::Base);
+    /// The GLV endomorphism, for a curve that has one. `None`, the
+    /// default, keeps scalars whole (T753, whose group order is unknown).
+    fn glv() -> Option<&'static Glv<Self>> {
+        None
+    }
 }
 
 /// A point in affine coordinates, or the point at infinity.

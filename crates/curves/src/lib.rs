@@ -10,7 +10,9 @@
 //!   see the module docs for the substitution rationale).
 //!
 //! [`group`] provides the generic affine/Jacobian machinery (PADD, PMUL,
-//! batch normalization) the MSM crate builds on; [`fixed_base`] the
+//! batch normalization) the MSM crate builds on; [`glv`] the
+//! endomorphism and scalar split of the `j = 0` pairing curves, with
+//! which the MSM halves its scalars; [`fixed_base`] the
 //! windowed generator table key generation multiplies through;
 //! [`pairing`] the generic Miller loop / final exponentiation used by the
 //! Groth16 verifier.
@@ -33,12 +35,14 @@
 pub mod bls12_381;
 pub mod bn254;
 pub mod fixed_base;
+pub mod glv;
 pub mod group;
 pub mod pairing;
 pub mod serialize;
 pub mod t753;
 
 pub use fixed_base::FixedBaseTable;
+pub use glv::{Glv, ScalarSplit};
 pub use group::{batch_to_affine, random_points, wnaf_digits, Affine, CurveParams, Projective};
 pub use pairing::{final_exponentiation, miller_loop, multi_pairing, PairingConfig};
 pub use serialize::{compress, decompress, CoordField};

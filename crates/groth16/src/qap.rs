@@ -110,20 +110,17 @@ pub fn poly_stage_traced<F: PrimeField>(
     run(&mut a, Direction::Forward, true, true);
     run(&mut b, Direction::Forward, true, true);
     run(&mut c, Direction::Forward, true, true);
-    // Pointwise h_evals = (a·b − c) / Z on the coset (Z is constant there
-    // per point; batch-invertible).
-    let mut z_vals: Vec<F> = {
-        // Z(g·ωⁱ) = (g·ωⁱ)^N − 1 = gᴺ − 1 (ωⁱᴺ = 1): constant on the coset!
-        let zg = d.eval_vanishing(d.coset_gen);
-        vec![zg; d.size]
-    };
-    gzkp_ff::batch_inverse(&mut z_vals);
+    // Pointwise h_evals = (a·b − c) / Z on the coset: Z(g·ωⁱ) = gᴺ − 1
+    // (ωⁱᴺ = 1) is one constant there, inverted once.
+    let zg_inv = d
+        .eval_vanishing(d.coset_gen)
+        .inverse()
+        .expect("nonzero off domain");
     let mut h: Vec<F> = a
         .iter()
         .zip(&b)
         .zip(&c)
-        .zip(&z_vals)
-        .map(|(((ai, bi), ci), zi)| (*ai * *bi - *ci) * *zi)
+        .map(|((ai, bi), ci)| (*ai * *bi - *ci) * zg_inv)
         .collect();
     // 7: coset INTT of h.
     run(&mut h, Direction::Inverse, true, false);

@@ -5,7 +5,8 @@
 //!
 //! The key idea: precompute window-weighted copies `2^{t·k}·Pᵢ` of the
 //! (fixed) proving-key points so the same-digit buckets of *all* windows
-//! merge into a single set of `2^k − 1` buckets. This removes the
+//! merge into a single set of `2^k − 1` buckets (`2^{k−1}` in the host's
+//! recoded fold, below). This removes the
 //! window-reduction step entirely and turns one PMUL per (window, sub-MSM,
 //! digit) into one per digit. The checkpoint interval `M` stores only every
 //! `M`-th weight level; intermediate weights cost `(t mod M)·k` on-the-fly
@@ -16,17 +17,31 @@
 //! ([`ShardTask::partial`]) behind [`GzkpMsm::msm`],
 //! [`GzkpMsm::msm_sharded`] and the cross-device engine: the scalars'
 //! [`crate::scalars::PIndex`] (every non-zero digit counting-sorted by
-//! bucket, built once per scalar vector and window size) → bucket tasks
-//! sized by entry load alone → per task, one gather of its entries into a
-//! CSR buffer reduced in place with one batched inversion per round
-//! ([`crate::batch_affine::reduce_segments`]) → the task's own
+//! bucket, built once per scalar vector, window size and recoding) →
+//! bucket tasks sized by entry load alone → per task, one gather of its
+//! entries into a CSR buffer reduced in place with one batched inversion
+//! per round ([`crate::batch_affine::reduce_segments`]) → the task's own
 //! bucket-range reduction, so only one partial sum per task is merged
-//! serially. The simulated clock (`GzkpMsm::stage`) prices the same
-//! load profile and does not depend on how the host executes it.
+//! serially.
+//!
+//! The two clocks split at the scalar side. The host recodes it: a curve
+//! with a GLV endomorphism ([`gzkp_curves::Glv`]) splits every scalar
+//! into two halves of about half its bits, and both halves are written in
+//! balanced signed digits — so the tables hold `⌈(bound + 1)/k⌉` windows
+//! instead of `⌈l/k⌉`, the buckets are the `2^{k−1}` digit magnitudes,
+//! the gather negates a stored point where its digit is negative, and a
+//! bucket's `s₂` digits are summed apart and mapped by `φ` once (one
+//! multiplication by β per bucket). The paper did not recode, so
+//! everything that prices — `plan`, `plan_dense`, `plan_preprocess`,
+//! `memory_bytes`, `bucket_loads`, the telemetry counts and a
+//! [`ShardTask`]'s loads, ranges and kernels — stays Algorithm 1 as
+//! published, over unsigned unsplit digits and `2^k − 1` buckets. A shard
+//! task cuts the recoded buckets into as many host ranges as it has
+//! priced ranges; the results are exact group elements either way.
 
 use crate::batch_affine::{reduce_segments, BatchAffineStats, ReduceScratch};
 use crate::engine::{bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
-use crate::scalars::{default_window_size, ScalarVec};
+use crate::scalars::{default_window_size, recoded_windows, windows_of, Entry, ScalarVec};
 use crate::store::{PreKey, PreprocessStore};
 use gzkp_curves::group::{affine_add_denominator, affine_add_with_inverse};
 use gzkp_curves::{Affine, CurveParams, Projective};
@@ -137,7 +152,8 @@ impl GzkpMsm {
         (windows as u64).div_ceil(m as u64) as usize
     }
 
-    /// Computes the checkpoint tables: `pre[c][i] = 2^{c·M·k} · Pᵢ`.
+    /// Computes the checkpoint tables: `pre[c][i] = 2^{c·M·k} · Pᵢ`, one
+    /// level per `M` windows of `C`'s recoded scalars.
     ///
     /// This corresponds to the paper's setup-time preprocessing (the point
     /// vector is fixed per application); its cost is reported separately by
@@ -148,9 +164,8 @@ impl GzkpMsm {
         points: &[Affine<C>],
         k: u32,
         m: u32,
-        windows: usize,
     ) -> Vec<Vec<Affine<C>>> {
-        let levels = Self::levels(windows, m);
+        let levels = Self::levels(recoded_windows::<C>(k), m);
         let mut out = Vec::with_capacity(levels);
         out.push(points.to_vec());
         for level in 1..levels {
@@ -172,16 +187,16 @@ impl GzkpMsm {
         points: &[Affine<C>],
         k: u32,
         m: u32,
-        windows: usize,
     ) -> Arc<Vec<Vec<Affine<C>>>> {
         let store = match &self.store {
             Some(store) => store,
             None => PreprocessStore::process_default(),
         };
+        let windows = recoded_windows::<C>(k);
         let key = PreKey::of(points, k, m, windows, self.system_tag);
         let levels = Self::levels(windows, m) as u64;
         let bytes = levels * points.len() as u64 * CurveCost::of::<C>().affine_bytes();
-        store.get_or_insert(key, bytes, || self.preprocess(points, k, m, windows))
+        store.get_or_insert(key, bytes, || self.preprocess(points, k, m))
     }
 
     /// Splits the bucket index space into up to `tasks` contiguous
@@ -190,15 +205,15 @@ impl GzkpMsm {
     /// load reaches `(j+1)·total/tasks`, so no range exceeds that share
     /// by more than its last bucket and a hot bucket cannot shrink the
     /// ranges after it. Returns half-open `(lo, hi)` ranges covering
-    /// `0..loads.len()`.
-    fn balanced_ranges(loads: &[(u64, u64)], tasks: usize) -> Vec<(usize, usize)> {
-        let nb = loads.len();
+    /// `0..entries.len()`.
+    fn balanced_ranges(entries: &[u64], tasks: usize) -> Vec<(usize, usize)> {
+        let nb = entries.len();
         let tasks = tasks.max(1) as u128;
-        let total: u128 = loads.iter().map(|l| u128::from(l.0)).sum();
+        let total: u128 = entries.iter().map(|&e| u128::from(e)).sum();
         let mut ranges = Vec::new();
         let (mut lo, mut acc) = (0usize, 0u128);
-        for (b, l) in loads.iter().enumerate() {
-            acc += u128::from(l.0);
+        for (b, &e) in entries.iter().enumerate() {
+            acc += u128::from(e);
             let next = ranges.len() as u128 + 1;
             if total > 0 && next < tasks && b + 1 < nb && acc * tasks >= next * total {
                 ranges.push((lo, b + 1));
@@ -209,30 +224,43 @@ impl GzkpMsm {
         ranges
     }
 
-    /// Per-bucket load profile `(entries, on_the_fly_doublings)` for each
-    /// bucket 1..2^k (see [`crate::scalars::PIndex::loads`]), for callers
-    /// that only price the work: served from the scalars' `p_index` when
-    /// an MSM already built it, else by one counting pass that stores no
-    /// entries.
+    /// Algorithm 1's per-bucket load profile `(entries,
+    /// on_the_fly_doublings)` for each bucket 1..2^k over the unsigned,
+    /// unsplit digits — the data behind Figure 6, the simulated merge
+    /// kernel and the priced shard ranges. A window off the checkpoint grid
+    /// costs `k` streamed doublings per entry it produces. One counting
+    /// pass that stores no entries, and never the host's recoded
+    /// `p_index`, so what is priced does not depend on the recoding.
     fn bucket_loads(scalars: &ScalarVec, k: u32, m: u32) -> Vec<(u64, u64)> {
-        if let Some(index) = scalars.cached_p_index(k) {
-            return index.loads(m);
-        }
-        let windows = scalars.num_windows(k);
-        let mut loads = vec![(0u64, 0u64); (1usize << k) - 1];
-        for i in 0..scalars.len() {
-            for t in 0..windows {
-                let d = scalars.window(i, t, k);
-                if d != 0 {
-                    let e = &mut loads[(d - 1) as usize];
-                    e.0 += 1;
-                    if !(t as u32).is_multiple_of(m) {
-                        e.1 += k as u64;
+        let (windows, per) = (scalars.num_windows(k), scalars.limbs_per_scalar());
+        let zero = vec![(0u64, 0u64); (1usize << k) - 1];
+        // Shares of the scalars across cores, each counted apart and the
+        // counts summed: the same integers at every thread count.
+        let shares = scalars
+            .raw_limbs()
+            .chunks(per * rayon::share_len(scalars.len()));
+        let counted = rayon::map(shares, |share| {
+            let mut loads = zero.clone();
+            for limbs in share.chunks_exact(per) {
+                // t mod M, kept without a division per window.
+                let mut phase = 0;
+                for d in windows_of(limbs, k).take(windows) {
+                    if d != 0 {
+                        let e = &mut loads[(d - 1) as usize];
+                        e.0 += 1;
+                        e.1 += if phase == 0 { 0 } else { u64::from(k) };
                     }
+                    phase = if phase + 1 == m { 0 } else { phase + 1 };
                 }
             }
-        }
-        loads
+            loads
+        });
+        counted.into_iter().fold(zero, |mut loads, share| {
+            for (l, s) in loads.iter_mut().zip(share) {
+                *l = (l.0 + s.0, l.1 + s.1);
+            }
+            loads
+        })
     }
 
     /// Builds the warp-granular point-merging kernel from bucket loads.
@@ -561,13 +589,20 @@ impl GzkpMsm {
         let k = self.k_for(n);
         let windows = scalars.num_windows(k);
         let m = self.interval_for::<C>(n, windows);
-        let pre = self.preprocess_cached(points, k, m, windows);
-        let loads = scalars.p_index(k).loads(m);
-        let ranges = Self::balanced_ranges(&loads, shards);
+        let pre = self.preprocess_cached(points, k, m);
+        let loads = Self::bucket_loads(scalars, k, m);
+        let entries: Vec<u64> = loads.iter().map(|l| l.0).collect();
+        let ranges = Self::balanced_ranges(&entries, shards);
+        // The same number of host ranges over the recoded buckets; a
+        // recoding with fewer loaded buckets leaves the last ones empty.
+        let sizes = scalars.p_index::<C>(k).bucket_sizes();
+        let mut host_ranges = Self::balanced_ranges(&sizes, ranges.len());
+        host_ranges.resize(ranges.len(), (sizes.len(), sizes.len()));
         ShardTask {
             pre,
             loads,
             ranges,
+            host_ranges,
             k,
             m,
             windows,
@@ -739,10 +774,15 @@ fn double_each<C: CurveParams>(points: &mut [Affine<C>], times: u32) {
 /// ([`Self::range_kernel_ns`]). Each [`Self::partial`] is an exact group
 /// element, and merging the partials in range order ([`Self::merge`])
 /// reproduces the reference engine's single-device result bit for bit.
+///
+/// Range `i` is priced from Algorithm 1's profile (`loads`, `ranges`,
+/// `windows`: unsigned unsplit digits) and executed over host range `i`
+/// of the recoded buckets (`host_ranges`), which may be empty.
 pub struct ShardTask<C: CurveParams> {
     pre: Arc<Vec<Vec<Affine<C>>>>,
     loads: Vec<(u64, u64)>,
     ranges: Vec<(usize, usize)>,
+    host_ranges: Vec<(usize, usize)>,
     k: u32,
     m: u32,
     windows: usize,
@@ -826,17 +866,20 @@ impl<C: CurveParams> ShardTask<C> {
     }
 
     /// Executes range `index`, returning the exact partial group element
-    /// `Σ (b+1)·B_b` over the range's buckets and its operation stats —
-    /// the one fold behind [`GzkpMsm::msm`], [`GzkpMsm::msm_sharded`] and
-    /// the cross-device engine.
+    /// `Σ (b+1)·B_b` over its host range of recoded buckets and its
+    /// operation stats — the one fold behind [`GzkpMsm::msm`],
+    /// [`GzkpMsm::msm_sharded`] and the cross-device engine. An empty
+    /// host range gives the identity.
     ///
     /// The range is cut into bucket tasks of about `TASK_ENTRIES`
     /// entries each — boundaries are a pure function of the load profile,
     /// never of the thread count — and the tasks of a pass are the items
-    /// of one fan-out. A task gathers the `p_index` entries of its buckets into
-    /// one CSR buffer, reduces every bucket in place
-    /// ([`reduce_segments`]) and finishes with its own
-    /// [`bucket_reduce_range`]; the task sums are merged in range order.
+    /// of one fan-out. A task gathers the `p_index` entries of its buckets
+    /// into one CSR buffer — each entry's stored point, negated if the
+    /// entry says so — reduces every segment in place
+    /// ([`reduce_segments`]), adds to each bucket's `s₁` sum φ of its `s₂`
+    /// sum and finishes with its own [`bucket_reduce_range`]; the task
+    /// sums are merged in range order.
     /// Bucket sums are exact affine points, so the result and the stats
     /// are the same at every thread count.
     ///
@@ -846,16 +889,21 @@ impl<C: CurveParams> ShardTask<C> {
     /// is advanced by `k` doublings per window (shared by that window's
     /// entries), with the bucket sums carried from pass to pass.
     pub fn partial(&self, scalars: &ScalarVec, index: usize) -> (Projective<C>, MsmStats) {
-        let (lo, hi) = self.ranges[index];
+        let (lo, hi) = self.host_ranges[index];
+        if lo == hi {
+            return (Projective::identity(), MsmStats::default());
+        }
         let (k, m) = (self.k, self.m as usize);
-        let p_index = scalars.p_index(k);
-        let loads = &self.loads[lo..hi];
-        let entries: u64 = loads.iter().map(|l| l.0).sum();
+        let p_index = scalars.p_index::<C>(k);
+        let glv = C::glv();
+        let loads = &p_index.bucket_sizes()[lo..hi];
+        let entries: u64 = loads.iter().sum();
         let tasks = entries.div_ceil(TASK_ENTRIES).next_multiple_of(4);
         let tasks = GzkpMsm::balanced_ranges(loads, tasks as usize);
-        let streamed: Vec<usize> = (0..self.windows).filter(|t| t % m != 0).collect();
+        let streamed: Vec<usize> = (0..p_index.windows()).filter(|t| t % m != 0).collect();
 
-        let mut buckets = vec![Affine::<C>::identity(); hi - lo];
+        // Two sums per bucket: its s₁ segment and its s₂ segment.
+        let mut buckets = vec![Affine::<C>::identity(); 2 * (hi - lo)];
         let mut weights: Vec<Affine<C>> = Vec::new();
         // The last pass leaves every task's own bucket-range reduction here.
         let mut partials = vec![Projective::<C>::identity(); tasks.len()];
@@ -866,7 +914,7 @@ impl<C: CurveParams> ShardTask<C> {
         let workers = rayon::current_num_threads();
         let task_points = tasks
             .iter()
-            .map(|&(a, b)| b - a + p_index.range_len(lo + a, lo + b))
+            .map(|&(a, b)| 2 * (b - a) + p_index.range_len(lo + a, lo + b))
             .max()
             .unwrap_or(0);
         let mut scratch: Vec<TaskScratch<C>> = (0..workers)
@@ -887,18 +935,28 @@ impl<C: CurveParams> ShardTask<C> {
                 }
                 double_each(&mut weights, k);
             }
-            let source = |t: usize, i: usize| match window {
-                None => t.is_multiple_of(m).then(|| self.pre[t / m][i]),
-                Some(w) => (t == w).then(|| weights[i]),
+            // The entry's summand `±P` (φ waits for the segment's sum), if
+            // its window is read in this pass; identity sources (unused key
+            // columns) add nothing.
+            let summand = |e: Entry| {
+                let p = match window {
+                    None => e
+                        .window
+                        .is_multiple_of(m)
+                        .then(|| self.pre[e.window / m][e.point]),
+                    Some(w) => (e.window == w).then(|| weights[e.point]),
+                }
+                .filter(|p| !p.infinity)?;
+                Some(if e.neg { p.neg() } else { p })
             };
             let last = pass == streamed.len();
 
             // One item per task, in range order: its first bucket, its
-            // slice of the bucket sums, and the slot of its partial sum.
+            // slice of the segment sums, and the slot of its partial sum.
             let mut parts = Vec::with_capacity(tasks.len());
             let mut rest = &mut buckets[..];
             for (&(a, b), partial) in tasks.iter().zip(&mut partials) {
-                let (head, tail) = rest.split_at_mut(b - a);
+                let (head, tail) = rest.split_at_mut(2 * (b - a));
                 parts.push((lo + a, head, partial));
                 rest = tail;
             }
@@ -910,15 +968,21 @@ impl<C: CurveParams> ShardTask<C> {
                     if !sum.infinity {
                         s.flat.push(*sum);
                     }
-                    // Identity sources (unused key columns) add nothing.
-                    let entries = p_index.bucket(first + j);
                     s.flat
-                        .extend(entries.filter_map(|(t, i)| source(t, i).filter(|p| !p.infinity)));
+                        .extend(p_index.segment(2 * first + j).filter_map(&summand));
                     s.offsets.push(s.flat.len());
                 }
                 reduce_segments(&mut s.flat, &s.offsets, sums, &mut s.reduce, &mut s.stats);
                 if last {
-                    let sums: Vec<Projective<C>> = sums.iter().map(Affine::to_projective).collect();
+                    // B_b = (s₁ sum) + φ(s₂ sum): φ is a homomorphism, so
+                    // once per bucket equals once per entry.
+                    let sums: Vec<Projective<C>> = sums
+                        .chunks_exact(2)
+                        .map(|seg| {
+                            let phi = glv.map_or(seg[1], |glv| glv.phi(&seg[1]));
+                            seg[0].to_projective().add_mixed(&phi)
+                        })
+                        .collect();
                     *partial = bucket_reduce_range(&sums, first as u64);
                 }
             });
@@ -1008,10 +1072,13 @@ mod tests {
             })
             .collect();
         for (scalars, hot) in [(dense, false), (sparse, true)] {
-            let loads = GzkpMsm::bucket_loads(&ScalarVec::from_field(&scalars), 7, 1);
-            let total: u64 = loads.iter().map(|l| l.0).sum();
-            let heaviest = loads.iter().map(|l| l.0).max().unwrap();
-            assert_eq!(hot, heaviest == loads[0].0 && heaviest > total / 16);
+            let loads: Vec<u64> = GzkpMsm::bucket_loads(&ScalarVec::from_field(&scalars), 7, 1)
+                .iter()
+                .map(|l| l.0)
+                .collect();
+            let total: u64 = loads.iter().sum();
+            let heaviest = *loads.iter().max().unwrap();
+            assert_eq!(hot, heaviest == loads[0] && heaviest > total / 16);
             for tasks in [1usize, 2, 3, 7, 16, 40] {
                 let ranges = GzkpMsm::balanced_ranges(&loads, tasks);
                 assert!(ranges.len() <= tasks);
@@ -1020,7 +1087,7 @@ mod tests {
                 assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
                 let target = total.div_ceil(tasks as u64);
                 for &(lo, hi) in &ranges {
-                    let load: u64 = loads[lo..hi].iter().map(|l| l.0).sum();
+                    let load: u64 = loads[lo..hi].iter().sum();
                     assert!(
                         lo < hi && load <= target + heaviest,
                         "tasks={tasks} {lo}..{hi}"
@@ -1033,15 +1100,67 @@ mod tests {
         }
     }
 
+    /// The counters an MSM's telemetry emits.
+    #[derive(Default)]
+    struct Counters(std::sync::Mutex<Vec<(String, f64)>>);
+
+    impl gzkp_telemetry::TelemetrySink for Counters {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn counter(&self, name: &str, delta: f64) {
+            self.0.lock().unwrap().push((name.into(), delta));
+        }
+    }
+
     #[test]
     fn loads_agree_with_and_without_p_index() {
-        // The counting pass cost-only callers fall back to and the
-        // memoised p_index must describe the same profile, for every M.
-        let (_, sv) = setup(200, 51);
+        // The clock split: everything that prices reads Algorithm 1's
+        // unsigned, unsplit digits, never the recoded p_index an MSM
+        // memoises — so for every M each priced value is bit-identical
+        // before and after the memo exists.
+        use gzkp_telemetry::counters::{MSM_OCCUPIED_BUCKETS, MSM_PADD, MSM_PDBL};
+        let (pts, sv) = setup(200, 51);
         for m in [1u32, 2, 5] {
-            let counted = GzkpMsm::bucket_loads(&sv.clone(), 8, m);
-            assert_eq!(sv.p_index(8).loads(m), counted, "M={m}");
-            assert_eq!(GzkpMsm::bucket_loads(&sv, 8, m), counted, "M={m}");
+            let engine = GzkpMsm {
+                window: Some(8),
+                checkpoint_interval: Some(m),
+                ..GzkpMsm::new(v100())
+            };
+            let priced = |sv: &ScalarVec| {
+                let sink = Counters::default();
+                let run = MsmRun {
+                    result: Projective::identity(),
+                    report: StageReport::new("msm"),
+                    stats: MsmStats::default(),
+                };
+                engine.emit_msm_telemetry(&pts, sv, &run, &sink);
+                let counted: Vec<(String, f64)> = sink.0.into_inner().unwrap();
+                let counted: Vec<_> = counted
+                    .into_iter()
+                    .filter(|(name, _)| {
+                        [MSM_PADD, MSM_PDBL, MSM_OCCUPIED_BUCKETS].contains(&&**name)
+                    })
+                    .collect();
+                assert_eq!(counted.len(), 3);
+                let plan = MsmEngine::<G1Config>::plan(&engine, sv).total_ns();
+                let figure6 = (crate::bucket_histogram(sv, 8), crate::window_loads(sv, 8));
+                let loads = GzkpMsm::bucket_loads(sv, 8, m);
+                // Built last: constructing the task memoises the p_index.
+                let task = engine.shard_task::<G1Config>(&pts, sv, 3);
+                assert_eq!(task.num_ranges(), 3);
+                let ranges: Vec<(f64, u64)> = (0..3)
+                    .map(|i| (task.range_kernel_ns(&engine, i), task.pass_bytes_for(i)))
+                    .collect();
+                (plan, loads, counted, figure6, ranges)
+            };
+            let before = priced(&sv.clone());
+            engine.msm(&pts, &sv);
+            // The memo holds signed and φ entries.
+            let index = sv.p_index::<G1Config>(8);
+            let entries: Vec<Entry> = (0..256).flat_map(|j| index.segment(j)).collect();
+            assert!(entries.iter().any(|e| e.neg) && entries.iter().any(|e| e.phi));
+            assert_eq!(priced(&sv), before, "M={m}");
         }
     }
 
@@ -1166,7 +1285,8 @@ mod tests {
         // transfer amplification.
         let loads = e.dense_loads(n, e.k_for(n), 94, 1);
         let whole_ns = e.stage::<C753>(n, e.k_for(n), 94, &loads).total_ns();
-        let ranges = GzkpMsm::balanced_ranges(&loads, shards);
+        let entries: Vec<u64> = loads.iter().map(|l| l.0).collect();
+        let ranges = GzkpMsm::balanced_ranges(&entries, shards);
         let sharded_ns = e
             .stage_sharded::<C753>(n, e.k_for(n), 1, 94, &loads, &ranges)
             .total_ns();

@@ -1,8 +1,10 @@
 //! Scalar-vector preparation: flat limb storage, window extraction and
 //! bucket-occupancy histograms (the inputs to every MSM engine and to the
-//! Figure-6 load analysis).
+//! Figure-6 load analysis), and the host fold's recoded `p_index`.
 
+use gzkp_curves::{CurveParams, ScalarSplit};
 use gzkp_ff::PrimeField;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// A vector of scalars in canonical (non-Montgomery) representation,
@@ -14,9 +16,10 @@ pub struct ScalarVec {
     per_scalar: usize,
     bits: u32,
     n: usize,
-    /// [`PIndex`] per window size, built on first use: the scalars are
-    /// immutable, and MSMs over different point vectors share them
-    /// (Groth16's `a`, `b_g1` and `b_g2` all consume `z⃗`).
+    /// [`PIndex`] per window size and recoding, built on first use: the
+    /// scalars are immutable, and MSMs over different point vectors share
+    /// them (Groth16's `a`, `b_g1` and `b_g2` all consume `z⃗`, and G1 and
+    /// G2 recode alike).
     p_indexes: Mutex<Vec<Arc<PIndex>>>,
 }
 
@@ -26,84 +29,234 @@ impl Clone for ScalarVec {
     }
 }
 
-/// The paper's `p_index` (§4.1): every non-zero `(window, point)` digit
-/// of a scalar vector, counting-sorted by bucket, so a bucket task reads
-/// exactly its own entries and nothing rescans the scalars. Bucket `b`
-/// holds digit `b + 1`.
+/// The paper's `p_index` (§4.1) over the host's recoded scalars: every
+/// non-zero digit, counting-sorted by bucket, so a bucket task reads
+/// exactly its own entries and nothing rescans the scalars.
+///
+/// The recoding: scalar `i` is split as `s₁ + λ·s₂` by its curve's GLV
+/// split ([`gzkp_curves::Glv`]; a curve without one keeps `s₁ = s`,
+/// `s₂ = 0`), and each half is written in balanced signed `k`-bit digits
+/// `d ∈ (−2^{k−1}, 2^{k−1}]` over `⌈(bound + 1)/k⌉` windows, where every
+/// half is below `2^bound` (the split's bound, else the scalar width).
+/// Bucket `b` holds the digits with `|d| = b + 1`: its `s₁` digits in
+/// segment `2b`, its `s₂` digits in segment `2b + 1` — summed apart, so
+/// `φ` is applied once to a bucket's `s₂` sum rather than to each entry.
+/// An entry carries the point, the window, whether the summand is negated
+/// and whether it is `φ` of the stored point.
 #[derive(Debug)]
 pub struct PIndex {
     k: u32,
-    /// Bucket `b` owns `entries[offsets[b]..offsets[b + 1]]`.
+    split: Option<&'static ScalarSplit>,
+    windows: usize,
+    /// Segment `j` owns `entries[offsets[j]..offsets[j + 1]]`.
     offsets: Vec<usize>,
-    /// `point << 16 | window`, in point-then-window order per bucket.
+    /// `point << 18 | φ << 17 | negated << 16 | window`, in point-then-
+    /// window order per segment.
     entries: Vec<u64>,
 }
 
-impl PIndex {
-    fn build(scalars: &ScalarVec, k: u32) -> Self {
-        let windows = scalars.num_windows(k);
-        assert!(windows <= 1 << 16 && (scalars.len() as u64) < 1 << 48);
-        // Counting sort: the histogram's slot 0 (zero digits) becomes the
-        // leading offset, so its running sum is the CSR offsets.
-        let mut offsets: Vec<usize> = bucket_histogram(scalars, k)
-            .into_iter()
-            .map(|count| count as usize)
-            .collect();
-        offsets[0] = 0;
-        for b in 1..offsets.len() {
-            offsets[b] += offsets[b - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut entries = vec![0u64; offsets[offsets.len() - 1]];
-        for i in 0..scalars.len() {
-            for t in 0..windows {
-                let d = scalars.window(i, t, k) as usize;
-                if d != 0 {
-                    entries[cursor[d - 1]] = (i as u64) << 16 | t as u64;
-                    cursor[d - 1] += 1;
-                }
+/// One [`PIndex`] entry: the summand `±P` or `±φ(P)` of stored point
+/// `point` at window `window`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Entry {
+    /// Window of the digit, i.e. the table level it reads.
+    pub window: usize,
+    /// Index of the point.
+    pub point: usize,
+    /// The summand is negated (`−P`).
+    pub neg: bool,
+    /// The summand is the endomorphism image (`φ(P) = λ·P`).
+    pub phi: bool,
+}
+
+/// Number of `k`-bit signed-digit windows of `C`'s recoded scalars: a
+/// half below `2^bound` needs `⌈(bound + 1)/k⌉`, one bit for the carry
+/// balanced digits can leave (`bound` is the GLV split's, or the scalar
+/// width for a curve without one).
+pub(crate) fn recoded_windows<C: CurveParams>(k: u32) -> usize {
+    let bound = C::glv().map_or(<C::Scalar as PrimeField>::MODULUS_BITS, |g| {
+        g.split().bound()
+    });
+    (bound + 1).div_ceil(k) as usize
+}
+
+/// A share of the recoded vector: every scalar's halves — `s₁` and `s₂`
+/// of its curve's GLV split, or the scalar alone on a curve without one —
+/// each a sign and `width` limbs of magnitude.
+struct Halves<'a> {
+    /// Index of the share's first point.
+    first: usize,
+    /// Halves per scalar: 2 with a split, 1 without.
+    per_point: usize,
+    width: usize,
+    mags: Cow<'a, [u64]>,
+    negs: Vec<bool>,
+}
+
+impl<'a> Halves<'a> {
+    fn new(first: usize, limbs: &'a [u64], per: usize, split: Option<&ScalarSplit>) -> Self {
+        let Some(split) = split else {
+            return Self {
+                first,
+                per_point: 1,
+                width: per,
+                mags: Cow::Borrowed(limbs),
+                negs: vec![false; limbs.len() / per],
+            };
+        };
+        let (mut mags, mut negs) = (Vec::new(), Vec::new());
+        for s in limbs.chunks_exact(per) {
+            for (neg, mag) in split.split(s) {
+                mags.extend([mag as u64, (mag >> 64) as u64]);
+                negs.push(neg);
             }
         }
         Self {
+            first,
+            per_point: 2,
+            width: 2,
+            mags: Cow::Owned(mags),
+            negs,
+        }
+    }
+
+    /// Calls `emit(segment, entry)` for every non-zero balanced signed
+    /// `k`-bit digit over at most `windows` windows, in point, half,
+    /// window order.
+    fn digits(&self, k: u32, windows: usize, mut emit: impl FnMut(usize, u64)) {
+        let top = 1i64 << (k - 1);
+        for (h, mag) in self.mags.chunks_exact(self.width).enumerate() {
+            let phi = h % self.per_point;
+            let half = ((self.first + h / self.per_point) as u64) << 18 | (phi as u64) << 17;
+            let mut carry = 0i64;
+            // One window past the top bit takes the last carry.
+            for (t, d) in windows_of(mag, k).chain([0]).take(windows).enumerate() {
+                let d = d as i64 + carry;
+                carry = i64::from(d > top);
+                let d = d - (carry << k);
+                if d != 0 {
+                    let neg = u64::from((d < 0) != self.negs[h]);
+                    emit(
+                        2 * (d.unsigned_abs() as usize - 1) + phi,
+                        half | neg << 16 | t as u64,
+                    );
+                }
+            }
+        }
+    }
+}
+
+impl PIndex {
+    fn build(
+        scalars: &ScalarVec,
+        k: u32,
+        split: Option<&'static ScalarSplit>,
+        windows: usize,
+    ) -> Self {
+        assert!(windows <= 1 << 16 && (scalars.len() as u64) < 1 << 46);
+        let per = scalars.per_scalar;
+        let share = rayon::share_len(scalars.len());
+        let segments = 1 << k;
+        // Pass 1, a share of the points per item: the share's recoded
+        // halves (each a pure function of its scalar) and its digit count
+        // per segment.
+        let shares = scalars.limbs.chunks(per * share).enumerate();
+        let shares = rayon::map(shares, |(c, limbs)| {
+            let halves = Halves::new(c * share, limbs, per, split);
+            let mut counts = vec![0usize; segments];
+            halves.digits(k, windows, |j, _| counts[j] += 1);
+            (halves, counts)
+        });
+        // Segment j is its shares' runs in share order — point order,
+        // whatever the share boundaries: carve each run out of `entries`.
+        let mut offsets = Vec::with_capacity(segments + 1);
+        let mut at = 0;
+        for j in 0..segments {
+            offsets.push(at);
+            at += shares.iter().map(|(_, counts)| counts[j]).sum::<usize>();
+        }
+        offsets.push(at);
+        let mut entries = vec![0u64; at];
+        let mut runs: Vec<Vec<&mut [u64]>> = shares.iter().map(|_| Vec::new()).collect();
+        let mut rest = &mut entries[..];
+        for j in 0..segments {
+            for ((_, counts), runs) in shares.iter().zip(&mut runs) {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(counts[j]);
+                runs.push(run);
+                rest = tail;
+            }
+        }
+        // Pass 2: each share writes its entries into its runs.
+        rayon::for_each(shares.iter().zip(runs), |((halves, _), mut runs)| {
+            let mut cursor = vec![0usize; segments];
+            halves.digits(k, windows, |j, entry| {
+                runs[j][cursor[j]] = entry;
+                cursor[j] += 1;
+            });
+        });
+        Self {
             k,
+            split,
+            windows,
             offsets,
             entries,
         }
     }
 
-    /// The `(window, point)` entries of bucket `b`.
-    pub fn bucket(&self, b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.entries[self.offsets[b]..self.offsets[b + 1]]
+    /// The entries of segment `j`: bucket `j / 2`'s `s₁` digits for even
+    /// `j`, its `s₂` digits for odd `j`.
+    pub fn segment(&self, j: usize) -> impl Iterator<Item = Entry> + '_ {
+        self.entries[self.offsets[j]..self.offsets[j + 1]]
             .iter()
-            .map(|&e| ((e & 0xffff) as usize, (e >> 16) as usize))
+            .map(|&e| Entry {
+                window: (e & 0xffff) as usize,
+                point: (e >> 18) as usize,
+                neg: e >> 16 & 1 == 1,
+                phi: e >> 17 & 1 == 1,
+            })
     }
 
     /// Number of entries in buckets `lo..hi`.
     pub fn range_len(&self, lo: usize, hi: usize) -> usize {
-        self.offsets[hi] - self.offsets[lo]
+        self.offsets[2 * hi] - self.offsets[2 * lo]
     }
 
-    /// Per-bucket load profile `(entries, on_the_fly_doublings)` under
-    /// checkpoint interval `m` — the data behind Figure 6, the simulated
-    /// merge kernel and the load balancer. A window off the checkpoint
-    /// grid costs `k` streamed doublings per entry it produces.
-    pub fn loads(&self, m: u32) -> Vec<(u64, u64)> {
-        (0..self.offsets.len() - 1)
-            .map(|b| {
-                let streamed = match m {
-                    1 => 0,
-                    _ => self
-                        .bucket(b)
-                        .filter(|(t, _)| !(*t as u32).is_multiple_of(m))
-                        .count(),
-                };
-                (
-                    (self.offsets[b + 1] - self.offsets[b]) as u64,
-                    streamed as u64 * self.k as u64,
-                )
-            })
+    /// Entries per bucket, `2^{k−1}` of them: the load profile the host
+    /// cuts its bucket tasks and ranges by.
+    pub fn bucket_sizes(&self) -> Vec<u64> {
+        self.offsets
+            .windows(3)
+            .step_by(2)
+            .map(|w| (w[2] - w[0]) as u64)
             .collect()
     }
+
+    /// Number of recoded windows (the table levels read, before `M`).
+    pub fn windows(&self) -> usize {
+        self.windows
+    }
+}
+
+/// The `k`-bit windows of a little-endian limb integer, lowest first, up
+/// to the window holding its top bit (none for zero).
+pub(crate) fn windows_of(limbs: &[u64], k: u32) -> impl Iterator<Item = u64> + '_ {
+    let bits = limbs
+        .iter()
+        .rposition(|&l| l != 0)
+        .map_or(0, |l| 64 * l as u32 + 64 - limbs[l].leading_zeros());
+    let mask = (1u64 << k) - 1;
+    let (mut buf, mut have, mut next) = (0u128, 0u32, 0usize);
+    (0..bits.div_ceil(k)).map(move |_| {
+        if have < k {
+            buf |= u128::from(limbs.get(next).copied().unwrap_or(0)) << have;
+            have += 64;
+            next += 1;
+        }
+        let d = buf as u64 & mask;
+        buf >>= k;
+        have -= k;
+        d
+    })
 }
 
 impl ScalarVec {
@@ -134,24 +287,23 @@ impl ScalarVec {
         }
     }
 
-    /// The [`PIndex`] for window size `k`, built on first use and shared
-    /// by every later MSM over these scalars.
-    pub fn p_index(&self, k: u32) -> Arc<PIndex> {
+    /// The [`PIndex`] of these scalars recoded for curve `C` with window
+    /// size `k`, built on first use and shared by every later MSM over
+    /// them on a curve with the same split (G1 and G2 of one family).
+    pub fn p_index<C: CurveParams>(&self, k: u32) -> Arc<PIndex> {
+        let split = C::glv().map(|g| g.split());
+        let same = |ix: &PIndex| match (ix.split, split) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
         let mut memo = self.p_indexes.lock().expect("p_index build panicked");
-        if let Some(hit) = memo.iter().find(|ix| ix.k == k) {
+        if let Some(hit) = memo.iter().find(|ix| ix.k == k && same(ix)) {
             return hit.clone();
         }
-        let built = Arc::new(PIndex::build(self, k));
+        let built = Arc::new(PIndex::build(self, k, split, recoded_windows::<C>(k)));
         memo.push(built.clone());
         built
-    }
-
-    /// The already-built [`PIndex`] for `k`, if any MSM made one: what
-    /// cost-only callers use, so planning a paper-scale vector never
-    /// materialises its entries.
-    pub fn cached_p_index(&self, k: u32) -> Option<Arc<PIndex>> {
-        let memo = self.p_indexes.lock().expect("p_index build panicked");
-        memo.iter().find(|ix| ix.k == k).cloned()
     }
 
     /// Drops every memoised [`PIndex`]: for an owner that keeps the
@@ -311,6 +463,51 @@ mod tests {
             }
             assert_eq!(&acc[..4], sv.scalar_limbs(0), "k={k}");
             assert_eq!(acc[4], 0);
+        }
+    }
+
+    #[test]
+    fn recoded_entries_reconstruct_every_scalar() {
+        // Σ ±(b+1)·2^{t·k}·(λ if φ) over a point's entries is its scalar
+        // mod r: the balanced digits carry and the split recombines — on
+        // a curve with a split (BN254) and one without (T753).
+        fn check<C: CurveParams>(scalars: &[C::Scalar], k: u32) {
+            let sv = ScalarVec::from_field(scalars);
+            let index = sv.p_index::<C>(k);
+            let lambda = C::glv().map_or(C::Scalar::one(), |g| {
+                C::Scalar::from_limbs(g.split().lambda()).unwrap()
+            });
+            let weight = C::Scalar::from_u64(1 << k);
+            let mut acc = vec![C::Scalar::zero(); scalars.len()];
+            for j in 0..1 << k {
+                for e in index.segment(j) {
+                    assert_eq!(e.phi, j % 2 == 1);
+                    let mut v =
+                        C::Scalar::from_u64(j as u64 / 2 + 1) * weight.pow(&[e.window as u64]);
+                    if e.phi {
+                        v *= lambda;
+                    }
+                    acc[e.point] += if e.neg { -v } else { v };
+                }
+            }
+            assert_eq!(acc, scalars, "{} k={k}", C::NAME);
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut bn: Vec<Fr254> = (0..40).map(|_| Fr254::random(&mut rng)).collect();
+        bn.extend([
+            Fr254::zero(),
+            Fr254::one(),
+            -Fr254::one(),
+            -Fr254::from_u64(2),
+        ]);
+        for k in [1, 4, 7, 13] {
+            check::<gzkp_curves::bn254::G1Config>(&bn, k);
+        }
+        use gzkp_curves::t753;
+        let mut big: Vec<t753::Fr> = (0..8).map(|_| t753::Fr::random(&mut rng)).collect();
+        big.extend([t753::Fr::one(), -t753::Fr::one()]);
+        for k in [4, 9] {
+            check::<t753::G1Config>(&big, k);
         }
     }
 

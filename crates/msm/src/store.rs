@@ -2,7 +2,9 @@
 //! cache in the workspace.
 //!
 //! Proving-key point vectors are fixed per application, so the tables of
-//! Algorithm 1 (`levels·M·k` doublings per point) are built once and
+//! Algorithm 1 — one level per `M` windows of the host's recoded scalars,
+//! `(levels − 1)·M·k` doublings per point, about half what the unsplit
+//! 254-bit scalars would need — are built once and
 //! reused by every later MSM over the same vector: the paper's
 //! setup/execution split. Entries are keyed by the point vector's
 //! identity and table shape, charged by their actual table footprint, and
@@ -33,7 +35,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Identity of one checkpoint-table computation: the proof system the
 /// tables serve, the curve, the point vector (by address, length, and a
 /// sampled content fingerprint guarding against address reuse), plus the
-/// `(k, M, windows)` table shape. The system tag keeps mixed
+/// `(k, M, windows)` table shape, `windows` being the recoded width. The
+/// system tag keeps mixed
 /// Groth16 + PLONK streams from sharing entries whose lifetimes differ
 /// (a PLONK SRS prefix and a Groth16 query can alias the same base
 /// pointer) and makes per-backend hit accounting meaningful.

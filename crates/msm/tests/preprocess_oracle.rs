@@ -1,10 +1,13 @@
 //! The checkpoint tables against their definition,
-//! `pre[c][i] = 2^{c·M·k} · Pᵢ`, computed per point by double-and-add —
-//! on G1, on G2, and on a curve with `a ≠ 0` (none of the workspace's
-//! curves has one, and the tangent slope carries the `a`), over vectors
-//! that hold identity entries the way a real `a_query` does. The same
-//! vectors then go through an MSM whose windows are mostly streamed
-//! (`M = 3`), which doubles the weight vector in place between passes.
+//! `pre[c][i] = 2^{c·M·k} · Pᵢ`, computed per point by double-and-add, at
+//! the level count of the recoded scalars (`⌈(bound + 1)/k⌉` windows: the
+//! GLV half bound on BN254 G1 and G2, the full width on a curve without a
+//! split) — on G1, on G2, and on a curve with `a ≠ 0` (none of the
+//! workspace's curves has one, and the tangent slope carries the `a`),
+//! over vectors that hold identity entries the way a real `a_query` does.
+//! The same vectors then go through an MSM whose windows are mostly
+//! streamed (`M = 3`), which doubles the weight vector in place between
+//! passes.
 
 use gzkp_curves::bn254::{Fq, Fr, G1Config, G2Config};
 use gzkp_curves::{random_points, Affine, CurveParams};
@@ -44,15 +47,18 @@ fn points_with_identities<C: CurveParams>(n: usize, rng: &mut StdRng) -> Vec<Aff
     points
 }
 
-fn check<C: CurveParams>(seed: u64) {
+fn check<C: CurveParams>(seed: u64, windows: usize) {
     const K: u32 = 8;
     let mut rng = StdRng::seed_from_u64(seed);
     // Several shares at any thread count above one.
     let points = points_with_identities::<C>(19, &mut rng);
     let engine = GzkpMsm::new(v100());
-    let windows = <C::Scalar as gzkp_ff::PrimeField>::MODULUS_BITS.div_ceil(K) as usize;
+    let bound = C::glv().map_or(<C::Scalar as gzkp_ff::PrimeField>::MODULUS_BITS, |g| {
+        g.split().bound()
+    });
+    assert_eq!((bound + 1).div_ceil(K) as usize, windows, "{}", C::NAME);
     for m in [1u32, 3] {
-        let pre = engine.preprocess(&points, K, m, windows);
+        let pre = engine.preprocess(&points, K, m);
         assert_eq!(pre.len(), windows.div_ceil(m as usize), "{} M={m}", C::NAME);
         for (c, level) in pre.iter().enumerate() {
             // 2^{c·M·k} as little-endian limbs.
@@ -83,17 +89,20 @@ fn check<C: CurveParams>(seed: u64) {
     );
 }
 
+// BN254's halves are below 2^126: 16 windows of 8 bits against the 32
+// Algorithm 1 stores for 254-bit scalars. The a ≠ 0 curve has no split.
+
 #[test]
 fn checkpoint_tables_match_their_definition_g1() {
-    check::<G1Config>(61);
+    check::<G1Config>(61, 16);
 }
 
 #[test]
 fn checkpoint_tables_match_their_definition_g2() {
-    check::<G2Config>(62);
+    check::<G2Config>(62, 16);
 }
 
 #[test]
 fn checkpoint_tables_match_their_definition_nonzero_a() {
-    check::<NonZeroA>(63);
+    check::<NonZeroA>(63, 32);
 }

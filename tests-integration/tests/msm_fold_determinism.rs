@@ -6,16 +6,21 @@
 //! thread count, and every configuration must agree with the serial
 //! mixed-addition oracle (`CpuMsm::serial()`: window-serial Pippenger on
 //! one thread — no `p_index`, no batch-affine reducer; all it shares with
-//! the fold is the running-sum `bucket_reduce`). Checked on BN254 G1, G2
-//! and the 753-bit curve, over scalars with a hot bucket and points with
-//! duplicates and identities.
+//! the fold is the running-sum `bucket_reduce`). Checked on BN254 G1, G2,
+//! BLS12-381 G1 — whose recoded `p_index` holds negated and φ entries
+//! (GLV halves in signed digits) — and the 753-bit curve, whose recoding
+//! is signed digits over the unsplit scalar; over scalars with a hot
+//! bucket, `r − 1`, `r − 2` and λ among them, and points with duplicates
+//! and identities.
 //!
 //! Everything lives in ONE test function: the thread count is driven by
 //! the `GZKP_THREADS` env override, and env mutation must stay
 //! sequential within the test binary (see `parallel_determinism.rs`).
 
-use gzkp_curves::{bn254, compress, random_points, t753, Affine, CoordField, CurveParams};
-use gzkp_ff::Field;
+use gzkp_curves::{
+    bls12_381, bn254, compress, random_points, t753, Affine, CoordField, CurveParams,
+};
+use gzkp_ff::{Field, PrimeField};
 use gzkp_gpu_sim::v100;
 use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, MsmStats, ScalarVec};
 use rand::rngs::StdRng;
@@ -73,14 +78,34 @@ where
         points[i] = points[(i + 1) % n];
     }
     points[n / 2] = Affine::identity();
-    // A 0/1-heavy vector: bucket 1 is hot, as in a real witness.
+    // A 0/1-heavy vector: bucket 1 is hot, as in a real witness. Every
+    // ninth scalar is r − 1, r − 2 or λ: negated halves and a φ digit.
+    let lambda = C::glv().map(|g| C::Scalar::from_limbs(g.split().lambda()).expect("λ below r"));
     let scalars: Vec<C::Scalar> = (0..n)
         .map(|i| match i % 3 {
             2 => C::Scalar::from_u64((i % 2) as u64),
+            _ if i % 9 == 0 => match i / 9 % 3 {
+                0 => -C::Scalar::one(),
+                1 => -C::Scalar::from_u64(2),
+                _ => lambda.unwrap_or_else(|| C::Scalar::random(&mut rng)),
+            },
             _ => C::Scalar::random(&mut rng),
         })
         .collect();
     let scalars = ScalarVec::from_field(&scalars);
+    let index = scalars.p_index::<C>(window);
+    let entries: Vec<_> = (0..1 << window).flat_map(|j| index.segment(j)).collect();
+    assert!(
+        entries.iter().any(|e| e.neg),
+        "{} has negated entries",
+        C::NAME
+    );
+    assert_eq!(
+        entries.iter().any(|e| e.phi),
+        lambda.is_some(),
+        "{} has φ entries exactly when it has a split",
+        C::NAME
+    );
 
     std::env::set_var("GZKP_THREADS", "1");
     let reference = CpuMsm {
@@ -113,5 +138,6 @@ where
 fn fold_is_identical_across_threads_intervals_shards_and_partials() {
     check_curve::<bn254::G1Config>(1000, 5, 61, true);
     check_curve::<bn254::G2Config>(120, 4, 62, false);
+    check_curve::<bls12_381::G1Config>(200, 5, 64, false);
     check_curve::<t753::G1Config>(40, 4, 63, false);
 }
