@@ -104,7 +104,7 @@ fn main() {
 
     let device = v100();
     let workload = cluster_workload(jobs);
-    let prepared = Arc::new(prepare(&workload, &device));
+    let prepared = Arc::new(prepare(&workload));
 
     let mut rec = Recorder::new("cluster_throughput");
 

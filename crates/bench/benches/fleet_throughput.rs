@@ -66,14 +66,14 @@ fn main() {
 
     let device = v100();
     let workload = scaled_fleet_workload(count_scale);
-    let prepared = prepare(&workload, &device);
+    let prepared = prepare(&workload);
 
     let mut rec = Recorder::new("fleet_throughput");
 
     // --- Baseline: prove every request in arrival order. ---
     let sequential = run_sequential(&prepared, &device);
 
-    // --- Fleet mode at one and two simulated V100s. ---
+    // --- The service on one and two simulated V100s. ---
     let one = run_service(&prepared, fleet_cfg("1"), &device);
     let two = run_service(&prepared, fleet_cfg("2"), &device);
     std::env::remove_var("GZKP_THREADS");
@@ -90,8 +90,8 @@ fn main() {
     );
 
     // Per-device placement of the 2-device run, for the record.
-    let one_util = one.fleet.as_ref().expect("fleet mode");
-    let util = two.fleet.as_ref().expect("fleet mode");
+    let one_util = one.fleet.as_ref().expect("a service replay");
+    let util = two.fleet.as_ref().expect("a service replay");
     print!("{}", util.render());
     rec.row(
         "fleet-2xv100-devices",

@@ -10,7 +10,7 @@
 //! after idleness don't starve steady tenants.
 //!
 //! Everything is driven by explicit `Instant`s (`admit_at`) so tests can
-//! own the clock; `admit` is the `Instant::now()` convenience.
+//! own the clock.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -202,11 +202,6 @@ impl<T> FrontDoor<T> {
             capacity,
             stopped: false,
         }
-    }
-
-    /// [`FrontDoor::admit_at`] with the real clock.
-    pub fn admit(&mut self, tenant: &str, item: T) -> Result<(), AdmissionError> {
-        self.admit_at(tenant, item, Instant::now())
     }
 
     /// Runs admission control for one job: saturation bound, then the

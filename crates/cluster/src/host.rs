@@ -308,7 +308,7 @@ impl SimHost {
 
     fn stop(&mut self) {
         if let Some(service) = self.service.take() {
-            self.utilization = service.fleet_utilization();
+            self.utilization = Some(service.fleet_utilization());
             self.final_stats = Some(service.shutdown());
         }
         self.state = HostState::Dead;

@@ -52,7 +52,7 @@ pub const MSM_STEPS: usize = 5;
 const MAGIC: &[u8; 7] = b"GZKPCKP";
 
 /// Span names of the five MSM steps: the registry's Groth16 stage table.
-const STEP_SPANS: [&str; MSM_STEPS] = telemetry::counters::GROTH16_MSM_STAGES;
+const STEP_SPANS: [&str; MSM_STEPS] = telemetry::names::GROTH16_MSM_STAGES;
 /// Kernel-report label prefixes (the historical query names).
 const STEP_LABELS: [&str; MSM_STEPS] = ["a_query", "b_g1", "h_query", "l_query", "b_g2"];
 

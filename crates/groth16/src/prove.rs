@@ -92,7 +92,7 @@ pub fn prove_with_telemetry<P: PairingConfig, R: Rng + ?Sized>(
     rng: &mut R,
     sink: &dyn TelemetrySink,
 ) -> Result<(Proof<P>, ProveReport), SynthesisError> {
-    let _prove_span = telemetry::span(sink, telemetry::counters::SPAN_PROVE);
+    let _prove_span = telemetry::span(sink, telemetry::names::SPAN_PROVE);
     let poly = prove_poly(cs, pk, engines.ntt, sink)?;
     Ok(prove_msm(pk, engines, poly, rng, sink))
 }
@@ -136,7 +136,7 @@ pub fn prove_poly<P: PairingConfig>(
     let qap = QapWitness::from_r1cs(cs)?;
     assert_eq!(pk.domain_size, qap.domain.size, "key domain mismatch");
     let poly = {
-        let _poly_span = telemetry::span(sink, telemetry::counters::SPAN_POLY);
+        let _poly_span = telemetry::span(sink, telemetry::names::SPAN_POLY);
         poly_stage_traced(&qap, ntt, sink)
     };
 

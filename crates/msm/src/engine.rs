@@ -95,7 +95,7 @@ pub trait MsmEngine<C: CurveParams>: Send + Sync {
         if sink.enabled() {
             emit_stage(sink, &run.report);
             sink.value(
-                gzkp_telemetry::counters::PEAK_DEVICE_BYTES,
+                gzkp_telemetry::names::PEAK_DEVICE_BYTES,
                 self.memory_bytes(points.len()) as f64,
             );
         }

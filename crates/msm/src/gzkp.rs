@@ -656,32 +656,32 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
             let entries: u64 = loads.iter().map(|l| l.0).sum();
             let dbls: u64 = loads.iter().map(|l| l.1).sum();
             let buckets = loads.len() as u64;
-            use gzkp_telemetry::counters;
+            use gzkp_telemetry::names;
             // One mixed PADD per merged entry + the running-sum reduction's
             // 2(m−1) full PADDs over 2^k − 1 buckets.
-            sink.counter(counters::MSM_PADD, (entries + 2 * (buckets - 1)) as f64);
-            sink.counter(counters::MSM_PDBL, dbls as f64);
+            sink.counter(names::MSM_PADD, (entries + 2 * (buckets - 1)) as f64);
+            sink.counter(names::MSM_PDBL, dbls as f64);
             sink.counter(
-                counters::MSM_OCCUPIED_BUCKETS,
+                names::MSM_OCCUPIED_BUCKETS,
                 loads.iter().filter(|l| l.0 > 0).count() as f64,
             );
             sink.counter(
-                counters::MSM_BATCH_INVERSIONS,
+                names::MSM_BATCH_INVERSIONS,
                 run.stats.batch_inversions as f64,
             );
             sink.counter(
-                counters::MSM_BATCH_INV_SAVED,
+                names::MSM_BATCH_INV_SAVED,
                 run.stats.inversions_saved() as f64,
             );
             if run.stats.shards > 1 {
-                sink.counter(counters::RUNTIME_SHARDS, run.stats.shards as f64);
+                sink.counter(names::RUNTIME_SHARDS, run.stats.shards as f64);
             }
             sink.histogram(
                 "bucket_occupancy",
                 &gzkp_telemetry::log2_histogram(loads.iter().map(|l| l.0)),
             );
             sink.value(
-                counters::PEAK_DEVICE_BYTES,
+                names::PEAK_DEVICE_BYTES,
                 MsmEngine::<C>::memory_bytes(self, n) as f64,
             );
         }
@@ -1119,7 +1119,7 @@ mod tests {
         // unsigned, unsplit digits, never the recoded p_index an MSM
         // memoises — so for every M each priced value is bit-identical
         // before and after the memo exists.
-        use gzkp_telemetry::counters::{MSM_OCCUPIED_BUCKETS, MSM_PADD, MSM_PDBL};
+        use gzkp_telemetry::names::{MSM_OCCUPIED_BUCKETS, MSM_PADD, MSM_PDBL};
         let (pts, sv) = setup(200, 51);
         for m in [1u32, 2, 5] {
             let engine = GzkpMsm {

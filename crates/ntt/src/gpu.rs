@@ -20,7 +20,7 @@ use gzkp_ff::PrimeField;
 use gzkp_gpu_sim::device::{field_add_macs, field_mul_macs, Backend, DeviceConfig};
 use gzkp_gpu_sim::kernel::{BlockCost, KernelSpec, StageReport};
 use gzkp_gpu_sim::memory::strided_phase_sectors;
-use gzkp_telemetry::{counters as telemetry_counters, emit_stage, TelemetrySink};
+use gzkp_telemetry::{emit_stage, names, TelemetrySink};
 
 /// Host-side synchronization cost the baseline pays per kernel: bellperson
 /// drives each shuffle/butterfly batch from the host with a device sync in
@@ -58,7 +58,7 @@ pub trait GpuNttEngine<F: PrimeField>: Send + Sync {
             // Each of the log N iterations performs N/2 butterflies of one
             // field multiplication.
             let muls = domain.log_n as f64 * (domain.size as f64) / 2.0;
-            sink.counter(telemetry_counters::NTT_FIELD_MULS, muls);
+            sink.counter(names::NTT_FIELD_MULS, muls);
         }
         report
     }

@@ -69,7 +69,7 @@ const MAGIC: &[u8; 7] = b"GZKPPLK";
 
 /// Span names of the nine commitment MSMs, from the telemetry registry's
 /// per-backend stage table (so `zkprof` labels PLONK stages as PLONK).
-const STAGES: [&str; 9] = telemetry::counters::PLONK_MSM_STAGES;
+const STAGES: [&str; 9] = telemetry::names::PLONK_MSM_STAGES;
 
 /// Human-readable labels of the four commit steps (logs and errors).
 const STEP_LABELS: [&str; MSM_STEPS] = ["wires", "perm_z", "quotient", "open"];
@@ -127,7 +127,7 @@ pub fn prove_poly<P: PairingConfig>(
     let mut report = StageReport::new("POLY");
     let mut wire_coeffs: [Vec<P::Fr>; 3] = std::array::from_fn(|_| Vec::new());
     {
-        let _poly_span = telemetry::span(sink, telemetry::counters::SPAN_POLY);
+        let _poly_span = telemetry::span(sink, telemetry::names::SPAN_POLY);
         for (col, values) in wire_values.iter().enumerate() {
             let label = format!("ntt[{col}]");
             let mut coeffs = values.clone();
@@ -867,7 +867,7 @@ pub fn prove<P: PairingConfig>(
 where
     <P::G1 as CurveParams>::Base: CoordField,
 {
-    let _prove_span = telemetry::span(sink, telemetry::counters::SPAN_PROVE);
+    let _prove_span = telemetry::span(sink, telemetry::names::SPAN_PROVE);
     let poly = prove_poly(circuit, pk, engines.ntt, sink)?;
     let mut ckpt = PlonkCheckpoint::from_poly(seed, poly);
     run_msm_steps(&mut ckpt, pk, engines, sink, |_, _| Ok(()))?;

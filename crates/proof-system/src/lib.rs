@@ -186,7 +186,7 @@ pub fn run_msm_steps<C: MsmSteps>(
     sink: &dyn TelemetrySink,
     mut before_step: impl FnMut(&C, usize) -> Result<(), String>,
 ) -> Result<(), String> {
-    let _msm_span = telemetry::span(sink, telemetry::counters::SPAN_MSM);
+    let _msm_span = telemetry::span(sink, telemetry::names::SPAN_MSM);
     while let Some(step) = ckpt.next_step() {
         before_step(ckpt, step)?;
         ckpt.run_step(pk, engines, step, sink)?;

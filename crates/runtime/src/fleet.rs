@@ -10,12 +10,12 @@
 //! stage's upload overlaps this stage's kernel exactly like the CUDA
 //! double-buffered producer/consumer pipeline the simulator models.
 
-use crate::health::{DeviceHealth, HealthPolicy, HealthState};
+use crate::health::{DeviceHealth, HealthPolicy};
 use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_gpu_sim::stream::{DeviceTimeline, EngineKind, Event, StreamId};
 use gzkp_gpu_sim::transfer::{d2d_time_ns, link_kind, HostMem, LinkKind};
-use gzkp_telemetry::counters;
 use gzkp_telemetry::metrics::{Counter, Gauge, MetricsRegistry};
+use gzkp_telemetry::names;
 use gzkp_telemetry::trace::{Trace, TraceNode};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,16 +80,16 @@ impl DeviceCells {
         let counter = |name| registry.counter_with(name, "device", &dev);
         let gauge = |name| registry.gauge_with(name, "device", &dev);
         DeviceCells {
-            stages: counter(counters::DEVICE_STAGES),
-            steals: counter(counters::RUNTIME_STEALS),
-            shards: counter(counters::RUNTIME_SHARDS),
-            h2d_bytes: counter(counters::RUNTIME_H2D_BYTES),
-            d2h_bytes: counter(counters::RUNTIME_D2H_BYTES),
-            p2p_bytes: counter(counters::RUNTIME_P2P_BYTES),
-            busy_ns: gauge(counters::DEVICE_BUSY_NS),
-            elapsed_ns: gauge(counters::DEVICE_ELAPSED_NS),
-            quarantine_ns: gauge(counters::DEVICE_QUARANTINE_NS),
-            quarantines: counter(counters::QUARANTINE_EVENTS),
+            stages: counter(names::DEVICE_STAGES),
+            steals: counter(names::RUNTIME_STEALS),
+            shards: counter(names::RUNTIME_SHARDS),
+            h2d_bytes: counter(names::RUNTIME_H2D_BYTES),
+            d2h_bytes: counter(names::RUNTIME_D2H_BYTES),
+            p2p_bytes: counter(names::RUNTIME_P2P_BYTES),
+            busy_ns: gauge(names::DEVICE_BUSY_NS),
+            elapsed_ns: gauge(names::DEVICE_ELAPSED_NS),
+            quarantine_ns: gauge(names::DEVICE_QUARANTINE_NS),
+            quarantines: counter(names::QUARANTINE_EVENTS),
         }
     }
 }
@@ -325,23 +325,6 @@ impl FleetRuntime {
         self.devices[dev].inflight.load(Ordering::Relaxed)
     }
 
-    /// Places one stage on the least-loaded device (throughput-weighted,
-    /// lowest index on ties) and returns its index. Pair with
-    /// [`Self::complete`] when the stage finishes.
-    pub fn place(&self) -> usize {
-        let mut best = 0;
-        let mut best_load = self.load(0);
-        for dev in 1..self.devices.len() {
-            let load = self.load(dev);
-            if load < best_load {
-                best = dev;
-                best_load = load;
-            }
-        }
-        self.assign(best);
-        best
-    }
-
     /// Records a stage placed on an externally-chosen device (a worker
     /// pinned to `dev`, or a steal decided by the scheduler).
     pub fn assign(&self, dev: usize) {
@@ -456,11 +439,6 @@ impl FleetRuntime {
         self.health(dev).available(Instant::now())
     }
 
-    /// The circuit-breaker state of `dev` right now.
-    pub fn health_state(&self, dev: usize) -> HealthState {
-        self.health(dev).state(Instant::now())
-    }
-
     /// Times `dev` has entered quarantine.
     pub fn quarantine_count(&self, dev: usize) -> u64 {
         self.devices[dev].cells.quarantines.get()
@@ -473,12 +451,13 @@ impl FleetRuntime {
             .sum()
     }
 
-    /// Health-aware placement: the least-loaded *available* device,
-    /// preferring one different from `avoid` (the device a stage just
-    /// failed on). Falls back to `avoid` itself when it is the only
-    /// available device; returns `None` when the whole fleet is
-    /// quarantined — the caller degrades to the host CPU path. Does
-    /// **not** call [`Self::assign`]; the caller places explicitly.
+    /// Health-aware placement: the least-loaded *available* device
+    /// (throughput-weighted, lowest index on ties), preferring one
+    /// different from `avoid` (the device a stage just failed on). Falls
+    /// back to `avoid` itself when it is the only available device;
+    /// returns `None` when the whole fleet is quarantined — the caller
+    /// degrades to the host CPU path. Does **not** call
+    /// [`Self::assign`]; the caller places explicitly.
     pub fn place_available(&self, avoid: Option<usize>) -> Option<usize> {
         let mut best: Option<usize> = None;
         for dev in 0..self.devices.len() {
@@ -511,23 +490,17 @@ impl FleetRuntime {
         slack_ns: Option<f64>,
         max_devices: usize,
     ) -> Vec<usize> {
+        let urgent = slack_ns.is_some_and(|s| s < remaining_cost_ns * URGENCY_MARGIN);
+        if !urgent || max_devices <= 1 {
+            let best = self.place_available(None);
+            if let Some(dev) = best {
+                self.assign(dev);
+            }
+            return best.into_iter().collect();
+        }
         let mut avail: Vec<usize> = (0..self.devices.len())
             .filter(|&d| self.available(d))
             .collect();
-        if avail.is_empty() {
-            return Vec::new();
-        }
-        let urgent = slack_ns.is_some_and(|s| s < remaining_cost_ns * URGENCY_MARGIN);
-        if !urgent || max_devices <= 1 {
-            let mut best = avail[0];
-            for &dev in &avail[1..] {
-                if self.load(dev) < self.load(best) {
-                    best = dev;
-                }
-            }
-            self.assign(best);
-            return vec![best];
-        }
         avail.sort_by(|&a, &b| {
             throughput_weight(&self.devices[b].config)
                 .total_cmp(&throughput_weight(&self.devices[a].config))
@@ -731,11 +704,11 @@ impl FleetRuntime {
     /// The fleet's telemetry trace: a `runtime` span whose `dev{n}`
     /// children carry one lane span per engine (`h2d`, `kernel`, `d2h`),
     /// each lane holding its scheduled operations as child spans stamped
-    /// with a [`counters::SPAN_START_NS`] gauge — what `zkprof render
+    /// with a [`names::SPAN_START_NS`] gauge — what `zkprof render
     /// --timeline` aligns into per-device ASCII rows.
     pub fn trace(&self) -> Trace {
         let util = self.utilization();
-        let mut runtime = TraceNode::new(counters::SPAN_RUNTIME);
+        let mut runtime = TraceNode::new(names::SPAN_RUNTIME);
         runtime.time_ns = util.elapsed_ns;
         let mut total_h2d = 0u64;
         let mut total_d2h = 0u64;
@@ -753,28 +726,20 @@ impl FleetRuntime {
             node.counters
                 .push(("runtime.jobs".to_string(), row.jobs as f64));
             node.counters
-                .push((counters::RUNTIME_STEALS.to_string(), row.steals as f64));
+                .push((names::RUNTIME_STEALS.to_string(), row.steals as f64));
             node.counters
-                .push((counters::RUNTIME_SHARDS.to_string(), row.shards as f64));
+                .push((names::RUNTIME_SHARDS.to_string(), row.shards as f64));
             if row.quarantines > 0 {
-                node.counters.push((
-                    counters::QUARANTINE_EVENTS.to_string(),
-                    row.quarantines as f64,
-                ));
+                node.counters
+                    .push((names::QUARANTINE_EVENTS.to_string(), row.quarantines as f64));
             }
-            node.counters.push((
-                counters::RUNTIME_H2D_BYTES.to_string(),
-                row.h2d_bytes as f64,
-            ));
-            node.counters.push((
-                counters::RUNTIME_D2H_BYTES.to_string(),
-                row.d2h_bytes as f64,
-            ));
+            node.counters
+                .push((names::RUNTIME_H2D_BYTES.to_string(), row.h2d_bytes as f64));
+            node.counters
+                .push((names::RUNTIME_D2H_BYTES.to_string(), row.d2h_bytes as f64));
             if row.p2p_bytes > 0 {
-                node.counters.push((
-                    counters::RUNTIME_P2P_BYTES.to_string(),
-                    row.p2p_bytes as f64,
-                ));
+                node.counters
+                    .push((names::RUNTIME_P2P_BYTES.to_string(), row.p2p_bytes as f64));
             }
             let lanes = d.lanes.lock().expect("fleet lanes mutex");
             for engine in [
@@ -797,7 +762,7 @@ impl FleetRuntime {
                     let mut span = TraceNode::new(op.name.clone());
                     span.time_ns = op.end_ns - op.start_ns;
                     span.values
-                        .push((counters::SPAN_START_NS.to_string(), op.start_ns));
+                        .push((names::SPAN_START_NS.to_string(), op.start_ns));
                     if op.bytes > 0 {
                         span.counters.push(("bytes".to_string(), op.bytes as f64));
                     }
@@ -810,11 +775,11 @@ impl FleetRuntime {
             // byte-identical to pre-observability ones.
             let events = d.events.lock().unwrap_or_else(PoisonError::into_inner);
             if !events.is_empty() {
-                let mut lane = TraceNode::new(counters::SPAN_HEALTH);
+                let mut lane = TraceNode::new(names::SPAN_HEALTH);
                 for e in events.iter() {
                     let mut span = TraceNode::new(e.kind.label());
                     span.values
-                        .push((counters::SPAN_START_NS.to_string(), e.sim_ns));
+                        .push((names::SPAN_START_NS.to_string(), e.sim_ns));
                     lane.children.push(span);
                 }
                 node.children.push(lane);
@@ -824,30 +789,30 @@ impl FleetRuntime {
         }
         runtime
             .counters
-            .push((counters::RUNTIME_H2D_BYTES.to_string(), total_h2d as f64));
+            .push((names::RUNTIME_H2D_BYTES.to_string(), total_h2d as f64));
         runtime
             .counters
-            .push((counters::RUNTIME_D2H_BYTES.to_string(), total_d2h as f64));
+            .push((names::RUNTIME_D2H_BYTES.to_string(), total_d2h as f64));
         runtime
             .counters
-            .push((counters::RUNTIME_STEALS.to_string(), total_steals as f64));
+            .push((names::RUNTIME_STEALS.to_string(), total_steals as f64));
         runtime
             .counters
-            .push((counters::RUNTIME_SHARDS.to_string(), total_shards as f64));
+            .push((names::RUNTIME_SHARDS.to_string(), total_shards as f64));
         if total_quarantines > 0 {
             runtime.counters.push((
-                counters::QUARANTINE_EVENTS.to_string(),
+                names::QUARANTINE_EVENTS.to_string(),
                 total_quarantines as f64,
             ));
         }
         let p2p_transfers = self.p2p_transfers();
         if p2p_transfers > 0 {
             runtime.counters.push((
-                counters::RUNTIME_P2P_BYTES.to_string(),
+                names::RUNTIME_P2P_BYTES.to_string(),
                 self.p2p_bytes() as f64,
             ));
             runtime.counters.push((
-                counters::RUNTIME_P2P_TRANSFERS.to_string(),
+                names::RUNTIME_P2P_TRANSFERS.to_string(),
                 p2p_transfers as f64,
             ));
         }
@@ -880,13 +845,18 @@ mod tests {
         // V100 ≈ 800 weight, 1080 Ti ≈ 196: the first four stages land on
         // the V100 before the 1080 Ti looks cheaper.
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti()]);
-        let picks: Vec<usize> = (0..5).map(|_| fleet.place()).collect();
+        let place = || {
+            let dev = fleet.place_available(None).expect("a healthy fleet");
+            fleet.assign(dev);
+            dev
+        };
+        let picks: Vec<usize> = (0..5).map(|_| place()).collect();
         assert_eq!(picks, [0, 0, 0, 0, 1]);
         // Completion frees capacity: after the V100 drains it wins again.
         for _ in 0..4 {
             fleet.complete(0);
         }
-        assert_eq!(fleet.place(), 0);
+        assert_eq!(place(), 0);
         assert_eq!(fleet.inflight(1), 1);
     }
 
@@ -949,8 +919,8 @@ mod tests {
         for d in &util.devices {
             let dev = format!("dev{}", d.index);
             let count = |name| snap.counter_labeled(name, "device", &dev);
-            assert_eq!(count(counters::RUNTIME_STEALS), Some(d.steals));
-            assert_eq!(count(counters::RUNTIME_SHARDS), Some(d.shards));
+            assert_eq!(count(names::RUNTIME_STEALS), Some(d.steals));
+            assert_eq!(count(names::RUNTIME_SHARDS), Some(d.shards));
         }
         let table = util.render();
         assert!(table.contains("dev0 V100"));
@@ -986,10 +956,10 @@ mod tests {
         }
         let runtime = trace.find(&["runtime"]).unwrap();
         assert_eq!(
-            runtime.counter(counters::RUNTIME_P2P_BYTES),
+            runtime.counter(names::RUNTIME_P2P_BYTES),
             Some(bytes as f64)
         );
-        assert_eq!(runtime.counter(counters::RUNTIME_P2P_TRANSFERS), Some(1.0));
+        assert_eq!(runtime.counter(names::RUNTIME_P2P_TRANSFERS), Some(1.0));
     }
 
     #[test]
@@ -1008,14 +978,15 @@ mod tests {
         let trace = fleet.trace();
         assert!(trace.find(&["runtime", "dev0", "p2p"]).is_none());
         let runtime = trace.find(&["runtime"]).unwrap();
-        assert_eq!(runtime.counter(counters::RUNTIME_P2P_BYTES), None);
-        assert_eq!(runtime.counter(counters::RUNTIME_P2P_TRANSFERS), None);
+        assert_eq!(runtime.counter(names::RUNTIME_P2P_BYTES), None);
+        assert_eq!(runtime.counter(names::RUNTIME_P2P_TRANSFERS), None);
     }
 
     #[test]
     fn relaxed_deadline_takes_one_device_urgent_takes_fleet() {
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti(), v100()]);
-        // Plenty of slack: a single least-loaded device, like place().
+        // Plenty of slack: a single least-loaded device, like
+        // place_available().
         let calm = fleet.place_for_deadline(1.0e9, Some(10.0e9), usize::MAX);
         assert_eq!(calm, vec![0]);
         for &d in &calm {
@@ -1072,7 +1043,7 @@ mod tests {
         assert!(util.render().contains("quar"));
         let trace = fleet.trace();
         let runtime = trace.find(&["runtime"]).unwrap();
-        assert_eq!(runtime.counter(counters::QUARANTINE_EVENTS), Some(2.0));
+        assert_eq!(runtime.counter(names::QUARANTINE_EVENTS), Some(2.0));
     }
 
     #[test]
@@ -1081,7 +1052,7 @@ mod tests {
         fleet.record_stage(0, "p", 1024, 1.0e6, 0);
         let trace = fleet.trace();
         let runtime = trace.find(&["runtime"]).unwrap();
-        assert_eq!(runtime.counter(counters::QUARANTINE_EVENTS), None);
+        assert_eq!(runtime.counter(names::QUARANTINE_EVENTS), None);
     }
 
     #[test]
@@ -1099,7 +1070,7 @@ mod tests {
                     .unwrap_or_else(|| panic!("missing runtime→{dev}→{lane}"));
                 assert!(!node.children.is_empty(), "{dev}/{lane} has no ops");
                 for op in &node.children {
-                    assert!(op.value(counters::SPAN_START_NS).is_some());
+                    assert!(op.value(names::SPAN_START_NS).is_some());
                 }
             }
         }
@@ -1107,11 +1078,11 @@ mod tests {
         assert_eq!(up.children[0].counter("bytes"), Some((8 << 20) as f64));
         let runtime = trace.find(&["runtime"]).unwrap();
         assert_eq!(
-            runtime.counter(counters::RUNTIME_H2D_BYTES),
+            runtime.counter(names::RUNTIME_H2D_BYTES),
             Some(2.0 * (8 << 20) as f64)
         );
-        assert_eq!(runtime.counter(counters::RUNTIME_STEALS), Some(1.0));
-        assert_eq!(runtime.counter(counters::RUNTIME_SHARDS), Some(2.0));
+        assert_eq!(runtime.counter(names::RUNTIME_STEALS), Some(1.0));
+        assert_eq!(runtime.counter(names::RUNTIME_SHARDS), Some(2.0));
         assert_eq!(trace.device, "2xV100");
         // Round-trips through the on-disk schema unchanged.
         let back = Trace::from_json(&trace.to_json()).unwrap();

@@ -34,7 +34,8 @@
 //! use gzkp_runtime::{parse_devices, FleetRuntime};
 //!
 //! let fleet = FleetRuntime::new(parse_devices("2,v100").unwrap());
-//! let dev = fleet.place();
+//! let dev = fleet.place_available(None).unwrap();
+//! fleet.assign(dev);
 //! fleet.record_stage(dev, "proof0.msm", 64 << 20, 2.0e6, 128);
 //! fleet.complete(dev);
 //! let util = fleet.utilization();

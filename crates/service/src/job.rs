@@ -756,7 +756,7 @@ mod tests {
             .iter()
             .map(|c| c.name.as_str())
             .collect();
-        assert_eq!(steps, gzkp_telemetry::counters::GROTH16_MSM_STAGES);
+        assert_eq!(steps, gzkp_telemetry::names::GROTH16_MSM_STAGES);
         assert_eq!(plain.0.root, persisting.0.root);
         assert_eq!((plain.1, plain.2), (persisting.1, persisting.2));
         assert_eq!(plain.3, persisting.3);

@@ -173,29 +173,25 @@ pub struct ServiceConfig {
     /// Maximum jobs waiting in the queue (staged + not-yet-started);
     /// submissions beyond it get [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Worker threads executing job stages.
+    /// Size of the default fleet when [`ServiceConfig::devices`] is
+    /// empty: that many V100s, one worker thread each.
     pub workers: usize,
     /// Byte budget of the shared checkpoint-table store
     /// ([`gzkp_msm::PreprocessStore`]).
     pub prep_cache_bytes: u64,
     /// Deadline applied to jobs that don't set their own.
     pub default_deadline: Option<Duration>,
-    /// Prefer queued work whose proving key matches the one most recently
-    /// scheduled (keeps its checkpoint tables hot in the store).
-    pub key_affinity: bool,
-    /// Simulated device fleet. Empty (the default) keeps legacy
-    /// single-device mode: [`ServiceConfig::workers`] threads, each task
-    /// on whatever device it was built with. Non-empty switches to fleet
-    /// mode — one worker pinned per device, stages placed on the
-    /// least-loaded device (stealing across per-device queues when a
-    /// device runs dry), stage transfers pipelined on each device's
-    /// command streams, and per-device utilization available through
-    /// [`ProvingService::fleet_utilization`].
+    /// The simulated device fleet the service runs on: one worker pinned
+    /// per device, stages placed on the least-loaded available device
+    /// (stealing across per-device queues when a device runs dry), stage
+    /// transfers pipelined on each device's command streams, and
+    /// per-device utilization available through
+    /// [`ProvingService::fleet_utilization`]. Empty (the default) means
+    /// [`ServiceConfig::workers`] V100s.
     pub devices: Vec<gzkp_gpu_sim::device::DeviceConfig>,
-    /// Cross-device single-proof MSM (fleet mode only): when a job's MSM
-    /// stage is urgent — its deadline slack is under
-    /// [`gzkp_runtime::URGENCY_MARGIN`]× the task's modeled remaining MSM
-    /// cost — the scheduler claims several devices at once
+    /// Cross-device single-proof MSM: when a job's MSM stage is urgent —
+    /// its deadline slack is under [`gzkp_runtime::URGENCY_MARGIN`]× the
+    /// task's modeled remaining MSM cost — the scheduler claims several devices at once
     /// ([`gzkp_runtime::FleetRuntime::place_for_deadline`]) and the task
     /// executes each MSM as bucket-range shards across them with
     /// partial-sum merges over the device↔device P2P path. Proof bytes
@@ -207,11 +203,11 @@ pub struct ServiceConfig {
     pub chaos: Option<gzkp_gpu_sim::FaultPlan>,
     /// Stage-retry policy for injected faults and verify rejects.
     pub retry: RetryPolicy,
-    /// Circuit-breaker policy of the device fleet (fleet mode only).
+    /// Circuit-breaker policy of the device fleet.
     pub health: gzkp_runtime::HealthPolicy,
     /// The registry the service counts into: its counters, queue-depth
-    /// gauge and latency histograms, plus the per-device fleet series in
-    /// fleet mode. Every event is counted once, there, and
+    /// gauge and latency histograms, plus the fleet's per-device series.
+    /// Every event is counted once, there, and
     /// [`ProvingService::stats`] reads it back. `None` (the default)
     /// gives the service a private registry. A registry passed here
     /// belongs to this one service: two services sharing it would sum
@@ -231,7 +227,6 @@ impl Default for ServiceConfig {
             workers: (cores / 2).max(1),
             prep_cache_bytes: gzkp_msm::PreprocessStore::DEFAULT_BUDGET_BYTES,
             default_deadline: Some(Duration::from_secs(60)),
-            key_affinity: true,
             devices: Vec::new(),
             cross_device: false,
             chaos: None,

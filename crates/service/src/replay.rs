@@ -262,8 +262,7 @@ where
 /// Synthesizes each class's circuit and runs its trusted setup (once per
 /// class), then expands the per-class counts into the round-robin arrival
 /// order. Deterministic in `workload.seed`.
-pub fn prepare(workload: &RequestWorkload, device: &DeviceConfig) -> PreparedWorkload {
-    let _ = device; // reserved for device-dependent preparation
+pub fn prepare(workload: &RequestWorkload) -> PreparedWorkload {
     let mut rng = StdRng::seed_from_u64(workload.seed);
     let classes: Vec<(Arc<dyn RequestClass>, &RequestSpec)> = workload
         .requests
@@ -312,8 +311,8 @@ pub struct ReplayOutcome {
     pub deadline_missed: usize,
     /// Requests cancelled or failed.
     pub failed: usize,
-    /// Per-device utilization when the run used a device fleet
-    /// ([`ServiceConfig::devices`] non-empty); `None` otherwise.
+    /// Per-device utilization of the service's fleet; `None` for the
+    /// sequential baseline.
     pub fleet: Option<gzkp_runtime::FleetUtilization>,
     /// The fleet's `runtime→dev{n}→…` telemetry trace, alongside
     /// [`ReplayOutcome::fleet`].
@@ -436,8 +435,8 @@ pub fn run_service(
             }
         }
     }
-    let fleet = service.fleet_utilization();
-    let fleet_trace = service.fleet_trace();
+    let fleet = Some(service.fleet_utilization());
+    let fleet_trace = Some(service.fleet_trace());
     let chaos = service.fault_injector().map(|inj| inj.summary());
     let stats = service.shutdown();
     ReplayOutcome {

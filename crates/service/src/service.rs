@@ -7,7 +7,7 @@ use gzkp_gpu_sim::{FaultInjector, FaultKind, TraceContext};
 use gzkp_msm::PreprocessStore;
 use gzkp_runtime::{FleetRuntime, FleetUtilization};
 use gzkp_telemetry::{
-    counters, Counter, Gauge, LatencyHistogram, MetricsRegistry, NoopSink, TelemetrySink, Trace,
+    names, Counter, Gauge, LatencyHistogram, MetricsRegistry, NoopSink, TelemetrySink, Trace,
     TraceRecorder,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,8 +33,9 @@ struct Job {
     /// Whether the `service`/`execute` spans are open (set once the job
     /// first reaches a worker; resolution must close them).
     spans_open: bool,
-    /// Fleet mode: the device the job is currently bound to (engines
-    /// rebuilt for it). `None` until first placement; a steal rebinds it.
+    /// The device the job is currently bound to (engines rebuilt for
+    /// it). `None` until first placement and while on the host CPU
+    /// fallback; a steal rebinds it.
     device: Option<usize>,
     /// Cross-device MSM: the non-primary devices the job additionally
     /// claimed (`device` holds the primary). Empty for single-device
@@ -115,35 +116,35 @@ struct ServiceMetrics {
 
 impl ServiceMetrics {
     fn new(reg: &MetricsRegistry) -> Self {
-        let stage = |label| reg.histogram_with(counters::STAGE_LATENCY_NS, "stage", label);
+        let stage = |label| reg.histogram_with(names::STAGE_LATENCY_NS, "stage", label);
         ServiceMetrics {
-            accepted: reg.counter(counters::SERVICE_ACCEPTED),
-            rejected: reg.counter(counters::SERVICE_REJECTED),
-            completed: reg.counter(counters::SERVICE_COMPLETED),
+            accepted: reg.counter(names::SERVICE_ACCEPTED),
+            rejected: reg.counter(names::SERVICE_REJECTED),
+            completed: reg.counter(names::SERVICE_COMPLETED),
             completed_groth16: reg.counter_with(
-                counters::SERVICE_COMPLETED_BY_SYSTEM,
-                counters::LABEL_SYSTEM,
-                counters::SYSTEM_GROTH16,
+                names::SERVICE_COMPLETED_BY_SYSTEM,
+                names::LABEL_SYSTEM,
+                names::SYSTEM_GROTH16,
             ),
             completed_plonk: reg.counter_with(
-                counters::SERVICE_COMPLETED_BY_SYSTEM,
-                counters::LABEL_SYSTEM,
-                counters::SYSTEM_PLONK,
+                names::SERVICE_COMPLETED_BY_SYSTEM,
+                names::LABEL_SYSTEM,
+                names::SYSTEM_PLONK,
             ),
-            deadline_missed: reg.counter(counters::SERVICE_DEADLINE_MISSED),
-            cancelled: reg.counter(counters::SERVICE_CANCELLED),
-            drained: reg.counter(counters::SERVICE_DRAINED),
-            failed: reg.counter(counters::SERVICE_FAILED),
-            retries: reg.counter(counters::SERVICE_RETRIES),
-            faults_injected: reg.counter(counters::FAULT_INJECTED),
-            verify_rejects: reg.counter(counters::VERIFY_REJECTS),
-            verify_votes: reg.counter(counters::VERIFY_VOTES),
-            cpu_fallbacks: reg.counter(counters::SERVICE_CPU_FALLBACKS),
-            queue_depth: reg.gauge(counters::SERVICE_QUEUE_DEPTH),
-            queue_wait: reg.histogram(counters::SERVICE_QUEUE_WAIT_NS),
-            job_latency: reg.histogram(counters::SERVICE_JOB_LATENCY_NS),
-            stage_poly: stage(counters::SPAN_POLY),
-            stage_msm: stage(counters::SPAN_MSM),
+            deadline_missed: reg.counter(names::SERVICE_DEADLINE_MISSED),
+            cancelled: reg.counter(names::SERVICE_CANCELLED),
+            drained: reg.counter(names::SERVICE_DRAINED),
+            failed: reg.counter(names::SERVICE_FAILED),
+            retries: reg.counter(names::SERVICE_RETRIES),
+            faults_injected: reg.counter(names::FAULT_INJECTED),
+            verify_rejects: reg.counter(names::VERIFY_REJECTS),
+            verify_votes: reg.counter(names::VERIFY_VOTES),
+            cpu_fallbacks: reg.counter(names::SERVICE_CPU_FALLBACKS),
+            queue_depth: reg.gauge(names::SERVICE_QUEUE_DEPTH),
+            queue_wait: reg.histogram(names::SERVICE_QUEUE_WAIT_NS),
+            job_latency: reg.histogram(names::SERVICE_JOB_LATENCY_NS),
+            stage_poly: stage(names::SPAN_POLY),
+            stage_msm: stage(names::SPAN_MSM),
         }
     }
 }
@@ -193,8 +194,8 @@ struct Inner {
     /// Signaled when `open` drops to zero (drain/shutdown waiters).
     idle_cv: Condvar,
     store: Arc<PreprocessStore>,
-    /// Fleet mode: per-device timelines and placement counters.
-    fleet: Option<Arc<FleetRuntime>>,
+    /// The device fleet: per-device timelines, placement and health.
+    fleet: Arc<FleetRuntime>,
     /// Chaos mode: the deterministic fault oracle rolled before every
     /// stage execution.
     injector: Option<Arc<FaultInjector>>,
@@ -229,23 +230,22 @@ pub struct ProvingService {
 }
 
 impl ProvingService {
-    /// Starts the worker pool (at least one thread) and returns the
-    /// service. With a non-empty [`ServiceConfig::devices`] fleet, one
-    /// worker is pinned per device and `cfg.workers` is ignored.
+    /// Starts the service on its device fleet — [`ServiceConfig::devices`],
+    /// or [`ServiceConfig::workers`] V100s (at least one) when that list
+    /// is empty — with one worker thread pinned per device.
     pub fn start(cfg: ServiceConfig) -> Self {
         let registry = cfg.metrics.clone().unwrap_or_default();
-        let fleet = (!cfg.devices.is_empty()).then(|| {
-            Arc::new(FleetRuntime::with_health_policy(
-                cfg.devices.clone(),
-                cfg.health,
-                &registry,
-            ))
-        });
+        let devices = match cfg.devices.as_slice() {
+            [] => vec![gzkp_gpu_sim::v100(); cfg.workers.max(1)],
+            listed => listed.to_vec(),
+        };
+        let fleet = Arc::new(FleetRuntime::with_health_policy(
+            devices, cfg.health, &registry,
+        ));
         let injector = cfg
             .chaos
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let worker_count = fleet.as_ref().map_or(cfg.workers.max(1), |f| f.len());
         let inner = Arc::new(Inner {
             store: Arc::new(PreprocessStore::new(cfg.prep_cache_bytes)),
             queue: Mutex::new(Queue {
@@ -264,21 +264,21 @@ impl ProvingService {
             metrics: ServiceMetrics::new(&registry),
             cfg,
         });
-        let workers = (0..worker_count)
-            .map(|i| {
+        let workers = (0..inner.fleet.len())
+            .map(|dev| {
                 let inner = inner.clone();
                 std::thread::Builder::new()
-                    .name(format!("gzkp-service-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .name(format!("gzkp-service-{dev}"))
+                    .spawn(move || worker_loop(&inner, dev))
                     .expect("spawn service worker")
             })
             .collect();
         Self { inner, workers }
     }
 
-    /// The device fleet, when the service runs in fleet mode.
-    pub fn fleet(&self) -> Option<&Arc<FleetRuntime>> {
-        self.inner.fleet.as_ref()
+    /// The device fleet the service runs on.
+    pub fn fleet(&self) -> &Arc<FleetRuntime> {
+        &self.inner.fleet
     }
 
     /// The chaos fault injector, when [`ServiceConfig::chaos`] is set —
@@ -287,15 +287,14 @@ impl ProvingService {
         self.inner.injector.as_ref()
     }
 
-    /// Per-device utilization snapshot (fleet mode only).
-    pub fn fleet_utilization(&self) -> Option<FleetUtilization> {
-        self.inner.fleet.as_ref().map(|f| f.utilization())
+    /// Per-device utilization snapshot of the fleet.
+    pub fn fleet_utilization(&self) -> FleetUtilization {
+        self.inner.fleet.utilization()
     }
 
-    /// The fleet's `runtime→dev{n}→{h2d,kernel,d2h}` telemetry trace
-    /// (fleet mode only).
-    pub fn fleet_trace(&self) -> Option<Trace> {
-        self.inner.fleet.as_ref().map(|f| f.trace())
+    /// The fleet's `runtime→dev{n}→{h2d,kernel,d2h}` telemetry trace.
+    pub fn fleet_trace(&self) -> Trace {
+        self.inner.fleet.trace()
     }
 
     /// The shared checkpoint-table store; wire it into each job's MSM
@@ -343,9 +342,7 @@ impl ProvingService {
             submitted: now,
             queue_wait: Duration::ZERO,
             shared: shared.clone(),
-            recorder: opts
-                .trace
-                .then(|| TraceRecorder::new(counters::SPAN_SERVICE)),
+            recorder: opts.trace.then(|| TraceRecorder::new(names::SPAN_SERVICE)),
             started: false,
             spans_open: false,
             device: None,
@@ -390,11 +387,7 @@ impl ProvingService {
             faults_injected: m.faults_injected.get(),
             verify_rejects: m.verify_rejects.get(),
             verify_votes: m.verify_votes.get(),
-            quarantines: self
-                .inner
-                .fleet
-                .as_ref()
-                .map_or(0, |f| f.quarantine_events()),
+            quarantines: self.inner.fleet.quarantine_events(),
             cpu_fallbacks: m.cpu_fallbacks.get(),
         }
     }
@@ -422,31 +415,26 @@ impl Drop for ProvingService {
     }
 }
 
-fn worker_loop(inner: &Inner, wid: usize) {
-    // Fleet mode pins each worker to one device; its queue picks prefer
-    // jobs already bound there (data resident) and fall back to stealing
-    // jobs bound to other devices when its own queue runs dry.
-    let own = inner.fleet.as_ref().map(|f| wid % f.len());
-    let staged_cap = inner
-        .fleet
-        .as_ref()
-        .map_or(inner.cfg.workers.max(1), |f| f.len());
+fn worker_loop(inner: &Inner, own: usize) {
+    // Each worker is pinned to device `own`; its queue picks prefer jobs
+    // already bound there (data resident) and fall back to stealing jobs
+    // bound to other devices when its own queue runs dry.
+    let fleet = &inner.fleet;
     loop {
         let picked = {
             let mut guard = inner.queue.lock().unwrap();
             loop {
                 let q = &mut *guard;
                 sweep(inner, q);
-                if let Some(job) = pick(&mut q.staged, q.last_key, inner.cfg.key_affinity, own) {
+                if let Some(job) = pick(&mut q.staged, q.last_key, own) {
                     q.last_key = Some(job.key);
                     break Some((job, Stage::Msm));
                 }
                 // Cap the staged backlog at the worker count: POLY output
                 // is only useful once an MSM slot can consume it, and the
                 // cap bounds the artifacts held alive.
-                if q.staged.len() < staged_cap {
-                    if let Some(job) = pick(&mut q.pending, q.last_key, inner.cfg.key_affinity, own)
-                    {
+                if q.staged.len() < fleet.len() {
+                    if let Some(job) = pick(&mut q.pending, q.last_key, own) {
                         q.last_key = Some(job.key);
                         break Some((job, Stage::Poly));
                     }
@@ -474,14 +462,12 @@ fn worker_loop(inner: &Inner, wid: usize) {
         let Some((mut job, stage)) = picked else {
             return;
         };
-        if let (Some(fleet), Some(own)) = (inner.fleet.as_ref(), own) {
-            let cross = matches!(stage, Stage::Msm)
-                && inner.cfg.cross_device
-                && fleet.len() > 1
-                && place_job_cross(fleet, &mut job);
-            if !cross {
-                place_job(inner, fleet, &mut job, own);
-            }
+        let cross = matches!(stage, Stage::Msm)
+            && inner.cfg.cross_device
+            && fleet.len() > 1
+            && place_job_cross(fleet, &mut job);
+        if !cross {
+            place_job(inner, &mut job, own);
         }
         match stage {
             Stage::Poly => run_poly(inner, job),
@@ -511,9 +497,7 @@ fn place_job_cross(fleet: &Arc<FleetRuntime>, job: &mut Job) -> bool {
         }
         return false;
     }
-    if let Some(prev) = job.device.take() {
-        fleet.complete(prev);
-    }
+    release(fleet, job);
     job.device = Some(devices[0]);
     job.extra_devices = devices[1..].to_vec();
     true
@@ -523,7 +507,8 @@ fn place_job_cross(fleet: &Arc<FleetRuntime>, job: &mut Job) -> bool {
 /// it is available (and not the device the job just failed on), else the
 /// least-loaded available device, else — whole fleet quarantined — the
 /// host CPU path, which cannot be quarantined and guarantees progress.
-fn place_job(inner: &Inner, fleet: &FleetRuntime, job: &mut Job, own: usize) {
+fn place_job(inner: &Inner, job: &mut Job, own: usize) {
+    let fleet = &inner.fleet;
     let own_ok = fleet.available(own) && job.avoid_device != Some(own);
     let target = if own_ok {
         Some(own)
@@ -533,29 +518,37 @@ fn place_job(inner: &Inner, fleet: &FleetRuntime, job: &mut Job, own: usize) {
     match target {
         Some(dev) => bind_to_device(fleet, job, dev),
         None => {
-            if let Some(prev) = job.device.take() {
-                fleet.complete(prev);
-            }
+            release(fleet, job);
             job.task.bind_device(&gzkp_gpu_sim::cpu_xeon());
             inner.metrics.cpu_fallbacks.inc();
         }
     }
 }
 
-/// Binds a picked job to the worker's device: counts the steal when the
-/// job was bound elsewhere, releases the old placement, and rebuilds the
+/// Binds a picked job to device `dev`: releases the old placement
+/// (counting the steal when the job was bound elsewhere) and rebuilds the
 /// task's engines for the new device.
-fn bind_to_device(fleet: &FleetRuntime, job: &mut Job, own: usize) {
-    if job.device == Some(own) {
+fn bind_to_device(fleet: &FleetRuntime, job: &mut Job, dev: usize) {
+    if job.device == Some(dev) {
         return;
     }
-    if let Some(prev) = job.device {
-        fleet.complete(prev);
-        fleet.record_steal(own);
+    if release(fleet, job).is_some() {
+        fleet.record_steal(dev);
     }
-    job.task.bind_device(fleet.config(own));
-    job.device = Some(own);
-    fleet.assign(own);
+    job.task.bind_device(fleet.config(dev));
+    job.device = Some(dev);
+    fleet.assign(dev);
+}
+
+/// Releases every device claim the job holds — its primary placement and
+/// a cross-device MSM's extra devices — and returns the primary.
+fn release(fleet: &FleetRuntime, job: &mut Job) -> Option<usize> {
+    let dev = job.device.take()?;
+    fleet.complete(dev);
+    for d in job.extra_devices.drain(..) {
+        fleet.complete(d);
+    }
+    Some(dev)
 }
 
 /// Resolves every queued job whose deadline passed or that was cancelled,
@@ -591,24 +584,19 @@ fn sweep(inner: &Inner, q: &mut Queue) {
     }
 }
 
-/// Takes the best job: strongest priority first, then — in fleet mode —
-/// jobs local to (or not yet bound to) the worker's device before steals
-/// from other devices' queues, then (optionally) jobs sharing the last
-/// scheduled proving key, then FIFO order.
-fn pick(
-    list: &mut Vec<Job>,
-    last_key: Option<u64>,
-    affinity: bool,
-    own: Option<usize>,
-) -> Option<Job> {
+/// Takes the best job: strongest priority first, then jobs local to (or
+/// not yet bound to) the worker's device `own` before steals from other
+/// devices' queues, then jobs sharing the last scheduled proving key (its
+/// checkpoint tables are hot in the store), then FIFO order.
+fn pick(list: &mut Vec<Job>, last_key: Option<u64>, own: usize) -> Option<Job> {
     let now = Instant::now();
     let (idx, _) = list
         .iter()
         .enumerate()
         .filter(|(_, j)| j.ready(now))
         .min_by_key(|(_, j)| {
-            let cold_key = !(affinity && Some(j.key) == last_key);
-            let remote = own.is_some() && j.device.is_some() && j.device != own;
+            let remote = j.device.is_some_and(|d| d != own);
+            let cold_key = Some(j.key) != last_key;
             (j.priority, remote, cold_key, j.seq)
         })?;
     Some(list.remove(idx))
@@ -647,13 +635,9 @@ fn roll_fault(
 /// restarts from POLY. Jobs that exhausted the retry budget resolve as
 /// [`JobError::Failed`].
 fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool, to_staged: bool) {
-    if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device.take()) {
-        fleet.complete(dev);
-        fleet.record_failure(dev, hard);
+    if let Some(dev) = release(&inner.fleet, &mut job) {
+        inner.fleet.record_failure(dev, hard);
         job.avoid_device = Some(dev);
-        for d in job.extra_devices.drain(..) {
-            fleet.complete(d);
-        }
     }
     if job.attempt > inner.cfg.retry.max_retries {
         return resolve(
@@ -668,8 +652,8 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool, to_stage
     job.retries += 1;
     inner.metrics.retries.inc();
     if let Some(rec) = &job.recorder {
-        rec.span_start(counters::SPAN_RETRY);
-        rec.span_end(counters::SPAN_RETRY);
+        rec.span_start(names::SPAN_RETRY);
+        rec.span_end(names::SPAN_RETRY);
     }
     let policy = &inner.cfg.retry;
     let exp = job.retries.saturating_sub(1).min(16);
@@ -698,11 +682,11 @@ fn run_poly(inner: &Inner, mut job: Job) {
         let wait_ns = job.queue_wait.as_nanos() as u64;
         inner.metrics.queue_wait.record(wait_ns);
         if let Some(rec) = &job.recorder {
-            rec.span_start(counters::SPAN_SERVICE);
-            rec.span_start(counters::SPAN_QUEUE_WAIT);
+            rec.span_start(names::SPAN_SERVICE);
+            rec.span_start(names::SPAN_QUEUE_WAIT);
             rec.span_time(job.queue_wait.as_nanos() as f64);
-            rec.span_end(counters::SPAN_QUEUE_WAIT);
-            rec.span_start(counters::SPAN_EXECUTE);
+            rec.span_end(names::SPAN_QUEUE_WAIT);
+            rec.span_start(names::SPAN_EXECUTE);
             job.spans_open = true;
         }
     }
@@ -712,7 +696,7 @@ fn run_poly(inner: &Inner, mut job: Job) {
     if job.expired(Instant::now()) {
         return resolve(inner, job, Err(JobError::DeadlineMissed));
     }
-    if let Some(kind) = roll_fault(inner, &mut job, counters::SPAN_POLY, false) {
+    if let Some(kind) = roll_fault(inner, &mut job, names::SPAN_POLY, false) {
         let hard = kind == FaultKind::DeviceHang;
         return retry_or_fail(inner, job, &format!("poly {kind}"), hard, false);
     }
@@ -720,15 +704,15 @@ fn run_poly(inner: &Inner, mut job: Job) {
         task.poly(sink)
     }) {
         Ok(()) => {
-            if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
+            if let Some(dev) = job.device {
                 let p = job.task.poly_profile();
-                fleet.record_stage_ctx(
-                    &stage_ctx(&job, counters::SPAN_POLY),
+                inner.fleet.record_stage_ctx(
+                    &stage_ctx(&job, names::SPAN_POLY),
                     p.h2d_bytes,
                     p.kernel_ns,
                     p.d2h_bytes,
                 );
-                fleet.record_success(dev);
+                inner.fleet.record_success(dev);
             }
             let mut q = inner.queue.lock().unwrap();
             q.staged.push(job);
@@ -766,7 +750,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
     }
     // The MSM stage is the corruptible one: its output is the serialized
     // proof, which the verify-before-return guard can actually check.
-    let corruption = match roll_fault(inner, &mut job, counters::SPAN_MSM, true) {
+    let corruption = match roll_fault(inner, &mut job, names::SPAN_MSM, true) {
         Some(FaultKind::SilentCorruption) => true,
         Some(kind) => {
             let hard = kind == FaultKind::DeviceHang;
@@ -791,18 +775,16 @@ fn run_msm(inner: &Inner, mut job: Job) {
             // Cross-device MSMs record their own per-device/P2P schedule
             // directly onto the fleet timelines while the stage runs;
             // re-recording the aggregate profile here would double-count.
-            if job.extra_devices.is_empty() {
-                if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
-                    let p = job.task.msm_profile(&output);
-                    fleet.record_stage_ctx(
-                        &stage_ctx(&job, counters::SPAN_MSM),
-                        p.h2d_bytes,
-                        p.kernel_ns,
-                        p.d2h_bytes,
-                    );
-                    if p.shards > 0 {
-                        fleet.record_shards(dev, p.shards);
-                    }
+            if let Some(dev) = job.device.filter(|_| job.extra_devices.is_empty()) {
+                let p = job.task.msm_profile(&output);
+                inner.fleet.record_stage_ctx(
+                    &stage_ctx(&job, names::SPAN_MSM),
+                    p.h2d_bytes,
+                    p.kernel_ns,
+                    p.d2h_bytes,
+                );
+                if p.shards > 0 {
+                    inner.fleet.record_shards(dev, p.shards);
                 }
             }
             let verdict = job.task.verify_output(&output);
@@ -821,12 +803,8 @@ fn run_msm(inner: &Inner, mut job: Job) {
                     job.attempt += 1;
                 }
                 if job.verify_rejects >= VERIFY_VOTE_RUNS {
-                    if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device.take()) {
-                        fleet.complete(dev);
-                        fleet.record_failure(dev, false);
-                        for d in job.extra_devices.drain(..) {
-                            fleet.complete(d);
-                        }
+                    if let Some(dev) = release(&inner.fleet, &mut job) {
+                        inner.fleet.record_failure(dev, false);
                     }
                     return resolve(
                         inner,
@@ -840,8 +818,8 @@ fn run_msm(inner: &Inner, mut job: Job) {
                 // a full re-execution from POLY casts the next vote.
                 return retry_or_fail(inner, job, "verify reject", false, false);
             }
-            if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
-                fleet.record_success(dev);
+            if let Some(dev) = job.device {
+                inner.fleet.record_success(dev);
             }
             resolve(inner, job, Ok(output));
         }
@@ -876,18 +854,16 @@ fn resolve_locked(
     // The outcome's counter, and its name in the per-job trace (drained
     // and failed jobs carry none there).
     let (counter, traced) = match &outcome {
-        Ok(_) => (&m.completed, Some(counters::SERVICE_COMPLETED)),
-        Err(JobError::DeadlineMissed) => {
-            (&m.deadline_missed, Some(counters::SERVICE_DEADLINE_MISSED))
-        }
-        Err(JobError::Cancelled) => (&m.cancelled, Some(counters::SERVICE_CANCELLED)),
+        Ok(_) => (&m.completed, Some(names::SERVICE_COMPLETED)),
+        Err(JobError::DeadlineMissed) => (&m.deadline_missed, Some(names::SERVICE_DEADLINE_MISSED)),
+        Err(JobError::Cancelled) => (&m.cancelled, Some(names::SERVICE_CANCELLED)),
         Err(JobError::Drained) => (&m.drained, None),
         Err(JobError::Failed(_)) => (&m.failed, None),
     };
     counter.inc();
     if outcome.is_ok() {
         let by_system = match job.task.system() {
-            counters::SYSTEM_PLONK => &m.completed_plonk,
+            names::SYSTEM_PLONK => &m.completed_plonk,
             _ => &m.completed_groth16,
         };
         by_system.inc();
@@ -896,37 +872,32 @@ fn resolve_locked(
         .record(job.submitted.elapsed().as_nanos() as u64);
     gauge_queue_depth(inner, q);
 
-    if let (Some(fleet), Some(dev)) = (inner.fleet.as_deref(), job.device) {
-        fleet.complete(dev);
-        for &d in &job.extra_devices {
-            fleet.complete(d);
-        }
-    }
+    release(&inner.fleet, &mut job);
 
     let trace = job.recorder.take().map(|rec| {
         if job.spans_open {
-            rec.span_end(counters::SPAN_EXECUTE);
-            rec.span_end(counters::SPAN_SERVICE);
+            rec.span_end(names::SPAN_EXECUTE);
+            rec.span_end(names::SPAN_SERVICE);
         }
-        rec.counter(counters::SERVICE_ACCEPTED, 1.0);
+        rec.counter(names::SERVICE_ACCEPTED, 1.0);
         rec.counter(
-            counters::SERVICE_QUEUE_WAIT_NS,
+            names::SERVICE_QUEUE_WAIT_NS,
             job.queue_wait.as_nanos() as f64,
         );
         // Recovery counters only when work actually happened, so
         // fault-free traces stay identical to pre-chaos ones (and the
         // strict `zkprof diff` gate sees a clean baseline).
         if job.faults > 0 {
-            rec.counter(counters::FAULT_INJECTED, f64::from(job.faults));
+            rec.counter(names::FAULT_INJECTED, f64::from(job.faults));
         }
         if job.retries > 0 {
-            rec.counter(counters::SERVICE_RETRIES, f64::from(job.retries));
+            rec.counter(names::SERVICE_RETRIES, f64::from(job.retries));
         }
         if job.verify_rejects > 0 {
-            rec.counter(counters::VERIFY_REJECTS, f64::from(job.verify_rejects));
+            rec.counter(names::VERIFY_REJECTS, f64::from(job.verify_rejects));
             // Votes only when voting engaged (a reject happened), so
             // clean verified traces stay byte-identical.
-            rec.counter(counters::VERIFY_VOTES, f64::from(job.verify_votes));
+            rec.counter(names::VERIFY_VOTES, f64::from(job.verify_votes));
         }
         if let Some(name) = traced {
             rec.counter(name, 1.0);

@@ -12,14 +12,14 @@
 //! This is the logic behind `zkprof diff`; it lives here so it is
 //! unit-testable without the CLI.
 
-use crate::counters;
+use crate::names;
 use crate::trace::{Trace, TraceNode};
 use std::fmt::Write as _;
 
 /// Counters gated strictly: a non-zero value appearing on the new side of
 /// a matched span regresses even when the baseline never emitted the
 /// counter (`base` is taken as 0, so any occurrence is infinite growth).
-pub const STRICT_COUNTERS: &[&str] = &[counters::SERVICE_RETRIES, counters::VERIFY_REJECTS];
+pub const STRICT_COUNTERS: &[&str] = &[names::SERVICE_RETRIES, names::VERIFY_REJECTS];
 
 /// Time delta of one span present in both traces.
 #[derive(Debug, Clone)]
@@ -504,25 +504,25 @@ mod tests {
 
     #[test]
     fn recovery_counters_gate_even_when_new() {
-        use crate::counters;
+        use crate::names;
         let base = trace_with_counter(5e6, &[]);
         // Retries appearing where the baseline ran clean is a regression…
-        let retried = trace_with_counter(5e6, &[(counters::SERVICE_RETRIES, 2.0)]);
+        let retried = trace_with_counter(5e6, &[(names::SERVICE_RETRIES, 2.0)]);
         let d = diff_traces(&base, &retried, 0.25);
         assert!(d.is_regression(), "new retry.count must gate");
         assert!(d
             .counter_regressions()
             .iter()
-            .any(|c| c.name == counters::SERVICE_RETRIES && c.ratio() == f64::INFINITY));
+            .any(|c| c.name == names::SERVICE_RETRIES && c.ratio() == f64::INFINITY));
         // …and so are verify rejects.
-        let rejected = trace_with_counter(5e6, &[(counters::VERIFY_REJECTS, 1.0)]);
+        let rejected = trace_with_counter(5e6, &[(names::VERIFY_REJECTS, 1.0)]);
         assert!(diff_traces(&base, &rejected, 0.25).is_regression());
         // A zero-valued strict counter stays informational.
-        let clean = trace_with_counter(5e6, &[(counters::SERVICE_RETRIES, 0.0)]);
+        let clean = trace_with_counter(5e6, &[(names::SERVICE_RETRIES, 0.0)]);
         assert!(!diff_traces(&base, &clean, 0.25).is_regression());
         // Matched on both sides, the normal growth threshold applies.
-        let b2 = trace_with_counter(5e6, &[(counters::SERVICE_RETRIES, 4.0)]);
-        let n2 = trace_with_counter(5e6, &[(counters::SERVICE_RETRIES, 4.0)]);
+        let b2 = trace_with_counter(5e6, &[(names::SERVICE_RETRIES, 4.0)]);
+        let n2 = trace_with_counter(5e6, &[(names::SERVICE_RETRIES, 4.0)]);
         assert!(!diff_traces(&b2, &n2, 0.25).is_regression());
     }
 

@@ -119,13 +119,8 @@ pub fn span<'a>(sink: &'a dyn TelemetrySink, name: &'a str) -> SpanGuard<'a> {
 // Shared emit helpers
 // ---------------------------------------------------------------------------
 
-/// Compatibility alias for [`names`] — counter constants were originally
-/// published under `telemetry::counters`; new code should use
-/// `telemetry::names`.
-pub use self::names as counters;
-
 /// Feeds one simulated stage into the sink: every kernel report, plus the
-/// rolled-up [`counters::MAC_OPS`] and [`counters::DRAM_SECTORS`].
+/// rolled-up [`names::MAC_OPS`] and [`names::DRAM_SECTORS`].
 pub fn emit_stage(sink: &dyn TelemetrySink, stage: &StageReport) {
     let mut macs = 0.0;
     let mut sectors = 0u64;
@@ -134,8 +129,8 @@ pub fn emit_stage(sink: &dyn TelemetrySink, stage: &StageReport) {
         macs += k.mac_ops;
         sectors += k.dram_sectors;
     }
-    sink.counter(counters::MAC_OPS, macs);
-    sink.counter(counters::DRAM_SECTORS, sectors as f64);
+    sink.counter(names::MAC_OPS, macs);
+    sink.counter(names::DRAM_SECTORS, sectors as f64);
 }
 
 /// JSON bytes of one simulated stage report: the form in which stage
@@ -346,15 +341,15 @@ mod tests {
                     let name = format!("ntt[{i}]");
                     let _ntt = span(&rec, &name);
                     rec.kernel(&sample_kernel("butterfly.0"));
-                    rec.counter(counters::MAC_OPS, 1e5 * 80.0);
+                    rec.counter(names::MAC_OPS, 1e5 * 80.0);
                 }
             }
             {
                 let _msm = span(&rec, "msm");
                 let _a = span(&rec, "a");
                 rec.kernel(&sample_kernel("gzkp.point-merge"));
-                rec.value(counters::PEAK_DEVICE_BYTES, 1e9);
-                rec.value(counters::PEAK_DEVICE_BYTES, 5e8); // max is kept
+                rec.value(names::PEAK_DEVICE_BYTES, 1e9);
+                rec.value(names::PEAK_DEVICE_BYTES, 5e8); // max is kept
                 rec.histogram("bucket_occupancy", &[(0, 10), (3, 5)]);
             }
         }
@@ -363,9 +358,9 @@ mod tests {
         assert_eq!(poly.children.len(), 3);
         assert!(poly.time_ns > 0.0);
         let ntt1 = trace.find(&["prove", "poly", "ntt[1]"]).unwrap();
-        assert_eq!(ntt1.counter(counters::MAC_OPS), Some(8e6));
+        assert_eq!(ntt1.counter(names::MAC_OPS), Some(8e6));
         let a = trace.find(&["prove", "msm", "a"]).unwrap();
-        assert_eq!(a.value(counters::PEAK_DEVICE_BYTES), Some(1e9));
+        assert_eq!(a.value(names::PEAK_DEVICE_BYTES), Some(1e9));
         assert_eq!(a.histograms.len(), 1);
         // Parent time aggregates children.
         let prove = trace.find(&["prove"]).unwrap();
@@ -393,11 +388,8 @@ mod tests {
         emit_stage(&rec, &stage);
         let t = rec.finish();
         assert_eq!(t.root.kernels.len(), 2);
-        assert_eq!(t.root.counter(counters::MAC_OPS), Some(2.0 * 80.0 * 1e5));
-        assert_eq!(
-            t.root.counter(counters::DRAM_SECTORS),
-            Some(2.0 * 80.0 * 64.0)
-        );
+        assert_eq!(t.root.counter(names::MAC_OPS), Some(2.0 * 80.0 * 1e5));
+        assert_eq!(t.root.counter(names::DRAM_SECTORS), Some(2.0 * 80.0 * 64.0));
     }
 
     #[test]

@@ -248,7 +248,7 @@ pub fn render_timeline(trace: &Trace) -> Option<String> {
         .filter(|c| c.name.starts_with("dev"))
         .collect();
     let op_window = |op: &TraceNode| {
-        let start = op.value(crate::counters::SPAN_START_NS).unwrap_or(0.0);
+        let start = op.value(crate::names::SPAN_START_NS).unwrap_or(0.0);
         (start, start + op.time_ns)
     };
     let end = devices
@@ -379,7 +379,7 @@ fn render_node(out: &mut String, node: &TraceNode, label: &str, depth: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counters, emit_stage, span, TelemetrySink, TraceRecorder};
+    use crate::{emit_stage, names, span, TelemetrySink, TraceRecorder};
     use gzkp_gpu_sim::device::{v100, Backend};
     use gzkp_gpu_sim::kernel::{BlockCost, KernelSpec};
 
@@ -407,12 +407,12 @@ mod tests {
                 ),
             );
             emit_stage(&rec, &stage);
-            rec.counter(counters::NTT_FIELD_MULS, 1e6);
+            rec.counter(names::NTT_FIELD_MULS, 1e6);
         }
         {
             let _msm = span(&rec, "msm");
             rec.histogram("bucket_occupancy", &[(0, 7), (4, 2)]);
-            rec.value(counters::PEAK_DEVICE_BYTES, 2.5e9);
+            rec.value(names::PEAK_DEVICE_BYTES, 2.5e9);
         }
         drop(_p);
         rec.finish()
@@ -577,7 +577,7 @@ mod tests {
             let mut n = TraceNode::new(name);
             n.time_ns = dur;
             n.values
-                .push((crate::counters::SPAN_START_NS.to_string(), start));
+                .push((crate::names::SPAN_START_NS.to_string(), start));
             n
         };
         let lane = |name: &str, ops: Vec<TraceNode>| {

@@ -82,7 +82,7 @@ fn chaos_cfg(seed: u64) -> ServiceConfig {
 fn chaos_fleet_loses_no_jobs_and_keeps_proofs_byte_identical() {
     let workload = small_workload();
     let device = v100();
-    let prepared = prepare(&workload, &device);
+    let prepared = prepare(&workload);
     let baseline = run_sequential(&prepared, &device);
 
     for seed in [5u64, 17, 93] {
@@ -210,7 +210,7 @@ fn dead_fleet_degrades_to_cpu_and_still_proves() {
         }],
     };
     let device = v100();
-    let prepared = prepare(&workload, &device);
+    let prepared = prepare(&workload);
     let baseline = run_sequential(&prepared, &device);
 
     // The whole (single-device) fleet is dead: no fault rates at all, the
@@ -391,7 +391,7 @@ fn dead_device_mid_cross_msm_loses_no_jobs() {
         stats.quarantines > 0,
         "the dead device must trip the breaker"
     );
-    let fleet = service.fleet().expect("fleet mode").clone();
+    let fleet = service.fleet().clone();
     assert!(
         fleet.p2p_transfers() > 0,
         "no partial-sum merge crossed the P2P path — the cross-device path never ran"

@@ -21,7 +21,7 @@ use gzkp_groth16::{
 };
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::GzkpNtt;
-use gzkp_telemetry::{counters, MetricsRegistry};
+use gzkp_telemetry::{names, MetricsRegistry};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -198,7 +198,7 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
     let host_completed: u64 = outcome.hosts.iter().map(|h| h.completed).sum();
     assert_eq!(host_completed, outcome.stats.completed);
     assert_eq!(
-        registry.snapshot().counter_total(counters::HOST_COMPLETED),
+        registry.snapshot().counter_total(names::HOST_COMPLETED),
         outcome.stats.completed
     );
 }

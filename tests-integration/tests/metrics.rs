@@ -12,7 +12,7 @@ use gzkp_service::{
     prepare, run_sequential, run_service, JobOptions, ProvingService, RetryPolicy, ServiceConfig,
     ServiceStats, SystemTask,
 };
-use gzkp_telemetry::{counters, folded_stacks, MetricsRegistry, MetricsSnapshot, Trace};
+use gzkp_telemetry::{folded_stacks, names, MetricsRegistry, MetricsSnapshot, Trace};
 use gzkp_workloads::requests::{
     RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
 };
@@ -83,35 +83,35 @@ fn metrics_snapshot_is_consistent_with_job_traces_and_stats() {
     // the waits each per-job trace carries (both sides record the same
     // `Duration::as_nanos` value).
     let queue_wait = snapshot
-        .histogram(counters::SERVICE_QUEUE_WAIT_NS)
+        .histogram(names::SERVICE_QUEUE_WAIT_NS)
         .expect("queue-wait histogram registered");
     assert_eq!(queue_wait.count, jobs as u64);
     let traced_wait: u64 = traces
         .iter()
         .map(|t| {
             t.root
-                .counter(counters::SERVICE_QUEUE_WAIT_NS)
+                .counter(names::SERVICE_QUEUE_WAIT_NS)
                 .expect("trace carries queue wait") as u64
         })
         .sum();
     assert_eq!(queue_wait.sum, traced_wait);
     let latency = snapshot
-        .histogram(counters::SERVICE_JOB_LATENCY_NS)
+        .histogram(names::SERVICE_JOB_LATENCY_NS)
         .expect("job-latency histogram registered");
     assert_eq!(latency.count, jobs as u64);
     assert!(latency.sum >= queue_wait.sum, "latency includes queue wait");
 
     // Both stages recorded one wall-time sample per job.
-    for stage in [counters::SPAN_POLY, counters::SPAN_MSM] {
+    for stage in [names::SPAN_POLY, names::SPAN_MSM] {
         let h = snapshot
-            .histogram_labeled(counters::STAGE_LATENCY_NS, "stage", stage)
+            .histogram_labeled(names::STAGE_LATENCY_NS, "stage", stage)
             .unwrap_or_else(|| panic!("stage histogram for {stage}"));
         assert_eq!(h.count, jobs as u64, "one {stage} sample per job");
     }
 
     // The queue drained, and each trace still carries the service spans
     // the snapshot summarizes.
-    assert_eq!(snapshot.gauge(counters::SERVICE_QUEUE_DEPTH), Some(0.0));
+    assert_eq!(snapshot.gauge(names::SERVICE_QUEUE_DEPTH), Some(0.0));
     for trace in &traces {
         assert!(trace.find(&["service", "queue_wait"]).is_some());
         assert!(trace.find(&["service", "execute", "poly"]).is_some());
@@ -140,7 +140,7 @@ fn tiny_workload() -> RequestWorkload {
 #[test]
 fn proofs_are_byte_identical_with_metrics_on_and_off() {
     let device = v100();
-    let prepared = prepare(&tiny_workload(), &device);
+    let prepared = prepare(&tiny_workload());
     let fleet_cfg = || ServiceConfig {
         devices: gzkp_runtime::parse_devices("2").unwrap(),
         ..ServiceConfig::default()
@@ -165,20 +165,20 @@ fn proofs_are_byte_identical_with_metrics_on_and_off() {
         assert_eq!(dropped, 0, "rejected, missed or failed requests");
     }
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter(counters::SERVICE_COMPLETED), Some(3));
-    // Fleet mode registered per-device series for every device.
+    assert_eq!(snapshot.counter(names::SERVICE_COMPLETED), Some(3));
+    // The fleet registered per-device series for every device.
     let devices = snapshot.label_values("device");
     assert_eq!(devices, vec!["dev0".to_string(), "dev1".to_string()]);
     let staged: u64 = devices
         .iter()
-        .filter_map(|d| snapshot.counter_labeled(counters::DEVICE_STAGES, "device", d))
+        .filter_map(|d| snapshot.counter_labeled(names::DEVICE_STAGES, "device", d))
         .sum();
     assert_eq!(staged, 6, "two stages per job across the fleet");
 }
 
 /// One counted field of a layer's report: its value, the registry
-/// series it reads (summed over labels — zero when absent, like the
-/// no-fleet service's quarantines — unless `label` pins one), and
+/// series it reads (summed over labels — zero when absent, like a
+/// fault-free fleet's quarantines — unless `label` pins one), and
 /// whether it is a pure function of the run's seeds. Placement races —
 /// steals, dead-device hits and the retries, quarantines and CPU
 /// fallbacks they cause — are not.
@@ -202,42 +202,42 @@ fn row(field: &str, value: u64, series: &'static str, seeded: bool) -> Row {
 
 fn service_rows(s: &ServiceStats, racy: bool) -> Vec<Row> {
     vec![
-        row("accepted", s.accepted, counters::SERVICE_ACCEPTED, true),
-        row("rejected", s.rejected, counters::SERVICE_REJECTED, true),
-        row("completed", s.completed, counters::SERVICE_COMPLETED, true),
+        row("accepted", s.accepted, names::SERVICE_ACCEPTED, true),
+        row("rejected", s.rejected, names::SERVICE_REJECTED, true),
+        row("completed", s.completed, names::SERVICE_COMPLETED, true),
         row(
             "deadline_missed",
             s.deadline_missed,
-            counters::SERVICE_DEADLINE_MISSED,
+            names::SERVICE_DEADLINE_MISSED,
             true,
         ),
-        row("cancelled", s.cancelled, counters::SERVICE_CANCELLED, true),
-        row("drained", s.drained, counters::SERVICE_DRAINED, true),
-        row("failed", s.failed, counters::SERVICE_FAILED, true),
-        row("retries", s.retries, counters::SERVICE_RETRIES, !racy),
+        row("cancelled", s.cancelled, names::SERVICE_CANCELLED, true),
+        row("drained", s.drained, names::SERVICE_DRAINED, true),
+        row("failed", s.failed, names::SERVICE_FAILED, true),
+        row("retries", s.retries, names::SERVICE_RETRIES, !racy),
         row(
             "faults_injected",
             s.faults_injected,
-            counters::FAULT_INJECTED,
+            names::FAULT_INJECTED,
             true,
         ),
         row(
             "verify_rejects",
             s.verify_rejects,
-            counters::VERIFY_REJECTS,
+            names::VERIFY_REJECTS,
             true,
         ),
-        row("verify_votes", s.verify_votes, counters::VERIFY_VOTES, true),
+        row("verify_votes", s.verify_votes, names::VERIFY_VOTES, true),
         row(
             "quarantines",
             s.quarantines,
-            counters::QUARANTINE_EVENTS,
+            names::QUARANTINE_EVENTS,
             !racy,
         ),
         row(
             "cpu_fallbacks",
             s.cpu_fallbacks,
-            counters::SERVICE_CPU_FALLBACKS,
+            names::SERVICE_CPU_FALLBACKS,
             !racy,
         ),
     ]
@@ -248,8 +248,8 @@ fn device_rows(fleet: &FleetUtilization) -> Vec<Row> {
     for d in &fleet.devices {
         let dev = format!("dev{}", d.index);
         for (field, value, series) in [
-            ("steals", d.steals, counters::RUNTIME_STEALS),
-            ("shards", d.shards, counters::RUNTIME_SHARDS),
+            ("steals", d.steals, names::RUNTIME_STEALS),
+            ("shards", d.shards, names::RUNTIME_SHARDS),
         ] {
             rows.push(Row {
                 field: format!("{dev}.{field}"),
@@ -264,62 +264,57 @@ fn device_rows(fleet: &FleetUtilization) -> Vec<Row> {
 fn cluster_rows(o: &ClusterOutcome) -> Vec<Row> {
     let s = &o.stats;
     let mut rows = vec![
-        row("admitted", s.admitted, counters::CLUSTER_ADMITTED, true),
+        row("admitted", s.admitted, names::CLUSTER_ADMITTED, true),
         row(
             "rejected_rate_limited",
             s.rejected_rate_limited,
-            counters::CLUSTER_REJECTED_RATE,
+            names::CLUSTER_REJECTED_RATE,
             true,
         ),
         row(
             "rejected_saturated",
             s.rejected_saturated,
-            counters::CLUSTER_REJECTED_SATURATED,
+            names::CLUSTER_REJECTED_SATURATED,
             true,
         ),
-        row("completed", s.completed, counters::CLUSTER_COMPLETED, true),
-        row("failed", s.failed, counters::CLUSTER_FAILED, true),
+        row("completed", s.completed, names::CLUSTER_COMPLETED, true),
+        row("failed", s.failed, names::CLUSTER_FAILED, true),
         row(
             "deadline_missed",
             s.deadline_missed,
-            counters::CLUSTER_DEADLINE_MISSED,
+            names::CLUSTER_DEADLINE_MISSED,
             true,
         ),
-        row("resumes", s.resumes, counters::CLUSTER_RESUMES, true),
-        row(
-            "host_kills",
-            s.host_kills,
-            counters::CLUSTER_HOST_KILLS,
-            true,
-        ),
+        row("resumes", s.resumes, names::CLUSTER_RESUMES, true),
+        row("host_kills", s.host_kills, names::CLUSTER_HOST_KILLS, true),
         row(
             "hosts_started",
             s.hosts_started,
-            counters::CLUSTER_HOSTS_STARTED,
+            names::CLUSTER_HOSTS_STARTED,
             true,
         ),
         row(
             "hosts_retired",
             s.hosts_retired,
-            counters::CLUSTER_HOSTS_RETIRED,
+            names::CLUSTER_HOSTS_RETIRED,
             true,
         ),
         row(
             "host_quarantines",
             s.host_quarantines,
-            counters::CLUSTER_HOST_QUARANTINES,
+            names::CLUSTER_HOST_QUARANTINES,
             true,
         ),
     ];
     for h in &o.hosts {
         let host = format!("h{}", h.id);
         for (field, value, series) in [
-            ("completed", h.completed, counters::HOST_COMPLETED),
-            ("failed", h.failed, counters::HOST_FAILED),
+            ("completed", h.completed, names::HOST_COMPLETED),
+            ("failed", h.failed, names::HOST_FAILED),
         ] {
             rows.push(Row {
                 field: format!("{host}.{field}"),
-                label: Some((counters::LABEL_HOST, host.clone())),
+                label: Some((names::LABEL_HOST, host.clone())),
                 ..row(field, value, series, true)
             });
         }
@@ -368,14 +363,17 @@ fn check_layer(
 fn every_layer_counts_each_event_once_in_its_registry() {
     let device = v100();
 
-    // The service without a fleet, fault-free.
-    let prepared = prepare(&tiny_workload(), &device);
+    // The service on its default fleet (`workers` V100s), fault-free.
+    let prepared = prepare(&tiny_workload());
     let plain = check_layer("service", |metrics| {
         let cfg = ServiceConfig {
             metrics,
             ..ServiceConfig::default()
         };
-        service_rows(&run_service(&prepared, cfg, &device).stats.unwrap(), false)
+        let outcome = run_service(&prepared, cfg, &device);
+        let mut rows = service_rows(&outcome.stats.unwrap(), false);
+        rows.extend(device_rows(&outcome.fleet.unwrap()));
+        rows
     });
     assert_eq!(plain["completed"], prepared.len() as u64);
     assert_eq!(plain["accepted"], prepared.len() as u64);

@@ -8,7 +8,8 @@ use gzkp_curves::pairing::PairingConfig;
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
 use gzkp_gpu_sim::{v100, FaultPlan, FaultRates};
 use gzkp_groth16::{
-    proof_from_bytes, proof_to_bytes, prove, setup, verify, Groth16System, ProverEngines,
+    proof_from_bytes, proof_to_bytes, prove, setup, verify, Groth16System, ProveReport,
+    ProverEngines,
 };
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::gpu::GzkpNtt;
@@ -17,7 +18,7 @@ use gzkp_service::{
     JobError, JobOptions, Priority, ProofTask, ProvingService, RetryPolicy, ServiceConfig,
     SubmitError, SystemTask, TaskOutput, VERIFY_VOTE_RUNS,
 };
-use gzkp_telemetry::TelemetrySink;
+use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -359,7 +360,7 @@ fn backpressure_still_applies_with_a_quarantined_device() {
         },
         ..ServiceConfig::default()
     });
-    assert!(service.fleet().unwrap().force_quarantine(1));
+    assert!(service.fleet().force_quarantine(1));
 
     let gates: Vec<_> = (0..2)
         .map(|_| {
@@ -512,7 +513,7 @@ fn retry_lands_on_a_different_device() {
         },
         ..ServiceConfig::default()
     });
-    assert!(service.fleet().unwrap().force_quarantine(1));
+    assert!(service.fleet().force_quarantine(1));
     let handle = service
         .submit(Box::new(NopTask(9)), JobOptions::default())
         .unwrap();
@@ -524,12 +525,13 @@ fn retry_lands_on_a_different_device() {
     assert_eq!(stats.cpu_fallbacks, 0, "device 1 came back in time");
 }
 
-/// Direct prover bytes for the service to match.
+/// Direct prover bytes and simulated stage report for the service to
+/// match.
 fn direct_proof<P: PairingConfig>(
     cs: &gzkp_groth16::ConstraintSystem<P::Fr>,
     pk: &gzkp_groth16::ProvingKey<P>,
     seed: u64,
-) -> Vec<u8>
+) -> (Vec<u8>, ProveReport)
 where
     <P::G1 as gzkp_curves::CurveParams>::Base: gzkp_curves::CoordField,
     <P::G2 as gzkp_curves::CurveParams>::Base: gzkp_curves::CoordField,
@@ -543,8 +545,8 @@ where
         msm_g2: &msm_g2,
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let (proof, _) = prove(cs, pk, &engines, &mut rng).unwrap();
-    proof_to_bytes(&proof)
+    let (proof, report) = prove(cs, pk, &engines, &mut rng).unwrap();
+    (proof_to_bytes(&proof), report)
 }
 
 fn assert_service_matches_direct<P: PairingConfig>(setup_seed: u64, blind_seed: u64)
@@ -558,7 +560,7 @@ where
     let cs = Arc::new(synthetic_circuit::<P::Fr, _>(96, &mut rng));
     let (pk, vk) = setup::<P, _>(&cs, &mut rng).unwrap();
     let pk = Arc::new(pk);
-    let expected = direct_proof::<P>(&cs, &pk, blind_seed);
+    let (expected, _) = direct_proof::<P>(&cs, &pk, blind_seed);
 
     let service = ProvingService::start(ServiceConfig::default());
     let task = SystemTask::<Groth16System<P>>::new(
@@ -597,12 +599,7 @@ where
     ] {
         assert!(trace.find(path).is_some(), "missing span {path:?}");
     }
-    assert_eq!(
-        trace
-            .root
-            .counter(gzkp_telemetry::counters::SERVICE_COMPLETED),
-        Some(1.0)
-    );
+    assert_eq!(trace.root.counter(names::SERVICE_COMPLETED), Some(1.0));
     service.shutdown();
 }
 
@@ -614,4 +611,66 @@ fn service_proof_is_bit_identical_bn254() {
 #[test]
 fn service_proof_is_bit_identical_bls12_381() {
     assert_service_matches_direct::<Bls12_381>(12, 5678);
+}
+
+#[test]
+fn default_fleet_is_workers_v100s_priced_like_the_direct_prover() {
+    // No `devices`: the service runs on `workers` V100s, one pinned worker
+    // each. Binding a task to its V100 changes neither the proof bytes nor
+    // the simulated POLY / MSM times the direct prover reports.
+    let mut rng = StdRng::seed_from_u64(13);
+    let cs = Arc::new(synthetic_circuit::<<Bn254 as PairingConfig>::Fr, _>(
+        64, &mut rng,
+    ));
+    let (pk, _) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+    let pk = Arc::new(pk);
+    let registry = Arc::new(MetricsRegistry::new());
+    let service = ProvingService::start(ServiceConfig {
+        workers: 2,
+        metrics: Some(registry.clone()),
+        ..ServiceConfig::default()
+    });
+    let seeds = [21u64, 22];
+    let handles: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let task = SystemTask::<Groth16System<Bn254>>::new(
+                cs.clone(),
+                pk.clone(),
+                v100(),
+                Some(service.store()),
+                seed,
+            );
+            service
+                .submit(Box::new(task), JobOptions::default())
+                .unwrap()
+        })
+        .collect();
+    for (handle, seed) in handles.into_iter().zip(seeds) {
+        let output = handle.wait().outcome.unwrap();
+        let (proof, want) = direct_proof::<Bn254>(&cs, &pk, seed);
+        assert_eq!(output.proof, proof, "seed {seed}: proof bytes moved");
+        let got = output.report.expect("a SystemTask reports its stages");
+        for (stage, got, want) in [
+            ("poly", got.poly.total_ns(), want.poly.total_ns()),
+            ("msm", got.msm.total_ns(), want.msm.total_ns()),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "seed {seed}: simulated {stage} ns moved ({got} vs {want})"
+            );
+        }
+    }
+
+    let util = service.fleet_utilization();
+    let devices: Vec<&str> = util.devices.iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(devices, ["V100", "V100"]);
+    assert!(util.devices.iter().map(|d| d.jobs).sum::<u64>() >= seeds.len() as u64);
+    assert_eq!(
+        registry.snapshot().counter_total(names::DEVICE_STAGES),
+        2 * seeds.len() as u64,
+        "two stages per job across the fleet"
+    );
+    service.shutdown();
 }

@@ -10,7 +10,7 @@ use gzkp_groth16::r1cs::{ConstraintSystem, LinearCombination};
 use gzkp_groth16::{prove, prove_with_telemetry, setup, verify, ProveReport, ProverEngines};
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::GzkpNtt;
-use gzkp_telemetry::{counters, NoopSink, Trace, TraceRecorder};
+use gzkp_telemetry::{names, NoopSink, Trace, TraceRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -67,12 +67,12 @@ fn span_tree_matches_paper_pipeline() {
     );
     for ntt in &poly.children {
         assert!(
-            ntt.counter(counters::NTT_FIELD_MULS).unwrap_or(0.0) > 0.0,
+            ntt.counter(names::NTT_FIELD_MULS).unwrap_or(0.0) > 0.0,
             "{} must count field muls",
             ntt.name
         );
         assert!(
-            ntt.counter(counters::MAC_OPS).unwrap_or(0.0) > 0.0,
+            ntt.counter(names::MAC_OPS).unwrap_or(0.0) > 0.0,
             "{} must roll up kernel MACs",
             ntt.name
         );
@@ -90,12 +90,12 @@ fn span_tree_matches_paper_pipeline() {
     assert_eq!(msm_names, ["a", "b_g1", "h", "l", "b_g2"]);
     for child in &msm.children {
         assert!(
-            child.counter(counters::MSM_PADD).unwrap_or(0.0) > 0.0,
+            child.counter(names::MSM_PADD).unwrap_or(0.0) > 0.0,
             "{} must count PADDs",
             child.name
         );
         assert!(
-            child.value(counters::PEAK_DEVICE_BYTES).unwrap_or(0.0) > 0.0,
+            child.value(names::PEAK_DEVICE_BYTES).unwrap_or(0.0) > 0.0,
             "{} must report peak device memory",
             child.name
         );
@@ -112,8 +112,8 @@ fn span_tree_matches_paper_pipeline() {
 
     // Rollups visible from the root.
     let prove_span = trace.find(&["prove"]).expect("prove span");
-    assert!(prove_span.counter_deep(counters::MAC_OPS) > 0.0);
-    assert!(prove_span.counter_deep(counters::DRAM_SECTORS) > 0.0);
+    assert!(prove_span.counter_deep(names::MAC_OPS) > 0.0);
+    assert!(prove_span.counter_deep(names::DRAM_SECTORS) > 0.0);
     assert!(prove_span.time_ns >= poly.time_ns + msm.time_ns);
 }
 
@@ -146,7 +146,7 @@ fn plonk_span_tree_uses_per_backend_stage_labels() {
     // the per-backend labels `zkprof render`/`zkserve top` look up via
     // `msm_stage_spans`, not Groth16's five (the stage also nests its
     // coset-NTT helper spans, which we skip here).
-    let stages = counters::msm_stage_spans(counters::SYSTEM_PLONK);
+    let stages = names::msm_stage_spans(names::SYSTEM_PLONK);
     let msm_span = trace.find(&["prove", "msm"]).expect("msm span");
     let commits: Vec<_> = msm_span
         .children
@@ -157,7 +157,7 @@ fn plonk_span_tree_uses_per_backend_stage_labels() {
     assert_eq!(names.as_slice(), stages);
     for child in commits {
         assert!(
-            child.counter(counters::MSM_PADD).unwrap_or(0.0) > 0.0,
+            child.counter(names::MSM_PADD).unwrap_or(0.0) > 0.0,
             "{} must count PADDs through the shared engine",
             child.name
         );

@@ -21,15 +21,16 @@
 //! speedup; the two runs must produce byte-identical proofs — for
 //! Groth16 and PLONK requests alike — which `zkserve` asserts.
 //!
-//! `--devices` switches the service into fleet mode: the value is a
-//! device-fleet spec (`2` = two V100s, `2,1080ti` = two 1080 Tis,
-//! `v100,1080ti` = one of each; see `gzkp_runtime::parse_devices`). The
-//! run then reports per-device utilization (jobs, steals, shards, H2D
-//! bytes, kernel occupancy), and `--fleet-trace PATH` additionally writes
-//! the fleet's `runtime → dev{n} → {h2d,kernel,d2h}` span trace as JSON
-//! for `zkprof render --timeline`.
+//! The service always runs on a device fleet, `--workers` V100s unless
+//! `--devices` names one: the value is a device-fleet spec (`2` = two
+//! V100s, `2,1080ti` = two 1080 Tis, `v100,1080ti` = one of each; see
+//! `gzkp_runtime::parse_devices`). The run reports per-device utilization
+//! (jobs, steals, shards, H2D bytes, kernel occupancy), and
+//! `--fleet-trace PATH` additionally writes the fleet's
+//! `runtime → dev{n} → {h2d,kernel,d2h}` span trace as JSON for
+//! `zkprof render --timeline`.
 //!
-//! `--cross-device` (fleet mode only) lets a near-deadline job's MSM
+//! `--cross-device` (at least two `--devices`) lets a near-deadline job's MSM
 //! stage claim several devices at once and run as bucket-range shards
 //! with partial sums merged over the device↔device P2P path — see
 //! `DESIGN.md` §15. A job escalates when its deadline slack drops under
@@ -457,7 +458,7 @@ fn main() -> ExitCode {
                 workload.total_requests(),
                 workload.requests.len()
             );
-            let prepared = prepare(&workload, &device);
+            let prepared = prepare(&workload);
 
             if let Some(hosts) = run.cluster_hosts {
                 return run_cluster(&run, Arc::new(prepared), hosts);
@@ -530,20 +531,12 @@ fn main() -> ExitCode {
             if let Some(fleet) = &outcome.fleet {
                 print!("{}", fleet.render());
             }
-            if let Some(path) = &run.fleet_trace {
-                match &outcome.fleet_trace {
-                    Some(trace) => {
-                        if let Err(e) = std::fs::write(path, trace.to_json()) {
-                            eprintln!("zkserve: {path}: {e}");
-                            return ExitCode::from(2);
-                        }
-                        println!("{:>10}: fleet trace written to {path}", "trace");
-                    }
-                    None => {
-                        eprintln!("zkserve: --fleet-trace requires --devices");
-                        return ExitCode::from(2);
-                    }
+            if let (Some(path), Some(trace)) = (&run.fleet_trace, &outcome.fleet_trace) {
+                if let Err(e) = std::fs::write(path, trace.to_json()) {
+                    eprintln!("zkserve: {path}: {e}");
+                    return ExitCode::from(2);
                 }
+                println!("{:>10}: fleet trace written to {path}", "trace");
             }
 
             if let Some(baseline) = baseline {
