@@ -13,8 +13,7 @@
 //! show 2 devices as *slower* than 1. Going from one to two V100s must
 //! scale the simulated throughput with device count (the run asserts
 //! ≥1.3x), and both fleets must produce proofs byte-identical to the
-//! sequential baseline — placement and stealing may move work, never
-//! change it.
+//! sequential baseline — placement may move work, never change it.
 //!
 //! Modes: `GZKP_BENCH_SMOKE=1` replays the example workload once; the
 //! default and `GZKP_BENCH_FULL=1` scale up the per-class counts.
@@ -99,10 +98,6 @@ fn main() {
         vec![
             ("dev0-jobs".into(), util.devices[0].jobs as f64),
             ("dev1-jobs".into(), util.devices[1].jobs as f64),
-            (
-                "steals".into(),
-                util.devices.iter().map(|d| d.steals).sum::<u64>() as f64,
-            ),
         ],
     );
 

@@ -98,16 +98,25 @@ pub struct StreamOp {
     pub bytes: u64,
 }
 
+/// How many of its newest operations a timeline keeps for [`DeviceTimeline::ops`].
+const OPS_KEPT: usize = 4096;
+
 /// Deterministic per-device schedule of copies and kernels.
 ///
 /// Operations issued on the same stream serialize; operations on different
 /// streams overlap unless they contend for the same engine or are ordered
-/// by an explicit [`Event`] wait.
+/// by an explicit [`Event`] wait. The makespan and engine busy times are
+/// running totals over every issued operation; the operation log itself
+/// keeps only the newest 4096, so a long-lived timeline stays bounded.
 #[derive(Debug, Clone)]
 pub struct DeviceTimeline {
     device: DeviceConfig,
     engine_free: [f64; 4],
+    /// Per-engine sum of op durations, accumulated in issue order.
+    engine_busy: [f64; 4],
     streams: Vec<f64>,
+    /// The op log: its last [`OPS_KEPT`] entries are the visible ones;
+    /// older entries are dropped in halves once it holds twice that.
     ops: Vec<StreamOp>,
     h2d_bytes: u64,
     d2h_bytes: u64,
@@ -120,6 +129,9 @@ impl DeviceTimeline {
         DeviceTimeline {
             device,
             engine_free: [0.0; 4],
+            // An empty float sum is -0.0; starting there keeps an idle
+            // engine's busy time the value a sum over its ops gives.
+            engine_busy: [-0.0; 4],
             streams: Vec::new(),
             ops: Vec::new(),
             h2d_bytes: 0,
@@ -152,6 +164,10 @@ impl DeviceTimeline {
         let end = start + duration_ns;
         self.streams[stream.0] = end;
         self.engine_free[e] = end;
+        self.engine_busy[e] += end - start;
+        if self.ops.len() == 2 * OPS_KEPT {
+            self.ops.drain(..OPS_KEPT);
+        }
         self.ops.push(StreamOp {
             name: name.to_string(),
             engine,
@@ -203,23 +219,21 @@ impl DeviceTimeline {
         (ev, report)
     }
 
-    /// Makespan: completion time of the last scheduled operation.
+    /// Makespan: completion time of the last scheduled operation (an
+    /// engine's cursor is the end of its latest op, and ops on one engine
+    /// never end earlier than the one before).
     pub fn elapsed_ns(&self) -> f64 {
-        self.ops.iter().fold(0.0, |m, op| m.max(op.end_ns))
+        self.engine_free.iter().fold(0.0, |m, &end| m.max(end))
     }
 
     /// Total busy time of one engine (sum of its op durations).
     pub fn busy_ns(&self, engine: EngineKind) -> f64 {
-        self.ops
-            .iter()
-            .filter(|op| op.engine == engine)
-            .map(|op| op.end_ns - op.start_ns)
-            .sum()
+        self.engine_busy[engine.index()]
     }
 
-    /// All scheduled operations in issue order.
+    /// The newest scheduled operations (at most 4096), in issue order.
     pub fn ops(&self) -> &[StreamOp] {
-        &self.ops
+        &self.ops[self.ops.len().saturating_sub(OPS_KEPT)..]
     }
 
     /// Total bytes uploaded.

@@ -10,8 +10,8 @@
 //! the claimed devices only price kernels and carry traffic. Each
 //! partial is an exact group element and partials merge in range order,
 //! so the result is byte-identical to the reference engine's own
-//! single-device run for every device count, placement, thread count
-//! and work-steal interleaving.
+//! single-device run for every device count, placement and thread
+//! count.
 
 use crate::fleet::FleetRuntime;
 use crate::planner::FleetMsmPlan;

@@ -1,5 +1,5 @@
 //! The fleet runtime: per-device command streams, throughput-weighted
-//! placement, steal/shard accounting, utilization snapshots and the
+//! placement, shard accounting, utilization snapshots and the
 //! `runtime→dev{n}→{h2d,kernel,d2h}` telemetry trace.
 //!
 //! Each device gets three streams on its [`DeviceTimeline`]: an upload
@@ -63,7 +63,6 @@ pub struct HealthEvent {
 /// series carry a `device="dev{n}"` label.
 struct DeviceCells {
     stages: Counter,
-    steals: Counter,
     shards: Counter,
     h2d_bytes: Counter,
     d2h_bytes: Counter,
@@ -81,7 +80,6 @@ impl DeviceCells {
         let gauge = |name| registry.gauge_with(name, "device", &dev);
         DeviceCells {
             stages: counter(names::DEVICE_STAGES),
-            steals: counter(names::RUNTIME_STEALS),
             shards: counter(names::RUNTIME_SHARDS),
             h2d_bytes: counter(names::RUNTIME_H2D_BYTES),
             d2h_bytes: counter(names::RUNTIME_D2H_BYTES),
@@ -115,6 +113,15 @@ struct Lanes {
     execute: StreamId,
     download: StreamId,
     p2p: StreamId,
+    /// Ops issued on `timeline`; those beyond its bounded log were dropped.
+    issued: u64,
+}
+
+impl Lanes {
+    /// Ops issued here that the timeline's bounded log no longer holds.
+    fn ops_dropped(&self) -> u64 {
+        self.issued - self.timeline.ops().len() as u64
+    }
 }
 
 /// One device's runtime state: its timeline plus placement counters.
@@ -129,8 +136,7 @@ struct DeviceRuntime {
     health: Mutex<DeviceHealth>,
     /// Fault/quarantine history, in record order.
     events: Mutex<Vec<HealthEvent>>,
-    /// The device's counters (steals, shards, quarantines, bytes) and
-    /// live gauges.
+    /// The device's counters (shards, quarantines, bytes) and live gauges.
     cells: DeviceCells,
 }
 
@@ -149,6 +155,7 @@ impl DeviceRuntime {
                 execute,
                 download,
                 p2p,
+                issued: 0,
             }),
             inflight: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
@@ -168,8 +175,6 @@ pub struct DeviceUtilization {
     pub name: String,
     /// Stages placed on this device.
     pub jobs: u64,
-    /// Jobs stolen from other devices' queues.
-    pub steals: u64,
     /// Bucket-range MSM shards executed here.
     pub shards: u64,
     /// Times this device entered quarantine.
@@ -216,16 +221,15 @@ impl FleetUtilization {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<18} {:>5} {:>6} {:>6} {:>5} {:>10} {:>9} {:>12} {:>7}",
-            "device", "jobs", "steals", "shards", "quar", "h2d MB", "p2p MB", "kernel ms", "util"
+            "{:<18} {:>5} {:>6} {:>5} {:>10} {:>9} {:>12} {:>7}",
+            "device", "jobs", "shards", "quar", "h2d MB", "p2p MB", "kernel ms", "util"
         );
         for d in &self.devices {
             let _ = writeln!(
                 out,
-                "{:<18} {:>5} {:>6} {:>6} {:>5} {:>10.1} {:>9.1} {:>12.3} {:>6.1}%",
+                "{:<18} {:>5} {:>6} {:>5} {:>10.1} {:>9.1} {:>12.3} {:>6.1}%",
                 format!("dev{} {}", d.index, d.name),
                 d.jobs,
-                d.steals,
                 d.shards,
                 d.quarantines,
                 d.h2d_bytes as f64 / (1024.0 * 1024.0),
@@ -253,7 +257,7 @@ impl FleetUtilization {
 /// sits behind its own mutex, so service workers pinned to different
 /// devices never contend.
 ///
-/// Every per-device count (steals, shards, quarantines, stage bytes) is
+/// Every per-device count (shards, quarantines, stage bytes) is
 /// one `device="dev{n}"` counter in the registry the fleet was built
 /// with — the caller's through [`FleetRuntime::with_health_policy`], a
 /// private one through [`FleetRuntime::new`] — and
@@ -325,8 +329,8 @@ impl FleetRuntime {
         self.devices[dev].inflight.load(Ordering::Relaxed)
     }
 
-    /// Records a stage placed on an externally-chosen device (a worker
-    /// pinned to `dev`, or a steal decided by the scheduler).
+    /// Records a stage placed on an externally-chosen device (the
+    /// scheduler's placement of a job on `dev`).
     pub fn assign(&self, dev: usize) {
         self.devices[dev].inflight.fetch_add(1, Ordering::Relaxed);
         self.devices[dev].jobs.fetch_add(1, Ordering::Relaxed);
@@ -335,11 +339,6 @@ impl FleetRuntime {
     /// Marks one placed stage on `dev` as finished.
     pub fn complete(&self, dev: usize) {
         self.devices[dev].inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Counts a work steal *by* device `dev` (the thief).
-    pub fn record_steal(&self, dev: usize) {
-        self.devices[dev].cells.steals.inc();
     }
 
     /// Counts `count` bucket-range MSM shards executed on device `dev`.
@@ -473,30 +472,19 @@ impl FleetRuntime {
 
     /// Deadline-aware device claim. `remaining_cost_ns` is the job's
     /// modeled remaining work (simulated nanoseconds on one device);
-    /// `slack_ns` is the wall-clock budget left before its deadline
-    /// (`None` = no deadline). A job whose slack comfortably covers its
-    /// cost gets the least-loaded available device, like any other; one
-    /// whose slack is tighter than `remaining_cost_ns ×`
-    /// [`URGENCY_MARGIN`] is *urgent* and claims up to `max_devices`
-    /// available devices — fastest first — so a near-deadline large
-    /// proof can take the whole fleet and split its MSMs across it.
+    /// `slack_ns` is the wall-clock budget left before its deadline. A
+    /// job whose slack is tighter than `remaining_cost_ns ×`
+    /// [`URGENCY_MARGIN`] is *urgent* and claims every available device —
+    /// fastest first — so a near-deadline large proof can take the whole
+    /// fleet and split its MSMs across it.
     ///
     /// Every returned device is already [`Self::assign`]ed; pair each
-    /// with [`Self::complete`]. Returns an empty list when the whole
-    /// fleet is quarantined.
-    pub fn place_for_deadline(
-        &self,
-        remaining_cost_ns: f64,
-        slack_ns: Option<f64>,
-        max_devices: usize,
-    ) -> Vec<usize> {
-        let urgent = slack_ns.is_some_and(|s| s < remaining_cost_ns * URGENCY_MARGIN);
-        if !urgent || max_devices <= 1 {
-            let best = self.place_available(None);
-            if let Some(dev) = best {
-                self.assign(dev);
-            }
-            return best.into_iter().collect();
+    /// with [`Self::complete`]. Returns an empty list when the job is not
+    /// urgent or the whole fleet is quarantined.
+    pub fn place_for_deadline(&self, remaining_cost_ns: f64, slack_ns: f64) -> Vec<usize> {
+        let urgent = slack_ns < remaining_cost_ns * URGENCY_MARGIN;
+        if !urgent {
+            return Vec::new();
         }
         let mut avail: Vec<usize> = (0..self.devices.len())
             .filter(|&d| self.available(d))
@@ -506,7 +494,6 @@ impl FleetRuntime {
                 .total_cmp(&throughput_weight(&self.devices[a].config))
                 .then(a.cmp(&b))
         });
-        avail.truncate(max_devices);
         for &dev in &avail {
             self.assign(dev);
         }
@@ -564,11 +551,13 @@ impl FleetRuntime {
         let sp = src_lanes.p2p;
         src_lanes.timeline.wait(sp, Event::at(after_ns));
         let sent = src_lanes.timeline.d2d(sp, &name, bytes, dur);
+        src_lanes.issued += 1;
         // Mirror on the destination port, aligned to the send: both ends'
         // engines must be free, so the arrival is the later completion.
         let dp = dst_lanes.p2p;
         dst_lanes.timeline.wait(dp, Event::at(sent.at_ns() - dur));
         let received = dst_lanes.timeline.d2d(dp, &name, bytes, dur);
+        dst_lanes.issued += 1;
         let arrival = sent.at_ns().max(received.at_ns());
         let ex = dst_lanes.execute;
         dst_lanes.timeline.wait(ex, Event::at(arrival));
@@ -598,6 +587,7 @@ impl FleetRuntime {
             upload,
             execute,
             download,
+            ref mut issued,
             ..
         } = *lanes;
         let mut last = 0.0f64;
@@ -605,10 +595,12 @@ impl FleetRuntime {
             let ev = timeline.h2d(upload, &format!("{label}.h2d"), h2d_bytes, HostMem::Pinned);
             timeline.wait(execute, ev);
             last = ev.at_ns();
+            *issued += 1;
         }
         if kernel_ns > 0.0 {
             let ev = timeline.kernel_ns(execute, &format!("{label}.kernel"), kernel_ns);
             last = ev.at_ns();
+            *issued += 1;
         }
         if d2h_bytes > 0 {
             // Drain on the download stream so the execute stream is free
@@ -622,6 +614,8 @@ impl FleetRuntime {
                 HostMem::Pinned,
             );
             last = ev.at_ns();
+            // The zero-length sync kernel and the download.
+            *issued += 2;
         }
         let c = &self.devices[dev].cells;
         c.stages.inc();
@@ -661,7 +655,6 @@ impl FleetRuntime {
                 index,
                 name: d.config.name.to_string(),
                 jobs: d.jobs.load(Ordering::Relaxed),
-                steals: d.cells.steals.get(),
                 shards: d.cells.shards.get(),
                 quarantines: self.quarantine_count(index),
                 h2d_bytes: lanes.timeline.h2d_bytes(),
@@ -712,21 +705,18 @@ impl FleetRuntime {
         runtime.time_ns = util.elapsed_ns;
         let mut total_h2d = 0u64;
         let mut total_d2h = 0u64;
-        let mut total_steals = 0u64;
         let mut total_shards = 0u64;
         let mut total_quarantines = 0u64;
+        let mut total_dropped = 0u64;
         for (d, row) in self.devices.iter().zip(&util.devices) {
             total_h2d += row.h2d_bytes;
             total_d2h += row.d2h_bytes;
-            total_steals += row.steals;
             total_shards += row.shards;
             total_quarantines += row.quarantines;
             let mut node = TraceNode::new(format!("dev{}", row.index));
             node.time_ns = row.elapsed_ns;
             node.counters
                 .push(("runtime.jobs".to_string(), row.jobs as f64));
-            node.counters
-                .push((names::RUNTIME_STEALS.to_string(), row.steals as f64));
             node.counters
                 .push((names::RUNTIME_SHARDS.to_string(), row.shards as f64));
             if row.quarantines > 0 {
@@ -742,6 +732,14 @@ impl FleetRuntime {
                     .push((names::RUNTIME_P2P_BYTES.to_string(), row.p2p_bytes as f64));
             }
             let lanes = d.lanes.lock().expect("fleet lanes mutex");
+            // Only a log that overflowed its bound reports what it dropped,
+            // so every shorter run's trace is unchanged.
+            let dropped = lanes.ops_dropped();
+            if dropped > 0 {
+                node.counters
+                    .push((names::RUNTIME_OPS_DROPPED.to_string(), dropped as f64));
+                total_dropped += dropped;
+            }
             for engine in [
                 EngineKind::H2d,
                 EngineKind::Compute,
@@ -795,15 +793,17 @@ impl FleetRuntime {
             .push((names::RUNTIME_D2H_BYTES.to_string(), total_d2h as f64));
         runtime
             .counters
-            .push((names::RUNTIME_STEALS.to_string(), total_steals as f64));
-        runtime
-            .counters
             .push((names::RUNTIME_SHARDS.to_string(), total_shards as f64));
         if total_quarantines > 0 {
             runtime.counters.push((
                 names::QUARANTINE_EVENTS.to_string(),
                 total_quarantines as f64,
             ));
+        }
+        if total_dropped > 0 {
+            runtime
+                .counters
+                .push((names::RUNTIME_OPS_DROPPED.to_string(), total_dropped as f64));
         }
         let p2p_transfers = self.p2p_transfers();
         if p2p_transfers > 0 {
@@ -902,7 +902,6 @@ mod tests {
         fleet.assign(0);
         fleet.record_stage(0, "p", 1 << 20, 2.0e6, 4096);
         fleet.complete(0);
-        fleet.record_steal(1);
         fleet.record_shards(0, 3);
         let util = fleet.utilization();
         assert_eq!(util.devices.len(), 2);
@@ -911,7 +910,6 @@ mod tests {
         assert_eq!(d0.h2d_bytes, 1 << 20);
         assert_eq!(d0.d2h_bytes, 4096);
         assert!(d0.kernel_ns > 0.0 && d0.busy_frac > 0.0 && d0.busy_frac <= 1.0);
-        assert_eq!(util.devices[1].steals, 1);
         assert_eq!(util.devices[1].jobs, 0);
         assert!((util.elapsed_ns - d0.elapsed_ns).abs() < 1e-9);
         // The rows are reads of the registry's per-device counters.
@@ -919,7 +917,6 @@ mod tests {
         for d in &util.devices {
             let dev = format!("dev{}", d.index);
             let count = |name| snap.counter_labeled(name, "device", &dev);
-            assert_eq!(count(names::RUNTIME_STEALS), Some(d.steals));
             assert_eq!(count(names::RUNTIME_SHARDS), Some(d.shards));
         }
         let table = util.render();
@@ -983,33 +980,22 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_deadline_takes_one_device_urgent_takes_fleet() {
+    fn calm_deadline_claims_nothing_urgent_takes_fleet() {
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti(), v100()]);
-        // Plenty of slack: a single least-loaded device, like
-        // place_available().
-        let calm = fleet.place_for_deadline(1.0e9, Some(10.0e9), usize::MAX);
-        assert_eq!(calm, vec![0]);
-        for &d in &calm {
-            fleet.complete(d);
-        }
-        // No deadline at all is never urgent.
-        let none = fleet.place_for_deadline(1.0e9, None, usize::MAX);
-        assert_eq!(none.len(), 1);
-        for &d in &none {
-            fleet.complete(d);
-        }
+        // Slack covering cost × margin claims (and counts) no device.
+        assert!(fleet.place_for_deadline(1.0e9, 2.0e9).is_empty());
+        assert!(fleet.utilization().devices.iter().all(|d| d.jobs == 0));
         // Slack under cost × margin: claim every available device,
         // fastest first.
-        let urgent = fleet.place_for_deadline(1.0e9, Some(1.5e9), usize::MAX);
+        let urgent = fleet.place_for_deadline(1.0e9, 1.5e9);
         assert_eq!(urgent, vec![0, 2, 1], "V100s first, then the 1080 Ti");
         assert!(urgent.iter().all(|&d| fleet.inflight(d) >= 1));
         for &d in &urgent {
             fleet.complete(d);
         }
-        // The claim cap holds, and quarantined devices are skipped.
+        // Quarantined devices are skipped.
         assert!(fleet.record_failure(0, true));
-        let capped = fleet.place_for_deadline(1.0e9, Some(0.5e9), 2);
-        assert_eq!(capped, vec![2, 1]);
+        assert_eq!(fleet.place_for_deadline(1.0e9, 0.5e9), vec![2, 1]);
     }
 
     #[test]
@@ -1060,7 +1046,6 @@ mod tests {
         let fleet = FleetRuntime::new(vec![v100(), v100()]);
         fleet.record_stage(0, "proof0.msm", 8 << 20, 1.5e6, 1024);
         fleet.record_stage(1, "proof1.msm", 8 << 20, 1.5e6, 1024);
-        fleet.record_steal(1);
         fleet.record_shards(1, 2);
         let trace = fleet.trace();
         for dev in ["dev0", "dev1"] {
@@ -1081,11 +1066,65 @@ mod tests {
             runtime.counter(names::RUNTIME_H2D_BYTES),
             Some(2.0 * (8 << 20) as f64)
         );
-        assert_eq!(runtime.counter(names::RUNTIME_STEALS), Some(1.0));
         assert_eq!(runtime.counter(names::RUNTIME_SHARDS), Some(2.0));
         assert_eq!(trace.device, "2xV100");
         // Round-trips through the on-disk schema unchanged.
         let back = Trace::from_json(&trace.to_json()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn op_log_is_bounded_and_totals_cover_dropped_ops() {
+        let fleet = FleetRuntime::new(vec![v100()]);
+        let (h2d, kernel, d2h) = (4096u64, 1.0e6, 512u64);
+        let stages = 3000u32;
+        for i in 0..stages {
+            fleet.record_stage(0, &format!("job{i}.msm"), h2d, kernel, d2h);
+        }
+        // Uploads hide under the previous kernel and downloads drain on
+        // their own stream, so compute is back to back after the first
+        // upload; the last download ends the makespan.
+        let config = fleet.config(0);
+        let copy_up = transfer_time_ns(config, h2d, HostMem::Pinned);
+        let copy_down = transfer_time_ns(config, d2h, HostMem::Pinned);
+        let n = f64::from(stages);
+        let util = fleet.utilization();
+        let d = &util.devices[0];
+        assert!((d.kernel_ns - kernel * n).abs() < 1e-3 * n);
+        assert!((d.h2d_ns - copy_up * n).abs() < 1e-3 * n);
+        assert!((d.d2h_ns - copy_down * n).abs() < 1e-3 * n);
+        assert!((d.elapsed_ns - (copy_up + kernel * n + copy_down)).abs() < 1e-3 * n);
+        assert_eq!(d.h2d_bytes, h2d * u64::from(stages));
+        // An engine that never ran keeps the empty sum's sign.
+        assert!(d.p2p_ns == 0.0 && d.p2p_ns.is_sign_negative());
+
+        // Four ops a stage (upload, kernel, sync, download); the log keeps
+        // the newest 4096 and the trace counts the rest.
+        let issued = 4 * u64::from(stages);
+        let trace = fleet.trace();
+        let dev = trace.find(&["runtime", "dev0"]).unwrap();
+        let kept: usize = dev.children.iter().map(|lane| lane.children.len()).sum();
+        assert_eq!(kept, 4096);
+        let dropped = (issued - 4096) as f64;
+        assert_eq!(dev.counter(names::RUNTIME_OPS_DROPPED), Some(dropped));
+        let runtime = trace.find(&["runtime"]).unwrap();
+        assert_eq!(runtime.counter(names::RUNTIME_OPS_DROPPED), Some(dropped));
+        // The newest ops survive: the last stage's download closes the log.
+        let d2h_lane = trace.find(&["runtime", "dev0", "d2h"]).unwrap();
+        assert_eq!(
+            d2h_lane.children.last().unwrap().name,
+            format!("job{}.msm.d2h", stages - 1)
+        );
+        // A short run reports nothing dropped.
+        let short = FleetRuntime::new(vec![v100()]);
+        short.record_stage(0, "p", h2d, kernel, d2h);
+        let runtime = short.trace();
+        assert_eq!(
+            runtime
+                .find(&["runtime"])
+                .unwrap()
+                .counter(names::RUNTIME_OPS_DROPPED),
+            None
+        );
     }
 }

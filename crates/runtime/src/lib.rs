@@ -1,8 +1,9 @@
 //! # gzkp-runtime — the device-fleet runtime
 //!
-//! Multi-GPU execution layer for the proving service: place proof stages
-//! onto a heterogeneous fleet of simulated devices, pipeline proof `i+1`'s
-//! uploads under proof `i`'s kernels on per-device command streams, and
+//! Multi-GPU execution layer for the proving service: place proofs onto a
+//! heterogeneous fleet of simulated devices, pipeline proof `i+1`'s
+//! uploads under proof `i`'s kernels on per-device command streams, let
+//! a near-deadline proof claim several devices for its MSMs, and
 //! shard MSMs that exceed a single device's memory into bucket-range
 //! partials merged on the host (bit-identical to the unsharded result;
 //! the functional splitting lives in `gzkp_msm::GzkpMsm::msm_sharded`,
@@ -13,8 +14,8 @@
 //! * [`spec`] — parsing of `zkserve --devices N[,spec]` fleet descriptions
 //!   into [`gzkp_gpu_sim::DeviceConfig`]s;
 //! * [`fleet`] — [`FleetRuntime`]: per-device [`gzkp_gpu_sim::DeviceTimeline`]s
-//!   with copy/compute/download/P2P streams, throughput-weighted
-//!   least-loaded and deadline-aware placement, steal accounting,
+//!   with copy/compute/download/P2P streams and bounded op logs,
+//!   throughput-weighted least-loaded and deadline-aware placement,
 //!   device↔device transfers ([`FleetRuntime::record_p2p`], NVLink or
 //!   host-staged), per-device utilization snapshots and a
 //!   `runtime→dev{n}→{h2d,kernel,d2h,p2p}` telemetry trace;

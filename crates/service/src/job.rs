@@ -17,10 +17,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A proof request the service can schedule, split along the prover's two
-/// stages so the scheduler can interleave stages of different jobs.
+/// stages so the scheduler can check deadlines, roll faults and retry at
+/// the boundary between them.
 ///
 /// Implementations own everything their stages need (circuit, key,
-/// engines); the service only moves the box between queues and worker
+/// engines); the service only moves the box between its queue and worker
 /// threads. The type erasure is what lets one queue serve jobs over
 /// different curves.
 pub trait ProofTask: Send {
@@ -44,9 +45,10 @@ pub trait ProofTask: Send {
     }
 
     /// Rebinds the task's engines to `device` before its next stage runs.
-    /// Fleet placement and work stealing move stages between
-    /// heterogeneous devices; every engine must produce the identical
-    /// functional result on any device (only simulated cost changes).
+    /// Each placement of the job — its first, and each retry's — may pick
+    /// a different device of a heterogeneous fleet; every engine must
+    /// produce the identical functional result on any device (only
+    /// simulated cost changes).
     /// Tasks without device-specific state ignore the call. Must also
     /// drop any cross-device binding from an earlier
     /// [`ProofTask::bind_fleet`].

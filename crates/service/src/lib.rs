@@ -8,14 +8,16 @@
 //! * a **bounded request queue** with backpressure — [`ProvingService::submit`]
 //!   rejects with [`SubmitError::QueueFull`] instead of buffering without
 //!   limit;
-//! * a **worker pool pipelined across the prover's two stages**: each job
-//!   runs POLY (the seven NTTs) and then its five MSMs as separate
-//!   schedulable steps, so proof *i+1*'s POLY overlaps proof *i*'s MSM —
-//!   the intra-proof pipelining of the paper's Figure 1 lifted to the
-//!   inter-proof level;
+//! * **one queue of whole jobs**: the worker that takes a job places it —
+//!   its own device, else the least-loaded available one, else the host
+//!   CPU — and runs the job's POLY stage (the backend's NTTs) and then its
+//!   MSM stage there, back to back. Proofs overlap across workers, and
+//!   one proof's MSMs fan out over every core on their own;
 //! * **priority classes and per-job deadlines** with cooperative
 //!   cancellation: expiry and [`JobHandle::cancel`] are honored at
 //!   dequeue and between stages, never by killing a thread mid-kernel;
+//!   a job whose deadline nears its modeled MSM cost runs that stage
+//!   across several devices of a multi-device fleet;
 //! * a **per-(curve, proving-key) preprocessing cache** — the service owns
 //!   a byte-budgeted LRU [`gzkp_msm::PreprocessStore`] shared by every
 //!   job's MSM engines, so checkpoint tables (Algorithm 1) are built once
@@ -170,8 +172,9 @@ impl Default for RetryPolicy {
 /// Proving-service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum jobs waiting in the queue (staged + not-yet-started);
-    /// submissions beyond it get [`SubmitError::QueueFull`].
+    /// Maximum jobs waiting in the queue — not yet taken by a worker, or
+    /// parked for a retry; submissions beyond it get
+    /// [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
     /// Size of the default fleet when [`ServiceConfig::devices`] is
     /// empty: that many V100s, one worker thread each.
@@ -182,22 +185,19 @@ pub struct ServiceConfig {
     /// Deadline applied to jobs that don't set their own.
     pub default_deadline: Option<Duration>,
     /// The simulated device fleet the service runs on: one worker pinned
-    /// per device, stages placed on the least-loaded available device
-    /// (stealing across per-device queues when a device runs dry), stage
+    /// per device, each job placed on its worker's device when that is
+    /// available (else the least-loaded available device), stage
     /// transfers pipelined on each device's command streams, and
     /// per-device utilization available through
-    /// [`ProvingService::fleet_utilization`]. Empty (the default) means
-    /// [`ServiceConfig::workers`] V100s.
+    /// [`ProvingService::fleet_utilization`]. On more than one device, a
+    /// job with a deadline whose slack is under
+    /// [`gzkp_runtime::URGENCY_MARGIN`]× its modeled MSM cost claims
+    /// several devices for its MSM stage
+    /// ([`gzkp_runtime::FleetRuntime::place_for_deadline`]) and runs each
+    /// MSM as bucket-range shards across them; proof bytes are identical
+    /// either way. Empty (the default) means [`ServiceConfig::workers`]
+    /// V100s.
     pub devices: Vec<gzkp_gpu_sim::device::DeviceConfig>,
-    /// Cross-device single-proof MSM: when a job's MSM stage is urgent —
-    /// its deadline slack is under [`gzkp_runtime::URGENCY_MARGIN`]× the
-    /// task's modeled remaining MSM cost — the scheduler claims several devices at once
-    /// ([`gzkp_runtime::FleetRuntime::place_for_deadline`]) and the task
-    /// executes each MSM as bucket-range shards across them with
-    /// partial-sum merges over the device↔device P2P path. Proof bytes
-    /// are identical to the single-device path; only the simulated
-    /// schedule changes. Off by default.
-    pub cross_device: bool,
     /// Chaos mode: a seeded [`gzkp_gpu_sim::FaultPlan`] injected into
     /// every stage execution. `None` (the default) runs fault-free.
     pub chaos: Option<gzkp_gpu_sim::FaultPlan>,
@@ -217,9 +217,9 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     /// Defaults: queue of 64, a 256 MiB table store, a 60 s deadline, and
-    /// one worker per two available cores (stage pipelining needs spare
-    /// cores to overlap into; on a single-core host extra workers only
-    /// interleave proofs against each other and degrade locality).
+    /// one worker per two available cores (each proof's NTTs and MSMs fan
+    /// out over the cores themselves; on a single-core host extra workers
+    /// only interleave proofs against each other).
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
@@ -228,7 +228,6 @@ impl Default for ServiceConfig {
             prep_cache_bytes: gzkp_msm::PreprocessStore::DEFAULT_BUDGET_BYTES,
             default_deadline: Some(Duration::from_secs(60)),
             devices: Vec::new(),
-            cross_device: false,
             chaos: None,
             retry: RetryPolicy::default(),
             health: gzkp_runtime::HealthPolicy::default(),

@@ -1,7 +1,7 @@
-//! The scheduler: bounded intake, stage-pipelined workers, deadlines, and
+//! The scheduler: bounded intake, whole-job workers, deadlines, and
 //! graceful shutdown.
 
-use crate::job::{JobError, JobHandle, JobResult, JobShared, ProofTask, TaskOutput};
+use crate::job::{JobError, JobHandle, JobResult, JobShared, ProofTask, StageProfile, TaskOutput};
 use crate::{JobOptions, Priority, ServiceConfig, SubmitError};
 use gzkp_gpu_sim::{FaultInjector, FaultKind, TraceContext};
 use gzkp_msm::PreprocessStore;
@@ -28,19 +28,19 @@ struct Job {
     shared: Arc<JobShared>,
     recorder: Option<TraceRecorder>,
     /// Whether the job has reached a worker at least once (queue wait
-    /// measured, `service`/`execute` spans opened).
+    /// measured, `service`/`execute` spans opened; resolution closes
+    /// them).
     started: bool,
-    /// Whether the `service`/`execute` spans are open (set once the job
-    /// first reaches a worker; resolution must close them).
-    spans_open: bool,
-    /// The device the job is currently bound to (engines rebuilt for
-    /// it). `None` until first placement and while on the host CPU
-    /// fallback; a steal rebinds it.
+    /// The device the job is placed on while a worker runs it (engines
+    /// rebuilt for it). `None` while queued and on the host CPU fallback.
     device: Option<usize>,
     /// Cross-device MSM: the non-primary devices the job additionally
     /// claimed (`device` holds the primary). Empty for single-device
     /// placements; released together with the primary.
     extra_devices: Vec<usize>,
+    /// Whether POLY ran and its artifacts await the MSM stage: an MSM
+    /// stage knocked out before it started keeps them across the retry.
+    poly_done: bool,
     /// Verification votes cast for this job (each verify-before-return
     /// check of a produced proof is one vote).
     verify_votes: u32,
@@ -62,8 +62,16 @@ struct Job {
 }
 
 impl Job {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
+    /// The cooperative checkpoint at dequeue and at each stage boundary:
+    /// why the job must stop here, if it must.
+    fn stop_reason(&self, now: Instant) -> Option<JobError> {
+        if self.shared.is_cancelled() {
+            Some(JobError::Cancelled)
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            Some(JobError::DeadlineMissed)
+        } else {
+            None
+        }
     }
 
     fn ready(&self, now: Instant) -> bool {
@@ -72,10 +80,8 @@ impl Job {
 }
 
 struct Queue {
-    /// Jobs awaiting their POLY stage.
+    /// Jobs waiting for a worker: new ones and ones parked for a retry.
     pending: Vec<Job>,
-    /// Jobs with POLY done, awaiting their MSM stage.
-    staged: Vec<Job>,
     /// Accepted jobs not yet resolved (queued + executing).
     open: usize,
     accepting: bool,
@@ -202,11 +208,6 @@ struct Inner {
     metrics: ServiceMetrics,
 }
 
-enum Stage {
-    Poly,
-    Msm,
-}
-
 /// Error-correcting re-execution: a proof the verify-before-return guard
 /// rejects is re-proven (from POLY, with fresh placement) until one run's
 /// proof verifies; only when this many runs have *all* been rejected does
@@ -216,10 +217,7 @@ pub const VERIFY_VOTE_RUNS: u32 = 3;
 /// Publishes the live queue depth. Queue lock held by the caller, so the
 /// gauge is always a value the queue actually had.
 fn gauge_queue_depth(inner: &Inner, q: &Queue) {
-    inner
-        .metrics
-        .queue_depth
-        .set((q.pending.len() + q.staged.len()) as f64);
+    inner.metrics.queue_depth.set(q.pending.len() as f64);
 }
 
 /// The running service: worker threads plus the shared state they
@@ -250,7 +248,6 @@ impl ProvingService {
             store: Arc::new(PreprocessStore::new(cfg.prep_cache_bytes)),
             queue: Mutex::new(Queue {
                 pending: Vec::new(),
-                staged: Vec::new(),
                 open: 0,
                 accepting: true,
                 last_key: None,
@@ -317,7 +314,7 @@ impl ProvingService {
         if !q.accepting {
             return Err(SubmitError::ShuttingDown);
         }
-        if q.pending.len() + q.staged.len() >= self.inner.cfg.queue_capacity {
+        if q.pending.len() >= self.inner.cfg.queue_capacity {
             self.inner.metrics.rejected.inc();
             return Err(SubmitError::QueueFull {
                 capacity: self.inner.cfg.queue_capacity,
@@ -344,9 +341,9 @@ impl ProvingService {
             shared: shared.clone(),
             recorder: opts.trace.then(|| TraceRecorder::new(names::SPAN_SERVICE)),
             started: false,
-            spans_open: false,
             device: None,
             extra_devices: Vec::new(),
+            poly_done: false,
             verify_votes: 0,
             attempt: 0,
             retries: 0,
@@ -416,97 +413,46 @@ impl Drop for ProvingService {
 }
 
 fn worker_loop(inner: &Inner, own: usize) {
-    // Each worker is pinned to device `own`; its queue picks prefer jobs
-    // already bound there (data resident) and fall back to stealing jobs
-    // bound to other devices when its own queue runs dry.
-    let fleet = &inner.fleet;
-    loop {
-        let picked = {
-            let mut guard = inner.queue.lock().unwrap();
-            loop {
-                let q = &mut *guard;
-                sweep(inner, q);
-                if let Some(job) = pick(&mut q.staged, q.last_key, own) {
-                    q.last_key = Some(job.key);
-                    break Some((job, Stage::Msm));
-                }
-                // Cap the staged backlog at the worker count: POLY output
-                // is only useful once an MSM slot can consume it, and the
-                // cap bounds the artifacts held alive.
-                if q.staged.len() < fleet.len() {
-                    if let Some(job) = pick(&mut q.pending, q.last_key, own) {
-                        q.last_key = Some(job.key);
-                        break Some((job, Stage::Poly));
-                    }
-                }
-                if !q.accepting && q.open == 0 {
-                    break None;
-                }
-                // Jobs parked for a retry backoff bound the wait: wake
-                // when the earliest becomes schedulable again.
-                let next_ready = q
-                    .pending
-                    .iter()
-                    .chain(q.staged.iter())
-                    .filter_map(|j| j.not_before)
-                    .min();
-                guard = match next_ready {
-                    Some(t) => {
-                        let timeout = t.saturating_duration_since(Instant::now());
-                        inner.work_cv.wait_timeout(guard, timeout).unwrap().0
-                    }
-                    None => inner.work_cv.wait(guard).unwrap(),
-                };
-            }
-        };
-        let Some((mut job, stage)) = picked else {
-            return;
-        };
-        let cross = matches!(stage, Stage::Msm)
-            && inner.cfg.cross_device
-            && fleet.len() > 1
-            && place_job_cross(fleet, &mut job);
-        if !cross {
-            place_job(inner, &mut job, own);
-        }
-        match stage {
-            Stage::Poly => run_poly(inner, job),
-            Stage::Msm => run_msm(inner, job),
-        }
+    // Each worker is pinned to device `own`: it takes the best ready job,
+    // places it (its own device first) and runs it to its next outcome.
+    while let Some(mut job) = next_job(inner) {
+        place_job(inner, &mut job, own);
+        run_job(inner, job);
     }
 }
 
-/// Deadline-aware cross-device placement of a picked MSM stage: claims
-/// the device set [`FleetRuntime::place_for_deadline`] grants for the
-/// task's modeled remaining cost and binds the task's MSM engines across
-/// it ([`ProofTask::bind_fleet`]). Returns `false` — leaving the job for
-/// ordinary single-device placement — when the grant is a single device
-/// or the task cannot split its MSMs.
-fn place_job_cross(fleet: &Arc<FleetRuntime>, job: &mut Job) -> bool {
-    let remaining = job.task.msm_cost_estimate_ns();
-    if remaining <= 0.0 {
-        return false;
-    }
-    let slack = job
-        .deadline
-        .map(|d| d.saturating_duration_since(Instant::now()).as_nanos() as f64);
-    let devices = fleet.place_for_deadline(remaining, slack, fleet.len());
-    if devices.len() < 2 || !job.task.bind_fleet(fleet, &devices, job.id) {
-        for d in devices {
-            fleet.complete(d);
+/// Blocks until a job is ready and takes the best one; `None` once
+/// intake is closed and every accepted job has resolved.
+fn next_job(inner: &Inner) -> Option<Job> {
+    let mut guard = inner.queue.lock().unwrap();
+    loop {
+        let q = &mut *guard;
+        sweep(inner, q);
+        if let Some(job) = pick(&mut q.pending, q.last_key) {
+            q.last_key = Some(job.key);
+            return Some(job);
         }
-        return false;
+        if !q.accepting && q.open == 0 {
+            return None;
+        }
+        // Jobs parked for a retry backoff bound the wait: wake when the
+        // earliest becomes schedulable again.
+        let next_ready = q.pending.iter().filter_map(|j| j.not_before).min();
+        guard = match next_ready {
+            Some(t) => {
+                let timeout = t.saturating_duration_since(Instant::now());
+                inner.work_cv.wait_timeout(guard, timeout).unwrap().0
+            }
+            None => inner.work_cv.wait(guard).unwrap(),
+        };
     }
-    release(fleet, job);
-    job.device = Some(devices[0]);
-    job.extra_devices = devices[1..].to_vec();
-    true
 }
 
 /// Health-aware placement of a picked job: the worker's own device when
 /// it is available (and not the device the job just failed on), else the
 /// least-loaded available device, else — whole fleet quarantined — the
 /// host CPU path, which cannot be quarantined and guarantees progress.
+/// A queued job holds no placement, so this is always a fresh one.
 fn place_job(inner: &Inner, job: &mut Job, own: usize) {
     let fleet = &inner.fleet;
     let own_ok = fleet.available(own) && job.avoid_device != Some(own);
@@ -516,28 +462,42 @@ fn place_job(inner: &Inner, job: &mut Job, own: usize) {
         fleet.place_available(job.avoid_device)
     };
     match target {
-        Some(dev) => bind_to_device(fleet, job, dev),
+        Some(dev) => {
+            job.task.bind_device(fleet.config(dev));
+            job.device = Some(dev);
+            fleet.assign(dev);
+        }
         None => {
-            release(fleet, job);
             job.task.bind_device(&gzkp_gpu_sim::cpu_xeon());
             inner.metrics.cpu_fallbacks.inc();
         }
     }
 }
 
-/// Binds a picked job to device `dev`: releases the old placement
-/// (counting the steal when the job was bound elsewhere) and rebuilds the
-/// task's engines for the new device.
-fn bind_to_device(fleet: &FleetRuntime, job: &mut Job, dev: usize) {
-    if job.device == Some(dev) {
+/// Cross-device escalation of a job's MSM stage. On a fleet of more than
+/// one device, a job with a deadline whose slack is under
+/// [`gzkp_runtime::URGENCY_MARGIN`]× its modeled MSM cost claims the
+/// devices [`FleetRuntime::place_for_deadline`] grants and binds its MSM
+/// engines across them ([`ProofTask::bind_fleet`]). Any other job — calm,
+/// without a deadline, granted a single device, or unable to split its
+/// MSMs — keeps the placement it has.
+fn escalate(fleet: &Arc<FleetRuntime>, job: &mut Job) {
+    let Some(deadline) = job.deadline.filter(|_| fleet.len() > 1) else {
+        return;
+    };
+    let slack = deadline
+        .saturating_duration_since(Instant::now())
+        .as_nanos() as f64;
+    let devices = fleet.place_for_deadline(job.task.msm_cost_estimate_ns(), slack);
+    if devices.len() < 2 || !job.task.bind_fleet(fleet, &devices, job.id) {
+        for d in devices {
+            fleet.complete(d);
+        }
         return;
     }
-    if release(fleet, job).is_some() {
-        fleet.record_steal(dev);
-    }
-    job.task.bind_device(fleet.config(dev));
-    job.device = Some(dev);
-    fleet.assign(dev);
+    release(fleet, job);
+    job.device = Some(devices[0]);
+    job.extra_devices = devices[1..].to_vec();
 }
 
 /// Releases every device claim the job holds — its primary placement and
@@ -555,50 +515,30 @@ fn release(fleet: &FleetRuntime, job: &mut Job) -> Option<usize> {
 /// without running it. Called with the queue lock held on each dequeue.
 fn sweep(inner: &Inner, q: &mut Queue) {
     let now = Instant::now();
-    for pending in [true, false] {
-        let list = if pending {
-            std::mem::take(&mut q.pending)
-        } else {
-            std::mem::take(&mut q.staged)
-        };
-        let mut keep = Vec::with_capacity(list.len());
-        for job in list {
-            if job.shared.is_cancelled() {
-                resolve_locked(inner, q, job, Err(JobError::Cancelled));
-            } else if job.expired(now) {
-                resolve_locked(inner, q, job, Err(JobError::DeadlineMissed));
-            } else if !q.accepting && !job.ready(now) {
-                // Shutdown must not wait out retry backoffs (a job parked
-                // behind a quarantined device could hold the drain for a
-                // whole probation window): return it explicitly.
-                resolve_locked(inner, q, job, Err(JobError::Drained));
-            } else {
-                keep.push(job);
-            }
-        }
-        if pending {
-            q.pending = keep;
-        } else {
-            q.staged = keep;
+    for job in std::mem::take(&mut q.pending) {
+        // Shutdown must not wait out retry backoffs (a job parked behind
+        // a quarantined device could hold the drain for a whole probation
+        // window): return it explicitly.
+        let stop = job
+            .stop_reason(now)
+            .or_else(|| (!q.accepting && !job.ready(now)).then_some(JobError::Drained));
+        match stop {
+            Some(reason) => resolve_locked(inner, q, job, Err(reason)),
+            None => q.pending.push(job),
         }
     }
 }
 
-/// Takes the best job: strongest priority first, then jobs local to (or
-/// not yet bound to) the worker's device `own` before steals from other
-/// devices' queues, then jobs sharing the last scheduled proving key (its
-/// checkpoint tables are hot in the store), then FIFO order.
-fn pick(list: &mut Vec<Job>, last_key: Option<u64>, own: usize) -> Option<Job> {
+/// Takes the best ready job: strongest priority first, then jobs sharing
+/// the last scheduled proving key (its checkpoint tables are hot in the
+/// store), then FIFO order.
+fn pick(list: &mut Vec<Job>, last_key: Option<u64>) -> Option<Job> {
     let now = Instant::now();
     let (idx, _) = list
         .iter()
         .enumerate()
         .filter(|(_, j)| j.ready(now))
-        .min_by_key(|(_, j)| {
-            let remote = j.device.is_some_and(|d| d != own);
-            let cold_key = Some(j.key) != last_key;
-            (j.priority, remote, cold_key, j.seq)
-        })?;
+        .min_by_key(|(_, j)| (j.priority, Some(j.key) != last_key, j.seq))?;
     Some(list.remove(idx))
 }
 
@@ -606,6 +546,15 @@ fn pick(list: &mut Vec<Job>, last_key: Option<u64>, own: usize) -> Option<Job> {
 /// job id → stage → current device binding.
 fn stage_ctx(job: &Job, stage: &'static str) -> TraceContext {
     TraceContext::new(job.id, stage).on_device(job.device)
+}
+
+/// Records a finished stage's transfer/compute profile on the placed
+/// job's device timeline.
+fn record_stage(inner: &Inner, job: &Job, stage: &'static str, p: StageProfile) {
+    let ctx = stage_ctx(job, stage);
+    inner
+        .fleet
+        .record_stage_ctx(&ctx, p.h2d_bytes, p.kernel_ns, p.d2h_bytes);
 }
 
 /// Rolls the chaos oracle for one stage execution. Returns the injected
@@ -630,11 +579,11 @@ fn roll_fault(
 
 /// Handles a recoverable stage failure (injected fault or verify
 /// reject): updates device health, parks the job for an exponential
-/// backoff, and requeues it — `to_staged` keeps the POLY artifacts (the
-/// fault hit before the MSM stage consumed them), otherwise the job
-/// restarts from POLY. Jobs that exhausted the retry budget resolve as
+/// backoff, and requeues it. A job whose POLY artifacts survived
+/// (`poly_done`) re-runs only its MSM stage; any other restarts from
+/// POLY. Jobs that exhausted the retry budget resolve as
 /// [`JobError::Failed`].
-fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool, to_staged: bool) {
+fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
     if let Some(dev) = release(&inner.fleet, &mut job) {
         inner.fleet.record_failure(dev, hard);
         job.avoid_device = Some(dev);
@@ -663,17 +612,15 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool, to_stage
         .min(policy.max_backoff);
     job.not_before = Some(Instant::now() + delay);
     let mut q = inner.queue.lock().unwrap();
-    if to_staged {
-        q.staged.push(job);
-    } else {
-        q.pending.push(job);
-    }
+    q.pending.push(job);
     gauge_queue_depth(inner, &q);
     drop(q);
     inner.work_cv.notify_one();
 }
 
-fn run_poly(inner: &Inner, mut job: Job) {
+/// Runs a placed job on the placement the worker gave it: its POLY stage
+/// (unless an earlier run of the job already did it), then its MSM stage.
+fn run_job(inner: &Inner, mut job: Job) {
     if !job.started {
         // First time on a worker: the queue wait ends here. Retries
         // re-enter without reopening the service spans.
@@ -687,39 +634,44 @@ fn run_poly(inner: &Inner, mut job: Job) {
             rec.span_time(job.queue_wait.as_nanos() as f64);
             rec.span_end(names::SPAN_QUEUE_WAIT);
             rec.span_start(names::SPAN_EXECUTE);
-            job.spans_open = true;
         }
     }
-    if job.shared.is_cancelled() {
-        return resolve(inner, job, Err(JobError::Cancelled));
+    if !job.poly_done {
+        match run_poly(inner, job) {
+            Some(next) => job = next,
+            None => return,
+        }
     }
-    if job.expired(Instant::now()) {
-        return resolve(inner, job, Err(JobError::DeadlineMissed));
+    run_msm(inner, job);
+}
+
+/// The POLY stage. Hands the job back for its MSM stage, or `None` when
+/// it was resolved or requeued instead.
+fn run_poly(inner: &Inner, mut job: Job) -> Option<Job> {
+    if let Some(reason) = job.stop_reason(Instant::now()) {
+        resolve(inner, job, Err(reason));
+        return None;
     }
     if let Some(kind) = roll_fault(inner, &mut job, names::SPAN_POLY, false) {
         let hard = kind == FaultKind::DeviceHang;
-        return retry_or_fail(inner, job, &format!("poly {kind}"), hard, false);
+        retry_or_fail(inner, job, &format!("poly {kind}"), hard);
+        return None;
     }
     match run_stage(&mut job, &inner.metrics.stage_poly, |task, sink| {
         task.poly(sink)
     }) {
         Ok(()) => {
             if let Some(dev) = job.device {
-                let p = job.task.poly_profile();
-                inner.fleet.record_stage_ctx(
-                    &stage_ctx(&job, names::SPAN_POLY),
-                    p.h2d_bytes,
-                    p.kernel_ns,
-                    p.d2h_bytes,
-                );
+                record_stage(inner, &job, names::SPAN_POLY, job.task.poly_profile());
                 inner.fleet.record_success(dev);
             }
-            let mut q = inner.queue.lock().unwrap();
-            q.staged.push(job);
-            drop(q);
-            inner.work_cv.notify_one();
+            job.poly_done = true;
+            Some(job)
         }
-        Err(msg) => resolve(inner, job, Err(JobError::Failed(msg))),
+        Err(msg) => {
+            resolve(inner, job, Err(JobError::Failed(msg)));
+            None
+        }
     }
 }
 
@@ -742,12 +694,10 @@ fn run_stage<T>(
 }
 
 fn run_msm(inner: &Inner, mut job: Job) {
-    if job.shared.is_cancelled() {
-        return resolve(inner, job, Err(JobError::Cancelled));
+    if let Some(reason) = job.stop_reason(Instant::now()) {
+        return resolve(inner, job, Err(reason));
     }
-    if job.expired(Instant::now()) {
-        return resolve(inner, job, Err(JobError::DeadlineMissed));
-    }
+    escalate(&inner.fleet, &mut job);
     // The MSM stage is the corruptible one: its output is the serialized
     // proof, which the verify-before-return guard can actually check.
     let corruption = match roll_fault(inner, &mut job, names::SPAN_MSM, true) {
@@ -755,8 +705,8 @@ fn run_msm(inner: &Inner, mut job: Job) {
         Some(kind) => {
             let hard = kind == FaultKind::DeviceHang;
             // The fault hit before the stage consumed the POLY artifacts:
-            // requeue to staged so only the MSM re-runs.
-            return retry_or_fail(inner, job, &format!("msm {kind}"), hard, true);
+            // the retry re-runs only the MSM.
+            return retry_or_fail(inner, job, &format!("msm {kind}"), hard);
         }
         None => false,
     };
@@ -777,12 +727,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
             // re-recording the aggregate profile here would double-count.
             if let Some(dev) = job.device.filter(|_| job.extra_devices.is_empty()) {
                 let p = job.task.msm_profile(&output);
-                inner.fleet.record_stage_ctx(
-                    &stage_ctx(&job, names::SPAN_MSM),
-                    p.h2d_bytes,
-                    p.kernel_ns,
-                    p.d2h_bytes,
-                );
+                record_stage(inner, &job, names::SPAN_MSM, p);
                 if p.shards > 0 {
                     inner.fleet.record_shards(dev, p.shards);
                 }
@@ -816,7 +761,8 @@ fn run_msm(inner: &Inner, mut job: Job) {
                 }
                 // The artifacts were consumed producing the bad proof:
                 // a full re-execution from POLY casts the next vote.
-                return retry_or_fail(inner, job, "verify reject", false, false);
+                job.poly_done = false;
+                return retry_or_fail(inner, job, "verify reject", false);
             }
             if let Some(dev) = job.device {
                 inner.fleet.record_success(dev);
@@ -875,7 +821,7 @@ fn resolve_locked(
     release(&inner.fleet, &mut job);
 
     let trace = job.recorder.take().map(|rec| {
-        if job.spans_open {
+        if job.started {
             rec.span_end(names::SPAN_EXECUTE);
             rec.span_end(names::SPAN_SERVICE);
         }

@@ -134,7 +134,7 @@ pub const SERVICE_QUEUE_WAIT_NS: &str = "service.queue_wait_ns";
 /// Wall-clock nanoseconds from job accept to terminal outcome
 /// (latency histogram).
 pub const SERVICE_JOB_LATENCY_NS: &str = "service.job_latency_ns";
-/// Jobs currently queued or executing (live gauge).
+/// Jobs waiting in the service queue (live gauge).
 pub const SERVICE_QUEUE_DEPTH: &str = "service.queue_depth";
 /// Wall-clock nanoseconds one pipeline stage spent executing (histogram,
 /// labeled `stage=poly|msm`).
@@ -148,8 +148,9 @@ pub const RUNTIME_H2D_BYTES: &str = "runtime.h2d_bytes";
 pub const RUNTIME_D2H_BYTES: &str = "runtime.d2h_bytes";
 /// Bucket-range shards the memory planner split MSMs into.
 pub const RUNTIME_SHARDS: &str = "runtime.shards";
-/// Jobs a fleet worker stole from another device's queue.
-pub const RUNTIME_STEALS: &str = "runtime.steals";
+/// Timeline ops a device's bounded op log dropped (oldest first); in a
+/// fleet trace only when non-zero.
+pub const RUNTIME_OPS_DROPPED: &str = "runtime.ops_dropped";
 /// Simulated bytes moved device→device by the fleet runtime.
 pub const RUNTIME_P2P_BYTES: &str = "runtime.p2p_bytes";
 /// Device→device transfers the fleet runtime routed (NVLink P2P or

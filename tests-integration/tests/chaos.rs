@@ -17,6 +17,8 @@ use gzkp_telemetry::TelemetrySink;
 use gzkp_workloads::requests::{
     RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
 };
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The paper-shaped mixed stream, shrunk to suite-friendly circuits.
@@ -196,6 +198,89 @@ fn same_seed_replays_the_same_fault_trace() {
     assert_ne!(events_a, events_c, "different seeds must draw differently");
 }
 
+/// Counts how often each of its stages ran; the proof is its payload.
+struct CountingTask {
+    payload: u64,
+    polys: Arc<AtomicU32>,
+    msms: Arc<AtomicU32>,
+}
+
+impl ProofTask for CountingTask {
+    fn key_id(&self) -> u64 {
+        self.payload
+    }
+    fn poly(&mut self, _sink: &dyn TelemetrySink) -> Result<(), String> {
+        self.polys.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+    fn msm(&mut self, _sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+        self.msms.fetch_add(1, Ordering::Relaxed);
+        Ok(TaskOutput {
+            proof: self.payload.to_le_bytes().to_vec(),
+            report: None,
+        })
+    }
+}
+
+#[test]
+fn msm_fault_retry_keeps_the_poly_artifacts() {
+    // Seed 19 at a 50 % kernel-fault rate draws, for job 0: a clean POLY
+    // roll (attempt 0), a faulted first MSM roll (attempt 0), and a clean
+    // second MSM roll (attempt 1). Draws are pure hashes of (seed, job,
+    // stage, attempt), so this holds on every run.
+    let service = ProvingService::start(ServiceConfig {
+        devices: gzkp_runtime::parse_devices("1").unwrap(),
+        chaos: Some(FaultPlan {
+            seed: 19,
+            rates: FaultRates {
+                kernel: 0.5,
+                ..FaultRates::default()
+            },
+            device_scale: Vec::new(),
+            dead: Vec::new(),
+        }),
+        retry: RetryPolicy {
+            max_retries: 4,
+            backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+        },
+        default_deadline: None,
+        ..ServiceConfig::default()
+    });
+    let (polys, msms) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+    let task = CountingTask {
+        payload: 7,
+        polys: polys.clone(),
+        msms: msms.clone(),
+    };
+    let output = service
+        .submit(Box::new(task), JobOptions::default())
+        .unwrap()
+        .wait()
+        .outcome
+        .expect("the retried MSM completes the job");
+    assert_eq!(output.proof, 7u64.to_le_bytes());
+    // The fault hit before the MSM body ran: POLY ran once, MSM once.
+    assert_eq!(
+        polys.load(Ordering::Relaxed),
+        1,
+        "the MSM retry re-ran POLY"
+    );
+    assert_eq!(msms.load(Ordering::Relaxed), 1);
+    let events = service.fault_injector().unwrap().events();
+    assert_eq!(
+        events,
+        [gzkp_gpu_sim::FaultEvent {
+            job: 0,
+            stage: "msm".to_string(),
+            attempt: 0,
+            kind: gzkp_gpu_sim::FaultKind::KernelFault,
+        }]
+    );
+    let stats = service.shutdown();
+    assert_eq!((stats.faults_injected, stats.retries), (1, 1));
+}
+
 #[test]
 fn dead_fleet_degrades_to_cpu_and_still_proves() {
     let workload = RequestWorkload {
@@ -328,7 +413,6 @@ fn dead_device_mid_cross_msm_loses_no_jobs() {
 
     let service = ProvingService::start(ServiceConfig {
         devices: vec![v100(); 3],
-        cross_device: true,
         chaos: Some(FaultPlan {
             seed: 23,
             rates: FaultRates {

@@ -1,7 +1,7 @@
-//! Fleet-mode service behavior: per-device worker pinning, work-stealing
-//! accounting, proof bit-identity across heterogeneous devices, fleet
-//! telemetry, and the shared preprocess store under concurrent eviction
-//! pressure.
+//! Fleet-mode service behavior: per-device worker pinning, whole-job
+//! placement and its accounting, proof bit-identity across heterogeneous
+//! devices, fleet telemetry, and the shared preprocess store under
+//! concurrent eviction pressure.
 
 use gzkp_curves::bls12_381::Bls12_381;
 use gzkp_curves::bn254::Bn254;
@@ -13,11 +13,14 @@ use gzkp_groth16::{
 use gzkp_msm::GzkpMsm;
 use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_runtime::parse_devices;
-use gzkp_service::{JobOptions, ProofTask, ProvingService, ServiceConfig, SystemTask, TaskOutput};
-use gzkp_telemetry::{names, TelemetrySink};
+use gzkp_service::{
+    JobOptions, ProofTask, ProvingService, ServiceConfig, StageProfile, SystemTask, TaskOutput,
+};
+use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A latch a test can wait on / open.
@@ -71,7 +74,16 @@ impl ProofTask for PinProbe {
 }
 
 /// Trivial instantly-completing task; the payload tags the proof bytes.
+/// Both stages report a small device profile, so each leaves
+/// `job{id}.{poly,msm}.*` ops on its device's lanes.
 struct NopTask(u64);
+
+const NOP_PROFILE: StageProfile = StageProfile {
+    h2d_bytes: 1024,
+    kernel_ns: 1000.0,
+    d2h_bytes: 64,
+    shards: 0,
+};
 
 impl ProofTask for NopTask {
     fn key_id(&self) -> u64 {
@@ -85,6 +97,31 @@ impl ProofTask for NopTask {
             proof: self.0.to_le_bytes().to_vec(),
             report: None,
         })
+    }
+    fn poly_profile(&self) -> StageProfile {
+        NOP_PROFILE
+    }
+    fn msm_profile(&self, _output: &TaskOutput) -> StageProfile {
+        NOP_PROFILE
+    }
+}
+
+/// A [`NopTask`] with a modeled MSM cost, so a job with a deadline makes
+/// the scheduler weigh cross-device escalation of its MSM stage.
+struct CostedTask(NopTask);
+
+impl ProofTask for CostedTask {
+    fn key_id(&self) -> u64 {
+        self.0.key_id()
+    }
+    fn poly(&mut self, sink: &dyn TelemetrySink) -> Result<(), String> {
+        self.0.poly(sink)
+    }
+    fn msm(&mut self, sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+        self.0.msm(sink)
+    }
+    fn msm_cost_estimate_ns(&self) -> f64 {
+        1.0e6
     }
 }
 
@@ -164,7 +201,7 @@ fn fleet_pins_one_worker_per_device() {
 #[test]
 fn fleet_proofs_bit_identical_across_heterogeneous_devices() {
     // Proofs scheduled onto whichever device the fleet picks (V100 or
-    // 1080 Ti, with rebinds on steals) must be byte-identical to the
+    // 1080 Ti) must be byte-identical to the
     // direct single-V100 prover: every engine computes exact group
     // elements, so placement can never change proof bytes.
     let mut rng = StdRng::seed_from_u64(21);
@@ -248,41 +285,95 @@ fn fleet_proofs_bit_identical_across_heterogeneous_devices() {
 }
 
 #[test]
-fn fleet_work_stealing_is_counted_and_safe() {
-    // Stealing is a race between the poly worker and an idle peer grabbing
-    // the freshly staged MSM, so drive enough instant jobs through a
-    // two-device fleet that a steal is (overwhelmingly) certain, and check
-    // stolen jobs still resolve with the right payload. A round sees no
-    // steal about 97.5 % of the time on a 2-core box (50 rounds failed one
-    // run in four), so the loop allows 1000; it stops at the first steal.
-    let mut total_steals = 0u64;
-    for round in 0..1000 {
-        let service = ProvingService::start(ServiceConfig {
-            queue_capacity: 64,
-            devices: parse_devices("2").expect("spec"),
-            ..ServiceConfig::default()
-        });
-        let handles: Vec<_> = (0..48u64)
-            .map(|i| {
-                service
-                    .submit(Box::new(NopTask(i)), JobOptions::default())
-                    .unwrap()
-            })
-            .collect();
-        service.drain();
-        for (i, h) in handles.into_iter().enumerate() {
-            let output = h.wait().outcome.unwrap();
-            assert_eq!(output.proof, (i as u64).to_le_bytes());
-        }
-        let util = service.fleet_utilization();
-        total_steals += util.devices.iter().map(|d| d.steals).sum::<u64>();
-        service.shutdown();
-        if total_steals > 0 {
-            assert!(round < 1000);
-            break;
+fn fleet_runs_each_job_whole_on_one_device() {
+    // One queue of whole jobs: the worker that takes a job runs its POLY
+    // and its MSM on the one device it placed the job on, so every job's
+    // ops sit on a single device's lanes and the fleet counts exactly two
+    // stages per job.
+    let registry = Arc::new(MetricsRegistry::new());
+    let service = ProvingService::start(ServiceConfig {
+        queue_capacity: 64,
+        devices: parse_devices("2").expect("spec"),
+        metrics: Some(registry.clone()),
+        ..ServiceConfig::default()
+    });
+    let jobs = 48u64;
+    let handles: Vec<_> = (0..jobs)
+        .map(|i| {
+            service
+                .submit(Box::new(NopTask(i)), JobOptions::default())
+                .unwrap()
+        })
+        .collect();
+    service.drain();
+    for (i, h) in handles.into_iter().enumerate() {
+        let output = h.wait().outcome.unwrap();
+        assert_eq!(output.proof, (i as u64).to_le_bytes());
+    }
+    let snapshot = registry.snapshot();
+    let stages: u64 = ["dev0", "dev1"]
+        .iter()
+        .filter_map(|d| snapshot.counter_labeled(names::DEVICE_STAGES, "device", d))
+        .sum();
+    assert_eq!(stages, 2 * jobs);
+
+    // job id → stage → the devices whose lanes carry its ops.
+    let mut seen: BTreeMap<u64, BTreeMap<String, Vec<&str>>> = BTreeMap::new();
+    let trace = service.fleet_trace();
+    for dev in ["dev0", "dev1"] {
+        let node = trace.find(&["runtime", dev]).expect("device node");
+        for op in node.children.iter().flat_map(|lane| &lane.children) {
+            let mut parts = op.name.split('.');
+            let id = parts.next().and_then(|j| j.strip_prefix("job"));
+            let id: u64 = id
+                .and_then(|j| j.parse().ok())
+                .expect("job{id}.{stage}.{op}");
+            let stage = parts.next().expect("stage").to_string();
+            let devices = seen.entry(id).or_default().entry(stage).or_default();
+            if !devices.contains(&dev) {
+                devices.push(dev);
+            }
         }
     }
-    assert!(total_steals > 0, "no steal observed across 48000 jobs");
+    assert_eq!(seen.len() as u64, jobs, "every job left ops on the fleet");
+    for (id, stages) in &seen {
+        let stage_names: Vec<&str> = stages.keys().map(String::as_str).collect();
+        assert_eq!(stage_names, ["msm", "poly"], "job{id}");
+        let poly = &stages["poly"];
+        assert_eq!(poly.len(), 1, "job{id}'s POLY spans devices {poly:?}");
+        assert_eq!(
+            poly, &stages["msm"],
+            "job{id} changed device between stages"
+        );
+    }
+    service.shutdown();
+}
+
+#[test]
+fn calm_deadline_jobs_count_one_placement_each() {
+    // Fault-free jobs with 60 s deadlines on two devices: the MSM stage
+    // weighs escalation against a 1 ms modeled cost, finds the job calm,
+    // and claims nothing — each job is one placement, not one per stage.
+    let service = ProvingService::start(ServiceConfig {
+        devices: parse_devices("2").expect("spec"),
+        default_deadline: Some(std::time::Duration::from_secs(60)),
+        ..ServiceConfig::default()
+    });
+    let jobs = 24u64;
+    let handles: Vec<_> = (0..jobs)
+        .map(|i| {
+            service
+                .submit(Box::new(CostedTask(NopTask(i))), JobOptions::default())
+                .unwrap()
+        })
+        .collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let output = h.wait().outcome.unwrap();
+        assert_eq!(output.proof, (i as u64).to_le_bytes());
+    }
+    let util = service.fleet_utilization();
+    assert_eq!(util.devices.iter().map(|d| d.jobs).sum::<u64>(), jobs);
+    service.shutdown();
 }
 
 #[test]

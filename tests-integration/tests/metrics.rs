@@ -180,8 +180,8 @@ fn proofs_are_byte_identical_with_metrics_on_and_off() {
 /// series it reads (summed over labels — zero when absent, like a
 /// fault-free fleet's quarantines — unless `label` pins one), and
 /// whether it is a pure function of the run's seeds. Placement races —
-/// steals, dead-device hits and the retries, quarantines and CPU
-/// fallbacks they cause — are not.
+/// dead-device hits and the retries, quarantines and CPU fallbacks they
+/// cause — are not.
 struct Row {
     field: String,
     value: u64,
@@ -247,16 +247,11 @@ fn device_rows(fleet: &FleetUtilization) -> Vec<Row> {
     let mut rows = Vec::new();
     for d in &fleet.devices {
         let dev = format!("dev{}", d.index);
-        for (field, value, series) in [
-            ("steals", d.steals, names::RUNTIME_STEALS),
-            ("shards", d.shards, names::RUNTIME_SHARDS),
-        ] {
-            rows.push(Row {
-                field: format!("{dev}.{field}"),
-                label: Some(("device", dev.clone())),
-                ..row(field, value, series, false)
-            });
-        }
+        rows.push(Row {
+            field: format!("{dev}.shards"),
+            label: Some(("device", dev.clone())),
+            ..row("shards", d.shards, names::RUNTIME_SHARDS, false)
+        });
     }
     rows
 }

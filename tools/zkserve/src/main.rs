@@ -3,8 +3,7 @@
 //! ```text
 //! zkserve run <workload.json> [--workers N] [--queue N] [--cache-mb N]
 //!                             [--deadline-ms N] [--compare]
-//!                             [--devices N[,spec]] [--cross-device]
-//!                             [--fleet-trace PATH]
+//!                             [--devices N[,spec]] [--fleet-trace PATH]
 //!                             [--chaos SPEC] [--metrics PATH] [--prom PATH]
 //! zkserve top <metrics.json> [--watch SECS]
 //! zkserve example [--mixed]
@@ -25,19 +24,19 @@
 //! `--devices` names one: the value is a device-fleet spec (`2` = two
 //! V100s, `2,1080ti` = two 1080 Tis, `v100,1080ti` = one of each; see
 //! `gzkp_runtime::parse_devices`). The run reports per-device utilization
-//! (jobs, steals, shards, H2D bytes, kernel occupancy), and
+//! (jobs, shards, H2D bytes, kernel occupancy), and
 //! `--fleet-trace PATH` additionally writes the fleet's
 //! `runtime → dev{n} → {h2d,kernel,d2h}` span trace as JSON for
 //! `zkprof render --timeline`.
 //!
-//! `--cross-device` (at least two `--devices`) lets a near-deadline job's MSM
-//! stage claim several devices at once and run as bucket-range shards
-//! with partial sums merged over the device↔device P2P path — see
-//! `DESIGN.md` §15. A job escalates when its deadline slack drops under
-//! `gzkp_runtime::URGENCY_MARGIN`× its modeled remaining MSM cost, so
-//! pair the flag with a tight `--deadline-ms`. Proof bytes are identical
-//! either way; the P2P traffic shows up in the fleet report and as a
-//! `p2p` lane in `zkprof render --timeline`.
+//! On a fleet of two or more devices, a near-deadline job's MSM stage
+//! claims several devices at once and runs as bucket-range shards with
+//! partial sums merged over the device↔device P2P path — see `DESIGN.md`
+//! §15. A job escalates when its deadline slack drops under
+//! `gzkp_runtime::URGENCY_MARGIN`× its modeled remaining MSM cost, so a
+//! tight `--deadline-ms` provokes it. Proof bytes are identical either
+//! way; the P2P traffic shows up in the fleet report and as a `p2p` lane
+//! in `zkprof render --timeline`.
 //!
 //! `--chaos` arms the seeded fault injector for the service replay. The
 //! spec is `seed[,rate=X][,kernel=X][,transfer=X][,hang=X][,corrupt=X]`
@@ -96,7 +95,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  zkserve run <workload.json> [--workers N] [--queue N] [--cache-mb N] \
-         [--deadline-ms N] [--compare] [--devices N[,spec]] [--cross-device] [--fleet-trace PATH] \
+         [--deadline-ms N] [--compare] [--devices N[,spec]] [--fleet-trace PATH] \
          [--chaos seed[,rate=X][,kernel=X][,transfer=X][,hang=X][,corrupt=X][,hostkill=X][,dead=I+J]] \
          [--cluster hosts=N] [--metrics PATH] [--prom PATH]\n  \
          zkserve top <metrics.json> [--watch SECS]\n  \
@@ -169,17 +168,12 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
                 })
             }
             "--compare" => compare = true,
-            "--cross-device" => cfg.cross_device = true,
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
             _ => return None,
         }
     }
     if prom.is_some() && metrics.is_none() {
         eprintln!("zkserve: --prom requires --metrics");
-        return None;
-    }
-    if cfg.cross_device && cfg.devices.len() < 2 {
-        eprintln!("zkserve: --cross-device requires --devices with at least two devices");
         return None;
     }
     if cluster_hosts.is_some() && fleet_trace.is_some() {
@@ -587,14 +581,13 @@ mod tests {
 
     #[test]
     fn run_args_parse_cross_device() {
-        let run = parse_run_args(&s(&["w.json", "--devices", "2", "--cross-device"])).unwrap();
-        assert!(run.cfg.cross_device);
-        assert_eq!(run.cfg.devices.len(), 2);
+        // Cross-device escalation is the fleet's own behaviour: a device
+        // count is all it takes, and the old opt-in flag is unknown.
         let run = parse_run_args(&s(&["w.json", "--devices", "2"])).unwrap();
-        assert!(!run.cfg.cross_device, "cross-device placement is opt-in");
+        assert_eq!(run.cfg.devices.len(), 2);
         assert!(
-            parse_run_args(&s(&["w.json", "--cross-device"])).is_none(),
-            "--cross-device without a multi-device fleet is rejected"
+            parse_run_args(&s(&["w.json", "--devices", "2", "--cross-device"])).is_none(),
+            "--cross-device is not a zkserve flag"
         );
     }
 
