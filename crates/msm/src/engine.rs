@@ -149,14 +149,26 @@ impl CurveCost {
         self.ext_degree as f64 * field_add_macs(self.base_limbs)
     }
 
-    /// MACs per full Jacobian PADD (11M + 5S ≈ 16 muls).
+    /// Field multiplications per full Jacobian PADD (11M + 5S).
+    pub const PADD_MULS: f64 = 16.0;
+
+    /// Field multiplications per mixed (Jacobian + affine) addition
+    /// (7M + 4S).
+    pub const PADD_MIXED_MULS: f64 = 11.0;
+
+    /// Field multiplications per batch-affine addition once Montgomery's
+    /// trick has amortized its inversion: the slope, `λ²` and `y₃` (3M)
+    /// plus three for its share of the batched inversion.
+    pub const BATCH_AFFINE_ADD_MULS: f64 = 6.0;
+
+    /// MACs per full Jacobian PADD.
     pub fn padd(&self) -> f64 {
-        16.0 * self.field_mul() + 7.0 * self.field_add()
+        Self::PADD_MULS * self.field_mul() + 7.0 * self.field_add()
     }
 
-    /// MACs per mixed (Jacobian + affine) addition (7M + 4S ≈ 11 muls).
+    /// MACs per mixed (Jacobian + affine) addition.
     pub fn padd_mixed(&self) -> f64 {
-        11.0 * self.field_mul() + 7.0 * self.field_add()
+        Self::PADD_MIXED_MULS * self.field_mul() + 7.0 * self.field_add()
     }
 
     /// MACs per Jacobian doubling (2M + 5S ≈ 7 muls).

@@ -31,18 +31,24 @@
 //! instead of `⌈l/k⌉`, the buckets are the `2^{k−1}` digit magnitudes,
 //! the gather negates a stored point where its digit is negative, and a
 //! bucket's `s₂` digits are summed apart and mapped by `φ` once (one
-//! multiplication by β per bucket). The paper did not recode, so
-//! everything that prices — `plan`, `plan_dense`, `plan_preprocess`,
+//! multiplication by β per bucket). The recoded shape has its own
+//! cheapest window, so the host folds at [`host_window_size`] (12 against
+//! the simulated 9 on a 2¹² key) and stores its levels compactly
+//! ([`Tables`]: `x`, `y` and an identity bit). The paper did not recode,
+//! so everything that prices — `plan`, `plan_dense`, `plan_preprocess`,
 //! `memory_bytes`, `bucket_loads`, the telemetry counts and a
 //! [`ShardTask`]'s loads, ranges and kernels — stays Algorithm 1 as
-//! published, over unsigned unsplit digits and `2^k − 1` buckets. A shard
-//! task cuts the recoded buckets into as many host ranges as it has
+//! published, at [`default_window_size`] over unsigned unsplit digits and
+//! `2^k − 1` buckets. A pinned [`GzkpMsm::window`] pins both windows. A
+//! shard task cuts the recoded buckets into as many host ranges as it has
 //! priced ranges; the results are exact group elements either way.
 
 use crate::batch_affine::{reduce_segments, BatchAffineStats, ReduceScratch};
 use crate::engine::{bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
-use crate::scalars::{default_window_size, recoded_windows, windows_of, Entry, ScalarVec};
-use crate::store::{PreKey, PreprocessStore};
+use crate::scalars::{
+    default_window_size, host_window_size, recoded_windows, windows_of, Entry, ScalarVec,
+};
+use crate::store::{PreKey, PreprocessStore, Tables};
 use gzkp_curves::group::{affine_add_denominator, affine_add_with_inverse};
 use gzkp_curves::{Affine, CurveParams, Projective};
 use gzkp_ff::{batch_inverse_scratch, PrimeField};
@@ -80,7 +86,10 @@ pub struct GzkpMsm {
     /// Finite-field backend (GZKP ships its optimized library; set
     /// `Integer` for the "GZKP-no-LB" / "w/o lib" ablations).
     pub backend: Backend,
-    /// Window size `k`; `None` = profiling default.
+    /// Window size `k`; `None` = derived per MSM. A pinned `k` pins
+    /// both windows: the simulated Algorithm-1 window
+    /// ([`default_window_size`] when derived) and the host fold's
+    /// ([`host_window_size`] when derived).
     pub window: Option<u32>,
     /// Checkpoint interval `M`; `None` = auto-sized to device memory.
     pub checkpoint_interval: Option<u32>,
@@ -129,6 +138,10 @@ impl GzkpMsm {
         self.window.unwrap_or_else(|| default_window_size(n))
     }
 
+    fn host_k_for<C: CurveParams>(&self, n: usize) -> u32 {
+        self.window.unwrap_or_else(|| host_window_size::<C>(n))
+    }
+
     /// Auto-sizes the checkpoint interval `M` so the preprocessed point
     /// levels fit in (80% of) device memory alongside the inputs.
     pub fn interval_for<C: CurveParams>(&self, n: usize, windows: usize) -> u32 {
@@ -152,30 +165,25 @@ impl GzkpMsm {
         (windows as u64).div_ceil(m as u64) as usize
     }
 
-    /// Computes the checkpoint tables: `pre[c][i] = 2^{c·M·k} · Pᵢ`, one
-    /// level per `M` windows of `C`'s recoded scalars.
+    /// Computes the checkpoint tables: level `c` holds `2^{c·M·k} · Pᵢ`,
+    /// one level per `M` windows of `C`'s recoded scalars, in the
+    /// compact form of [`Tables`].
     ///
     /// This corresponds to the paper's setup-time preprocessing (the point
     /// vector is fixed per application); its cost is reported separately by
     /// [`Self::plan_preprocess`] and excluded from MSM stage time, matching
     /// the paper's accounting.
-    pub fn preprocess<C: CurveParams>(
-        &self,
-        points: &[Affine<C>],
-        k: u32,
-        m: u32,
-    ) -> Vec<Vec<Affine<C>>> {
+    pub fn preprocess<C: CurveParams>(&self, points: &[Affine<C>], k: u32, m: u32) -> Tables<C> {
         let levels = Self::levels(recoded_windows::<C>(k), m);
-        let mut out = Vec::with_capacity(levels);
-        out.push(points.to_vec());
-        for level in 1..levels {
+        let mut tables = Tables::new(points);
+        let mut next = points.to_vec();
+        for _ in 1..levels {
             // Across cores: a proof's MSMs run one after the other, so a
             // cold key's tables are built one vector at a time.
-            let mut next = out[level - 1].clone();
             double_each(&mut next, m * k);
-            out.push(next);
+            tables.push(&next);
         }
-        out
+        tables
     }
 
     /// [`Self::preprocess`] through the cross-run cache: proving-key
@@ -187,16 +195,13 @@ impl GzkpMsm {
         points: &[Affine<C>],
         k: u32,
         m: u32,
-    ) -> Arc<Vec<Vec<Affine<C>>>> {
+    ) -> Arc<Tables<C>> {
         let store = match &self.store {
             Some(store) => store,
             None => PreprocessStore::process_default(),
         };
-        let windows = recoded_windows::<C>(k);
-        let key = PreKey::of(points, k, m, windows, self.system_tag);
-        let levels = Self::levels(windows, m) as u64;
-        let bytes = levels * points.len() as u64 * CurveCost::of::<C>().affine_bytes();
-        store.get_or_insert(key, bytes, || self.preprocess(points, k, m))
+        let key = PreKey::of(points, k, m, recoded_windows::<C>(k), self.system_tag);
+        store.get_or_insert(key, points, || self.preprocess(points, k, m))
     }
 
     /// Splits the bucket index space into up to `tasks` contiguous
@@ -572,9 +577,11 @@ impl GzkpMsm {
     }
 
     /// Freezes one MSM into a [`ShardTask`] of `shards` bucket-range
-    /// partials for cross-device execution. The window size `k` and
-    /// checkpoint interval `M` are fixed by *this* (reference) engine, so
-    /// every device computes against the same digit decomposition and
+    /// partials for cross-device execution. The window sizes — the
+    /// simulated `k` the ranges are priced at and the host `k` the tables,
+    /// `p_index` and bucket tasks are built at — and the checkpoint
+    /// interval `M` are fixed by *this* (reference) engine, so every
+    /// device computes against the same digit decomposition and
     /// checkpoint tables — which is what makes the merged result
     /// bit-identical to this engine's own single-device run regardless of
     /// how many devices execute the ranges or in what order.
@@ -587,15 +594,16 @@ impl GzkpMsm {
         assert_eq!(points.len(), scalars.len());
         let n = points.len();
         let k = self.k_for(n);
+        let host_k = self.host_k_for::<C>(n);
         let windows = scalars.num_windows(k);
         let m = self.interval_for::<C>(n, windows);
-        let pre = self.preprocess_cached(points, k, m);
+        let pre = self.preprocess_cached(points, host_k, m);
         let loads = Self::bucket_loads(scalars, k, m);
         let entries: Vec<u64> = loads.iter().map(|l| l.0).collect();
         let ranges = Self::balanced_ranges(&entries, shards);
         // The same number of host ranges over the recoded buckets; a
         // recoding with fewer loaded buckets leaves the last ones empty.
-        let sizes = scalars.p_index::<C>(k).bucket_sizes();
+        let sizes = scalars.p_index::<C>(host_k).bucket_sizes();
         let mut host_ranges = Self::balanced_ranges(&sizes, ranges.len());
         host_ranges.resize(ranges.len(), (sizes.len(), sizes.len()));
         ShardTask {
@@ -604,6 +612,7 @@ impl GzkpMsm {
             ranges,
             host_ranges,
             k,
+            host_k,
             m,
             windows,
             n,
@@ -776,14 +785,16 @@ fn double_each<C: CurveParams>(points: &mut [Affine<C>], times: u32) {
 /// reproduces the reference engine's single-device result bit for bit.
 ///
 /// Range `i` is priced from Algorithm 1's profile (`loads`, `ranges`,
-/// `windows`: unsigned unsplit digits) and executed over host range `i`
-/// of the recoded buckets (`host_ranges`), which may be empty.
+/// `windows`, `k`: unsigned unsplit digits) and executed over host range
+/// `i` of the recoded buckets (`host_ranges`, at `host_k`), which may be
+/// empty.
 pub struct ShardTask<C: CurveParams> {
-    pre: Arc<Vec<Vec<Affine<C>>>>,
+    pre: Arc<Tables<C>>,
     loads: Vec<(u64, u64)>,
     ranges: Vec<(usize, usize)>,
     host_ranges: Vec<(usize, usize)>,
     k: u32,
+    host_k: u32,
     m: u32,
     windows: usize,
     n: usize,
@@ -800,9 +811,14 @@ impl<C: CurveParams> ShardTask<C> {
         self.ranges.len()
     }
 
-    /// Window size `k` frozen by the reference engine.
+    /// The simulated window size `k` frozen by the reference engine.
     pub fn window(&self) -> u32 {
         self.k
+    }
+
+    /// The host fold's window size frozen by the reference engine.
+    pub fn host_window(&self) -> u32 {
+        self.host_k
     }
 
     /// Checkpoint interval `M` frozen by the reference engine.
@@ -893,7 +909,7 @@ impl<C: CurveParams> ShardTask<C> {
         if lo == hi {
             return (Projective::identity(), MsmStats::default());
         }
-        let (k, m) = (self.k, self.m as usize);
+        let (k, m) = (self.host_k, self.m as usize);
         let p_index = scalars.p_index::<C>(k);
         let glv = C::glv();
         let loads = &p_index.bucket_sizes()[lo..hi];
@@ -931,7 +947,8 @@ impl<C: CurveParams> ShardTask<C> {
             let window = pass.checked_sub(1).map(|p| streamed[p]);
             if let Some(t) = window {
                 if t % m == 1 {
-                    weights.clone_from(&self.pre[t / m]);
+                    weights.clear();
+                    weights.extend(self.pre.level(t / m));
                 }
                 double_each(&mut weights, k);
             }
@@ -940,10 +957,8 @@ impl<C: CurveParams> ShardTask<C> {
             // columns) add nothing.
             let summand = |e: Entry| {
                 let p = match window {
-                    None => e
-                        .window
-                        .is_multiple_of(m)
-                        .then(|| self.pre[e.window / m][e.point]),
+                    None if e.window.is_multiple_of(m) => self.pre.point(e.window / m, e.point),
+                    None => None,
                     Some(w) => (e.window == w).then(|| weights[e.point]),
                 }
                 .filter(|p| !p.infinity)?;

@@ -48,7 +48,9 @@ pub use engine::{
     bucket_reduce, bucket_reduce_range, naive_msm, CurveCost, MsmEngine, MsmRun, MsmStats,
 };
 pub use gzkp::{profile_window_size, GzkpMsm, ShardTask};
-pub use scalars::{bucket_histogram, default_window_size, window_loads, PIndex, ScalarVec};
-pub use store::PreprocessStore;
+pub use scalars::{
+    bucket_histogram, default_window_size, host_window_size, window_loads, PIndex, ScalarVec,
+};
+pub use store::{PreprocessStore, Tables};
 pub use straus::StrausMsm;
 pub use submsm::SubMsmPippenger;

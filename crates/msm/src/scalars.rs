@@ -2,6 +2,7 @@
 //! bucket-occupancy histograms (the inputs to every MSM engine and to the
 //! Figure-6 load analysis), and the host fold's recoded `p_index`.
 
+use crate::engine::CurveCost;
 use gzkp_curves::{CurveParams, ScalarSplit};
 use gzkp_ff::PrimeField;
 use std::borrow::Cow;
@@ -78,6 +79,31 @@ pub(crate) fn recoded_windows<C: CurveParams>(k: u32) -> usize {
         g.split().bound()
     });
     (bound + 1).div_ceil(k) as usize
+}
+
+/// The host fold's window size for an MSM of `n` points on `C`: the `k`
+/// that minimises the fold's predicted field multiplications over dense
+/// scalars. Every non-zero recoded digit — `n` points × halves ×
+/// `⌈(bound + 1)/k⌉` windows, each non-zero with probability `1 − 2^{−k}` —
+/// costs one batch-affine addition; every one of the `2^{k−1}` buckets
+/// costs one finish: the two running-sum PADDs, plus with a GLV split the
+/// φ merge (a mixed PADD and a multiplication by β). A function of `n`
+/// and the split alone, so G1 and G2 of one family share it, and with it
+/// one [`PIndex`]; at most 16, the cap of the simulated window too.
+pub fn host_window_size<C: CurveParams>(n: usize) -> u32 {
+    let running_sum = 2.0 * CurveCost::PADD_MULS;
+    let (halves, finish) = match C::glv() {
+        Some(_) => (2.0, running_sum + CurveCost::PADD_MIXED_MULS + 1.0),
+        None => (1.0, running_sum),
+    };
+    let muls = |k: u32| {
+        let digits = n as f64 * halves * recoded_windows::<C>(k) as f64;
+        digits * (1.0 - 0.5f64.powi(k as i32)) * CurveCost::BATCH_AFFINE_ADD_MULS
+            + f64::from(1u32 << (k - 1)) * finish
+    };
+    (1..=16)
+        .min_by(|&a, &b| muls(a).total_cmp(&muls(b)))
+        .expect("a non-empty range")
 }
 
 /// A share of the recoded vector: every scalar's halves — `s₁` and `s₂`
@@ -419,10 +445,12 @@ pub fn window_loads(scalars: &ScalarVec, k: u32) -> Vec<u64> {
     loads
 }
 
-/// The paper's recommended window size for a given MSM scale: larger
-/// windows cut Pippenger work but explode the task count (§4.1); this is
-/// the standard `log2(n) − 3` heuristic clamped to sane bounds, used as the
-/// starting point for profiling-based configuration.
+/// The simulated Algorithm-1 window for a given MSM scale: larger windows
+/// cut Pippenger work but explode the task count (§4.1); this is the
+/// standard `log2(n) − 3` heuristic clamped to sane bounds, the starting
+/// point for profiling-based configuration. It sizes everything the
+/// simulated clock prices; the host fold, over recoded digits, sizes its
+/// own window with [`host_window_size`].
 pub fn default_window_size(n: usize) -> u32 {
     if n <= 1 {
         return 1;

@@ -2,12 +2,12 @@
 //! cache in the workspace.
 //!
 //! Proving-key point vectors are fixed per application, so the tables of
-//! Algorithm 1 — one level per `M` windows of the host's recoded scalars,
-//! `(levels − 1)·M·k` doublings per point, about half what the unsplit
-//! 254-bit scalars would need — are built once and
-//! reused by every later MSM over the same vector: the paper's
-//! setup/execution split. Entries are keyed by the point vector's
-//! identity and table shape, charged by their actual table footprint, and
+//! Algorithm 1 — one level per `M` windows of the host's recoded scalars
+//! at the host window ([`crate::host_window_size`]), `(levels − 1)·M·k`
+//! doublings per point — are built once and reused by every later MSM
+//! over the same vector: the paper's setup/execution split. Entries are
+//! keyed by the point vector and table shape, charged the bytes of their
+//! compact entries ([`Tables`]), and
 //! evicted least-recently-used once the byte budget is exceeded; hits,
 //! misses and evictions are counted per store. A proving service, which
 //! juggles many `(curve, proving-key)` pairs at once, owns a store sized
@@ -15,31 +15,30 @@
 //! ([`crate::GzkpMsm::with_store`]); an engine without one uses
 //! [`PreprocessStore::process_default`].
 //!
-//! What is left of ROADMAP "Cold start" lives here. A miss costs the
-//! doublings of [`crate::GzkpMsm::preprocess`] again — they are
-//! batch-affine and spread over cores, but still the largest part of a
-//! cold start — because the key identifies a point vector by address,
-//! length and a sampled fingerprint, not by content: the same key loaded
-//! at another address (another host, a resumed process) always misses,
-//! and nothing is kept across processes. A content digest carried on the
-//! key types and tables persisted to a directory are the two open steps;
-//! neither is part of this module's contract yet.
+//! Lookup is address-keyed: a point vector is named by its address and
+//! length, so the same key loaded at another address (another host, a
+//! resumed process) always misses, and nothing is kept across processes.
+//! Every hit is checked against content: the requested points are
+//! compared with the stored level 0 — O(n), tens of µs per MSM, against
+//! `(levels − 1)·M·k` doublings per point for a rebuild — and a vector
+//! mutated in place, or freed and reallocated at the same address, is a
+//! miss that replaces the entry. A content digest carried on the key
+//! types and tables persisted to a directory are ROADMAP "Cold start"'s
+//! two open steps.
 
 use gzkp_curves::{Affine, CurveParams};
 use std::any::{Any, TypeId};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Identity of one checkpoint-table computation: the proof system the
-/// tables serve, the curve, the point vector (by address, length, and a
-/// sampled content fingerprint guarding against address reuse), plus the
-/// `(k, M, windows)` table shape, `windows` being the recoded width. The
-/// system tag keeps mixed
-/// Groth16 + PLONK streams from sharing entries whose lifetimes differ
-/// (a PLONK SRS prefix and a Groth16 query can alias the same base
-/// pointer) and makes per-backend hit accounting meaningful.
+/// Where one checkpoint-table computation is looked up: the proof system
+/// the tables serve, the curve, the point vector (by address and length)
+/// and the `(k, M, windows)` table shape, `k` being the host window and
+/// `windows` the recoded width. The system tag keeps mixed Groth16 +
+/// PLONK streams from sharing entries whose lifetimes differ (a PLONK SRS
+/// prefix and a Groth16 query can alias the same base pointer) and makes
+/// per-backend hit accounting meaningful. What the vector holds is
+/// checked on the hit ([`Tables::holds`]), not named here.
 #[derive(PartialEq, Eq)]
 pub(crate) struct PreKey {
     system: u8,
@@ -49,7 +48,6 @@ pub(crate) struct PreKey {
     k: u32,
     m: u32,
     windows: usize,
-    fingerprint: u64,
 }
 
 impl PreKey {
@@ -60,13 +58,6 @@ impl PreKey {
         windows: usize,
         system: u8,
     ) -> Self {
-        let mut h = DefaultHasher::new();
-        points.len().hash(&mut h);
-        for idx in [0, points.len() / 2, points.len().saturating_sub(1)] {
-            if let Some(p) = points.get(idx) {
-                p.hash(&mut h);
-            }
-        }
         Self {
             system,
             curve: TypeId::of::<C>(),
@@ -75,8 +66,84 @@ impl PreKey {
             k,
             m,
             windows,
-            fingerprint: h.finish(),
         }
+    }
+}
+
+/// Checkpoint tables in compact form: level `c` holds `2^{c·M·k}·Pᵢ` as
+/// its `x` and `y` coordinates only, and which of its points are the
+/// identity (unused key columns) is one bit per point beside them. A
+/// BN254 G1 entry is 64 bytes, not the 72 of an [`Affine`].
+#[derive(Debug)]
+pub struct Tables<C: CurveParams> {
+    levels: Vec<Vec<[C::Base; 2]>>,
+    /// Level `c`'s identity bits, 64 points per word.
+    identity: Vec<Vec<u64>>,
+}
+
+impl<C: CurveParams> Tables<C> {
+    /// Tables whose level 0 is `points`.
+    pub(crate) fn new(points: &[Affine<C>]) -> Self {
+        let mut tables = Self {
+            levels: Vec::new(),
+            identity: Vec::new(),
+        };
+        tables.push(points);
+        tables
+    }
+
+    /// Appends the next level.
+    pub(crate) fn push(&mut self, level: &[Affine<C>]) {
+        let mut identity = vec![0u64; level.len().div_ceil(64)];
+        for (i, p) in level.iter().enumerate() {
+            identity[i / 64] |= u64::from(p.infinity) << (i % 64);
+        }
+        self.identity.push(identity);
+        self.levels.push(level.iter().map(|p| [p.x, p.y]).collect());
+    }
+
+    fn is_identity(&self, c: usize, i: usize) -> bool {
+        self.identity[c][i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Number of points per level.
+    fn len(&self) -> usize {
+        self.levels.first().map_or(0, Vec::len)
+    }
+
+    /// Number of stored levels (level 0 is the input itself).
+    pub fn levels(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Point `i` of level `c`, `None` for the identity.
+    #[inline]
+    pub fn point(&self, c: usize, i: usize) -> Option<Affine<C>> {
+        let [x, y] = self.levels[c][i];
+        (!self.is_identity(c, i)).then(|| Affine::new_unchecked(x, y))
+    }
+
+    /// Level `c` as affine points, identities included.
+    pub fn level(&self, c: usize) -> impl Iterator<Item = Affine<C>> + '_ {
+        (0..self.len()).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
+    }
+
+    /// Bytes of the stored entries, what the store charges:
+    /// `Σ level length × size_of` of an entry (the identity bits beside
+    /// them, 1/512 of that on BN254 G1, are not charged).
+    pub fn bytes(&self) -> u64 {
+        let entry = std::mem::size_of::<[C::Base; 2]>();
+        self.levels.iter().map(|l| (l.len() * entry) as u64).sum()
+    }
+
+    /// Whether level 0 is `points`, identities included: the content
+    /// check of every store hit.
+    pub fn holds(&self, points: &[Affine<C>]) -> bool {
+        points.len() == self.len()
+            && points.iter().enumerate().all(|(i, p)| {
+                p.infinity == self.is_identity(0, i)
+                    && (p.infinity || self.levels[0][i] == [p.x, p.y])
+            })
     }
 }
 
@@ -91,6 +158,30 @@ struct StoreInner {
     entries: Vec<Entry>,
     bytes: u64,
     clock: u64,
+}
+
+impl StoreInner {
+    /// The resident tables for `key` if they hold `points`, stamped as
+    /// used at `clock`. Tables under `key` that hold other points — the
+    /// vector changed under its address — are dropped.
+    fn take_hit<C: CurveParams>(
+        &mut self,
+        key: &PreKey,
+        points: &[Affine<C>],
+        clock: u64,
+    ) -> Option<Arc<Tables<C>>> {
+        let at = self.entries.iter().position(|e| e.key == *key)?;
+        let e = &mut self.entries[at];
+        if let Ok(hit) = Arc::downcast::<Tables<C>>(e.tables.clone()) {
+            if hit.holds(points) {
+                e.last_used = clock;
+                return Some(hit);
+            }
+        }
+        let stale = self.entries.remove(at);
+        self.bytes -= stale.bytes;
+        None
+    }
 }
 
 /// A byte-budgeted, least-recently-used cache of checkpoint tables shared
@@ -190,39 +281,35 @@ impl PreprocessStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Fetches the tables for `key`, building (outside the lock) and
-    /// inserting them on a miss. `bytes` is the footprint charged to the
-    /// budget.
+    /// Fetches the tables for `key` that hold `points`, building them
+    /// (outside the lock) and inserting them on a miss. An entry is
+    /// charged [`Tables::bytes`].
     pub(crate) fn get_or_insert<C: CurveParams>(
         &self,
         key: PreKey,
-        bytes: u64,
-        build: impl FnOnce() -> Vec<Vec<Affine<C>>>,
-    ) -> Arc<Vec<Vec<Affine<C>>>> {
+        points: &[Affine<C>],
+        build: impl FnOnce() -> Tables<C>,
+    ) -> Arc<Tables<C>> {
         {
             let mut st = self.lock_inner();
             st.clock += 1;
             let clock = st.clock;
-            if let Some(e) = st.entries.iter_mut().find(|e| e.key == key) {
-                if let Ok(hit) = Arc::downcast::<Vec<Vec<Affine<C>>>>(e.tables.clone()) {
-                    e.last_used = clock;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return hit;
-                }
+            if let Some(hit) = st.take_hit(&key, points, clock) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return hit;
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let tables = Arc::new(build());
+        let bytes = tables.bytes();
         let mut st = self.lock_inner();
-        // A racing builder may have inserted the same key meanwhile; keep
-        // the resident copy and drop ours (both are deterministic).
-        if let Some(e) = st.entries.iter_mut().find(|e| e.key == key) {
-            if let Ok(hit) = Arc::downcast::<Vec<Vec<Affine<C>>>>(e.tables.clone()) {
-                return hit;
-            }
-        }
         st.clock += 1;
         let clock = st.clock;
+        // A racing builder may have inserted the same tables meanwhile;
+        // keep the resident copy and drop ours (both are deterministic).
+        if let Some(hit) = st.take_hit(&key, points, clock) {
+            return hit;
+        }
         st.entries.push(Entry {
             key,
             bytes,
@@ -254,12 +341,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tables_for(points: &[Affine<G1Config>]) -> Vec<Vec<Affine<G1Config>>> {
-        vec![points.to_vec()]
+    /// One 64-byte level per point: `points.len() × 64` bytes charged.
+    fn tables_for(points: &[Affine<G1Config>]) -> Tables<G1Config> {
+        Tables::new(points)
     }
 
-    fn must_hit() -> Vec<Vec<Affine<G1Config>>> {
+    fn must_hit() -> Tables<G1Config> {
         panic!("lookup must hit the store")
+    }
+
+    fn key(points: &[Affine<G1Config>], k: u32, system: u8) -> PreKey {
+        PreKey::of(points, k, 1, 32, system)
     }
 
     #[test]
@@ -267,8 +359,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let pts = random_points::<G1Config, _>(8, &mut rng);
         let store = PreprocessStore::new(1 << 20);
-        let a = store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, || tables_for(&pts));
-        let b = store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, must_hit);
+        let a = store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
+        let b = store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((store.hits(), store.misses()), (1, 1));
     }
@@ -278,10 +370,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let pts = random_points::<G1Config, _>(8, &mut rng);
         let store = PreprocessStore::new(1 << 20);
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 10, || tables_for(&pts));
-        store.get_or_insert(PreKey::of(&pts, 9, 1, 29, 0), 10, || tables_for(&pts));
+        store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
+        store.get_or_insert(PreKey::of(&pts, 9, 1, 29, 0), &pts, || tables_for(&pts));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.bytes_used(), 20);
+        assert_eq!(store.bytes_used(), 2 * 8 * 64);
+    }
+
+    #[test]
+    fn changed_content_at_the_same_address_is_a_miss_that_replaces() {
+        // Address and length name the vector; the hit compares level 0
+        // with the requested points, identities included.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut pts = random_points::<G1Config, _>(8, &mut rng);
+        let store = PreprocessStore::new(1 << 20);
+        store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
+        for i in [1, 6] {
+            pts[i] = if i == 1 {
+                random_points::<G1Config, _>(1, &mut rng)[0]
+            } else {
+                Affine::identity()
+            };
+            let mut rebuilt = false;
+            let got = store.get_or_insert(key(&pts, 8, 0), &pts, || {
+                rebuilt = true;
+                tables_for(&pts)
+            });
+            assert!(rebuilt && got.holds(&pts), "point {i} changed");
+            assert_eq!((store.len(), store.bytes_used()), (1, 8 * 64));
+        }
+        store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
+        assert_eq!((store.hits(), store.misses(), store.evictions()), (1, 3, 0));
     }
 
     #[test]
@@ -290,25 +408,20 @@ mod tests {
         let vecs: Vec<Vec<Affine<G1Config>>> = (0..3)
             .map(|_| random_points::<G1Config, _>(4, &mut rng))
             .collect();
-        let store = PreprocessStore::new(250);
-        store.get_or_insert(PreKey::of(&vecs[0], 8, 1, 32, 0), 100, || {
-            tables_for(&vecs[0])
-        });
-        store.get_or_insert(PreKey::of(&vecs[1], 8, 1, 32, 0), 100, || {
-            tables_for(&vecs[1])
-        });
+        // Room for two 256-byte entries, not three.
+        let store = PreprocessStore::new(600);
+        store.get_or_insert(key(&vecs[0], 8, 0), &vecs[0], || tables_for(&vecs[0]));
+        store.get_or_insert(key(&vecs[1], 8, 0), &vecs[1], || tables_for(&vecs[1]));
         // Touch entry 0 so entry 1 is the LRU victim.
-        store.get_or_insert(PreKey::of(&vecs[0], 8, 1, 32, 0), 100, must_hit);
-        store.get_or_insert(PreKey::of(&vecs[2], 8, 1, 32, 0), 100, || {
-            tables_for(&vecs[2])
-        });
+        store.get_or_insert(key(&vecs[0], 8, 0), &vecs[0], must_hit);
+        store.get_or_insert(key(&vecs[2], 8, 0), &vecs[2], || tables_for(&vecs[2]));
         assert_eq!(store.len(), 2);
         assert_eq!(store.evictions(), 1);
-        assert!(store.bytes_used() <= 250);
+        assert!(store.bytes_used() <= 600);
         // Entry 0 survived (hit), entry 1 was evicted (rebuilds).
-        store.get_or_insert(PreKey::of(&vecs[0], 8, 1, 32, 0), 100, must_hit);
+        store.get_or_insert(key(&vecs[0], 8, 0), &vecs[0], must_hit);
         let mut rebuilt = false;
-        store.get_or_insert(PreKey::of(&vecs[1], 8, 1, 32, 0), 100, || {
+        store.get_or_insert(key(&vecs[1], 8, 0), &vecs[1], || {
             rebuilt = true;
             tables_for(&vecs[1])
         });
@@ -322,21 +435,21 @@ mod tests {
         // a PLONK SRS prefix aliasing a Groth16 query pointer must not
         // serve the other backend's tables.
         let mut rng = StdRng::seed_from_u64(6);
-        let pts = random_points::<G1Config, _>(8, &mut rng);
-        let store = PreprocessStore::new(250);
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, || tables_for(&pts));
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 1), 100, || tables_for(&pts));
+        let pts = random_points::<G1Config, _>(4, &mut rng);
+        let store = PreprocessStore::new(600);
+        store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
+        store.get_or_insert(key(&pts, 8, 1), &pts, || tables_for(&pts));
         assert_eq!(store.len(), 2, "per-system entries must not alias");
         assert_eq!(store.misses(), 2);
         // Touch the Groth16 entry, then overflow the budget: the PLONK
         // entry is the LRU victim while the hot Groth16 entry survives.
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, must_hit);
+        store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
         let extra = random_points::<G1Config, _>(4, &mut rng);
-        store.get_or_insert(PreKey::of(&extra, 8, 1, 32, 0), 100, || tables_for(&extra));
+        store.get_or_insert(key(&extra, 8, 0), &extra, || tables_for(&extra));
         assert_eq!(store.evictions(), 1);
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, must_hit);
+        store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
         let mut rebuilt = false;
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 1), 100, || {
+        store.get_or_insert(key(&pts, 8, 1), &pts, || {
             rebuilt = true;
             tables_for(&pts)
         });
@@ -348,7 +461,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let pts = random_points::<G1Config, _>(8, &mut rng);
         let store = Arc::new(PreprocessStore::new(1 << 20));
-        store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, || tables_for(&pts));
+        store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
         // A worker panicking while holding the entry-map lock (stage
         // panics are caught per-job by the service, the thread lives on)
         // marks the mutex poisoned…
@@ -361,10 +474,10 @@ mod tests {
         .unwrap_err();
         assert!(store.inner.is_poisoned(), "precondition: lock is poisoned");
         // …but other provers must keep hitting the cache, not panic.
-        let hit = store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 100, must_hit);
-        assert_eq!(hit.len(), 1);
+        let hit = store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
+        assert_eq!(hit.levels(), 1);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.bytes_used(), 100);
+        assert_eq!(store.bytes_used(), 8 * 64);
     }
 
     #[test]
@@ -372,8 +485,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let pts = random_points::<G1Config, _>(4, &mut rng);
         let store = PreprocessStore::new(10);
-        let t = store.get_or_insert(PreKey::of(&pts, 8, 1, 32, 0), 1000, || tables_for(&pts));
-        assert_eq!(t.len(), 1);
+        let t = store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
+        assert_eq!(t.levels(), 1);
         assert_eq!(store.len(), 1, "sole entry may exceed the budget");
+    }
+
+    #[test]
+    fn the_store_charges_the_entries_it_holds() {
+        // x and y only: 64 / 128 / 96 bytes per BN254 G1 / BN254 G2 /
+        // BLS12-381 G1 point and level, against the 72 / 136 / 104 of an
+        // `Affine`.
+        fn check<C: CurveParams>(entry: usize) {
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut pts = random_points::<C, _>(40, &mut rng);
+            pts[3] = Affine::identity();
+            let store = PreprocessStore::new(1 << 30);
+            let engine = crate::GzkpMsm::new(gzkp_gpu_sim::v100());
+            let tables = store.get_or_insert(PreKey::of(&pts, 7, 1, 19, 0), &pts, || {
+                engine.preprocess(&pts, 7, 1)
+            });
+            assert!(tables.levels() > 1, "{}", C::NAME);
+            assert_eq!(std::mem::size_of::<[C::Base; 2]>(), entry, "{}", C::NAME);
+            assert!(std::mem::size_of::<Affine<C>>() > entry, "{}", C::NAME);
+            let held: usize = (0..tables.levels())
+                .map(|c| tables.level(c).count() * entry)
+                .sum();
+            assert_eq!(store.bytes_used(), held as u64, "{}", C::NAME);
+            assert_eq!(tables.bytes(), held as u64, "{}", C::NAME);
+        }
+        check::<G1Config>(64);
+        check::<gzkp_curves::bn254::G2Config>(128);
+        check::<gzkp_curves::bls12_381::G1Config>(96);
     }
 }

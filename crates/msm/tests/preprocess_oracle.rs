@@ -1,5 +1,7 @@
 //! The checkpoint tables against their definition,
-//! `pre[c][i] = 2^{c·M·k} · Pᵢ`, computed per point by double-and-add, at
+//! `pre[c][i] = 2^{c·M·k} · Pᵢ`, computed per point by double-and-add —
+//! the compact levels (`x`, `y` and one identity bit per point) read back
+//! point by point, identities included — at
 //! the level count of the recoded scalars (`⌈(bound + 1)/k⌉` windows: the
 //! GLV half bound on BN254 G1 and G2, the full width on a curve without a
 //! split) — on G1, on G2, and on a curve with `a ≠ 0` (none of the
@@ -59,8 +61,18 @@ fn check<C: CurveParams>(seed: u64, windows: usize) {
     assert_eq!((bound + 1).div_ceil(K) as usize, windows, "{}", C::NAME);
     for m in [1u32, 3] {
         let pre = engine.preprocess(&points, K, m);
-        assert_eq!(pre.len(), windows.div_ceil(m as usize), "{} M={m}", C::NAME);
-        for (c, level) in pre.iter().enumerate() {
+        assert_eq!(
+            pre.levels(),
+            windows.div_ceil(m as usize),
+            "{} M={m}",
+            C::NAME
+        );
+        assert!(
+            pre.holds(&points),
+            "{} M={m}: level 0 is the input",
+            C::NAME
+        );
+        for c in 0..pre.levels() {
             // 2^{c·M·k} as little-endian limbs.
             let bit = c * (m * K) as usize;
             let mut weight = vec![0u64; bit / 64 + 1];
@@ -69,9 +81,17 @@ fn check<C: CurveParams>(seed: u64, windows: usize) {
                 .iter()
                 .map(|p| p.to_projective().mul_limbs(&weight).to_affine())
                 .collect();
-            assert_eq!(level, &expect, "{} M={m} level {c}", C::NAME);
-            assert!(level[0].infinity && level[points.len() - 1].infinity);
+            let level: Vec<Affine<C>> = pre.level(c).collect();
+            assert_eq!(level, expect, "{} M={m} level {c}", C::NAME);
+            // The compact entries keep the identity apart from x and y.
+            for (i, p) in expect.iter().enumerate() {
+                assert_eq!(pre.point(c, i), (!p.infinity).then_some(*p));
+            }
+            assert!(pre.point(c, 0).is_none() && pre.point(c, points.len() - 1).is_none());
         }
+        let entry = std::mem::size_of::<[C::Base; 2]>();
+        assert!(entry < std::mem::size_of::<Affine<C>>());
+        assert_eq!(pre.bytes(), (pre.levels() * points.len() * entry) as u64);
     }
 
     let scalars: Vec<C::Scalar> = points.iter().map(|_| C::Scalar::random(&mut rng)).collect();

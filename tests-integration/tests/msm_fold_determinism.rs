@@ -1,7 +1,9 @@
 //! The range-major `p_index` fold is one function behind `GzkpMsm::msm`,
 //! `msm_sharded` and `ShardTask::partial`, and its bucket tasks are cut
 //! from the load profile alone. So for every fold configuration — each
-//! checkpoint interval `M`, each shard count, each frozen partial — the
+//! checkpoint interval `M`, each shard count, each frozen partial, at a
+//! pinned window and at the derived one (the host window differing from
+//! the simulated one) — the
 //! compressed result **and the `MsmStats`** must be the same at every
 //! thread count, and every configuration must agree with the serial
 //! mixed-addition oracle (`CpuMsm::serial()`: window-serial Pippenger on
@@ -22,24 +24,33 @@ use gzkp_curves::{
 };
 use gzkp_ff::{Field, PrimeField};
 use gzkp_gpu_sim::v100;
-use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, MsmStats, ScalarVec};
+use gzkp_msm::{
+    default_window_size, host_window_size, CpuMsm, GzkpMsm, MsmEngine, MsmStats, ScalarVec,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Every fold configuration's `(label, compressed result, stats)`.
+/// Every fold configuration's `(label, compressed result, stats)`, at a
+/// pinned window (both windows `k`) or a derived one (`None`: the host
+/// folds at `host_window_size`, the clock prices `default_window_size`).
 fn fold_outputs<C: CurveParams>(
     points: &[Affine<C>],
     scalars: &ScalarVec,
-    window: u32,
+    window: Option<u32>,
 ) -> Vec<(String, Vec<u8>, MsmStats)>
 where
     C::Base: CoordField,
 {
     let bytes = |p: &gzkp_curves::Projective<C>| compress(&p.to_affine());
     let mut out = Vec::new();
-    for m in [1u32, 2, 5] {
+    let intervals: &[u32] = if window.is_some() {
+        &[1, 2, 5]
+    } else {
+        &[1, 3]
+    };
+    for &m in intervals {
         let engine = GzkpMsm {
-            window: Some(window),
+            window,
             checkpoint_interval: Some(m),
             ..GzkpMsm::new(v100())
         };
@@ -47,7 +58,7 @@ where
         out.push((format!("msm M={m}"), bytes(&run.result), run.stats));
     }
     let engine = GzkpMsm {
-        window: Some(window),
+        window,
         ..GzkpMsm::new(v100())
     };
     for shards in [1usize, 2, 7] {
@@ -56,6 +67,11 @@ where
         out.push((format!("sharded x{shards}"), bytes(&run.result), run.stats));
     }
     let task = engine.shard_task::<C>(points, scalars, 3);
+    if window.is_none() {
+        assert_eq!(task.host_window(), host_window_size::<C>(points.len()));
+        assert_eq!(task.window(), default_window_size(points.len()));
+        assert_ne!(task.host_window(), task.window(), "{}", C::NAME);
+    }
     let partials: Vec<_> = (0..task.num_ranges())
         .map(|i| task.partial(scalars, i))
         .collect();
@@ -113,23 +129,31 @@ where
         ..CpuMsm::serial()
     };
     let expect = compress(&reference.msm(&points, &scalars).result.to_affine());
-    let baseline = fold_outputs::<C>(&points, &scalars, window);
-    for (label, bytes, stats) in &baseline {
-        if !label.starts_with("partial") {
-            assert_eq!(bytes, &expect, "{} {label} vs serial oracle", C::NAME);
-            assert!(label.starts_with("merged") || stats.batch_padds > 0);
+    for pinned in [Some(window), None] {
+        std::env::set_var("GZKP_THREADS", "1");
+        let baseline = fold_outputs::<C>(&points, &scalars, pinned);
+        for (label, bytes, stats) in &baseline {
+            if !label.starts_with("partial") {
+                assert_eq!(bytes, &expect, "{} {label} {pinned:?} vs oracle", C::NAME);
+                assert!(label.starts_with("merged") || stats.batch_padds > 0);
+            }
         }
-    }
-    // The entry budget really cut this MSM into several bucket tasks: a
-    // single one needs at most ⌈log₂(longest bucket)⌉ + 1 inversions.
-    let one_task = (n * scalars.num_windows(window)).ilog2() as u64 + 2;
-    assert!(!several_tasks || baseline[0].2.batch_inversions > one_task);
+        // The entry budget really cut this MSM into several bucket tasks:
+        // a single one needs at most ⌈log₂(longest bucket)⌉ + 1 inversions.
+        let one_task = (n * scalars.num_windows(window)).ilog2() as u64 + 2;
+        assert!(pinned.is_none() || !several_tasks || baseline[0].2.batch_inversions > one_task);
 
-    for threads in ["2", "3", "8"] {
-        std::env::set_var("GZKP_THREADS", threads);
-        // A fresh scalar vector, so the p_index is rebuilt here too.
-        let got = fold_outputs::<C>(&points, &scalars.clone(), window);
-        assert_eq!(got, baseline, "{} at GZKP_THREADS={threads}", C::NAME);
+        for threads in ["2", "3", "8"] {
+            std::env::set_var("GZKP_THREADS", threads);
+            // A fresh scalar vector, so the p_index is rebuilt here too.
+            let got = fold_outputs::<C>(&points, &scalars.clone(), pinned);
+            assert_eq!(
+                got,
+                baseline,
+                "{} {pinned:?} at GZKP_THREADS={threads}",
+                C::NAME
+            );
+        }
     }
     std::env::remove_var("GZKP_THREADS");
 }
