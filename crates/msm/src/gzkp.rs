@@ -948,7 +948,9 @@ impl<C: CurveParams> ShardTask<C> {
             if let Some(t) = window {
                 if t % m == 1 {
                     weights.clear();
-                    weights.extend(self.pre.level(t / m));
+                    // The tables may serve a longer vector this MSM
+                    // reads a prefix of.
+                    weights.extend(self.pre.level(t / m).take(self.n));
                 }
                 double_each(&mut weights, k);
             }

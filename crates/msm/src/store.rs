@@ -15,11 +15,15 @@
 //! ([`crate::GzkpMsm::with_store`]); an engine without one uses
 //! [`PreprocessStore::process_default`].
 //!
-//! Lookup is address-keyed: a point vector is named by its address and
-//! length, so the same key loaded at another address (another host, a
-//! resumed process) always misses, and nothing is kept across processes.
-//! Every hit is checked against content: the requested points are
-//! compared with the stored level 0 — O(n), tens of µs per MSM, against
+//! Lookup is address-keyed: a point vector is named by its address, so
+//! the same key loaded at another address (another host, a resumed
+//! process) always misses, and nothing is kept across processes. A
+//! request for a prefix of a stored vector — a KZG commitment to fewer
+//! coefficients than the SRS holds — is served by the longer entry, so
+//! one SRS keeps one table set; a request longer than the stored entry
+//! misses, and its tables replace the shorter ones. Every hit is checked
+//! against content: the requested points are compared with the stored
+//! level 0's prefix — O(n), tens of µs per MSM, against
 //! `(levels − 1)·M·k` doublings per point for a rebuild — and a vector
 //! mutated in place, or freed and reallocated at the same address, is a
 //! miss that replaces the entry. A content digest carried on the key
@@ -67,6 +71,17 @@ impl PreKey {
             m,
             windows,
         }
+    }
+
+    /// Whether tables stored under `self` can serve `request`: the same
+    /// vector and shape, and at least as many points — a prefix request is
+    /// served by the longer entry.
+    fn serves(&self, request: &PreKey) -> bool {
+        self.len >= request.len
+            && PreKey {
+                len: request.len,
+                ..*self
+            } == *request
     }
 }
 
@@ -136,10 +151,10 @@ impl<C: CurveParams> Tables<C> {
         self.levels.iter().map(|l| (l.len() * entry) as u64).sum()
     }
 
-    /// Whether level 0 is `points`, identities included: the content
-    /// check of every store hit.
+    /// Whether level 0 starts with `points`, identities included: the
+    /// content check of every store hit, on the requested prefix.
     pub fn holds(&self, points: &[Affine<C>]) -> bool {
-        points.len() == self.len()
+        points.len() <= self.len()
             && points.iter().enumerate().all(|(i, p)| {
                 p.infinity == self.is_identity(0, i)
                     && (p.infinity || self.levels[0][i] == [p.x, p.y])
@@ -161,16 +176,16 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// The resident tables for `key` if they hold `points`, stamped as
-    /// used at `clock`. Tables under `key` that hold other points — the
-    /// vector changed under its address — are dropped.
+    /// The resident tables serving `key` if they hold `points`, stamped
+    /// as used at `clock`. Tables serving `key` that hold other points —
+    /// the vector changed under its address — are dropped.
     fn take_hit<C: CurveParams>(
         &mut self,
         key: &PreKey,
         points: &[Affine<C>],
         clock: u64,
     ) -> Option<Arc<Tables<C>>> {
-        let at = self.entries.iter().position(|e| e.key == *key)?;
+        let at = self.entries.iter().position(|e| e.key.serves(key))?;
         let e = &mut self.entries[at];
         if let Ok(hit) = Arc::downcast::<Tables<C>>(e.tables.clone()) {
             if hit.holds(points) {
@@ -310,6 +325,15 @@ impl PreprocessStore {
         if let Some(hit) = st.take_hit(&key, points, clock) {
             return hit;
         }
+        // Shorter tables of the same vector and shape are prefixes of
+        // these: the new entry serves their requests.
+        let mut freed = 0;
+        st.entries.retain(|e| {
+            let covered = key.serves(&e.key);
+            freed += if covered { e.bytes } else { 0 };
+            !covered
+        });
+        st.bytes -= freed;
         st.entries.push(Entry {
             key,
             bytes,

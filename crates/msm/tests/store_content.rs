@@ -1,8 +1,8 @@
 //! A store hit is checked against content. The store finds a point
-//! vector's tables by its address and length, so a key vector mutated in
-//! place — at any index — still finds its old entry; the hit must notice
-//! that level 0 no longer holds the requested points, rebuild, and give
-//! the MSM of the new points.
+//! vector's tables by its address, and serves a prefix of a stored vector
+//! from the longer entry, so a key vector mutated in place — at any index
+//! — still finds its old entry; the hit must notice that level 0 no longer
+//! holds the requested points, rebuild, and give the MSM of the new points.
 
 use gzkp_curves::bn254::{Fr, G1Config};
 use gzkp_curves::{compress, random_points};
@@ -42,4 +42,88 @@ fn a_key_vector_mutated_in_place_is_not_served_stale_tables() {
     // The replacement serves the mutated vector from now on.
     engine.msm(&points, &scalars);
     assert_eq!((store.hits(), store.misses()), (1, 2));
+}
+
+/// `(engine, store)` with the host window pinned to `k`, so a vector and
+/// its prefixes share one table shape.
+fn pinned(k: u32) -> (GzkpMsm, Arc<PreprocessStore>) {
+    let store = Arc::new(PreprocessStore::new(PreprocessStore::DEFAULT_BUDGET_BYTES));
+    let mut engine = GzkpMsm::new(v100()).with_store(store.clone());
+    engine.window = Some(k);
+    (engine, store)
+}
+
+fn prefix_fixture(seed: u64, n: usize) -> (Vec<gzkp_curves::Affine<G1Config>>, Vec<Fr>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points = random_points::<G1Config, _>(n, &mut rng);
+    let scalars = (0..n).map(|_| Fr::random(&mut rng)).collect();
+    (points, scalars)
+}
+
+fn oracle_of(points: &[gzkp_curves::Affine<G1Config>], scalars: &[Fr]) -> Vec<u8> {
+    let scalars = ScalarVec::from_field(scalars);
+    compress(&CpuMsm::serial().msm(points, &scalars).result.to_affine())
+}
+
+#[test]
+fn a_prefix_of_a_stored_vector_is_a_hit() {
+    // A KZG commitment to fewer coefficients than the SRS holds reads the
+    // SRS's tables; a longer request replaces the shorter entry.
+    let (points, scalars) = prefix_fixture(72, 120);
+    let (engine, store) = pinned(6);
+    for len in [120, 117, 120, 1] {
+        let got = engine.msm(&points[..len], &ScalarVec::from_field(&scalars[..len]));
+        assert_eq!(
+            compress(&got.result.to_affine()),
+            oracle_of(&points[..len], &scalars[..len]),
+            "prefix of {len}"
+        );
+    }
+    assert_eq!((store.hits(), store.misses(), store.len()), (3, 1, 1));
+
+    let (shorter_first, store) = pinned(6);
+    shorter_first.msm(&points[..117], &ScalarVec::from_field(&scalars[..117]));
+    shorter_first.msm(&points, &ScalarVec::from_field(&scalars));
+    let bytes = store.bytes_used();
+    shorter_first.msm(&points[..117], &ScalarVec::from_field(&scalars[..117]));
+    assert_eq!((store.hits(), store.misses(), store.len()), (1, 2, 1));
+    assert_eq!(
+        store.bytes_used(),
+        bytes,
+        "the longer entry replaced the shorter"
+    );
+}
+
+#[test]
+fn a_prefix_mutated_in_place_misses_and_replaces_the_entry() {
+    let (mut points, scalars) = prefix_fixture(73, 120);
+    let (engine, store) = pinned(6);
+    engine.msm(&points, &ScalarVec::from_field(&scalars));
+    points[100] = random_points::<G1Config, _>(1, &mut StdRng::seed_from_u64(74))[0];
+    let got = engine.msm(&points[..110], &ScalarVec::from_field(&scalars[..110]));
+    assert_eq!(
+        compress(&got.result.to_affine()),
+        oracle_of(&points[..110], &scalars[..110]),
+        "the prefix MSM after the mutation must use the new points"
+    );
+    assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 1));
+    // A prefix that stops before the mutated point is served by the
+    // replacement.
+    engine.msm(&points[..50], &ScalarVec::from_field(&scalars[..50]));
+    assert_eq!((store.hits(), store.misses()), (1, 2));
+}
+
+#[test]
+fn a_prefix_of_another_shape_misses() {
+    let (points, scalars) = prefix_fixture(75, 120);
+    let (engine, store) = pinned(6);
+    engine.msm(&points, &ScalarVec::from_field(&scalars));
+    let mut other = engine.clone();
+    other.window = Some(7);
+    let got = other.msm(&points[..117], &ScalarVec::from_field(&scalars[..117]));
+    assert_eq!(
+        compress(&got.result.to_affine()),
+        oracle_of(&points[..117], &scalars[..117])
+    );
+    assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 2));
 }

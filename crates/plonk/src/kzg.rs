@@ -8,6 +8,12 @@
 //! and cross-device merging as the Groth16 query MSMs, and show up in
 //! `zkprof render --timeline` identically.
 //!
+//! A basis other than the powers commits the same way: [`lagrange_basis_at`]
+//! gives the domain's Lagrange polynomials at τ, whose `[L_i(τ)]₁` commit a
+//! polynomial from its *values* on the domain ([`commit_in`]). Values are
+//! sparse where coefficients are dense (a wire column is mostly 0 and 1),
+//! and the MSM prices what it is given.
+//!
 //! Openings use the standard witness polynomial
 //! `q(X) = (p(X) − p(z)) / (X − z)` (synthetic division — exact because
 //! `z` is a root of the numerator) and verify through the pairing check
@@ -16,7 +22,7 @@
 use gzkp_curves::pairing::{multi_pairing, Gt, PairingConfig};
 use gzkp_curves::{Affine, CoordField, CurveParams, FixedBaseTable, Projective};
 use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
-use gzkp_ff::{Field, PrimeField};
+use gzkp_ff::{batch_inverse, Field, PrimeField};
 use gzkp_msm::{MsmEngine, MsmRun, ScalarVec};
 use gzkp_ntt::Radix2Domain;
 use rand::Rng;
@@ -44,13 +50,8 @@ impl<P: PairingConfig> KzgSrs<P> {
     /// also needs τ to commit to its selector/permutation polynomials
     /// cheaply (one scalar multiplication each) before discarding it.
     pub fn setup_with_tau(tau: P::Fr, max_powers: usize) -> Self {
-        let powers = Radix2Domain::powers(tau, max_powers);
-        // Every element is a multiple of the G1 generator: one table,
-        // shares of the powers across cores.
-        let table = FixedBaseTable::<P::G1>::new(max_powers);
-        let shares = powers.chunks(rayon::share_len(max_powers));
         Self {
-            g1_powers: rayon::map(shares, |share| table.mul_many(share)).concat(),
+            g1_powers: g1_multiples::<P>(&Radix2Domain::powers(tau, max_powers)),
             g2: Affine::generator(),
             tau_g2: Affine::<P::G2>::generator().mul(&tau).to_affine(),
         }
@@ -89,27 +90,74 @@ impl<P: PairingConfig> KzgSrs<P> {
         msm: &dyn MsmEngine<P::G1>,
         sink: &dyn gzkp_telemetry::TelemetrySink,
     ) -> MsmRun<P::G1> {
-        assert!(
-            coeffs.len() <= self.g1_powers.len(),
-            "polynomial degree {} exceeds SRS degree {}",
-            coeffs.len().saturating_sub(1),
-            self.max_degree()
-        );
-        if coeffs.is_empty() {
-            // An empty polynomial commits to the identity; synthesize a
-            // zero-cost run rather than asking the engine for a 0-MSM.
-            return MsmRun {
-                result: Projective::identity(),
-                report: gzkp_gpu_sim::StageReport::new("MSM"),
-                stats: Default::default(),
-            };
-        }
-        msm.msm_traced(
-            &self.g1_powers[..coeffs.len()],
-            &ScalarVec::from_field(coeffs),
-            sink,
-        )
+        commit_in::<P>(&self.g1_powers, coeffs, msm, sink)
     }
+}
+
+/// `sᵢ · G1` for every scalar: one fixed-base table, shares of the
+/// scalars across cores.
+pub fn g1_multiples<P: PairingConfig>(scalars: &[P::Fr]) -> Vec<Affine<P::G1>> {
+    let table = FixedBaseTable::<P::G1>::new(scalars.len());
+    let shares = scalars.chunks(rayon::share_len(scalars.len()));
+    rayon::map(shares, |share| table.mul_many(share)).concat()
+}
+
+/// Commits `Σ scalarsᵢ · basesᵢ` as one MSM through `msm` — the engine
+/// decides windows, shards and placement exactly as for a Groth16 query
+/// MSM — emitting its telemetry into `sink`. The bases are a committed
+/// basis at τ: the powers for coefficients, the Lagrange basis for values.
+///
+/// # Panics
+///
+/// Panics if there are more scalars than bases.
+pub fn commit_in<P: PairingConfig>(
+    bases: &[Affine<P::G1>],
+    scalars: &[P::Fr],
+    msm: &dyn MsmEngine<P::G1>,
+    sink: &dyn gzkp_telemetry::TelemetrySink,
+) -> MsmRun<P::G1> {
+    assert!(
+        scalars.len() <= bases.len(),
+        "{} scalars exceed the {} bases",
+        scalars.len(),
+        bases.len()
+    );
+    if scalars.is_empty() {
+        // An empty polynomial commits to the identity; synthesize a
+        // zero-cost run rather than asking the engine for a 0-MSM.
+        return MsmRun {
+            result: Projective::identity(),
+            report: gzkp_gpu_sim::StageReport::new("MSM"),
+            stats: Default::default(),
+        };
+    }
+    msm.msm_traced(
+        &bases[..scalars.len()],
+        &ScalarVec::from_field(scalars),
+        sink,
+    )
+}
+
+/// The domain's Lagrange basis at `x`: `L_i(x) = ωⁱ·(xⁿ − 1) / (n·(x − ωⁱ))`
+/// for `i < n`, one batch inversion — or, at a point of the domain, the
+/// indicator of that point.
+pub fn lagrange_basis_at<F: PrimeField>(domain: &Radix2Domain<F>, x: F) -> Vec<F> {
+    let omegas = Radix2Domain::powers(domain.omega, domain.size);
+    let vanishing = domain.eval_vanishing(x);
+    if vanishing.is_zero() {
+        return omegas
+            .iter()
+            .map(|&w| if w == x { F::one() } else { F::zero() })
+            .collect();
+    }
+    let n = F::from_u64(domain.size as u64);
+    let mut dens: Vec<F> = omegas.iter().map(|&w| n * (x - w)).collect();
+    batch_inverse(&mut dens);
+    omegas
+        .iter()
+        .zip(dens)
+        .map(|(&w, den)| w * vanishing * den)
+        .collect()
 }
 
 /// An opening of a committed polynomial at one point.

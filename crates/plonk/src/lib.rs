@@ -8,7 +8,8 @@
 //! the same two stages the engine stack schedules:
 //!
 //! * **POLY** — a batch of NTTs ([`prove_poly`] interpolates the wire
-//!   columns; the quotient step later runs a 4n-coset NTT batch);
+//!   columns; the quotient step later extends the four witness
+//!   polynomials to the 4n coset, the key holding the rest there);
 //! * **MSM** — a sequence of checkpointable steps, each one or more MSMs
 //!   through the shared [`gzkp_msm::MsmEngine`] (shard planner,
 //!   preprocess cache, cross-device merging included).
@@ -24,7 +25,8 @@
 //!   MSM), open, verify, batch-verify.
 //! * [`circuit`] — PLONK gates plus the R1CS → PLONK migration so every
 //!   existing workload circuit runs under both backends.
-//! * [`setup`] — per-circuit preprocessing (selectors, permutation).
+//! * [`setup`] — per-circuit preprocessing (selectors, permutation,
+//!   the Lagrange-basis SRS and the quotient's coset constants).
 //! * [`prove`] — the four-step prover and its portable checkpoint.
 //! * [`verify`] — constant-time verification (two identities, two
 //!   pairings).
@@ -40,6 +42,9 @@ pub mod setup;
 pub mod system;
 pub mod transcript;
 pub mod verify;
+
+#[cfg(test)]
+mod equivalence;
 
 pub use circuit::{PlonkCircuit, PlonkGate, MIN_DOMAIN};
 pub use gzkp_proof_system::MsmSteps;

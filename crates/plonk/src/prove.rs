@@ -6,17 +6,28 @@
 //!   extraction, and three interpolation NTTs through the pluggable
 //!   [`GpuNttEngine`].
 //! * **MSM stage**: four checkpointable commit steps, every commitment an
-//!   MSM against the powers-of-tau SRS through the pluggable
-//!   [`gzkp_msm::MsmEngine`] (so the shard planner, preprocess cache, and
-//!   cross-device merging all apply):
-//!   0. `wires` — blind and commit the three wire polynomials;
+//!   MSM through the pluggable [`gzkp_msm::MsmEngine`] (so the shard
+//!   planner, preprocess cache, and cross-device merging all apply):
+//!
+//!   0. `wires` — blind the three wire polynomials and commit each from
+//!      its *values* and two blinds against the key's Lagrange-basis SRS
+//!      (the same group element as its blinded coefficients against the
+//!      powers of τ, over scalars that are mostly 0 and 1);
 //!   1. `perm_z` — derive β, γ, build and commit the permutation
 //!      accumulator (one more engine NTT);
-//!   2. `quotient` — derive α, evaluate the gate + copy-constraint
-//!      identity on the 4n coset (a batch of engine NTTs), divide by
-//!      `Z_H`, commit the three quotient chunks;
+//!   2. `quotient` — derive α, extend `a, b, c, z` to the 4n coset (four
+//!      engine NTTs), read σ, the selectors and `L₁` there from the key,
+//!      evaluate `PI` from its non-zero Lagrange terms and `Z_H` from its
+//!      four coset values, divide, and commit the three quotient chunks
+//!      (one inverse engine NTT);
 //!   3. `open` — derive ζ, evaluate, batch with v, commit the two KZG
 //!      opening witnesses.
+//!
+//! Steps 1–3 commit against the powers of τ. Their per-index loops — the
+//! accumulator's row ratios, the quotient numerator, the opening batch —
+//! run in index shares across cores, each share starting its running
+//! powers from the power of its first index, so every entry is the same
+//! field element at every thread count.
 //!
 //! Determinism: all blinding comes from `StdRng` generators seeded as a
 //! fixed function of the job seed and the step index, drawn at fixed
@@ -45,7 +56,7 @@
 //! prefix of the steps and every scalar to be in canonical range.
 
 use crate::circuit::PlonkCircuit;
-use crate::kzg::{divide_at_point, evaluate_poly};
+use crate::kzg::{commit_in, divide_at_point, evaluate_poly};
 use crate::proof::{PlonkEvals, PlonkProof};
 use crate::setup::{PlonkProvingKey, PlonkVerifyingKey};
 use crate::transcript::Transcript;
@@ -55,7 +66,7 @@ use gzkp_curves::{Affine, CurveParams};
 use gzkp_ff::{batch_inverse, Field, PrimeField};
 use gzkp_gpu_sim::StageReport;
 use gzkp_ntt::gpu::GpuNttEngine;
-use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
+use gzkp_ntt::{Direction, Radix2Domain};
 use gzkp_proof_system::codec::{self, Reader};
 use gzkp_proof_system::{run_msm_steps, Engines, MsmSteps, ProveReport};
 use gzkp_telemetry::{self as telemetry, TelemetrySink};
@@ -151,12 +162,88 @@ pub fn prove_poly<P: PairingConfig>(
 /// Adds `(Σ bᵢ·Xⁱ)·Z_H` to a length-`n` coefficient vector: blinding
 /// that vanishes on the domain, so the quotient numerator stays an exact
 /// multiple of `Z_H`.
-fn blind<F: Field>(coeffs: &mut Vec<F>, n: usize, blinds: &[F]) {
+pub(crate) fn blind<F: Field>(coeffs: &mut Vec<F>, n: usize, blinds: &[F]) {
     coeffs.resize(n + blinds.len(), F::zero());
     for (i, b) in blinds.iter().enumerate() {
         coeffs[n + i] += *b;
         coeffs[i] -= *b;
     }
+}
+
+/// `Σₖ weightsₖ·polysₖ`, coefficient-wise over the longest polynomial, in
+/// index shares.
+fn combine<F: PrimeField, S: AsRef<[F]> + Sync>(polys: &[S], weights: &[F]) -> Vec<F> {
+    let len = polys.iter().map(|p| p.as_ref().len()).max().unwrap_or(0);
+    let share = rayon::share_len(len);
+    let mut out = vec![F::zero(); len];
+    rayon::for_each(out.chunks_mut(share).enumerate(), |(c, out)| {
+        let first = c * share;
+        for (poly, &w) in polys.iter().zip(weights) {
+            let poly = poly.as_ref();
+            for (o, coeff) in out.iter_mut().zip(poly.iter().skip(first)) {
+                *o += w * *coeff;
+            }
+        }
+    });
+    out
+}
+
+/// `Z_H(X) = Xⁿ − 1` on the `big` (4n) domain's coset: at `g·ω₄ₙⁱ` it is
+/// `gⁿ·ω₄^{i mod 4} − 1`, entry `i mod 4` of the result. None of the four
+/// is zero: the coset misses the domain.
+pub(crate) fn coset_vanishing<F: PrimeField>(big: &Radix2Domain<F>, n: usize) -> [F; 4] {
+    let omega_4 = big.omega.pow(&[n as u64]);
+    let mut power = big.coset_gen.pow(&[n as u64]);
+    [(); 4].map(|()| {
+        let v = power - F::one();
+        power *= omega_4;
+        v
+    })
+}
+
+/// The public-input polynomial `PI(X) = −Σⱼ piⱼ·Lⱼ(X)` on the `big` (4n)
+/// domain's coset, from its non-zero Lagrange terms: at `x`,
+/// `Lⱼ(x) = ωʲ·(xⁿ − 1) / (n·(x − ωʲ))`. Index shares each batch-invert
+/// their own `x − ωʲ`.
+pub(crate) fn coset_pi<F: PrimeField>(
+    big: &Radix2Domain<F>,
+    n: usize,
+    public_inputs: &[F],
+) -> Vec<F> {
+    let mut pi = vec![F::zero(); big.size];
+    if public_inputs.is_empty() {
+        return pi;
+    }
+    // (−piⱼ·ωʲ/n, ωʲ), ω = ω₄ₙ⁴ and 1/n = 4/(4n).
+    let n_inv = F::from_u64(4) * big.size_inv;
+    let terms: Vec<(F, F)> = public_inputs
+        .iter()
+        .zip(Radix2Domain::powers(
+            big.omega.pow(&[4]),
+            public_inputs.len(),
+        ))
+        .map(|(pi, w)| (-*pi * w * n_inv, w))
+        .collect();
+    let zh = coset_vanishing(big, n);
+    let share = rayon::share_len(big.size);
+    rayon::for_each(pi.chunks_mut(share).enumerate(), |(c, out)| {
+        let first = c * share;
+        let mut x = big.coset_gen * big.omega.pow(&[first as u64]);
+        let mut dens = Vec::with_capacity(out.len() * terms.len());
+        for _ in 0..out.len() {
+            dens.extend(terms.iter().map(|&(_, w)| x - w));
+            x *= big.omega;
+        }
+        batch_inverse(&mut dens);
+        for ((i, v), den) in (first..).zip(out).zip(dens.chunks_exact(terms.len())) {
+            let sum = terms
+                .iter()
+                .zip(den)
+                .fold(F::zero(), |acc, (&(t, _), &d)| acc + t * d);
+            *v = sum * zh[i % 4];
+        }
+    });
+    pi
 }
 
 /// Rebuilds the transcript to the state right after the verifying key
@@ -184,23 +271,24 @@ where
     t
 }
 
-/// Commits each `(span, coeffs)` job through the G1 engine, one after the
-/// other — an MSM is one flat parallel region over its bucket tasks, so
-/// every core works on the current commitment — emitting each job's
-/// telemetry under its span and folding its kernels, span-prefixed, into
-/// `msm_report`.
-fn commit_batch<P: PairingConfig>(
-    pk: &PlonkProvingKey<P>,
+/// Commits each `(span, scalars)` job against `bases` through the G1
+/// engine, one after the other — an MSM is one flat parallel region over
+/// its bucket tasks, so every core works on the current commitment —
+/// emitting each job's telemetry under its span and folding its kernels,
+/// span-prefixed, into `msm_report`.
+fn commit_batch<P: PairingConfig, S: AsRef<[P::Fr]>>(
+    bases: &[Affine<P::G1>],
     engines: &Engines<'_, P>,
-    jobs: &[(&'static str, &[P::Fr])],
+    jobs: &[(&'static str, S)],
     msm_report: &mut StageReport,
     sink: &dyn TelemetrySink,
 ) -> Vec<Affine<P::G1>> {
     jobs.iter()
-        .map(|&(label, coeffs)| {
+        .map(|(label, scalars)| {
+            let scalars = scalars.as_ref();
             let run = {
-                let _span = (!coeffs.is_empty()).then(|| telemetry::span(sink, label));
-                pk.srs.commit_traced(coeffs, engines.msm_g1, sink)
+                let _span = (!scalars.is_empty()).then(|| telemetry::span(sink, label));
+                commit_in::<P>(bases, scalars, engines.msm_g1, sink)
             };
             for mut k in run.report.kernels {
                 k.name = format!("{label}.{}", k.name);
@@ -209,6 +297,13 @@ fn commit_batch<P: PairingConfig>(
             run.result.to_affine()
         })
         .collect()
+}
+
+/// A challenge [`PlonkCheckpoint::transcript_through`] was asked to
+/// replay; it sets every challenge of the steps it replays, so a missing
+/// one is a step reading past its own replay.
+fn replayed<F>(challenge: Option<F>, name: &str) -> Result<F, String> {
+    challenge.ok_or_else(|| format!("challenge {name} not replayed"))
 }
 
 /// Fiat–Shamir challenges recovered by replaying a checkpoint's
@@ -273,37 +368,47 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     /// any host derives the same values. Absorbs and squeezes interleave
     /// in exactly the live protocol's order (the sponge is stateful, so
     /// a challenge squeezed at a different point is a different value).
+    ///
+    /// # Errors
+    ///
+    /// Fails if a commitment of the first `steps` steps is missing — which
+    /// [`MsmSteps::run_step`] rules out, as it runs step `s` only after
+    /// steps `0..s`.
     fn transcript_through(
         &self,
         pk: &PlonkProvingKey<P>,
         steps: usize,
-    ) -> (Transcript, ReplayedChallenges<P::Fr>)
+    ) -> Result<(Transcript, ReplayedChallenges<P::Fr>), String>
     where
         <P::G1 as CurveParams>::Base: CoordField,
     {
+        let missing = |what: &str| format!("transcript replay: {what} not committed");
         let mut t = base_transcript(&pk.vk, &self.public_inputs);
         let mut ch = ReplayedChallenges::default();
         if steps >= 1 {
-            for comm in self.wire_comms.as_ref().expect("wires committed") {
+            for comm in self.wire_comms.as_ref().ok_or_else(|| missing("wires"))? {
                 t.absorb_point("wire", comm);
             }
             ch.beta = Some(t.challenge("beta"));
             ch.gamma = Some(t.challenge("gamma"));
         }
         if steps >= 2 {
-            t.absorb_point("z", self.z_comm.as_ref().expect("z committed"));
+            t.absorb_point("z", self.z_comm.as_ref().ok_or_else(|| missing("z"))?);
             ch.alpha = Some(t.challenge("alpha"));
         }
         if steps >= 3 {
-            for comm in self.t_comms.as_ref().expect("t committed") {
+            for comm in self.t_comms.as_ref().ok_or_else(|| missing("t"))? {
                 t.absorb_point("t", comm);
             }
             ch.zeta = Some(t.challenge("zeta"));
         }
-        (t, ch)
+        Ok((t, ch))
     }
 
-    /// Step 0: blind the three wire polynomials and commit them.
+    /// Step 0: blind the three wire polynomials, and commit each from its
+    /// values and blinds against the Lagrange-basis SRS: `A(X) + (b₀ +
+    /// b₁X)·Z_H(X)` is `Σ aᵢ·L_i(τ) + b₀·(τⁿ − 1) + b₁·(τⁿ⁺¹ − τ)` at τ, the
+    /// blinded coefficients' commitment.
     fn step_wires(
         &mut self,
         pk: &PlonkProvingKey<P>,
@@ -314,16 +419,15 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
         <P::G1 as CurveParams>::Base: CoordField,
     {
         let mut rng = step_rng(self.seed, 0);
-        for coeffs in self.wire_coeffs.iter_mut() {
-            let blinds = [P::Fr::random(&mut rng), P::Fr::random(&mut rng)];
-            blind(coeffs, pk.n, &blinds);
-        }
-        let jobs: [(&'static str, &[P::Fr]); 3] = [
-            (STAGES[0], &self.wire_coeffs[0]),
-            (STAGES[1], &self.wire_coeffs[1]),
-            (STAGES[2], &self.wire_coeffs[2]),
-        ];
-        let comms = commit_batch(pk, engines, &jobs, &mut self.msm_report, sink);
+        let jobs: Vec<(&'static str, Vec<P::Fr>)> = (0..3)
+            .map(|col| {
+                let blinds = [P::Fr::random(&mut rng), P::Fr::random(&mut rng)];
+                blind(&mut self.wire_coeffs[col], pk.n, &blinds);
+                let scalars = [self.wire_values[col].as_slice(), &blinds].concat();
+                (STAGES[col], scalars)
+            })
+            .collect();
+        let comms = commit_batch(&pk.lagrange_g1, engines, &jobs, &mut self.msm_report, sink);
         self.wire_comms = Some([comms[0], comms[1], comms[2]]);
         Ok(())
     }
@@ -339,32 +443,41 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     where
         <P::G1 as CurveParams>::Base: CoordField,
     {
-        let (_, ch) = self.transcript_through(pk, 1);
-        let beta = ch.beta.expect("beta replayed");
-        let gamma = ch.gamma.expect("gamma replayed");
+        let (_, ch) = self.transcript_through(pk, 1)?;
+        let beta = replayed(ch.beta, "beta")?;
+        let gamma = replayed(ch.gamma, "gamma")?;
 
         let n = pk.n;
         let domain = Radix2Domain::<P::Fr>::new(n).ok_or("domain exceeds two-adicity")?;
-        let omegas = Radix2Domain::powers(domain.omega, n);
-        let shifts = [P::Fr::one(), pk.k1, pk.k2];
+        let shifts = [P::Fr::one(), pk.k1, pk.k2].map(|k| beta * k);
 
-        // Row ratios Π (w + β·id + γ) / (w + β·σ + γ); denominators are
-        // batch-inverted (one inversion for the whole column).
-        let mut nums = vec![P::Fr::one(); n];
-        let mut dens = vec![P::Fr::one(); n];
-        for row in 0..n {
-            for (col, shift) in shifts.iter().enumerate() {
-                let w = self.wire_values[col][row];
-                nums[row] *= w + beta * *shift * omegas[row] + gamma;
-                dens[row] *= w + beta * pk.sigma_evals[col][row] + gamma;
+        // Row ratios Π (w + β·id + γ) / (w + β·σ + γ) in row shares, each
+        // batch-inverting its own denominators.
+        let share = rayon::share_len(n);
+        let mut ratios = vec![P::Fr::zero(); n];
+        rayon::for_each(ratios.chunks_mut(share).enumerate(), |(c, out)| {
+            let first = c * share;
+            let mut omega = domain.omega.pow(&[first as u64]);
+            let mut dens = Vec::with_capacity(out.len());
+            for (row, num) in (first..).zip(out.iter_mut()) {
+                let (mut top, mut den) = (P::Fr::one(), P::Fr::one());
+                for (col, shift) in shifts.iter().enumerate() {
+                    let w = self.wire_values[col][row] + gamma;
+                    top *= w + *shift * omega;
+                    den *= w + beta * pk.sigma_evals[col][row];
+                }
+                *num = top;
+                dens.push(den);
+                omega *= domain.omega;
             }
-        }
-        batch_inverse(&mut dens);
+            batch_inverse(&mut dens);
+            out.iter_mut().zip(dens).for_each(|(r, den)| *r *= den);
+        });
         let mut z_vals = Vec::with_capacity(n);
         let mut acc = P::Fr::one();
-        for row in 0..n {
+        for ratio in ratios {
             z_vals.push(acc);
-            acc = acc * nums[row] * dens[row];
+            acc *= ratio;
         }
 
         // Interpolate through the engine, then blind with a degree-2
@@ -389,8 +502,14 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
         blind(&mut z_coeffs, n, &blinds);
         self.z_coeffs = z_coeffs;
 
-        let jobs: [(&'static str, &[P::Fr]); 1] = [(STAGES[3], &self.z_coeffs)];
-        let comms = commit_batch(pk, engines, &jobs, &mut self.msm_report, sink);
+        let jobs = [(STAGES[3], &self.z_coeffs)];
+        let comms = commit_batch(
+            &pk.srs.g1_powers,
+            engines,
+            &jobs,
+            &mut self.msm_report,
+            sink,
+        );
         self.z_comm = Some(comms[0]);
         Ok(())
     }
@@ -398,7 +517,8 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     /// Step 2: derive α, evaluate the full constraint identity on the 4n
     /// coset, divide by `Z_H` pointwise (exact: the numerator is a
     /// multiple of `Z_H` and `deg t = 3n+5 < 4n`), and commit the three
-    /// quotient chunks.
+    /// quotient chunks. Only `a, b, c, z` are extended here; σ, the
+    /// selectors and `L₁` come with the key.
     fn step_quotient(
         &mut self,
         pk: &PlonkProvingKey<P>,
@@ -408,35 +528,22 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     where
         <P::G1 as CurveParams>::Base: CoordField,
     {
-        let (_, ch) = self.transcript_through(pk, 2);
-        let beta = ch.beta.expect("beta replayed");
-        let gamma = ch.gamma.expect("gamma replayed");
-        let alpha = ch.alpha.expect("alpha replayed");
+        let (_, ch) = self.transcript_through(pk, 2)?;
+        let beta = replayed(ch.beta, "beta")?;
+        let gamma = replayed(ch.gamma, "gamma")?;
+        let alpha = replayed(ch.alpha, "alpha")?;
 
         let n = pk.n;
-        let domain = Radix2Domain::<P::Fr>::new(n).ok_or("domain exceeds two-adicity")?;
         let big = Radix2Domain::<P::Fr>::new(4 * n).ok_or("4n domain exceeds two-adicity")?;
 
-        // PI and L1 in coefficient form (host-side; tiny next to the 4n
-        // NTT batch below).
-        let mut pi_coeffs = vec![P::Fr::zero(); n];
-        for (j, pi) in self.public_inputs.iter().enumerate() {
-            pi_coeffs[j] = -*pi;
-        }
-        CpuNtt::reference().transform(&domain, &mut pi_coeffs, Direction::Inverse);
-        let n_inv = P::Fr::from_u64(n as u64)
-            .inverse()
-            .ok_or("domain size not invertible")?;
-        // L1 = (1/n)·Σ Xⁱ (the Lagrange base at ω⁰).
-        let l1_coeffs = vec![n_inv; n];
-
-        // Extend everything to evaluations on the 4n coset through the
-        // engine — the quotient's POLY-style NTT batch.
+        // The witness polynomials on the 4n coset, through the engine.
         let mut coset_kernels = Vec::new();
         let mut coset_evals = |coeffs: &[P::Fr], label: &str| -> Vec<P::Fr> {
-            let mut data = coeffs.to_vec();
-            data.resize(4 * n, P::Fr::zero());
+            // Scaled before padding: the zeros need no coset power.
+            let mut data = Vec::with_capacity(4 * n);
+            data.extend_from_slice(coeffs);
             big.coset_scale(&mut data);
+            data.resize(4 * n, P::Fr::zero());
             let r = {
                 let _span = telemetry::span(sink, label);
                 engines
@@ -450,55 +557,40 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
         let b_ev = coset_evals(&self.wire_coeffs[1], "coset[b]");
         let c_ev = coset_evals(&self.wire_coeffs[2], "coset[c]");
         let z_ev = coset_evals(&self.z_coeffs, "coset[z]");
-        let s_ev: [Vec<P::Fr>; 3] =
-            std::array::from_fn(|i| coset_evals(&pk.sigma_coeffs[i], "coset[sigma]"));
-        let q_ev: [Vec<P::Fr>; 5] =
-            std::array::from_fn(|i| coset_evals(&pk.selectors[i], "coset[q]"));
-        let pi_ev = coset_evals(&pi_coeffs, "coset[pi]");
-        let l1_ev = coset_evals(&l1_coeffs, "coset[l1]");
-
-        // Z_H and X on the coset, computed incrementally; Z_H never
-        // vanishes off the domain, so the batch inversion is total.
-        let g = big.coset_gen;
-        let g_n = g.pow(&[n as u64]);
-        let omega_n = big.omega.pow(&[n as u64]);
-        let mut zh_inv = Vec::with_capacity(4 * n);
-        let mut xs = Vec::with_capacity(4 * n);
-        let mut zpow = g_n;
-        let mut x = g;
-        for _ in 0..4 * n {
-            zh_inv.push(zpow - P::Fr::one());
-            xs.push(x);
-            zpow *= omega_n;
-            x *= big.omega;
-        }
+        let (s_ev, q_ev, l1_ev) = (&pk.sigma_coset, &pk.selector_coset, &pk.l1_coset);
+        let pi_ev = coset_pi(&big, n, &self.public_inputs);
+        let mut zh_inv = coset_vanishing(&big, n);
         batch_inverse(&mut zh_inv);
 
-        // Pointwise numerator / Z_H. `z(ωX)` on the coset is a rotation
-        // by 4 positions (the domain's ω is ω₄ₙ⁴).
-        let shifts = [P::Fr::one(), pk.k1, pk.k2];
+        // Pointwise numerator / Z_H in index shares. `z(ωX)` on the coset
+        // is a rotation by 4 positions (the domain's ω is ω₄ₙ⁴).
+        let shifts = [P::Fr::one(), pk.k1, pk.k2].map(|k| beta * k);
         let alpha_sq = alpha * alpha;
+        let share = rayon::share_len(4 * n);
         let mut t_evals = vec![P::Fr::zero(); 4 * n];
-        for i in 0..4 * n {
-            let (a, b, c) = (a_ev[i], b_ev[i], c_ev[i]);
-            let gate = q_ev[0][i] * a
-                + q_ev[1][i] * b
-                + q_ev[2][i] * c
-                + q_ev[3][i] * a * b
-                + q_ev[4][i]
-                + pi_ev[i];
-            let x = xs[i];
-            let perm1 = (a + beta * shifts[0] * x + gamma)
-                * (b + beta * shifts[1] * x + gamma)
-                * (c + beta * shifts[2] * x + gamma)
-                * z_ev[i];
-            let perm2 = (a + beta * s_ev[0][i] + gamma)
-                * (b + beta * s_ev[1][i] + gamma)
-                * (c + beta * s_ev[2][i] + gamma)
-                * z_ev[(i + 4) % (4 * n)];
-            let boundary = l1_ev[i] * (z_ev[i] - P::Fr::one());
-            t_evals[i] = (gate + alpha * (perm1 - perm2) + alpha_sq * boundary) * zh_inv[i];
-        }
+        rayon::for_each(t_evals.chunks_mut(share).enumerate(), |(at, out)| {
+            let first = at * share;
+            let mut x = big.coset_gen * big.omega.pow(&[first as u64]);
+            for (i, t) in (first..).zip(out) {
+                let (a, b, c) = (a_ev[i], b_ev[i], c_ev[i]);
+                let gate = q_ev[0][i] * a
+                    + q_ev[1][i] * b
+                    + q_ev[2][i] * c
+                    + q_ev[3][i] * a * b
+                    + q_ev[4][i]
+                    + pi_ev[i];
+                let (ag, bg, cg) = (a + gamma, b + gamma, c + gamma);
+                let perm1 =
+                    (ag + shifts[0] * x) * (bg + shifts[1] * x) * (cg + shifts[2] * x) * z_ev[i];
+                let perm2 = (ag + beta * s_ev[0][i])
+                    * (bg + beta * s_ev[1][i])
+                    * (cg + beta * s_ev[2][i])
+                    * z_ev[(i + 4) % (4 * n)];
+                let boundary = l1_ev[i] * (z_ev[i] - P::Fr::one());
+                *t = (gate + alpha * (perm1 - perm2) + alpha_sq * boundary) * zh_inv[i % 4];
+                x *= big.omega;
+            }
+        });
 
         // Back to coefficients and split into three chunks of n+2.
         {
@@ -510,20 +602,27 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
             };
             coset_kernels.extend(r.kernels);
         }
-        big.coset_unscale(&mut t_evals);
+        // deg t < 3(n + 2): only the three chunks' coefficients are read.
+        let chunk = n + 2;
+        big.coset_unscale(&mut t_evals[..3 * chunk]);
         for mut k in coset_kernels {
             k.name = format!("quotient.{}", k.name);
             self.msm_report.kernels.push(k);
         }
-        let chunk = n + 2;
         self.t_parts = std::array::from_fn(|i| t_evals[i * chunk..(i + 1) * chunk].to_vec());
 
-        let jobs: [(&'static str, &[P::Fr]); 3] = [
+        let jobs = [
             (STAGES[4], &self.t_parts[0]),
             (STAGES[5], &self.t_parts[1]),
             (STAGES[6], &self.t_parts[2]),
         ];
-        let comms = commit_batch(pk, engines, &jobs, &mut self.msm_report, sink);
+        let comms = commit_batch(
+            &pk.srs.g1_powers,
+            engines,
+            &jobs,
+            &mut self.msm_report,
+            sink,
+        );
         self.t_comms = Some([comms[0], comms[1], comms[2]]);
         Ok(())
     }
@@ -539,22 +638,19 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
     where
         <P::G1 as CurveParams>::Base: CoordField,
     {
-        let (mut t, ch) = self.transcript_through(pk, 3);
-        let zeta = ch.zeta.expect("zeta replayed");
+        let (mut t, ch) = self.transcript_through(pk, 3)?;
+        let zeta = replayed(ch.zeta, "zeta")?;
 
         let n = pk.n;
         let domain = Radix2Domain::<P::Fr>::new(n).ok_or("domain exceeds two-adicity")?;
+        let zeta_omega = zeta * domain.omega;
 
         // Combined quotient T = t_lo + ζⁿ⁺²·t_mid + ζ²⁽ⁿ⁺²⁾·t_hi.
         let zeta_chunk = zeta.pow(&[(n + 2) as u64]);
-        let zeta_chunk2 = zeta_chunk * zeta_chunk;
-        let mut t_combined = self.t_parts[0].clone();
-        for (i, coeff) in self.t_parts[1].iter().enumerate() {
-            t_combined[i] += zeta_chunk * *coeff;
-        }
-        for (i, coeff) in self.t_parts[2].iter().enumerate() {
-            t_combined[i] += zeta_chunk2 * *coeff;
-        }
+        let t_combined = combine(
+            &self.t_parts,
+            &[P::Fr::one(), zeta_chunk, zeta_chunk * zeta_chunk],
+        );
 
         // The batched polynomials, in canonical order.
         let batch: [&[P::Fr]; 13] = [
@@ -572,12 +668,17 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
             &pk.selectors[4],
             &t_combined,
         ];
-        let mut eval_list = [P::Fr::zero(); 14];
-        for (i, coeffs) in batch.iter().enumerate() {
-            eval_list[i] = evaluate_poly(coeffs, zeta);
-        }
-        eval_list[13] = evaluate_poly(&self.z_coeffs, zeta * domain.omega);
-        let evals = PlonkEvals::from_order(eval_list);
+        // One evaluation per item across cores: the batch at ζ, then z at ζω.
+        let points = batch.iter().map(|&c| (c, zeta));
+        let evaluated = rayon::map(
+            points.chain([(self.z_coeffs.as_slice(), zeta_omega)]),
+            |(c, x)| evaluate_poly(c, x),
+        );
+        let evals = PlonkEvals::from_order(
+            evaluated
+                .try_into()
+                .map_err(|_| "fourteen evaluations".to_string())?,
+        );
         for e in evals.in_order() {
             t.absorb_scalar("eval", &e);
         }
@@ -585,20 +686,26 @@ impl<P: PairingConfig> PlonkCheckpoint<P> {
 
         // W_ζ = (Σ vⁱ·Pᵢ − Σ vⁱ·ȳᵢ)/(X − ζ): combine coefficients first,
         // then one synthetic division covers the whole batch.
-        let max_len = batch.iter().map(|c| c.len()).max().unwrap_or(0);
-        let mut combined = vec![P::Fr::zero(); max_len];
-        let mut v_pow = P::Fr::one();
-        for coeffs in batch {
-            for (i, c) in coeffs.iter().enumerate() {
-                combined[i] += v_pow * *c;
-            }
-            v_pow *= v;
-        }
-        let (w_z, _) = divide_at_point(&combined, zeta);
-        let (w_zw, _) = divide_at_point(&self.z_coeffs, zeta * domain.omega);
+        let combined = combine(&batch, &Radix2Domain::powers(v, batch.len()));
+        let divided = rayon::map(
+            [
+                (combined.as_slice(), zeta),
+                (self.z_coeffs.as_slice(), zeta_omega),
+            ],
+            |(c, x)| divide_at_point(c, x).0,
+        );
+        let [w_z, w_zw]: [Vec<P::Fr>; 2] = divided
+            .try_into()
+            .map_err(|_| "two opening witnesses".to_string())?;
 
-        let jobs: [(&'static str, &[P::Fr]); 2] = [(STAGES[7], &w_z), (STAGES[8], &w_zw)];
-        let comms = commit_batch(pk, engines, &jobs, &mut self.msm_report, sink);
+        let jobs = [(STAGES[7], w_z), (STAGES[8], w_zw)];
+        let comms = commit_batch(
+            &pk.srs.g1_powers,
+            engines,
+            &jobs,
+            &mut self.msm_report,
+            sink,
+        );
         self.evals = Some(evals);
         self.w_z_comm = Some(comms[0]);
         self.w_zw_comm = Some(comms[1]);

@@ -1,19 +1,23 @@
 //! PLONK circuit setup: the universal powers-of-tau SRS plus per-circuit
 //! preprocessing (selector polynomials, the copy-constraint permutation
-//! σ, and their commitments).
+//! σ, and their commitments), and what the prover would otherwise derive
+//! from the key on every proof.
 //!
 //! Setup is host-side and engine-independent: polynomial interpolation
-//! runs through the reference CPU NTT and the eight preprocessing
-//! commitments are computed as `p(τ)·G1` (the setup still holds τ at
-//! that point, so one scalar multiplication replaces each MSM). The
-//! *prover's* commitments — wires, permutation accumulator, quotient
-//! chunks, openings — are the ones that run through the shared
-//! [`gzkp_msm::MsmEngine`] stack.
+//! and the coset extensions run through the reference CPU NTT, and every
+//! point is a multiple of G1 computed while τ is still known — the eight
+//! preprocessing commitments as `p(τ)·G1`, and the Lagrange-basis SRS as
+//! `L_i(τ)·G1` plus the two blinding bases `(τⁿ − 1)·G1`, `(τⁿ⁺¹ − τ)·G1`,
+//! against which the prover commits its wires from their values. The
+//! σ, selector and `L₁` evaluations on the 4n coset are held with the key
+//! for the quotient step. The *prover's* commitments — wires, permutation
+//! accumulator, quotient chunks, openings — are the ones that run through
+//! the shared [`gzkp_msm::MsmEngine`] stack.
 
 use crate::circuit::PlonkCircuit;
-use crate::kzg::{evaluate_poly, KzgSrs};
+use crate::kzg::{evaluate_poly, g1_multiples, lagrange_basis_at, KzgSrs};
 use gzkp_curves::pairing::PairingConfig;
-use gzkp_curves::{Affine, FixedBaseTable};
+use gzkp_curves::Affine;
 use gzkp_ff::{Field, PrimeField};
 use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
 use rand::Rng;
@@ -46,9 +50,10 @@ pub struct PlonkVerifyingKey<P: PairingConfig> {
     pub tau_g2: Affine<P::G2>,
 }
 
-/// Prover-side key material: the SRS plus the preprocessed circuit
-/// polynomials in both coefficient and evaluation form (the quotient
-/// construction consumes evaluations, the opening stage coefficients).
+/// Prover-side key material: the SRS in the monomial and the Lagrange
+/// basis, plus the preprocessed circuit polynomials in coefficient form
+/// (the opening step), on the domain (the accumulator) and on the 4n
+/// coset (the quotient step).
 pub struct PlonkProvingKey<P: PairingConfig> {
     /// Domain size.
     pub n: usize,
@@ -56,6 +61,11 @@ pub struct PlonkProvingKey<P: PairingConfig> {
     pub num_public: usize,
     /// The powers-of-tau SRS (length `n + SRS_HEADROOM`).
     pub srs: KzgSrs<P>,
+    /// `L_i(τ)·G1` for the domain's Lagrange basis (`i < n`), then
+    /// `(τⁿ − 1)·G1` and `(τⁿ⁺¹ − τ)·G1`: a wire blinded as
+    /// `A(X) + (b₀ + b₁X)·Z_H(X)` commits as one MSM over its `n` values
+    /// and `b₀, b₁`.
+    pub lagrange_g1: Vec<Affine<P::G1>>,
     /// Coset shifts `k1`, `k2` (column identities are `X`, `k1·X`,
     /// `k2·X`).
     pub k1: P::Fr,
@@ -67,6 +77,13 @@ pub struct PlonkProvingKey<P: PairingConfig> {
     pub sigma_coeffs: [Vec<P::Fr>; 3],
     /// Permutation values on the domain: `σ_col(ωʳᵒʷ)`.
     pub sigma_evals: [Vec<P::Fr>; 3],
+    /// `σ₁, σ₂, σ₃` on the 4n coset (`g·ω₄ₙⁱ`, `g` the 4n domain's coset
+    /// generator).
+    pub sigma_coset: [Vec<P::Fr>; 3],
+    /// The five selectors on the 4n coset.
+    pub selector_coset: [Vec<P::Fr>; 5],
+    /// `L₁`, the Lagrange polynomial of `ω⁰`, on the 4n coset.
+    pub l1_coset: Vec<P::Fr>,
     /// Wire variable indices per row (padded to `n` with the zero var).
     pub wires: [Vec<usize>; 3],
     /// Embedded verifying key (the prover's transcript absorbs it so
@@ -102,6 +119,17 @@ fn interpolate<F: PrimeField>(domain: &Radix2Domain<F>, values: &[F]) -> Vec<F> 
     coeffs
 }
 
+/// Evaluates a polynomial of at most `big.size` coefficients on the `big`
+/// domain's coset through the reference CPU NTT.
+fn coset_evals<F: PrimeField>(big: &Radix2Domain<F>, coeffs: &[F]) -> Vec<F> {
+    let mut evals = Vec::with_capacity(big.size);
+    evals.extend_from_slice(coeffs);
+    big.coset_scale(&mut evals);
+    evals.resize(big.size, F::zero());
+    CpuNtt::reference().transform(big, &mut evals, Direction::Forward);
+    evals
+}
+
 /// Runs per-circuit setup: samples τ, builds the SRS, preprocesses the
 /// selectors and the copy-constraint permutation, and commits to them.
 ///
@@ -116,6 +144,8 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
     let n = circuit.domain_size();
     let domain = Radix2Domain::<P::Fr>::new(n)
         .ok_or_else(|| format!("domain size {n} exceeds the field's two-adicity"))?;
+    let big = Radix2Domain::<P::Fr>::new(4 * n)
+        .ok_or_else(|| format!("quotient domain {} exceeds the field's two-adicity", 4 * n))?;
 
     // Padded selector evaluation vectors and wire index columns.
     let mut selector_evals: [Vec<P::Fr>; 5] = std::array::from_fn(|_| vec![P::Fr::zero(); n]);
@@ -157,16 +187,38 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
     let sigma_coeffs: [Vec<P::Fr>; 3] =
         std::array::from_fn(|i| interpolate(&domain, &sigma_evals[i]));
 
-    // SRS + preprocessing commitments (setup-side: evaluate at τ, one
-    // scalar multiplication per polynomial).
+    // The quotient step's key constants: σ, the selectors and L₁ = (1/n)·Σ Xⁱ
+    // on the 4n coset.
+    let n_inv = P::Fr::from_u64(n as u64)
+        .inverse()
+        .ok_or("domain size not invertible")?;
+    let l1_coeffs = vec![n_inv; n];
+    let on_coset: Vec<&[P::Fr]> = sigma_coeffs
+        .iter()
+        .chain(&selectors)
+        .map(Vec::as_slice)
+        .chain([l1_coeffs.as_slice()])
+        .collect();
+    let mut on_coset = rayon::map(on_coset, |coeffs| coset_evals(&big, coeffs)).into_iter();
+    let sigma_coset: [Vec<P::Fr>; 3] = std::array::from_fn(|_| on_coset.next().expect("σ"));
+    let selector_coset: [Vec<P::Fr>; 5] = std::array::from_fn(|_| on_coset.next().expect("q"));
+    let l1_coset = on_coset.next().expect("L₁");
+
+    // SRS, Lagrange-basis SRS and preprocessing commitments (setup-side:
+    // evaluate at τ, one fixed-base multiplication per point).
     let tau = P::Fr::random(rng);
     let srs = KzgSrs::<P>::setup_with_tau(tau, n + SRS_HEADROOM);
-    let at_tau: Vec<P::Fr> = selectors
-        .iter()
-        .chain(&sigma_coeffs)
-        .map(|coeffs| evaluate_poly(coeffs, tau))
-        .collect();
-    let comms = FixedBaseTable::<P::G1>::new(at_tau.len()).mul_many(&at_tau);
+    let vanishing = domain.eval_vanishing(tau);
+    let mut at_tau = lagrange_basis_at(&domain, tau);
+    at_tau.extend([vanishing, vanishing * tau]);
+    at_tau.extend(
+        selectors
+            .iter()
+            .chain(&sigma_coeffs)
+            .map(|coeffs| evaluate_poly(coeffs, tau)),
+    );
+    let mut lagrange_g1 = g1_multiples::<P>(&at_tau);
+    let comms = lagrange_g1.split_off(n + 2);
 
     let vk = PlonkVerifyingKey {
         n,
@@ -183,11 +235,15 @@ pub fn setup<P: PairingConfig, R: Rng + ?Sized>(
         n,
         num_public: circuit.num_public,
         srs,
+        lagrange_g1,
         k1,
         k2,
         selectors,
         sigma_coeffs,
         sigma_evals,
+        sigma_coset,
+        selector_coset,
+        l1_coset,
         wires,
         vk: vk.clone(),
     };

@@ -120,8 +120,13 @@ fn check(recode: Recode, mutated: &[u8], what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `(length, FNV-1a digest)` of every snapshot, computed at commit
-/// `4dffd43`: before the two backends' codecs became one framing module.
+/// `(length, FNV-1a digest)` of every snapshot. Groth16's and PLONK's
+/// post-POLY snapshot were computed at commit `4dffd43`, before the two
+/// backends' codecs became one framing module; PLONK's four post-step
+/// snapshots were recomputed when its simulated report (in the header)
+/// began pricing the wires' value MSMs and five quotient transforms
+/// instead of fifteen. [`BODY_GOLDEN`] pins that their bodies did not
+/// move.
 const GOLDEN: [&[(usize, u64)]; 2] = [
     &[
         (0x943, 0x2ab7_0c8e_d4e3_0d8e),
@@ -133,12 +138,45 @@ const GOLDEN: [&[(usize, u64)]; 2] = [
     ],
     &[
         (0x98b, 0xb704_937f_7a56_384f),
-        (0x1512, 0xab29_40b0_9f9c_5afe),
-        (0x1aeb, 0x2543_5a39_7a0f_ad94),
-        (0x3802, 0xeb71_927a_6762_1a25),
-        (0x4115, 0x943e_372d_3484_84dc),
+        (0x14f8, 0xd70a_8cb2_425b_480e),
+        (0x1ad1, 0x3659_8ad6_148f_1248),
+        (0x2e2e, 0xaacb_097f_78ff_d2a5),
+        (0x3741, 0xf0a0_3977_4a97_48bc),
     ],
 ];
+
+/// `(length, FNV-1a digest)` of every snapshot's backend body — the bytes
+/// after [`body_offset`], i.e. without the header's simulated reports —
+/// computed at commit `6d6fd49`, before PLONK committed its wires in the
+/// Lagrange basis and read its coset constants from the key.
+const BODY_GOLDEN: [&[(usize, u64)]; 2] = [
+    &[
+        (0x190, 0x98fa_b275_844b_e74c),
+        (0x1b9, 0xd886_6906_ad90_a13f),
+        (0x1e2, 0x076e_d2e1_b11b_7bde),
+        (0x20b, 0x9543_5ee7_3e49_971f),
+        (0x234, 0x0492_8fad_e38f_31b1),
+        (0x27d, 0x5e1c_c81f_6e48_a2cf),
+    ],
+    &[
+        (0x678, 0x6f10_19cc_9ff2_e711),
+        (0x7b3, 0x0653_6346_f553_6b91),
+        (0x93c, 0x27c1_2e79_e494_704f),
+        (0xd77, 0x0a48_a498_c72b_d398),
+        (0xf91, 0xa743_a14b_f3e5_242f),
+    ],
+];
+
+#[test]
+fn checkpoint_bodies_match_the_golden_digests() {
+    for (system, (snaps, _)) in fixtures().iter().enumerate() {
+        let got: Vec<(usize, u64)> = snaps
+            .iter()
+            .map(|b| (b.len() - body_offset(b), fnv1a(&b[body_offset(b)..])))
+            .collect();
+        assert_eq!(got, BODY_GOLDEN[system], "system {system}");
+    }
+}
 
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {

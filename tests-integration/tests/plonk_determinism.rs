@@ -67,9 +67,15 @@ where
         "PLONK proof on the serial oracle diverged"
     );
 
-    for threads in ["1", "2", "4"] {
+    for threads in ["1", "2", "3", "4", "8"] {
         std::env::set_var("GZKP_THREADS", threads);
-        for devs in [1usize, 2, 4] {
+        // The prover's own index shares are cut per thread count; the
+        // fleet's shards per device count, at three thread counts.
+        let devices: &[usize] = match threads {
+            "3" | "8" => &[1],
+            _ => &[1, 2, 4],
+        };
+        for &devs in devices {
             let fleet;
             let cross;
             let engines = if devs == 1 {
