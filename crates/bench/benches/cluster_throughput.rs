@@ -4,8 +4,8 @@
 //!
 //! As with `fleet_throughput`, the gated number is *simulated*: hosts
 //! run in parallel in the deployment being modeled, so the cluster
-//! makespan is the maximum over hosts of each host fleet's simulated
-//! completion time. Host wall-clock cannot express that parallelism
+//! makespan is the maximum over the fleet's devices (hence over hosts)
+//! of their simulated completion times. Host wall-clock cannot express that parallelism
 //! (every simulated host burns the same CPU cores), and the simulated
 //! number is machine-independent. With equal-cost jobs and least-loaded
 //! placement the makespan must scale near-linearly in host count — the
@@ -17,7 +17,7 @@
 //! `GZKP_BENCH_FULL=1` scale the job count up.
 
 use gzkp_bench::{speedup, Recorder};
-use gzkp_cluster::{workload_factory, Cluster, ClusterConfig, ClusterJobOptions, HostConfig};
+use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, HostConfig};
 use gzkp_gpu_sim::device::v100;
 use gzkp_service::{prepare, run_sequential, PreparedWorkload};
 use gzkp_workloads::requests::{
@@ -59,7 +59,7 @@ fn run_cluster(prepared: &Arc<PreparedWorkload>, hosts: usize) -> (f64, Vec<Vec<
             cluster
                 .submit(
                     "default",
-                    workload_factory(prepared.clone(), i, false),
+                    prepared.checkpoint_task(i, &v100(), false),
                     ClusterJobOptions::default(),
                 )
                 .expect("admitted")
@@ -84,7 +84,7 @@ fn run_cluster(prepared: &Arc<PreparedWorkload>, hosts: usize) -> (f64, Vec<Vec<
                 .expect("job completed")
         })
         .collect();
-    (outcome.makespan_ns, proofs)
+    (outcome.fleet.elapsed_ns, proofs)
 }
 
 fn main() {

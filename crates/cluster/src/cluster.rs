@@ -1,105 +1,97 @@
-//! The cluster itself: admission-controlled intake, cross-host
-//! placement, checkpointed failure recovery, and queue-depth
-//! autoscaling, driven by an explicit [`Cluster::pump`] tick so tests
-//! and the chaos replay own the event loop.
+//! The cluster itself: its policy — the admission-controlled front door,
+//! the autoscaler and the chaos roll — in front of one
+//! [`ProvingService`] whose fleet holds one failure domain per host,
+//! driven by an explicit [`Cluster::pump`] tick so tests and the chaos
+//! replay own the event loop.
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::frontdoor::{AdmissionError, FrontDoor, TenantSpec, TenantStats};
-use crate::host::{HostConfig, HostReport, HostState, SimHost};
-use crate::scheduler::{pick_host, urgency_key, HostView};
 use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_gpu_sim::{FaultInjector, FaultPlan, FaultSummary};
-use gzkp_msm::PreprocessStore;
-use gzkp_runtime::HealthPolicy;
-use gzkp_service::{CheckpointSlot, JobError, JobOptions, Priority, ProofTask, SubmitError};
+use gzkp_runtime::{FleetUtilization, HealthPolicy};
+use gzkp_service::{
+    JobError, JobHandle, JobOptions, JobResult, Priority, ProofTask, ProvingService, RetryPolicy,
+    ServiceConfig,
+};
 use gzkp_telemetry::{names, Counter, Gauge, LatencyHistogram, MetricsRegistry};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything a [`TaskFactory`] gets to build (or resume) one proof task
-/// for a particular host: the host's primary device and preprocessing
-/// cache, the job's checkpoint slot and latest checkpoint bytes, and the
-/// host's interrupt flag.
-pub struct TaskBuild {
-    /// Primary device of the chosen host.
-    pub device: DeviceConfig,
-    /// The host service's shared preprocessing cache.
-    pub store: Option<Arc<PreprocessStore>>,
-    /// Latest checkpoint bytes, when the job already made progress on
-    /// another host; `None` starts fresh.
-    pub checkpoint: Option<Vec<u8>>,
-    /// The job's checkpoint slot — the task persists into it at every
-    /// stage boundary.
-    pub slot: CheckpointSlot,
-    /// The chosen host's kill flag; the task aborts between MSM steps
-    /// when it rises.
-    pub interrupt: Arc<AtomicBool>,
+/// Longest [`Cluster::drain`] waits for a resolution before it pumps
+/// again, so chaos and the autoscaler keep ticking while proofs run.
+const DRAIN_TICK: Duration = Duration::from_millis(1);
+
+/// Host lifecycle. Numeric values double as the `host.state` gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostState {
+    /// Started but still paying its warm-up cost; takes no work.
+    Warming,
+    /// Accepting and executing work.
+    Up,
+    /// Gone — killed by chaos, retired by the autoscaler, or stopped at
+    /// the end of the run.
+    Dead,
 }
 
-/// Builds a proof task for one placement of a job. Called once per
-/// dispatch — including re-dispatches after a host kill, where
-/// [`TaskBuild::checkpoint`] carries the progress to resume from.
-pub type TaskFactory = Arc<dyn Fn(TaskBuild) -> Result<Box<dyn ProofTask>, String> + Send + Sync>;
-
-/// A [`TaskFactory`] over an explicit circuit/key pair under any
-/// [`ProofSystem`](gzkp_proof_system::ProofSystem) backend: builds
-/// checkpoint-persisting [`gzkp_service::SystemTask`]s, resuming from
-/// checkpoint bytes when present. `vk` arms verify-before-return.
-pub fn system_factory<S: gzkp_proof_system::ProofSystem>(
-    circuit: Arc<S::Circuit>,
-    pk: Arc<S::ProvingKey>,
-    vk: Option<Arc<S::VerifyingKey>>,
-    seed: u64,
-) -> TaskFactory {
-    Arc::new(move |build: TaskBuild| {
-        let mut task = gzkp_service::SystemTask::<S>::persisting(
-            circuit.clone(),
-            pk.clone(),
-            build.device,
-            build.store,
-            seed,
-            build.slot,
-            build.interrupt,
-        );
-        if let Some(bytes) = &build.checkpoint {
-            task = task.resume(bytes)?;
+impl HostState {
+    /// Gauge encoding (0 warming, 1 up, 3 dead).
+    pub fn as_gauge(self) -> f64 {
+        match self {
+            HostState::Warming => 0.0,
+            HostState::Up => 1.0,
+            HostState::Dead => 3.0,
         }
-        if let Some(vk) = &vk {
-            task = task.with_verifying_key(vk.clone());
-        }
-        Ok(Box::new(task) as Box<dyn ProofTask>)
-    })
+    }
 }
 
-/// A [`TaskFactory`] over request `index` of a prepared replay workload
-/// (see [`gzkp_service::PreparedWorkload::checkpoint_task`]).
-pub fn workload_factory(
-    workload: Arc<gzkp_service::PreparedWorkload>,
-    index: usize,
-    verify: bool,
-) -> TaskFactory {
-    Arc::new(move |build: TaskBuild| {
-        workload.checkpoint_task(
-            index,
-            &build.device,
-            build.store.clone(),
-            build.slot.clone(),
-            build.interrupt.clone(),
-            build.checkpoint.as_deref(),
-            verify,
-        )
-    })
+/// Per-host sizing, shared by every host of the cluster.
+#[derive(Debug, Clone)]
+pub struct HostConfig {
+    /// The host's simulated devices (non-empty): one failure domain of
+    /// the cluster's fleet, one service worker pinned per device.
+    pub devices: Vec<DeviceConfig>,
+    /// Unresolved jobs per host: the cluster releases work from the
+    /// front door only while fewer than this many per live host are open.
+    pub queue_capacity: usize,
+    /// Byte budget of the host's preprocessing-table store.
+    pub prep_cache_bytes: u64,
+}
+
+impl Default for HostConfig {
+    fn default() -> Self {
+        Self {
+            devices: vec![gzkp_gpu_sim::v100()],
+            queue_capacity: 8,
+            prep_cache_bytes: 256 << 20,
+        }
+    }
+}
+
+/// Final accounting of one host, reported by [`ClusterOutcome::hosts`].
+#[derive(Debug, Clone)]
+pub struct HostReport {
+    /// Host id — its failure domain in the fleet.
+    pub id: usize,
+    /// State at the end of the run.
+    pub state: HostState,
+    /// Whether chaos killed this host (as opposed to retiring).
+    pub killed: bool,
+    /// Jobs that resolved successfully on this host (its
+    /// `host.completed{host=hN}` counter).
+    pub completed: u64,
+    /// Jobs that resolved with an error on this host, plus the ones its
+    /// death moved elsewhere (its `host.failed{host=hN}` counter).
+    pub failed: u64,
 }
 
 /// Per-job submission options at the cluster level.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterJobOptions {
-    /// Scheduling class inside each host's service.
+    /// Scheduling class inside the service.
     pub priority: Priority,
-    /// End-to-end deadline from admission. A job re-dispatched after a
-    /// host kill carries its *remaining* deadline, not a fresh one.
+    /// End-to-end deadline from admission. A job moved off a killed host
+    /// keeps its running deadline, not a fresh one.
     pub deadline: Option<Duration>,
 }
 
@@ -126,24 +118,23 @@ pub struct ClusterConfig {
     /// Queue-depth autoscaling; `None` keeps the host count fixed.
     pub autoscale: Option<AutoscalePolicy>,
     /// Chaos: `rates.host_kill` is rolled once per pump tick per live
-    /// host (stage-level rates are ignored at this layer — host services
-    /// run fault-free; the cluster's failure unit is the host).
+    /// host (stage-level rates are ignored at this layer — the service
+    /// runs fault-free; the cluster's failure unit is the host).
     pub chaos: Option<FaultPlan>,
     /// Upper bound on chaos host kills per run (a kill is only rolled
     /// while at least two hosts are up, so work always has somewhere to
     /// resume).
     pub max_kills: u64,
-    /// Resume attempts per job before it fails permanently.
+    /// Moves off a killed host per job before it fails permanently.
     pub max_resumes: u32,
-    /// Host-level circuit-breaker policy (quarantine after repeated
-    /// failures, doubling probation).
+    /// The device circuit-breaker policy of the cluster's fleet.
     pub health: HealthPolicy,
-    /// The registry the cluster counts into: one counter per
-    /// [`ClusterStats`] field, the queue/host gauges, the job-latency
-    /// histogram and each host's `host=hN` series. [`Cluster::stats`]
-    /// reads it back. `None` gives the cluster a private registry; host
-    /// services always count into their own. A registry passed here
-    /// belongs to this one cluster.
+    /// The registry the cluster and its service count into: one counter
+    /// per [`ClusterStats`] field, the queue/host gauges, the job-latency
+    /// histogram, each host's `host=hN` series and the service's own
+    /// series. [`Cluster::stats`] reads it back. `None` gives the cluster
+    /// a private registry. A registry passed here belongs to this one
+    /// cluster.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -181,14 +172,12 @@ pub struct ClusterStats {
     pub deadline_missed: u64,
     /// Checkpointed resumes after host kills.
     pub resumes: u64,
-    /// Chaos host kills fired.
+    /// Host kills that happened.
     pub host_kills: u64,
     /// Hosts the autoscaler started beyond the initial set.
     pub hosts_started: u64,
     /// Hosts the autoscaler retired.
     pub hosts_retired: u64,
-    /// Times the host circuit breaker quarantined a host.
-    pub host_quarantines: u64,
 }
 
 /// Final record of one cluster job.
@@ -216,10 +205,11 @@ pub struct ClusterOutcome {
     pub tenants: BTreeMap<String, TenantStats>,
     /// Per-host accounting, in host-id order.
     pub hosts: Vec<HostReport>,
-    /// Cluster-simulated makespan: hosts run in parallel in the setting
-    /// being modeled, so this is the *maximum* over hosts of each host
-    /// fleet's simulated completion time.
-    pub makespan_ns: f64,
+    /// Per-device utilization of the cluster's fleet. Hosts run in
+    /// parallel in the setting being modeled, so its `elapsed_ns` — the
+    /// maximum over devices, hence over hosts — is the cluster-simulated
+    /// makespan.
+    pub fleet: FleetUtilization,
     /// Jobs still claimed anywhere after the drain — must be zero; a
     /// non-zero value means a kill or retirement leaked a claim.
     pub leaked_claims: usize,
@@ -247,7 +237,7 @@ impl ClusterOutcome {
             resumes: self.stats.resumes,
             host_kills: self.stats.host_kills,
             leaked_claims: self.leaked_claims as u64,
-            makespan_ms: self.makespan_ns / 1e6,
+            makespan_ms: self.fleet.elapsed_ns / 1e6,
             completed_by_tenant: self.completed_by_tenant(),
         })
         .expect("report serializes")
@@ -264,7 +254,7 @@ pub struct ClusterReportJson {
     pub failed: u64,
     /// Checkpointed resumes after host kills.
     pub resumes: u64,
-    /// Chaos host kills fired.
+    /// Host kills that happened.
     pub host_kills: u64,
     /// Claims leaked after drain (must be 0).
     pub leaked_claims: u64,
@@ -289,7 +279,6 @@ struct ClusterMetrics {
     host_kills: Counter,
     hosts_started: Counter,
     hosts_retired: Counter,
-    host_quarantines: Counter,
     queue_depth: Gauge,
     hosts_up: Gauge,
     latency: LatencyHistogram,
@@ -310,7 +299,6 @@ impl ClusterMetrics {
             host_kills: registry.counter(names::CLUSTER_HOST_KILLS),
             hosts_started: registry.counter(names::CLUSTER_HOSTS_STARTED),
             hosts_retired: registry.counter(names::CLUSTER_HOSTS_RETIRED),
-            host_quarantines: registry.counter(names::CLUSTER_HOST_QUARANTINES),
             queue_depth: registry.gauge(names::CLUSTER_QUEUE_DEPTH),
             hosts_up: registry.gauge(names::CLUSTER_HOSTS_UP),
             latency: registry.histogram(names::CLUSTER_JOB_LATENCY_NS),
@@ -330,20 +318,60 @@ impl ClusterMetrics {
             host_kills: self.host_kills.get(),
             hosts_started: self.hosts_started.get(),
             hosts_retired: self.hosts_retired.get(),
-            host_quarantines: self.host_quarantines.get(),
         }
     }
 }
 
-struct Job {
-    tenant: String,
-    factory: TaskFactory,
+/// One started host — a failure domain of the service's fleet — with its
+/// lifecycle and its `host=hN` series in the cluster's registry.
+struct Host {
+    state: HostState,
+    warm_until: Instant,
+    killed: bool,
+    completed: Counter,
+    failed: Counter,
+    inflight: Gauge,
+    state_gauge: Gauge,
+}
+
+impl Host {
+    fn start(id: usize, state: HostState, warm_until: Instant, metrics: &MetricsRegistry) -> Self {
+        let label = format!("h{id}");
+        Self {
+            state,
+            warm_until,
+            killed: false,
+            completed: metrics.counter_with(names::HOST_COMPLETED, names::LABEL_HOST, &label),
+            failed: metrics.counter_with(names::HOST_FAILED, names::LABEL_HOST, &label),
+            inflight: metrics.gauge_with(names::HOST_INFLIGHT, names::LABEL_HOST, &label),
+            state_gauge: metrics.gauge_with(names::HOST_STATE, names::LABEL_HOST, &label),
+        }
+    }
+
+    fn report(&self, id: usize) -> HostReport {
+        HostReport {
+            id,
+            state: self.state,
+            killed: self.killed,
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+        }
+    }
+}
+
+/// A job admitted by the front door and not yet released to the service.
+struct Admitted {
+    id: u64,
+    task: Box<dyn ProofTask>,
     opts: ClusterJobOptions,
     admitted_at: Instant,
-    slot: CheckpointSlot,
-    resumes: u32,
-    avoid: Option<usize>,
-    host: Option<usize>,
+}
+
+/// A job released to the service and not yet harvested.
+struct OpenJob {
+    tenant: String,
+    admitted_at: Instant,
+    handle: JobHandle,
 }
 
 /// The multi-host proving cluster. Submission is non-blocking; progress
@@ -351,40 +379,68 @@ struct Job {
 /// pumps to completion).
 pub struct Cluster {
     cfg: ClusterConfig,
-    door: FrontDoor<u64>,
-    jobs: HashMap<u64, Job>,
-    /// Jobs popped from the door (or recovered from a dead host) still
-    /// waiting for a placement.
-    ready: VecDeque<u64>,
-    hosts: Vec<SimHost>,
+    door: FrontDoor<Admitted>,
+    /// The one service; its fleet has one failure domain per host that
+    /// can ever run, [`ClusterConfig::hosts`] of them started.
+    service: ProvingService,
+    /// Started hosts, indexed by domain (domains start in index order).
+    hosts: Vec<Host>,
+    open: BTreeMap<u64, OpenJob>,
     autoscaler: Option<Autoscaler>,
     injector: Option<FaultInjector>,
     metrics: ClusterMetrics,
     tick: u64,
     next_job: u64,
     results: Vec<ClusterResult>,
-    /// `(tenant, job)` in completion order, for fairness analysis.
-    completion_log: Vec<(String, u64)>,
 }
 
 impl Cluster {
-    /// Starts `cfg.hosts` hosts (warm immediately — warm-up cost applies
-    /// only to autoscaler additions) and opens the front door.
+    /// Starts the cluster's service over `max(hosts, autoscale.max_hosts)`
+    /// host-sized failure domains, `cfg.hosts` of them warm immediately
+    /// (warm-up cost applies only to autoscaler additions; the rest take
+    /// no work until started), and opens the front door.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`HostConfig::devices`] is empty.
     pub fn start(cfg: ClusterConfig) -> Self {
+        assert!(
+            !cfg.host.devices.is_empty(),
+            "a host needs at least one device"
+        );
         let now = Instant::now();
-        let metrics = ClusterMetrics::new(cfg.metrics.clone().unwrap_or_default());
-        let hosts: Vec<SimHost> = (0..cfg.hosts.max(1))
-            .map(|id| {
-                let mut h = SimHost::start(id, &cfg.host, cfg.health, now, &metrics.registry);
-                h.promote_if_warm(now);
-                h
-            })
-            .collect();
+        let registry = cfg.metrics.clone().unwrap_or_default();
+        let started = cfg.hosts.max(1);
+        let domains = started.max(cfg.autoscale.map_or(0, |a| a.max_hosts));
+        let service = ProvingService::start_in_domains(
+            ServiceConfig {
+                queue_capacity: domains * cfg.host.queue_capacity.max(1),
+                prep_cache_bytes: cfg.host.prep_cache_bytes,
+                default_deadline: None,
+                devices: (0..domains)
+                    .flat_map(|_| cfg.host.devices.clone())
+                    .collect(),
+                retry: RetryPolicy {
+                    max_retries: cfg.max_resumes,
+                    ..RetryPolicy::default()
+                },
+                health: cfg.health,
+                metrics: Some(registry.clone()),
+                ..ServiceConfig::default()
+            },
+            domains,
+        );
+        for domain in started..domains {
+            service.fleet().set_schedulable(domain, false);
+        }
+        let metrics = ClusterMetrics::new(registry);
         Self {
             door: FrontDoor::new(&cfg.tenants, cfg.pending_capacity),
-            jobs: HashMap::new(),
-            ready: VecDeque::new(),
-            hosts,
+            service,
+            hosts: (0..started)
+                .map(|id| Host::start(id, HostState::Up, now, &metrics.registry))
+                .collect(),
+            open: BTreeMap::new(),
             autoscaler: cfg.autoscale.map(Autoscaler::new),
             injector: cfg.chaos.clone().map(FaultInjector::new),
             metrics,
@@ -392,13 +448,12 @@ impl Cluster {
             tick: 0,
             next_job: 0,
             results: Vec::new(),
-            completion_log: Vec::new(),
         }
     }
 
     /// Submits one job for `tenant`. Runs the full admission pipeline;
-    /// on success the job id is queued fairly and will be placed by a
-    /// later pump.
+    /// on success the job is queued fairly and released to the service
+    /// by a later pump.
     ///
     /// # Errors
     ///
@@ -406,10 +461,10 @@ impl Cluster {
     pub fn submit(
         &mut self,
         tenant: &str,
-        factory: TaskFactory,
+        task: Box<dyn ProofTask>,
         opts: ClusterJobOptions,
     ) -> Result<u64, AdmissionError> {
-        self.submit_at(tenant, factory, opts, Instant::now())
+        self.submit_at(tenant, task, opts, Instant::now())
     }
 
     /// [`Cluster::submit`] with an explicit admission clock (testing
@@ -421,70 +476,74 @@ impl Cluster {
     pub fn submit_at(
         &mut self,
         tenant: &str,
-        factory: TaskFactory,
+        task: Box<dyn ProofTask>,
         opts: ClusterJobOptions,
         now: Instant,
     ) -> Result<u64, AdmissionError> {
         let id = self.next_job;
-        match self.door.admit_at(tenant, id, now) {
-            Ok(()) => {}
-            Err(e) => {
-                match &e {
-                    AdmissionError::RateLimited { .. } => self.metrics.rejected_rate.inc(),
-                    AdmissionError::Saturated { .. } => self.metrics.rejected_saturated.inc(),
-                    _ => {}
-                }
-                return Err(e);
+        let job = Admitted {
+            id,
+            task,
+            opts,
+            admitted_at: now,
+        };
+        if let Err(e) = self.door.admit_at(tenant, job, now) {
+            match &e {
+                AdmissionError::RateLimited { .. } => self.metrics.rejected_rate.inc(),
+                AdmissionError::Saturated { .. } => self.metrics.rejected_saturated.inc(),
+                _ => {}
             }
+            return Err(e);
         }
         self.next_job += 1;
         self.metrics.admitted.inc();
-        self.jobs.insert(
-            id,
-            Job {
-                tenant: tenant.to_string(),
-                factory,
-                opts,
-                admitted_at: now,
-                slot: Arc::new(Mutex::new(None)),
-                resumes: 0,
-                avoid: None,
-                host: None,
-            },
-        );
         Ok(id)
     }
 
-    /// One scheduling tick: promote warming hosts, roll chaos, autoscale,
-    /// place ready work, harvest finished work. Returns the number of
-    /// jobs resolved this tick.
+    /// One scheduling tick: promote warm hosts, roll chaos, autoscale,
+    /// release admitted work to the service, harvest finished work.
+    /// Returns the number of jobs resolved this tick.
     pub fn pump(&mut self) -> usize {
         let now = Instant::now();
         self.tick += 1;
-
-        for host in &mut self.hosts {
-            host.promote_if_warm(now);
+        for (id, host) in self.hosts.iter_mut().enumerate() {
+            if host.state == HostState::Warming && now >= host.warm_until {
+                host.state = HostState::Up;
+                self.service.fleet().set_schedulable(id, true);
+            }
         }
         self.roll_chaos();
         self.autoscale(now);
-        self.dispatch_ready(now);
-        let resolved = self.harvest(now);
+        self.release(now);
+        let resolved = self.harvest();
 
-        self.metrics
-            .queue_depth
-            .set((self.door.depth() + self.ready.len()) as f64);
+        self.metrics.queue_depth.set(self.door.depth() as f64);
         self.metrics.hosts_up.set(self.up_hosts() as f64);
-        for host in &self.hosts {
-            host.publish_gauges();
-        }
+        self.publish_host_gauges();
         resolved
     }
 
     fn up_hosts(&self) -> usize {
         self.hosts
             .iter()
-            .filter(|h| h.state() == HostState::Up)
+            .filter(|h| h.state == HostState::Up)
             .count()
+    }
+
+    /// Publishes each host's state and its open jobs — released and not
+    /// yet harvested, so a job is always either open on a host or counted
+    /// resolved.
+    fn publish_host_gauges(&self) {
+        let mut open = vec![0u32; self.hosts.len()];
+        for job in self.open.values() {
+            if let Some(n) = open.get_mut(job.handle.domain()) {
+                *n += 1;
+            }
+        }
+        for (host, n) in self.hosts.iter().zip(open) {
+            host.inflight.set(f64::from(n));
+            host.state_gauge.set(host.state.as_gauge());
+        }
     }
 
     fn roll_chaos(&mut self) {
@@ -494,261 +553,171 @@ impl Cluster {
         if self.metrics.host_kills.get() >= self.cfg.max_kills || self.up_hosts() < 2 {
             return;
         }
-        let candidates: Vec<usize> = self
-            .hosts
-            .iter()
-            .filter(|h| h.state() == HostState::Up)
-            .map(|h| h.id())
-            .collect();
-        for id in candidates {
-            if injector.roll_host_kill(id, self.tick) {
-                self.kill_host(id);
-                // One kill per tick keeps at least one survivor for the
-                // resumed work even at aggressive rates.
-                break;
-            }
+        // One kill per tick keeps at least one survivor for the moved
+        // work even at aggressive rates.
+        let victim = (0..self.hosts.len())
+            .filter(|&id| self.hosts[id].state == HostState::Up)
+            .find(|&id| injector.roll_host_kill(id, self.tick));
+        if let Some(id) = victim {
+            self.kill_host(id);
         }
     }
 
-    /// Kills host `id` (chaos or explicit): interrupted jobs persist
-    /// their checkpoints and are re-queued — front of the line, with
-    /// anti-affinity for the dead host — on the next pump.
+    /// Kills host `id` (chaos or explicit): its domain takes no more work
+    /// and its interrupt flag rises, so the jobs there move to the
+    /// survivors and resume from their persisted checkpoints (see
+    /// [`ProvingService::kill_domain`]). Killing an unknown or already
+    /// dead host does nothing and is not counted.
     pub fn kill_host(&mut self, id: usize) {
+        let Some(host) = self.hosts.get_mut(id) else {
+            return;
+        };
+        if host.state == HostState::Dead {
+            return;
+        }
+        host.state = HostState::Dead;
+        host.killed = true;
         self.metrics.host_kills.inc();
-        let Some(host) = self.hosts.iter_mut().find(|h| h.id() == id) else {
-            return;
-        };
-        if host.state() == HostState::Dead {
-            return;
-        }
-        let now = Instant::now();
-        let harvested = host.kill();
-        for (job_id, result) in harvested {
-            match result.outcome {
-                // The proof beat the interrupt; count it normally.
-                Ok(output) => self.finish_job(job_id, Ok(output.proof), now),
-                Err(_) => self.requeue_after_kill(job_id, id, now),
-            }
-        }
-    }
-
-    fn requeue_after_kill(&mut self, job_id: u64, dead_host: usize, now: Instant) {
-        let Some(job) = self.jobs.get_mut(&job_id) else {
-            return;
-        };
-        job.resumes += 1;
-        job.avoid = Some(dead_host);
-        job.host = None;
-        if job.resumes > self.cfg.max_resumes {
-            let resumes = job.resumes;
-            self.finish_job(job_id, Err(format!("gave up after {resumes} resumes")), now);
-            return;
-        }
-        self.metrics.resumes.inc();
-        // Resumes go to the front: they hold partial work and their
-        // deadline clocks are already running.
-        self.ready.push_front(job_id);
+        self.service.kill_domain(id);
     }
 
     fn autoscale(&mut self, now: Instant) {
+        let active: Vec<usize> = (0..self.hosts.len())
+            .filter(|&id| self.hosts[id].state != HostState::Dead)
+            .collect();
+        let demand = self.door.depth() + self.open.len();
         let Some(autoscaler) = &mut self.autoscaler else {
             return;
         };
-        let inflight: usize = self.hosts.iter().map(|h| h.inflight()).sum();
-        let demand = self.door.depth() + self.ready.len() + inflight;
-        let active = self
-            .hosts
-            .iter()
-            .filter(|h| matches!(h.state(), HostState::Warming | HostState::Up))
-            .count();
-        let target = autoscaler.target(now, demand, active);
-        let warmup = autoscaler.policy().warmup;
-        if target > active {
-            for _ in active..target {
-                let id = self.hosts.len();
-                self.hosts.push(SimHost::start(
-                    id,
-                    &self.cfg.host,
-                    self.cfg.health,
-                    now + warmup,
-                    &self.metrics.registry,
-                ));
+        let target = autoscaler.target(now, demand, active.len());
+        let warm_until = now + autoscaler.policy().warmup;
+        let fleet = self.service.fleet();
+        if target > active.len() {
+            // Start spare domains, lowest first: never started, or retired.
+            let spare: Vec<usize> = (0..fleet.domains())
+                .filter(|&d| {
+                    self.hosts
+                        .get(d)
+                        .is_none_or(|h| h.state == HostState::Dead && !h.killed)
+                })
+                .take(target - active.len())
+                .collect();
+            for d in spare {
+                match self.hosts.get_mut(d) {
+                    Some(host) => {
+                        host.state = HostState::Warming;
+                        host.warm_until = warm_until;
+                    }
+                    None => self.hosts.push(Host::start(
+                        d,
+                        HostState::Warming,
+                        warm_until,
+                        &self.metrics.registry,
+                    )),
+                }
                 self.metrics.hosts_started.inc();
             }
-        } else if target < active {
-            // Retire idle hosts, newest first (their caches are coldest).
-            let mut to_drop = active - target;
-            for host in self.hosts.iter_mut().rev() {
-                if to_drop == 0 {
-                    break;
-                }
-                if matches!(host.state(), HostState::Warming | HostState::Up)
-                    && host.inflight() == 0
-                {
-                    host.begin_drain();
-                    to_drop -= 1;
-                }
-            }
-        }
-        // Finish draining hosts that have gone idle.
-        for host in &mut self.hosts {
-            if host.state() == HostState::Draining && host.inflight() == 0 {
-                let leftovers = host.retire();
-                debug_assert!(leftovers.is_empty());
+        } else if target < active.len() {
+            // Retire idle hosts, newest first (their stores are coldest).
+            let idle = active.iter().rev().filter(|&&d| fleet.pinned(d) == 0);
+            for &d in idle.take(active.len() - target) {
+                self.hosts[d].state = HostState::Dead;
+                fleet.set_schedulable(d, false);
                 self.metrics.hosts_retired.inc();
             }
         }
     }
 
-    fn dispatch_ready(&mut self, now: Instant) {
-        // Most-urgent-first among already-released jobs (deadline slack;
-        // resumes pushed to the front keep their head start on ties).
-        let mut ready: Vec<u64> = self.ready.drain(..).collect();
-        ready.sort_by_key(|id| {
-            let slack = self.jobs.get(id).and_then(|j| {
-                j.opts.deadline.map(|d| {
-                    (d.as_secs_f64() - now.saturating_duration_since(j.admitted_at).as_secs_f64())
-                        * 1e9
-                })
-            });
-            urgency_key(slack)
-        });
-        let mut leftover = VecDeque::new();
-        for id in ready {
-            if !self.try_dispatch(id, now) {
-                leftover.push_back(id);
-            }
-        }
-        self.ready = leftover;
-
-        // Then pull from the fair-share queue while capacity remains.
-        while self.has_free_capacity(now) {
-            let Some((_tenant, id)) = self.door.pop() else {
+    /// Releases admitted jobs from the front door into the service while
+    /// fewer are open than the up hosts hold
+    /// ([`HostConfig::queue_capacity`] each). The service pins each to
+    /// its least-loaded up host, which keeps every host within its
+    /// capacity.
+    fn release(&mut self, now: Instant) {
+        let capacity = self.up_hosts() * self.cfg.host.queue_capacity.max(1);
+        while self.open.len() < capacity {
+            let Some((tenant, job)) = self.door.pop() else {
                 break;
             };
-            if !self.try_dispatch(id, now) {
-                self.ready.push_back(id);
-                break;
-            }
-        }
-    }
-
-    fn has_free_capacity(&mut self, now: Instant) -> bool {
-        self.hosts.iter_mut().any(|h| {
-            let v = h.view(now);
-            v.state == HostState::Up && v.available && v.inflight < v.capacity
-        })
-    }
-
-    fn try_dispatch(&mut self, job_id: u64, now: Instant) -> bool {
-        let Some(job) = self.jobs.get(&job_id) else {
-            return true; // already resolved; drop the stale queue entry
-        };
-        // Expired deadline: resolve without burning a host slot.
-        let remaining = job
-            .opts
-            .deadline
-            .map(|d| d.saturating_sub(now.saturating_duration_since(job.admitted_at)));
-        if remaining == Some(Duration::ZERO) {
-            self.metrics.deadline_missed.inc();
-            self.finish_job(job_id, Err(JobError::DeadlineMissed.to_string()), now);
-            return true;
-        }
-        let avoid = job.avoid;
-        let views: Vec<HostView> = self.hosts.iter_mut().map(|h| h.view(now)).collect();
-        let Some(host_id) = pick_host(&views, avoid) else {
-            return false;
-        };
-        let host = self
-            .hosts
-            .iter_mut()
-            .find(|h| h.id() == host_id)
-            .expect("picked host exists");
-        let job = self.jobs.get_mut(&job_id).expect("checked above");
-        let checkpoint = job
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let build = TaskBuild {
-            device: host.primary_device(),
-            store: host.store(),
-            checkpoint,
-            slot: job.slot.clone(),
-            interrupt: host.interrupt_flag(),
-        };
-        let task = match (job.factory)(build) {
-            Ok(task) => task,
-            Err(e) => {
-                self.finish_job(job_id, Err(format!("task build failed: {e}")), now);
-                return true;
-            }
-        };
-        let opts = JobOptions {
-            priority: job.opts.priority,
-            deadline: remaining,
-            trace: false,
-        };
-        match host.submit(job_id, task, opts) {
-            Ok(()) => {
-                self.jobs.get_mut(&job_id).expect("still present").host = Some(host_id);
-                true
-            }
-            Err(SubmitError::QueueFull { .. }) | Err(SubmitError::ShuttingDown) => false,
-        }
-    }
-
-    fn harvest(&mut self, now: Instant) -> usize {
-        let mut resolved = 0;
-        let polled: Vec<(usize, Vec<(u64, gzkp_service::JobResult)>)> = self
-            .hosts
-            .iter_mut()
-            .map(|h| (h.id(), h.poll_finished()))
-            .collect();
-        for (host_id, results) in polled {
-            for (job_id, result) in results {
-                resolved += 1;
-                match result.outcome {
-                    Ok(output) => {
-                        if let Some(host) = self.hosts.iter_mut().find(|h| h.id() == host_id) {
-                            host.record_outcome(now, true);
-                        }
-                        self.finish_job(job_id, Ok(output.proof), now);
-                    }
-                    Err(e) => {
-                        if let Some(host) = self.hosts.iter_mut().find(|h| h.id() == host_id) {
-                            if host.record_outcome(now, false) {
-                                self.metrics.host_quarantines.inc();
-                            }
-                        }
-                        if matches!(e, JobError::DeadlineMissed) {
-                            self.metrics.deadline_missed.inc();
-                        }
-                        self.finish_job(job_id, Err(e.to_string()), now);
-                    }
+            let waited = now.saturating_duration_since(job.admitted_at);
+            let opts = JobOptions {
+                priority: job.opts.priority,
+                deadline: job.opts.deadline.map(|d| d.saturating_sub(waited)),
+                trace: false,
+            };
+            match self.service.submit(job.task, opts) {
+                Ok(handle) => {
+                    let open = OpenJob {
+                        tenant,
+                        admitted_at: job.admitted_at,
+                        handle,
+                    };
+                    self.open.insert(job.id, open);
                 }
+                Err(e) => self.record(job.id, tenant, job.admitted_at, Err(e.to_string()), 0),
             }
+        }
+    }
+
+    /// Collects every released job the service has resolved.
+    fn harvest(&mut self) -> usize {
+        let (done, open): (BTreeMap<u64, OpenJob>, _) = std::mem::take(&mut self.open)
+            .into_iter()
+            .partition(|(_, job)| job.handle.is_finished());
+        self.open = open;
+        let resolved = done.len();
+        for (id, job) in done {
+            let result = job.handle.wait();
+            self.count_on_hosts(&result);
+            let resumes = result.resumed_from.len() as u32;
+            let outcome = result.outcome.map(|o| o.proof).map_err(|e| {
+                if e == JobError::DeadlineMissed {
+                    self.metrics.deadline_missed.inc();
+                }
+                e.to_string()
+            });
+            self.record(id, job.tenant, job.admitted_at, outcome, resumes);
         }
         resolved
     }
 
-    fn finish_job(&mut self, job_id: u64, outcome: Result<Vec<u8>, String>, now: Instant) {
-        let Some(job) = self.jobs.remove(&job_id) else {
-            return;
-        };
-        let latency = now.saturating_duration_since(job.admitted_at);
+    /// Counts a resolved job on its hosts: a failure on each dead host it
+    /// moved off (one resume each), then its outcome where it resolved.
+    fn count_on_hosts(&self, result: &JobResult) {
+        for &dead in &result.resumed_from {
+            self.metrics.resumes.inc();
+            if let Some(host) = self.hosts.get(dead) {
+                host.failed.inc();
+            }
+        }
+        if let Some(host) = self.hosts.get(result.domain) {
+            match result.outcome {
+                Ok(_) => host.completed.inc(),
+                Err(_) => host.failed.inc(),
+            }
+        }
+    }
+
+    fn record(
+        &mut self,
+        id: u64,
+        tenant: String,
+        admitted_at: Instant,
+        outcome: Result<Vec<u8>, String>,
+        resumes: u32,
+    ) {
+        let latency = admitted_at.elapsed();
         if outcome.is_ok() {
             self.metrics.completed.inc();
             self.metrics.latency.record(latency.as_nanos() as u64);
-            self.completion_log.push((job.tenant.clone(), job_id));
         } else {
             self.metrics.failed.inc();
         }
         self.results.push(ClusterResult {
-            id: job_id,
-            tenant: job.tenant,
+            id,
+            tenant,
             outcome,
-            resumes: job.resumes,
+            resumes,
             latency,
         });
     }
@@ -758,78 +727,60 @@ impl Cluster {
         self.metrics.stats()
     }
 
-    /// `(tenant, job)` pairs in completion order — what the fair-share
-    /// property test ratios over.
-    pub fn completions(&self) -> &[(String, u64)] {
-        &self.completion_log
-    }
-
-    /// Latest checkpoint bytes of an unresolved job, if any were
-    /// persisted (tests peek at this to decide when to kill a host).
-    pub fn job_checkpoint(&self, job_id: u64) -> Option<Vec<u8>> {
-        self.jobs
-            .get(&job_id)?
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Host a job is currently placed on.
+    /// Host a released, unresolved job is pinned to right now.
     pub fn job_host(&self, job_id: u64) -> Option<usize> {
-        self.jobs.get(&job_id).and_then(|j| j.host)
+        self.open.get(&job_id).map(|job| job.handle.domain())
     }
 
     /// Jobs admitted but not yet resolved.
     pub fn open_jobs(&self) -> usize {
-        self.jobs.len()
+        self.door.depth() + self.open.len()
     }
 
-    /// Pumps until every admitted job resolves (bounded by `timeout`
-    /// wall clock; leftovers fail as drain timeouts), stops intake,
-    /// retires every host, and reports.
+    /// Pumps until every admitted job resolves — between ticks it waits
+    /// for the service's next resolution, one tick at most — bounded by
+    /// `timeout` wall clock (leftovers are cancelled and fail as drain
+    /// timeouts), then stops intake, shuts the service down, and reports.
     pub fn drain(mut self, timeout: Duration) -> ClusterOutcome {
         let deadline = Instant::now() + timeout;
         self.door.stop();
-        while self.open_jobs() > 0 {
+        let mut resolutions = 0;
+        loop {
             self.pump();
             if self.open_jobs() == 0 {
                 break;
             }
-            if Instant::now() > deadline {
-                let now = Instant::now();
-                let stuck: Vec<u64> = self.jobs.keys().copied().collect();
-                for id in stuck {
-                    self.finish_job(id, Err("cluster drain timeout".to_string()), now);
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                while let Some((tenant, job)) = self.door.pop() {
+                    let timed_out = Err("cluster drain timeout".to_string());
+                    self.record(job.id, tenant, job.admitted_at, timed_out, 0);
+                }
+                for (id, job) in std::mem::take(&mut self.open) {
+                    job.handle.cancel();
+                    let timed_out = Err("cluster drain timeout".to_string());
+                    self.record(id, job.tenant, job.admitted_at, timed_out, 0);
                 }
                 break;
             }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        // Claims held anywhere after every job resolved are leaks.
-        let leaked_claims = self.jobs.len()
-            + self.ready.len()
-            + self.door.depth()
-            + self.hosts.iter().map(|h| h.inflight()).sum::<usize>();
-        for host in &mut self.hosts {
-            let leftovers = host.retire();
-            debug_assert!(
-                leftovers.is_empty(),
-                "claims must be harvested before retire"
-            );
+            resolutions = self
+                .service
+                .wait_for_resolution(resolutions, remaining.min(DRAIN_TICK));
         }
         // Final gauge sync so a snapshot taken after the drain shows the
         // terminal host states, not the last mid-run ones.
         self.metrics.hosts_up.set(0.0);
         self.metrics.queue_depth.set(0.0);
-        for host in &self.hosts {
-            host.publish_gauges();
+        for host in &mut self.hosts {
+            host.state = HostState::Dead;
         }
-        let makespan_ns = self
-            .hosts
-            .iter()
-            .filter_map(|h| h.report().utilization.map(|u| u.elapsed_ns))
-            .fold(0.0f64, f64::max);
+        self.publish_host_gauges();
+        // Shutdown waits out jobs cancelled at a timeout; the claims
+        // anything still holds afterwards are leaks.
+        let fleet = self.service.fleet().clone();
+        self.service.shutdown();
+        let pinned: u64 = (0..fleet.domains()).map(|d| fleet.pinned(d)).sum();
+        let leaked_claims = self.open.len() + self.door.depth() + pinned as usize;
         let tenants = self
             .door
             .tenant_names()
@@ -838,10 +789,15 @@ impl Cluster {
             .collect();
         ClusterOutcome {
             results: std::mem::take(&mut self.results),
-            stats: self.stats(),
+            stats: self.metrics.stats(),
             tenants,
-            hosts: self.hosts.iter().map(|h| h.report()).collect(),
-            makespan_ns,
+            hosts: self
+                .hosts
+                .iter()
+                .enumerate()
+                .map(|(id, h)| h.report(id))
+                .collect(),
+            fleet: fleet.utilization(),
             leaked_claims,
             chaos: self.injector.as_ref().map(|i| i.summary()),
         }

@@ -154,7 +154,7 @@ struct TenantState<T> {
 }
 
 /// The front door itself: rate limits, then a weighted-fair queue of `T`
-/// (the cluster queues job ids).
+/// (the cluster queues admitted jobs).
 pub struct FrontDoor<T> {
     tenants: BTreeMap<String, TenantState<T>>,
     /// Current virtual time: the finish time of the last released job.

@@ -18,8 +18,9 @@ use gzkp_telemetry::metrics::{Counter, Gauge, MetricsRegistry};
 use gzkp_telemetry::names;
 use gzkp_telemetry::trace::{Trace, TraceNode};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// What happened to a device, for the fault/quarantine history shown in
@@ -99,6 +100,13 @@ pub fn throughput_weight(config: &DeviceConfig) -> f64 {
     f64::from(config.num_sms) * config.mac64_per_ns_per_sm
 }
 
+/// The one load definition behind both placement granularities:
+/// `(count + 1)` units of work normalized by `weight` — "how long until
+/// this device (or domain) would get to one more job".
+fn load(count: u64, weight: f64) -> f64 {
+    (count + 1) as f64 / weight
+}
+
 /// Safety factor of [`FleetRuntime::place_for_deadline`]'s urgency test:
 /// a job is urgent when its slack is less than its modeled remaining
 /// cost times this margin (queueing, retries and host overhead are not
@@ -164,6 +172,22 @@ impl DeviceRuntime {
             cells,
         }
     }
+}
+
+/// One failure domain: a run of consecutive devices that live and die
+/// together (one simulated host of a cluster). A plain service's fleet is
+/// a single domain.
+struct Domain {
+    /// Summed [`throughput_weight`] of the domain's devices.
+    weight: f64,
+    /// Unresolved jobs pinned here.
+    pinned: AtomicU64,
+    /// Whether new pins may land here (cleared while a domain is warming,
+    /// retired or dead).
+    schedulable: AtomicBool,
+    /// Raised once the domain is killed; tasks running here poll it at
+    /// their step boundaries.
+    interrupt: Arc<AtomicBool>,
 }
 
 /// Utilization snapshot of one device, against the fleet makespan.
@@ -259,11 +283,19 @@ impl FleetUtilization {
 ///
 /// Every per-device count (shards, quarantines, stage bytes) is
 /// one `device="dev{n}"` counter in the registry the fleet was built
-/// with — the caller's through [`FleetRuntime::with_health_policy`], a
+/// with — the caller's through [`FleetRuntime::with_domains`], a
 /// private one through [`FleetRuntime::new`] — and
 /// [`FleetRuntime::utilization`] reads those same counters back.
+///
+/// Devices are grouped into failure domains of equal size. A job is
+/// *pinned* to a domain ([`FleetRuntime::pin`]) and then *placed* on a
+/// device inside it ([`FleetRuntime::place_available`]); both pick the
+/// least loaded under one load definition.
 pub struct FleetRuntime {
     devices: Vec<DeviceRuntime>,
+    domains: Vec<Domain>,
+    /// Devices per domain.
+    domain_size: usize,
     p2p_transfers: AtomicU64,
 }
 
@@ -276,27 +308,48 @@ impl FleetRuntime {
     /// Panics on an empty config list — a fleet without devices cannot
     /// place anything.
     pub fn new(configs: Vec<DeviceConfig>) -> Self {
-        Self::with_health_policy(configs, HealthPolicy::default(), &MetricsRegistry::new())
+        Self::with_domains(configs, 1, HealthPolicy::default(), &MetricsRegistry::new())
     }
 
-    /// Builds a fleet with an explicit circuit-breaker policy whose
-    /// per-device series (`device="dev{n}"` labels) live in `registry`.
+    /// Builds a fleet of `domains` equal failure domains (consecutive
+    /// runs of `configs`, all schedulable) with an explicit
+    /// circuit-breaker policy, whose per-device series
+    /// (`device="dev{n}"` labels) live in `registry`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty config list.
-    pub fn with_health_policy(
+    /// Panics on an empty config list, or when `domains` does not divide
+    /// it into equal non-empty runs.
+    pub fn with_domains(
         configs: Vec<DeviceConfig>,
+        domains: usize,
         policy: HealthPolicy,
         registry: &MetricsRegistry,
     ) -> Self {
         assert!(!configs.is_empty(), "fleet needs at least one device");
+        assert!(
+            domains > 0 && configs.len().is_multiple_of(domains),
+            "{} devices do not split into {domains} equal domains",
+            configs.len()
+        );
+        let domain_size = configs.len() / domains;
+        let domains = configs
+            .chunks(domain_size)
+            .map(|run| Domain {
+                weight: run.iter().map(throughput_weight).sum(),
+                pinned: AtomicU64::new(0),
+                schedulable: AtomicBool::new(true),
+                interrupt: Arc::new(AtomicBool::new(false)),
+            })
+            .collect();
         FleetRuntime {
             devices: configs
                 .into_iter()
                 .enumerate()
                 .map(|(i, c)| DeviceRuntime::new(c, policy, DeviceCells::new(registry, i)))
                 .collect(),
+            domains,
+            domain_size,
             p2p_transfers: AtomicU64::new(0),
         }
     }
@@ -321,7 +374,79 @@ impl FleetRuntime {
     /// would get to one more job".
     pub fn load(&self, dev: usize) -> f64 {
         let d = &self.devices[dev];
-        (d.inflight.load(Ordering::Relaxed) + 1) as f64 / throughput_weight(&d.config)
+        load(
+            d.inflight.load(Ordering::Relaxed),
+            throughput_weight(&d.config),
+        )
+    }
+
+    /// Number of failure domains.
+    pub fn domains(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// The failure domain device `dev` belongs to.
+    pub fn domain_of(&self, dev: usize) -> usize {
+        dev / self.domain_size
+    }
+
+    /// The devices of failure domain `domain`.
+    pub fn domain_devices(&self, domain: usize) -> Range<usize> {
+        domain * self.domain_size..(domain + 1) * self.domain_size
+    }
+
+    /// Pins one job to the least-loaded schedulable domain other than
+    /// `avoid` (the dead domain a resumed job just left): unresolved
+    /// pinned jobs normalized by the domain's summed
+    /// [`throughput_weight`], lowest index on ties. Counts the pin; pair
+    /// it with [`Self::unpin`]. `None` when no other domain is
+    /// schedulable.
+    pub fn pin(&self, avoid: Option<usize>) -> Option<usize> {
+        let domain_load = |d: &Domain| load(d.pinned.load(Ordering::Relaxed), d.weight);
+        let (best, domain) = self
+            .domains
+            .iter()
+            .enumerate()
+            .filter(|&(i, d)| Some(i) != avoid && d.schedulable.load(Ordering::Relaxed))
+            .min_by(|(_, a), (_, b)| domain_load(a).total_cmp(&domain_load(b)))?;
+        domain.pinned.fetch_add(1, Ordering::Relaxed);
+        Some(best)
+    }
+
+    /// Releases one pin on `domain` (its job resolved or moved).
+    pub fn unpin(&self, domain: usize) {
+        self.domains[domain].pinned.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Unresolved jobs pinned to `domain`.
+    pub fn pinned(&self, domain: usize) -> u64 {
+        self.domains[domain].pinned.load(Ordering::Relaxed)
+    }
+
+    /// Opens or closes `domain` to new pins; jobs already pinned there
+    /// stay. A dead domain stays closed.
+    pub fn set_schedulable(&self, domain: usize, schedulable: bool) {
+        let d = &self.domains[domain];
+        let alive = !d.interrupt.load(Ordering::Relaxed);
+        d.schedulable.store(schedulable && alive, Ordering::Relaxed);
+    }
+
+    /// Kills `domain` for good: closes it to pins and raises its
+    /// interrupt flag.
+    pub fn kill_domain(&self, domain: usize) {
+        let d = &self.domains[domain];
+        d.schedulable.store(false, Ordering::Relaxed);
+        d.interrupt.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether `domain` was killed.
+    pub fn is_dead(&self, domain: usize) -> bool {
+        self.domains[domain].interrupt.load(Ordering::Relaxed)
+    }
+
+    /// The interrupt flag of `domain`, for the tasks pinned there.
+    pub fn interrupt(&self, domain: usize) -> &Arc<AtomicBool> {
+        &self.domains[domain].interrupt
     }
 
     /// Stages placed but not yet completed on device `dev`.
@@ -450,16 +575,16 @@ impl FleetRuntime {
             .sum()
     }
 
-    /// Health-aware placement: the least-loaded *available* device
-    /// (throughput-weighted, lowest index on ties), preferring one
-    /// different from `avoid` (the device a stage just failed on). Falls
-    /// back to `avoid` itself when it is the only available device;
-    /// returns `None` when the whole fleet is quarantined — the caller
-    /// degrades to the host CPU path. Does **not** call
-    /// [`Self::assign`]; the caller places explicitly.
-    pub fn place_available(&self, avoid: Option<usize>) -> Option<usize> {
+    /// Health-aware placement inside `domain`: its least-loaded
+    /// *available* device (throughput-weighted, lowest index on ties),
+    /// preferring one different from `avoid` (the device a stage just
+    /// failed on). Falls back to `avoid` itself when it is the only
+    /// available device; returns `None` when the whole domain is
+    /// quarantined — the caller degrades to the host CPU path. Does
+    /// **not** call [`Self::assign`]; the caller places explicitly.
+    pub fn place_available(&self, domain: usize, avoid: Option<usize>) -> Option<usize> {
         let mut best: Option<usize> = None;
-        for dev in 0..self.devices.len() {
+        for dev in self.domain_devices(domain) {
             if Some(dev) == avoid || !self.available(dev) {
                 continue;
             }
@@ -474,19 +599,27 @@ impl FleetRuntime {
     /// modeled remaining work (simulated nanoseconds on one device);
     /// `slack_ns` is the wall-clock budget left before its deadline. A
     /// job whose slack is tighter than `remaining_cost_ns ×`
-    /// [`URGENCY_MARGIN`] is *urgent* and claims every available device —
-    /// fastest first — so a near-deadline large proof can take the whole
-    /// fleet and split its MSMs across it.
+    /// [`URGENCY_MARGIN`] is *urgent* and claims every available device
+    /// of its `domain` — fastest first — so a near-deadline large proof
+    /// can take the whole domain and split its MSMs across it. Grants
+    /// never cross domains: a merge between two would model a P2P link
+    /// between hosts.
     ///
     /// Every returned device is already [`Self::assign`]ed; pair each
     /// with [`Self::complete`]. Returns an empty list when the job is not
-    /// urgent or the whole fleet is quarantined.
-    pub fn place_for_deadline(&self, remaining_cost_ns: f64, slack_ns: f64) -> Vec<usize> {
+    /// urgent or the whole domain is quarantined.
+    pub fn place_for_deadline(
+        &self,
+        domain: usize,
+        remaining_cost_ns: f64,
+        slack_ns: f64,
+    ) -> Vec<usize> {
         let urgent = slack_ns < remaining_cost_ns * URGENCY_MARGIN;
         if !urgent {
             return Vec::new();
         }
-        let mut avail: Vec<usize> = (0..self.devices.len())
+        let mut avail: Vec<usize> = self
+            .domain_devices(domain)
             .filter(|&d| self.available(d))
             .collect();
         avail.sort_by(|&a, &b| {
@@ -846,7 +979,7 @@ mod tests {
         // the V100 before the 1080 Ti looks cheaper.
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti()]);
         let place = || {
-            let dev = fleet.place_available(None).expect("a healthy fleet");
+            let dev = fleet.place_available(0, None).expect("a healthy fleet");
             fleet.assign(dev);
             dev
         };
@@ -894,8 +1027,9 @@ mod tests {
     #[test]
     fn utilization_rolls_up_engines() {
         let registry = MetricsRegistry::new();
-        let fleet = FleetRuntime::with_health_policy(
+        let fleet = FleetRuntime::with_domains(
             parse_devices("2").unwrap(),
+            1,
             HealthPolicy::default(),
             &registry,
         );
@@ -983,11 +1117,11 @@ mod tests {
     fn calm_deadline_claims_nothing_urgent_takes_fleet() {
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti(), v100()]);
         // Slack covering cost × margin claims (and counts) no device.
-        assert!(fleet.place_for_deadline(1.0e9, 2.0e9).is_empty());
+        assert!(fleet.place_for_deadline(0, 1.0e9, 2.0e9).is_empty());
         assert!(fleet.utilization().devices.iter().all(|d| d.jobs == 0));
         // Slack under cost × margin: claim every available device,
         // fastest first.
-        let urgent = fleet.place_for_deadline(1.0e9, 1.5e9);
+        let urgent = fleet.place_for_deadline(0, 1.0e9, 1.5e9);
         assert_eq!(urgent, vec![0, 2, 1], "V100s first, then the 1080 Ti");
         assert!(urgent.iter().all(|&d| fleet.inflight(d) >= 1));
         for &d in &urgent {
@@ -995,7 +1129,75 @@ mod tests {
         }
         // Quarantined devices are skipped.
         assert!(fleet.record_failure(0, true));
-        assert_eq!(fleet.place_for_deadline(1.0e9, 0.5e9), vec![2, 1]);
+        assert_eq!(fleet.place_for_deadline(0, 1.0e9, 0.5e9), vec![2, 1]);
+    }
+
+    fn four_v100s_in(domains: usize) -> FleetRuntime {
+        FleetRuntime::with_domains(
+            vec![v100(); 4],
+            domains,
+            HealthPolicy::default(),
+            &MetricsRegistry::new(),
+        )
+    }
+
+    #[test]
+    fn domain_pins_go_least_loaded_with_lowest_index_on_ties() {
+        let fleet = FleetRuntime::with_domains(
+            vec![v100(); 3],
+            3,
+            HealthPolicy::default(),
+            &MetricsRegistry::new(),
+        );
+        let pins: Vec<Option<usize>> = (0..4).map(|_| fleet.pin(None)).collect();
+        assert_eq!(pins, [Some(0), Some(1), Some(2), Some(0)]);
+        fleet.unpin(1);
+        fleet.unpin(2);
+        assert_eq!(fleet.pin(None), Some(1), "ties go to the lowest index");
+        assert_eq!(
+            (fleet.pinned(0), fleet.pinned(1), fleet.pinned(2)),
+            (2, 1, 0)
+        );
+        assert_eq!(fleet.domain_of(2), 2);
+    }
+
+    #[test]
+    fn unschedulable_and_dead_domains_take_no_pins() {
+        let fleet = four_v100s_in(2);
+        fleet.set_schedulable(0, false);
+        assert_eq!(fleet.pin(None), Some(1));
+        assert_eq!(fleet.pin(None), Some(1), "a closed domain stays empty");
+        fleet.set_schedulable(0, true);
+        assert_eq!(fleet.pin(None), Some(0));
+        fleet.kill_domain(1);
+        assert!(fleet.is_dead(1) && fleet.interrupt(1).load(Ordering::Relaxed));
+        fleet.set_schedulable(1, true);
+        assert_eq!(fleet.pin(None), Some(0), "a dead domain never reopens");
+        fleet.kill_domain(0);
+        assert_eq!(fleet.pin(None), None);
+    }
+
+    #[test]
+    fn resume_pin_avoids_the_domain_it_left() {
+        let fleet = four_v100s_in(2);
+        for _ in 0..5 {
+            fleet.pin(Some(0));
+        }
+        assert_eq!(fleet.pinned(1), 5, "the job just left domain 0");
+        assert_eq!(fleet.pin(None), Some(0));
+        // ...unless no other domain exists: then there is nowhere to go.
+        assert_eq!(four_v100s_in(1).pin(Some(0)), None);
+    }
+
+    #[test]
+    fn device_placement_and_deadline_grants_stay_inside_the_domain() {
+        let fleet = four_v100s_in(2);
+        assert_eq!(fleet.domain_devices(1), 2..4);
+        assert_eq!(fleet.place_available(1, None), Some(2));
+        fleet.assign(2);
+        assert_eq!(fleet.place_available(1, None), Some(3));
+        assert_eq!(fleet.place_for_deadline(1, 1.0e9, 0.5e9), vec![2, 3]);
+        assert_eq!(fleet.place_for_deadline(0, 1.0e9, 0.5e9), vec![0, 1]);
     }
 
     #[test]
@@ -1008,21 +1210,21 @@ mod tests {
             max_probation: Duration::from_secs(60),
         };
         let fleet =
-            FleetRuntime::with_health_policy(vec![v100(), v100()], policy, &MetricsRegistry::new());
-        assert_eq!(fleet.place_available(None), Some(0));
+            FleetRuntime::with_domains(vec![v100(), v100()], 1, policy, &MetricsRegistry::new());
+        assert_eq!(fleet.place_available(0, None), Some(0));
         // Retry placement avoids the device the stage just failed on.
-        assert_eq!(fleet.place_available(Some(0)), Some(1));
+        assert_eq!(fleet.place_available(0, Some(0)), Some(1));
         // A hang hard-quarantines immediately; soft failures need two.
         assert!(fleet.record_failure(1, true));
         assert!(!fleet.available(1));
         assert_eq!(
-            fleet.place_available(Some(0)),
+            fleet.place_available(0, Some(0)),
             Some(0),
             "fall back to avoid"
         );
         assert!(!fleet.record_failure(0, false));
         assert!(fleet.record_failure(0, false));
-        assert_eq!(fleet.place_available(None), None, "whole fleet down");
+        assert_eq!(fleet.place_available(0, None), None, "whole fleet down");
         assert_eq!(fleet.quarantine_events(), 2);
         let util = fleet.utilization();
         assert_eq!(util.devices[0].quarantines, 1);

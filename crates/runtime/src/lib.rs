@@ -15,6 +15,7 @@
 //!   into [`gzkp_gpu_sim::DeviceConfig`]s;
 //! * [`fleet`] — [`FleetRuntime`]: per-device [`gzkp_gpu_sim::DeviceTimeline`]s
 //!   with copy/compute/download/P2P streams and bounded op logs,
+//!   failure domains (a cluster's hosts) that jobs are pinned to,
 //!   throughput-weighted least-loaded and deadline-aware placement,
 //!   device↔device transfers ([`FleetRuntime::record_p2p`], NVLink or
 //!   host-staged), per-device utilization snapshots and a
@@ -35,7 +36,7 @@
 //! use gzkp_runtime::{parse_devices, FleetRuntime};
 //!
 //! let fleet = FleetRuntime::new(parse_devices("2,v100").unwrap());
-//! let dev = fleet.place_available(None).unwrap();
+//! let dev = fleet.place_available(0, None).unwrap();
 //! fleet.assign(dev);
 //! fleet.record_stage(dev, "proof0.msm", 64 << 20, 2.0e6, 128);
 //! fleet.complete(dev);

@@ -1,6 +1,7 @@
 //! Job-side types: the type-erased [`ProofTask`] the queue schedules, the
 //! backend-generic [`SystemTask`] implementation (which also carries the
-//! cluster's checkpoint persistence), and the [`JobHandle`] callers hold.
+//! checkpoint persistence a job needs to survive its failure domain), and
+//! the [`JobHandle`] callers hold.
 
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_gpu_sim::device::DeviceConfig;
@@ -12,7 +13,7 @@ use gzkp_telemetry::{TelemetrySink, Trace};
 use std::any::TypeId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -65,6 +66,25 @@ pub trait ProofTask: Send {
     fn bind_fleet(&mut self, fleet: &Arc<FleetRuntime>, devices: &[usize], job_id: u64) -> bool {
         let _ = (fleet, devices, job_id);
         false
+    }
+
+    /// Pins the task to a failure domain of the fleet: once at
+    /// submission, and again each time the job moves off a killed domain.
+    /// `store` and `interrupt` are that domain's table store and kill
+    /// flag. A task that persists its checkpoint takes both, drops
+    /// whatever progress it holds in memory and continues from its
+    /// persisted bytes; other tasks ignore the call (the default).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the persisted bytes do not decode.
+    fn bind_domain(
+        &mut self,
+        store: &Arc<PreprocessStore>,
+        interrupt: &Arc<AtomicBool>,
+    ) -> Result<(), String> {
+        let _ = (store, interrupt);
+        Ok(())
     }
 
     /// Modeled simulated cost of the task's MSM stage on its current
@@ -129,10 +149,10 @@ pub struct TaskOutput {
     pub report: Option<ProveReport>,
 }
 
-/// Shared cell holding a job's latest serialized checkpoint. The cluster
-/// keeps one per job; a persisting [`SystemTask`] overwrites it at every
-/// stage and step boundary and clears it when the proof completes, so
-/// `Some(bytes)` always means mid-proof.
+/// Shared cell holding a job's latest serialized checkpoint. A persisting
+/// [`SystemTask`] overwrites it at every stage and step boundary and
+/// clears it when the proof completes, so `Some(bytes)` always means
+/// mid-proof.
 pub type CheckpointSlot = Arc<Mutex<Option<Vec<u8>>>>;
 
 /// Stores `bytes` into `slot`, surviving a poisoned lock (a worker that
@@ -150,10 +170,11 @@ fn store_slot(slot: &CheckpointSlot, bytes: Option<Vec<u8>>) {
 /// direct prover with the same seed. A task built with
 /// [`SystemTask::persisting`] additionally writes the checkpoint to a
 /// [`CheckpointSlot`] after POLY and before every MSM step, and fails
-/// fast there when its interrupt flag is up — the cluster's
-/// host-migration building block: the job's next placement calls
-/// [`SystemTask::resume`] with the slot's bytes (the blinding seed rides
-/// inside them) and the proof still comes out byte-identical.
+/// fast there when its domain's interrupt flag is up — what lets a job
+/// survive a killed host: pinned to its next domain
+/// ([`ProofTask::bind_domain`]), the task decodes the slot's bytes (the
+/// blinding seed rides inside them) and the proof still comes out
+/// byte-identical.
 pub struct SystemTask<S: ProofSystem> {
     circuit: Arc<S::Circuit>,
     pk: Arc<S::ProvingKey>,
@@ -169,14 +190,14 @@ pub struct SystemTask<S: ProofSystem> {
     cross_g1: Option<CrossDeviceMsm>,
     cross_g2: Option<CrossDeviceMsm>,
     seed: u64,
-    /// The MSM stage's state: opened by POLY (or restored by
-    /// [`SystemTask::resume`]), consumed by the MSM stage.
+    /// The MSM stage's state: opened by POLY (or decoded from the slot
+    /// by [`ProofTask::bind_domain`]), consumed by the MSM stage.
     ckpt: Option<S::Checkpoint>,
     /// Scalar bytes the MSM stage will upload; captured when the
     /// checkpoint is opened because the MSM stage consumes it.
     msm_h2d_bytes: u64,
-    /// Where the checkpoint is persisted, and the flag that aborts the
-    /// task at the next boundary once it is.
+    /// Where the checkpoint is persisted, and the flag (its domain's)
+    /// that aborts the task at the next boundary once it is.
     persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
 }
 
@@ -220,37 +241,20 @@ impl<S: ProofSystem> SystemTask<S> {
 
     /// [`SystemTask::new`] for a job that may have to move hosts: `slot`
     /// receives the serialized checkpoint at every stage and step
-    /// boundary, and a raised `interrupt` aborts the task at the next
-    /// one (the cluster raises it when it kills the task's host).
+    /// boundary. The task's table store and interrupt flag are those of
+    /// the failure domain it is pinned to ([`ProofTask::bind_domain`]);
+    /// a raised flag aborts the task at the next boundary. When `slot`
+    /// already holds bytes, binding the task resumes from them.
     pub fn persisting(
         circuit: Arc<S::Circuit>,
         pk: Arc<S::ProvingKey>,
         device: DeviceConfig,
-        store: Option<Arc<PreprocessStore>>,
         seed: u64,
         slot: CheckpointSlot,
-        interrupt: Arc<AtomicBool>,
     ) -> Self {
-        let mut task = Self::new(circuit, pk, device, store, seed);
-        task.persist = Some((slot, interrupt));
+        let mut task = Self::new(circuit, pk, device, None, seed);
+        task.persist = Some((slot, Arc::new(AtomicBool::new(false))));
         task
-    }
-
-    /// Continues from checkpoint `bytes` taken by an earlier placement of
-    /// the job: the POLY stage becomes a no-op and the MSM stage picks up
-    /// at the first incomplete step. The blinding seed comes from the
-    /// checkpoint, so the finished proof matches the uninterrupted run
-    /// byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `bytes` is not a valid checkpoint for system `S`.
-    pub fn resume(mut self, bytes: &[u8]) -> Result<Self, String> {
-        let ckpt = S::checkpoint_from_bytes(bytes)?;
-        self.seed = ckpt.seed();
-        self.msm_h2d_bytes = ckpt.scalar_bytes();
-        self.ckpt = Some(ckpt);
-        Ok(self)
     }
 
     /// Enables the verify-before-return guard: the finished proof is
@@ -324,9 +328,8 @@ impl<S: ProofSystem> ProofTask for SystemTask<S> {
             Ok(())
         });
         if let Err(e) = stepped {
-            // Put the checkpoint back so a retry on this task (rather
-            // than a cross-host resume) also continues instead of
-            // restarting.
+            // Put the checkpoint back so a retry in the same domain also
+            // continues instead of restarting.
             self.ckpt = Some(ckpt);
             return Err(e);
         }
@@ -356,6 +359,33 @@ impl<S: ProofSystem> ProofTask for SystemTask<S> {
         self.msm_g2.device = device.clone();
         self.cross_g1 = None;
         self.cross_g2 = None;
+    }
+
+    fn bind_domain(
+        &mut self,
+        store: &Arc<PreprocessStore>,
+        interrupt: &Arc<AtomicBool>,
+    ) -> Result<(), String> {
+        let Some((slot, flag)) = &mut self.persist else {
+            return Ok(());
+        };
+        *flag = interrupt.clone();
+        let bytes = slot.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        self.msm_g1.store = Some(store.clone());
+        self.msm_g2.store = Some(store.clone());
+        // In-memory progress belongs to the placement the job left; what
+        // survived it is the persisted bytes. Continuing from them keeps
+        // the proof byte-identical: the POLY stage becomes a no-op, the
+        // MSM stage picks up at the first incomplete step, and the
+        // blinding seed comes from the checkpoint.
+        self.ckpt = None;
+        if let Some(bytes) = bytes {
+            let ckpt = S::checkpoint_from_bytes(&bytes)?;
+            self.seed = ckpt.seed();
+            self.msm_h2d_bytes = ckpt.scalar_bytes();
+            self.ckpt = Some(ckpt);
+        }
+        Ok(())
     }
 
     fn bind_fleet(&mut self, fleet: &Arc<FleetRuntime>, devices: &[usize], job_id: u64) -> bool {
@@ -488,21 +518,38 @@ pub struct JobResult {
     pub latency: Duration,
     /// Per-job telemetry, when [`crate::JobOptions::trace`] was set.
     pub trace: Option<Trace>,
+    /// The failure domain the job resolved in (always 0 on a service with
+    /// one domain).
+    pub domain: usize,
+    /// The killed domains the job moved off, in order; empty unless a
+    /// domain it was pinned to died before it resolved.
+    pub resumed_from: Vec<usize>,
 }
 
 pub(crate) struct JobShared {
     result: Mutex<Option<JobResult>>,
     done: Condvar,
     cancelled: AtomicBool,
+    /// The failure domain the job is pinned to.
+    domain: AtomicUsize,
 }
 
 impl JobShared {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(domain: usize) -> Self {
         Self {
             result: Mutex::new(None),
             done: Condvar::new(),
             cancelled: AtomicBool::new(false),
+            domain: AtomicUsize::new(domain),
         }
+    }
+
+    pub(crate) fn domain(&self) -> usize {
+        self.domain.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn set_domain(&self, domain: usize) {
+        self.domain.store(domain, Ordering::Relaxed);
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
@@ -534,6 +581,11 @@ impl JobHandle {
     /// The service-assigned job id.
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The failure domain the job is pinned to right now.
+    pub fn domain(&self) -> usize {
+        self.shared.domain()
     }
 
     /// Requests cooperative cancellation: the job is dropped at its next
@@ -613,36 +665,35 @@ mod tests {
         // Run on "host 0", interrupt immediately at the MSM stage.
         let slot: CheckpointSlot = Arc::new(Mutex::new(None));
         let interrupt = Arc::new(AtomicBool::new(false));
+        let store = Arc::new(PreprocessStore::new(64 << 20));
         let mut task = SystemTask::<Groth16System<Bn254>>::persisting(
             cs.clone(),
             pk.clone(),
             v100(),
-            None,
             42,
             slot.clone(),
-            interrupt.clone(),
         );
+        task.bind_domain(&store, &interrupt).unwrap();
         task.poly(&NoopSink).unwrap();
         interrupt.store(true, Ordering::Relaxed);
         let err = task.msm(&NoopSink).expect_err("interrupt must abort");
         assert!(err.contains("host killed"), "{err}");
 
-        // "Host 1" picks the slot bytes up and finishes the proof; its
-        // own seed argument is overridden by the checkpoint's.
+        // Bound on "host 1", a task over the slot bytes finishes the
+        // proof; its own seed argument is overridden by the checkpoint's.
         let bytes = slot.lock().unwrap().clone().expect("checkpoint persisted");
-        let slot2: CheckpointSlot = Arc::new(Mutex::new(None));
+        let slot2: CheckpointSlot = Arc::new(Mutex::new(Some(bytes)));
         let mut resumed = SystemTask::<Groth16System<Bn254>>::persisting(
             cs.clone(),
             pk.clone(),
             v100(),
-            None,
             0,
             slot2.clone(),
-            Arc::new(AtomicBool::new(false)),
         )
-        .resume(&bytes)
-        .unwrap()
         .with_verifying_key(vk);
+        resumed
+            .bind_domain(&store, &Arc::new(AtomicBool::new(false)))
+            .unwrap();
         resumed.poly(&NoopSink).unwrap();
         let out = resumed.msm(&NoopSink).unwrap();
         assert_eq!(out.proof, expected);
@@ -686,15 +737,15 @@ mod tests {
 
         let slot: CheckpointSlot = Arc::new(Mutex::new(None));
         let interrupt = Arc::new(AtomicBool::new(false));
+        let store = Arc::new(PreprocessStore::new(64 << 20));
         let mut task = SystemTask::<PlonkSystem<Bn254>>::persisting(
             circuit.clone(),
             pk.clone(),
             v100(),
-            None,
             42,
             slot.clone(),
-            interrupt.clone(),
         );
+        task.bind_domain(&store, &interrupt).unwrap();
         task.poly(&NoopSink).unwrap();
         interrupt.store(true, Ordering::Relaxed);
         let err = task.msm(&NoopSink).expect_err("interrupt must abort");
@@ -702,25 +753,30 @@ mod tests {
         assert!(err.contains("0/4 done"), "{err}");
         assert_eq!(task.system(), "plonk");
 
-        let bytes = slot.lock().unwrap().clone().expect("checkpoint persisted");
-        let slot2: CheckpointSlot = Arc::new(Mutex::new(None));
-        let mut resumed = SystemTask::<PlonkSystem<Bn254>>::persisting(
-            circuit.clone(),
-            pk.clone(),
-            v100(),
-            None,
-            0,
-            slot2.clone(),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .resume(&bytes)
-        .unwrap()
-        .with_verifying_key(vk);
+        // The task itself moves: rebinding drops its in-memory state and
+        // continues from the slot bytes.
+        task = task.with_verifying_key(vk);
+        task.bind_domain(&store, &Arc::new(AtomicBool::new(false)))
+            .unwrap();
+        let mut resumed = task;
         resumed.poly(&NoopSink).unwrap();
         let out = resumed.msm(&NoopSink).unwrap();
         assert_eq!(out.proof, expected);
         assert_eq!(resumed.verify_output(&out), Some(true));
-        assert!(slot2.lock().unwrap().is_none());
+        assert!(slot.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn bind_domain_rejects_garbage_slot_bytes() {
+        let cs = Arc::new(factor_cs());
+        let (pk, _vk) = setup::<Bn254, _>(&cs, &mut StdRng::seed_from_u64(4)).unwrap();
+        let slot: CheckpointSlot = Arc::new(Mutex::new(Some(vec![0xA5; 64])));
+        let mut task =
+            SystemTask::<Groth16System<Bn254>>::persisting(cs, Arc::new(pk), v100(), 1, slot);
+        let store = Arc::new(PreprocessStore::new(1 << 20));
+        assert!(task
+            .bind_domain(&store, &Arc::new(AtomicBool::new(false)))
+            .is_err());
     }
 
     #[test]
@@ -745,10 +801,8 @@ mod tests {
             cs.clone(),
             pk.clone(),
             v100(),
-            None,
             9,
             Arc::new(Mutex::new(None)),
-            Arc::new(AtomicBool::new(false)),
         ));
         let steps: Vec<&str> = plain
             .0

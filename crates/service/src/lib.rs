@@ -13,11 +13,17 @@
 //!   CPU — and runs the job's POLY stage (the backend's NTTs) and then its
 //!   MSM stage there, back to back. Proofs overlap across workers, and
 //!   one proof's MSMs fan out over every core on their own;
+//! * **failure domains**: [`ProvingService::start_in_domains`] splits the
+//!   fleet into equal groups of devices (a cluster's hosts), each with its
+//!   own preprocessing store. A job is pinned to the least-loaded
+//!   schedulable domain when it is submitted and runs there only;
+//!   [`ProvingService::kill_domain`] moves the jobs of a lost domain to
+//!   another one. A plain service is one domain;
 //! * **priority classes and per-job deadlines** with cooperative
 //!   cancellation: expiry and [`JobHandle::cancel`] are honored at
 //!   dequeue and between stages, never by killing a thread mid-kernel;
 //!   a job whose deadline nears its modeled MSM cost runs that stage
-//!   across several devices of a multi-device fleet;
+//!   across several devices of its (multi-device) domain;
 //! * a **per-(curve, proving-key) preprocessing cache** — the service owns
 //!   a byte-budgeted LRU [`gzkp_msm::PreprocessStore`] shared by every
 //!   job's MSM engines, so checkpoint tables (Algorithm 1) are built once
@@ -32,7 +38,7 @@
 //! ([`gzkp_proof_system::ProofSystem`]): its MSM stage steps the
 //! backend's checkpoint to completion, and a task built with
 //! [`SystemTask::persisting`] also writes that checkpoint out between
-//! steps so the cluster layer can move the job to another host.
+//! steps so the job can continue in another domain when its own dies.
 //! Per-job telemetry (opt-in via [`JobOptions::trace`]) wraps the prover's
 //! span tree in `service → {queue_wait, execute}` spans with the
 //! `service.*` counters.
@@ -189,10 +195,10 @@ pub struct ServiceConfig {
     /// available (else the least-loaded available device), stage
     /// transfers pipelined on each device's command streams, and
     /// per-device utilization available through
-    /// [`ProvingService::fleet_utilization`]. On more than one device, a
-    /// job with a deadline whose slack is under
+    /// [`ProvingService::fleet_utilization`]. In a failure domain of more
+    /// than one device, a job with a deadline whose slack is under
     /// [`gzkp_runtime::URGENCY_MARGIN`]× its modeled MSM cost claims
-    /// several devices for its MSM stage
+    /// several devices of its domain for its MSM stage
     /// ([`gzkp_runtime::FleetRuntime::place_for_deadline`]) and runs each
     /// MSM as bucket-range shards across them; proof bytes are identical
     /// either way. Empty (the default) means [`ServiceConfig::workers`]

@@ -32,7 +32,6 @@ use gzkp_workloads::requests::{
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,21 +50,16 @@ trait RequestClass: Send + Sync {
     fn system(&self) -> &'static str;
 
     /// A service task for one request of the class. With `persist` it
-    /// writes its checkpoint there and honors the interrupt flag; with
-    /// `checkpoint` bytes it resumes from them.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `checkpoint` doesn't decode for the class.
+    /// writes its checkpoint there and takes its store from the failure
+    /// domain it is pinned to ([`SystemTask::persisting`]).
     fn task(
         &self,
         device: &DeviceConfig,
         store: Option<Arc<PreprocessStore>>,
         seed: u64,
-        persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
-        checkpoint: Option<&[u8]>,
+        persist: Option<CheckpointSlot>,
         verify: bool,
-    ) -> Result<Box<dyn ProofTask>, String>;
+    ) -> Box<dyn ProofTask>;
 
     /// One request proved directly on the given engines, no service.
     fn prove_direct(&self, ntt: &GzkpNtt, msm_g1: &GzkpMsm, msm_g2: &GzkpMsm, seed: u64)
@@ -82,24 +76,18 @@ impl<S: ProofSystem> RequestClass for Keyed<S> {
         device: &DeviceConfig,
         store: Option<Arc<PreprocessStore>>,
         seed: u64,
-        persist: Option<(CheckpointSlot, Arc<AtomicBool>)>,
-        checkpoint: Option<&[u8]>,
+        persist: Option<CheckpointSlot>,
         verify: bool,
-    ) -> Result<Box<dyn ProofTask>, String> {
+    ) -> Box<dyn ProofTask> {
         let (circuit, pk, device) = (self.circuit.clone(), self.pk.clone(), device.clone());
         let mut task = match persist {
-            Some((slot, interrupt)) => {
-                SystemTask::<S>::persisting(circuit, pk, device, store, seed, slot, interrupt)
-            }
+            Some(slot) => SystemTask::<S>::persisting(circuit, pk, device, seed, slot),
             None => SystemTask::new(circuit, pk, device, store, seed),
         };
-        if let Some(bytes) = checkpoint {
-            task = task.resume(bytes)?;
-        }
         if verify {
             task = task.with_verifying_key(self.vk.clone());
         }
-        Ok(Box::new(task))
+        Box::new(task)
     }
 
     fn prove_direct(
@@ -172,34 +160,30 @@ impl PreparedWorkload {
         }
     }
 
-    /// Builds a checkpoint-persisting task for request `index` — the
-    /// cluster layer's entry point. With `checkpoint` bytes (taken from a
-    /// dead host's [`CheckpointSlot`]) the task resumes mid-proof;
-    /// without, it starts fresh. `verify` arms verify-before-return
-    /// against the request's verifying key.
+    /// Builds a checkpoint-persisting task for request `index` — what a
+    /// cluster submits, so the job survives the loss of its host: the
+    /// task persists its checkpoint into a slot of its own and takes its
+    /// table store and interrupt flag from the failure domain it is
+    /// pinned to. `verify` arms verify-before-return against the
+    /// request's verifying key.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails when `index` is out of range or `checkpoint` doesn't decode
-    /// for the request's curve and system.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if `index` is out of range.
     pub fn checkpoint_task(
         &self,
         index: usize,
         device: &DeviceConfig,
-        store: Option<Arc<PreprocessStore>>,
-        slot: CheckpointSlot,
-        interrupt: Arc<AtomicBool>,
-        checkpoint: Option<&[u8]>,
         verify: bool,
-    ) -> Result<Box<dyn ProofTask>, String> {
-        let req = self
-            .requests
-            .get(index)
-            .ok_or_else(|| format!("request {index} out of range ({})", self.requests.len()))?;
-        let persist = Some((slot, interrupt));
-        req.class
-            .task(device, store, req.seed, persist, checkpoint, verify)
+    ) -> Box<dyn ProofTask> {
+        let req = &self.requests[index];
+        req.class.task(
+            device,
+            None,
+            req.seed,
+            Some(CheckpointSlot::default()),
+            verify,
+        )
     }
 
     /// Proves request `index` directly (no service, fresh engines on
@@ -397,8 +381,7 @@ pub fn run_service(
         .map(|req| {
             let task = req
                 .class
-                .task(device, Some(store.clone()), req.seed, None, None, verify)
-                .expect("no checkpoint to reject");
+                .task(device, Some(store.clone()), req.seed, None, verify);
             let opts = JobOptions {
                 priority: req.priority,
                 deadline: req.deadline,

@@ -44,9 +44,10 @@ struct Job {
     /// Verification votes cast for this job (each verify-before-return
     /// check of a produced proof is one vote).
     verify_votes: u32,
-    /// Fault-draw index: advances on every injected fault and verify
-    /// reject (never on dead-device hits), so the injected sequence per
-    /// job is a pure function of the chaos seed.
+    /// Fault-draw index and retry budget: advances on every injected
+    /// fault, verify reject and move off a killed domain (never on
+    /// dead-device hits), so the injected sequence per job is a pure
+    /// function of the chaos seed.
     attempt: u32,
     /// Stage re-executions performed for this job.
     retries: u32,
@@ -59,6 +60,8 @@ struct Job {
     /// The device the job's last stage failed on; the next placement
     /// avoids it when any other device is available.
     avoid_device: Option<usize>,
+    /// The killed domains the job moved off, in order.
+    resumed_from: Vec<usize>,
 }
 
 impl Job {
@@ -77,6 +80,10 @@ impl Job {
     fn ready(&self, now: Instant) -> bool {
         self.not_before.is_none_or(|t| t <= now)
     }
+
+    fn domain(&self) -> usize {
+        self.shared.domain()
+    }
 }
 
 struct Queue {
@@ -85,10 +92,13 @@ struct Queue {
     /// Accepted jobs not yet resolved (queued + executing).
     open: usize,
     accepting: bool,
-    /// Key of the most recently scheduled job (affinity preference).
-    last_key: Option<u64>,
+    /// Key of the most recently scheduled job per failure domain
+    /// (affinity preference: its tables are hot in that domain's store).
+    last_key: Vec<Option<u64>>,
     seq: u64,
     next_id: u64,
+    /// Jobs resolved so far, for [`ProvingService::wait_for_resolution`].
+    resolved: u64,
 }
 
 /// The service's one set of counter, gauge and histogram handles,
@@ -195,11 +205,13 @@ pub struct ServiceStats {
 struct Inner {
     cfg: ServiceConfig,
     queue: Mutex<Queue>,
-    /// Signaled when schedulable work may exist (or on shutdown).
-    work_cv: Condvar,
-    /// Signaled when `open` drops to zero (drain/shutdown waiters).
+    /// Per failure domain: signaled when work pinned there may be
+    /// schedulable (or on shutdown).
+    work_cv: Vec<Condvar>,
+    /// Signaled on every resolution (drain and resolution waiters).
     idle_cv: Condvar,
-    store: Arc<PreprocessStore>,
+    /// One checkpoint-table store per failure domain.
+    stores: Vec<Arc<PreprocessStore>>,
     /// The device fleet: per-device timelines, placement and health.
     fleet: Arc<FleetRuntime>,
     /// Chaos mode: the deterministic fault oracle rolled before every
@@ -220,6 +232,21 @@ fn gauge_queue_depth(inner: &Inner, q: &Queue) {
     inner.metrics.queue_depth.set(q.pending.len() as f64);
 }
 
+/// Wakes every worker, whatever its domain.
+fn notify_all_domains(inner: &Inner) {
+    for cv in &inner.work_cv {
+        cv.notify_all();
+    }
+}
+
+/// Pins `job` to `domain` and binds its task to the domain's store and
+/// interrupt flag ([`ProofTask::bind_domain`]).
+fn bind_domain(inner: &Inner, job: &mut Job, domain: usize) -> Result<(), String> {
+    job.shared.set_domain(domain);
+    job.task
+        .bind_domain(&inner.stores[domain], inner.fleet.interrupt(domain))
+}
+
 /// The running service: worker threads plus the shared state they
 /// schedule from. See the crate docs for the architecture.
 pub struct ProvingService {
@@ -232,29 +259,48 @@ impl ProvingService {
     /// or [`ServiceConfig::workers`] V100s (at least one) when that list
     /// is empty — with one worker thread pinned per device.
     pub fn start(cfg: ServiceConfig) -> Self {
+        Self::start_in_domains(cfg, 1)
+    }
+
+    /// [`ProvingService::start`] on a fleet split into `domains` failure
+    /// domains of equal size, each one simulated host of a cluster. Each
+    /// domain holds its own table store of
+    /// [`ServiceConfig::prep_cache_bytes`]. A job is pinned to the
+    /// least-loaded schedulable domain when it is submitted
+    /// ([`FleetRuntime::pin`]) and runs on that domain's devices only;
+    /// see [`ProvingService::kill_domain`] for what a lost domain does
+    /// to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fleet does not split into `domains` equal runs.
+    pub fn start_in_domains(cfg: ServiceConfig, domains: usize) -> Self {
         let registry = cfg.metrics.clone().unwrap_or_default();
         let devices = match cfg.devices.as_slice() {
             [] => vec![gzkp_gpu_sim::v100(); cfg.workers.max(1)],
             listed => listed.to_vec(),
         };
-        let fleet = Arc::new(FleetRuntime::with_health_policy(
-            devices, cfg.health, &registry,
+        let fleet = Arc::new(FleetRuntime::with_domains(
+            devices, domains, cfg.health, &registry,
         ));
         let injector = cfg
             .chaos
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
         let inner = Arc::new(Inner {
-            store: Arc::new(PreprocessStore::new(cfg.prep_cache_bytes)),
+            stores: (0..domains)
+                .map(|_| Arc::new(PreprocessStore::new(cfg.prep_cache_bytes)))
+                .collect(),
             queue: Mutex::new(Queue {
                 pending: Vec::new(),
                 open: 0,
                 accepting: true,
-                last_key: None,
+                last_key: vec![None; domains],
                 seq: 0,
                 next_id: 0,
+                resolved: 0,
             }),
-            work_cv: Condvar::new(),
+            work_cv: (0..domains).map(|_| Condvar::new()).collect(),
             idle_cv: Condvar::new(),
             fleet,
             injector,
@@ -294,16 +340,19 @@ impl ProvingService {
         self.inner.fleet.trace()
     }
 
-    /// The shared checkpoint-table store; wire it into each job's MSM
-    /// engines (e.g. [`crate::SystemTask::new`]) so proving keys are
-    /// preprocessed once service-wide.
+    /// The shared checkpoint-table store (domain 0's); wire it into each
+    /// job's MSM engines (e.g. [`crate::SystemTask::new`]) so proving
+    /// keys are preprocessed once service-wide.
     pub fn store(&self) -> Arc<PreprocessStore> {
-        self.inner.store.clone()
+        self.inner.stores[0].clone()
     }
 
     /// Submits a job, applying backpressure: if the queue holds
-    /// [`ServiceConfig::queue_capacity`] jobs the submission is rejected
-    /// immediately rather than buffered.
+    /// [`ServiceConfig::queue_capacity`] jobs — or no failure domain is
+    /// schedulable — the submission is rejected immediately rather than
+    /// buffered. An accepted job is pinned to a domain and its task bound
+    /// there ([`ProofTask::bind_domain`]); a task that cannot bind
+    /// resolves as [`JobError::Failed`].
     pub fn submit(
         &self,
         task: Box<dyn ProofTask>,
@@ -314,19 +363,21 @@ impl ProvingService {
         if !q.accepting {
             return Err(SubmitError::ShuttingDown);
         }
-        if q.pending.len() >= self.inner.cfg.queue_capacity {
+        let capacity = self.inner.cfg.queue_capacity;
+        let pinned = (q.pending.len() < capacity)
+            .then(|| self.inner.fleet.pin(None))
+            .flatten();
+        let Some(domain) = pinned else {
             self.inner.metrics.rejected.inc();
-            return Err(SubmitError::QueueFull {
-                capacity: self.inner.cfg.queue_capacity,
-            });
-        }
+            return Err(SubmitError::QueueFull { capacity });
+        };
         let now = Instant::now();
         let id = q.next_id;
         q.next_id += 1;
         let seq = q.seq;
         q.seq += 1;
-        let shared = Arc::new(JobShared::new());
-        q.pending.push(Job {
+        let shared = Arc::new(JobShared::new(domain));
+        let mut job = Job {
             id,
             seq,
             task,
@@ -351,13 +402,44 @@ impl ProvingService {
             verify_rejects: 0,
             not_before: None,
             avoid_device: None,
-        });
+            resumed_from: Vec::new(),
+        };
         q.open += 1;
         self.inner.metrics.accepted.inc();
-        gauge_queue_depth(&self.inner, &q);
-        drop(q);
-        self.inner.work_cv.notify_one();
+        match bind_domain(&self.inner, &mut job, domain) {
+            Ok(()) => {
+                q.pending.push(job);
+                gauge_queue_depth(&self.inner, &q);
+                drop(q);
+                self.inner.work_cv[domain].notify_one();
+            }
+            Err(e) => resolve_locked(&self.inner, &mut q, job, Err(JobError::Failed(e))),
+        }
         Ok(JobHandle { id, shared })
+    }
+
+    /// Kills failure domain `domain` for good — a host lost mid-run. It
+    /// takes no new pins and its interrupt flag rises. A job queued there
+    /// moves now; a job running there moves when its task stops at the
+    /// next step boundary; a proof that beats the interrupt resolves
+    /// where it ran. A move re-pins the job to the least-loaded other
+    /// schedulable domain without backoff, costs one retry of
+    /// [`ServiceConfig::retry`]'s budget, keeps the job's place in the
+    /// queue order, and rebinds its task there (a persisting task
+    /// continues from its checkpoint bytes).
+    pub fn kill_domain(&self, domain: usize) {
+        self.inner.fleet.kill_domain(domain);
+        let stranded: Vec<Job> = {
+            let mut q = self.inner.queue.lock().unwrap();
+            let (stranded, kept) = std::mem::take(&mut q.pending)
+                .into_iter()
+                .partition(|job| job.domain() == domain);
+            q.pending = kept;
+            stranded
+        };
+        for job in stranded {
+            retry_or_fail(&self.inner, job, "domain killed", false);
+        }
     }
 
     /// Blocks until every accepted job has resolved. Intake stays open;
@@ -367,6 +449,19 @@ impl ProvingService {
         while q.open > 0 {
             q = self.inner.idle_cv.wait(q).unwrap();
         }
+    }
+
+    /// Blocks until the service has resolved more than `seen` jobs in
+    /// total, or for at most `timeout`, and returns the total so far —
+    /// pass it back as `seen` to wait for the next resolution.
+    pub fn wait_for_resolution(&self, seen: u64, timeout: Duration) -> u64 {
+        let q = self.inner.queue.lock().unwrap();
+        let (q, _) = self
+            .inner
+            .idle_cv
+            .wait_timeout_while(q, timeout, |q| q.resolved <= seen)
+            .unwrap();
+        q.resolved
     }
 
     /// Lifetime counters, read from the service's registry handles.
@@ -399,7 +494,7 @@ impl ProvingService {
 
     fn stop_and_join(&mut self) {
         self.inner.queue.lock().unwrap().accepting = false;
-        self.inner.work_cv.notify_all();
+        notify_all_domains(&self.inner);
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
@@ -413,23 +508,25 @@ impl Drop for ProvingService {
 }
 
 fn worker_loop(inner: &Inner, own: usize) {
-    // Each worker is pinned to device `own`: it takes the best ready job,
-    // places it (its own device first) and runs it to its next outcome.
-    while let Some(mut job) = next_job(inner) {
+    // Each worker is pinned to device `own`: it takes the best ready job
+    // pinned to its device's domain, places it (its own device first) and
+    // runs it to its next outcome.
+    let domain = inner.fleet.domain_of(own);
+    while let Some(mut job) = next_job(inner, domain) {
         place_job(inner, &mut job, own);
         run_job(inner, job);
     }
 }
 
-/// Blocks until a job is ready and takes the best one; `None` once
-/// intake is closed and every accepted job has resolved.
-fn next_job(inner: &Inner) -> Option<Job> {
+/// Blocks until a job pinned to `domain` is ready and takes the best one;
+/// `None` once intake is closed and every accepted job has resolved.
+fn next_job(inner: &Inner, domain: usize) -> Option<Job> {
     let mut guard = inner.queue.lock().unwrap();
     loop {
         let q = &mut *guard;
         sweep(inner, q);
-        if let Some(job) = pick(&mut q.pending, q.last_key) {
-            q.last_key = Some(job.key);
+        if let Some(job) = pick(&mut q.pending, q.last_key[domain], domain) {
+            q.last_key[domain] = Some(job.key);
             return Some(job);
         }
         if !q.accepting && q.open == 0 {
@@ -437,29 +534,36 @@ fn next_job(inner: &Inner) -> Option<Job> {
         }
         // Jobs parked for a retry backoff bound the wait: wake when the
         // earliest becomes schedulable again.
-        let next_ready = q.pending.iter().filter_map(|j| j.not_before).min();
+        let next_ready = q
+            .pending
+            .iter()
+            .filter(|j| j.domain() == domain)
+            .filter_map(|j| j.not_before)
+            .min();
+        let cv = &inner.work_cv[domain];
         guard = match next_ready {
             Some(t) => {
                 let timeout = t.saturating_duration_since(Instant::now());
-                inner.work_cv.wait_timeout(guard, timeout).unwrap().0
+                cv.wait_timeout(guard, timeout).unwrap().0
             }
-            None => inner.work_cv.wait(guard).unwrap(),
+            None => cv.wait(guard).unwrap(),
         };
     }
 }
 
 /// Health-aware placement of a picked job: the worker's own device when
 /// it is available (and not the device the job just failed on), else the
-/// least-loaded available device, else — whole fleet quarantined — the
-/// host CPU path, which cannot be quarantined and guarantees progress.
-/// A queued job holds no placement, so this is always a fresh one.
+/// least-loaded available device of the job's domain, else — the whole
+/// domain quarantined — the host CPU path, which cannot be quarantined
+/// and guarantees progress. A queued job holds no placement, so this is
+/// always a fresh one.
 fn place_job(inner: &Inner, job: &mut Job, own: usize) {
     let fleet = &inner.fleet;
     let own_ok = fleet.available(own) && job.avoid_device != Some(own);
     let target = if own_ok {
         Some(own)
     } else {
-        fleet.place_available(job.avoid_device)
+        fleet.place_available(job.domain(), job.avoid_device)
     };
     match target {
         Some(dev) => {
@@ -474,21 +578,25 @@ fn place_job(inner: &Inner, job: &mut Job, own: usize) {
     }
 }
 
-/// Cross-device escalation of a job's MSM stage. On a fleet of more than
+/// Cross-device escalation of a job's MSM stage. In a domain of more than
 /// one device, a job with a deadline whose slack is under
 /// [`gzkp_runtime::URGENCY_MARGIN`]× its modeled MSM cost claims the
-/// devices [`FleetRuntime::place_for_deadline`] grants and binds its MSM
-/// engines across them ([`ProofTask::bind_fleet`]). Any other job — calm,
-/// without a deadline, granted a single device, or unable to split its
-/// MSMs — keeps the placement it has.
+/// devices of its domain [`FleetRuntime::place_for_deadline`] grants and
+/// binds its MSM engines across them ([`ProofTask::bind_fleet`]). Any
+/// other job — calm, without a deadline, granted a single device, or
+/// unable to split its MSMs — keeps the placement it has.
 fn escalate(fleet: &Arc<FleetRuntime>, job: &mut Job) {
-    let Some(deadline) = job.deadline.filter(|_| fleet.len() > 1) else {
+    let domain = job.domain();
+    let Some(deadline) = job
+        .deadline
+        .filter(|_| fleet.domain_devices(domain).len() > 1)
+    else {
         return;
     };
     let slack = deadline
         .saturating_duration_since(Instant::now())
         .as_nanos() as f64;
-    let devices = fleet.place_for_deadline(job.task.msm_cost_estimate_ns(), slack);
+    let devices = fleet.place_for_deadline(domain, job.task.msm_cost_estimate_ns(), slack);
     if devices.len() < 2 || !job.task.bind_fleet(fleet, &devices, job.id) {
         for d in devices {
             fleet.complete(d);
@@ -529,15 +637,15 @@ fn sweep(inner: &Inner, q: &mut Queue) {
     }
 }
 
-/// Takes the best ready job: strongest priority first, then jobs sharing
-/// the last scheduled proving key (its checkpoint tables are hot in the
-/// store), then FIFO order.
-fn pick(list: &mut Vec<Job>, last_key: Option<u64>) -> Option<Job> {
+/// Takes the best ready job pinned to `domain`: strongest priority first,
+/// then jobs sharing the last scheduled proving key (its checkpoint
+/// tables are hot in the store), then FIFO order.
+fn pick(list: &mut Vec<Job>, last_key: Option<u64>, domain: usize) -> Option<Job> {
     let now = Instant::now();
     let (idx, _) = list
         .iter()
         .enumerate()
-        .filter(|(_, j)| j.ready(now))
+        .filter(|(_, j)| j.ready(now) && j.domain() == domain)
         .min_by_key(|(_, j)| (j.priority, Some(j.key) != last_key, j.seq))?;
     Some(list.remove(idx))
 }
@@ -581,13 +689,19 @@ fn roll_fault(
 /// reject): updates device health, parks the job for an exponential
 /// backoff, and requeues it. A job whose POLY artifacts survived
 /// (`poly_done`) re-runs only its MSM stage; any other restarts from
-/// POLY. Jobs that exhausted the retry budget resolve as
-/// [`JobError::Failed`].
+/// POLY. A job whose domain was killed instead moves, without backoff or
+/// a device-health mark, to the least-loaded other schedulable domain,
+/// where its task is rebound ([`ProofTask::bind_domain`]). Jobs that
+/// exhausted the retry budget resolve as [`JobError::Failed`].
 fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
+    let moving = inner.fleet.is_dead(job.domain());
     if let Some(dev) = release(&inner.fleet, &mut job) {
-        inner.fleet.record_failure(dev, hard);
-        job.avoid_device = Some(dev);
+        if !moving {
+            inner.fleet.record_failure(dev, hard);
+            job.avoid_device = Some(dev);
+        }
     }
+    job.attempt += u32::from(moving);
     if job.attempt > inner.cfg.retry.max_retries {
         return resolve(
             inner,
@@ -604,18 +718,43 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
         rec.span_start(names::SPAN_RETRY);
         rec.span_end(names::SPAN_RETRY);
     }
-    let policy = &inner.cfg.retry;
-    let exp = job.retries.saturating_sub(1).min(16);
-    let delay = policy
-        .backoff
-        .saturating_mul(1u32 << exp)
-        .min(policy.max_backoff);
-    job.not_before = Some(Instant::now() + delay);
+    if moving {
+        let dead = job.domain();
+        let Some(domain) = inner.fleet.pin(Some(dead)) else {
+            let reason = format!("{reason}: no live domain to move to");
+            return resolve(inner, job, Err(JobError::Failed(reason)));
+        };
+        inner.fleet.unpin(dead);
+        job.resumed_from.push(dead);
+        job.avoid_device = None;
+        if let Err(e) = bind_domain(inner, &mut job, domain) {
+            return resolve(inner, job, Err(JobError::Failed(e)));
+        }
+    } else {
+        let policy = &inner.cfg.retry;
+        let exp = job.retries.saturating_sub(1).min(16);
+        let delay = policy
+            .backoff
+            .saturating_mul(1u32 << exp)
+            .min(policy.max_backoff);
+        job.not_before = Some(Instant::now() + delay);
+    }
+    let domain = job.domain();
     let mut q = inner.queue.lock().unwrap();
     q.pending.push(job);
     gauge_queue_depth(inner, &q);
     drop(q);
-    inner.work_cv.notify_one();
+    inner.work_cv[domain].notify_one();
+}
+
+/// A stage returned an error. In a live domain that is the job's
+/// outcome; in a killed one it is the interrupt, and the job moves.
+fn stage_failed(inner: &Inner, job: Job, msg: String) {
+    if inner.fleet.is_dead(job.domain()) {
+        retry_or_fail(inner, job, &msg, false);
+    } else {
+        resolve(inner, job, Err(JobError::Failed(msg)));
+    }
 }
 
 /// Runs a placed job on the placement the worker gave it: its POLY stage
@@ -669,7 +808,7 @@ fn run_poly(inner: &Inner, mut job: Job) -> Option<Job> {
             Some(job)
         }
         Err(msg) => {
-            resolve(inner, job, Err(JobError::Failed(msg)));
+            stage_failed(inner, job, msg);
             None
         }
     }
@@ -769,7 +908,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
             }
             resolve(inner, job, Ok(output));
         }
-        Err(msg) => resolve(inner, job, Err(JobError::Failed(msg))),
+        Err(msg) => stage_failed(inner, job, msg),
     }
 }
 
@@ -789,7 +928,7 @@ fn resolve(inner: &Inner, job: Job, outcome: Result<TaskOutput, JobError>) {
 }
 
 /// Finalizes a job: closes its trace, bumps the stats, publishes the
-/// result, and releases its `open` slot. Queue lock held.
+/// result, and releases its domain pin and `open` slot. Queue lock held.
 fn resolve_locked(
     inner: &Inner,
     q: &mut Queue,
@@ -819,6 +958,8 @@ fn resolve_locked(
     gauge_queue_depth(inner, q);
 
     release(&inner.fleet, &mut job);
+    let domain = job.domain();
+    inner.fleet.unpin(domain);
 
     let trace = job.recorder.take().map(|rec| {
         if job.started {
@@ -857,11 +998,14 @@ fn resolve_locked(
         queue_wait: job.queue_wait,
         latency: job.submitted.elapsed(),
         trace,
+        domain,
+        resumed_from: std::mem::take(&mut job.resumed_from),
     });
     q.open -= 1;
+    q.resolved += 1;
+    inner.idle_cv.notify_all();
     if q.open == 0 {
-        inner.idle_cv.notify_all();
         // Exiting workers wait on work_cv for the open == 0 condition.
-        inner.work_cv.notify_all();
+        notify_all_domains(inner);
     }
 }

@@ -1217,7 +1217,6 @@ pub fn render_top(snap: &MetricsSnapshot) -> String {
                 {
                     0 => "warming",
                     1 => "up",
-                    2 => "drain",
                     _ => "dead",
                 };
                 let _ = writeln!(

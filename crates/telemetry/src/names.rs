@@ -198,16 +198,14 @@ pub const CLUSTER_FAILED: &str = "cluster.failed";
 /// Checkpointed resumes: jobs restarted on a surviving host after their
 /// host died mid-proof.
 pub const CLUSTER_RESUMES: &str = "cluster.resumes";
-/// Simulated host-kill faults the cluster chaos plan fired.
+/// Host kills that happened (chaos rolls and explicit kills).
 pub const CLUSTER_HOST_KILLS: &str = "cluster.host_kills";
-/// Cluster jobs dropped at a deadline (at dispatch or inside a host).
+/// Cluster jobs dropped at a deadline.
 pub const CLUSTER_DEADLINE_MISSED: &str = "cluster.deadline_missed";
 /// Hosts the autoscaler started beyond the initial set.
 pub const CLUSTER_HOSTS_STARTED: &str = "cluster.hosts_started";
 /// Hosts the autoscaler retired.
 pub const CLUSTER_HOSTS_RETIRED: &str = "cluster.hosts_retired";
-/// Times the host-level circuit breaker quarantined a host.
-pub const CLUSTER_HOST_QUARANTINES: &str = "cluster.host_quarantines";
 /// Jobs waiting in the front door's fair-share queue (gauge).
 pub const CLUSTER_QUEUE_DEPTH: &str = "cluster.queue_depth";
 /// Hosts currently accepting work (gauge).
@@ -216,13 +214,14 @@ pub const CLUSTER_HOSTS_UP: &str = "cluster.hosts_up";
 pub const CLUSTER_JOB_LATENCY_NS: &str = "cluster.job_latency_ns";
 /// Jobs a host completed (per-host counter, labeled `host=hN`).
 pub const HOST_COMPLETED: &str = "host.completed";
-/// Jobs that resolved with an error on a host, interrupted ones
-/// included (per-host counter, labeled `host=hN`).
+/// Jobs that resolved with an error on a host, plus the ones its death
+/// moved to another (per-host counter, labeled `host=hN`).
 pub const HOST_FAILED: &str = "host.failed";
-/// Jobs in flight on a host (per-host gauge, labeled `host=hN`).
+/// Jobs open on a host: released to it, not yet harvested (per-host
+/// gauge, labeled `host=hN`).
 pub const HOST_INFLIGHT: &str = "host.inflight";
 /// Host lifecycle state as a number (per-host gauge, labeled `host=hN`):
-/// 0 warming, 1 up, 2 draining, 3 dead.
+/// 0 warming, 1 up, 3 dead.
 pub const HOST_STATE: &str = "host.state";
 /// Label key of per-host series.
 pub const LABEL_HOST: &str = "host";

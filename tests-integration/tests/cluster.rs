@@ -1,30 +1,34 @@
-//! Cluster suite: multi-host sharding with checkpointed resume and an
-//! admission-control front door.
+//! Cluster suite: one proving service over host-sized failure domains,
+//! with checkpointed resume, an admission-control front door and an
+//! autoscaler.
 //!
-//! The contract under test (ISSUE 8's acceptance bar): killing a host
-//! mid-proof loses zero jobs — interrupted work resumes from its
-//! persisted checkpoint on a surviving host and the final proofs are
-//! byte-identical to uninterrupted runs — and the front door's
-//! weighted fair queuing and per-tenant rate limits hold under
-//! saturation without starving anyone.
+//! The contract under test: killing a host mid-proof loses zero jobs —
+//! interrupted work resumes from its persisted checkpoint on a surviving
+//! host and the final proofs are byte-identical to uninterrupted runs —
+//! and the front door's weighted fair queuing and per-tenant rate limits
+//! hold under saturation without starving anyone.
 
 use gzkp_cluster::{
-    system_factory, AdmissionError, Cluster, ClusterConfig, ClusterJobOptions, HostConfig,
+    AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, ClusterJobOptions, HostConfig,
     TenantSpec,
 };
 use gzkp_curves::bn254::{Bn254, Fr};
-use gzkp_gpu_sim::v100;
+use gzkp_gpu_sim::{v100, DeviceConfig};
 use gzkp_groth16::{
     proof_to_bytes,
     prove::{prove, ProverEngines},
     setup, ConstraintSystem, Groth16System, MsmSteps, ProofCheckpoint, ProvingKey, VerifyingKey,
 };
-use gzkp_msm::GzkpMsm;
+use gzkp_msm::{GzkpMsm, PreprocessStore};
 use gzkp_ntt::GzkpNtt;
-use gzkp_telemetry::{names, MetricsRegistry};
+use gzkp_runtime::FleetRuntime;
+use gzkp_service::{CheckpointSlot, ProofTask, StageProfile, SystemTask, TaskOutput};
+use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,16 +60,36 @@ fn direct_proof(cs: &ConstraintSystem<Fr>, pk: &ProvingKey<Bn254>, seed: u64) ->
     proof_to_bytes(&proof)
 }
 
-/// ISSUE 8's headline scenario: two hosts, several jobs in flight, one
-/// host killed once a job on it has a persisted mid-proof checkpoint.
-/// Every job must still complete, every proof byte-identical to the
-/// uninterrupted ground truth, and no host claim may leak.
+/// A checkpoint-persisting task over `keyed` and the slot it persists
+/// into (the test's window on its progress).
+fn persisting(
+    keyed: &Keyed,
+    seed: u64,
+    verify: bool,
+) -> (SystemTask<Groth16System<Bn254>>, CheckpointSlot) {
+    let (cs, pk, vk) = keyed;
+    let slot = CheckpointSlot::default();
+    let mut task = SystemTask::persisting(cs.clone(), pk.clone(), v100(), seed, slot.clone());
+    if verify {
+        task = task.with_verifying_key(vk.clone());
+    }
+    (task, slot)
+}
+
+fn task(keyed: &Keyed, seed: u64) -> Box<dyn ProofTask> {
+    Box::new(persisting(keyed, seed, false).0)
+}
+
+/// The headline scenario: two hosts, several jobs in flight, one host
+/// killed once a job on it has a persisted mid-proof checkpoint. Every
+/// job must still complete, every proof byte-identical to the
+/// uninterrupted ground truth, and no claim may leak.
 #[test]
 fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
-    let (cs, pk, vk) = keyed_circuit(192, 11);
+    let keyed = keyed_circuit(192, 11);
     let jobs = 6usize;
     let expected: Vec<Vec<u8>> = (0..jobs)
-        .map(|i| direct_proof(&cs, &pk, 100 + i as u64))
+        .map(|i| direct_proof(&keyed.0, &keyed.1, 100 + i as u64))
         .collect();
 
     let mut cluster = Cluster::start(ClusterConfig {
@@ -77,22 +101,15 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
         tenants: vec![TenantSpec::new("zcash", 1.0)],
         ..ClusterConfig::default()
     });
-    let ids: Vec<u64> = (0..jobs)
+    let (ids, slots): (Vec<u64>, Vec<CheckpointSlot>) = (0..jobs)
         .map(|i| {
-            cluster
-                .submit(
-                    "zcash",
-                    system_factory::<Groth16System<Bn254>>(
-                        cs.clone(),
-                        pk.clone(),
-                        Some(vk.clone()),
-                        100 + i as u64,
-                    ),
-                    ClusterJobOptions::default(),
-                )
-                .expect("admitted")
+            let (task, slot) = persisting(&keyed, 100 + i as u64, true);
+            let id = cluster
+                .submit("zcash", Box::new(task), ClusterJobOptions::default())
+                .expect("admitted");
+            (id, slot)
         })
-        .collect();
+        .unzip();
 
     // Pump until some open job has persisted a checkpoint (POLY done, or
     // partway through the MSMs), then kill the host it runs on. The slot
@@ -102,9 +119,9 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
     while killed_host.is_none() {
         assert!(Instant::now() < deadline, "no checkpoint observed in 60s");
         cluster.pump();
-        for &id in &ids {
-            let (Some(bytes), Some(host)) = (cluster.job_checkpoint(id), cluster.job_host(id))
-            else {
+        for (&id, slot) in ids.iter().zip(&slots) {
+            let bytes = slot.lock().unwrap().clone();
+            let (Some(bytes), Some(host)) = (bytes, cluster.job_host(id)) else {
                 continue;
             };
             let ckpt =
@@ -158,7 +175,7 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
 /// `host.completed{host=hN}` series.
 #[test]
 fn proof_that_beats_a_host_kill_counts_on_its_host() {
-    let (cs, pk, vk) = keyed_circuit(128, 13);
+    let keyed = keyed_circuit(128, 13);
     let registry = Arc::new(MetricsRegistry::new());
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 2,
@@ -166,12 +183,9 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
         metrics: Some(registry.clone()),
         ..ClusterConfig::default()
     });
+    let (task, slot) = persisting(&keyed, 7, true);
     let id = cluster
-        .submit(
-            "zcash",
-            system_factory::<Groth16System<Bn254>>(cs, pk, Some(vk), 7),
-            ClusterJobOptions::default(),
-        )
+        .submit("zcash", Box::new(task), ClusterJobOptions::default())
         .expect("admitted");
     let deadline = Instant::now() + Duration::from_secs(60);
     while cluster.job_host(id).is_none() {
@@ -179,14 +193,14 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
         cluster.pump();
     }
     // The slot fills after POLY and clears once the proof is done; with
-    // no further pump the finished job stays unharvested on its host.
+    // no further pump the finished job stays unharvested.
     let mut persisted = false;
     loop {
         assert!(Instant::now() < deadline, "proof never finished");
-        match cluster.job_checkpoint(id) {
-            Some(_) => persisted = true,
-            None if persisted => break,
-            None => {}
+        match slot.lock().unwrap().is_some() {
+            true => persisted = true,
+            false if persisted => break,
+            false => {}
         }
         std::thread::sleep(Duration::from_micros(100));
     }
@@ -203,12 +217,30 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
     );
 }
 
+/// Only a kill that happens counts: a second kill of the same host and a
+/// kill of an unknown host leave `host_kills` (and so the chaos budget)
+/// alone.
+#[test]
+fn only_kills_that_happen_are_counted() {
+    let mut cluster = Cluster::start(ClusterConfig {
+        hosts: 2,
+        ..ClusterConfig::default()
+    });
+    cluster.kill_host(0);
+    cluster.kill_host(0);
+    cluster.kill_host(7);
+    assert_eq!(cluster.stats().host_kills, 1);
+    let outcome = cluster.drain(Duration::from_secs(10));
+    assert_eq!(outcome.stats.host_kills, 1);
+    assert!(outcome.hosts[0].killed && !outcome.hosts[1].killed);
+}
+
 /// Fair share through the full stack: one single-device host, two
 /// tenants at 3:1 weights, both backlogged. The early completions must
 /// split close to 3:1.
 #[test]
 fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
-    let (cs, pk, _vk) = keyed_circuit(64, 5);
+    let keyed = keyed_circuit(64, 5);
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 1,
         host: HostConfig {
@@ -222,11 +254,7 @@ fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
     for i in 0..24u64 {
         for tenant in ["heavy", "light"] {
             cluster
-                .submit(
-                    tenant,
-                    system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, i),
-                    ClusterJobOptions::default(),
-                )
+                .submit(tenant, task(&keyed, i), ClusterJobOptions::default())
                 .expect("admitted");
         }
     }
@@ -256,7 +284,7 @@ fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
 /// retry hint, and its limit never starves the unlimited tenant.
 #[test]
 fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
-    let (cs, pk, _vk) = keyed_circuit(64, 7);
+    let keyed = keyed_circuit(64, 7);
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 1,
         tenants: vec![
@@ -275,7 +303,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     for i in 0..6u64 {
         match cluster.submit_at(
             "metered",
-            system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, i),
+            task(&keyed, i),
             ClusterJobOptions::default(),
             now,
         ) {
@@ -298,7 +326,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
         cluster
             .submit_at(
                 "unmetered",
-                system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, 50 + i),
+                task(&keyed, 50 + i),
                 ClusterJobOptions::default(),
                 now,
             )
@@ -319,25 +347,24 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
 /// Unknown tenants and front-door saturation are typed too, end to end.
 #[test]
 fn unknown_tenant_and_saturation_are_typed_at_the_cluster_api() {
-    let (cs, pk, _vk) = keyed_circuit(64, 3);
+    let keyed = keyed_circuit(64, 3);
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 1,
         tenants: vec![TenantSpec::new("only", 1.0)],
         pending_capacity: 2,
         ..ClusterConfig::default()
     });
-    let factory = || system_factory::<Groth16System<Bn254>>(cs.clone(), pk.clone(), None, 1);
     assert!(matches!(
-        cluster.submit("ghost", factory(), ClusterJobOptions::default()),
+        cluster.submit("ghost", task(&keyed, 1), ClusterJobOptions::default()),
         Err(AdmissionError::UnknownTenant(t)) if t == "ghost"
     ));
     for _ in 0..2 {
         cluster
-            .submit("only", factory(), ClusterJobOptions::default())
+            .submit("only", task(&keyed, 1), ClusterJobOptions::default())
             .expect("under capacity");
     }
     assert!(matches!(
-        cluster.submit("only", factory(), ClusterJobOptions::default()),
+        cluster.submit("only", task(&keyed, 1), ClusterJobOptions::default()),
         Err(AdmissionError::Saturated {
             pending: 2,
             capacity: 2
@@ -346,5 +373,198 @@ fn unknown_tenant_and_saturation_are_typed_at_the_cluster_api() {
     let outcome = cluster.drain(Duration::from_secs(60));
     assert_eq!(outcome.stats.rejected_saturated, 1);
     assert_eq!(outcome.stats.completed, 2);
+    assert_eq!(outcome.leaked_claims, 0);
+}
+
+/// The autoscaler end to end: one host and a backlog four times what it
+/// is sized for. The cluster starts hosts (which warm up before taking
+/// work), every proof stays byte-identical, nothing leaks, and the
+/// scaling counters are reads of the registry.
+#[test]
+fn autoscaler_grows_the_cluster_under_backlog() {
+    let keyed = keyed_circuit(64, 17);
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut cluster = Cluster::start(ClusterConfig {
+        hosts: 1,
+        autoscale: Some(AutoscalePolicy {
+            min_hosts: 1,
+            max_hosts: 3,
+            jobs_per_host: 2.0,
+            ..AutoscalePolicy::default()
+        }),
+        metrics: Some(registry.clone()),
+        ..ClusterConfig::default()
+    });
+    let ids: Vec<u64> = (0..8u64)
+        .map(|seed| {
+            cluster
+                .submit("default", task(&keyed, seed), ClusterJobOptions::default())
+                .expect("admitted")
+        })
+        .collect();
+    let outcome = cluster.drain(Duration::from_secs(120));
+
+    let stats = outcome.stats;
+    assert!(
+        stats.hosts_started >= 1,
+        "a backlog of 8 at 2 per host scales up"
+    );
+    assert_eq!(outcome.leaked_claims, 0);
+    assert_eq!(stats.completed, 8);
+    for (seed, id) in ids.iter().enumerate() {
+        let result = outcome
+            .results
+            .iter()
+            .find(|r| r.id == *id)
+            .expect("resolved");
+        assert_eq!(
+            result.outcome.as_ref().expect("proved"),
+            &direct_proof(&keyed.0, &keyed.1, seed as u64)
+        );
+    }
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter(names::CLUSTER_HOSTS_STARTED),
+        Some(stats.hosts_started)
+    );
+    assert_eq!(
+        snap.counter(names::CLUSTER_HOSTS_RETIRED),
+        Some(stats.hosts_retired)
+    );
+    assert!(outcome.hosts.len() as u64 > 1 && outcome.hosts.len() <= 3);
+}
+
+/// A persisting task made urgent (a huge modeled MSM cost, so any
+/// deadline is tight) and, optionally, gated: after its first POLY stage
+/// it reports in and waits for the test to let it continue.
+struct UrgentTask {
+    inner: SystemTask<Groth16System<Bn254>>,
+    gate: Option<(Sender<()>, Receiver<()>)>,
+}
+
+impl ProofTask for UrgentTask {
+    fn key_id(&self) -> u64 {
+        self.inner.key_id()
+    }
+    fn poly(&mut self, sink: &dyn TelemetrySink) -> Result<(), String> {
+        self.inner.poly(sink)?;
+        if let Some((reached, resume)) = self.gate.take() {
+            reached.send(()).expect("test is waiting");
+            resume.recv().expect("test lets the job continue");
+        }
+        Ok(())
+    }
+    fn msm(&mut self, sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+        self.inner.msm(sink)
+    }
+    fn bind_device(&mut self, device: &DeviceConfig) {
+        self.inner.bind_device(device);
+    }
+    fn bind_fleet(&mut self, fleet: &Arc<FleetRuntime>, devices: &[usize], job_id: u64) -> bool {
+        self.inner.bind_fleet(fleet, devices, job_id)
+    }
+    fn bind_domain(
+        &mut self,
+        store: &Arc<PreprocessStore>,
+        interrupt: &Arc<AtomicBool>,
+    ) -> Result<(), String> {
+        self.inner.bind_domain(store, interrupt)
+    }
+    fn msm_cost_estimate_ns(&self) -> f64 {
+        1e15
+    }
+    fn poly_profile(&self) -> StageProfile {
+        self.inner.poly_profile()
+    }
+    fn msm_profile(&self, output: &TaskOutput) -> StageProfile {
+        self.inner.msm_profile(output)
+    }
+    fn verify_output(&self, output: &TaskOutput) -> Option<bool> {
+        self.inner.verify_output(output)
+    }
+}
+
+fn two_hosts_of_two_v100s() -> Cluster {
+    Cluster::start(ClusterConfig {
+        hosts: 2,
+        host: HostConfig {
+            devices: vec![v100(); 2],
+            ..HostConfig::default()
+        },
+        ..ClusterConfig::default()
+    })
+}
+
+const URGENT: ClusterJobOptions = ClusterJobOptions {
+    priority: gzkp_service::Priority::Normal,
+    deadline: Some(Duration::from_secs(60)),
+};
+
+/// Multi-device hosts: an urgent job claims every device of its host for
+/// its MSMs — and only those; a merge between hosts would model a P2P
+/// link that does not exist.
+#[test]
+fn urgent_cross_device_grant_stays_inside_one_host() {
+    let keyed = keyed_circuit(128, 19);
+    let mut cluster = two_hosts_of_two_v100s();
+    let inner = persisting(&keyed, 5, true).0;
+    let task = UrgentTask { inner, gate: None };
+    let id = cluster.submit("default", Box::new(task), URGENT).unwrap();
+    let outcome = cluster.drain(Duration::from_secs(60));
+
+    let result = outcome.results.iter().find(|r| r.id == id).unwrap();
+    assert_eq!(
+        result.outcome.as_ref().expect("proved"),
+        &direct_proof(&keyed.0, &keyed.1, 5)
+    );
+    let jobs: Vec<u64> = outcome.fleet.devices.iter().map(|d| d.jobs).collect();
+    assert!(
+        jobs[0] > 0 && jobs[1] > 0,
+        "host 0's two devices granted: {jobs:?}"
+    );
+    assert_eq!(
+        &jobs[2..],
+        &[0, 0],
+        "no grant crosses into host 1: {jobs:?}"
+    );
+}
+
+/// Killing a multi-device host mid-proof moves the job to the other host,
+/// where it resumes from its checkpoint — across that host's devices —
+/// and still proves the uninterrupted bytes.
+#[test]
+fn killing_a_multi_device_host_mid_proof_resumes_on_the_other() {
+    let keyed = keyed_circuit(128, 23);
+    let mut cluster = two_hosts_of_two_v100s();
+    let (reached_tx, reached) = channel();
+    let (resume, resume_rx) = channel();
+    let task = UrgentTask {
+        inner: persisting(&keyed, 9, true).0,
+        gate: Some((reached_tx, resume_rx)),
+    };
+    let id = cluster.submit("default", Box::new(task), URGENT).unwrap();
+    cluster.pump();
+    reached
+        .recv_timeout(Duration::from_secs(60))
+        .expect("POLY ran and persisted its checkpoint");
+    let host = cluster.job_host(id).expect("placed");
+    cluster.kill_host(host);
+    resume.send(()).unwrap();
+    let outcome = cluster.drain(Duration::from_secs(60));
+
+    let result = outcome.results.iter().find(|r| r.id == id).unwrap();
+    assert_eq!(
+        result.outcome.as_ref().expect("resumed and proved"),
+        &direct_proof(&keyed.0, &keyed.1, 9)
+    );
+    assert_eq!((result.resumes, outcome.stats.resumes), (1, 1));
+    let survivor = 1 - host;
+    assert_eq!(outcome.hosts[host].failed, 1);
+    assert_eq!(outcome.hosts[survivor].completed, 1);
+    let devices = &outcome.fleet.devices[2 * survivor..2 * survivor + 2];
+    assert!(
+        devices.iter().all(|d| d.jobs > 0),
+        "the resumed MSMs ran across the survivor's devices"
+    );
     assert_eq!(outcome.leaked_claims, 0);
 }

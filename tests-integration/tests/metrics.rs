@@ -3,7 +3,7 @@
 //! metrics must never perturb proof bytes, and the flame export must
 //! cover a real prover trace.
 
-use gzkp_cluster::{system_factory, Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome};
+use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome};
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::{v100, FaultPlan, FaultRates};
 use gzkp_groth16::{setup, Groth16System};
@@ -294,13 +294,16 @@ fn cluster_rows(o: &ClusterOutcome) -> Vec<Row> {
             names::CLUSTER_HOSTS_RETIRED,
             true,
         ),
-        row(
-            "host_quarantines",
-            s.host_quarantines,
-            names::CLUSTER_HOST_QUARANTINES,
-            true,
-        ),
     ];
+    // Quarantine is counted per device of the cluster's one fleet.
+    for d in &o.fleet.devices {
+        let dev = format!("dev{}", d.index);
+        rows.push(Row {
+            field: format!("{dev}.quarantines"),
+            label: Some(("device", dev.clone())),
+            ..row("quarantines", d.quarantines, names::QUARANTINE_EVENTS, true)
+        });
+    }
     for h in &o.hosts {
         let host = format!("h{}", h.id);
         for (field, value, series) in [
@@ -424,14 +427,16 @@ fn every_layer_counts_each_event_once_in_its_registry() {
         });
         let ids: Vec<u64> = (0..2)
             .map(|seed| {
-                let factory = system_factory::<Groth16System<Bn254>>(
+                let task = SystemTask::<Groth16System<Bn254>>::persisting(
                     cs.clone(),
                     pk.clone(),
-                    Some(vk.clone()),
+                    v100(),
                     seed,
-                );
+                    Default::default(),
+                )
+                .with_verifying_key(vk.clone());
                 cluster
-                    .submit("default", factory, ClusterJobOptions::default())
+                    .submit("default", Box::new(task), ClusterJobOptions::default())
                     .unwrap()
             })
             .collect();

@@ -97,6 +97,52 @@ fn one_worker(queue_capacity: usize) -> ServiceConfig {
     }
 }
 
+/// Failure domains at submission: a closed domain takes no pin while
+/// another one has room, and takes work once it opens.
+#[test]
+fn unschedulable_domain_gets_no_pin_until_it_opens() {
+    let service = ProvingService::start_in_domains(
+        ServiceConfig {
+            devices: vec![v100(); 2],
+            ..ServiceConfig::default()
+        },
+        2,
+    );
+    service.fleet().set_schedulable(1, false);
+    let started = Arc::new(Latch::default());
+    let release = Arc::new(Latch::default());
+    let gated: Vec<_> = (0..2)
+        .map(|_| {
+            let task = GateTask {
+                started: started.clone(),
+                release: release.clone(),
+            };
+            service
+                .submit(Box::new(task), JobOptions::default())
+                .unwrap()
+        })
+        .collect();
+    assert!(gated.iter().all(|h| h.domain() == 0), "domain 1 is closed");
+    assert_eq!(service.fleet().pinned(1), 0);
+    started.wait();
+
+    service.fleet().set_schedulable(1, true);
+    let opened = service
+        .submit(Box::new(NopTask(7)), JobOptions::default())
+        .unwrap();
+    assert_eq!(opened.domain(), 1, "the open, idle domain is least loaded");
+    let result = opened.wait();
+    assert_eq!(result.domain, 1);
+    assert_eq!(result.outcome.unwrap().proof, 7u64.to_le_bytes());
+    release.open();
+    for handle in gated {
+        assert_eq!(handle.wait().domain, 0);
+    }
+    let util = service.fleet_utilization();
+    assert_eq!((util.devices[0].jobs, util.devices[1].jobs), (2, 1));
+    service.shutdown();
+}
+
 #[test]
 fn backpressure_rejects_when_queue_full() {
     let service = ProvingService::start(one_worker(2));

@@ -59,13 +59,14 @@
 //! format on the same cadence.
 //!
 //! `--cluster hosts=N` replays the workload through the multi-host
-//! cluster layer instead of a single service: N simulated hosts (each a
-//! full proving service over the `--devices` fleet) behind the
-//! fair-share front door, with every job running as a checkpointing
-//! task. `--chaos seed,hostkill=X` arms host-kill chaos at this level —
-//! a killed host's in-flight jobs resume from their persisted
-//! checkpoints on survivors, and `--compare` asserts the final proofs
-//! are byte-identical to direct sequential proves anyway. The run
+//! cluster layer instead of a plain service: one proving service whose
+//! fleet is N simulated hosts (each a failure domain holding the
+//! `--devices` fleet) behind the fair-share front door, with every job
+//! running as a checkpointing task. `--chaos seed,hostkill=X` arms
+//! host-kill chaos at this level — a killed host's jobs move to a
+//! survivor and resume from their persisted checkpoints, and
+//! `--compare` asserts the final proofs are byte-identical to direct
+//! sequential proves anyway. The run
 //! prints per-host accounting, front-door tenant stats, and a JSON
 //! summary; with `--metrics` the snapshot gains cluster rows in
 //! `zkserve top` and a cluster lost-jobs section in the SLO report.
@@ -79,9 +80,7 @@
 //! `example` prints a starter workload file to stdout; `example --mixed`
 //! prints one that interleaves Groth16 and PLONK request classes.
 
-use gzkp_cluster::{
-    workload_factory, Cluster, ClusterConfig, ClusterJobOptions, HostConfig, TenantSpec,
-};
+use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, HostConfig, TenantSpec};
 use gzkp_gpu_sim::v100;
 use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
@@ -196,7 +195,7 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
 /// task through the front door, hosts are killed/resumed per `--chaos
 /// hostkill=X`, and the run reports per-host accounting plus a JSON
 /// summary.
-fn run_cluster(run: &RunArgs, prepared: Arc<PreparedWorkload>, hosts: usize) -> ExitCode {
+fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> ExitCode {
     let jobs = prepared.len();
     // Chaos implies verify-before-return, matching single-host `run`.
     let verify = run.cfg.chaos.is_some();
@@ -218,6 +217,7 @@ fn run_cluster(run: &RunArgs, prepared: Arc<PreparedWorkload>, hosts: usize) -> 
     } else {
         run.cfg.devices.clone()
     };
+    let task_device = devices[0].clone();
     let mut cluster = Cluster::start(ClusterConfig {
         hosts,
         host: HostConfig {
@@ -236,7 +236,7 @@ fn run_cluster(run: &RunArgs, prepared: Arc<PreparedWorkload>, hosts: usize) -> 
         let opts = prepared.request_options(i);
         match cluster.submit(
             "default",
-            workload_factory(prepared.clone(), i, verify),
+            prepared.checkpoint_task(i, &task_device, verify),
             ClusterJobOptions {
                 priority: opts.priority,
                 deadline: opts.deadline.or(run.cfg.default_deadline),
@@ -265,8 +265,8 @@ fn run_cluster(run: &RunArgs, prepared: Arc<PreparedWorkload>, hosts: usize) -> 
     println!(
         "{:>10}: makespan {:8.1} ms (simulated)  \u{2192} {:6.2} proofs/s",
         "cluster",
-        outcome.makespan_ns / 1e6,
-        stats.completed as f64 / (outcome.makespan_ns / 1e9).max(1e-12),
+        outcome.fleet.elapsed_ns / 1e6,
+        stats.completed as f64 / (outcome.fleet.elapsed_ns / 1e9).max(1e-12),
     );
     for h in &outcome.hosts {
         println!(
@@ -455,7 +455,7 @@ fn main() -> ExitCode {
             let prepared = prepare(&workload);
 
             if let Some(hosts) = run.cluster_hosts {
-                return run_cluster(&run, Arc::new(prepared), hosts);
+                return run_cluster(&run, &prepared, hosts);
             }
 
             let baseline = run.compare.then(|| {
