@@ -17,9 +17,9 @@
 //! `GZKP_BENCH_FULL=1` scale the job count up.
 
 use gzkp_bench::{speedup, Recorder};
-use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, HostConfig};
+use gzkp_cluster::{Cluster, ClusterConfig, HostConfig};
 use gzkp_gpu_sim::device::v100;
-use gzkp_service::{prepare, run_sequential, PreparedWorkload};
+use gzkp_service::{prepare, run_sequential, JobOptions, PreparedWorkload};
 use gzkp_workloads::requests::{
     RequestCurve, RequestPriority, RequestSpec, RequestSystem, RequestWorkload,
 };
@@ -60,7 +60,7 @@ fn run_cluster(prepared: &Arc<PreparedWorkload>, hosts: usize) -> (f64, Vec<Vec<
                 .submit(
                     "default",
                     prepared.checkpoint_task(i, &v100(), false),
-                    ClusterJobOptions::default(),
+                    JobOptions::default(),
                 )
                 .expect("admitted")
         })

@@ -10,10 +10,10 @@ use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_gpu_sim::{FaultInjector, FaultPlan, FaultSummary};
 use gzkp_runtime::{FleetUtilization, HealthPolicy};
 use gzkp_service::{
-    JobError, JobHandle, JobOptions, JobResult, Priority, ProofTask, ProvingService, RetryPolicy,
+    JobError, JobHandle, JobOptions, JobResult, ProofTask, ProvingService, RetryPolicy,
     ServiceConfig,
 };
-use gzkp_telemetry::{names, Counter, Gauge, LatencyHistogram, MetricsRegistry};
+use gzkp_telemetry::{names, Counter, Gauge, LatencyHistogram, MetricsRegistry, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,25 +83,6 @@ pub struct HostReport {
     /// Jobs that resolved with an error on this host, plus the ones its
     /// death moved elsewhere (its `host.failed{host=hN}` counter).
     pub failed: u64,
-}
-
-/// Per-job submission options at the cluster level.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterJobOptions {
-    /// Scheduling class inside the service.
-    pub priority: Priority,
-    /// End-to-end deadline from admission. A job moved off a killed host
-    /// keeps its running deadline, not a fresh one.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for ClusterJobOptions {
-    fn default() -> Self {
-        Self {
-            priority: Priority::Normal,
-            deadline: None,
-        }
-    }
 }
 
 /// Cluster configuration.
@@ -193,6 +174,9 @@ pub struct ClusterResult {
     pub resumes: u32,
     /// Admission-to-resolution latency.
     pub latency: Duration,
+    /// The job's service trace, when it was submitted with
+    /// [`JobOptions::trace`].
+    pub trace: Option<Trace>,
 }
 
 /// Everything [`Cluster::drain`] hands back.
@@ -210,6 +194,10 @@ pub struct ClusterOutcome {
     /// maximum over devices, hence over hosts — is the cluster-simulated
     /// makespan.
     pub fleet: FleetUtilization,
+    /// The same fleet's `runtime→dev{n}→…` telemetry trace (every host's
+    /// devices, host `h` owning `dev{h·d}..dev{h·d+d-1}` for `d` devices a
+    /// host), for `zkprof render --timeline`.
+    pub fleet_trace: Trace,
     /// Jobs still claimed anywhere after the drain — must be zero; a
     /// non-zero value means a kill or retirement leaked a claim.
     pub leaked_claims: usize,
@@ -363,7 +351,7 @@ impl Host {
 struct Admitted {
     id: u64,
     task: Box<dyn ProofTask>,
-    opts: ClusterJobOptions,
+    opts: JobOptions,
     admitted_at: Instant,
 }
 
@@ -453,7 +441,10 @@ impl Cluster {
 
     /// Submits one job for `tenant`. Runs the full admission pipeline;
     /// on success the job is queued fairly and released to the service
-    /// by a later pump.
+    /// by a later pump. `opts` are the service's: the deadline is
+    /// measured from admission here (the time spent in the front door
+    /// counts against it, and a job moved off a killed host keeps its
+    /// running deadline), and `trace` records the job's service trace.
     ///
     /// # Errors
     ///
@@ -462,7 +453,7 @@ impl Cluster {
         &mut self,
         tenant: &str,
         task: Box<dyn ProofTask>,
-        opts: ClusterJobOptions,
+        opts: JobOptions,
     ) -> Result<u64, AdmissionError> {
         self.submit_at(tenant, task, opts, Instant::now())
     }
@@ -477,7 +468,7 @@ impl Cluster {
         &mut self,
         tenant: &str,
         task: Box<dyn ProofTask>,
-        opts: ClusterJobOptions,
+        opts: JobOptions,
         now: Instant,
     ) -> Result<u64, AdmissionError> {
         let id = self.next_job;
@@ -641,9 +632,8 @@ impl Cluster {
             };
             let waited = now.saturating_duration_since(job.admitted_at);
             let opts = JobOptions {
-                priority: job.opts.priority,
                 deadline: job.opts.deadline.map(|d| d.saturating_sub(waited)),
-                trace: false,
+                ..job.opts
             };
             match self.service.submit(job.task, opts) {
                 Ok(handle) => {
@@ -654,7 +644,10 @@ impl Cluster {
                     };
                     self.open.insert(job.id, open);
                 }
-                Err(e) => self.record(job.id, tenant, job.admitted_at, Err(e.to_string()), 0),
+                Err(e) => {
+                    let outcome = Err(e.to_string());
+                    self.record(job.id, tenant, job.admitted_at, outcome, 0, None);
+                }
             }
         }
     }
@@ -676,7 +669,14 @@ impl Cluster {
                 }
                 e.to_string()
             });
-            self.record(id, job.tenant, job.admitted_at, outcome, resumes);
+            self.record(
+                id,
+                job.tenant,
+                job.admitted_at,
+                outcome,
+                resumes,
+                result.trace,
+            );
         }
         resolved
     }
@@ -705,6 +705,7 @@ impl Cluster {
         admitted_at: Instant,
         outcome: Result<Vec<u8>, String>,
         resumes: u32,
+        trace: Option<Trace>,
     ) {
         let latency = admitted_at.elapsed();
         if outcome.is_ok() {
@@ -719,6 +720,7 @@ impl Cluster {
             outcome,
             resumes,
             latency,
+            trace,
         });
     }
 
@@ -754,12 +756,12 @@ impl Cluster {
             if remaining.is_zero() {
                 while let Some((tenant, job)) = self.door.pop() {
                     let timed_out = Err("cluster drain timeout".to_string());
-                    self.record(job.id, tenant, job.admitted_at, timed_out, 0);
+                    self.record(job.id, tenant, job.admitted_at, timed_out, 0, None);
                 }
                 for (id, job) in std::mem::take(&mut self.open) {
                     job.handle.cancel();
                     let timed_out = Err("cluster drain timeout".to_string());
-                    self.record(id, job.tenant, job.admitted_at, timed_out, 0);
+                    self.record(id, job.tenant, job.admitted_at, timed_out, 0, None);
                 }
                 break;
             }
@@ -798,6 +800,7 @@ impl Cluster {
                 .map(|(id, h)| h.report(id))
                 .collect(),
             fleet: fleet.utilization(),
+            fleet_trace: fleet.trace(),
             leaked_claims,
             chaos: self.injector.as_ref().map(|i| i.summary()),
         }
@@ -807,6 +810,44 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gzkp_service::TaskOutput;
+    use gzkp_telemetry::TelemetrySink;
+
+    /// A job that proves nothing.
+    struct Nop;
+
+    impl ProofTask for Nop {
+        fn key_id(&self) -> u64 {
+            0
+        }
+        fn poly(&mut self, _sink: &dyn TelemetrySink) -> Result<(), String> {
+            Ok(())
+        }
+        fn msm(&mut self, _sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+            Ok(TaskOutput {
+                proof: vec![7],
+                report: None,
+            })
+        }
+    }
+
+    #[test]
+    fn a_traced_job_carries_its_service_trace() {
+        let mut cluster = Cluster::start(ClusterConfig::default());
+        let traced = JobOptions {
+            trace: true,
+            ..JobOptions::default()
+        };
+        let a = cluster.submit("default", Box::new(Nop), traced).unwrap();
+        let b = cluster
+            .submit("default", Box::new(Nop), JobOptions::default())
+            .unwrap();
+        let outcome = cluster.drain(Duration::from_secs(30));
+        let trace = |id| &outcome.results.iter().find(|r| r.id == id).unwrap().trace;
+        let service = trace(a).as_ref().expect("trace requested");
+        assert!(service.find(&["service", "execute"]).is_some());
+        assert!(trace(b).is_none());
+    }
 
     #[test]
     fn report_json_round_trips_through_vendored_serde() {

@@ -34,11 +34,11 @@
 //! ## Example
 //!
 //! ```
-//! use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, TenantSpec};
+//! use gzkp_cluster::{Cluster, ClusterConfig, TenantSpec};
 //! use gzkp_curves::bn254::{Bn254, Fr};
 //! use gzkp_groth16::{setup, r1cs::{ConstraintSystem, LinearCombination}, Groth16System};
 //! use gzkp_ff::Field;
-//! use gzkp_service::SystemTask;
+//! use gzkp_service::{JobOptions, SystemTask};
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use std::sync::Arc;
 //! use std::time::Duration;
@@ -71,7 +71,7 @@
 //! )
 //! .with_verifying_key(vk);
 //! let job = cluster
-//!     .submit("zcash", Box::new(task), ClusterJobOptions::default())
+//!     .submit("zcash", Box::new(task), JobOptions::default())
 //!     .unwrap();
 //! let outcome = cluster.drain(Duration::from_secs(30));
 //! let result = outcome.results.iter().find(|r| r.id == job).unwrap();
@@ -87,7 +87,7 @@ pub mod frontdoor;
 
 pub use autoscale::{AutoscalePolicy, Autoscaler};
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome, ClusterReportJson, ClusterResult,
-    ClusterStats, HostConfig, HostReport, HostState,
+    Cluster, ClusterConfig, ClusterOutcome, ClusterReportJson, ClusterResult, ClusterStats,
+    HostConfig, HostReport, HostState,
 };
 pub use frontdoor::{AdmissionError, FrontDoor, RateLimit, TenantSpec, TenantStats};

@@ -1,6 +1,6 @@
-//! The fleet runtime: per-device command streams, throughput-weighted
-//! placement, shard accounting, utilization snapshots and the
-//! `runtime→dev{n}→{h2d,kernel,d2h}` telemetry trace.
+//! The fleet runtime: per-device command streams, the one placement rule
+//! ([`FleetRuntime::pin`]), shard accounting, utilization snapshots and
+//! the `runtime→dev{n}→{h2d,kernel,d2h}` telemetry trace.
 //!
 //! Each device gets three streams on its [`DeviceTimeline`]: an upload
 //! stream, an execute stream and a download stream. A stage recorded via
@@ -100,11 +100,19 @@ pub fn throughput_weight(config: &DeviceConfig) -> f64 {
     f64::from(config.num_sms) * config.mac64_per_ns_per_sm
 }
 
-/// The one load definition behind both placement granularities:
-/// `(count + 1)` units of work normalized by `weight` — "how long until
-/// this device (or domain) would get to one more job".
-fn load(count: u64, weight: f64) -> f64 {
-    (count + 1) as f64 / weight
+/// The one placement key, for domains and devices alike, over
+/// `(index, pinned, weight)` candidates in index order: idle first, then
+/// the lowest `(pinned + 1) / weight` — how long until it would get to
+/// one more job — then the first.
+fn least_loaded(candidates: impl Iterator<Item = (usize, u64, f64)>) -> Option<usize> {
+    let load = |pinned: u64, weight: f64| (pinned + 1) as f64 / weight;
+    candidates
+        .min_by(|&(_, a, wa), &(_, b, wb)| {
+            (a > 0)
+                .cmp(&(b > 0))
+                .then(load(a, wa).total_cmp(&load(b, wb)))
+        })
+        .map(|(index, _, _)| index)
 }
 
 /// Safety factor of [`FleetRuntime::place_for_deadline`]'s urgency test:
@@ -136,9 +144,9 @@ impl Lanes {
 struct DeviceRuntime {
     config: DeviceConfig,
     lanes: Mutex<Lanes>,
-    /// Stages currently placed but not yet completed (placement load).
-    inflight: AtomicU64,
-    /// Total stages ever placed on this device.
+    /// Unresolved jobs pinned here (the placement load).
+    pinned: AtomicU64,
+    /// Placements on this device: pins, re-pins and deadline grants.
     jobs: AtomicU64,
     /// Circuit-breaker state (see [`crate::health`]).
     health: Mutex<DeviceHealth>,
@@ -165,7 +173,7 @@ impl DeviceRuntime {
                 p2p,
                 issued: 0,
             }),
-            inflight: AtomicU64::new(0),
+            pinned: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
             health: Mutex::new(DeviceHealth::new(policy)),
             events: Mutex::new(Vec::new()),
@@ -190,6 +198,27 @@ struct Domain {
     interrupt: Arc<AtomicBool>,
 }
 
+/// Where [`FleetRuntime::pin`] placed a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pin {
+    /// The failure domain.
+    pub domain: usize,
+    /// The device inside it; `None` is the host CPU fallback.
+    pub device: Option<usize>,
+}
+
+/// What [`FleetRuntime::pin`] steers away from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Avoid {
+    /// Nothing: a new job.
+    Nothing,
+    /// A killed domain the job leaves.
+    Domain(usize),
+    /// Inside the job's domain, which it keeps: the device it just failed
+    /// on, or its unavailable pin.
+    Device(Pin),
+}
+
 /// Utilization snapshot of one device, against the fleet makespan.
 #[derive(Debug, Clone)]
 pub struct DeviceUtilization {
@@ -197,7 +226,7 @@ pub struct DeviceUtilization {
     pub index: usize,
     /// Device model name.
     pub name: String,
-    /// Stages placed on this device.
+    /// Placements on this device: pins, re-pins and deadline grants.
     pub jobs: u64,
     /// Bucket-range MSM shards executed here.
     pub shards: u64,
@@ -288,9 +317,8 @@ impl FleetUtilization {
 /// [`FleetRuntime::utilization`] reads those same counters back.
 ///
 /// Devices are grouped into failure domains of equal size. A job is
-/// *pinned* to a domain ([`FleetRuntime::pin`]) and then *placed* on a
-/// device inside it ([`FleetRuntime::place_available`]); both pick the
-/// least loaded under one load definition.
+/// *pinned* to a domain and a device inside it by the one placement
+/// function, [`FleetRuntime::pin`].
 pub struct FleetRuntime {
     devices: Vec<DeviceRuntime>,
     domains: Vec<Domain>,
@@ -369,17 +397,6 @@ impl FleetRuntime {
         &self.devices[dev].config
     }
 
-    /// Current placement load of device `dev`: `(inflight + 1)` stages
-    /// normalized by [`throughput_weight`] — "how long until this device
-    /// would get to one more job".
-    pub fn load(&self, dev: usize) -> f64 {
-        let d = &self.devices[dev];
-        load(
-            d.inflight.load(Ordering::Relaxed),
-            throughput_weight(&d.config),
-        )
-    }
-
     /// Number of failure domains.
     pub fn domains(&self) -> usize {
         self.domains.len()
@@ -395,32 +412,62 @@ impl FleetRuntime {
         domain * self.domain_size..(domain + 1) * self.domain_size
     }
 
-    /// Pins one job to the least-loaded schedulable domain other than
-    /// `avoid` (the dead domain a resumed job just left): unresolved
-    /// pinned jobs normalized by the domain's summed
-    /// [`throughput_weight`], lowest index on ties. Counts the pin; pair
-    /// it with [`Self::unpin`]. `None` when no other domain is
-    /// schedulable.
-    pub fn pin(&self, avoid: Option<usize>) -> Option<usize> {
-        let domain_load = |d: &Domain| load(d.pinned.load(Ordering::Relaxed), d.weight);
-        let (best, domain) = self
-            .domains
-            .iter()
-            .enumerate()
-            .filter(|&(i, d)| Some(i) != avoid && d.schedulable.load(Ordering::Relaxed))
-            .min_by(|(_, a), (_, b)| domain_load(a).total_cmp(&domain_load(b)))?;
-        domain.pinned.fetch_add(1, Ordering::Relaxed);
-        Some(best)
+    /// The one placement function: a domain — the job's own for
+    /// [`Avoid::Device`], else the least-loaded schedulable one — then an
+    /// available device inside it, both by one key: idle (no unresolved
+    /// pins) first, then `(pinned + 1)` over [`throughput_weight`] (summed
+    /// over a domain), then the lowest index. A device to avoid is taken
+    /// only when no other is available; with none available the job is
+    /// pinned to the host CPU. Counts the pin and one placement on its
+    /// device; pair it with [`Self::unpin`]. `None`: no domain can take it.
+    /// Concurrent calls may race for one idle device, so a caller that
+    /// needs a repeatable schedule serializes them (the service pins under
+    /// its queue lock).
+    pub fn pin(&self, avoid: Avoid) -> Option<Pin> {
+        let open_domain = |dead: Option<usize>| {
+            least_loaded(
+                self.domains
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, d)| Some(i) != dead && d.schedulable.load(Ordering::Relaxed))
+                    .map(|(i, d)| (i, d.pinned.load(Ordering::Relaxed), d.weight)),
+            )
+        };
+        let (domain, steer_off) = match avoid {
+            Avoid::Nothing => (open_domain(None)?, None),
+            Avoid::Domain(dead) => (open_domain(Some(dead))?, None),
+            Avoid::Device(pin) => (pin.domain, pin.device),
+        };
+        let available = || self.domain_devices(domain).filter(|&d| self.available(d));
+        let weighed = |d| (d, self.device_pinned(d), throughput_weight(self.config(d)));
+        let device = least_loaded(available().filter(|&d| Some(d) != steer_off).map(weighed))
+            .or_else(|| available().find(|&d| Some(d) == steer_off));
+        self.domains[domain].pinned.fetch_add(1, Ordering::Relaxed);
+        if let Some(dev) = device {
+            self.devices[dev].pinned.fetch_add(1, Ordering::Relaxed);
+            self.devices[dev].jobs.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(Pin { domain, device })
     }
 
-    /// Releases one pin on `domain` (its job resolved or moved).
-    pub fn unpin(&self, domain: usize) {
-        self.domains[domain].pinned.fetch_sub(1, Ordering::Relaxed);
+    /// Releases `pin` (its job resolved or was pinned elsewhere).
+    pub fn unpin(&self, pin: Pin) {
+        self.domains[pin.domain]
+            .pinned
+            .fetch_sub(1, Ordering::Relaxed);
+        if let Some(dev) = pin.device {
+            self.devices[dev].pinned.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Unresolved jobs pinned to `domain`.
     pub fn pinned(&self, domain: usize) -> u64 {
         self.domains[domain].pinned.load(Ordering::Relaxed)
+    }
+
+    /// Unresolved jobs pinned to device `dev`.
+    pub fn device_pinned(&self, dev: usize) -> u64 {
+        self.devices[dev].pinned.load(Ordering::Relaxed)
     }
 
     /// Opens or closes `domain` to new pins; jobs already pinned there
@@ -447,23 +494,6 @@ impl FleetRuntime {
     /// The interrupt flag of `domain`, for the tasks pinned there.
     pub fn interrupt(&self, domain: usize) -> &Arc<AtomicBool> {
         &self.domains[domain].interrupt
-    }
-
-    /// Stages placed but not yet completed on device `dev`.
-    pub fn inflight(&self, dev: usize) -> u64 {
-        self.devices[dev].inflight.load(Ordering::Relaxed)
-    }
-
-    /// Records a stage placed on an externally-chosen device (the
-    /// scheduler's placement of a job on `dev`).
-    pub fn assign(&self, dev: usize) {
-        self.devices[dev].inflight.fetch_add(1, Ordering::Relaxed);
-        self.devices[dev].jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks one placed stage on `dev` as finished.
-    pub fn complete(&self, dev: usize) {
-        self.devices[dev].inflight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Counts `count` bucket-range MSM shards executed on device `dev`.
@@ -575,26 +605,6 @@ impl FleetRuntime {
             .sum()
     }
 
-    /// Health-aware placement inside `domain`: its least-loaded
-    /// *available* device (throughput-weighted, lowest index on ties),
-    /// preferring one different from `avoid` (the device a stage just
-    /// failed on). Falls back to `avoid` itself when it is the only
-    /// available device; returns `None` when the whole domain is
-    /// quarantined — the caller degrades to the host CPU path. Does
-    /// **not** call [`Self::assign`]; the caller places explicitly.
-    pub fn place_available(&self, domain: usize, avoid: Option<usize>) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for dev in self.domain_devices(domain) {
-            if Some(dev) == avoid || !self.available(dev) {
-                continue;
-            }
-            if best.is_none_or(|b| self.load(dev) < self.load(b)) {
-                best = Some(dev);
-            }
-        }
-        best.or_else(|| avoid.filter(|&d| self.available(d)))
-    }
-
     /// Deadline-aware device claim. `remaining_cost_ns` is the job's
     /// modeled remaining work (simulated nanoseconds on one device);
     /// `slack_ns` is the wall-clock budget left before its deadline. A
@@ -605,9 +615,9 @@ impl FleetRuntime {
     /// never cross domains: a merge between two would model a P2P link
     /// between hosts.
     ///
-    /// Every returned device is already [`Self::assign`]ed; pair each
-    /// with [`Self::complete`]. Returns an empty list when the job is not
-    /// urgent or the whole domain is quarantined.
+    /// Every returned device counts one placement; a grant holds no pin,
+    /// so there is nothing to release. Returns an empty list when the job
+    /// is not urgent or the whole domain is quarantined.
     pub fn place_for_deadline(
         &self,
         domain: usize,
@@ -628,7 +638,7 @@ impl FleetRuntime {
                 .then(a.cmp(&b))
         });
         for &dev in &avail {
-            self.assign(dev);
+            self.devices[dev].jobs.fetch_add(1, Ordering::Relaxed);
         }
         avail
     }
@@ -973,24 +983,68 @@ mod tests {
     use gzkp_gpu_sim::device::{gtx1080ti, v100};
     use gzkp_gpu_sim::transfer::transfer_time_ns;
 
+    /// Pins `n` new jobs and returns each one's device.
+    fn pin_devices(fleet: &FleetRuntime, n: usize) -> Vec<Option<usize>> {
+        (0..n)
+            .map(|_| {
+                fleet
+                    .pin(Avoid::Nothing)
+                    .expect("a schedulable domain")
+                    .device
+            })
+            .collect()
+    }
+
     #[test]
-    fn placement_weights_by_throughput() {
-        // V100 ≈ 800 weight, 1080 Ti ≈ 196: the first four stages land on
-        // the V100 before the 1080 Ti looks cheaper.
+    fn pin_goes_idle_first_then_throughput_weighted() {
+        // V100 weight 800, 1080 Ti 196. Idle first: the second job takes
+        // the idle 1080 Ti although the busy V100 is less loaded. Under
+        // backlog the V100 absorbs pins until (k + 1) / 800 passes the
+        // 1080 Ti's 2 / 196, at k = 8.
         let fleet = FleetRuntime::new(vec![v100(), gtx1080ti()]);
-        let place = || {
-            let dev = fleet.place_available(0, None).expect("a healthy fleet");
-            fleet.assign(dev);
-            dev
-        };
-        let picks: Vec<usize> = (0..5).map(|_| place()).collect();
-        assert_eq!(picks, [0, 0, 0, 0, 1]);
-        // Completion frees capacity: after the V100 drains it wins again.
-        for _ in 0..4 {
-            fleet.complete(0);
+        let picks = pin_devices(&fleet, 10);
+        let want: Vec<Option<usize>> = [0, 1, 0, 0, 0, 0, 0, 0, 0, 1].map(Some).into();
+        assert_eq!(picks, want);
+        assert_eq!((fleet.device_pinned(0), fleet.device_pinned(1)), (8, 2));
+        // A device whose jobs resolved is idle again and goes first.
+        for _ in 0..2 {
+            fleet.unpin(Pin {
+                domain: 0,
+                device: Some(1),
+            });
         }
-        assert_eq!(place(), 0);
-        assert_eq!(fleet.inflight(1), 1);
+        assert_eq!(pin_devices(&fleet, 1), [Some(1)]);
+        assert_eq!(fleet.pinned(0), 9);
+        let util = fleet.utilization();
+        assert_eq!((util.devices[0].jobs, util.devices[1].jobs), (8, 3));
+    }
+
+    #[test]
+    fn pin_avoids_the_failed_device_unless_it_is_the_only_one() {
+        let fleet = FleetRuntime::new(vec![v100(), v100()]);
+        let off_dev0 = Avoid::Device(Pin {
+            domain: 0,
+            device: Some(0),
+        });
+        // Both devices are idle; the avoided one loses.
+        let pin = fleet.pin(off_dev0).unwrap();
+        assert_eq!(
+            pin,
+            Pin {
+                domain: 0,
+                device: Some(1)
+            }
+        );
+        fleet.unpin(pin);
+        // With device 1 quarantined, device 0 is the only one left.
+        assert!(fleet.record_failure(1, true));
+        assert_eq!(fleet.pin(off_dev0).unwrap().device, Some(0));
+        // Re-placing an unavailable pin steers off it the same way.
+        let off_dev1 = Avoid::Device(Pin {
+            domain: 0,
+            device: Some(1),
+        });
+        assert_eq!(fleet.pin(off_dev1).unwrap().device, Some(0));
     }
 
     #[test]
@@ -1033,9 +1087,9 @@ mod tests {
             HealthPolicy::default(),
             &registry,
         );
-        fleet.assign(0);
+        let pin = fleet.pin(Avoid::Nothing).unwrap();
         fleet.record_stage(0, "p", 1 << 20, 2.0e6, 4096);
-        fleet.complete(0);
+        fleet.unpin(pin);
         fleet.record_shards(0, 3);
         let util = fleet.utilization();
         assert_eq!(util.devices.len(), 2);
@@ -1120,16 +1174,19 @@ mod tests {
         assert!(fleet.place_for_deadline(0, 1.0e9, 2.0e9).is_empty());
         assert!(fleet.utilization().devices.iter().all(|d| d.jobs == 0));
         // Slack under cost × margin: claim every available device,
-        // fastest first.
+        // fastest first, each counted once and none left pinned.
         let urgent = fleet.place_for_deadline(0, 1.0e9, 1.5e9);
         assert_eq!(urgent, vec![0, 2, 1], "V100s first, then the 1080 Ti");
-        assert!(urgent.iter().all(|&d| fleet.inflight(d) >= 1));
-        for &d in &urgent {
-            fleet.complete(d);
-        }
+        assert!(fleet.utilization().devices.iter().all(|d| d.jobs == 1));
+        assert!((0..3).all(|d| fleet.device_pinned(d) == 0));
         // Quarantined devices are skipped.
         assert!(fleet.record_failure(0, true));
         assert_eq!(fleet.place_for_deadline(0, 1.0e9, 0.5e9), vec![2, 1]);
+    }
+
+    /// Pins one new job and returns its domain.
+    fn domain_of_pin(fleet: &FleetRuntime) -> Option<usize> {
+        fleet.pin(Avoid::Nothing).map(|pin| pin.domain)
     }
 
     fn four_v100s_in(domains: usize) -> FleetRuntime {
@@ -1149,11 +1206,21 @@ mod tests {
             HealthPolicy::default(),
             &MetricsRegistry::new(),
         );
-        let pins: Vec<Option<usize>> = (0..4).map(|_| fleet.pin(None)).collect();
+        let pins: Vec<Option<usize>> = (0..4).map(|_| domain_of_pin(&fleet)).collect();
         assert_eq!(pins, [Some(0), Some(1), Some(2), Some(0)]);
-        fleet.unpin(1);
-        fleet.unpin(2);
-        assert_eq!(fleet.pin(None), Some(1), "ties go to the lowest index");
+        fleet.unpin(Pin {
+            domain: 1,
+            device: Some(1),
+        });
+        fleet.unpin(Pin {
+            domain: 2,
+            device: Some(2),
+        });
+        assert_eq!(
+            domain_of_pin(&fleet),
+            Some(1),
+            "ties go to the lowest index"
+        );
         assert_eq!(
             (fleet.pinned(0), fleet.pinned(1), fleet.pinned(2)),
             (2, 1, 0)
@@ -1165,43 +1232,91 @@ mod tests {
     fn unschedulable_and_dead_domains_take_no_pins() {
         let fleet = four_v100s_in(2);
         fleet.set_schedulable(0, false);
-        assert_eq!(fleet.pin(None), Some(1));
-        assert_eq!(fleet.pin(None), Some(1), "a closed domain stays empty");
+        assert_eq!(domain_of_pin(&fleet), Some(1));
+        assert_eq!(
+            domain_of_pin(&fleet),
+            Some(1),
+            "a closed domain stays empty"
+        );
         fleet.set_schedulable(0, true);
-        assert_eq!(fleet.pin(None), Some(0));
+        assert_eq!(domain_of_pin(&fleet), Some(0));
         fleet.kill_domain(1);
         assert!(fleet.is_dead(1) && fleet.interrupt(1).load(Ordering::Relaxed));
         fleet.set_schedulable(1, true);
-        assert_eq!(fleet.pin(None), Some(0), "a dead domain never reopens");
+        assert_eq!(
+            domain_of_pin(&fleet),
+            Some(0),
+            "a dead domain never reopens"
+        );
         fleet.kill_domain(0);
-        assert_eq!(fleet.pin(None), None);
+        assert_eq!(domain_of_pin(&fleet), None);
     }
 
     #[test]
     fn resume_pin_avoids_the_domain_it_left() {
         let fleet = four_v100s_in(2);
         for _ in 0..5 {
-            fleet.pin(Some(0));
+            fleet.pin(Avoid::Domain(0));
         }
         assert_eq!(fleet.pinned(1), 5, "the job just left domain 0");
-        assert_eq!(fleet.pin(None), Some(0));
+        assert_eq!(domain_of_pin(&fleet), Some(0));
         // ...unless no other domain exists: then there is nowhere to go.
-        assert_eq!(four_v100s_in(1).pin(Some(0)), None);
+        assert_eq!(four_v100s_in(1).pin(Avoid::Domain(0)), None);
     }
 
     #[test]
-    fn device_placement_and_deadline_grants_stay_inside_the_domain() {
+    fn pins_and_deadline_grants_stay_inside_the_domain() {
         let fleet = four_v100s_in(2);
         assert_eq!(fleet.domain_devices(1), 2..4);
-        assert_eq!(fleet.place_available(1, None), Some(2));
-        fleet.assign(2);
-        assert_eq!(fleet.place_available(1, None), Some(3));
+        let pins: Vec<Pin> = (0..4).map(|_| fleet.pin(Avoid::Nothing).unwrap()).collect();
+        let placed: Vec<(usize, Option<usize>)> =
+            pins.iter().map(|p| (p.domain, p.device)).collect();
+        assert_eq!(
+            placed,
+            [(0, Some(0)), (1, Some(2)), (0, Some(1)), (1, Some(3))]
+        );
+        let off_dev2 = Avoid::Device(Pin {
+            domain: 1,
+            device: Some(2),
+        });
+        assert_eq!(fleet.pin(off_dev2).unwrap().device, Some(3));
         assert_eq!(fleet.place_for_deadline(1, 1.0e9, 0.5e9), vec![2, 3]);
         assert_eq!(fleet.place_for_deadline(0, 1.0e9, 0.5e9), vec![0, 1]);
     }
 
     #[test]
-    fn quarantine_steers_placement_and_surfaces_in_reports() {
+    fn whole_domain_quarantine_pins_the_cpu_fallback() {
+        let fleet = four_v100s_in(2);
+        assert!(fleet.force_quarantine(2) && fleet.force_quarantine(3));
+        // The domain is still chosen by its pins; inside it, no device.
+        let pins: Vec<Pin> = (0..2).map(|_| fleet.pin(Avoid::Nothing).unwrap()).collect();
+        assert_eq!(
+            pins,
+            [
+                Pin {
+                    domain: 0,
+                    device: Some(0)
+                },
+                Pin {
+                    domain: 1,
+                    device: None
+                }
+            ]
+        );
+        let off_dev2 = Avoid::Device(Pin {
+            domain: 1,
+            device: Some(2),
+        });
+        assert_eq!(fleet.pin(off_dev2).unwrap().device, None);
+        assert_eq!(fleet.pinned(1), 2);
+        for pin in pins {
+            fleet.unpin(pin);
+        }
+        assert_eq!((fleet.pinned(0), fleet.device_pinned(0)), (0, 0));
+    }
+
+    #[test]
+    fn quarantined_devices_take_no_pins_and_surface_in_reports() {
         use crate::health::HealthPolicy;
         use std::time::Duration;
         let policy = HealthPolicy {
@@ -1209,22 +1324,21 @@ mod tests {
             probation: Duration::from_secs(60),
             max_probation: Duration::from_secs(60),
         };
-        let fleet =
-            FleetRuntime::with_domains(vec![v100(), v100()], 1, policy, &MetricsRegistry::new());
-        assert_eq!(fleet.place_available(0, None), Some(0));
-        // Retry placement avoids the device the stage just failed on.
-        assert_eq!(fleet.place_available(0, Some(0)), Some(1));
+        let fleet = FleetRuntime::with_domains(
+            vec![v100(), v100(), v100()],
+            1,
+            policy,
+            &MetricsRegistry::new(),
+        );
         // A hang hard-quarantines immediately; soft failures need two.
         assert!(fleet.record_failure(1, true));
         assert!(!fleet.available(1));
-        assert_eq!(
-            fleet.place_available(0, Some(0)),
-            Some(0),
-            "fall back to avoid"
-        );
         assert!(!fleet.record_failure(0, false));
+        assert!(fleet.available(0), "one soft failure keeps it placeable");
+        assert_eq!(pin_devices(&fleet, 3), [Some(0), Some(2), Some(0)]);
         assert!(fleet.record_failure(0, false));
-        assert_eq!(fleet.place_available(0, None), None, "whole fleet down");
+        assert_eq!(pin_devices(&fleet, 2), [Some(2), Some(2)]);
+        assert_eq!(fleet.device_pinned(1), 0);
         assert_eq!(fleet.quarantine_events(), 2);
         let util = fleet.utilization();
         assert_eq!(util.devices[0].quarantines, 1);

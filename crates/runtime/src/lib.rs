@@ -15,8 +15,9 @@
 //!   into [`gzkp_gpu_sim::DeviceConfig`]s;
 //! * [`fleet`] — [`FleetRuntime`]: per-device [`gzkp_gpu_sim::DeviceTimeline`]s
 //!   with copy/compute/download/P2P streams and bounded op logs,
-//!   failure domains (a cluster's hosts) that jobs are pinned to,
-//!   throughput-weighted least-loaded and deadline-aware placement,
+//!   failure domains (a cluster's hosts), the one placement rule
+//!   ([`FleetRuntime::pin`]: a domain, then a device in it, idle first,
+//!   then least loaded by throughput weight), deadline-aware grants,
 //!   device↔device transfers ([`FleetRuntime::record_p2p`], NVLink or
 //!   host-staged), per-device utilization snapshots and a
 //!   `runtime→dev{n}→{h2d,kernel,d2h,p2p}` telemetry trace;
@@ -27,21 +28,22 @@
 //! * [`crossdev`] — [`CrossDeviceMsm`]: the MSM engine executing one
 //!   proof's shards across devices with P2P partial-sum merging;
 //! * [`health`] — [`DeviceHealth`]: the consecutive-failure circuit
-//!   breaker (quarantine + probation re-probe) behind
-//!   [`FleetRuntime::place_available`].
+//!   breaker (quarantine + probation re-probe) that
+//!   [`FleetRuntime::pin`] consults.
 //!
 //! ## Example
 //!
 //! ```
-//! use gzkp_runtime::{parse_devices, FleetRuntime};
+//! use gzkp_runtime::{parse_devices, Avoid, FleetRuntime};
 //!
 //! let fleet = FleetRuntime::new(parse_devices("2,v100").unwrap());
-//! let dev = fleet.place_available(0, None).unwrap();
-//! fleet.assign(dev);
-//! fleet.record_stage(dev, "proof0.msm", 64 << 20, 2.0e6, 128);
-//! fleet.complete(dev);
-//! let util = fleet.utilization();
-//! assert_eq!(util.devices.len(), 2);
+//! // Two new jobs: the second goes to the idle device.
+//! let [a, b] = [(); 2].map(|()| fleet.pin(Avoid::Nothing).unwrap());
+//! assert_eq!((a.device, b.device), (Some(0), Some(1)));
+//! fleet.record_stage(0, "job0.msm", 64 << 20, 2.0e6, 128);
+//! fleet.unpin(a);
+//! fleet.unpin(b);
+//! assert_eq!(fleet.utilization().devices.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -54,7 +56,8 @@ pub mod spec;
 
 pub use crossdev::CrossDeviceMsm;
 pub use fleet::{
-    DeviceUtilization, FleetRuntime, FleetUtilization, HealthEvent, HealthEventKind, URGENCY_MARGIN,
+    Avoid, DeviceUtilization, FleetRuntime, FleetUtilization, HealthEvent, HealthEventKind, Pin,
+    URGENCY_MARGIN,
 };
 pub use health::{DeviceHealth, HealthPolicy, HealthState};
 pub use planner::{FleetMsmPlan, MsmShardPlan};

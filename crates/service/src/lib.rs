@@ -8,15 +8,17 @@
 //! * a **bounded request queue** with backpressure — [`ProvingService::submit`]
 //!   rejects with [`SubmitError::QueueFull`] instead of buffering without
 //!   limit;
-//! * **one queue of whole jobs**: the worker that takes a job places it —
-//!   its own device, else the least-loaded available one, else the host
-//!   CPU — and runs the job's POLY stage (the backend's NTTs) and then its
-//!   MSM stage there, back to back. Proofs overlap across workers, and
-//!   one proof's MSMs fan out over every core on their own;
+//! * **one queue of whole jobs, placed at submit**: [`ProvingService::submit`]
+//!   pins each job to a device ([`gzkp_runtime::FleetRuntime::pin`]: idle
+//!   first, then least loaded by throughput weight, else the host CPU),
+//!   whose worker runs its POLY stage (the backend's NTTs) and then its
+//!   MSM stage, back to back — a schedule set by the submission order.
+//!   Proofs overlap across workers, and one proof's MSMs fan out over
+//!   every core on their own;
 //! * **failure domains**: [`ProvingService::start_in_domains`] splits the
 //!   fleet into equal groups of devices (a cluster's hosts), each with its
-//!   own preprocessing store. A job is pinned to the least-loaded
-//!   schedulable domain when it is submitted and runs there only;
+//!   own preprocessing store. The pin picks the least-loaded schedulable
+//!   domain first, and the job runs there only;
 //!   [`ProvingService::kill_domain`] moves the jobs of a lost domain to
 //!   another one. A plain service is one domain;
 //! * **priority classes and per-job deadlines** with cooperative
@@ -190,9 +192,9 @@ pub struct ServiceConfig {
     pub prep_cache_bytes: u64,
     /// Deadline applied to jobs that don't set their own.
     pub default_deadline: Option<Duration>,
-    /// The simulated device fleet the service runs on: one worker pinned
-    /// per device, each job placed on its worker's device when that is
-    /// available (else the least-loaded available device), stage
+    /// The simulated device fleet the service runs on: one worker per
+    /// device, each job pinned at submit to a device
+    /// ([`gzkp_runtime::FleetRuntime::pin`]) whose worker runs it, stage
     /// transfers pipelined on each device's command streams, and
     /// per-device utilization available through
     /// [`ProvingService::fleet_utilization`]. In a failure domain of more

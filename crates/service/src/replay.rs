@@ -46,9 +46,6 @@ struct Keyed<S: ProofSystem> {
 /// system: the one step from the type-erased request stream to the
 /// generic task code. Implemented once, for every [`Keyed<S>`].
 trait RequestClass: Send + Sync {
-    /// Wire label of the class's proof system.
-    fn system(&self) -> &'static str;
-
     /// A service task for one request of the class. With `persist` it
     /// writes its checkpoint there and takes its store from the failure
     /// domain it is pinned to ([`SystemTask::persisting`]).
@@ -67,10 +64,6 @@ trait RequestClass: Send + Sync {
 }
 
 impl<S: ProofSystem> RequestClass for Keyed<S> {
-    fn system(&self) -> &'static str {
-        S::KIND.as_str()
-    }
-
     fn task(
         &self,
         device: &DeviceConfig,
@@ -133,16 +126,6 @@ impl PreparedWorkload {
     /// Whether the workload has no requests.
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
-    }
-
-    /// Wire label of the proof system of request `index` (`"groth16"` /
-    /// `"plonk"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn request_system(&self, index: usize) -> &'static str {
-        self.requests[index].class.system()
     }
 
     /// Submission options of request `index` (its priority/deadline from

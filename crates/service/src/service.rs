@@ -5,7 +5,7 @@ use crate::job::{JobError, JobHandle, JobResult, JobShared, ProofTask, StageProf
 use crate::{JobOptions, Priority, ServiceConfig, SubmitError};
 use gzkp_gpu_sim::{FaultInjector, FaultKind, TraceContext};
 use gzkp_msm::PreprocessStore;
-use gzkp_runtime::{FleetRuntime, FleetUtilization};
+use gzkp_runtime::{Avoid, FleetRuntime, FleetUtilization, Pin};
 use gzkp_telemetry::{
     names, Counter, Gauge, LatencyHistogram, MetricsRegistry, NoopSink, TelemetrySink, Trace,
     TraceRecorder,
@@ -31,13 +31,11 @@ struct Job {
     /// measured, `service`/`execute` spans opened; resolution closes
     /// them).
     started: bool,
-    /// The device the job is placed on while a worker runs it (engines
-    /// rebuilt for it). `None` while queued and on the host CPU fallback.
-    device: Option<usize>,
-    /// Cross-device MSM: the non-primary devices the job additionally
-    /// claimed (`device` holds the primary). Empty for single-device
-    /// placements; released together with the primary.
-    extra_devices: Vec<usize>,
+    /// Where the job is pinned ([`FleetRuntime::pin`]).
+    pin: Pin,
+    /// Cross-device MSM: the devices its MSM stage was granted, primary
+    /// first; empty otherwise.
+    grant: Vec<usize>,
     /// Whether POLY ran and its artifacts await the MSM stage: an MSM
     /// stage knocked out before it started keeps them across the retry.
     poly_done: bool,
@@ -57,8 +55,9 @@ struct Job {
     verify_rejects: u32,
     /// Retry backoff: the job is not schedulable before this instant.
     not_before: Option<Instant>,
-    /// The device the job's last stage failed on; the next placement
-    /// avoids it when any other device is available.
+    /// The device the job's last stage failed on; the worker that next
+    /// takes the job re-pins it off that device when any other one is
+    /// available.
     avoid_device: Option<usize>,
     /// The killed domains the job moved off, in order.
     resumed_from: Vec<usize>,
@@ -82,7 +81,13 @@ impl Job {
     }
 
     fn domain(&self) -> usize {
-        self.shared.domain()
+        self.pin.domain
+    }
+
+    /// The device the job's current stage runs on: a cross-device grant's
+    /// primary, else its pin's.
+    fn device(&self) -> Option<usize> {
+        self.grant.first().copied().or(self.pin.device)
     }
 }
 
@@ -92,9 +97,6 @@ struct Queue {
     /// Accepted jobs not yet resolved (queued + executing).
     open: usize,
     accepting: bool,
-    /// Key of the most recently scheduled job per failure domain
-    /// (affinity preference: its tables are hot in that domain's store).
-    last_key: Vec<Option<u64>>,
     seq: u64,
     next_id: u64,
     /// Jobs resolved so far, for [`ProvingService::wait_for_resolution`].
@@ -205,9 +207,9 @@ pub struct ServiceStats {
 struct Inner {
     cfg: ServiceConfig,
     queue: Mutex<Queue>,
-    /// Per failure domain: signaled when work pinned there may be
-    /// schedulable (or on shutdown).
-    work_cv: Vec<Condvar>,
+    /// Signaled to every worker when work may be schedulable (or on
+    /// shutdown); each checks whether it serves the work.
+    work_cv: Condvar,
     /// Signaled on every resolution (drain and resolution waiters).
     idle_cv: Condvar,
     /// One checkpoint-table store per failure domain.
@@ -232,16 +234,10 @@ fn gauge_queue_depth(inner: &Inner, q: &Queue) {
     inner.metrics.queue_depth.set(q.pending.len() as f64);
 }
 
-/// Wakes every worker, whatever its domain.
-fn notify_all_domains(inner: &Inner) {
-    for cv in &inner.work_cv {
-        cv.notify_all();
-    }
-}
-
-/// Pins `job` to `domain` and binds its task to the domain's store and
-/// interrupt flag ([`ProofTask::bind_domain`]).
-fn bind_domain(inner: &Inner, job: &mut Job, domain: usize) -> Result<(), String> {
+/// Binds `job`'s task to its pinned domain's store and interrupt flag
+/// ([`ProofTask::bind_domain`]).
+fn bind_domain(inner: &Inner, job: &mut Job) -> Result<(), String> {
+    let domain = job.domain();
     job.shared.set_domain(domain);
     job.task
         .bind_domain(&inner.stores[domain], inner.fleet.interrupt(domain))
@@ -265,9 +261,9 @@ impl ProvingService {
     /// [`ProvingService::start`] on a fleet split into `domains` failure
     /// domains of equal size, each one simulated host of a cluster. Each
     /// domain holds its own table store of
-    /// [`ServiceConfig::prep_cache_bytes`]. A job is pinned to the
-    /// least-loaded schedulable domain when it is submitted
-    /// ([`FleetRuntime::pin`]) and runs on that domain's devices only;
+    /// [`ServiceConfig::prep_cache_bytes`]. A job is pinned to a domain
+    /// and a device inside it when it is submitted ([`FleetRuntime::pin`])
+    /// and runs on that domain's devices only;
     /// see [`ProvingService::kill_domain`] for what a lost domain does
     /// to it.
     ///
@@ -295,12 +291,11 @@ impl ProvingService {
                 pending: Vec::new(),
                 open: 0,
                 accepting: true,
-                last_key: vec![None; domains],
                 seq: 0,
                 next_id: 0,
                 resolved: 0,
             }),
-            work_cv: (0..domains).map(|_| Condvar::new()).collect(),
+            work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             fleet,
             injector,
@@ -350,9 +345,11 @@ impl ProvingService {
     /// Submits a job, applying backpressure: if the queue holds
     /// [`ServiceConfig::queue_capacity`] jobs — or no failure domain is
     /// schedulable — the submission is rejected immediately rather than
-    /// buffered. An accepted job is pinned to a domain and its task bound
-    /// there ([`ProofTask::bind_domain`]); a task that cannot bind
-    /// resolves as [`JobError::Failed`].
+    /// buffered. An accepted job is pinned — in this thread, under the
+    /// queue lock — to a domain and a device inside it
+    /// ([`FleetRuntime::pin`]), and its task bound to the domain
+    /// ([`ProofTask::bind_domain`]); a task that cannot bind resolves as
+    /// [`JobError::Failed`].
     pub fn submit(
         &self,
         task: Box<dyn ProofTask>,
@@ -365,9 +362,9 @@ impl ProvingService {
         }
         let capacity = self.inner.cfg.queue_capacity;
         let pinned = (q.pending.len() < capacity)
-            .then(|| self.inner.fleet.pin(None))
+            .then(|| self.inner.fleet.pin(Avoid::Nothing))
             .flatten();
-        let Some(domain) = pinned else {
+        let Some(pin) = pinned else {
             self.inner.metrics.rejected.inc();
             return Err(SubmitError::QueueFull { capacity });
         };
@@ -376,7 +373,7 @@ impl ProvingService {
         q.next_id += 1;
         let seq = q.seq;
         q.seq += 1;
-        let shared = Arc::new(JobShared::new(domain));
+        let shared = Arc::new(JobShared::new(pin.domain));
         let mut job = Job {
             id,
             seq,
@@ -392,8 +389,8 @@ impl ProvingService {
             shared: shared.clone(),
             recorder: opts.trace.then(|| TraceRecorder::new(names::SPAN_SERVICE)),
             started: false,
-            device: None,
-            extra_devices: Vec::new(),
+            pin,
+            grant: Vec::new(),
             poly_done: false,
             verify_votes: 0,
             attempt: 0,
@@ -406,12 +403,12 @@ impl ProvingService {
         };
         q.open += 1;
         self.inner.metrics.accepted.inc();
-        match bind_domain(&self.inner, &mut job, domain) {
+        match bind_domain(&self.inner, &mut job) {
             Ok(()) => {
                 q.pending.push(job);
                 gauge_queue_depth(&self.inner, &q);
                 drop(q);
-                self.inner.work_cv[domain].notify_one();
+                self.inner.work_cv.notify_all();
             }
             Err(e) => resolve_locked(&self.inner, &mut q, job, Err(JobError::Failed(e))),
         }
@@ -422,23 +419,20 @@ impl ProvingService {
     /// takes no new pins and its interrupt flag rises. A job queued there
     /// moves now; a job running there moves when its task stops at the
     /// next step boundary; a proof that beats the interrupt resolves
-    /// where it ran. A move re-pins the job to the least-loaded other
-    /// schedulable domain without backoff, costs one retry of
+    /// where it ran. A move re-pins the job ([`FleetRuntime::pin`]) to
+    /// another schedulable domain without backoff, costs one retry of
     /// [`ServiceConfig::retry`]'s budget, keeps the job's place in the
     /// queue order, and rebinds its task there (a persisting task
     /// continues from its checkpoint bytes).
     pub fn kill_domain(&self, domain: usize) {
         self.inner.fleet.kill_domain(domain);
-        let stranded: Vec<Job> = {
-            let mut q = self.inner.queue.lock().unwrap();
-            let (stranded, kept) = std::mem::take(&mut q.pending)
-                .into_iter()
-                .partition(|job| job.domain() == domain);
-            q.pending = kept;
-            stranded
-        };
+        let mut q = self.inner.queue.lock().unwrap();
+        let (stranded, kept) = std::mem::take(&mut q.pending)
+            .into_iter()
+            .partition::<Vec<Job>, _>(|job| job.domain() == domain);
+        q.pending = kept;
         for job in stranded {
-            retry_or_fail(&self.inner, job, "domain killed", false);
+            retry_or_fail_locked(&self.inner, &mut q, job, "domain killed", false);
         }
     }
 
@@ -494,7 +488,7 @@ impl ProvingService {
 
     fn stop_and_join(&mut self) {
         self.inner.queue.lock().unwrap().accepting = false;
-        notify_all_domains(&self.inner);
+        self.inner.work_cv.notify_all();
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
@@ -508,25 +502,40 @@ impl Drop for ProvingService {
 }
 
 fn worker_loop(inner: &Inner, own: usize) {
-    // Each worker is pinned to device `own`: it takes the best ready job
-    // pinned to its device's domain, places it (its own device first) and
-    // runs it to its next outcome.
-    let domain = inner.fleet.domain_of(own);
-    while let Some(mut job) = next_job(inner, domain) {
-        place_job(inner, &mut job, own);
+    // The worker of device `own` takes the best ready job it serves, binds
+    // the job's engines to its pinned device (or the host CPU) and runs it
+    // to its next outcome.
+    let mut last_key = None;
+    while let Some(mut job) = next_job(inner, own, last_key) {
+        last_key = Some(job.key);
+        match job.pin.device {
+            Some(dev) => job.task.bind_device(inner.fleet.config(dev)),
+            None => {
+                job.task.bind_device(&gzkp_gpu_sim::cpu_xeon());
+                inner.metrics.cpu_fallbacks.inc();
+            }
+        }
         run_job(inner, job);
     }
 }
 
-/// Blocks until a job pinned to `domain` is ready and takes the best one;
-/// `None` once intake is closed and every accepted job has resolved.
-fn next_job(inner: &Inner, domain: usize) -> Option<Job> {
+/// Blocks until a job the worker of device `own` serves is ready and
+/// takes the best one: the jobs pinned to its device and to the host CPU
+/// of its domain, and — while its own device is unavailable — every job
+/// of its domain. `None` once intake is closed and every accepted job has
+/// resolved.
+fn next_job(inner: &Inner, own: usize, last_key: Option<u64>) -> Option<Job> {
+    let fleet = &inner.fleet;
+    let domain = fleet.domain_of(own);
     let mut guard = inner.queue.lock().unwrap();
     loop {
         let q = &mut *guard;
         sweep(inner, q);
-        if let Some(job) = pick(&mut q.pending, q.last_key[domain], domain) {
-            q.last_key[domain] = Some(job.key);
+        let helping = !fleet.available(own);
+        let serves =
+            |j: &Job| j.domain() == domain && (helping || j.pin.device.is_none_or(|d| d == own));
+        if let Some(mut job) = pick(&mut q.pending, last_key, serves) {
+            repin_if_stale(fleet, &mut job);
             return Some(job);
         }
         if !q.accepting && q.open == 0 {
@@ -537,10 +546,10 @@ fn next_job(inner: &Inner, domain: usize) -> Option<Job> {
         let next_ready = q
             .pending
             .iter()
-            .filter(|j| j.domain() == domain)
+            .filter(|j| serves(j))
             .filter_map(|j| j.not_before)
             .min();
-        let cv = &inner.work_cv[domain];
+        let cv = &inner.work_cv;
         guard = match next_ready {
             Some(t) => {
                 let timeout = t.saturating_duration_since(Instant::now());
@@ -551,30 +560,22 @@ fn next_job(inner: &Inner, domain: usize) -> Option<Job> {
     }
 }
 
-/// Health-aware placement of a picked job: the worker's own device when
-/// it is available (and not the device the job just failed on), else the
-/// least-loaded available device of the job's domain, else — the whole
-/// domain quarantined — the host CPU path, which cannot be quarantined
-/// and guarantees progress. A queued job holds no placement, so this is
-/// always a fresh one.
-fn place_job(inner: &Inner, job: &mut Job, own: usize) {
-    let fleet = &inner.fleet;
-    let own_ok = fleet.available(own) && job.avoid_device != Some(own);
-    let target = if own_ok {
-        Some(own)
-    } else {
-        fleet.place_available(job.domain(), job.avoid_device)
-    };
-    match target {
-        Some(dev) => {
-            job.task.bind_device(fleet.config(dev));
-            job.device = Some(dev);
-            fleet.assign(dev);
-        }
-        None => {
-            job.task.bind_device(&gzkp_gpu_sim::cpu_xeon());
-            inner.metrics.cpu_fallbacks.inc();
-        }
+/// Re-pins a job a worker just took (queue lock held) inside its domain
+/// when its pin no longer holds: the host CPU fallback, an unavailable
+/// device, or the device the job just failed on. With no device available
+/// it stays on the host CPU path, which cannot be quarantined.
+fn repin_if_stale(fleet: &FleetRuntime, job: &mut Job) {
+    let device = job.pin.device;
+    if device.is_some_and(|d| fleet.available(d) && job.avoid_device != Some(d)) {
+        return;
+    }
+    let avoid = Avoid::Device(Pin {
+        domain: job.domain(),
+        device: job.avoid_device.or(device),
+    });
+    if let Some(pin) = fleet.pin(avoid) {
+        fleet.unpin(job.pin);
+        job.pin = pin;
     }
 }
 
@@ -584,7 +585,7 @@ fn place_job(inner: &Inner, job: &mut Job, own: usize) {
 /// devices of its domain [`FleetRuntime::place_for_deadline`] grants and
 /// binds its MSM engines across them ([`ProofTask::bind_fleet`]). Any
 /// other job — calm, without a deadline, granted a single device, or
-/// unable to split its MSMs — keeps the placement it has.
+/// unable to split its MSMs — runs on its pinned device.
 fn escalate(fleet: &Arc<FleetRuntime>, job: &mut Job) {
     let domain = job.domain();
     let Some(deadline) = job
@@ -597,26 +598,9 @@ fn escalate(fleet: &Arc<FleetRuntime>, job: &mut Job) {
         .saturating_duration_since(Instant::now())
         .as_nanos() as f64;
     let devices = fleet.place_for_deadline(domain, job.task.msm_cost_estimate_ns(), slack);
-    if devices.len() < 2 || !job.task.bind_fleet(fleet, &devices, job.id) {
-        for d in devices {
-            fleet.complete(d);
-        }
-        return;
+    if devices.len() > 1 && job.task.bind_fleet(fleet, &devices, job.id) {
+        job.grant = devices;
     }
-    release(fleet, job);
-    job.device = Some(devices[0]);
-    job.extra_devices = devices[1..].to_vec();
-}
-
-/// Releases every device claim the job holds — its primary placement and
-/// a cross-device MSM's extra devices — and returns the primary.
-fn release(fleet: &FleetRuntime, job: &mut Job) -> Option<usize> {
-    let dev = job.device.take()?;
-    fleet.complete(dev);
-    for d in job.extra_devices.drain(..) {
-        fleet.complete(d);
-    }
-    Some(dev)
 }
 
 /// Resolves every queued job whose deadline passed or that was cancelled,
@@ -637,15 +621,15 @@ fn sweep(inner: &Inner, q: &mut Queue) {
     }
 }
 
-/// Takes the best ready job pinned to `domain`: strongest priority first,
-/// then jobs sharing the last scheduled proving key (its checkpoint
+/// Takes the best ready job the worker `serves`: strongest priority
+/// first, then jobs sharing the worker's last proving key (its checkpoint
 /// tables are hot in the store), then FIFO order.
-fn pick(list: &mut Vec<Job>, last_key: Option<u64>, domain: usize) -> Option<Job> {
+fn pick(list: &mut Vec<Job>, last_key: Option<u64>, serves: impl Fn(&Job) -> bool) -> Option<Job> {
     let now = Instant::now();
     let (idx, _) = list
         .iter()
         .enumerate()
-        .filter(|(_, j)| j.ready(now) && j.domain() == domain)
+        .filter(|(_, j)| j.ready(now) && serves(j))
         .min_by_key(|(_, j)| (j.priority, Some(j.key) != last_key, j.seq))?;
     Some(list.remove(idx))
 }
@@ -653,7 +637,7 @@ fn pick(list: &mut Vec<Job>, last_key: Option<u64>, domain: usize) -> Option<Job
 /// The job's propagated trace context for one stage execution:
 /// job id → stage → current device binding.
 fn stage_ctx(job: &Job, stage: &'static str) -> TraceContext {
-    TraceContext::new(job.id, stage).on_device(job.device)
+    TraceContext::new(job.id, stage).on_device(job.device())
 }
 
 /// Records a finished stage's transfer/compute profile on the placed
@@ -675,7 +659,7 @@ fn roll_fault(
     corruptible: bool,
 ) -> Option<FaultKind> {
     let inj = inner.injector.as_deref()?;
-    let dead_hit = job.device.is_some_and(|d| inj.is_dead(d));
+    let dead_hit = job.device().is_some_and(|d| inj.is_dead(d));
     let kind = inj.roll_ctx(&stage_ctx(job, stage), job.attempt, corruptible)?;
     if !dead_hit {
         job.attempt += 1;
@@ -690,21 +674,31 @@ fn roll_fault(
 /// backoff, and requeues it. A job whose POLY artifacts survived
 /// (`poly_done`) re-runs only its MSM stage; any other restarts from
 /// POLY. A job whose domain was killed instead moves, without backoff or
-/// a device-health mark, to the least-loaded other schedulable domain,
-/// where its task is rebound ([`ProofTask::bind_domain`]). Jobs that
-/// exhausted the retry budget resolve as [`JobError::Failed`].
-fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
-    let moving = inner.fleet.is_dead(job.domain());
-    if let Some(dev) = release(&inner.fleet, &mut job) {
-        if !moving {
-            inner.fleet.record_failure(dev, hard);
-            job.avoid_device = Some(dev);
-        }
+/// a device-health mark, to another schedulable domain
+/// ([`FleetRuntime::pin`]), where its task is rebound
+/// ([`ProofTask::bind_domain`]). Jobs that exhausted the retry budget
+/// resolve as [`JobError::Failed`].
+fn retry_or_fail(inner: &Inner, job: Job, reason: &str, hard: bool) {
+    let mut q = inner.queue.lock().unwrap();
+    retry_or_fail_locked(inner, &mut q, job, reason, hard);
+}
+
+/// [`retry_or_fail`] with the queue lock held, so every re-pin runs under
+/// it.
+fn retry_or_fail_locked(inner: &Inner, q: &mut Queue, mut job: Job, reason: &str, hard: bool) {
+    let fleet = &inner.fleet;
+    let moving = fleet.is_dead(job.domain());
+    let ran_on = job.device();
+    job.grant.clear();
+    if let Some(dev) = ran_on.filter(|_| !moving) {
+        fleet.record_failure(dev, hard);
+        job.avoid_device = Some(dev);
     }
     job.attempt += u32::from(moving);
     if job.attempt > inner.cfg.retry.max_retries {
-        return resolve(
+        return resolve_locked(
             inner,
+            q,
             job,
             Err(JobError::Failed(format!(
                 "{reason} (retry budget of {} exhausted)",
@@ -720,15 +714,16 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
     }
     if moving {
         let dead = job.domain();
-        let Some(domain) = inner.fleet.pin(Some(dead)) else {
+        let Some(pin) = fleet.pin(Avoid::Domain(dead)) else {
             let reason = format!("{reason}: no live domain to move to");
-            return resolve(inner, job, Err(JobError::Failed(reason)));
+            return resolve_locked(inner, q, job, Err(JobError::Failed(reason)));
         };
-        inner.fleet.unpin(dead);
+        fleet.unpin(job.pin);
+        job.pin = pin;
         job.resumed_from.push(dead);
         job.avoid_device = None;
-        if let Err(e) = bind_domain(inner, &mut job, domain) {
-            return resolve(inner, job, Err(JobError::Failed(e)));
+        if let Err(e) = bind_domain(inner, &mut job) {
+            return resolve_locked(inner, q, job, Err(JobError::Failed(e)));
         }
     } else {
         let policy = &inner.cfg.retry;
@@ -739,12 +734,9 @@ fn retry_or_fail(inner: &Inner, mut job: Job, reason: &str, hard: bool) {
             .min(policy.max_backoff);
         job.not_before = Some(Instant::now() + delay);
     }
-    let domain = job.domain();
-    let mut q = inner.queue.lock().unwrap();
     q.pending.push(job);
-    gauge_queue_depth(inner, &q);
-    drop(q);
-    inner.work_cv[domain].notify_one();
+    gauge_queue_depth(inner, q);
+    inner.work_cv.notify_all();
 }
 
 /// A stage returned an error. In a live domain that is the job's
@@ -800,7 +792,7 @@ fn run_poly(inner: &Inner, mut job: Job) -> Option<Job> {
         task.poly(sink)
     }) {
         Ok(()) => {
-            if let Some(dev) = job.device {
+            if let Some(dev) = job.device() {
                 record_stage(inner, &job, names::SPAN_POLY, job.task.poly_profile());
                 inner.fleet.record_success(dev);
             }
@@ -864,7 +856,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
             // Cross-device MSMs record their own per-device/P2P schedule
             // directly onto the fleet timelines while the stage runs;
             // re-recording the aggregate profile here would double-count.
-            if let Some(dev) = job.device.filter(|_| job.extra_devices.is_empty()) {
+            if let Some(dev) = job.pin.device.filter(|_| job.grant.is_empty()) {
                 let p = job.task.msm_profile(&output);
                 record_stage(inner, &job, names::SPAN_MSM, p);
                 if p.shards > 0 {
@@ -887,7 +879,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
                     job.attempt += 1;
                 }
                 if job.verify_rejects >= VERIFY_VOTE_RUNS {
-                    if let Some(dev) = release(&inner.fleet, &mut job) {
+                    if let Some(dev) = job.device() {
                         inner.fleet.record_failure(dev, false);
                     }
                     return resolve(
@@ -903,7 +895,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
                 job.poly_done = false;
                 return retry_or_fail(inner, job, "verify reject", false);
             }
-            if let Some(dev) = job.device {
+            if let Some(dev) = job.device() {
                 inner.fleet.record_success(dev);
             }
             resolve(inner, job, Ok(output));
@@ -928,7 +920,7 @@ fn resolve(inner: &Inner, job: Job, outcome: Result<TaskOutput, JobError>) {
 }
 
 /// Finalizes a job: closes its trace, bumps the stats, publishes the
-/// result, and releases its domain pin and `open` slot. Queue lock held.
+/// result, and releases its pin and `open` slot. Queue lock held.
 fn resolve_locked(
     inner: &Inner,
     q: &mut Queue,
@@ -957,9 +949,8 @@ fn resolve_locked(
         .record(job.submitted.elapsed().as_nanos() as u64);
     gauge_queue_depth(inner, q);
 
-    release(&inner.fleet, &mut job);
     let domain = job.domain();
-    inner.fleet.unpin(domain);
+    inner.fleet.unpin(job.pin);
 
     let trace = job.recorder.take().map(|rec| {
         if job.started {
@@ -1006,6 +997,6 @@ fn resolve_locked(
     inner.idle_cv.notify_all();
     if q.open == 0 {
         // Exiting workers wait on work_cv for the open == 0 condition.
-        notify_all_domains(inner);
+        inner.work_cv.notify_all();
     }
 }

@@ -480,10 +480,14 @@ fn dead_device_mid_cross_msm_loses_no_jobs() {
         fleet.p2p_transfers() > 0,
         "no partial-sum merge crossed the P2P path — the cross-device path never ran"
     );
-    // Every multi-device claim was released on both the fault and the
-    // success paths: nothing stays in flight after the jobs resolve.
+    // Every pin was released on both the fault and the success paths:
+    // nothing stays pinned to a device after the jobs resolve.
     for d in 0..3 {
-        assert_eq!(fleet.inflight(d), 0, "device {d} leaked a placement claim");
+        assert_eq!(
+            fleet.device_pinned(d),
+            0,
+            "device {d} leaked a placement claim"
+        );
     }
     service.shutdown();
 }

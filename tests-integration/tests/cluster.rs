@@ -9,8 +9,7 @@
 //! hold under saturation without starving anyone.
 
 use gzkp_cluster::{
-    AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, ClusterJobOptions, HostConfig,
-    TenantSpec,
+    AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, HostConfig, TenantSpec,
 };
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::{v100, DeviceConfig};
@@ -22,7 +21,7 @@ use gzkp_groth16::{
 use gzkp_msm::{GzkpMsm, PreprocessStore};
 use gzkp_ntt::GzkpNtt;
 use gzkp_runtime::FleetRuntime;
-use gzkp_service::{CheckpointSlot, ProofTask, StageProfile, SystemTask, TaskOutput};
+use gzkp_service::{CheckpointSlot, JobOptions, ProofTask, StageProfile, SystemTask, TaskOutput};
 use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
@@ -105,7 +104,7 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
         .map(|i| {
             let (task, slot) = persisting(&keyed, 100 + i as u64, true);
             let id = cluster
-                .submit("zcash", Box::new(task), ClusterJobOptions::default())
+                .submit("zcash", Box::new(task), JobOptions::default())
                 .expect("admitted");
             (id, slot)
         })
@@ -185,7 +184,7 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
     });
     let (task, slot) = persisting(&keyed, 7, true);
     let id = cluster
-        .submit("zcash", Box::new(task), ClusterJobOptions::default())
+        .submit("zcash", Box::new(task), JobOptions::default())
         .expect("admitted");
     let deadline = Instant::now() + Duration::from_secs(60);
     while cluster.job_host(id).is_none() {
@@ -254,7 +253,7 @@ fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
     for i in 0..24u64 {
         for tenant in ["heavy", "light"] {
             cluster
-                .submit(tenant, task(&keyed, i), ClusterJobOptions::default())
+                .submit(tenant, task(&keyed, i), JobOptions::default())
                 .expect("admitted");
         }
     }
@@ -301,12 +300,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     let mut metered_ok = 0u32;
     let mut rejected = 0u32;
     for i in 0..6u64 {
-        match cluster.submit_at(
-            "metered",
-            task(&keyed, i),
-            ClusterJobOptions::default(),
-            now,
-        ) {
+        match cluster.submit_at("metered", task(&keyed, i), JobOptions::default(), now) {
             Ok(_) => metered_ok += 1,
             Err(AdmissionError::RateLimited {
                 tenant,
@@ -327,7 +321,7 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
             .submit_at(
                 "unmetered",
                 task(&keyed, 50 + i),
-                ClusterJobOptions::default(),
+                JobOptions::default(),
                 now,
             )
             .expect("unlimited tenant is never rate limited");
@@ -355,16 +349,16 @@ fn unknown_tenant_and_saturation_are_typed_at_the_cluster_api() {
         ..ClusterConfig::default()
     });
     assert!(matches!(
-        cluster.submit("ghost", task(&keyed, 1), ClusterJobOptions::default()),
+        cluster.submit("ghost", task(&keyed, 1), JobOptions::default()),
         Err(AdmissionError::UnknownTenant(t)) if t == "ghost"
     ));
     for _ in 0..2 {
         cluster
-            .submit("only", task(&keyed, 1), ClusterJobOptions::default())
+            .submit("only", task(&keyed, 1), JobOptions::default())
             .expect("under capacity");
     }
     assert!(matches!(
-        cluster.submit("only", task(&keyed, 1), ClusterJobOptions::default()),
+        cluster.submit("only", task(&keyed, 1), JobOptions::default()),
         Err(AdmissionError::Saturated {
             pending: 2,
             capacity: 2
@@ -398,7 +392,7 @@ fn autoscaler_grows_the_cluster_under_backlog() {
     let ids: Vec<u64> = (0..8u64)
         .map(|seed| {
             cluster
-                .submit("default", task(&keyed, seed), ClusterJobOptions::default())
+                .submit("default", task(&keyed, seed), JobOptions::default())
                 .expect("admitted")
         })
         .collect();
@@ -495,9 +489,10 @@ fn two_hosts_of_two_v100s() -> Cluster {
     })
 }
 
-const URGENT: ClusterJobOptions = ClusterJobOptions {
+const URGENT: JobOptions = JobOptions {
     priority: gzkp_service::Priority::Normal,
     deadline: Some(Duration::from_secs(60)),
+    trace: false,
 };
 
 /// Multi-device hosts: an urgent job claims every device of its host for

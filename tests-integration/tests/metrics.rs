@@ -3,7 +3,7 @@
 //! metrics must never perturb proof bytes, and the flame export must
 //! cover a real prover trace.
 
-use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, ClusterOutcome};
+use gzkp_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::{v100, FaultPlan, FaultRates};
 use gzkp_groth16::{setup, Groth16System};
@@ -436,7 +436,7 @@ fn every_layer_counts_each_event_once_in_its_registry() {
                 )
                 .with_verifying_key(vk.clone());
                 cluster
-                    .submit("default", Box::new(task), ClusterJobOptions::default())
+                    .submit("default", Box::new(task), JobOptions::default())
                     .unwrap()
             })
             .collect();

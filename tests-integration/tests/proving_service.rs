@@ -16,7 +16,7 @@ use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_runtime::HealthPolicy;
 use gzkp_service::{
     JobError, JobOptions, Priority, ProofTask, ProvingService, RetryPolicy, ServiceConfig,
-    SubmitError, SystemTask, TaskOutput, VERIFY_VOTE_RUNS,
+    StageProfile, SubmitError, SystemTask, TaskOutput, VERIFY_VOTE_RUNS,
 };
 use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
@@ -569,6 +569,100 @@ fn retry_lands_on_a_different_device() {
     assert_eq!(stats.faults_injected, 1, "exactly one fault on device 0");
     assert_eq!(stats.retries, 1, "one migration to the clean device");
     assert_eq!(stats.cpu_fallbacks, 0, "device 1 came back in time");
+}
+
+/// A job of one of three cost classes (its proving key) whose stages
+/// report a device profile, so each leaves `job{id}.{poly,msm}.*` ops on
+/// its device's lanes. Its POLY waits for `go`, so a whole batch is
+/// submitted before any of it runs past its first pick.
+struct ProfiledTask {
+    class: u64,
+    go: Arc<Latch>,
+}
+
+impl ProfiledTask {
+    fn profile(&self) -> StageProfile {
+        StageProfile {
+            h2d_bytes: 4096 << self.class,
+            kernel_ns: 1.0e5 * (self.class + 1) as f64,
+            d2h_bytes: 64,
+            shards: 0,
+        }
+    }
+}
+
+impl ProofTask for ProfiledTask {
+    fn key_id(&self) -> u64 {
+        self.class
+    }
+    fn poly(&mut self, _sink: &dyn TelemetrySink) -> Result<(), String> {
+        self.go.wait();
+        Ok(())
+    }
+    fn msm(&mut self, _sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+        Ok(TaskOutput {
+            proof: self.class.to_le_bytes().to_vec(),
+            report: None,
+        })
+    }
+    fn poly_profile(&self) -> StageProfile {
+        self.profile()
+    }
+    fn msm_profile(&self, _output: &TaskOutput) -> StageProfile {
+        self.profile()
+    }
+}
+
+/// Placement is decided at submit, so a fault-free fleet schedule is a
+/// function of the submission order: 12 jobs of three interleaved cost
+/// classes split 6 / 6 over two V100s, and each device runs its jobs in
+/// the same order on every repetition, whichever worker wakes first.
+#[test]
+fn fleet_schedule_repeats_exactly() {
+    let kernel_lanes = || {
+        let service = ProvingService::start(ServiceConfig {
+            devices: vec![v100(); 2],
+            default_deadline: None,
+            ..ServiceConfig::default()
+        });
+        let go = Arc::new(Latch::default());
+        let handles: Vec<_> = (0..12u64)
+            .map(|i| {
+                let task = ProfiledTask {
+                    class: i % 3,
+                    go: go.clone(),
+                };
+                service
+                    .submit(Box::new(task), JobOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        go.open();
+        for handle in handles {
+            assert!(handle.wait().outcome.is_ok());
+        }
+        let util = service.fleet_utilization();
+        assert_eq!((util.devices[0].jobs, util.devices[1].jobs), (6, 6));
+        let trace = service.fleet_trace();
+        service.shutdown();
+        ["dev0", "dev1"].map(|dev| {
+            let lane = trace
+                .find(&["runtime", dev, "kernel"])
+                .expect("kernel lane");
+            lane.children
+                .iter()
+                .map(|op| op.name.clone())
+                .collect::<Vec<_>>()
+        })
+    };
+    let first = kernel_lanes();
+    for rep in 1..20 {
+        assert_eq!(
+            kernel_lanes(),
+            first,
+            "repetition {rep} ran a different schedule"
+        );
+    }
 }
 
 /// Direct prover bytes and simulated stage report for the service to

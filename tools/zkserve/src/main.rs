@@ -69,7 +69,8 @@
 //! sequential proves anyway. The run
 //! prints per-host accounting, front-door tenant stats, and a JSON
 //! summary; with `--metrics` the snapshot gains cluster rows in
-//! `zkserve top` and a cluster lost-jobs section in the SLO report.
+//! `zkserve top` and a cluster lost-jobs section in the SLO report;
+//! `--fleet-trace PATH` writes the trace of the cluster's one fleet.
 //!
 //! `top` renders a metrics snapshot file as an ASCII dashboard (job
 //! counts, queue/stage/e2e latency percentiles, SLO status, per-device
@@ -80,7 +81,7 @@
 //! `example` prints a starter workload file to stdout; `example --mixed`
 //! prints one that interleaves Groth16 and PLONK request classes.
 
-use gzkp_cluster::{Cluster, ClusterConfig, ClusterJobOptions, HostConfig, TenantSpec};
+use gzkp_cluster::{Cluster, ClusterConfig, HostConfig, TenantSpec};
 use gzkp_gpu_sim::v100;
 use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
@@ -175,10 +176,6 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
         eprintln!("zkserve: --prom requires --metrics");
         return None;
     }
-    if cluster_hosts.is_some() && fleet_trace.is_some() {
-        eprintln!("zkserve: --fleet-trace is not available in --cluster mode");
-        return None;
-    }
     Some(RunArgs {
         path: path?,
         cfg,
@@ -188,6 +185,18 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
         prom,
         cluster_hosts,
     })
+}
+
+/// Writes `trace` to `--fleet-trace PATH`, when one was given. `Some`
+/// carries the exit code of a failed write.
+fn write_fleet_trace(run: &RunArgs, trace: &gzkp_telemetry::Trace) -> Option<ExitCode> {
+    let path = run.fleet_trace.as_ref()?;
+    if let Err(e) = std::fs::write(path, trace.to_json()) {
+        eprintln!("zkserve: {path}: {e}");
+        return Some(ExitCode::from(2));
+    }
+    println!("{:>10}: fleet trace written to {path}", "trace");
+    None
 }
 
 /// Replays the prepared workload through the multi-host cluster layer
@@ -233,15 +242,10 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
     });
     let mut ids = Vec::with_capacity(jobs);
     for i in 0..jobs {
-        let opts = prepared.request_options(i);
-        match cluster.submit(
-            "default",
-            prepared.checkpoint_task(i, &task_device, verify),
-            ClusterJobOptions {
-                priority: opts.priority,
-                deadline: opts.deadline.or(run.cfg.default_deadline),
-            },
-        ) {
+        let mut opts = prepared.request_options(i);
+        opts.deadline = opts.deadline.or(run.cfg.default_deadline);
+        let task = prepared.checkpoint_task(i, &task_device, verify);
+        match cluster.submit("default", task, opts) {
             Ok(id) => ids.push(id),
             Err(e) => {
                 eprintln!("zkserve: request {i} rejected: {e}");
@@ -286,6 +290,9 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
         );
     }
     println!("{}", outcome.report_json());
+    if let Some(code) = write_fleet_trace(run, &outcome.fleet_trace) {
+        return code;
+    }
 
     if let Some(exporter) = exporter {
         let path = run.metrics.as_deref().unwrap_or("");
@@ -525,12 +532,10 @@ fn main() -> ExitCode {
             if let Some(fleet) = &outcome.fleet {
                 print!("{}", fleet.render());
             }
-            if let (Some(path), Some(trace)) = (&run.fleet_trace, &outcome.fleet_trace) {
-                if let Err(e) = std::fs::write(path, trace.to_json()) {
-                    eprintln!("zkserve: {path}: {e}");
-                    return ExitCode::from(2);
+            if let Some(trace) = &outcome.fleet_trace {
+                if let Some(code) = write_fleet_trace(&run, trace) {
+                    return code;
                 }
-                println!("{:>10}: fleet trace written to {path}", "trace");
             }
 
             if let Some(baseline) = baseline {
@@ -601,9 +606,11 @@ mod tests {
             parse_run_args(&s(&["w.json", "--cluster", "hosts=0"])).is_none(),
             "a cluster needs at least one host"
         );
-        assert!(
-            parse_run_args(&s(&["w.json", "--cluster", "2", "--fleet-trace", "t.json"])).is_none(),
-            "fleet traces are per-service, not per-cluster"
+        let run = parse_run_args(&s(&["w.json", "--cluster", "2", "--fleet-trace", "t.json"]));
+        assert_eq!(
+            run.and_then(|r| r.fleet_trace).as_deref(),
+            Some("t.json"),
+            "a cluster is one service whose fleet trace can be written"
         );
         let run = parse_run_args(&s(&["w.json"])).unwrap();
         assert!(run.cluster_hosts.is_none());
