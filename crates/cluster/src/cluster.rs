@@ -1,5 +1,5 @@
 //! The cluster itself: its policy — the admission-controlled front door,
-//! the autoscaler and the chaos roll — in front of one
+//! the autoscaler and the host-kill roll — in front of one
 //! [`ProvingService`] whose fleet holds one failure domain per host,
 //! driven by an explicit [`Cluster::pump`] tick so tests and the chaos
 //! replay own the event loop.
@@ -7,12 +7,9 @@
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::frontdoor::{AdmissionError, FrontDoor, TenantSpec, TenantStats};
 use gzkp_gpu_sim::device::DeviceConfig;
-use gzkp_gpu_sim::{FaultInjector, FaultPlan, FaultSummary};
+use gzkp_gpu_sim::{FaultPlan, FaultSummary};
 use gzkp_runtime::{FleetUtilization, HealthPolicy};
-use gzkp_service::{
-    JobError, JobHandle, JobOptions, JobResult, ProofTask, ProvingService, RetryPolicy,
-    ServiceConfig,
-};
+use gzkp_service::{JobError, JobHandle, JobOptions, ProofTask, ProvingService, ServiceConfig};
 use gzkp_telemetry::{names, Counter, Gauge, LatencyHistogram, MetricsRegistry, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,7 +19,13 @@ use std::time::{Duration, Instant};
 /// again, so chaos and the autoscaler keep ticking while proofs run.
 const DRAIN_TICK: Duration = Duration::from_millis(1);
 
-/// Host lifecycle. Numeric values double as the `host.state` gauge.
+/// Chaos host kills per run. A kill is only rolled while at least two
+/// hosts are up, so moved work always has somewhere to resume.
+const MAX_CHAOS_KILLS: u64 = 1;
+
+/// Host lifecycle, read from the host's failure domain in the service's
+/// fleet (dead, schedulable) and the cluster's warm-up clock; never
+/// stored. Numeric values double as the `host.state` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostState {
     /// Started but still paying its warm-up cost; takes no work.
@@ -73,9 +76,8 @@ impl Default for HostConfig {
 pub struct HostReport {
     /// Host id — its failure domain in the fleet.
     pub id: usize,
-    /// State at the end of the run.
-    pub state: HostState,
-    /// Whether chaos killed this host (as opposed to retiring).
+    /// Whether the host was killed (its domain is dead in the fleet), as
+    /// opposed to retired or stopped at the end of the run.
     pub killed: bool,
     /// Jobs that resolved successfully on this host (its
     /// `host.completed{host=hN}` counter).
@@ -98,16 +100,11 @@ pub struct ClusterConfig {
     pub pending_capacity: usize,
     /// Queue-depth autoscaling; `None` keeps the host count fixed.
     pub autoscale: Option<AutoscalePolicy>,
-    /// Chaos: `rates.host_kill` is rolled once per pump tick per live
-    /// host (stage-level rates are ignored at this layer — the service
-    /// runs fault-free; the cluster's failure unit is the host).
+    /// Chaos, one plan for one injector: the service injects its stage
+    /// faults and dead devices (indices over the whole fleet) as a plain
+    /// service does, and the cluster rolls `rates.host_kill` on that
+    /// injector once per pump tick per up host, one kill per run at most.
     pub chaos: Option<FaultPlan>,
-    /// Upper bound on chaos host kills per run (a kill is only rolled
-    /// while at least two hosts are up, so work always has somewhere to
-    /// resume).
-    pub max_kills: u64,
-    /// Moves off a killed host per job before it fails permanently.
-    pub max_resumes: u32,
     /// The device circuit-breaker policy of the cluster's fleet.
     pub health: HealthPolicy,
     /// The registry the cluster and its service count into: one counter
@@ -128,8 +125,6 @@ impl Default for ClusterConfig {
             pending_capacity: 256,
             autoscale: None,
             chaos: None,
-            max_kills: 1,
-            max_resumes: 3,
             health: HealthPolicy::default(),
             metrics: None,
         }
@@ -201,7 +196,8 @@ pub struct ClusterOutcome {
     /// Jobs still claimed anywhere after the drain — must be zero; a
     /// non-zero value means a kill or retirement leaked a claim.
     pub leaked_claims: usize,
-    /// Chaos accounting, when a fault plan was configured.
+    /// Chaos accounting — stage faults, dead-device hits and host kills
+    /// — when a fault plan was configured.
     pub chaos: Option<FaultSummary>,
 }
 
@@ -310,12 +306,12 @@ impl ClusterMetrics {
     }
 }
 
-/// One started host — a failure domain of the service's fleet — with its
-/// lifecycle and its `host=hN` series in the cluster's registry.
+/// One started host — a failure domain of the service's fleet, which
+/// holds whether it is dead or takes work — with its warm-up clock and
+/// its `host=hN` series in the cluster's registry.
 struct Host {
-    state: HostState,
-    warm_until: Instant,
-    killed: bool,
+    /// When a host the autoscaler started takes work; `None` once warm.
+    warm_until: Option<Instant>,
     completed: Counter,
     failed: Counter,
     inflight: Gauge,
@@ -323,26 +319,14 @@ struct Host {
 }
 
 impl Host {
-    fn start(id: usize, state: HostState, warm_until: Instant, metrics: &MetricsRegistry) -> Self {
+    fn start(id: usize, warm_until: Option<Instant>, metrics: &MetricsRegistry) -> Self {
         let label = format!("h{id}");
         Self {
-            state,
             warm_until,
-            killed: false,
             completed: metrics.counter_with(names::HOST_COMPLETED, names::LABEL_HOST, &label),
             failed: metrics.counter_with(names::HOST_FAILED, names::LABEL_HOST, &label),
             inflight: metrics.gauge_with(names::HOST_INFLIGHT, names::LABEL_HOST, &label),
             state_gauge: metrics.gauge_with(names::HOST_STATE, names::LABEL_HOST, &label),
-        }
-    }
-
-    fn report(&self, id: usize) -> HostReport {
-        HostReport {
-            id,
-            state: self.state,
-            killed: self.killed,
-            completed: self.completed.get(),
-            failed: self.failed.get(),
         }
     }
 }
@@ -360,6 +344,10 @@ struct OpenJob {
     tenant: String,
     admitted_at: Instant,
     handle: JobHandle,
+    /// The host the pump last saw the job pinned to.
+    host: usize,
+    /// Moves off a killed host counted so far.
+    resumes: u32,
 }
 
 /// The multi-host proving cluster. Submission is non-blocking; progress
@@ -375,7 +363,6 @@ pub struct Cluster {
     hosts: Vec<Host>,
     open: BTreeMap<u64, OpenJob>,
     autoscaler: Option<Autoscaler>,
-    injector: Option<FaultInjector>,
     metrics: ClusterMetrics,
     tick: u64,
     next_job: u64,
@@ -396,7 +383,6 @@ impl Cluster {
             !cfg.host.devices.is_empty(),
             "a host needs at least one device"
         );
-        let now = Instant::now();
         let registry = cfg.metrics.clone().unwrap_or_default();
         let started = cfg.hosts.max(1);
         let domains = started.max(cfg.autoscale.map_or(0, |a| a.max_hosts));
@@ -408,10 +394,7 @@ impl Cluster {
                 devices: (0..domains)
                     .flat_map(|_| cfg.host.devices.clone())
                     .collect(),
-                retry: RetryPolicy {
-                    max_retries: cfg.max_resumes,
-                    ..RetryPolicy::default()
-                },
+                chaos: cfg.chaos.clone(),
                 health: cfg.health,
                 metrics: Some(registry.clone()),
                 ..ServiceConfig::default()
@@ -426,11 +409,10 @@ impl Cluster {
             door: FrontDoor::new(&cfg.tenants, cfg.pending_capacity),
             service,
             hosts: (0..started)
-                .map(|id| Host::start(id, HostState::Up, now, &metrics.registry))
+                .map(|id| Host::start(id, None, &metrics.registry))
                 .collect(),
             open: BTreeMap::new(),
             autoscaler: cfg.autoscale.map(Autoscaler::new),
-            injector: cfg.chaos.clone().map(FaultInjector::new),
             metrics,
             cfg,
             tick: 0,
@@ -492,20 +474,22 @@ impl Cluster {
     }
 
     /// One scheduling tick: promote warm hosts, roll chaos, autoscale,
-    /// release admitted work to the service, harvest finished work.
-    /// Returns the number of jobs resolved this tick.
+    /// release admitted work to the service, count moves off killed
+    /// hosts, harvest finished work. Returns the number of jobs resolved
+    /// this tick.
     pub fn pump(&mut self) -> usize {
         let now = Instant::now();
         self.tick += 1;
         for (id, host) in self.hosts.iter_mut().enumerate() {
-            if host.state == HostState::Warming && now >= host.warm_until {
-                host.state = HostState::Up;
+            if host.warm_until.is_some_and(|t| now >= t) {
+                host.warm_until = None;
                 self.service.fleet().set_schedulable(id, true);
             }
         }
         self.roll_chaos();
         self.autoscale(now);
         self.release(now);
+        self.count_moves();
         let resolved = self.harvest();
 
         self.metrics.queue_depth.set(self.door.depth() as f64);
@@ -514,11 +498,28 @@ impl Cluster {
         resolved
     }
 
+    /// Host `id`'s state: its domain's in the fleet, or warming.
+    fn state(&self, id: usize) -> HostState {
+        let fleet = self.service.fleet();
+        if fleet.is_dead(id) {
+            HostState::Dead
+        } else if self.hosts[id].warm_until.is_some() {
+            HostState::Warming
+        } else if fleet.schedulable(id) {
+            HostState::Up
+        } else {
+            HostState::Dead
+        }
+    }
+
+    fn hosts_in(&self, state: HostState) -> Vec<usize> {
+        (0..self.hosts.len())
+            .filter(|&id| self.state(id) == state)
+            .collect()
+    }
+
     fn up_hosts(&self) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.state == HostState::Up)
-            .count()
+        self.hosts_in(HostState::Up).len()
     }
 
     /// Publishes each host's state and its open jobs — released and not
@@ -531,23 +532,22 @@ impl Cluster {
                 *n += 1;
             }
         }
-        for (host, n) in self.hosts.iter().zip(open) {
+        for (id, (host, n)) in self.hosts.iter().zip(open).enumerate() {
             host.inflight.set(f64::from(n));
-            host.state_gauge.set(host.state.as_gauge());
+            host.state_gauge.set(self.state(id).as_gauge());
         }
     }
 
     fn roll_chaos(&mut self) {
-        let Some(injector) = &self.injector else {
+        let Some(injector) = self.service.fault_injector() else {
             return;
         };
-        if self.metrics.host_kills.get() >= self.cfg.max_kills || self.up_hosts() < 2 {
+        let up = self.hosts_in(HostState::Up);
+        if self.metrics.host_kills.get() >= MAX_CHAOS_KILLS || up.len() < 2 {
             return;
         }
-        // One kill per tick keeps at least one survivor for the moved
-        // work even at aggressive rates.
-        let victim = (0..self.hosts.len())
-            .filter(|&id| self.hosts[id].state == HostState::Up)
+        let victim = up
+            .into_iter()
             .find(|&id| injector.roll_host_kill(id, self.tick));
         if let Some(id) = victim {
             self.kill_host(id);
@@ -560,51 +560,36 @@ impl Cluster {
     /// [`ProvingService::kill_domain`]). Killing an unknown or already
     /// dead host does nothing and is not counted.
     pub fn kill_host(&mut self, id: usize) {
-        let Some(host) = self.hosts.get_mut(id) else {
-            return;
-        };
-        if host.state == HostState::Dead {
+        if id >= self.hosts.len() || self.state(id) == HostState::Dead {
             return;
         }
-        host.state = HostState::Dead;
-        host.killed = true;
         self.metrics.host_kills.inc();
         self.service.kill_domain(id);
     }
 
     fn autoscale(&mut self, now: Instant) {
         let active: Vec<usize> = (0..self.hosts.len())
-            .filter(|&id| self.hosts[id].state != HostState::Dead)
+            .filter(|&id| self.state(id) != HostState::Dead)
             .collect();
         let demand = self.door.depth() + self.open.len();
         let Some(autoscaler) = &mut self.autoscaler else {
             return;
         };
         let target = autoscaler.target(now, demand, active.len());
-        let warm_until = now + autoscaler.policy().warmup;
-        let fleet = self.service.fleet();
+        let warm_until = Some(now + autoscaler.policy().warmup);
+        let fleet = self.service.fleet().clone();
         if target > active.len() {
             // Start spare domains, lowest first: never started, or retired.
             let spare: Vec<usize> = (0..fleet.domains())
-                .filter(|&d| {
-                    self.hosts
-                        .get(d)
-                        .is_none_or(|h| h.state == HostState::Dead && !h.killed)
-                })
+                .filter(|&d| d >= self.hosts.len() || !(fleet.is_dead(d) || active.contains(&d)))
                 .take(target - active.len())
                 .collect();
             for d in spare {
                 match self.hosts.get_mut(d) {
-                    Some(host) => {
-                        host.state = HostState::Warming;
-                        host.warm_until = warm_until;
-                    }
-                    None => self.hosts.push(Host::start(
-                        d,
-                        HostState::Warming,
-                        warm_until,
-                        &self.metrics.registry,
-                    )),
+                    Some(host) => host.warm_until = warm_until,
+                    None => self
+                        .hosts
+                        .push(Host::start(d, warm_until, &self.metrics.registry)),
                 }
                 self.metrics.hosts_started.inc();
             }
@@ -612,7 +597,7 @@ impl Cluster {
             // Retire idle hosts, newest first (their stores are coldest).
             let idle = active.iter().rev().filter(|&&d| fleet.pinned(d) == 0);
             for &d in idle.take(active.len() - target) {
-                self.hosts[d].state = HostState::Dead;
+                self.hosts[d].warm_until = None;
                 fleet.set_schedulable(d, false);
                 self.metrics.hosts_retired.inc();
             }
@@ -640,7 +625,9 @@ impl Cluster {
                     let open = OpenJob {
                         tenant,
                         admitted_at: job.admitted_at,
+                        host: handle.domain(),
                         handle,
+                        resumes: 0,
                     };
                     self.open.insert(job.id, open);
                 }
@@ -652,7 +639,24 @@ impl Cluster {
         }
     }
 
-    /// Collects every released job the service has resolved.
+    /// Counts every move off a killed host the service made since the
+    /// last tick, when the tick sees it: one cluster resume and a failure
+    /// on the host the job left. (A job moved twice between two ticks
+    /// shows as one move, off the first host.)
+    fn count_moves(&mut self) {
+        for job in self.open.values_mut() {
+            let host = job.handle.domain();
+            if host != job.host {
+                self.metrics.resumes.inc();
+                self.hosts[job.host].failed.inc();
+                job.host = host;
+                job.resumes += 1;
+            }
+        }
+    }
+
+    /// Collects every released job the service has resolved and counts
+    /// its outcome on the host it resolved on.
     fn harvest(&mut self) -> usize {
         let (done, open): (BTreeMap<u64, OpenJob>, _) = std::mem::take(&mut self.open)
             .into_iter()
@@ -661,41 +665,21 @@ impl Cluster {
         let resolved = done.len();
         for (id, job) in done {
             let result = job.handle.wait();
-            self.count_on_hosts(&result);
-            let resumes = result.resumed_from.len() as u32;
+            let host = &self.hosts[result.domain];
+            match &result.outcome {
+                Ok(_) => host.completed.inc(),
+                Err(_) => host.failed.inc(),
+            }
             let outcome = result.outcome.map(|o| o.proof).map_err(|e| {
                 if e == JobError::DeadlineMissed {
                     self.metrics.deadline_missed.inc();
                 }
                 e.to_string()
             });
-            self.record(
-                id,
-                job.tenant,
-                job.admitted_at,
-                outcome,
-                resumes,
-                result.trace,
-            );
+            let (tenant, at) = (job.tenant, job.admitted_at);
+            self.record(id, tenant, at, outcome, job.resumes, result.trace);
         }
         resolved
-    }
-
-    /// Counts a resolved job on its hosts: a failure on each dead host it
-    /// moved off (one resume each), then its outcome where it resolved.
-    fn count_on_hosts(&self, result: &JobResult) {
-        for &dead in &result.resumed_from {
-            self.metrics.resumes.inc();
-            if let Some(host) = self.hosts.get(dead) {
-                host.failed.inc();
-            }
-        }
-        if let Some(host) = self.hosts.get(result.domain) {
-            match result.outcome {
-                Ok(_) => host.completed.inc(),
-                Err(_) => host.failed.inc(),
-            }
-        }
     }
 
     fn record(
@@ -761,7 +745,8 @@ impl Cluster {
                 for (id, job) in std::mem::take(&mut self.open) {
                     job.handle.cancel();
                     let timed_out = Err("cluster drain timeout".to_string());
-                    self.record(id, job.tenant, job.admitted_at, timed_out, 0, None);
+                    let (tenant, at) = (job.tenant, job.admitted_at);
+                    self.record(id, tenant, at, timed_out, job.resumes, None);
                 }
                 break;
             }
@@ -769,26 +754,22 @@ impl Cluster {
                 .service
                 .wait_for_resolution(resolutions, remaining.min(DRAIN_TICK));
         }
-        // Final gauge sync so a snapshot taken after the drain shows the
-        // terminal host states, not the last mid-run ones.
+        // Final gauge sync so a snapshot taken after the drain shows every
+        // host stopped and empty, not the last mid-run states.
         self.metrics.hosts_up.set(0.0);
         self.metrics.queue_depth.set(0.0);
-        for host in &mut self.hosts {
-            host.state = HostState::Dead;
+        for host in &self.hosts {
+            host.inflight.set(0.0);
+            host.state_gauge.set(HostState::Dead.as_gauge());
         }
-        self.publish_host_gauges();
+        let fleet = self.service.fleet().clone();
+        let injector = self.service.fault_injector().cloned();
         // Shutdown waits out jobs cancelled at a timeout; the claims
         // anything still holds afterwards are leaks.
-        let fleet = self.service.fleet().clone();
         self.service.shutdown();
         let pinned: u64 = (0..fleet.domains()).map(|d| fleet.pinned(d)).sum();
         let leaked_claims = self.open.len() + self.door.depth() + pinned as usize;
-        let tenants = self
-            .door
-            .tenant_names()
-            .into_iter()
-            .filter_map(|name| self.door.tenant_stats(&name).map(|s| (name, s)))
-            .collect();
+        let tenants = self.door.tenant_stats();
         ClusterOutcome {
             results: std::mem::take(&mut self.results),
             stats: self.metrics.stats(),
@@ -797,12 +778,17 @@ impl Cluster {
                 .hosts
                 .iter()
                 .enumerate()
-                .map(|(id, h)| h.report(id))
+                .map(|(id, h)| HostReport {
+                    id,
+                    killed: fleet.is_dead(id),
+                    completed: h.completed.get(),
+                    failed: h.failed.get(),
+                })
                 .collect(),
             fleet: fleet.utilization(),
             fleet_trace: fleet.trace(),
             leaked_claims,
-            chaos: self.injector.as_ref().map(|i| i.summary()),
+            chaos: injector.map(|i| i.summary()),
         }
     }
 }

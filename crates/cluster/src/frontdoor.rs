@@ -271,14 +271,12 @@ impl<T> FrontDoor<T> {
         self.stopped = true;
     }
 
-    /// Admission counters of `tenant`, if configured.
-    pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
-        self.tenants.get(tenant).map(|s| s.stats)
-    }
-
-    /// Tenant names in configuration order (sorted).
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.keys().cloned().collect()
+    /// Admission counters of every tenant, by name.
+    pub fn tenant_stats(&self) -> BTreeMap<String, TenantStats> {
+        self.tenants
+            .iter()
+            .map(|(name, s)| (name.clone(), s.stats))
+            .collect()
     }
 }
 
@@ -345,7 +343,7 @@ mod tests {
         // One token refills after 100 ms at 10/s.
         door.admit_at("a", 3, t0 + Duration::from_millis(150))
             .unwrap();
-        assert_eq!(door.tenant_stats("a").unwrap().rate_limited, 1);
+        assert_eq!(door.tenant_stats()["a"].rate_limited, 1);
     }
 
     #[test]

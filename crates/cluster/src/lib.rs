@@ -8,8 +8,11 @@
 //! mid-proof, and growing/shrinking the host pool with demand. A
 //! [`Cluster`] is one [`gzkp_service::ProvingService`] whose fleet is
 //! `hosts ×` [`HostConfig::devices`] devices, one failure domain per
-//! host; the service owns the queue, placement, device health, retries
-//! and counters, and this crate keeps only the cluster's policy:
+//! host. Each serving decision has one owner: the service owns the
+//! queue, placement, device health, fault injection, retries (a move off
+//! a killed host spends one, as a stage fault does) and counters; the
+//! fleet's domain is the one record of whether a host is dead or takes
+//! work. This crate keeps only the cluster's policy:
 //!
 //! * **The front door** ([`FrontDoor`]) — per-tenant token-bucket rate
 //!   limiting in front of weighted-fair queuing, with typed backpressure
@@ -18,18 +21,24 @@
 //!   than the live hosts hold ([`HostConfig::queue_capacity`] each); the
 //!   service pins each to its least-loaded live host.
 //! * **Host loss** — chaos (or [`Cluster::kill_host`]) kills a host's
-//!   domain. Jobs submitted as checkpoint-persisting
+//!   domain: the cluster rolls the chaos plan's host kills on the
+//!   service's fault injector, which also injects the plan's stage
+//!   faults, so one log and one [`gzkp_gpu_sim::FaultSummary`] cover
+//!   both. Jobs submitted as checkpoint-persisting
 //!   [`gzkp_service::SystemTask`]s write the checkpoint their MSM stage
 //!   steps through out as versioned bytes after the POLY stage and
 //!   between MSM steps; the service moves a dead host's jobs to a
 //!   survivor, where they continue from those bytes, and the final proofs
 //!   are **byte-identical** to uninterrupted runs (the blinding seed
-//!   travels inside the checkpoint).
+//!   travels inside the checkpoint). Each pump counts the moves it sees
+//!   on the host the job left (`host.failed{host=hN}`) and in
+//!   `cluster.resumes`, while the moved job still runs.
 //! * **The autoscaler** ([`Autoscaler`]) — queue-depth scaling with
 //!   modeled warm-up (new hosts spend a window taking no work) and
 //!   cooldown hysteresis. Every host the autoscaler may ever run is a
-//!   domain of the fleet from the start; a warming or retired one just
-//!   takes no work.
+//!   domain of the fleet from the start; a warming or retired one is
+//!   closed to pins, and the cluster keeps only a warming host's
+//!   warm-up deadline.
 //!
 //! ## Example
 //!

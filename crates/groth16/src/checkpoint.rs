@@ -272,6 +272,8 @@ fn put_scalars(out: &mut Vec<u8>, v: &ScalarVec) {
 /// Reads one scalar vector of field `F`. The limb count and bit width
 /// are part of the format but not free: anything other than `F`'s would
 /// reach the MSM engines as a window count of the attacker's choosing.
+/// Every scalar must be canonical (below `F`'s modulus), as every field
+/// element PLONK's checkpoint reads is.
 fn read_scalars<F: PrimeField>(r: &mut Reader<'_>, which: &str) -> Result<ScalarVec, String> {
     let per_scalar = r.u32()? as usize;
     let bits = r.u32()?;
@@ -291,11 +293,19 @@ fn read_scalars<F: PrimeField>(r: &mut Reader<'_>, which: &str) -> Result<Scalar
         .count()?
         .checked_mul(per_scalar * 8)
         .ok_or_else(|| format!("{which} scalars: buffer overflow"))?;
-    let limbs = r
+    let limbs: Vec<u64> = r
         .take(total)?
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("eight-byte chunk")))
         .collect();
+    let modulus = F::characteristic();
+    for (i, scalar) in limbs.chunks_exact(per_scalar).enumerate() {
+        if scalar.iter().rev().ge(modulus.iter().rev()) {
+            return Err(format!(
+                "{which} scalars: scalar {i} is not below the modulus"
+            ));
+        }
+    }
     Ok(ScalarVec::from_raw(limbs, per_scalar, bits))
 }
 
@@ -525,6 +535,20 @@ mod tests {
         for bits in [8, 253, 256, u32::MAX] {
             let err = forge(z_at + 4, bits);
             assert!(err.contains("z scalars: bits"), "{err}");
+        }
+        // z⃗[0]'s limbs follow its `count:u64`; 2²⁵⁶ − 1 and r itself are
+        // not canonical scalars.
+        let r_bytes: Vec<u8> = Fr::characteristic()
+            .iter()
+            .flat_map(|l| l.to_le_bytes())
+            .collect();
+        for value in [vec![0xff; 32], r_bytes] {
+            let mut forged = bytes.clone();
+            forged[z_at + 16..z_at + 48].copy_from_slice(&value);
+            let err = ProofCheckpoint::<Bn254>::from_bytes(&forged)
+                .err()
+                .expect("a non-canonical scalar must be rejected");
+            assert!(err.contains("z scalars: scalar 0"), "{err}");
         }
 
         // A well-formed checkpoint of a *different* circuit: its vectors

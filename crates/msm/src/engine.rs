@@ -28,7 +28,7 @@ pub struct MsmStats {
     pub batch_padds: u64,
     /// Field inversions actually executed by the batch accumulator.
     pub batch_inversions: u64,
-    /// Bucket-range shards the task was split into by the memory planner
+    /// Bucket-range shards the task was split into by the memory plan
     /// (0 for engines without a sharded path, 1 for a whole-task run).
     pub shards: u64,
 }

@@ -1282,7 +1282,7 @@ mod tests {
     fn past_1080ti_memory_completes_via_sharding_plan() {
         // Acceptance shape: a 753-bit MSM at 2^25 exceeds a single
         // 1080 Ti even at the maximum checkpoint interval (the Algorithm 1
-        // knob is exhausted), so before the planner existed it could only
+        // knob is exhausted), so before the shard plan existed it could only
         // run whole — i.e. OOM. The plan now splits it into passes that
         // each fit.
         let dev = gzkp_gpu_sim::gtx1080ti();

@@ -4,7 +4,7 @@
 //! `{τ^i·G1}` plus `[1]₂, [τ]₂`. Committing to a polynomial is then one
 //! MSM of its coefficients against the SRS — which this module runs
 //! through the *existing* [`MsmEngine`] abstraction, so KZG commitments
-//! get the same bucket-sorted Pippenger kernels, shard planner, cache,
+//! get the same bucket-sorted Pippenger kernels, shard plan, cache,
 //! and cross-device merging as the Groth16 query MSMs, and show up in
 //! `zkprof render --timeline` identically.
 //!

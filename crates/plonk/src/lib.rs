@@ -11,7 +11,7 @@
 //!   columns; the quotient step later extends the four witness
 //!   polynomials to the 4n coset, the key holding the rest there);
 //! * **MSM** — a sequence of checkpointable steps, each one or more MSMs
-//!   through the shared [`gzkp_msm::MsmEngine`] (shard planner,
+//!   through the shared [`gzkp_msm::MsmEngine`] (shard plan,
 //!   preprocess cache, cross-device merging included).
 //!
 //! [`PlonkSystem`] packages the backend behind the

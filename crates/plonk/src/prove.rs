@@ -7,7 +7,7 @@
 //!   [`GpuNttEngine`].
 //! * **MSM stage**: four checkpointable commit steps, every commitment an
 //!   MSM through the pluggable [`gzkp_msm::MsmEngine`] (so the shard
-//!   planner, preprocess cache, and cross-device merging all apply):
+//!   plan, preprocess cache, and cross-device merging all apply):
 //!
 //!   0. `wires` — blind the three wire polynomials and commit each from
 //!      its *values* and two blinds against the key's Lagrange-basis SRS

@@ -478,6 +478,11 @@ impl FleetRuntime {
         d.schedulable.store(schedulable && alive, Ordering::Relaxed);
     }
 
+    /// Whether `domain` takes new pins.
+    pub fn schedulable(&self, domain: usize) -> bool {
+        self.domains[domain].schedulable.load(Ordering::Relaxed)
+    }
+
     /// Kills `domain` for good: closes it to pins and raises its
     /// interrupt flag.
     pub fn kill_domain(&self, domain: usize) {
@@ -1232,6 +1237,7 @@ mod tests {
     fn unschedulable_and_dead_domains_take_no_pins() {
         let fleet = four_v100s_in(2);
         fleet.set_schedulable(0, false);
+        assert!(!fleet.schedulable(0) && fleet.schedulable(1));
         assert_eq!(domain_of_pin(&fleet), Some(1));
         assert_eq!(
             domain_of_pin(&fleet),
@@ -1243,11 +1249,8 @@ mod tests {
         fleet.kill_domain(1);
         assert!(fleet.is_dead(1) && fleet.interrupt(1).load(Ordering::Relaxed));
         fleet.set_schedulable(1, true);
-        assert_eq!(
-            domain_of_pin(&fleet),
-            Some(0),
-            "a dead domain never reopens"
-        );
+        assert!(!fleet.schedulable(1), "a dead domain never reopens");
+        assert_eq!(domain_of_pin(&fleet), Some(0));
         fleet.kill_domain(0);
         assert_eq!(domain_of_pin(&fleet), None);
     }

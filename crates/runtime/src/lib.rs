@@ -4,12 +4,12 @@
 //! heterogeneous fleet of simulated devices, pipeline proof `i+1`'s
 //! uploads under proof `i`'s kernels on per-device command streams, let
 //! a near-deadline proof claim several devices for its MSMs, and
-//! shard MSMs that exceed a single device's memory into bucket-range
-//! partials merged on the host (bit-identical to the unsharded result;
-//! the functional splitting lives in `gzkp_msm::GzkpMsm::msm_sharded`,
-//! this crate owns the planning and placement policy around it).
+//! run one MSM's bucket-range shards on several devices with the partial
+//! sums merged over P2P (bit-identical to the unsharded result). How many
+//! shards an MSM needs to fit a device is `gzkp_msm::GzkpMsm::shard_plan`'s
+//! decision alone; this crate owns placement and the device schedule.
 //!
-//! Five pieces:
+//! Four pieces:
 //!
 //! * [`spec`] — parsing of `zkserve --devices N[,spec]` fleet descriptions
 //!   into [`gzkp_gpu_sim::DeviceConfig`]s;
@@ -21,12 +21,10 @@
 //!   device↔device transfers ([`FleetRuntime::record_p2p`], NVLink or
 //!   host-staged), per-device utilization snapshots and a
 //!   `runtime→dev{n}→{h2d,kernel,d2h,p2p}` telemetry trace;
-//! * [`planner`] — [`MsmShardPlan`]: the memory check deciding whether an
-//!   MSM runs whole or as device-sized bucket-range shards, and
-//!   [`FleetMsmPlan`]: its multi-device extension assigning every shard
-//!   a device;
 //! * [`crossdev`] — [`CrossDeviceMsm`]: the MSM engine executing one
-//!   proof's shards across devices with P2P partial-sum merging;
+//!   proof's shards across devices with P2P partial-sum merging — the
+//!   reference engine's shard plan, at least one shard per device, dealt
+//!   round-robin;
 //! * [`health`] — [`DeviceHealth`]: the consecutive-failure circuit
 //!   breaker (quarantine + probation re-probe) that
 //!   [`FleetRuntime::pin`] consults.
@@ -51,7 +49,6 @@
 pub mod crossdev;
 pub mod fleet;
 pub mod health;
-pub mod planner;
 pub mod spec;
 
 pub use crossdev::CrossDeviceMsm;
@@ -60,5 +57,4 @@ pub use fleet::{
     URGENCY_MARGIN,
 };
 pub use health::{DeviceHealth, HealthPolicy, HealthState};
-pub use planner::{FleetMsmPlan, MsmShardPlan};
 pub use spec::{device_by_name, fleet_label, parse_devices};

@@ -133,7 +133,7 @@ pub struct StageProfile {
     pub kernel_ns: f64,
     /// Device→host bytes the stage downloads after compute.
     pub d2h_bytes: u64,
-    /// Bucket-range shards the memory planner split the stage's MSMs
+    /// Bucket-range shards the memory plan split the stage's MSMs
     /// into (0 when every MSM ran whole).
     pub shards: u64,
 }
@@ -521,9 +521,6 @@ pub struct JobResult {
     /// The failure domain the job resolved in (always 0 on a service with
     /// one domain).
     pub domain: usize,
-    /// The killed domains the job moved off, in order; empty unless a
-    /// domain it was pinned to died before it resolved.
-    pub resumed_from: Vec<usize>,
 }
 
 pub(crate) struct JobShared {

@@ -59,8 +59,6 @@ struct Job {
     /// takes the job re-pins it off that device when any other one is
     /// available.
     avoid_device: Option<usize>,
-    /// The killed domains the job moved off, in order.
-    resumed_from: Vec<usize>,
 }
 
 impl Job {
@@ -399,7 +397,6 @@ impl ProvingService {
             verify_rejects: 0,
             not_before: None,
             avoid_device: None,
-            resumed_from: Vec::new(),
         };
         q.open += 1;
         self.inner.metrics.accepted.inc();
@@ -713,14 +710,12 @@ fn retry_or_fail_locked(inner: &Inner, q: &mut Queue, mut job: Job, reason: &str
         rec.span_end(names::SPAN_RETRY);
     }
     if moving {
-        let dead = job.domain();
-        let Some(pin) = fleet.pin(Avoid::Domain(dead)) else {
+        let Some(pin) = fleet.pin(Avoid::Domain(job.domain())) else {
             let reason = format!("{reason}: no live domain to move to");
             return resolve_locked(inner, q, job, Err(JobError::Failed(reason)));
         };
         fleet.unpin(job.pin);
         job.pin = pin;
-        job.resumed_from.push(dead);
         job.avoid_device = None;
         if let Err(e) = bind_domain(inner, &mut job) {
             return resolve_locked(inner, q, job, Err(JobError::Failed(e)));
@@ -990,7 +985,6 @@ fn resolve_locked(
         latency: job.submitted.elapsed(),
         trace,
         domain,
-        resumed_from: std::mem::take(&mut job.resumed_from),
     });
     q.open -= 1;
     q.resolved += 1;

@@ -146,7 +146,7 @@ pub const STAGE_LATENCY_NS: &str = "stage.latency_ns";
 pub const RUNTIME_H2D_BYTES: &str = "runtime.h2d_bytes";
 /// Simulated bytes downloaded device→host by the fleet runtime.
 pub const RUNTIME_D2H_BYTES: &str = "runtime.d2h_bytes";
-/// Bucket-range shards the memory planner split MSMs into.
+/// Bucket-range shards the memory plan split MSMs into.
 pub const RUNTIME_SHARDS: &str = "runtime.shards";
 /// Timeline ops a device's bounded op log dropped (oldest first); in a
 /// fleet trace only when non-zero.

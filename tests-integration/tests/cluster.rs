@@ -12,7 +12,7 @@ use gzkp_cluster::{
     AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, HostConfig, TenantSpec,
 };
 use gzkp_curves::bn254::{Bn254, Fr};
-use gzkp_gpu_sim::{v100, DeviceConfig};
+use gzkp_gpu_sim::{v100, DeviceConfig, FaultPlan};
 use gzkp_groth16::{
     proof_to_bytes,
     prove::{prove, ProverEngines},
@@ -338,6 +338,43 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     assert_eq!(metered.rate_limited, 4);
 }
 
+/// The cluster's chaos plan is its service's: stage faults fire (and
+/// are retried) inside a cluster run as in a plain one, counted in the
+/// one fault summary, and every proof still verifies byte-identical.
+#[test]
+fn cluster_chaos_injects_stage_faults_and_proofs_survive() {
+    let keyed = keyed_circuit(64, 31);
+    let mut cluster = Cluster::start(ClusterConfig {
+        hosts: 2,
+        chaos: Some(FaultPlan::uniform(5, 0.1)),
+        ..ClusterConfig::default()
+    });
+    let ids: Vec<u64> = (0..4u64)
+        .map(|seed| {
+            let task = Box::new(persisting(&keyed, seed, true).0);
+            cluster
+                .submit("default", task, JobOptions::default())
+                .unwrap()
+        })
+        .collect();
+    let outcome = cluster.drain(Duration::from_secs(120));
+
+    let chaos = outcome.chaos.expect("a fault plan was configured");
+    assert!(chaos.injected() > 0, "no stage fault fired: {chaos:?}");
+    assert_eq!(chaos.host_kill, 0, "no host-kill rate was set");
+    for (seed, id) in ids.iter().enumerate() {
+        let result = outcome.results.iter().find(|r| r.id == *id).unwrap();
+        assert_eq!(
+            result
+                .outcome
+                .as_ref()
+                .unwrap_or_else(|e| panic!("job {id}: {e}")),
+            &direct_proof(&keyed.0, &keyed.1, seed as u64)
+        );
+    }
+    assert_eq!(outcome.leaked_claims, 0);
+}
+
 /// Unknown tenants and front-door saturation are typed too, end to end.
 #[test]
 fn unknown_tenant_and_saturation_are_typed_at_the_cluster_api() {
@@ -428,12 +465,36 @@ fn autoscaler_grows_the_cluster_under_backlog() {
     assert!(outcome.hosts.len() as u64 > 1 && outcome.hosts.len() <= 3);
 }
 
+/// A test's hold on a task: the task reports in on the sender, then
+/// waits on the receiver until the test lets it continue.
+type Gate = (Sender<()>, Receiver<()>);
+
+fn pass(gate: &mut Option<Gate>) {
+    if let Some((reached, resume)) = gate.take() {
+        reached.send(()).expect("test is waiting");
+        resume.recv().expect("test lets the job continue");
+    }
+}
+
 /// A persisting task made urgent (a huge modeled MSM cost, so any
-/// deadline is tight) and, optionally, gated: after its first POLY stage
-/// it reports in and waits for the test to let it continue.
+/// deadline is tight) and, optionally, gated after its first POLY stage
+/// and before its second MSM stage (the first after a move).
 struct UrgentTask {
     inner: SystemTask<Groth16System<Bn254>>,
-    gate: Option<(Sender<()>, Receiver<()>)>,
+    gate: Option<Gate>,
+    resumed_gate: Option<Gate>,
+    msm_runs: u32,
+}
+
+impl UrgentTask {
+    fn new(inner: SystemTask<Groth16System<Bn254>>, gate: Option<Gate>) -> Self {
+        Self {
+            inner,
+            gate,
+            resumed_gate: None,
+            msm_runs: 0,
+        }
+    }
 }
 
 impl ProofTask for UrgentTask {
@@ -442,13 +503,14 @@ impl ProofTask for UrgentTask {
     }
     fn poly(&mut self, sink: &dyn TelemetrySink) -> Result<(), String> {
         self.inner.poly(sink)?;
-        if let Some((reached, resume)) = self.gate.take() {
-            reached.send(()).expect("test is waiting");
-            resume.recv().expect("test lets the job continue");
-        }
+        pass(&mut self.gate);
         Ok(())
     }
     fn msm(&mut self, sink: &dyn TelemetrySink) -> Result<TaskOutput, String> {
+        self.msm_runs += 1;
+        if self.msm_runs == 2 {
+            pass(&mut self.resumed_gate);
+        }
         self.inner.msm(sink)
     }
     fn bind_device(&mut self, device: &DeviceConfig) {
@@ -502,8 +564,7 @@ const URGENT: JobOptions = JobOptions {
 fn urgent_cross_device_grant_stays_inside_one_host() {
     let keyed = keyed_circuit(128, 19);
     let mut cluster = two_hosts_of_two_v100s();
-    let inner = persisting(&keyed, 5, true).0;
-    let task = UrgentTask { inner, gate: None };
+    let task = UrgentTask::new(persisting(&keyed, 5, true).0, None);
     let id = cluster.submit("default", Box::new(task), URGENT).unwrap();
     let outcome = cluster.drain(Duration::from_secs(60));
 
@@ -533,10 +594,7 @@ fn killing_a_multi_device_host_mid_proof_resumes_on_the_other() {
     let mut cluster = two_hosts_of_two_v100s();
     let (reached_tx, reached) = channel();
     let (resume, resume_rx) = channel();
-    let task = UrgentTask {
-        inner: persisting(&keyed, 9, true).0,
-        gate: Some((reached_tx, resume_rx)),
-    };
+    let task = UrgentTask::new(persisting(&keyed, 9, true).0, Some((reached_tx, resume_rx)));
     let id = cluster.submit("default", Box::new(task), URGENT).unwrap();
     cluster.pump();
     reached
@@ -561,5 +619,63 @@ fn killing_a_multi_device_host_mid_proof_resumes_on_the_other() {
         devices.iter().all(|d| d.jobs > 0),
         "the resumed MSMs ran across the survivor's devices"
     );
+    assert_eq!(outcome.leaked_claims, 0);
+}
+
+/// A move off a killed host counts when the cluster sees it, not when the
+/// moved job resolves: while the job still runs on the survivor, the dead
+/// host's `host.failed` series and the cluster's resumes already show it.
+#[test]
+fn a_move_off_a_killed_host_counts_while_the_job_still_runs() {
+    let keyed = keyed_circuit(64, 29);
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut cluster = Cluster::start(ClusterConfig {
+        hosts: 2,
+        metrics: Some(registry.clone()),
+        ..ClusterConfig::default()
+    });
+    let (poly_tx, poly_reached) = channel();
+    let (poly_resume, poly_rx) = channel();
+    let (moved_tx, moved) = channel();
+    let (release, moved_rx) = channel();
+    let mut task = UrgentTask::new(persisting(&keyed, 3, true).0, Some((poly_tx, poly_rx)));
+    task.resumed_gate = Some((moved_tx, moved_rx));
+    let id = cluster
+        .submit("default", Box::new(task), JobOptions::default())
+        .unwrap();
+    cluster.pump();
+    poly_reached
+        .recv_timeout(Duration::from_secs(60))
+        .expect("POLY ran and persisted its checkpoint");
+    let host = cluster.job_host(id).expect("placed");
+    cluster.kill_host(host);
+    poly_resume.send(()).unwrap();
+    moved
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the job moved and reached its MSM stage on the survivor");
+    cluster.pump();
+
+    let survivor = 1 - host;
+    assert_eq!(cluster.job_host(id), Some(survivor), "the job still runs");
+    assert_eq!(cluster.stats().resumes, 1);
+    let failed_on = |h: usize| {
+        let label = format!("h{h}");
+        registry
+            .snapshot()
+            .counter_labeled(names::HOST_FAILED, names::LABEL_HOST, &label)
+    };
+    assert_eq!(failed_on(host), Some(1), "the dead host counts the move");
+    assert_eq!(failed_on(survivor), Some(0));
+
+    release.send(()).unwrap();
+    let outcome = cluster.drain(Duration::from_secs(60));
+    let result = outcome.results.iter().find(|r| r.id == id).unwrap();
+    assert_eq!(
+        result.outcome.as_ref().expect("resumed and proved"),
+        &direct_proof(&keyed.0, &keyed.1, 3)
+    );
+    assert_eq!((result.resumes, outcome.stats.resumes), (1, 1));
+    assert_eq!(outcome.hosts[host].failed, 1, "counted once");
+    assert_eq!(outcome.hosts[survivor].completed, 1);
     assert_eq!(outcome.leaked_claims, 0);
 }

@@ -80,7 +80,7 @@ proptest! {
 
     #[test]
     fn sharded_msm_byte_identical_bn254(seed in 0u64..1000, n in 1usize..80, sparse in any::<bool>()) {
-        // Bucket-range sharding (the memory planner's fallback for tasks
+        // Bucket-range sharding (the memory plan's fallback for tasks
         // that exceed device memory) must merge to the exact group element
         // of the unsharded run — compare compressed bytes, not just group
         // equality, for every shard count.

@@ -62,15 +62,17 @@
 //! cluster layer instead of a plain service: one proving service whose
 //! fleet is N simulated hosts (each a failure domain holding the
 //! `--devices` fleet) behind the fair-share front door, with every job
-//! running as a checkpointing task. `--chaos seed,hostkill=X` arms
-//! host-kill chaos at this level — a killed host's jobs move to a
-//! survivor and resume from their persisted checkpoints, and
+//! running as a checkpointing task. `--chaos` applies whole: its stage
+//! faults and dead devices (indices over every host's devices) as in a
+//! plain run, and `hostkill=X` kills hosts — a killed host's jobs move to
+//! a survivor and resume from their persisted checkpoints, and
 //! `--compare` asserts the final proofs are byte-identical to direct
-//! sequential proves anyway. The run
-//! prints per-host accounting, front-door tenant stats, and a JSON
-//! summary; with `--metrics` the snapshot gains cluster rows in
-//! `zkserve top` and a cluster lost-jobs section in the SLO report;
-//! `--fleet-trace PATH` writes the trace of the cluster's one fleet.
+//! sequential proves anyway. The run prints per-host accounting,
+//! front-door tenant stats, a JSON summary and the injected-fault counts;
+//! `--metrics` and `--prom` export as in a plain run, and the snapshot
+//! gains cluster rows in `zkserve top` and a cluster lost-jobs section in
+//! the SLO report; `--fleet-trace PATH` writes the trace of the
+//! cluster's one fleet.
 //!
 //! `top` renders a metrics snapshot file as an ASCII dashboard (job
 //! counts, queue/stage/e2e latency percentiles, SLO status, per-device
@@ -82,7 +84,7 @@
 //! prints one that interleaves Groth16 and PLONK request classes.
 
 use gzkp_cluster::{Cluster, ClusterConfig, HostConfig, TenantSpec};
-use gzkp_gpu_sim::v100;
+use gzkp_gpu_sim::{v100, FaultSummary};
 use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
 };
@@ -199,28 +201,73 @@ fn write_fleet_trace(run: &RunArgs, trace: &gzkp_telemetry::Trace) -> Option<Exi
     None
 }
 
+/// Starts the `--metrics` export, when one was asked for: the registry the
+/// run counts into and the exporter rewriting the snapshot (and the
+/// `--prom` exposition) every 500 ms.
+fn start_export(run: &RunArgs) -> Option<(Arc<MetricsRegistry>, SnapshotExporter)> {
+    let path = run.metrics.as_ref()?;
+    let registry = Arc::new(MetricsRegistry::new());
+    let exporter = SnapshotExporter::start(
+        registry.clone(),
+        Some(SloTracker::new(gzkp_telemetry::SloPolicy::default())),
+        path,
+        run.prom.as_ref().map(Into::into),
+        Duration::from_millis(500),
+    );
+    Some((registry, exporter))
+}
+
+/// Writes the final snapshot and prints its SLO line and where each file
+/// went. `Some` carries the exit code of a failed write.
+fn finish_export(run: &RunArgs, exporter: SnapshotExporter) -> Option<ExitCode> {
+    let path = run.metrics.as_deref().unwrap_or("");
+    match exporter.stop() {
+        Ok(snapshot) => {
+            if let Some(slo) = &snapshot.slo {
+                // `render()` carries its own `slo:` prefix on every line.
+                for line in slo.render().lines() {
+                    println!("{:>10}: {}", "slo", line.trim_start_matches("slo: "));
+                }
+            }
+            println!("{:>10}: metrics snapshot written to {path}", "metrics");
+            if let Some(prom) = &run.prom {
+                println!("{:>10}: prometheus exposition written to {prom}", "metrics");
+            }
+            None
+        }
+        Err(e) => {
+            eprintln!("zkserve: {path}: {e}");
+            Some(ExitCode::from(2))
+        }
+    }
+}
+
+/// Prints the injected-fault counts of a chaos run.
+fn print_chaos(chaos: &FaultSummary) {
+    println!(
+        "{:>10}: injected {} (kernel {} transfer {} hang {} corrupt {} host-kill {})  \
+         dead-hits {}",
+        "chaos",
+        chaos.injected(),
+        chaos.kernel,
+        chaos.transfer,
+        chaos.hang,
+        chaos.corrupt,
+        chaos.host_kill,
+        chaos.dead_hits,
+    );
+}
+
 /// Replays the prepared workload through the multi-host cluster layer
 /// (`--cluster hosts=N`): every request is submitted as a checkpointing
-/// task through the front door, hosts are killed/resumed per `--chaos
-/// hostkill=X`, and the run reports per-host accounting plus a JSON
-/// summary.
+/// task through the front door, `--chaos` injects its stage faults and
+/// dead devices and kills hosts per `hostkill=X`, and the run reports
+/// per-host accounting plus a JSON summary.
 fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> ExitCode {
     let jobs = prepared.len();
     // Chaos implies verify-before-return, matching single-host `run`.
     let verify = run.cfg.chaos.is_some();
-    let registry = run
-        .metrics
-        .as_ref()
-        .map(|_| Arc::new(MetricsRegistry::new()));
-    let exporter = run.metrics.as_ref().map(|path| {
-        SnapshotExporter::start(
-            registry.clone().expect("registry exists with --metrics"),
-            Some(SloTracker::new(gzkp_telemetry::SloPolicy::default())),
-            path,
-            run.prom.as_ref().map(Into::into),
-            Duration::from_millis(500),
-        )
-    });
+    let export = start_export(run);
     let devices = if run.cfg.devices.is_empty() {
         vec![v100()]
     } else {
@@ -237,7 +284,7 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
         tenants: vec![TenantSpec::new("default", 1.0)],
         pending_capacity: jobs.max(256),
         chaos: run.cfg.chaos.clone(),
-        metrics: registry,
+        metrics: export.as_ref().map(|(registry, _)| registry.clone()),
         ..ClusterConfig::default()
     });
     let mut ids = Vec::with_capacity(jobs);
@@ -274,10 +321,9 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
     );
     for h in &outcome.hosts {
         println!(
-            "{:>10}: h{} {:<8} completed {:>4}  failed {:>3}{}",
+            "{:>10}: h{}  completed {:>4}  failed {:>3}{}",
             "host",
             h.id,
-            format!("{:?}", h.state).to_lowercase(),
             h.completed,
             h.failed,
             if h.killed { "  [killed]" } else { "" },
@@ -290,25 +336,14 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
         );
     }
     println!("{}", outcome.report_json());
+    if let Some(chaos) = &outcome.chaos {
+        print_chaos(chaos);
+    }
     if let Some(code) = write_fleet_trace(run, &outcome.fleet_trace) {
         return code;
     }
-
-    if let Some(exporter) = exporter {
-        let path = run.metrics.as_deref().unwrap_or("");
-        match exporter.stop() {
-            Ok(snapshot) => {
-                if let Some(slo) = &snapshot.slo {
-                    let line = slo.render();
-                    println!("{:>10}: {}", "slo", line.trim_start_matches("slo: "));
-                }
-                println!("{:>10}: metrics snapshot written to {path}", "metrics");
-            }
-            Err(e) => {
-                eprintln!("zkserve: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(code) = export.and_then(|(_, exporter)| finish_export(run, exporter)) {
+        return code;
     }
 
     if run.compare {
@@ -470,52 +505,18 @@ fn main() -> ExitCode {
                 report("sequential", &b);
                 b
             });
-            let mut cfg = run.cfg.clone();
-            let exporter = run.metrics.as_ref().map(|path| {
-                let registry = Arc::new(MetricsRegistry::new());
-                cfg.metrics = Some(registry.clone());
-                SnapshotExporter::start(
-                    registry,
-                    Some(SloTracker::new(gzkp_telemetry::SloPolicy::default())),
-                    path,
-                    run.prom.as_ref().map(Into::into),
-                    Duration::from_millis(500),
-                )
-            });
+            let export = start_export(&run);
+            let cfg = ServiceConfig {
+                metrics: export.as_ref().map(|(registry, _)| registry.clone()),
+                ..run.cfg.clone()
+            };
             let outcome = run_service(&prepared, cfg, &device);
             report("service", &outcome);
-            if let Some(exporter) = exporter {
-                let path = run.metrics.as_deref().unwrap_or("");
-                match exporter.stop() {
-                    Ok(snapshot) => {
-                        if let Some(slo) = &snapshot.slo {
-                            // `render()` carries its own `slo:` prefix.
-                            let line = slo.render();
-                            println!("{:>10}: {}", "slo", line.trim_start_matches("slo: "));
-                        }
-                        println!("{:>10}: metrics snapshot written to {path}", "metrics");
-                        if let Some(prom) = &run.prom {
-                            println!("{:>10}: prometheus exposition written to {prom}", "metrics");
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("zkserve: {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+            if let Some(code) = export.and_then(|(_, exporter)| finish_export(&run, exporter)) {
+                return code;
             }
             if let Some(chaos) = &outcome.chaos {
-                println!(
-                    "{:>10}: injected {} (kernel {} transfer {} hang {} corrupt {})  \
-                     dead-hits {}",
-                    "chaos",
-                    chaos.injected(),
-                    chaos.kernel,
-                    chaos.transfer,
-                    chaos.hang,
-                    chaos.corrupt,
-                    chaos.dead_hits,
-                );
+                print_chaos(chaos);
                 if let Some(stats) = &outcome.stats {
                     println!(
                         "{:>10}: retries {}  verify-rejects {}  quarantines {}  \
