@@ -9,7 +9,9 @@ use crate::frontdoor::{AdmissionError, FrontDoor, TenantSpec, TenantStats};
 use gzkp_gpu_sim::device::DeviceConfig;
 use gzkp_gpu_sim::{FaultPlan, FaultSummary};
 use gzkp_runtime::{FleetUtilization, HealthPolicy};
-use gzkp_service::{JobError, JobHandle, JobOptions, ProofTask, ProvingService, ServiceConfig};
+use gzkp_service::{
+    JobError, JobHandle, JobOptions, ProofTask, ProvingService, ServiceConfig, ServiceStats,
+};
 use gzkp_telemetry::{names, Counter, Gauge, LatencyHistogram, MetricsRegistry, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -199,6 +201,9 @@ pub struct ClusterOutcome {
     /// Chaos accounting — stage faults, dead-device hits and host kills
     /// — when a fault plan was configured.
     pub chaos: Option<FaultSummary>,
+    /// The cluster's service counters at shutdown: how faults were
+    /// absorbed (retries, verify rejects, quarantines, CPU fallbacks).
+    pub service: ServiceStats,
 }
 
 impl ClusterOutcome {
@@ -766,7 +771,7 @@ impl Cluster {
         let injector = self.service.fault_injector().cloned();
         // Shutdown waits out jobs cancelled at a timeout; the claims
         // anything still holds afterwards are leaks.
-        self.service.shutdown();
+        let service = self.service.shutdown();
         let pinned: u64 = (0..fleet.domains()).map(|d| fleet.pinned(d)).sum();
         let leaked_claims = self.open.len() + self.door.depth() + pinned as usize;
         let tenants = self.door.tenant_stats();
@@ -789,6 +794,7 @@ impl Cluster {
             fleet_trace: fleet.trace(),
             leaked_claims,
             chaos: injector.map(|i| i.summary()),
+            service,
         }
     }
 }

@@ -23,8 +23,9 @@
 //!
 //! * [`kzg`] — the polynomial-commitment scheme: SRS, commit (an engine
 //!   MSM), open, verify, batch-verify.
-//! * [`circuit`] — PLONK gates plus the R1CS → PLONK migration so every
-//!   existing workload circuit runs under both backends.
+//! * [`circuit`] — PLONK gates plus the R1CS → PLONK lowering (one fused
+//!   gate per single-term constraint) so every existing workload circuit
+//!   runs under both backends.
 //! * [`setup`] — per-circuit preprocessing (selectors, permutation,
 //!   the Lagrange-basis SRS and the quotient's coset constants).
 //! * [`prove`] — the four-step prover and its portable checkpoint.

@@ -126,6 +126,10 @@ fn check(recode: Recode, mutated: &[u8], what: &str) -> Result<(), String> {
 /// snapshots were recomputed when its simulated report (in the header)
 /// began pricing the wires' value MSMs and five quotient transforms
 /// instead of fifteen. [`BODY_GOLDEN`] pins that their bodies did not
+/// move. All five PLONK rows were recomputed when
+/// `PlonkCircuit::from_r1cs` began pinning the zero wire instead of a
+/// constant-one variable (the chain keeps its three product gates and
+/// its 8-row domain, so the body lengths held); the Groth16 rows did not
 /// move.
 const GOLDEN: [&[(usize, u64)]; 2] = [
     &[
@@ -137,18 +141,19 @@ const GOLDEN: [&[(usize, u64)]; 2] = [
         (0x1b5f, 0xf7c2_798a_32c8_eaec),
     ],
     &[
-        (0x98b, 0xb704_937f_7a56_384f),
-        (0x14f8, 0xd70a_8cb2_425b_480e),
-        (0x1ad1, 0x3659_8ad6_148f_1248),
-        (0x2e2e, 0xaacb_097f_78ff_d2a5),
-        (0x3741, 0xf0a0_3977_4a97_48bc),
+        (0x98b, 0xf642_5735_eb0c_bcaf),
+        (0x14f8, 0xb756_8927_2721_d04f),
+        (0x1ae8, 0x13cd_8e9e_96bc_404e),
+        (0x2e46, 0x9e5f_d064_7596_d5ff),
+        (0x374e, 0xb20b_118c_4d3e_df7e),
     ],
 ];
 
 /// `(length, FNV-1a digest)` of every snapshot's backend body — the bytes
 /// after [`body_offset`], i.e. without the header's simulated reports —
 /// computed at commit `6d6fd49`, before PLONK committed its wires in the
-/// Lagrange basis and read its coset constants from the key.
+/// Lagrange basis and read its coset constants from the key; PLONK's
+/// rows recomputed with [`GOLDEN`]'s.
 const BODY_GOLDEN: [&[(usize, u64)]; 2] = [
     &[
         (0x190, 0x98fa_b275_844b_e74c),
@@ -159,11 +164,11 @@ const BODY_GOLDEN: [&[(usize, u64)]; 2] = [
         (0x27d, 0x5e1c_c81f_6e48_a2cf),
     ],
     &[
-        (0x678, 0x6f10_19cc_9ff2_e711),
-        (0x7b3, 0x0653_6346_f553_6b91),
-        (0x93c, 0x27c1_2e79_e494_704f),
-        (0xd77, 0x0a48_a498_c72b_d398),
-        (0xf91, 0xa743_a14b_f3e5_242f),
+        (0x678, 0x75dc_79cb_72f6_e62d),
+        (0x7b3, 0xfbeb_79ce_29e0_da31),
+        (0x93c, 0xc8ba_4264_9b3d_c678),
+        (0xd77, 0xe100_13f8_a639_f451),
+        (0xf91, 0x25f6_c904_ca3b_ace5),
     ],
 ];
 

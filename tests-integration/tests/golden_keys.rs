@@ -218,14 +218,18 @@ fn keys_match_golden_digests_at_every_thread_count() {
 /// Recorded at the parent of the fixed-base change (commit e8cab08); the
 /// last line when the key began holding the Lagrange-basis SRS and the
 /// coset constants, which the `equivalence` tests of `gzkp-plonk` tie to
-/// the per-proof work they replace.
+/// the per-proof work they replace. The four PLONK lines were recomputed
+/// when `PlonkCircuit::from_r1cs` began fusing each constraint into one
+/// gate and pinning the zero wire (the SRS digests at 2⁴ did not move:
+/// the squaring chain keeps its 32-row domain); the Groth16 lines did not
+/// move.
 const GOLDEN: [&str; 8] = [
     "groth16 bn254 2^4 [943a9b9b526b8d27, ca85f1195439233f]",
     "groth16 bn254 2^10 [3500110084642a16, 84c2a5e3f7e60cd]",
     "groth16 bls12-381 2^4 [38fa18402c6d35a, dd1f3dbc01470818]",
     "groth16 bls12-381 2^10 [4e7c274abb490749, 6a2a6788fcfc855a]",
-    "plonk bn254 2^4 [a3c5955c6dae7b47, d6d56ea7289eb64a, c5ad47ca790cf682]",
-    "plonk bn254 2^10 [3dddbc3f3383d1f5, 2e4a3ba5b545b498, a9f67135dcea7053]",
-    "plonk bls12-381 2^4 [cea20ebead11b107, c9f7bb140bf98259, 91f8289611190eb1]",
-    "plonk bn254 2^4 lagrange srs + coset constants 711e07b3d5044360",
+    "plonk bn254 2^4 [1b7a570d2ddac268, 554be63624c34f18, c5ad47ca790cf682]",
+    "plonk bn254 2^10 [4051f6281026f80, 9b8aa09867f24ee5, 550dc25b3f1f0ebd]",
+    "plonk bls12-381 2^4 [cdd006ebb93446f8, 2f346edb0d4d1853, 91f8289611190eb1]",
+    "plonk bn254 2^4 lagrange srs + coset constants 67c55f054bf6650",
 ];

@@ -68,7 +68,8 @@
 //! a survivor and resume from their persisted checkpoints, and
 //! `--compare` asserts the final proofs are byte-identical to direct
 //! sequential proves anyway. The run prints per-host accounting,
-//! front-door tenant stats, a JSON summary and the injected-fault counts;
+//! front-door tenant stats, a JSON summary, and the injected-fault counts
+//! with the same recovery line as a plain run;
 //! `--metrics` and `--prom` export as in a plain run, and the snapshot
 //! gains cluster rows in `zkserve top` and a cluster lost-jobs section in
 //! the SLO report; `--fleet-trace PATH` writes the trace of the
@@ -87,6 +88,7 @@ use gzkp_cluster::{Cluster, ClusterConfig, HostConfig, TenantSpec};
 use gzkp_gpu_sim::{v100, FaultSummary};
 use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
+    ServiceStats,
 };
 use gzkp_telemetry::{render_top, MetricsRegistry, MetricsSnapshot, SloTracker, SnapshotExporter};
 use gzkp_workloads::requests::RequestWorkload;
@@ -258,6 +260,20 @@ fn print_chaos(chaos: &FaultSummary) {
     );
 }
 
+/// Prints how a chaos run's faults were absorbed.
+fn print_recovery(stats: &ServiceStats) {
+    println!(
+        "{:>10}: retries {}  verify-rejects {}  quarantines {}  \
+         cpu-fallbacks {}  drained {}",
+        "recovery",
+        stats.retries,
+        stats.verify_rejects,
+        stats.quarantines,
+        stats.cpu_fallbacks,
+        stats.drained,
+    );
+}
+
 /// Replays the prepared workload through the multi-host cluster layer
 /// (`--cluster hosts=N`): every request is submitted as a checkpointing
 /// task through the front door, `--chaos` injects its stage faults and
@@ -338,6 +354,7 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
     println!("{}", outcome.report_json());
     if let Some(chaos) = &outcome.chaos {
         print_chaos(chaos);
+        print_recovery(&outcome.service);
     }
     if let Some(code) = write_fleet_trace(run, &outcome.fleet_trace) {
         return code;
@@ -518,16 +535,7 @@ fn main() -> ExitCode {
             if let Some(chaos) = &outcome.chaos {
                 print_chaos(chaos);
                 if let Some(stats) = &outcome.stats {
-                    println!(
-                        "{:>10}: retries {}  verify-rejects {}  quarantines {}  \
-                         cpu-fallbacks {}  drained {}",
-                        "recovery",
-                        stats.retries,
-                        stats.verify_rejects,
-                        stats.quarantines,
-                        stats.cpu_fallbacks,
-                        stats.drained,
-                    );
+                    print_recovery(stats);
                 }
             }
             if let Some(fleet) = &outcome.fleet {
