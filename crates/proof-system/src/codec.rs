@@ -12,10 +12,11 @@
 //!
 //! All integers are little-endian. Decoding checks the magic, the
 //! version, the curve shape against the target `P`, the done mask against
-//! the backend's step count, the reports' canonical form, every point
-//! against its curve equation and that no bytes trail the body — bytes
-//! from the wrong curve, a truncated stream or a forged field return an
-//! error, never a panic, and whatever decodes re-encodes to its input.
+//! the backend's step count and for being a prefix (steps complete in
+//! order), the reports' canonical form, every point against its curve
+//! equation and that no bytes trail the body — bytes from the wrong
+//! curve, a truncated stream or a forged field return an error, never a
+//! panic, and whatever decodes re-encodes to its input.
 
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::serialize::{compress, decompress, CoordField};
@@ -90,7 +91,7 @@ pub struct Reader<'a> {
     pos: usize,
     /// Seed of the job's blinding RNG.
     pub seed: u64,
-    /// Bit `i` set ⇒ MSM step `i` complete.
+    /// Bit `i` set ⇒ MSM step `i` complete; always a prefix.
     pub done: u8,
     /// The POLY and MSM report sections, parsed by [`Reader::finish`].
     reports: [&'a [u8]; 2],
@@ -99,7 +100,8 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// Checks the magic, version and curve shape of `bytes` against
     /// `magic` and `P`, and reads the rest of the header; `steps` is the
-    /// backend's MSM step count, which bounds the done mask.
+    /// backend's MSM step count, which bounds the done mask; the mask must
+    /// also be a prefix `0b0…01…1`, as steps complete in order.
     ///
     /// # Errors
     ///
@@ -143,6 +145,10 @@ impl<'a> Reader<'a> {
         r.done = r.take(1)?[0];
         if u32::from(r.done) >= 1u32 << steps {
             return Err(format!("invalid msm completion mask {:#x}", r.done));
+        }
+        // Steps complete strictly in order, so the mask must be a prefix.
+        if r.done & r.done.wrapping_add(1) != 0 {
+            return Err(format!("non-contiguous completion mask {:#x}", r.done));
         }
         r.reports = [r.section()?, r.section()?];
         Ok(r)

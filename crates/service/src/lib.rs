@@ -158,8 +158,9 @@ impl std::error::Error for SubmitError {}
 /// bug burns fleet time without changing the outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Re-executions allowed per job (across both stages) before the job
-    /// resolves as [`JobError::Failed`].
+    /// Recoverable failures allowed per job (across both stages) before
+    /// the job resolves as [`JobError::Failed`]. A move off a killed
+    /// domain is not one.
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per retry.
     pub backoff: Duration,

@@ -42,11 +42,14 @@ struct Job {
     /// Verification votes cast for this job (each verify-before-return
     /// check of a produced proof is one vote).
     verify_votes: u32,
-    /// Fault-draw index and retry budget: advances on every injected
-    /// fault, verify reject and move off a killed domain (never on
-    /// dead-device hits), so the injected sequence per job is a pure
-    /// function of the chaos seed.
+    /// Fault-draw index: advances on every injected fault, verify reject
+    /// and move off a killed domain (never on dead-device hits), so the
+    /// injected sequence per job is a pure function of the chaos seed.
     attempt: u32,
+    /// Moves off killed domains. `attempt` less these is what the job
+    /// spent of its retry budget: a killed domain stays dead, so moves
+    /// are bounded by the domain count already.
+    moves: u32,
     /// Stage re-executions performed for this job.
     retries: u32,
     /// Injected faults this job absorbed.
@@ -392,6 +395,7 @@ impl ProvingService {
             poly_done: false,
             verify_votes: 0,
             attempt: 0,
+            moves: 0,
             retries: 0,
             faults: 0,
             verify_rejects: 0,
@@ -417,10 +421,11 @@ impl ProvingService {
     /// moves now; a job running there moves when its task stops at the
     /// next step boundary; a proof that beats the interrupt resolves
     /// where it ran. A move re-pins the job ([`FleetRuntime::pin`]) to
-    /// another schedulable domain without backoff, costs one retry of
-    /// [`ServiceConfig::retry`]'s budget, keeps the job's place in the
-    /// queue order, and rebinds its task there (a persisting task
-    /// continues from its checkpoint bytes).
+    /// another schedulable domain without backoff, keeps the job's place
+    /// in the queue order, and rebinds its task there (a persisting task
+    /// continues from its checkpoint bytes). A move spends none of
+    /// [`ServiceConfig::retry`]'s budget, which counts only the job's
+    /// injected faults and verify rejects.
     pub fn kill_domain(&self, domain: usize) {
         self.inner.fleet.kill_domain(domain);
         let mut q = self.inner.queue.lock().unwrap();
@@ -692,7 +697,8 @@ fn retry_or_fail_locked(inner: &Inner, q: &mut Queue, mut job: Job, reason: &str
         job.avoid_device = Some(dev);
     }
     job.attempt += u32::from(moving);
-    if job.attempt > inner.cfg.retry.max_retries {
+    job.moves += u32::from(moving);
+    if job.attempt - job.moves > inner.cfg.retry.max_retries {
         return resolve_locked(
             inner,
             q,

@@ -1,19 +1,20 @@
 //! Trace comparison: walks two span trees in parallel and flags stages
 //! whose simulated time regressed beyond a threshold — and, on matched
 //! spans, gates the recorded work counters (PADD counts, batch-inversion
-//! savings, …) and histograms (bucket occupancy) the same way. Counters
-//! measure work performed, so an *increase* is a regression; a counter
-//! that vanishes from the new trace is flagged too (lost instrumentation
-//! must not read as a win), while a brand-new counter is informational —
-//! except the *recovery* counters ([`STRICT_COUNTERS`]): retries and
-//! verify rejects appearing in a trace whose baseline had none mean the
-//! system started failing and recovering where it used to run clean, so
-//! they gate as regressions even though the baseline never emitted them.
-//! This is the logic behind `zkprof diff`; it lives here so it is
-//! unit-testable without the CLI.
+//! savings, …) and histograms (bucket occupancy) the same way. Every
+//! comparison is one [`Delta`] judged by one rule. Counters measure work
+//! performed, so an *increase* is a regression; a counter that vanishes
+//! from the new trace is flagged too (lost instrumentation must not read
+//! as a win), while a brand-new counter is informational — except the
+//! *recovery* counters ([`STRICT_COUNTERS`]): retries and verify rejects
+//! appearing in a trace whose baseline had none mean the system started
+//! failing and recovering where it used to run clean, so they gate as
+//! regressions even though the baseline never emitted them. This is the
+//! logic behind `zkprof diff`; it lives here so it is unit-testable
+//! without the CLI.
 
 use crate::names;
-use crate::trace::{Trace, TraceNode};
+use crate::trace::{Histogram, Trace, TraceNode};
 use std::fmt::Write as _;
 
 /// Counters gated strictly: a non-zero value appearing on the new side of
@@ -21,40 +22,26 @@ use std::fmt::Write as _;
 /// counter (`base` is taken as 0, so any occurrence is infinite growth).
 pub const STRICT_COUNTERS: &[&str] = &[names::SERVICE_RETRIES, names::VERIFY_REJECTS];
 
-/// Time delta of one span present in both traces.
+/// What a [`Delta`] compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaKind {
+    /// A span's simulated time (ns).
+    Span,
+    /// A work counter of a matched span.
+    Counter,
+    /// A histogram of a matched span, through its bucket whose count grew
+    /// the most (a label missing on one side counts as zero there).
+    Histogram,
+}
+
+/// One comparison between the baseline and the candidate trace.
 #[derive(Debug, Clone)]
-pub struct StageDelta {
+pub struct Delta {
+    /// What is compared.
+    pub kind: DeltaKind,
     /// Slash-joined span path (`"prove/msm/b_g2"`).
     pub path: String,
-    /// Simulated ns in the baseline trace.
-    pub base_ns: f64,
-    /// Simulated ns in the candidate trace.
-    pub new_ns: f64,
-}
-
-impl StageDelta {
-    /// `new / base`; 1.0 when the baseline is zero-time.
-    pub fn ratio(&self) -> f64 {
-        if self.base_ns <= 0.0 {
-            1.0
-        } else {
-            self.new_ns / self.base_ns
-        }
-    }
-
-    /// Whether this span slowed down more than `threshold` (fractional:
-    /// 0.05 = 5%).
-    pub fn regressed(&self, threshold: f64) -> bool {
-        self.ratio() > 1.0 + threshold
-    }
-}
-
-/// Work-counter delta on one span present in both traces.
-#[derive(Debug, Clone)]
-pub struct CounterDelta {
-    /// Slash-joined span path of the owning span.
-    pub path: String,
-    /// Counter name (`"msm.padd"`, `"serial [ms]"`, …).
+    /// Counter or histogram name; empty for a span.
     pub name: String,
     /// Baseline value.
     pub base: f64,
@@ -62,58 +49,47 @@ pub struct CounterDelta {
     pub new: f64,
 }
 
-impl CounterDelta {
-    /// `new / base`; 1.0 when both are zero, `+inf` when work appeared
-    /// on a previously zero counter.
+impl Delta {
+    /// `new / base`. A zero baseline is the one place kinds differ: a
+    /// zero-time span reads 1.0 (nothing to slow down), while work
+    /// appearing on a zero counter or bucket reads `+inf` (1.0 if it
+    /// stayed zero).
     pub fn ratio(&self) -> f64 {
-        if self.base == 0.0 {
-            if self.new == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.new / self.base
+        match self.kind {
+            DeltaKind::Span if self.base <= 0.0 => 1.0,
+            _ if self.base == 0.0 && self.new == 0.0 => 1.0,
+            _ if self.base == 0.0 => f64::INFINITY,
+            _ => self.new / self.base,
         }
     }
 
-    /// Counters count work, so *growing* beyond the threshold regresses.
+    /// Whether the value grew by more than `threshold` (fractional: 0.05
+    /// = 5%). Time and work both only count against a change when they
+    /// grow.
     pub fn regressed(&self, threshold: f64) -> bool {
         self.ratio() > 1.0 + threshold
     }
-}
 
-/// Histogram comparison on one span present in both traces: the worst
-/// per-bucket count growth across the union of bucket labels (a label
-/// missing on one side counts as zero there).
-#[derive(Debug, Clone)]
-pub struct HistogramDelta {
-    /// Slash-joined span path of the owning span.
-    pub path: String,
-    /// Histogram name (`"bucket_occupancy"`, …).
-    pub name: String,
-    /// Max over buckets of `new_count / base_count`.
-    pub max_ratio: f64,
-}
-
-impl HistogramDelta {
-    /// Whether any bucket's count grew beyond the threshold.
-    pub fn regressed(&self, threshold: f64) -> bool {
-        self.max_ratio > 1.0 + threshold
+    /// The table's status column at `threshold`.
+    fn status(&self, threshold: f64) -> &'static str {
+        if self.regressed(threshold) {
+            "REGRESSED"
+        } else if self.ratio() < 1.0 - threshold {
+            "improved"
+        } else {
+            "ok"
+        }
     }
 }
 
 /// Full comparison of two traces.
 #[derive(Debug)]
 pub struct TraceDiff {
-    /// Per-span deltas, pre-order.
-    pub deltas: Vec<StageDelta>,
+    /// Every delta of matched spans, pre-order; a span's counter and
+    /// histogram deltas follow its own.
+    pub deltas: Vec<Delta>,
     /// Span paths present in exactly one trace (path, in_baseline).
     pub unmatched: Vec<(String, bool)>,
-    /// Per-counter deltas of matched spans.
-    pub counter_deltas: Vec<CounterDelta>,
-    /// Per-histogram deltas of matched spans.
-    pub histogram_deltas: Vec<HistogramDelta>,
     /// Counters/histograms present on exactly one side of a matched
     /// span (`"path: name"`, in_baseline). `in_baseline == true` means
     /// instrumentation vanished — gated as a regression.
@@ -123,129 +99,99 @@ pub struct TraceDiff {
 }
 
 impl TraceDiff {
-    /// Spans that slowed down beyond the threshold.
-    pub fn regressions(&self) -> Vec<&StageDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| d.regressed(self.threshold))
-            .collect()
+    /// The deltas of `kind`.
+    fn of(&self, kind: DeltaKind) -> impl Iterator<Item = &Delta> {
+        self.deltas.iter().filter(move |d| d.kind == kind)
     }
 
-    /// Counters whose work grew beyond the threshold.
-    pub fn counter_regressions(&self) -> Vec<&CounterDelta> {
-        self.counter_deltas
-            .iter()
-            .filter(|d| d.regressed(self.threshold))
-            .collect()
+    /// The deltas of `kind` that grew beyond the threshold.
+    pub fn regressions(&self, kind: DeltaKind) -> impl Iterator<Item = &Delta> {
+        self.of(kind).filter(|d| d.regressed(self.threshold))
     }
 
-    /// Histograms with a bucket count growing beyond the threshold.
-    pub fn histogram_regressions(&self) -> Vec<&HistogramDelta> {
-        self.histogram_deltas
-            .iter()
-            .filter(|d| d.regressed(self.threshold))
-            .collect()
-    }
-
-    /// True when any span or counter regressed, the trees have different
-    /// shapes, or instrumentation vanished (neither must read as a win).
+    /// True when any span, counter or histogram regressed, the trees have
+    /// different shapes, or instrumentation vanished (neither must read
+    /// as a win).
     pub fn is_regression(&self) -> bool {
-        !self.regressions().is_empty()
+        self.deltas.iter().any(|d| d.regressed(self.threshold))
             || !self.unmatched.is_empty()
-            || !self.counter_regressions().is_empty()
-            || !self.histogram_regressions().is_empty()
             || self.counter_unmatched.iter().any(|(_, in_base)| *in_base)
     }
 
     /// Human-readable table, one line per span.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let t = self.threshold;
         let _ = writeln!(
             out,
             "{:<32} {:>12} {:>12} {:>8}  status",
             "span", "base(ms)", "new(ms)", "ratio"
         );
-        for d in &self.deltas {
-            let status = if d.regressed(self.threshold) {
-                "REGRESSED"
-            } else if d.ratio() < 1.0 - self.threshold {
-                "improved"
-            } else {
-                "ok"
-            };
+        for d in self.of(DeltaKind::Span) {
             let _ = writeln!(
                 out,
                 "{:<32} {:>12.3} {:>12.3} {:>8.3}  {}",
                 d.path,
-                d.base_ns / 1e6,
-                d.new_ns / 1e6,
+                d.base / 1e6,
+                d.new / 1e6,
                 d.ratio(),
-                status
+                d.status(t)
             );
         }
         for (path, in_base) in &self.unmatched {
-            let _ = writeln!(
-                out,
-                "{:<32} {:>47}",
-                path,
-                if *in_base {
-                    "MISSING in new trace"
-                } else {
-                    "ONLY in new trace"
-                }
-            );
+            let what = if *in_base {
+                "MISSING in new trace"
+            } else {
+                "ONLY in new trace"
+            };
+            let _ = writeln!(out, "{path:<32} {what:>47}");
         }
         // Counters/histograms: print only the interesting ones (the
         // prover emits hundreds that stay flat).
-        for d in &self.counter_deltas {
-            if d.regressed(self.threshold) || d.ratio() < 1.0 - self.threshold {
-                let status = if d.regressed(self.threshold) {
-                    "REGRESSED"
-                } else {
-                    "improved"
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<32} {:>12.0} {:>12.0} {:>8.3}  {} [counter {}]",
-                    d.path,
-                    d.base,
-                    d.new,
-                    d.ratio(),
-                    status,
-                    d.name
-                );
+        for d in self.of(DeltaKind::Counter) {
+            let status = d.status(t);
+            if status == "ok" {
+                continue;
             }
-        }
-        for d in &self.histogram_deltas {
-            if d.regressed(self.threshold) {
-                let _ = writeln!(
-                    out,
-                    "{:<32} {:>26} {:>8.3}  REGRESSED [histogram {}]",
-                    d.path, "", d.max_ratio, d.name
-                );
-            }
-        }
-        for (what, in_base) in &self.counter_unmatched {
             let _ = writeln!(
                 out,
-                "{:<32} {:>47}",
-                what,
-                if *in_base {
-                    "counter MISSING in new trace"
-                } else {
-                    "counter ONLY in new trace"
-                }
+                "{:<32} {:>12.0} {:>12.0} {:>8.3}  {} [counter {}]",
+                d.path,
+                d.base,
+                d.new,
+                d.ratio(),
+                status,
+                d.name
             );
         }
-        let regs = self.regressions().len();
+        for d in self.regressions(DeltaKind::Histogram) {
+            let _ = writeln!(
+                out,
+                "{:<32} {:>26} {:>8.3}  REGRESSED [histogram {}]",
+                d.path,
+                "",
+                d.ratio(),
+                d.name
+            );
+        }
+        for (what, in_base) in &self.counter_unmatched {
+            let side = if *in_base {
+                "counter MISSING in new trace"
+            } else {
+                "counter ONLY in new trace"
+            };
+            let _ = writeln!(out, "{what:<32} {side:>47}");
+        }
+        let spans = self.of(DeltaKind::Span).count();
+        let work = self.deltas.len() - spans;
+        let regressed = self.deltas.iter().filter(|d| d.regressed(t)).count();
+        let span_regs = self.regressions(DeltaKind::Span).count();
         let _ = writeln!(
             out,
-            "{} spans compared, {} regressed; {} counters compared, {} regressed (threshold {:.1}%)",
-            self.deltas.len(),
-            regs,
-            self.counter_deltas.len() + self.histogram_deltas.len(),
-            self.counter_regressions().len() + self.histogram_regressions().len(),
-            self.threshold * 100.0
+            "{spans} spans compared, {span_regs} regressed; {work} counters compared, {} regressed \
+             (threshold {:.1}%)",
+            regressed - span_regs,
+            t * 100.0
         );
         out
     }
@@ -257,8 +203,6 @@ pub fn diff_traces(base: &Trace, new: &Trace, threshold: f64) -> TraceDiff {
     let mut diff = TraceDiff {
         deltas: Vec::new(),
         unmatched: Vec::new(),
-        counter_deltas: Vec::new(),
-        histogram_deltas: Vec::new(),
         counter_unmatched: Vec::new(),
         threshold,
     };
@@ -267,19 +211,20 @@ pub fn diff_traces(base: &Trace, new: &Trace, threshold: f64) -> TraceDiff {
 }
 
 fn walk(base: &TraceNode, new: &TraceNode, prefix: &str, out: &mut TraceDiff) {
-    for b_child in &base.children {
-        let path = if prefix.is_empty() {
-            b_child.name.clone()
+    let path_of = |name: &str| {
+        if prefix.is_empty() {
+            name.to_string()
         } else {
-            format!("{prefix}/{}", b_child.name)
-        };
+            format!("{prefix}/{name}")
+        }
+    };
+    for b_child in &base.children {
+        let path = path_of(&b_child.name);
         match new.child(&b_child.name) {
             Some(n_child) => {
-                out.deltas.push(StageDelta {
-                    path: path.clone(),
-                    base_ns: b_child.time_ns,
-                    new_ns: n_child.time_ns,
-                });
+                let (base, new) = (b_child.time_ns, n_child.time_ns);
+                out.deltas
+                    .push(delta(DeltaKind::Span, &path, "", base, new));
                 compare_metrics(b_child, n_child, &path, out);
                 walk(b_child, n_child, &path, out);
             }
@@ -297,29 +242,30 @@ fn walk(base: &TraceNode, new: &TraceNode, prefix: &str, out: &mut TraceDiff) {
             continue; // duplicate names matched positionally above is out of scope
         }
         if base.child(&n_child.name).is_none() {
-            let path = if prefix.is_empty() {
-                n_child.name.clone()
-            } else {
-                format!("{prefix}/{}", n_child.name)
-            };
-            out.unmatched.push((path, false));
+            out.unmatched.push((path_of(&n_child.name), false));
         }
+    }
+}
+
+fn delta(kind: DeltaKind, path: &str, name: &str, base: f64, new: f64) -> Delta {
+    Delta {
+        kind,
+        path: path.to_string(),
+        name: name.to_string(),
+        base,
+        new,
     }
 }
 
 /// Compares the counters and histograms of one matched span pair.
 fn compare_metrics(base: &TraceNode, new: &TraceNode, path: &str, out: &mut TraceDiff) {
+    let counter =
+        |name: &str, base: f64, new: f64| delta(DeltaKind::Counter, path, name, base, new);
+    let unmatched = |name: &str, in_base: bool| (format!("{path}: {name}"), in_base);
     for (name, base_v) in &base.counters {
         match new.counter(name) {
-            Some(new_v) => out.counter_deltas.push(CounterDelta {
-                path: path.to_string(),
-                name: name.clone(),
-                base: *base_v,
-                new: new_v,
-            }),
-            None => out
-                .counter_unmatched
-                .push((format!("{path}: {name}"), true)),
+            Some(new_v) => out.deltas.push(counter(name, *base_v, new_v)),
+            None => out.counter_unmatched.push(unmatched(name, true)),
         }
     }
     for (name, new_v) in &new.counters {
@@ -330,68 +276,39 @@ fn compare_metrics(base: &TraceNode, new: &TraceNode, path: &str, out: &mut Trac
             if STRICT_COUNTERS.contains(&name.as_str()) && *new_v > 0.0 {
                 // Recovery work appeared where the baseline had none:
                 // treat the absent baseline as 0 so it gates.
-                out.counter_deltas.push(CounterDelta {
-                    path: path.to_string(),
-                    name: name.clone(),
-                    base: 0.0,
-                    new: *new_v,
-                });
+                out.deltas.push(counter(name, 0.0, *new_v));
             } else {
-                out.counter_unmatched
-                    .push((format!("{path}: {name}"), false));
+                out.counter_unmatched.push(unmatched(name, false));
             }
         }
     }
     for b_hist in &base.histograms {
         match new.histograms.iter().find(|h| h.name == b_hist.name) {
-            Some(n_hist) => {
-                let mut max_ratio: f64 = if b_hist.buckets.is_empty() && n_hist.buckets.is_empty() {
-                    1.0
-                } else {
-                    0.0
-                };
-                let labels: std::collections::BTreeSet<u64> = b_hist
-                    .buckets
-                    .iter()
-                    .chain(&n_hist.buckets)
-                    .map(|(l, _)| *l)
-                    .collect();
-                for label in labels {
-                    let get = |h: &crate::trace::Histogram| {
-                        h.buckets
-                            .iter()
-                            .find(|(l, _)| *l == label)
-                            .map_or(0, |(_, c)| *c)
-                    };
-                    let (b, n) = (get(b_hist), get(n_hist));
-                    let r = if b == 0 {
-                        if n == 0 {
-                            1.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        n as f64 / b as f64
-                    };
-                    max_ratio = max_ratio.max(r);
-                }
-                out.histogram_deltas.push(HistogramDelta {
-                    path: path.to_string(),
-                    name: b_hist.name.clone(),
-                    max_ratio,
-                });
-            }
-            None => out
-                .counter_unmatched
-                .push((format!("{path}: {}", b_hist.name), true)),
+            Some(n_hist) => out.deltas.push(worst_bucket(b_hist, n_hist, path)),
+            None => out.counter_unmatched.push(unmatched(&b_hist.name, true)),
         }
     }
     for n_hist in &new.histograms {
         if !base.histograms.iter().any(|h| h.name == n_hist.name) {
-            out.counter_unmatched
-                .push((format!("{path}: {}", n_hist.name), false));
+            out.counter_unmatched.push(unmatched(&n_hist.name, false));
         }
     }
+}
+
+/// The histogram delta of one matched pair: the counts of the bucket
+/// whose count grew the most, by [`Delta::ratio`] (two empty histograms
+/// compare as one empty bucket).
+fn worst_bucket(base: &Histogram, new: &Histogram, path: &str) -> Delta {
+    let count = |h: &Histogram, label: u64| {
+        let bucket = h.buckets.iter().find(|(l, _)| *l == label);
+        bucket.map_or(0.0, |(_, c)| *c as f64)
+    };
+    let labels = base.buckets.iter().chain(&new.buckets).map(|(l, _)| *l);
+    let histogram = |b, n| delta(DeltaKind::Histogram, path, &base.name, b, n);
+    labels
+        .map(|l| histogram(count(base, l), count(new, l)))
+        .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
+        .unwrap_or_else(|| histogram(0.0, 0.0))
 }
 
 #[cfg(test)]
@@ -438,7 +355,7 @@ mod tests {
         let slow = trace_with(&[("poly", 1e6), ("msm", 5.6e6)]);
         let d = diff_traces(&base, &slow, 0.05);
         assert!(d.is_regression());
-        let regs = d.regressions();
+        let regs: Vec<_> = d.regressions(DeltaKind::Span).collect();
         // Both "prove" (aggregate) and "msm" regressed.
         assert!(regs.iter().any(|r| r.path == "prove/msm"));
         assert!(d.render().contains("REGRESSED"));
@@ -483,7 +400,7 @@ mod tests {
         let grown = trace_with_counter(5e6, &[("msm.padd", 1300.0)]);
         let d = diff_traces(&base, &grown, 0.25);
         assert!(d.is_regression());
-        assert_eq!(d.counter_regressions().len(), 1);
+        assert_eq!(d.regressions(DeltaKind::Counter).count(), 1);
         assert!(d.render().contains("counter msm.padd"));
         // Within threshold passes; shrinking work is an improvement.
         assert!(!diff_traces(&base, &grown, 0.5).is_regression());
@@ -511,8 +428,7 @@ mod tests {
         let d = diff_traces(&base, &retried, 0.25);
         assert!(d.is_regression(), "new retry.count must gate");
         assert!(d
-            .counter_regressions()
-            .iter()
+            .regressions(DeltaKind::Counter)
             .any(|c| c.name == names::SERVICE_RETRIES && c.ratio() == f64::INFINITY));
         // …and so are verify rejects.
         let rejected = trace_with_counter(5e6, &[(names::VERIFY_REJECTS, 1.0)]);
@@ -541,7 +457,7 @@ mod tests {
         }];
         let d = diff_traces(&base, &grown, 0.25);
         assert!(d.is_regression());
-        assert_eq!(d.histogram_regressions().len(), 1);
+        assert_eq!(d.regressions(DeltaKind::Histogram).count(), 1);
         // Identical histograms pass.
         assert!(!diff_traces(&base, &base, 0.25).is_regression());
         // A count appearing in a previously empty bucket is flagged too.

@@ -1,42 +1,42 @@
 //! # gzkp-telemetry — structured prover observability
 //!
-//! The GZKP reproduction's engines already compute detailed cost models
-//! ([`gzkp_gpu_sim::KernelReport`]); until now they only surfaced them as
-//! return values and ad-hoc text tables. This crate adds a structured
-//! telemetry layer on top:
+//! One vocabulary ([`names`]) for two kinds of record:
 //!
-//! * [`TelemetrySink`] — the hook trait engines and the prover accept.
-//!   The default implementation ([`NoopSink`]) does nothing and costs one
-//!   `enabled()` branch per stage, so un-instrumented runs stay free.
-//! * [`TraceRecorder`] — a sink that builds a span *tree*
-//!   (`prove → poly → ntt[i]`, `prove → msm → {a, b_g1, b_g2, h, l}`)
-//!   with per-span kernels, counters (field muls, PADD/PDBL, DRAM
-//!   sectors), value gauges (peak device memory), and histograms
-//!   (bucket occupancy).
-//! * [`Trace`] — the versioned, serde-serializable form written to
-//!   `gzkp-trace.json`; [`Trace::from_json`] rejects schema mismatches.
-//! * [`diff`] — span-tree comparison with a regression threshold, the
-//!   engine behind `zkprof diff`.
+//! * **Traces, after a run.** Engines and the prover report into a
+//!   [`TelemetrySink`]; the default [`NoopSink`] costs one `enabled()`
+//!   branch per stage. A [`TraceRecorder`] builds the span tree
+//!   (`prove → poly → ntt[i]`, `prove → msm → {a, b_g1, b_g2, h, l}`) with
+//!   per-span kernels, counters, max-kept gauges and histograms, and
+//!   finishes into a versioned [`Trace`] (`gzkp-trace.json`).
+//!   [`diff`] compares two traces for `zkprof diff`; [`flame`] exports
+//!   folded stacks.
+//! * **Metrics, while a service runs.** [`metrics`] holds the lock-free
+//!   series and the [`MetricsSnapshot`] read from them, [`slo`] judges a
+//!   snapshot against an [`SloPolicy`], and [`export`] renders it
+//!   (Prometheus text, the periodic file exporter, `zkserve top`).
 //!
-//! No external tracing framework is used — spans here measure *simulated*
-//! nanoseconds from the cost model, not wall clock, so a recorder is just
-//! a tree builder behind a mutex.
+//! Spans measure *simulated* nanoseconds from the cost model, not wall
+//! clock, so no tracing framework is needed: a recorder is a tree
+//! builder behind a mutex.
 
 #![warn(missing_docs)]
 
 pub mod diff;
+pub mod export;
 pub mod flame;
 pub mod metrics;
 pub mod names;
+pub mod slo;
 pub mod trace;
 
-pub use diff::{diff_traces, StageDelta, TraceDiff};
+pub use diff::{diff_traces, Delta, DeltaKind, TraceDiff};
+pub use export::{render_top, SnapshotExporter};
 pub use flame::folded_stacks;
 pub use metrics::{
-    render_top, ClusterSloRow, Counter, Gauge, HistogramSample, LatencyHistogram, MetricsRegistry,
-    MetricsSnapshot, SloAlert, SloPolicy, SloReport, SloTracker, SnapshotExporter,
+    Counter, Gauge, HistogramSample, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
     METRICS_SCHEMA_VERSION,
 };
+pub use slo::{ClusterSloRow, SloAlert, SloPolicy, SloReport};
 pub use trace::{
     render_timeline, render_trace, Histogram, Trace, TraceError, TraceNode, SCHEMA_VERSION,
 };
@@ -159,27 +159,21 @@ pub fn stage_report_from_json(bytes: &[u8], which: &str) -> Result<StageReport, 
     Ok(report)
 }
 
+/// Log2 bucket of `v`: `b` with `v ∈ [2^b, 2^{b+1})`, zero in bucket 0
+/// and `u64::MAX` in bucket 63. The one bucket rule of
+/// [`log2_histogram`] and of every [`LatencyHistogram`].
+pub(crate) fn log2_bucket(v: u64) -> usize {
+    v.checked_ilog2().unwrap_or(0) as usize
+}
+
 /// Builds a power-of-two histogram of `values`: bucket label `b` counts
 /// values in `[2^b, 2^{b+1})`; label 0 additionally counts zeros.
 pub fn log2_histogram(values: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
-    let mut counts: Vec<u64> = Vec::new();
+    let mut counts = [0u64; 64];
     for v in values {
-        let bucket = if v == 0 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        };
-        if counts.len() <= bucket {
-            counts.resize(bucket + 1, 0);
-        }
-        counts[bucket] += 1;
+        counts[log2_bucket(v)] += 1;
     }
-    counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(b, c)| (b as u64, c))
-        .collect()
+    (0..).zip(counts).filter(|&(_, c)| c > 0).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! Every emit site in the workspace references these constants instead of
 //! repeating string literals, so a typo'd name is a compile error rather
 //! than a silently-empty `zkprof diff` column or a metrics series nobody
-//! scrapes. `zkprof`, the SLO tracker, and the dashboards consume the
+//! scrapes. `zkprof`, SLO evaluation and the dashboards consume the
 //! same constants, which is what keeps producer and consumer agreeing on
 //! the wire names.
 //!
@@ -162,7 +162,7 @@ pub const DEVICE_STAGES: &str = "device.stages";
 /// labeled `device=devN`).
 pub const DEVICE_BUSY_NS: &str = "device.busy_ns";
 /// Simulated nanoseconds elapsed on a device's timeline (gauge, labeled
-/// `device=devN`; `busy/elapsed` is the utilization the SLO tracker
+/// `device=devN`; `busy/elapsed` is the utilization SLO evaluation
 /// reports).
 pub const DEVICE_ELAPSED_NS: &str = "device.elapsed_ns";
 /// Simulated nanoseconds a device has spent quarantined (gauge, labeled

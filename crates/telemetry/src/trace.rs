@@ -308,34 +308,11 @@ pub fn render_timeline(trace: &Trace) -> Option<String> {
 /// rendering identifies each span by position rather than relying on
 /// emit order alone; unique names render unchanged.
 fn sibling_labels(children: &[TraceNode]) -> Vec<String> {
-    let mut counts: Vec<(&str, usize)> = Vec::new();
-    for c in children {
-        if let Some(e) = counts.iter_mut().find(|(n, _)| *n == c.name) {
-            e.1 += 1;
-        } else {
-            counts.push((&c.name, 1));
-        }
-    }
-    let mut seen: Vec<(&str, usize)> = Vec::new();
-    children
-        .iter()
-        .map(|c| {
-            let total = counts
-                .iter()
-                .find(|(n, _)| *n == c.name)
-                .expect("counted")
-                .1;
-            if total == 1 {
-                return c.name.clone();
-            }
-            let occ = if let Some(e) = seen.iter_mut().find(|(n, _)| *n == c.name) {
-                e.1 += 1;
-                e.1
-            } else {
-                seen.push((&c.name, 1));
-                1
-            };
-            format!("{} #{occ}", c.name)
+    let count = |among: &[TraceNode], name: &str| among.iter().filter(|c| c.name == name).count();
+    (children.iter().enumerate())
+        .map(|(i, c)| match count(children, &c.name) {
+            1 => c.name.clone(),
+            _ => format!("{} #{}", c.name, count(&children[..=i], &c.name)),
         })
         .collect()
 }

@@ -232,6 +232,23 @@ fn truncated_header_flipped_and_extended_checkpoints_are_rejected_or_round_trip(
     }
 }
 
+/// Steps complete in order, so the shared header check rejects a done
+/// mask that is not a prefix, for both backends. Re-framed from the
+/// one-step snapshot, `0b10` claims step 1 done and step 0 not while the
+/// body still holds the one step's points.
+#[test]
+fn a_non_prefix_done_mask_is_rejected() {
+    for (system, (snaps, recode)) in fixtures().iter().enumerate() {
+        let mut forged = snaps[1].clone();
+        assert_eq!(forged[FIXED_HEADER - 1], 0b01, "system {system}: mask byte");
+        forged[FIXED_HEADER - 1] = 0b10;
+        match recode(&forged) {
+            Err(e) => assert!(e.contains("non-contiguous completion mask 0x2"), "{e}"),
+            Ok(_) => panic!("system {system}: mask 0b10 decoded"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

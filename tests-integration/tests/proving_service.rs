@@ -143,6 +143,61 @@ fn unschedulable_domain_gets_no_pin_until_it_opens() {
     service.shutdown();
 }
 
+/// A move off a killed domain is not a failure of the job: with a retry
+/// budget of one, a job moved twice — its domain killed, then the one it
+/// moved to — still completes on the third.
+#[test]
+fn moves_off_killed_domains_spend_no_retry_budget() {
+    let service = ProvingService::start_in_domains(
+        ServiceConfig {
+            devices: vec![v100(); 3],
+            retry: RetryPolicy {
+                max_retries: 1,
+                ..RetryPolicy::default()
+            },
+            ..ServiceConfig::default()
+        },
+        3,
+    );
+    // A gated job on every domain's one worker: the job under test waits
+    // in the queue wherever it is pinned.
+    let release = Arc::new(Latch::default());
+    let gates: Vec<_> = (0..3)
+        .map(|_| {
+            let started = Arc::new(Latch::default());
+            let task = GateTask {
+                started: started.clone(),
+                release: release.clone(),
+            };
+            let gate = service.submit(Box::new(task), JobOptions::default());
+            let gate = gate.unwrap();
+            started.wait();
+            gate
+        })
+        .collect();
+    let mut gate_domains: Vec<usize> = gates.iter().map(|g| g.domain()).collect();
+    gate_domains.sort();
+
+    let job = service
+        .submit(Box::new(NopTask(7)), JobOptions::default())
+        .unwrap();
+    let first = job.domain();
+    service.kill_domain(first);
+    let second = job.domain();
+    service.kill_domain(second);
+    // Free the workers before any assertion, so a failing one cannot
+    // leave them blocked.
+    release.open();
+    let result = job.wait();
+    for gate in gates {
+        gate.wait();
+    }
+    service.shutdown();
+    assert_eq!(gate_domains, [0, 1, 2], "one gate per domain");
+    assert_eq!(result.outcome.unwrap().proof, 7u64.to_le_bytes());
+    assert!(first != second && ![first, second].contains(&result.domain));
+}
+
 #[test]
 fn backpressure_rejects_when_queue_full() {
     let service = ProvingService::start(one_worker(2));

@@ -33,8 +33,8 @@
 use std::process::ExitCode;
 
 use gzkp_telemetry::{
-    diff_traces, folded_stacks, render_timeline, render_trace, MetricsSnapshot, SloPolicy,
-    SloTracker, Trace, TraceError,
+    diff_traces, folded_stacks, render_timeline, render_trace, DeltaKind, MetricsSnapshot,
+    SloPolicy, Trace, TraceError,
 };
 
 const DEFAULT_THRESHOLD: f64 = 0.05;
@@ -110,9 +110,9 @@ fn main() -> ExitCode {
                 eprintln!(
                     "zkprof: regression: {} stage(s), {} counter(s), {} histogram(s) \
                      beyond {:.1}% and/or shape mismatch",
-                    diff.regressions().len(),
-                    diff.counter_regressions().len(),
-                    diff.histogram_regressions().len(),
+                    diff.regressions(DeltaKind::Span).count(),
+                    diff.regressions(DeltaKind::Counter).count(),
+                    diff.regressions(DeltaKind::Histogram).count(),
                     threshold * 100.0
                 );
                 ExitCode::FAILURE
@@ -159,7 +159,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let report = SloTracker::new(policy).evaluate(&snapshot);
+            let report = policy.evaluate(&snapshot);
             println!("{}", report.render());
             if report.healthy {
                 ExitCode::SUCCESS

@@ -53,8 +53,9 @@
 //! [`gzkp_telemetry::MetricsRegistry`], a background exporter rewrites
 //! `PATH` as a JSON [`gzkp_telemetry::MetricsSnapshot`] every 500 ms
 //! while the replay runs (so `zkserve top PATH --watch 1` in another
-//! terminal is a live dashboard), and the final snapshot — with an
-//! embedded SLO report — is written on completion. `--prom PATH`
+//! terminal is a live dashboard), and the final snapshot is written on
+//! completion, followed by its [`gzkp_telemetry::SloPolicy::default`]
+//! verdict as `slo:` lines. `--prom PATH`
 //! additionally writes the snapshot in Prometheus text exposition
 //! format on the same cadence.
 //!
@@ -90,7 +91,7 @@ use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
     ServiceStats,
 };
-use gzkp_telemetry::{render_top, MetricsRegistry, MetricsSnapshot, SloTracker, SnapshotExporter};
+use gzkp_telemetry::{render_top, MetricsRegistry, MetricsSnapshot, SloPolicy, SnapshotExporter};
 use gzkp_workloads::requests::RequestWorkload;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -211,7 +212,6 @@ fn start_export(run: &RunArgs) -> Option<(Arc<MetricsRegistry>, SnapshotExporter
     let registry = Arc::new(MetricsRegistry::new());
     let exporter = SnapshotExporter::start(
         registry.clone(),
-        Some(SloTracker::new(gzkp_telemetry::SloPolicy::default())),
         path,
         run.prom.as_ref().map(Into::into),
         Duration::from_millis(500),
@@ -219,17 +219,16 @@ fn start_export(run: &RunArgs) -> Option<(Arc<MetricsRegistry>, SnapshotExporter
     Some((registry, exporter))
 }
 
-/// Writes the final snapshot and prints its SLO line and where each file
-/// went. `Some` carries the exit code of a failed write.
+/// Writes the final snapshot and prints the default policy's SLO verdict
+/// on it and where each file went. `Some` carries the exit code of a
+/// failed write.
 fn finish_export(run: &RunArgs, exporter: SnapshotExporter) -> Option<ExitCode> {
     let path = run.metrics.as_deref().unwrap_or("");
     match exporter.stop() {
         Ok(snapshot) => {
-            if let Some(slo) = &snapshot.slo {
-                // `render()` carries its own `slo:` prefix on every line.
-                for line in slo.render().lines() {
-                    println!("{:>10}: {}", "slo", line.trim_start_matches("slo: "));
-                }
+            // `render()` carries its own `slo:` prefix on every line.
+            for line in SloPolicy::default().evaluate(&snapshot).render().lines() {
+                println!("{:>10}: {}", "slo", line.trim_start_matches("slo: "));
             }
             println!("{:>10}: metrics snapshot written to {path}", "metrics");
             if let Some(prom) = &run.prom {
