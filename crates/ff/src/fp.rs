@@ -10,7 +10,7 @@
 //! Scanning) Montgomery multiplication the paper's finite-field library is
 //! built around (§4.3), specialized per limb count by monomorphization.
 
-use crate::bigint::{adc, mac, sbb, BigInt};
+use crate::bigint::{adc, mac, BigInt};
 use crate::traits::{Field, PrimeField};
 use core::fmt;
 use core::hash::{Hash, Hasher};
@@ -118,9 +118,20 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         &self.0
     }
 
-    /// CIOS Montgomery multiplication: computes `a * b * R^{-1} mod p`.
+    /// Montgomery multiplication: computes `a * b * R^{-1} mod p` as the
+    /// CIOS core plus one conditional subtraction of `p`.
     #[inline]
     fn mont_mul(a: &BigInt<N>, b: &BigInt<N>) -> BigInt<N> {
+        let (t, t_n) = Self::cios(a, b);
+        Self::reduce(t, t_n)
+    }
+
+    /// CIOS (Coarsely Integrated Operand Scanning) Montgomery product with
+    /// no final subtraction: `(a·b + m·p) / R` for the `m < R` that makes
+    /// the division exact, as `N` limbs and the carry above them. For
+    /// `a·b < R·p` the value is below `2p`.
+    #[inline(always)]
+    fn cios(a: &BigInt<N>, b: &BigInt<N>) -> (BigInt<N>, u64) {
         let m = &P::MODULUS.0;
         let mut t = [0u64; N];
         let mut t_n = 0u64;
@@ -148,15 +159,10 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
             t[N - 1] = lo;
             t_n = t_n1 + hi;
         }
-        let mut out = BigInt(t);
-        if t_n != 0 || out.const_cmp(&P::MODULUS) >= 0 {
-            let (r, _) = out.const_sub(&P::MODULUS);
-            out = r;
-        }
-        out
+        (BigInt(t), t_n)
     }
 
-    /// Reduces a value already `< 2p` after addition.
+    /// Reduces a value already `< 2p` after addition or the CIOS core.
     #[inline]
     fn reduce(mut v: BigInt<N>, carry: u64) -> BigInt<N> {
         if carry != 0 || v.const_cmp(&P::MODULUS) >= 0 {
@@ -164,6 +170,38 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
             v = r;
         }
         v
+    }
+
+    /// `4p < 2^(64N)`: the top limb leaves two bits spare, so the NTT's
+    /// values in `[0, 4p)` fit the limbs (Harvey's lazy butterfly).
+    const LAZY: bool = P::MODULUS.0[N - 1] >> 62 == 0;
+
+    /// `2p`; only read when [`Self::LAZY`] holds, so it does not overflow.
+    const TWO_P: BigInt<N> = P::MODULUS.const_double().0;
+
+    /// `v − m` if `v ≥ m`, else `v`: one subtraction, kept or dropped by a
+    /// mask of its borrow. Branch-free, because inside the butterfly the
+    /// condition is a coin flip that a branch would mispredict half the
+    /// time.
+    #[inline(always)]
+    fn sub_if_ge(v: BigInt<N>, m: &BigInt<N>) -> BigInt<N> {
+        let (mut d, borrow) = v.const_sub(m);
+        let keep_v = borrow.wrapping_neg();
+        for (di, vi) in d.0.iter_mut().zip(v.0) {
+            *di ^= (*di ^ vi) & keep_v;
+        }
+        d
+    }
+
+    /// The lazy butterfly's tail: `x ∈ [0, 2p)` and `q ∈ [0, 2p)` give
+    /// `(x + q, x + 2p − q)`, both in `[0, 4p)`. No sum overflows the limbs
+    /// because `4p < 2^(64N)`.
+    #[inline(always)]
+    fn lazy_pair(x: BigInt<N>, q: BigInt<N>) -> (Self, Self) {
+        let (sum, _) = x.const_add(&q);
+        let (x2p, _) = x.const_add(&Self::TWO_P);
+        let (diff, _) = x2p.const_sub(&q);
+        (Self(sum, PhantomData), Self(diff, PhantomData))
     }
 
     /// Montgomery squaring (currently delegates to `mont_mul`; the dedicated
@@ -452,6 +490,43 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
     const MODULUS_BITS: u32 = P::MODULUS.num_bits();
     const TWO_ADICITY: u32 = P::TWO_ADICITY;
 
+    const LAZY_BUTTERFLY: bool = Self::LAZY;
+
+    /// Harvey's butterfly when [`Self::LAZY`]: `x ← x − 2p if x ≥ 2p`,
+    /// `q ← w·y` by the CIOS core alone (`y < 4p`, `w < p` and `4p < R`
+    /// give `q < 2p`), then `(x + q, x + 2p − q)`.
+    #[inline]
+    fn butterfly(x: &mut Self, y: &mut Self, w: &Self) {
+        if !Self::LAZY {
+            let t = *y * *w;
+            *y = *x - t;
+            *x += t;
+            return;
+        }
+        let (q, carry) = Self::cios(&y.0, &w.0);
+        debug_assert_eq!(carry, 0, "y·w < 4p² keeps the product below 2p");
+        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, &Self::TWO_P), q);
+    }
+
+    #[inline]
+    fn butterfly_by_one(x: &mut Self, y: &mut Self) {
+        if !Self::LAZY {
+            let t = *y;
+            *y = *x - t;
+            *x += t;
+            return;
+        }
+        let q = Self::sub_if_ge(y.0, &Self::TWO_P);
+        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, &Self::TWO_P), q);
+    }
+
+    #[inline]
+    fn reduce_lazy(&mut self) {
+        if Self::LAZY {
+            self.0 = Self::sub_if_ge(Self::sub_if_ge(self.0, &Self::TWO_P), &P::MODULUS);
+        }
+    }
+
     fn to_limbs(&self) -> Vec<u64> {
         Self::mont_mul(&self.0, &BigInt::ONE).0.to_vec()
     }
@@ -550,18 +625,4 @@ impl<'de, P: FpParams<N>, const N: usize> serde::Deserialize<'de> for Fp<P, N> {
         Self::from_limbs(&limbs)
             .ok_or_else(|| serde::de::Error::custom("field element out of range"))
     }
-}
-
-/// Subtraction helper exposing the raw borrow; used by extension-field
-/// lazy-reduction experiments.
-#[inline]
-pub fn raw_sub<const N: usize>(a: &BigInt<N>, b: &BigInt<N>) -> (BigInt<N>, u64) {
-    let mut out = *a;
-    let mut borrow = 0;
-    for i in 0..N {
-        let (lo, bo) = sbb(out.0[i], b.0[i], borrow);
-        out.0[i] = lo;
-        borrow = bo;
-    }
-    (out, borrow)
 }

@@ -141,6 +141,37 @@ pub trait PrimeField: Field + PartialOrd + Ord {
     /// Square root via Tonelli–Shanks, if one exists.
     fn sqrt(&self) -> Option<Self>;
 
+    /// Whether `4p < 2^(64·NUM_LIMBS)`, so the NTT may keep its values in
+    /// `[0, 4p)` between butterfly levels and reduce them once, as they
+    /// leave the transform (Harvey, "Faster arithmetic for number-theoretic
+    /// transforms", 2014). Derived from the modulus; the default `false`
+    /// is the strict butterfly on canonical values.
+    const LAZY_BUTTERFLY: bool = false;
+
+    /// The radix-2 butterfly `(x, y) ← (x + w·y, x − w·y)` for a canonical
+    /// twiddle `w`. Under [`PrimeField::LAZY_BUTTERFLY`] inputs and outputs
+    /// are in `[0, 4p)` and equal the strict butterfly's modulo `p`;
+    /// otherwise (the default) they are canonical.
+    #[inline]
+    fn butterfly(x: &mut Self, y: &mut Self, w: &Self) {
+        let t = *y * *w;
+        *y = *x - t;
+        *x += t;
+    }
+
+    /// [`PrimeField::butterfly`] by `w = ω⁰ = 1`: no multiplication.
+    #[inline]
+    fn butterfly_by_one(x: &mut Self, y: &mut Self) {
+        let t = *y;
+        *y = *x - t;
+        *x += t;
+    }
+
+    /// Makes a butterfly output canonical: `[0, 4p)` → `[0, p)` under
+    /// [`PrimeField::LAZY_BUTTERFLY`], nothing otherwise.
+    #[inline]
+    fn reduce_lazy(&mut self) {}
+
     /// Whether the canonical representation is larger than `(p-1)/2`.
     fn is_odd_repr(&self) -> bool {
         self.to_limbs()[0] & 1 == 1

@@ -9,6 +9,20 @@
 //! what guarantees both engines are bit-identical to the CPU reference.
 //! On the host every batch runs as tiles of adjacent groups (§5.3), handed
 //! out across all cores.
+//!
+//! The host butterflies are Harvey's lazy ones ("Faster arithmetic for
+//! number-theoretic transforms", 2014) wherever the field allows: when
+//! `4p < 2^(64·limbs)` ([`PrimeField::LAZY_BUTTERFLY`], derived from the
+//! modulus; Fr254 and Fr753), values stay in `[0, 4p)` between levels and a
+//! butterfly makes one conditional subtraction instead of two full
+//! reductions. Fr381 (255 bits in four limbs) has no spare bits and keeps
+//! the strict butterfly. Values are made canonical again in the last
+//! batch's tile pass: the forward transform reduces each one, and the
+//! inverse's multiplication by `1/N` — a full Montgomery product, canonical
+//! for any input below `4p` — does it for free. No value outside `[0, p)`
+//! leaves [`batched_transform`]. Every butterfly by `ω⁰ = 1` (all of global
+//! iteration 0 and the first pair of each span after it) adds and
+//! subtracts without multiplying.
 
 use crate::cpu::Direction;
 use crate::domain::{bit_reverse_permute, par_share, reverse_for_inverse, Radix2Domain};
@@ -61,8 +75,20 @@ pub fn fixed_batches(log_n: u32, max_iters: u32) -> Vec<Batch> {
     out
 }
 
-/// Runs one batch over the whole vector, then multiplies by `scale` if
-/// given. `tw` is the half-size twiddle table.
+/// What a batch's tiles do after their butterflies.
+#[derive(Clone, Copy)]
+enum Finish<F> {
+    /// Nothing: values stay in the butterflies' range for the next batch.
+    Keep,
+    /// Make every value canonical (the forward transform's last batch).
+    Canonical,
+    /// Multiply by `1/N` (the inverse's last batch); a full Montgomery
+    /// product of a value below `4p` is already canonical.
+    Scale(F),
+}
+
+/// Runs one batch over the whole vector, then applies `finish` to each
+/// tile. `tw` is the half-size twiddle table.
 ///
 /// The unit of work is the paper's block (§3): a *tile* of [`TILE`]
 /// adjacent groups, whose union is `2^iters` contiguous row pieces. Tiles
@@ -70,21 +96,25 @@ pub fn fixed_batches(log_n: u32, max_iters: u32) -> Vec<Batch> {
 /// block — fans out like every other. No butterfly crosses a tile and
 /// field arithmetic is exact, so results are bit-identical at any thread
 /// count.
-fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: Option<F>) {
+fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, finish: Finish<F>) {
     let n = data.len();
     let stride = batch.stride();
     let outer = stride << batch.iters; // elements per block
-    let finish = |tile: &mut [F], width: usize, first: usize| {
+    let tile_pass = |tile: &mut [F], width: usize, first: usize| {
         tile_butterflies(tile, width, first, tw, n, batch);
-        if let Some(s) = scale {
-            tile.iter_mut().for_each(|v| *v *= s);
+        match finish {
+            Finish::Keep => {}
+            Finish::Canonical => tile.iter_mut().for_each(F::reduce_lazy),
+            Finish::Scale(s) => tile.iter_mut().for_each(|v| *v *= s),
         }
     };
     if stride <= TILE {
         // A block is one tile, already laid out `[j][l]`: run it in place.
         let share = par_share(n / outer, n) * outer;
         rayon::for_each(data.chunks_mut(share), |blocks| {
-            blocks.chunks_mut(outer).for_each(|b| finish(b, stride, 0));
+            blocks
+                .chunks_mut(outer)
+                .for_each(|b| tile_pass(b, stride, 0));
         });
         return;
     }
@@ -109,7 +139,7 @@ fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: O
             for (row, piece) in staged.chunks_mut(TILE).zip(pieces.iter()) {
                 row.copy_from_slice(piece);
             }
-            finish(&mut staged, TILE, *first);
+            tile_pass(&mut staged, TILE, *first);
             for (row, piece) in staged.chunks(TILE).zip(pieces.iter_mut()) {
                 piece.copy_from_slice(row);
             }
@@ -123,7 +153,9 @@ fn process_batch<F: PrimeField>(data: &mut [F], tw: &[F], batch: Batch, scale: O
 ///
 /// For global iteration `i = start + ii`, the butterfly pairing local
 /// indices `j` and `j + 2^ii` of group `l` uses twiddle
-/// `ω^{((jj·2^start) + l)·N/2^{i+1}}` where `jj = j mod 2^ii`.
+/// `ω^{((jj·2^start) + l)·N/2^{i+1}}` where `jj = j mod 2^ii`; the one
+/// with exponent 0 (`jj = 0` of the block's first group) multiplies by
+/// nothing.
 fn tile_butterflies<F: PrimeField>(
     tile: &mut [F],
     width: usize,
@@ -141,11 +173,15 @@ fn tile_butterflies<F: PrimeField>(
             let (lo, hi) = span.split_at_mut(half);
             for (jj, (lo, hi)) in lo.chunks_mut(run).zip(hi.chunks_mut(run)).enumerate() {
                 let w0 = ((jj << batch.start) + first) * tw_stride;
-                let ws = tw[w0..].iter().step_by(tw_stride);
-                for ((a, b), w) in lo.iter_mut().zip(hi).zip(ws) {
-                    let t = *b * *w;
-                    *b = *a - t;
-                    *a += t;
+                let mut ws = tw[w0..].iter().step_by(tw_stride);
+                let mut pairs = lo.iter_mut().zip(hi);
+                if w0 == 0 {
+                    if let (Some((a, b)), Some(_)) = (pairs.next(), ws.next()) {
+                        F::butterfly_by_one(a, b);
+                    }
+                }
+                for ((a, b), w) in pairs.zip(ws) {
+                    F::butterfly(a, b, w);
                 }
             }
         }
@@ -170,9 +206,14 @@ pub fn batched_transform<F: PrimeField>(
     bit_reverse_permute(data);
     let tw = domain.twiddles();
     for (bi, b) in batches.iter().enumerate() {
-        // The inverse's 1/N scaling rides on the last batch's tiles.
-        let last = bi + 1 == batches.len() && dir == Direction::Inverse;
-        process_batch(data, &tw, *b, last.then_some(domain.size_inv));
+        // Values leave canonical from the last batch's tiles, where the
+        // inverse's 1/N scaling rides too.
+        let finish = match (bi + 1 == batches.len(), dir) {
+            (false, _) => Finish::Keep,
+            (true, Direction::Forward) => Finish::Canonical,
+            (true, Direction::Inverse) => Finish::Scale(domain.size_inv),
+        };
+        process_batch(data, &tw, *b, finish);
     }
 }
 

@@ -57,14 +57,6 @@ impl CpuNtt {
         Self::default()
     }
 
-    /// libsnark-like configuration (recomputed twiddles, parallel).
-    pub fn libsnark_like() -> Self {
-        Self {
-            mode: TwiddleMode::Recompute,
-            parallel: true,
-        }
-    }
-
     /// In-place NTT over the domain.
     ///
     /// # Panics

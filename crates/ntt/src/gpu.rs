@@ -55,8 +55,8 @@ pub trait GpuNttEngine<F: PrimeField>: Send + Sync {
         let report = self.transform(domain, data, dir);
         if sink.enabled() {
             emit_stage(sink, &report);
-            // Each of the log N iterations performs N/2 butterflies of one
-            // field multiplication.
+            // The modelled count: each of the log N iterations performs
+            // N/2 butterflies of one field multiplication.
             let muls = domain.log_n as f64 * (domain.size as f64) / 2.0;
             sink.counter(names::NTT_FIELD_MULS, muls);
         }
@@ -283,7 +283,7 @@ impl GzkpNtt {
     /// Batch plan: fixed `B`-iteration batches; the *final* short batch is
     /// absorbed by enlarging `G`, so blocks stay big (the "flexible GPU
     /// block assignment" of §5.3).
-    fn batches(&self, log_n: u32) -> Vec<Batch> {
+    pub fn batches(&self, log_n: u32) -> Vec<Batch> {
         fixed_batches(log_n, self.batch_iters)
     }
 
@@ -391,7 +391,7 @@ impl<F: PrimeField> GpuNttEngine<F> for GzkpNtt {
 mod tests {
     use super::*;
     use crate::cpu::CpuNtt;
-    use gzkp_ff::fields::{Fr254, Fr753};
+    use gzkp_ff::fields::{Fr254, Fr381, Fr753};
     use gzkp_gpu_sim::device::v100;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -401,24 +401,37 @@ mod tests {
         (0..n).map(|_| F::random(&mut rng)).collect()
     }
 
+    /// All three engines against the CPU reference at 2¹², both directions.
+    fn engines_match_cpu<F: PrimeField>(seed: u64) {
+        let d = Radix2Domain::<F>::new(1 << 12).unwrap();
+        let coeffs = rand_vec::<F>(1 << 12, seed);
+        let engines: [&dyn GpuNttEngine<F>; 3] = [
+            &BaselineGpuNtt::new(v100()),
+            &GzkpNtt::auto::<F>(v100()),
+            &GzkpNtt::no_internal_shuffle::<F>(v100()),
+        ];
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut expect = coeffs.clone();
+            CpuNtt::reference().transform(&d, &mut expect, dir);
+            for engine in engines {
+                let mut got = coeffs.clone();
+                engine.transform(&d, &mut got, dir);
+                assert!(
+                    got == expect,
+                    "{} {dir:?} on {}",
+                    engine.name(),
+                    F::MODULUS_BITS
+                );
+            }
+        }
+    }
+
     #[test]
     fn engines_match_cpu_reference() {
-        let d = Radix2Domain::<Fr254>::new(1 << 12).unwrap();
-        let coeffs = rand_vec::<Fr254>(1 << 12, 1);
-        let mut expect = coeffs.clone();
-        CpuNtt::reference().transform(&d, &mut expect, Direction::Forward);
-
-        let mut a = coeffs.clone();
-        BaselineGpuNtt::new(v100()).transform(&d, &mut a, Direction::Forward);
-        assert_eq!(a, expect);
-
-        let mut b = coeffs.clone();
-        GzkpNtt::auto::<Fr254>(v100()).transform(&d, &mut b, Direction::Forward);
-        assert_eq!(b, expect);
-
-        let mut c = coeffs;
-        GzkpNtt::no_internal_shuffle::<Fr254>(v100()).transform(&d, &mut c, Direction::Forward);
-        assert_eq!(c, expect);
+        // Fr254 and Fr753 run the lazy butterfly, Fr381 the strict one.
+        engines_match_cpu::<Fr254>(1);
+        engines_match_cpu::<Fr381>(2);
+        engines_match_cpu::<Fr753>(3);
     }
 
     #[test]

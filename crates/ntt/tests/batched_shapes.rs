@@ -34,7 +34,9 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// Both directions at 1, 2 and 4 threads: the `max_iters`-batched
-/// transform of a random `2^log_n` vector equals `CpuNtt::reference()`'s.
+/// transform of a random `2^log_n` vector equals `CpuNtt::reference()`'s,
+/// and every output is canonical — the lazy butterflies' `[0, 4p)` values
+/// never leave the transform.
 fn check<F: PrimeField>(log_n: u32, max_iters: u32, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let domain = Radix2Domain::<F>::new(1 << log_n).expect("within two-adicity");
@@ -52,7 +54,17 @@ fn check<F: PrimeField>(log_n: u32, max_iters: u32, seed: u64) {
                 got == want,
                 "{dir:?} 2^{log_n}, batches of {max_iters}, {threads} threads"
             );
+            assert_canonical(&got);
         }
+    }
+}
+
+/// Every value's limbs are below `p` and round-trip to the same
+/// representation (a value in `[p, 4p)` would come back reduced).
+fn assert_canonical<F: PrimeField>(values: &[F]) {
+    for v in values {
+        let limbs = v.to_limbs();
+        assert_eq!(F::from_limbs(&limbs), Some(*v), "{v:?} is not canonical");
     }
 }
 

@@ -4,7 +4,8 @@
 //! from the key on every proof.
 //!
 //! Setup is host-side and engine-independent: polynomial interpolation
-//! and the coset extensions run through the reference CPU NTT, and every
+//! and the coset extensions run through the host's tiled NTT (bit-identical
+//! to the CPU reference, whatever the batch plan), and every
 //! point is a multiple of G1 computed while τ is still known — the eight
 //! preprocessing commitments as `p(τ)·G1`, and the Lagrange-basis SRS as
 //! `L_i(τ)·G1` plus the two blinding bases `(τⁿ − 1)·G1`, `(τⁿ⁺¹ − τ)·G1`,
@@ -19,7 +20,9 @@ use crate::kzg::{evaluate_poly, g1_multiples, lagrange_basis_at, KzgSrs};
 use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::Affine;
 use gzkp_ff::{Field, PrimeField};
-use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
+use gzkp_gpu_sim::v100;
+use gzkp_ntt::batch::batched_transform;
+use gzkp_ntt::{Direction, GzkpNtt, Radix2Domain};
 use rand::Rng;
 
 /// Degree headroom the SRS needs beyond the domain size: the blinded
@@ -111,22 +114,30 @@ fn coset_shifts<F: PrimeField>(n: usize) -> (F, F) {
     (k1, k2)
 }
 
+/// The host's tiled NTT with [`GzkpNtt::auto`]'s batch plan: the tiles
+/// fan out over all cores and the butterflies are lazy where the field
+/// allows.
+fn transform<F: PrimeField>(domain: &Radix2Domain<F>, data: &mut [F], dir: Direction) {
+    let batches = GzkpNtt::auto::<F>(v100()).batches(domain.log_n);
+    batched_transform(domain, data, dir, &batches);
+}
+
 /// Interpolates evaluation-form `values` (length `n`) into coefficient
-/// form through the reference CPU NTT.
+/// form.
 fn interpolate<F: PrimeField>(domain: &Radix2Domain<F>, values: &[F]) -> Vec<F> {
     let mut coeffs = values.to_vec();
-    CpuNtt::reference().transform(domain, &mut coeffs, Direction::Inverse);
+    transform(domain, &mut coeffs, Direction::Inverse);
     coeffs
 }
 
 /// Evaluates a polynomial of at most `big.size` coefficients on the `big`
-/// domain's coset through the reference CPU NTT.
+/// domain's coset.
 fn coset_evals<F: PrimeField>(big: &Radix2Domain<F>, coeffs: &[F]) -> Vec<F> {
     let mut evals = Vec::with_capacity(big.size);
     evals.extend_from_slice(coeffs);
     big.coset_scale(&mut evals);
     evals.resize(big.size, F::zero());
-    CpuNtt::reference().transform(big, &mut evals, Direction::Forward);
+    transform(big, &mut evals, Direction::Forward);
     evals
 }
 

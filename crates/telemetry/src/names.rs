@@ -91,7 +91,10 @@ pub const LANE_P2P: &str = "p2p";
 pub const MAC_OPS: &str = "mac_ops";
 /// DRAM sectors moved.
 pub const DRAM_SECTORS: &str = "dram_sectors";
-/// Field multiplications performed by NTT butterflies.
+/// Field multiplications of the NTT butterflies as the device model
+/// prices them: one per butterfly, `log N · N/2` per transform (what the
+/// simulated engines' `batch_macs` charges). A modelled count, not the
+/// host's: the host transform skips its `ω⁰` multiplications.
 pub const NTT_FIELD_MULS: &str = "ntt.field_muls";
 /// Point additions in the MSM (mixed + full).
 pub const MSM_PADD: &str = "msm.padd";

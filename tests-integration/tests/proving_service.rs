@@ -35,7 +35,7 @@ struct Latch {
 
 impl Latch {
     fn open(&self) {
-        *self.state.lock().unwrap() = true;
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cv.notify_all();
     }
 
@@ -44,6 +44,29 @@ impl Latch {
         while !*st {
             st = self.cv.wait(st).unwrap();
         }
+    }
+}
+
+/// The release latch of gated tasks, opened when the test drops it.
+/// Declared after the service, it drops first, so a test that panics with
+/// the gate held frees the worker its service's `Drop` joins: the test
+/// fails instead of hanging.
+#[derive(Default)]
+struct Release(Arc<Latch>);
+
+impl Release {
+    fn latch(&self) -> Arc<Latch> {
+        self.0.clone()
+    }
+
+    fn open(&self) {
+        self.0.open();
+    }
+}
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.open();
     }
 }
 
@@ -110,12 +133,12 @@ fn unschedulable_domain_gets_no_pin_until_it_opens() {
     );
     service.fleet().set_schedulable(1, false);
     let started = Arc::new(Latch::default());
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gated: Vec<_> = (0..2)
         .map(|_| {
             let task = GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             };
             service
                 .submit(Box::new(task), JobOptions::default())
@@ -161,13 +184,13 @@ fn moves_off_killed_domains_spend_no_retry_budget() {
     );
     // A gated job on every domain's one worker: the job under test waits
     // in the queue wherever it is pinned.
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gates: Vec<_> = (0..3)
         .map(|_| {
             let started = Arc::new(Latch::default());
             let task = GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             };
             let gate = service.submit(Box::new(task), JobOptions::default());
             let gate = gate.unwrap();
@@ -185,8 +208,6 @@ fn moves_off_killed_domains_spend_no_retry_budget() {
     service.kill_domain(first);
     let second = job.domain();
     service.kill_domain(second);
-    // Free the workers before any assertion, so a failing one cannot
-    // leave them blocked.
     release.open();
     let result = job.wait();
     for gate in gates {
@@ -202,12 +223,12 @@ fn moves_off_killed_domains_spend_no_retry_budget() {
 fn backpressure_rejects_when_queue_full() {
     let service = ProvingService::start(one_worker(2));
     let started = Arc::new(Latch::default());
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gate = service
         .submit(
             Box::new(GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             }),
             JobOptions::default(),
         )
@@ -239,12 +260,12 @@ fn backpressure_rejects_when_queue_full() {
 fn deadline_expiry_drops_queued_job() {
     let service = ProvingService::start(one_worker(8));
     let started = Arc::new(Latch::default());
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gate = service
         .submit(
             Box::new(GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             }),
             JobOptions::default(),
         )
@@ -273,12 +294,12 @@ fn deadline_expiry_drops_queued_job() {
 fn cancellation_drops_queued_job() {
     let service = ProvingService::start(one_worker(8));
     let started = Arc::new(Latch::default());
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gate = service
         .submit(
             Box::new(GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             }),
             JobOptions::default(),
         )
@@ -298,12 +319,12 @@ fn cancellation_drops_queued_job() {
 fn priorities_order_the_queue() {
     let service = ProvingService::start(one_worker(8));
     let started = Arc::new(Latch::default());
-    let release = Arc::new(Latch::default());
+    let release = Release::default();
     let gate = service
         .submit(
             Box::new(GateTask {
                 started: started.clone(),
-                release: release.clone(),
+                release: release.latch(),
             }),
             JobOptions::default(),
         )
@@ -466,12 +487,12 @@ fn backpressure_still_applies_with_a_quarantined_device() {
     let gates: Vec<_> = (0..2)
         .map(|_| {
             let started = Arc::new(Latch::default());
-            let release = Arc::new(Latch::default());
+            let release = Release::default();
             let handle = service
                 .submit(
                     Box::new(GateTask {
                         started: started.clone(),
-                        release: release.clone(),
+                        release: release.latch(),
                     }),
                     JobOptions::default(),
                 )
