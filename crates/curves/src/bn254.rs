@@ -26,9 +26,6 @@ pub type Fr = Fr254;
 pub struct Fq2Config;
 impl Fp2Config for Fq2Config {
     type Fp = Fq;
-    fn nonresidue() -> Fq {
-        -Fq::one()
-    }
 }
 /// The quadratic extension `Fq2`.
 pub type Fq2 = Fp2<Fq2Config>;

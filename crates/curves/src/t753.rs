@@ -53,9 +53,6 @@ pub type G1Projective = Projective<G1Config>;
 pub struct Fq2Config;
 impl Fp2Config for Fq2Config {
     type Fp = Fq;
-    fn nonresidue() -> Fq {
-        -Fq::one()
-    }
 }
 /// The quadratic extension of the T753 base field.
 pub type Fq2 = Fp2<Fq2Config>;

@@ -1,10 +1,13 @@
 //! Extension-field towers: quadratic `Fp2`, cubic `Fp6`, quadratic `Fp12`.
 //!
 //! These are the towers used by pairing-friendly curves (BN254 and
-//! BLS12-381 both use `Fp12 = Fp6[w]/(w²−v)`, `Fp6 = Fp2[v]/(v³−ξ)`,
-//! `Fp2 = Fp[u]/(u²−β)`). The configuration traits carry the non-residues
-//! and Frobenius coefficients; the curve crates provide them (computed
-//! lazily from the modulus, not hardcoded).
+//! BLS12-381 both use `Fp12 = Fp6[w]/(w²−v)`, `Fp6 = Fp2[v]/(v³−ξ)`).
+//! The quadratic level is fixed at `Fp2 = Fp[u]/(u²+1)`: every tower here
+//! has `q ≡ 3 (mod 4)`, so −1 is a non-residue and `u² = −1` turns the
+//! reduction into a subtraction (Karatsuba `mul` in three base products,
+//! complex `square` in two). The configuration traits carry the cubic
+//! non-residue and Frobenius coefficients; the curve crates provide them
+//! (computed lazily from the modulus, not hardcoded).
 
 use crate::traits::{Field, PrimeField};
 use core::fmt;
@@ -13,14 +16,13 @@ use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 
-/// Configuration of a quadratic extension `Fp2 = Fp[u] / (u² − β)`.
+/// Configuration of a quadratic extension `Fp2 = Fp[u] / (u² + 1)`; the
+/// base field must have −1 as a non-residue (`p ≡ 3 mod 4`).
 pub trait Fp2Config:
     'static + Copy + Clone + Default + PartialEq + Eq + Send + Sync + fmt::Debug + core::hash::Hash
 {
     /// The base prime field.
     type Fp: PrimeField;
-    /// The quadratic non-residue β.
-    fn nonresidue() -> Self::Fp;
 }
 
 /// An element `c0 + c1·u` of a quadratic extension field.
@@ -44,12 +46,6 @@ impl<C: Fp2Config> Fp2<C> {
         }
     }
 
-    /// Multiplies by the non-residue β of the *next* tower level, i.e. maps
-    /// `x ↦ x·u... ` — not needed at this level; see [`Fp6Config`].
-    pub fn mul_by_fp(&self, fp: &C::Fp) -> Self {
-        Self::new(self.c0 * fp, self.c1 * fp)
-    }
-
     /// Conjugation `c0 − c1·u`, which is the `p`-power Frobenius on `Fp2`.
     pub fn conjugate(&self) -> Self {
         Self::new(self.c0, -self.c1)
@@ -64,9 +60,9 @@ impl<C: Fp2Config> Fp2<C> {
         }
     }
 
-    /// Norm map to the base field: `c0² − β·c1²`.
+    /// Norm map to the base field: `c0² + c1²`.
     pub fn norm(&self) -> C::Fp {
-        self.c0.square() - C::nonresidue() * self.c1.square()
+        self.c0.square() + self.c1.square()
     }
 }
 
@@ -74,21 +70,9 @@ impl<C: Fp2Config> Fp2<C>
 where
     C::Fp: crate::traits::PrimeField,
 {
-    /// Square root in `Fp2 = Fp[u]/(u² + 1)` via the complex method.
-    ///
-    /// Requires the nonresidue to be `−1` (true for BN254, BLS12-381 and
-    /// T753's towers); returns `None` for non-squares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tower's nonresidue is not `−1`.
+    /// Square root via the complex method; `None` for non-squares.
     pub fn sqrt(&self) -> Option<Self> {
         use crate::traits::PrimeField;
-        assert_eq!(
-            C::nonresidue(),
-            -C::Fp::one(),
-            "Fp2::sqrt requires u\u{b2} = -1 towers"
-        );
         if self.is_zero() {
             return Some(*self);
         }
@@ -156,10 +140,10 @@ impl<C: Fp2Config> Mul for Fp2<C> {
     type Output = Self;
     #[inline]
     fn mul(self, o: Self) -> Self {
-        // Karatsuba: 3 base-field muls.
+        // Karatsuba: 3 base-field muls; u² = −1 folds v1 in by subtraction.
         let v0 = self.c0 * o.c0;
         let v1 = self.c1 * o.c1;
-        let c0 = v0 + C::nonresidue() * v1;
+        let c0 = v0 - v1;
         let c1 = (self.c0 + self.c1) * (o.c0 + o.c1) - v0 - v1;
         Self::new(c0, c1)
     }
@@ -213,14 +197,9 @@ impl<C: Fp2Config> Field for Fp2<C> {
         self.c0.is_zero() && self.c1.is_zero()
     }
     fn square(&self) -> Self {
-        // Complex squaring adapted to general β: 2 muls + schoolbook fixups.
-        let a = self.c0;
-        let b = self.c1;
-        let beta = C::nonresidue();
-        let v0 = a * b;
-        let c0 = (a + b) * (a + beta * b) - v0 - beta * v0;
-        let c1 = v0.double();
-        Self::new(c0, c1)
+        // Complex squaring, 2 base-field muls: (a + bu)² = (a+b)(a−b) + 2ab·u.
+        let (a, b) = (self.c0, self.c1);
+        Self::new((a + b) * (a - b), (a * b).double())
     }
     fn double(&self) -> Self {
         Self::new(self.c0.double(), self.c1.double())
@@ -466,25 +445,6 @@ impl<C: Fp12Config> Fp12<C> {
         let c1 = self.c1.frobenius_map(power);
         let coeff = C::frobenius_c1(power % 12);
         Self::new(c0, Fp6::new(c1.c0 * coeff, c1.c1 * coeff, c1.c2 * coeff))
-    }
-
-    /// Sparse multiplication by an element with coefficients
-    /// `(c0, c1, 0; c3=0, c4, 0)` in the line-evaluation shape `(ell_0, ell_vw, ell_vv)`
-    /// used by Miller loops: `self * (a + b·v·w... )`.
-    ///
-    /// We keep the general multiply for clarity; pairings here are
-    /// correctness infrastructure, not a benchmarked hot path.
-    pub fn mul_by_line(
-        &self,
-        l00: Fp2<<C::Fp6C as Fp6Config>::Fp2C>,
-        l11: Fp2<<C::Fp6C as Fp6Config>::Fp2C>,
-        l12: Fp2<<C::Fp6C as Fp6Config>::Fp2C>,
-    ) -> Self {
-        let other = Self::new(
-            Fp6::new(l00, Fp2::zero(), Fp2::zero()),
-            Fp6::new(l11, l12, Fp2::zero()),
-        );
-        *self * other
     }
 }
 

@@ -162,7 +162,9 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         (BigInt(t), t_n)
     }
 
-    /// Reduces a value already `< 2p` after addition or the CIOS core.
+    /// Reduces the output of the CIOS or SOS core, `carry·2^(64N) + v <
+    /// 2p`. A branch, not a mask: a Montgomery product needs the
+    /// subtraction rarely (about `p / 4R` of the time), so it is predicted.
     #[inline]
     fn reduce(mut v: BigInt<N>, carry: u64) -> BigInt<N> {
         if carry != 0 || v.const_cmp(&P::MODULUS) >= 0 {
@@ -179,18 +181,30 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     /// `2p`; only read when [`Self::LAZY`] holds, so it does not overflow.
     const TWO_P: BigInt<N> = P::MODULUS.const_double().0;
 
-    /// `v − m` if `v ≥ m`, else `v`: one subtraction, kept or dropped by a
-    /// mask of its borrow. Branch-free, because inside the butterfly the
-    /// condition is a coin flip that a branch would mispredict half the
-    /// time.
+    /// `v − m` if `carry·2^(64N) + v ≥ m`, else `v`: one subtraction, kept
+    /// or dropped by a mask of its borrow and `carry` (the bit above the
+    /// limbs, so a modulus with no spare bit is served too). Branch-free,
+    /// because in a butterfly or a sum the condition is a coin flip that a
+    /// branch would mispredict half the time.
     #[inline(always)]
-    fn sub_if_ge(v: BigInt<N>, m: &BigInt<N>) -> BigInt<N> {
+    fn sub_if_ge(v: BigInt<N>, carry: u64, m: &BigInt<N>) -> BigInt<N> {
         let (mut d, borrow) = v.const_sub(m);
-        let keep_v = borrow.wrapping_neg();
+        let keep_v = (borrow & !carry).wrapping_neg();
         for (di, vi) in d.0.iter_mut().zip(v.0) {
             *di ^= (*di ^ vi) & keep_v;
         }
         d
+    }
+
+    /// `p` if `bit` is 1, zero if it is 0, by a mask: `Sub` adds it back
+    /// after a borrow without branching on what is a coin flip.
+    #[inline(always)]
+    fn modulus_if(bit: u64) -> BigInt<N> {
+        let mut p = P::MODULUS;
+        for limb in p.0.iter_mut() {
+            *limb &= bit.wrapping_neg();
+        }
+        p
     }
 
     /// The lazy butterfly's tail: `x ∈ [0, 2p)` and `q ∈ [0, 2p)` give
@@ -204,12 +218,46 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         (Self(sum, PhantomData), Self(diff, PhantomData))
     }
 
-    /// Montgomery squaring (currently delegates to `mont_mul`; the dedicated
-    /// SOS squaring saves ~25% and is modelled separately in the GPU cost
-    /// tables).
+    /// Montgomery squaring `a² · R^{-1} mod p` by SOS (Separated Operand
+    /// Scanning): the `N(N−1)/2` cross products once, doubled, plus the `N`
+    /// diagonal squares, then `N` reduction rounds as in [`Self::cios`] —
+    /// `N(N+1)/2` word products for the square against `N²` in
+    /// [`Self::mont_mul`]. The simulated clock prices a squaring as a
+    /// multiplication; only the host pays less.
     #[inline]
     fn mont_square(a: &BigInt<N>) -> BigInt<N> {
-        Self::mont_mul(a, a)
+        let a = &a.0;
+        // a² as 2N limbs: limb k is w[k / N][k % N].
+        let mut w = [[0u64; N]; 2];
+        for i in 0..N - 1 {
+            let mut carry = 0u64;
+            for j in i + 1..N {
+                let k = i + j;
+                (w[k / N][k % N], carry) = mac(w[k / N][k % N], a[i], a[j], carry);
+            }
+            w[1][i] = carry;
+        }
+        let (mut shifted, mut carry) = (0u64, 0u64);
+        for (i, &ai) in a.iter().enumerate() {
+            let (k0, k1) = (2 * i, 2 * i + 1);
+            let (x0, x1) = (w[k0 / N][k0 % N], w[k1 / N][k1 % N]);
+            let (lo, hi) = mac((x0 << 1) | shifted, ai, ai, carry);
+            w[k0 / N][k0 % N] = lo;
+            (w[k1 / N][k1 % N], carry) = adc((x1 << 1) | (x0 >> 63), hi, 0);
+            shifted = x1 >> 63;
+        }
+        let [mut t, high] = w;
+        let m = &P::MODULUS.0;
+        let mut top = 0u64;
+        for &hi_limb in &high {
+            let k = t[0].wrapping_mul(Self::INV);
+            let (_, mut carry) = mac(t[0], k, m[0], 0);
+            for j in 1..N {
+                (t[j - 1], carry) = mac(t[j], k, m[j], carry);
+            }
+            (t[N - 1], top) = adc(hi_limb, carry, top);
+        }
+        Self::reduce(BigInt(t), top)
     }
 
     /// Verifies derived constants and parameter sanity. Called from tests of
@@ -309,7 +357,7 @@ impl<P: FpParams<N>, const N: usize> Add for Fp<P, N> {
     #[inline]
     fn add(self, rhs: Self) -> Self {
         let (sum, carry) = self.0.const_add(&rhs.0);
-        Self(Self::reduce(sum, carry), PhantomData)
+        Self(Self::sub_if_ge(sum, carry, &P::MODULUS), PhantomData)
     }
 }
 impl<'a, P: FpParams<N>, const N: usize> Add<&'a Fp<P, N>> for Fp<P, N> {
@@ -324,12 +372,7 @@ impl<P: FpParams<N>, const N: usize> Sub for Fp<P, N> {
     #[inline]
     fn sub(self, rhs: Self) -> Self {
         let (diff, borrow) = self.0.const_sub(&rhs.0);
-        if borrow != 0 {
-            let (fixed, _) = diff.const_add(&P::MODULUS);
-            Self(fixed, PhantomData)
-        } else {
-            Self(diff, PhantomData)
-        }
+        Self(diff.const_add(&Self::modulus_if(borrow)).0, PhantomData)
     }
 }
 impl<'a, P: FpParams<N>, const N: usize> Sub<&'a Fp<P, N>> for Fp<P, N> {
@@ -411,7 +454,7 @@ impl<P: FpParams<N>, const N: usize> Field for Fp<P, N> {
     #[inline]
     fn double(&self) -> Self {
         let (d, carry) = self.0.const_double();
-        Self(Self::reduce(d, carry), PhantomData)
+        Self(Self::sub_if_ge(d, carry, &P::MODULUS), PhantomData)
     }
 
     /// Binary extended-Euclid inversion in the Montgomery domain
@@ -505,7 +548,7 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
         }
         let (q, carry) = Self::cios(&y.0, &w.0);
         debug_assert_eq!(carry, 0, "y·w < 4p² keeps the product below 2p");
-        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, &Self::TWO_P), q);
+        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, 0, &Self::TWO_P), q);
     }
 
     #[inline]
@@ -516,14 +559,14 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
             *x += t;
             return;
         }
-        let q = Self::sub_if_ge(y.0, &Self::TWO_P);
-        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, &Self::TWO_P), q);
+        let q = Self::sub_if_ge(y.0, 0, &Self::TWO_P);
+        (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, 0, &Self::TWO_P), q);
     }
 
     #[inline]
     fn reduce_lazy(&mut self) {
         if Self::LAZY {
-            self.0 = Self::sub_if_ge(Self::sub_if_ge(self.0, &Self::TWO_P), &P::MODULUS);
+            self.0 = Self::sub_if_ge(Self::sub_if_ge(self.0, 0, &Self::TWO_P), 0, &P::MODULUS);
         }
     }
 

@@ -1,0 +1,283 @@
+//! Field and tower arithmetic at the edges.
+//!
+//! * `Fp2 = Fp[u]/(u² + 1)` on the BN254, BLS12-381 and T753 base fields:
+//!   `mul`, `square`, `inverse` and `norm` against a schoolbook reference
+//!   built only from base-field `+`, `−`, `*` and `inverse`.
+//! * `square == a * a` on every prime field (the SOS squaring against the
+//!   CIOS product), at 0, 1, p−1, p−2, `R mod p` and seeded values.
+//! * `Add`, `Sub` and `double` where the sum carries or crosses `p` and
+//!   where the difference borrows, against a limb-level reference.
+//! * −1 is a quadratic non-residue mod each curve's base field `q`, which
+//!   is what lets the tower fix `u² = −1`.
+//!
+//! `Full256` is a modulus with no spare bit (2²⁵⁶ − 189), so the carry
+//! above the limbs reaches the masks of `Add`/`double` and the top of the
+//! SOS reduction.
+
+use gzkp_ff::bigint::BigInt;
+use gzkp_ff::ext::{Fp2, Fp2Config};
+use gzkp_ff::fields::{
+    Fq254, Fq254Params, Fq381, Fq381Params, Fq753, Fq753Params, Fr254Params, Fr381Params,
+    Fr753Params,
+};
+use gzkp_ff::{Field, Fp, FpParams, PrimeField};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The largest 256-bit prime, 2²⁵⁶ − 189 (≡ 3 mod 4, 2 a non-residue).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct Full256Params;
+impl FpParams<4> for Full256Params {
+    const MODULUS: BigInt<4> = BigInt([u64::MAX - 188, u64::MAX, u64::MAX, u64::MAX]);
+    const TWO_ADICITY: u32 = 1;
+    const GENERATOR: u64 = 2;
+    const NAME: &'static str = "Full256";
+}
+type Full256 = Fp<Full256Params, 4>;
+
+macro_rules! tower {
+    ($name:ident, $fp:ty) => {
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+        struct $name;
+        impl Fp2Config for $name {
+            type Fp = $fp;
+        }
+    };
+}
+tower!(Bn254Tower, Fq254);
+tower!(Bls381Tower, Fq381);
+tower!(T753Tower, Fq753);
+
+/// `p − d` as limbs.
+fn p_minus<P: FpParams<N>, const N: usize>(d: u64) -> BigInt<N> {
+    P::MODULUS.const_sub(&BigInt::from_u64(d)).0
+}
+
+/// An element from its raw Montgomery limbs.
+fn raw<P: FpParams<N>, const N: usize>(v: BigInt<N>) -> Fp<P, N> {
+    Fp::from_mont_limbs(v.0)
+}
+
+/// `(p−1)/2` as limbs.
+fn half<P: FpParams<N>, const N: usize>() -> BigInt<N> {
+    let mut h = p_minus::<P, N>(1);
+    h.div2();
+    h
+}
+
+/// Edge elements: 0, 1, −1, 2, limbs p−1, p−2, `R mod p`, `R² mod p`, the
+/// two halves whose sum is `p` or `p + 1`, then seeded values.
+fn edges<P: FpParams<N>, const N: usize>(seed: u64, random: usize) -> Vec<Fp<P, N>> {
+    let h = half::<P, N>();
+    let mut v = vec![
+        Fp::<P, N>::zero(),
+        Fp::one(),
+        -Fp::one(),
+        Fp::from_u64(2),
+        raw(p_minus::<P, N>(1)),
+        raw(p_minus::<P, N>(2)),
+        raw(Fp::<P, N>::R),
+        raw(Fp::<P, N>::R2),
+        raw(h),
+        raw(h.const_add(&BigInt::ONE).0),
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    v.extend((0..random).map(|_| Fp::random(&mut rng)));
+    v
+}
+
+/// `(x + y) mod p` on canonical limbs, the carry above the limbs included.
+fn ref_add<P: FpParams<N>, const N: usize>(x: BigInt<N>, y: BigInt<N>) -> BigInt<N> {
+    let (s, carry) = x.const_add(&y);
+    if carry == 1 || s >= P::MODULUS {
+        s.const_sub(&P::MODULUS).0
+    } else {
+        s
+    }
+}
+
+/// `(x − y) mod p` on canonical limbs.
+fn ref_sub<P: FpParams<N>, const N: usize>(x: BigInt<N>, y: BigInt<N>) -> BigInt<N> {
+    let (d, borrow) = x.const_sub(&y);
+    if borrow == 1 {
+        d.const_add(&P::MODULUS).0
+    } else {
+        d
+    }
+}
+
+fn check_add_sub<P: FpParams<N>, const N: usize>(seed: u64) {
+    let p = P::MODULUS;
+    let values = edges::<P, N>(seed, 8);
+    for a in &values {
+        let x = *a.mont_limbs();
+        assert!(x < p, "{}: edge not canonical", P::NAME);
+        assert_eq!(
+            *a.double().mont_limbs(),
+            ref_add::<P, N>(x, x),
+            "{}",
+            P::NAME
+        );
+        // `b` runs over `a` itself too: `a − a` and `a + a`.
+        for b in &values {
+            let y = *b.mont_limbs();
+            assert_eq!(
+                *(*a + *b).mont_limbs(),
+                ref_add::<P, N>(x, y),
+                "{}: add",
+                P::NAME
+            );
+            assert_eq!(
+                *(*a - *b).mont_limbs(),
+                ref_sub::<P, N>(x, y),
+                "{}: sub",
+                P::NAME
+            );
+        }
+    }
+    // The named edges, on raw limbs.
+    let (one, pm1, h) = (BigInt::<N>::ONE, p_minus::<P, N>(1), half::<P, N>());
+    let h1 = h.const_add(&one).0;
+    assert_eq!(
+        raw::<P, N>(h) + raw(h1),
+        Fp::zero(),
+        "{}: a + b = p",
+        P::NAME
+    );
+    assert_eq!(
+        raw::<P, N>(one) + raw(pm1),
+        Fp::zero(),
+        "{}: 1 + (p−1)",
+        P::NAME
+    );
+    let pm2 = p_minus::<P, N>(2);
+    assert_eq!(
+        raw::<P, N>(pm1) + raw(pm1),
+        raw(pm2),
+        "{}: (p−1) + (p−1)",
+        P::NAME
+    );
+    assert_eq!(raw::<P, N>(pm1).double(), raw(pm2), "{}: 2(p−1)", P::NAME);
+    assert_eq!(raw::<P, N>(h1).double(), raw(one), "{}: 2·(p+1)/2", P::NAME);
+    assert_eq!(
+        Fp::<P, N>::zero() - raw(pm1),
+        raw(one),
+        "{}: 0 − (p−1)",
+        P::NAME
+    );
+    assert_eq!(raw::<P, N>(h) - raw(h1), raw(pm1), "{}: h − (h+1)", P::NAME);
+}
+
+fn check_square<P: FpParams<N>, const N: usize>(seed: u64) {
+    for a in edges::<P, N>(seed, 64) {
+        let sq = a.square();
+        assert_eq!(sq, a * a, "{}: square of {:?}", P::NAME, a);
+        assert!(
+            *sq.mont_limbs() < P::MODULUS,
+            "{}: square not canonical",
+            P::NAME
+        );
+    }
+}
+
+#[test]
+fn add_sub_double_at_the_edges() {
+    check_add_sub::<Fr254Params, 4>(1);
+    check_add_sub::<Fq254Params, 4>(2);
+    check_add_sub::<Fr381Params, 4>(3);
+    check_add_sub::<Fq381Params, 6>(4);
+    check_add_sub::<Fr753Params, 12>(5);
+    check_add_sub::<Fq753Params, 12>(6);
+    check_add_sub::<Full256Params, 4>(7);
+}
+
+#[test]
+fn square_matches_mul() {
+    check_square::<Fr254Params, 4>(11);
+    check_square::<Fq254Params, 4>(12);
+    check_square::<Fr381Params, 4>(13);
+    check_square::<Fq381Params, 6>(14);
+    check_square::<Fr753Params, 12>(15);
+    check_square::<Fq753Params, 12>(16);
+    check_square::<Full256Params, 4>(17);
+}
+
+#[test]
+fn full_width_modulus_is_a_field() {
+    Full256::self_check();
+    let mut rng = StdRng::seed_from_u64(18);
+    for _ in 0..32 {
+        let (a, b) = (Full256::random(&mut rng), Full256::random(&mut rng));
+        assert_eq!((a + b) * (a - b), a.square() - b.square());
+        assert_eq!((a + b).square(), a.square() + (a * b).double() + b.square());
+        assert_eq!(a * a.inverse().expect("nonzero"), Full256::one());
+    }
+}
+
+/// Schoolbook `Fp2` product with `u² = −1`: four base multiplications.
+fn ref_mul<C: Fp2Config>(a: &Fp2<C>, b: &Fp2<C>) -> (C::Fp, C::Fp) {
+    (a.c0 * b.c0 - a.c1 * b.c1, a.c0 * b.c1 + a.c1 * b.c0)
+}
+
+fn check_tower<C, P, const N: usize>(seed: u64)
+where
+    P: FpParams<N>,
+    C: Fp2Config<Fp = Fp<P, N>>,
+{
+    let coeffs = edges::<P, N>(seed, 2);
+    let mut values: Vec<Fp2<C>> = Vec::new();
+    for &c0 in &coeffs {
+        for &c1 in &coeffs {
+            values.push(Fp2::new(c0, c1));
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(seed + 100);
+    values.extend((0..16).map(|_| Fp2::random(&mut rng)));
+    for a in &values {
+        let norm = a.c0 * a.c0 + a.c1 * a.c1;
+        assert_eq!(a.norm(), norm, "{}: norm of {a}", P::NAME);
+        let sq = a.square();
+        assert_eq!((sq.c0, sq.c1), ref_mul(a, a), "{}: square of {a}", P::NAME);
+        match a.inverse() {
+            None => assert!(a.is_zero(), "{}: no inverse for {a}", P::NAME),
+            Some(inv) => {
+                let n_inv = norm
+                    .inverse()
+                    .expect("the norm of a nonzero element is nonzero");
+                assert_eq!(
+                    (inv.c0, inv.c1),
+                    (a.c0 * n_inv, -(a.c1 * n_inv)),
+                    "{}",
+                    P::NAME
+                );
+                assert_eq!(ref_mul(a, &inv), (Fp::one(), Fp::zero()), "{}", P::NAME);
+            }
+        }
+        for b in &values {
+            let ab = *a * *b;
+            assert_eq!((ab.c0, ab.c1), ref_mul(a, b), "{}: {a} · {b}", P::NAME);
+        }
+    }
+}
+
+#[test]
+fn fp2_matches_schoolbook_on_every_tower() {
+    check_tower::<Bn254Tower, _, 4>(21);
+    check_tower::<Bls381Tower, _, 6>(22);
+    check_tower::<T753Tower, _, 12>(23);
+}
+
+/// `x^((q−1)/2) = −1` for `x = −1`, i.e. `q ≡ 3 (mod 4)`.
+fn minus_one_is_a_non_residue<P: FpParams<N>, const N: usize>() {
+    let m1 = -Fp::<P, N>::one();
+    assert_eq!(m1.pow(&half::<P, N>().0), m1, "{}: −1 is a square", P::NAME);
+    assert_eq!(P::MODULUS.0[0] & 3, 3, "{}: q ≢ 3 (mod 4)", P::NAME);
+    assert!(m1.sqrt().is_none(), "{}", P::NAME);
+}
+
+#[test]
+fn minus_one_is_a_non_residue_mod_every_curve_q() {
+    minus_one_is_a_non_residue::<Fq254Params, 4>();
+    minus_one_is_a_non_residue::<Fq381Params, 6>();
+    minus_one_is_a_non_residue::<Fq753Params, 12>();
+}

@@ -192,13 +192,6 @@ pub fn pdbl_macs(m: usize) -> f64 {
     7.0 * field_mul_macs(m) + 11.0 * field_add_macs(m)
 }
 
-/// MAC-equivalents of an extension-degree multiplier for G2 points over
-/// `Fq2` (Karatsuba: one Fq2 mul = 3 Fq muls), applied by MSM engines when
-/// pricing G2 curves.
-pub fn fq2_mul_factor() -> f64 {
-    3.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
