@@ -17,7 +17,7 @@
 //! `GZKP_BENCH_FULL=1` scale the job count up.
 
 use gzkp_bench::{speedup, Recorder};
-use gzkp_cluster::{Cluster, ClusterConfig, HostConfig};
+use gzkp_cluster::{Cluster, ClusterConfig};
 use gzkp_gpu_sim::device::v100;
 use gzkp_service::{prepare, run_sequential, JobOptions, PreparedWorkload};
 use gzkp_workloads::requests::{
@@ -47,10 +47,6 @@ fn cluster_workload(count: usize) -> RequestWorkload {
 fn run_cluster(prepared: &Arc<PreparedWorkload>, hosts: usize) -> (f64, Vec<Vec<u8>>) {
     let mut cluster = Cluster::start(ClusterConfig {
         hosts,
-        host: HostConfig {
-            devices: vec![v100()],
-            ..HostConfig::default()
-        },
         pending_capacity: prepared.len().max(256),
         ..ClusterConfig::default()
     });

@@ -6,9 +6,8 @@
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::frontdoor::{AdmissionError, FrontDoor, TenantSpec, TenantStats};
-use gzkp_gpu_sim::device::DeviceConfig;
-use gzkp_gpu_sim::{FaultPlan, FaultSummary};
-use gzkp_runtime::{FleetUtilization, HealthPolicy};
+use gzkp_gpu_sim::FaultSummary;
+use gzkp_runtime::FleetUtilization;
 use gzkp_service::{
     JobError, JobHandle, JobOptions, ProofTask, ProvingService, ServiceConfig, ServiceStats,
 };
@@ -50,29 +49,6 @@ impl HostState {
     }
 }
 
-/// Per-host sizing, shared by every host of the cluster.
-#[derive(Debug, Clone)]
-pub struct HostConfig {
-    /// The host's simulated devices (non-empty): one failure domain of
-    /// the cluster's fleet, one service worker pinned per device.
-    pub devices: Vec<DeviceConfig>,
-    /// Unresolved jobs per host: the cluster releases work from the
-    /// front door only while fewer than this many per live host are open.
-    pub queue_capacity: usize,
-    /// Byte budget of the host's preprocessing-table store.
-    pub prep_cache_bytes: u64,
-}
-
-impl Default for HostConfig {
-    fn default() -> Self {
-        Self {
-            devices: vec![gzkp_gpu_sim::v100()],
-            queue_capacity: 8,
-            prep_cache_bytes: 256 << 20,
-        }
-    }
-}
-
 /// Final accounting of one host, reported by [`ClusterOutcome::hosts`].
 #[derive(Debug, Clone)]
 pub struct HostReport {
@@ -92,43 +68,41 @@ pub struct HostReport {
 /// Cluster configuration.
 #[derive(Clone)]
 pub struct ClusterConfig {
+    /// One host: a [`ServiceConfig`] read as one failure domain
+    /// ([`ProvingService::start_in_domains`]), as a plain service reads
+    /// it. The cluster itself reads `queue_capacity` (work is released
+    /// while fewer jobs than that are open per up host),
+    /// `default_deadline` (resolved at admission), `chaos` (host kills
+    /// rolled once per pump tick per up host, one per run) and `metrics`
+    /// (its own counters, gauges and `host=hN` series go there too;
+    /// [`Cluster::stats`] reads them back).
+    pub service: ServiceConfig,
     /// Hosts started up-front (already warm).
     pub hosts: usize,
-    /// Per-host sizing.
-    pub host: HostConfig,
     /// Front-door tenants (fair-share weights + rate limits).
     pub tenants: Vec<TenantSpec>,
     /// Cluster-wide bound on jobs pending in the front door.
     pub pending_capacity: usize,
     /// Queue-depth autoscaling; `None` keeps the host count fixed.
     pub autoscale: Option<AutoscalePolicy>,
-    /// Chaos, one plan for one injector: the service injects its stage
-    /// faults and dead devices (indices over the whole fleet) as a plain
-    /// service does, and the cluster rolls `rates.host_kill` on that
-    /// injector once per pump tick per up host, one kill per run at most.
-    pub chaos: Option<FaultPlan>,
-    /// The device circuit-breaker policy of the cluster's fleet.
-    pub health: HealthPolicy,
-    /// The registry the cluster and its service count into: one counter
-    /// per [`ClusterStats`] field, the queue/host gauges, the job-latency
-    /// histogram, each host's `host=hN` series and the service's own
-    /// series. [`Cluster::stats`] reads it back. `None` gives the cluster
-    /// a private registry. A registry passed here belongs to this one
-    /// cluster.
-    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Default for ClusterConfig {
+    /// Two hosts of one V100 each, a queue of 8 and a 256 MiB table store
+    /// per host, no default deadline, one `default` tenant.
     fn default() -> Self {
         Self {
+            service: ServiceConfig {
+                queue_capacity: 8,
+                workers: 1,
+                prep_cache_bytes: 256 << 20,
+                default_deadline: None,
+                ..ServiceConfig::default()
+            },
             hosts: 2,
-            host: HostConfig::default(),
             tenants: vec![TenantSpec::new("default", 1.0)],
             pending_capacity: 256,
             autoscale: None,
-            chaos: None,
-            health: HealthPolicy::default(),
-            metrics: None,
         }
     }
 }
@@ -217,44 +191,10 @@ impl ClusterOutcome {
         }
         map
     }
-
-    /// JSON summary (`zkserve --cluster` emits this next to its tables).
-    pub fn report_json(&self) -> String {
-        serde_json::to_string_pretty(&ClusterReportJson {
-            completed: self.stats.completed,
-            failed: self.stats.failed,
-            resumes: self.stats.resumes,
-            host_kills: self.stats.host_kills,
-            leaked_claims: self.leaked_claims as u64,
-            makespan_ms: self.fleet.elapsed_ns / 1e6,
-            completed_by_tenant: self.completed_by_tenant(),
-        })
-        .expect("report serializes")
-    }
-}
-
-/// Serialized form of the cluster summary. The per-tenant map exercises
-/// the vendored serde stub's `BTreeMap` support.
-#[derive(Debug, serde::Serialize, serde::Deserialize, PartialEq)]
-pub struct ClusterReportJson {
-    /// Jobs that produced a proof.
-    pub completed: u64,
-    /// Jobs that failed permanently.
-    pub failed: u64,
-    /// Checkpointed resumes after host kills.
-    pub resumes: u64,
-    /// Host kills that happened.
-    pub host_kills: u64,
-    /// Claims leaked after drain (must be 0).
-    pub leaked_claims: u64,
-    /// Cluster-simulated makespan in milliseconds.
-    pub makespan_ms: f64,
-    /// Completed proofs per tenant.
-    pub completed_by_tenant: BTreeMap<String, u64>,
 }
 
 /// The cluster's one set of handles, in the registry it always holds
-/// (the caller's [`ClusterConfig::metrics`] or a private one): one
+/// (the template's [`ServiceConfig::metrics`] or a private one): one
 /// counter per [`ClusterStats`] field, which [`Cluster::stats`] reads
 /// back.
 struct ClusterMetrics {
@@ -376,33 +316,18 @@ pub struct Cluster {
 
 impl Cluster {
     /// Starts the cluster's service over `max(hosts, autoscale.max_hosts)`
-    /// host-sized failure domains, `cfg.hosts` of them warm immediately
-    /// (warm-up cost applies only to autoscaler additions; the rest take
-    /// no work until started), and opens the front door.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`HostConfig::devices`] is empty.
+    /// failure domains, each one [`ClusterConfig::service`], `cfg.hosts`
+    /// of them warm immediately (warm-up cost applies only to autoscaler
+    /// additions; the rest take no work until started), and opens the
+    /// front door.
     pub fn start(cfg: ClusterConfig) -> Self {
-        assert!(
-            !cfg.host.devices.is_empty(),
-            "a host needs at least one device"
-        );
-        let registry = cfg.metrics.clone().unwrap_or_default();
+        let registry = cfg.service.metrics.clone().unwrap_or_default();
         let started = cfg.hosts.max(1);
         let domains = started.max(cfg.autoscale.map_or(0, |a| a.max_hosts));
         let service = ProvingService::start_in_domains(
             ServiceConfig {
-                queue_capacity: domains * cfg.host.queue_capacity.max(1),
-                prep_cache_bytes: cfg.host.prep_cache_bytes,
-                default_deadline: None,
-                devices: (0..domains)
-                    .flat_map(|_| cfg.host.devices.clone())
-                    .collect(),
-                chaos: cfg.chaos.clone(),
-                health: cfg.health,
                 metrics: Some(registry.clone()),
-                ..ServiceConfig::default()
+                ..cfg.service.clone()
             },
             domains,
         );
@@ -428,10 +353,11 @@ impl Cluster {
 
     /// Submits one job for `tenant`. Runs the full admission pipeline;
     /// on success the job is queued fairly and released to the service
-    /// by a later pump. `opts` are the service's: the deadline is
-    /// measured from admission here (the time spent in the front door
-    /// counts against it, and a job moved off a killed host keeps its
-    /// running deadline), and `trace` records the job's service trace.
+    /// by a later pump. `opts` are the service's: the deadline — the
+    /// job's own or the template's `default_deadline` — is measured from
+    /// admission here (the time spent in the front door counts against
+    /// it, and a job moved off a killed host keeps its running deadline),
+    /// and `trace` records the job's service trace.
     ///
     /// # Errors
     ///
@@ -610,19 +536,24 @@ impl Cluster {
     }
 
     /// Releases admitted jobs from the front door into the service while
-    /// fewer are open than the up hosts hold
-    /// ([`HostConfig::queue_capacity`] each). The service pins each to
-    /// its least-loaded up host, which keeps every host within its
-    /// capacity.
+    /// fewer are open than the up hosts hold (the template's
+    /// `queue_capacity` each). The service pins each to its least-loaded
+    /// up host, which keeps every host within its capacity.
     fn release(&mut self, now: Instant) {
-        let capacity = self.up_hosts() * self.cfg.host.queue_capacity.max(1);
+        let ServiceConfig {
+            queue_capacity,
+            default_deadline,
+            ..
+        } = self.cfg.service;
+        let capacity = self.up_hosts() * queue_capacity.max(1);
         while self.open.len() < capacity {
             let Some((tenant, job)) = self.door.pop() else {
                 break;
             };
             let waited = now.saturating_duration_since(job.admitted_at);
+            let deadline = job.opts.deadline.or(default_deadline);
             let opts = JobOptions {
-                deadline: job.opts.deadline.map(|d| d.saturating_sub(waited)),
+                deadline: deadline.map(|d| d.saturating_sub(waited)),
                 ..job.opts
             };
             match self.service.submit(job.task, opts) {
@@ -839,25 +770,5 @@ mod tests {
         let service = trace(a).as_ref().expect("trace requested");
         assert!(service.find(&["service", "execute"]).is_some());
         assert!(trace(b).is_none());
-    }
-
-    #[test]
-    fn report_json_round_trips_through_vendored_serde() {
-        let mut by_tenant = BTreeMap::new();
-        by_tenant.insert("batch".to_string(), 5u64);
-        by_tenant.insert("zcash".to_string(), 15u64);
-        let report = ClusterReportJson {
-            completed: 20,
-            failed: 1,
-            resumes: 2,
-            host_kills: 1,
-            leaked_claims: 0,
-            makespan_ms: 12.5,
-            completed_by_tenant: by_tenant,
-        };
-        let text = serde_json::to_string_pretty(&report).unwrap();
-        assert!(text.contains("\"zcash\": 15"), "{text}");
-        let back: ClusterReportJson = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, report);
     }
 }

@@ -6,20 +6,21 @@
 //! many hosts, and the interesting problems move up a level: admitting a
 //! multi-tenant request stream fairly, surviving the loss of a whole host
 //! mid-proof, and growing/shrinking the host pool with demand. A
-//! [`Cluster`] is one [`gzkp_service::ProvingService`] whose fleet is
-//! `hosts ×` [`HostConfig::devices`] devices, one failure domain per
-//! host. Each serving decision has one owner: the service owns the
-//! queue, placement, device health, fault injection, retries (a move off
-//! a killed host spends one, as a stage fault does) and counters; the
-//! fleet's domain is the one record of whether a host is dead or takes
-//! work. This crate keeps only the cluster's policy:
+//! [`Cluster`] is one [`gzkp_service::ProvingService`] started from one
+//! [`gzkp_service::ServiceConfig`] ([`ClusterConfig::service`]) read as
+//! one host, one failure domain per host. Each serving decision has one
+//! owner: the service owns the queue, placement, device health, fault
+//! injection, retries (a move off a killed host is not one: it spends
+//! no retry budget) and counters; the fleet's domain is the one record
+//! of whether a host is dead or takes work. This crate keeps only the
+//! cluster's policy:
 //!
 //! * **The front door** ([`FrontDoor`]) — per-tenant token-bucket rate
 //!   limiting in front of weighted-fair queuing, with typed backpressure
 //!   ([`AdmissionError`]) so clients can tell "slow down" from "shed
 //!   load". Work is released to the service while fewer jobs are open
-//!   than the live hosts hold ([`HostConfig::queue_capacity`] each); the
-//!   service pins each to its least-loaded live host.
+//!   than the live hosts hold (the template's `queue_capacity` each);
+//!   the service pins each to its least-loaded live host.
 //! * **Host loss** — chaos (or [`Cluster::kill_host`]) kills a host's
 //!   domain: the cluster rolls the chaos plan's host kills on the
 //!   service's fault injector, which also injects the plan's stage
@@ -96,7 +97,6 @@ pub mod frontdoor;
 
 pub use autoscale::{AutoscalePolicy, Autoscaler};
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterOutcome, ClusterReportJson, ClusterResult, ClusterStats,
-    HostConfig, HostReport, HostState,
+    Cluster, ClusterConfig, ClusterOutcome, ClusterResult, ClusterStats, HostReport, HostState,
 };
 pub use frontdoor::{AdmissionError, FrontDoor, RateLimit, TenantSpec, TenantStats};

@@ -535,7 +535,7 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
 
     const LAZY_BUTTERFLY: bool = Self::LAZY;
 
-    /// Harvey's butterfly when [`Self::LAZY`]: `x ← x − 2p if x ≥ 2p`,
+    /// Harvey's butterfly when [`PrimeField::LAZY_BUTTERFLY`]: `x ← x − 2p if x ≥ 2p`,
     /// `q ← w·y` by the CIOS core alone (`y < 4p`, `w < p` and `4p < R`
     /// give `q < 2p`), then `(x + q, x + 2p − q)`.
     #[inline]

@@ -346,7 +346,7 @@ impl FaultInjector {
         None
     }
 
-    /// [`FaultInjector::roll`] keyed by a propagated [`TraceContext`].
+    /// [`FaultInjector::roll`] keyed by a propagated [`crate::TraceContext`].
     ///
     /// Delegates to `roll` with the context's fields, so the draw
     /// sequence is identical to calling `roll` directly — existing chaos

@@ -26,10 +26,10 @@
 //! * [`circuit`] — PLONK gates plus the R1CS → PLONK lowering (one fused
 //!   gate per single-term constraint) so every existing workload circuit
 //!   runs under both backends.
-//! * [`setup`] — per-circuit preprocessing (selectors, permutation,
+//! * [`setup`](mod@setup) — per-circuit preprocessing (selectors, permutation,
 //!   the Lagrange-basis SRS and the quotient's coset constants).
-//! * [`prove`] — the four-step prover and its portable checkpoint.
-//! * [`verify`] — constant-time verification (two identities, two
+//! * [`prove`](mod@prove) — the four-step prover and its portable checkpoint.
+//! * [`verify`](mod@verify) — constant-time verification (two identities, two
 //!   pairings).
 //! * [`transcript`] — the deterministic Fiat–Shamir transcript.
 

@@ -15,10 +15,10 @@
 //!   MSM stage, back to back — a schedule set by the submission order.
 //!   Proofs overlap across workers, and one proof's MSMs fan out over
 //!   every core on their own;
-//! * **failure domains**: [`ProvingService::start_in_domains`] splits the
-//!   fleet into equal groups of devices (a cluster's hosts), each with its
-//!   own preprocessing store. The pin picks the least-loaded schedulable
-//!   domain first, and the job runs there only;
+//! * **failure domains**: [`ProvingService::start_in_domains`] runs
+//!   several copies of one configured fleet (a cluster's hosts), each
+//!   with its own preprocessing store. The pin picks the least-loaded
+//!   schedulable domain first, and the job runs there only;
 //!   [`ProvingService::kill_domain`] moves the jobs of a lost domain to
 //!   another one. A plain service is one domain;
 //! * **priority classes and per-job deadlines** with cooperative
@@ -181,14 +181,14 @@ impl Default for RetryPolicy {
 /// Proving-service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum jobs waiting in the queue — not yet taken by a worker, or
-    /// parked for a retry; submissions beyond it get
-    /// [`SubmitError::QueueFull`].
+    /// Maximum jobs waiting in the queue per failure domain — not yet
+    /// taken by a worker, or parked for a retry; submissions beyond it
+    /// get [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
     /// Size of the default fleet when [`ServiceConfig::devices`] is
     /// empty: that many V100s, one worker thread each.
     pub workers: usize,
-    /// Byte budget of the shared checkpoint-table store
+    /// Byte budget of each failure domain's checkpoint-table store
     /// ([`gzkp_msm::PreprocessStore`]).
     pub prep_cache_bytes: u64,
     /// Deadline applied to jobs that don't set their own.

@@ -259,23 +259,26 @@ impl ProvingService {
         Self::start_in_domains(cfg, 1)
     }
 
-    /// [`ProvingService::start`] on a fleet split into `domains` failure
-    /// domains of equal size, each one simulated host of a cluster. Each
-    /// domain holds its own table store of
-    /// [`ServiceConfig::prep_cache_bytes`]. A job is pinned to a domain
-    /// and a device inside it when it is submitted ([`FleetRuntime::pin`])
-    /// and runs on that domain's devices only;
-    /// see [`ProvingService::kill_domain`] for what a lost domain does
-    /// to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the fleet does not split into `domains` equal runs.
+    /// [`ProvingService::start`] with `cfg` read as one failure domain —
+    /// one simulated host of a cluster — and `domains` copies of it
+    /// running: each domain gets its own [`ServiceConfig::devices`] (or
+    /// [`ServiceConfig::workers`] V100s) and its own table store of
+    /// [`ServiceConfig::prep_cache_bytes`], and the queue holds `domains ×`
+    /// [`ServiceConfig::queue_capacity`] jobs. For one domain this is
+    /// exactly [`ProvingService::start`]. A job is pinned to a domain and
+    /// a device inside it when it is submitted ([`FleetRuntime::pin`])
+    /// and runs on that domain's devices only; see
+    /// [`ProvingService::kill_domain`] for what a lost domain does to it.
     pub fn start_in_domains(cfg: ServiceConfig, domains: usize) -> Self {
         let registry = cfg.metrics.clone().unwrap_or_default();
-        let devices = match cfg.devices.as_slice() {
+        let host = match cfg.devices.as_slice() {
             [] => vec![gzkp_gpu_sim::v100(); cfg.workers.max(1)],
             listed => listed.to_vec(),
+        };
+        let devices = (0..domains).flat_map(|_| host.clone()).collect();
+        let cfg = ServiceConfig {
+            queue_capacity: domains * cfg.queue_capacity,
+            ..cfg
         };
         let fleet = Arc::new(FleetRuntime::with_domains(
             devices, domains, cfg.health, &registry,

@@ -8,9 +8,7 @@
 //! and the front door's weighted fair queuing and per-tenant rate limits
 //! hold under saturation without starving anyone.
 
-use gzkp_cluster::{
-    AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, HostConfig, TenantSpec,
-};
+use gzkp_cluster::{AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, TenantSpec};
 use gzkp_curves::bn254::{Bn254, Fr};
 use gzkp_gpu_sim::{v100, DeviceConfig, FaultPlan};
 use gzkp_groth16::{
@@ -21,7 +19,10 @@ use gzkp_groth16::{
 use gzkp_msm::{GzkpMsm, PreprocessStore};
 use gzkp_ntt::GzkpNtt;
 use gzkp_runtime::FleetRuntime;
-use gzkp_service::{CheckpointSlot, JobOptions, ProofTask, StageProfile, SystemTask, TaskOutput};
+use gzkp_service::{
+    CheckpointSlot, JobError, JobOptions, ProofTask, RetryPolicy, ServiceConfig, StageProfile,
+    SystemTask, TaskOutput,
+};
 use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
@@ -93,9 +94,9 @@ fn host_kill_mid_proof_loses_no_jobs_and_proofs_are_byte_identical() {
 
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 2,
-        host: HostConfig {
+        service: ServiceConfig {
             queue_capacity: 2,
-            ..HostConfig::default()
+            ..ClusterConfig::default().service
         },
         tenants: vec![TenantSpec::new("zcash", 1.0)],
         ..ClusterConfig::default()
@@ -179,7 +180,10 @@ fn proof_that_beats_a_host_kill_counts_on_its_host() {
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 2,
         tenants: vec![TenantSpec::new("zcash", 1.0)],
-        metrics: Some(registry.clone()),
+        service: ServiceConfig {
+            metrics: Some(registry.clone()),
+            ..ClusterConfig::default().service
+        },
         ..ClusterConfig::default()
     });
     let (task, slot) = persisting(&keyed, 7, true);
@@ -242,9 +246,9 @@ fn weighted_tenants_complete_in_fair_ratio_under_saturation() {
     let keyed = keyed_circuit(64, 5);
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 1,
-        host: HostConfig {
+        service: ServiceConfig {
             queue_capacity: 1,
-            ..HostConfig::default()
+            ..ClusterConfig::default().service
         },
         tenants: vec![TenantSpec::new("heavy", 3.0), TenantSpec::new("light", 1.0)],
         pending_capacity: 128,
@@ -340,38 +344,95 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
 
 /// The cluster's chaos plan is its service's: stage faults fire (and
 /// are retried) inside a cluster run as in a plain one, counted in the
-/// one fault summary, and every proof still verifies byte-identical.
+/// one fault summary, and every proof still verifies byte-identical. So
+/// is its retry budget: at twice the fault rate, where job 0 draws nine
+/// faults and the default budget of 8 loses it, a raised `max_retries`
+/// carries every job through. (At seed 5 and rate 0.2 no budget would:
+/// job 0 draws three injected corruptions before its first clean MSM,
+/// and the verify vote fails it after `VERIFY_VOTE_RUNS` rejects.)
 #[test]
 fn cluster_chaos_injects_stage_faults_and_proofs_survive() {
     let keyed = keyed_circuit(64, 31);
+    let default_budget = RetryPolicy::default().max_retries;
+    for (fault_seed, rate, max_retries) in [(5, 0.1, default_budget), (63, 0.2, 64)] {
+        let mut cluster = Cluster::start(ClusterConfig {
+            hosts: 2,
+            service: ServiceConfig {
+                chaos: Some(FaultPlan::uniform(fault_seed, rate)),
+                retry: RetryPolicy {
+                    max_retries,
+                    ..RetryPolicy::default()
+                },
+                ..ClusterConfig::default().service
+            },
+            ..ClusterConfig::default()
+        });
+        let ids: Vec<u64> = (0..4u64)
+            .map(|seed| {
+                let task = Box::new(persisting(&keyed, seed, true).0);
+                cluster
+                    .submit("default", task, JobOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        let outcome = cluster.drain(Duration::from_secs(120));
+
+        let chaos = outcome.chaos.expect("a fault plan was configured");
+        assert!(
+            chaos.injected() > 0,
+            "seed {fault_seed}: no stage fault fired"
+        );
+        assert_eq!(chaos.host_kill, 0, "no host-kill rate was set");
+        for (seed, id) in ids.iter().enumerate() {
+            let result = outcome.results.iter().find(|r| r.id == *id).unwrap();
+            assert_eq!(
+                result
+                    .outcome
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("seed {fault_seed}: job {id}: {e}")),
+                &direct_proof(&keyed.0, &keyed.1, seed as u64)
+            );
+        }
+        assert_eq!(outcome.leaked_claims, 0);
+    }
+}
+
+/// The template's `default_deadline` counts from admission, as a job's
+/// own deadline does: a job without one, admitted longer ago than the
+/// default allows, misses it; a job with its own generous deadline
+/// admitted at the same instant completes.
+#[test]
+fn default_deadline_counts_from_admission() {
+    let keyed = keyed_circuit(64, 37);
     let mut cluster = Cluster::start(ClusterConfig {
-        hosts: 2,
-        chaos: Some(FaultPlan::uniform(5, 0.1)),
+        hosts: 1,
+        service: ServiceConfig {
+            default_deadline: Some(Duration::from_millis(100)),
+            ..ClusterConfig::default().service
+        },
         ..ClusterConfig::default()
     });
-    let ids: Vec<u64> = (0..4u64)
-        .map(|seed| {
-            let task = Box::new(persisting(&keyed, seed, true).0);
-            cluster
-                .submit("default", task, JobOptions::default())
-                .unwrap()
-        })
-        .collect();
-    let outcome = cluster.drain(Duration::from_secs(120));
+    let admitted = Instant::now() - Duration::from_secs(1);
+    let generous = JobOptions {
+        deadline: Some(Duration::from_secs(60)),
+        ..JobOptions::default()
+    };
+    let late = cluster
+        .submit_at("default", task(&keyed, 1), JobOptions::default(), admitted)
+        .unwrap();
+    let kept = cluster
+        .submit_at("default", task(&keyed, 2), generous, admitted)
+        .unwrap();
+    let outcome = cluster.drain(Duration::from_secs(60));
 
-    let chaos = outcome.chaos.expect("a fault plan was configured");
-    assert!(chaos.injected() > 0, "no stage fault fired: {chaos:?}");
-    assert_eq!(chaos.host_kill, 0, "no host-kill rate was set");
-    for (seed, id) in ids.iter().enumerate() {
-        let result = outcome.results.iter().find(|r| r.id == *id).unwrap();
-        assert_eq!(
-            result
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("job {id}: {e}")),
-            &direct_proof(&keyed.0, &keyed.1, seed as u64)
-        );
-    }
+    let result = |id| &outcome.results.iter().find(|r| r.id == id).unwrap().outcome;
+    assert_eq!(result(late), &Err(JobError::DeadlineMissed.to_string()));
+    assert_eq!(
+        result(kept).as_ref().expect("its own deadline holds"),
+        &direct_proof(&keyed.0, &keyed.1, 2)
+    );
+    assert_eq!(outcome.stats.deadline_missed, 1);
+    assert_eq!((outcome.stats.completed, outcome.stats.failed), (1, 1));
     assert_eq!(outcome.leaked_claims, 0);
 }
 
@@ -423,7 +484,10 @@ fn autoscaler_grows_the_cluster_under_backlog() {
             jobs_per_host: 2.0,
             ..AutoscalePolicy::default()
         }),
-        metrics: Some(registry.clone()),
+        service: ServiceConfig {
+            metrics: Some(registry.clone()),
+            ..ClusterConfig::default().service
+        },
         ..ClusterConfig::default()
     });
     let ids: Vec<u64> = (0..8u64)
@@ -543,9 +607,9 @@ impl ProofTask for UrgentTask {
 fn two_hosts_of_two_v100s() -> Cluster {
     Cluster::start(ClusterConfig {
         hosts: 2,
-        host: HostConfig {
+        service: ServiceConfig {
             devices: vec![v100(); 2],
-            ..HostConfig::default()
+            ..ClusterConfig::default().service
         },
         ..ClusterConfig::default()
     })
@@ -631,7 +695,10 @@ fn a_move_off_a_killed_host_counts_while_the_job_still_runs() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 2,
-        metrics: Some(registry.clone()),
+        service: ServiceConfig {
+            metrics: Some(registry.clone()),
+            ..ClusterConfig::default().service
+        },
         ..ClusterConfig::default()
     });
     let (poly_tx, poly_reached) = channel();

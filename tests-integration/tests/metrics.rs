@@ -422,7 +422,10 @@ fn every_layer_counts_each_event_once_in_its_registry() {
     let cluster = check_layer("cluster", |metrics| {
         let mut cluster = Cluster::start(ClusterConfig {
             hosts: 2,
-            metrics,
+            service: ServiceConfig {
+                metrics,
+                ..ClusterConfig::default().service
+            },
             ..ClusterConfig::default()
         });
         let ids: Vec<u64> = (0..2)

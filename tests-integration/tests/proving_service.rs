@@ -126,7 +126,7 @@ fn one_worker(queue_capacity: usize) -> ServiceConfig {
 fn unschedulable_domain_gets_no_pin_until_it_opens() {
     let service = ProvingService::start_in_domains(
         ServiceConfig {
-            devices: vec![v100(); 2],
+            devices: vec![v100()],
             ..ServiceConfig::default()
         },
         2,
@@ -173,7 +173,7 @@ fn unschedulable_domain_gets_no_pin_until_it_opens() {
 fn moves_off_killed_domains_spend_no_retry_budget() {
     let service = ProvingService::start_in_domains(
         ServiceConfig {
-            devices: vec![v100(); 3],
+            devices: vec![v100()],
             retry: RetryPolicy {
                 max_retries: 1,
                 ..RetryPolicy::default()

@@ -4,7 +4,8 @@
 //! zkserve run <workload.json> [--workers N] [--queue N] [--cache-mb N]
 //!                             [--deadline-ms N] [--compare]
 //!                             [--devices N[,spec]] [--fleet-trace PATH]
-//!                             [--chaos SPEC] [--metrics PATH] [--prom PATH]
+//!                             [--chaos SPEC] [--cluster hosts=N]
+//!                             [--metrics PATH] [--prom PATH]
 //! zkserve top <metrics.json> [--watch SECS]
 //! zkserve example [--mixed]
 //! ```
@@ -60,17 +61,18 @@
 //! format on the same cadence.
 //!
 //! `--cluster hosts=N` replays the workload through the multi-host
-//! cluster layer instead of a plain service: one proving service whose
-//! fleet is N simulated hosts (each a failure domain holding the
-//! `--devices` fleet) behind the fair-share front door, with every job
-//! running as a checkpointing task. `--chaos` applies whole: its stage
-//! faults and dead devices (indices over every host's devices) as in a
-//! plain run, and `hostkill=X` kills hosts — a killed host's jobs move to
-//! a survivor and resume from their persisted checkpoints, and
-//! `--compare` asserts the final proofs are byte-identical to direct
-//! sequential proves anyway. The run prints per-host accounting,
-//! front-door tenant stats, a JSON summary, and the injected-fault counts
-//! with the same recovery line as a plain run;
+//! cluster layer instead of a plain service: one proving service of N
+//! simulated hosts behind the fair-share front door, with every job
+//! running as a checkpointing task. Each host is one failure domain
+//! holding exactly the plain run's service: the same flags (`--workers`
+//! or `--devices`, `--queue`, `--cache-mb`, `--deadline-ms`) apply per
+//! host. `--chaos` applies whole: its stage faults and dead devices
+//! (indices over every host's devices) as in a plain run, and
+//! `hostkill=X` kills hosts — a killed host's jobs move to a survivor and
+//! resume from their persisted checkpoints, and `--compare` asserts the
+//! final proofs are byte-identical to direct sequential proves anyway.
+//! The run prints per-host accounting, front-door tenant stats, and the
+//! injected-fault counts with the same recovery line as a plain run;
 //! `--metrics` and `--prom` export as in a plain run, and the snapshot
 //! gains cluster rows in `zkserve top` and a cluster lost-jobs section in
 //! the SLO report; `--fleet-trace PATH` writes the trace of the
@@ -85,7 +87,7 @@
 //! `example` prints a starter workload file to stdout; `example --mixed`
 //! prints one that interleaves Groth16 and PLONK request classes.
 
-use gzkp_cluster::{Cluster, ClusterConfig, HostConfig, TenantSpec};
+use gzkp_cluster::{Cluster, ClusterConfig};
 use gzkp_gpu_sim::{v100, FaultSummary};
 use gzkp_service::{
     prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome, ServiceConfig,
@@ -102,7 +104,8 @@ fn usage() -> ExitCode {
         "usage:\n  zkserve run <workload.json> [--workers N] [--queue N] [--cache-mb N] \
          [--deadline-ms N] [--compare] [--devices N[,spec]] [--fleet-trace PATH] \
          [--chaos seed[,rate=X][,kernel=X][,transfer=X][,hang=X][,corrupt=X][,hostkill=X][,dead=I+J]] \
-         [--cluster hosts=N] [--metrics PATH] [--prom PATH]\n  \
+         [--cluster hosts=N] [--metrics PATH] [--prom PATH]\n    \
+         (with --cluster, each of the N hosts is the service the other flags start)\n  \
          zkserve top <metrics.json> [--watch SECS]\n  \
          zkserve example [--mixed]"
     );
@@ -273,41 +276,33 @@ fn print_recovery(stats: &ServiceStats) {
     );
 }
 
+/// The `--cluster hosts=N` config, when one was asked for: N hosts, each
+/// exactly the service the same flags start without `--cluster`.
+fn cluster_config(run: &RunArgs, jobs: usize) -> Option<ClusterConfig> {
+    Some(ClusterConfig {
+        service: run.cfg.clone(),
+        hosts: run.cluster_hosts?,
+        pending_capacity: jobs.max(256),
+        ..ClusterConfig::default()
+    })
+}
+
 /// Replays the prepared workload through the multi-host cluster layer
 /// (`--cluster hosts=N`): every request is submitted as a checkpointing
 /// task through the front door, `--chaos` injects its stage faults and
 /// dead devices and kills hosts per `hostkill=X`, and the run reports
-/// per-host accounting plus a JSON summary.
-fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> ExitCode {
-    let jobs = prepared.len();
+/// per-host and per-tenant accounting.
+fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, mut cfg: ClusterConfig) -> ExitCode {
+    let (jobs, hosts, device) = (prepared.len(), cfg.hosts, v100());
     // Chaos implies verify-before-return, matching single-host `run`.
     let verify = run.cfg.chaos.is_some();
     let export = start_export(run);
-    let devices = if run.cfg.devices.is_empty() {
-        vec![v100()]
-    } else {
-        run.cfg.devices.clone()
-    };
-    let task_device = devices[0].clone();
-    let mut cluster = Cluster::start(ClusterConfig {
-        hosts,
-        host: HostConfig {
-            devices,
-            queue_capacity: run.cfg.queue_capacity.max(1),
-            prep_cache_bytes: run.cfg.prep_cache_bytes,
-        },
-        tenants: vec![TenantSpec::new("default", 1.0)],
-        pending_capacity: jobs.max(256),
-        chaos: run.cfg.chaos.clone(),
-        metrics: export.as_ref().map(|(registry, _)| registry.clone()),
-        ..ClusterConfig::default()
-    });
+    cfg.service.metrics = export.as_ref().map(|(registry, _)| registry.clone());
+    let mut cluster = Cluster::start(cfg);
     let mut ids = Vec::with_capacity(jobs);
     for i in 0..jobs {
-        let mut opts = prepared.request_options(i);
-        opts.deadline = opts.deadline.or(run.cfg.default_deadline);
-        let task = prepared.checkpoint_task(i, &task_device, verify);
-        match cluster.submit("default", task, opts) {
+        let task = prepared.checkpoint_task(i, &device, verify);
+        match cluster.submit("default", task, prepared.request_options(i)) {
             Ok(id) => ids.push(id),
             Err(e) => {
                 eprintln!("zkserve: request {i} rejected: {e}");
@@ -344,13 +339,14 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
             if h.killed { "  [killed]" } else { "" },
         );
     }
+    let completed = outcome.completed_by_tenant();
     for (tenant, ts) in &outcome.tenants {
+        let done = completed.get(tenant).copied().unwrap_or(0);
         println!(
-            "{:>10}: {tenant}  admitted {}  rate-limited {}  released {}",
+            "{:>10}: {tenant}  admitted {}  rate-limited {}  released {}  completed {done}",
             "tenant", ts.admitted, ts.rate_limited, ts.released,
         );
     }
-    println!("{}", outcome.report_json());
     if let Some(chaos) = &outcome.chaos {
         print_chaos(chaos);
         print_recovery(&outcome.service);
@@ -363,7 +359,6 @@ fn run_cluster(run: &RunArgs, prepared: &PreparedWorkload, hosts: usize) -> Exit
     }
 
     if run.compare {
-        let device = v100();
         for (i, &id) in ids.iter().enumerate() {
             let direct = prepared.prove_direct(i, &device);
             let result = outcome
@@ -512,8 +507,8 @@ fn main() -> ExitCode {
             );
             let prepared = prepare(&workload);
 
-            if let Some(hosts) = run.cluster_hosts {
-                return run_cluster(&run, &prepared, hosts);
+            if let Some(cfg) = cluster_config(&run, prepared.len()) {
+                return run_cluster(&run, &prepared, cfg);
             }
 
             let baseline = run.compare.then(|| {
@@ -622,6 +617,32 @@ mod tests {
         );
         let run = parse_run_args(&s(&["w.json"])).unwrap();
         assert!(run.cluster_hosts.is_none());
+        assert!(cluster_config(&run, 4).is_none());
+
+        // Each host is the service the same flags start without --cluster.
+        let args = [
+            "w.json",
+            "--cluster",
+            "hosts=3",
+            "--workers",
+            "2",
+            "--queue",
+            "5",
+            "--cache-mb",
+            "7",
+            "--deadline-ms",
+            "900",
+        ];
+        let run = parse_run_args(&s(&args)).unwrap();
+        let cfg = cluster_config(&run, 4).expect("--cluster was given");
+        assert_eq!(cfg.hosts, 3);
+        let host = &cfg.service;
+        assert_eq!(host.workers, 2, "--workers applies per host");
+        assert_eq!(host.queue_capacity, 5);
+        assert_eq!(host.prep_cache_bytes, 7 << 20);
+        assert_eq!(host.default_deadline, Some(Duration::from_millis(900)));
+        assert!(host.devices.is_empty(), "no --devices: `workers` V100s");
+        assert_eq!(cfg.pending_capacity, 256);
     }
 
     #[test]
