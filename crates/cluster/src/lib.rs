@@ -11,7 +11,7 @@
 //! one host, one failure domain per host. Each serving decision has one
 //! owner: the service owns the queue, placement, device health, fault
 //! injection, retries (a move off a killed host is not one: it spends
-//! no retry budget) and counters; the fleet's domain is the one record
+//! no retry budget and counts as a resume, not a retry) and counters; the fleet's domain is the one record
 //! of whether a host is dead or takes work. This crate keeps only the
 //! cluster's policy:
 //!

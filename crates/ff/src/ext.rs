@@ -209,6 +209,31 @@ impl<C: Fp2Config> Field for Fp2<C> {
         norm.inverse()
             .map(|ninv| Self::new(self.c0 * ninv, -(self.c1 * ninv)))
     }
+    /// Montgomery's trick over the base-field norms: `v⁻¹ = v̄ · N(v)⁻¹`,
+    /// so the prefix products and the one inversion are base-field
+    /// operations — two squarings and five base products per entry
+    /// against the nine of three `Fp2` products. A non-zero `v` has a
+    /// non-zero norm (−1 is a non-residue). Slot `j` of `prod` holds the
+    /// `j`-th inverted entry's norm and the product of the norms before
+    /// it.
+    fn batch_invert(values: &mut [Self], prod: &mut Vec<Self>) -> usize {
+        prod.clear();
+        let mut acc = C::Fp::one();
+        for v in values.iter().filter(|v| !v.is_zero()) {
+            let norm = v.norm();
+            prod.push(Self::new(acc, norm));
+            acc *= norm;
+        }
+        let inverted = prod.len();
+        let mut inv = acc.inverse().expect("a product of non-zero norms");
+        for v in values.iter_mut().rev().filter(|v| !v.is_zero()) {
+            let slot = prod.pop().expect("one slot per non-zero entry");
+            let ninv = inv * slot.c0;
+            inv *= slot.c1;
+            *v = Self::new(v.c0 * ninv, -(v.c1 * ninv));
+        }
+        inverted
+    }
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self::new(C::Fp::random(rng), C::Fp::random(rng))
     }

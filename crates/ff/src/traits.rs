@@ -94,6 +94,16 @@ pub trait Field:
     fn base_limbs() -> usize {
         Self::characteristic().len()
     }
+
+    /// The batched inversion behind [`batch_inverse_scratch`]: inverts
+    /// every non-zero entry of `values` in place, leaves zeros untouched
+    /// and returns how many entries it inverted. The default is
+    /// Montgomery's trick in this field ([`montgomery_batch_inverse`]); a
+    /// tower with a cheaper route overrides it (`Fp2` batches its
+    /// base-field norms). `prod` is scratch, left empty.
+    fn batch_invert(values: &mut [Self], prod: &mut Vec<Self>) -> usize {
+        montgomery_batch_inverse(values, prod)
+    }
 }
 
 /// A prime field `F_p`, with the extra structure the NTT/MSM/Groth16 stack
@@ -204,11 +214,18 @@ pub fn batch_inverse_count<F: Field>(values: &mut [F]) -> usize {
     batch_inverse_scratch(values, &mut Vec::with_capacity(values.len()))
 }
 
-/// [`batch_inverse_count`] with a caller-owned prefix-product buffer, so
-/// a loop of batched inversions (the MSM's in-place bucket reducer runs
-/// one per round) allocates nothing. `prod` is cleared first and left
-/// empty.
+/// [`batch_inverse_count`] with a caller-owned scratch buffer, so a loop
+/// of batched inversions (the MSM's in-place bucket reducer runs one per
+/// round) allocates nothing. `prod` is cleared first and left empty. The
+/// work is the field's own [`Field::batch_invert`].
 pub fn batch_inverse_scratch<F: Field>(values: &mut [F], prod: &mut Vec<F>) -> usize {
+    F::batch_invert(values, prod)
+}
+
+/// Montgomery's trick: the prefix products of the non-zero entries, one
+/// field inversion of their product, and `3(n − 1)` multiplications back.
+/// The default [`Field::batch_invert`]; `prod` holds the prefix products.
+pub fn montgomery_batch_inverse<F: Field>(values: &mut [F], prod: &mut Vec<F>) -> usize {
     // Prefix products of the non-zero entries.
     prod.clear();
     let mut acc = F::one();

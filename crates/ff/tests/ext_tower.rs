@@ -2,7 +2,9 @@
 //!
 //! * `Fp2 = Fp[u]/(u² + 1)` on the BN254, BLS12-381 and T753 base fields:
 //!   `mul`, `square`, `inverse` and `norm` against a schoolbook reference
-//!   built only from base-field `+`, `−`, `*` and `inverse`.
+//!   built only from base-field `+`, `−`, `*` and `inverse`, and the
+//!   batched inversion through the norm against Montgomery's trick in
+//!   `Fp2`.
 //! * `square == a * a` on every prime field (the SOS squaring against the
 //!   CIOS product), at 0, 1, p−1, p−2, `R mod p` and seeded values.
 //! * `Add`, `Sub` and `double` where the sum carries or crosses `p` and
@@ -265,6 +267,41 @@ fn fp2_matches_schoolbook_on_every_tower() {
     check_tower::<Bn254Tower, _, 4>(21);
     check_tower::<Bls381Tower, _, 6>(22);
     check_tower::<T753Tower, _, 12>(23);
+}
+
+/// `Fp2`'s batched inversion through the norm against Montgomery's trick
+/// in `Fp2` itself: the same inverses, the same count, zeros left in
+/// place — with zeros at both ends, in runs and alone, and on the empty
+/// and the all-zero batch.
+fn check_batch_inverse<C: Fp2Config>(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let zero = Fp2::<C>::zero();
+    let mut mixed: Vec<Fp2<C>> = (0..40).map(|_| Fp2::random(&mut rng)).collect();
+    for i in [0, 1, 2, 17, 39] {
+        mixed[i] = zero;
+    }
+    // Zero in one coefficient only is not a zero entry.
+    mixed[5].c0 = C::Fp::zero();
+    mixed[6].c1 = C::Fp::zero();
+    for values in [mixed, Vec::new(), vec![zero; 3], vec![Fp2::one()]] {
+        let (mut by_norm, mut generic) = (values.clone(), values.clone());
+        let mut prod = Vec::new();
+        let count = gzkp_ff::batch_inverse_scratch(&mut by_norm, &mut prod);
+        assert!(prod.is_empty());
+        let expect = gzkp_ff::traits::montgomery_batch_inverse(&mut generic, &mut prod);
+        assert_eq!((count, &by_norm), (expect, &generic));
+        assert_eq!(count, values.iter().filter(|v| !v.is_zero()).count());
+        for (v, inv) in values.iter().zip(&by_norm) {
+            assert_eq!(*inv, v.inverse().unwrap_or(zero));
+        }
+    }
+}
+
+#[test]
+fn fp2_batch_inverse_through_the_norm_matches_the_generic_path() {
+    check_batch_inverse::<Bn254Tower>(24);
+    check_batch_inverse::<Bls381Tower>(25);
+    check_batch_inverse::<T753Tower>(26);
 }
 
 /// `x^((q−1)/2) = −1` for `x = −1`, i.e. `q ≡ 3 (mod 4)`.

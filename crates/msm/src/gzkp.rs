@@ -34,7 +34,8 @@
 //! multiplication by β per bucket). The recoded shape has its own
 //! cheapest window, so the host folds at [`host_window_size`] (12 against
 //! the simulated 9 on a 2¹² key) and stores its levels compactly
-//! ([`Tables`]: `x`, `y` and an identity bit). The paper did not recode,
+//! ([`Tables`]: `x` and `y` of the non-identity points only, one position
+//! index for all levels). The paper did not recode,
 //! so everything that prices — `plan`, `plan_dense`, `plan_preprocess`,
 //! `memory_bytes`, `bucket_loads`, the telemetry counts and a
 //! [`ShardTask`]'s loads, ranges and kernels — stays Algorithm 1 as
@@ -167,7 +168,8 @@ impl GzkpMsm {
 
     /// Computes the checkpoint tables: level `c` holds `2^{c·M·k} · Pᵢ`,
     /// one level per `M` windows of `C`'s recoded scalars, in the
-    /// compact form of [`Tables`].
+    /// compact form of [`Tables`]. Only the non-identity points are
+    /// doubled: an unused key column is the identity at every level.
     ///
     /// This corresponds to the paper's setup-time preprocessing (the point
     /// vector is fixed per application); its cost is reported separately by
@@ -176,7 +178,7 @@ impl GzkpMsm {
     pub fn preprocess<C: CurveParams>(&self, points: &[Affine<C>], k: u32, m: u32) -> Tables<C> {
         let levels = Self::levels(recoded_windows::<C>(k), m);
         let mut tables = Tables::new(points);
-        let mut next = points.to_vec();
+        let mut next: Vec<Affine<C>> = points.iter().filter(|p| !p.infinity).copied().collect();
         for _ in 1..levels {
             // Across cores: a proof's MSMs run one after the other, so a
             // cold key's tables are built one vector at a time.
@@ -732,16 +734,45 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
     }
 }
 
-/// Entry budget of one bucket task. A range of `e` entries is cut into
-/// `⌈e / TASK_ENTRIES⌉` equal-load tasks, rounded up to a multiple of four
-/// so the count divides evenly over two or four workers (a ninth task
-/// would leave one of two cores idle for a whole task). A task's CSR
-/// gather buffer holds its entries — at most this many unless a hot
-/// bucket exceeds it, a bucket is never split — which keeps the buffers
-/// the size of the one-window buffers the window-major fold used, and is
-/// large enough that a task's `⌈log₂(max bucket load)⌉` inversions
-/// amortize over thousands of additions.
-const TASK_ENTRIES: u64 = 24576;
+/// Scratch budget of one fold worker, in bytes: what one bucket task may
+/// gather. A task's scratch is its CSR gather buffer — one [`Affine`] per
+/// point it gathers: each bucket's two carried sums and its entries — and
+/// the reducer's `dens` and `prods`, one base-field element per pair
+/// each, so a point costs `size_of::<Affine<C>>() + size_of::<C::Base>()`
+/// bytes: 640 KiB is 6 301 points on BN254 G1, 3 276 on G2 and 4 311 on
+/// BLS12-381 G1. Every task fits unless it is a single bucket that does
+/// not (a bucket is never split), and a task still amortizes its
+/// `⌈log₂(max bucket load)⌉` inversions over thousands of additions.
+const TASK_SCRATCH_BYTES: usize = 640 << 10;
+
+/// The points one bucket task may gather on `C` within
+/// [`TASK_SCRATCH_BYTES`].
+fn task_points<C: CurveParams>() -> u64 {
+    let point = std::mem::size_of::<Affine<C>>() + std::mem::size_of::<C::Base>();
+    (TASK_SCRATCH_BYTES / point) as u64
+}
+
+/// Cuts a run of buckets, `sizes[b]` entries each, into bucket tasks of
+/// at most `cap` gathered points (each bucket's two carried sums and its
+/// entries), unless a task is one bucket that is larger. The cut is
+/// [`GzkpMsm::balanced_ranges`] into the fewest tasks — a multiple of
+/// four, from `⌈points / cap⌉` up, so the count divides evenly over two
+/// or four workers — whose ranges all fit: a pure function of the load
+/// profile, never of the thread count. The search ends: once every bucket
+/// carries at least `total / tasks` points, every bucket is a task.
+fn bucket_tasks(sizes: &[u64], cap: u64) -> Vec<(usize, usize)> {
+    let points: Vec<u64> = sizes.iter().map(|&e| e + 2).collect();
+    let total: u64 = points.iter().sum();
+    let fits = |&(a, b): &(usize, usize)| b - a == 1 || points[a..b].iter().sum::<u64>() <= cap;
+    let mut tasks = total.div_ceil(cap).next_multiple_of(4) as usize;
+    loop {
+        let cut = GzkpMsm::balanced_ranges(&points, tasks);
+        if cut.iter().all(fits) {
+            return cut;
+        }
+        tasks += 4;
+    }
+}
 
 /// What one worker of the fold owns: the buffers its bucket tasks reuse —
 /// the CSR gather buffer, its segment offsets, the reducer's scratch —
@@ -755,8 +786,8 @@ struct TaskScratch<C: CurveParams> {
 
 /// Doubles every point `times` times in place, shares of the vector
 /// across cores. The points stay affine: each step of a share inverts its
-/// tangent denominators `2y` together, and identity entries (unused key
-/// columns) need none.
+/// tangent denominators `2y` together. The callers pass no identity: the
+/// tables store none.
 fn double_each<C: CurveParams>(points: &mut [Affine<C>], times: u32) {
     rayon::for_each(points.chunks_mut(rayon::share_len(points.len())), |share| {
         let mut dens = Vec::with_capacity(share.len());
@@ -887,12 +918,13 @@ impl<C: CurveParams> ShardTask<C> {
     /// [`GzkpMsm::msm_sharded`] and the cross-device engine. An empty
     /// host range gives the identity.
     ///
-    /// The range is cut into bucket tasks of about `TASK_ENTRIES`
-    /// entries each — boundaries are a pure function of the load profile,
-    /// never of the thread count — and the tasks of a pass are the items
-    /// of one fan-out. A task gathers the `p_index` entries of its buckets
-    /// into one CSR buffer — each entry's stored point, negated if the
-    /// entry says so — reduces every segment in place
+    /// The range is cut into bucket tasks whose scratch fits
+    /// `TASK_SCRATCH_BYTES` (`bucket_tasks`) — boundaries are a pure
+    /// function of the load profile, never of the thread count — each
+    /// worker's buffers are sized by the largest task, and the tasks of a
+    /// pass are the items of one fan-out. A task gathers the `p_index`
+    /// entries of its buckets into one CSR buffer — each entry's stored
+    /// point, negated if the entry says so — reduces every segment in place
     /// ([`reduce_segments`]), adds to each bucket's `s₁` sum φ of its `s₂`
     /// sum and finishes with its own [`bucket_reduce_range`]; the task
     /// sums are merged in range order.
@@ -912,10 +944,7 @@ impl<C: CurveParams> ShardTask<C> {
         let (k, m) = (self.host_k, self.m as usize);
         let p_index = scalars.p_index::<C>(k);
         let glv = C::glv();
-        let loads = &p_index.bucket_sizes()[lo..hi];
-        let entries: u64 = loads.iter().sum();
-        let tasks = entries.div_ceil(TASK_ENTRIES).next_multiple_of(4);
-        let tasks = GzkpMsm::balanced_ranges(loads, tasks as usize);
+        let tasks = bucket_tasks(&p_index.bucket_sizes()[lo..hi], task_points::<C>());
         let streamed: Vec<usize> = (0..p_index.windows()).filter(|t| t % m != 0).collect();
 
         // Two sums per bucket: its s₁ segment and its s₂ segment.
@@ -950,20 +979,20 @@ impl<C: CurveParams> ShardTask<C> {
                     weights.clear();
                     // The tables may serve a longer vector this MSM
                     // reads a prefix of.
-                    weights.extend(self.pre.level(t / m).take(self.n));
+                    weights.extend(self.pre.stored(t / m, self.n));
                 }
                 double_each(&mut weights, k);
             }
             // The entry's summand `±P` (φ waits for the segment's sum), if
             // its window is read in this pass; identity sources (unused key
-            // columns) add nothing.
+            // columns) are stored nowhere and add nothing.
             let summand = |e: Entry| {
                 let p = match window {
                     None if e.window.is_multiple_of(m) => self.pre.point(e.window / m, e.point),
                     None => None,
-                    Some(w) => (e.window == w).then(|| weights[e.point]),
-                }
-                .filter(|p| !p.infinity)?;
+                    Some(w) if e.window == w => self.pre.slot(e.point).map(|s| weights[s]),
+                    Some(_) => None,
+                }?;
                 Some(if e.neg { p.neg() } else { p })
             };
             let last = pass == streamed.len();
@@ -1115,6 +1144,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bucket_tasks_fit_the_scratch_budget() {
+        // Every task's gather — each of its buckets' two carried sums and
+        // entries — fits the cap unless the task is one bucket that does
+        // not; the tasks cover the run in order.
+        let check = |sizes: &[u64], cap: u64| {
+            let tasks = bucket_tasks(sizes, cap);
+            assert_eq!((tasks[0].0, tasks.last().unwrap().1), (0, sizes.len()));
+            assert!(tasks.windows(2).all(|w| w[0].1 == w[1].0));
+            for &(a, b) in &tasks {
+                let points: u64 = sizes[a..b].iter().map(|e| e + 2).sum();
+                assert!(
+                    a < b && (points <= cap || b - a == 1),
+                    "{a}..{b}: {points} > {cap}"
+                );
+            }
+            tasks
+        };
+        // The recoded profiles of a dense and a 0/1-heavy vector at the
+        // BN254 G1 and G2 budgets and at a tight one: a multiple of four.
+        let n = 1 << 12;
+        let mut rng = StdRng::seed_from_u64(52);
+        let dense: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        let sparse: Vec<Fr> = (0..n)
+            .map(|i| match i % 3 {
+                2 => Fr::random(&mut rng),
+                _ => Fr::from_u64((i % 2) as u64),
+            })
+            .collect();
+        let caps = [
+            task_points::<G1Config>(),
+            task_points::<gzkp_curves::bn254::G2Config>(),
+            900,
+        ];
+        assert_eq!(caps[..2], [6301, 3276]);
+        for scalars in [dense, sparse] {
+            let sizes = ScalarVec::from_field(&scalars)
+                .p_index::<G1Config>(12)
+                .bucket_sizes();
+            for cap in caps {
+                let tasks = check(&sizes, cap);
+                let points: u64 = sizes.iter().map(|e| e + 2).sum();
+                assert!(tasks.len() as u64 >= points.div_ceil(cap));
+                assert_eq!(tasks.len() % 4, 0, "cap {cap}");
+            }
+        }
+        // A bucket just under the cap behind a run of small ones, which
+        // the first equal-load cuts put in one task with it, and a bucket
+        // over the cap, which is a task of its own.
+        let hot_last: Vec<u64> = [0; 40].into_iter().chain([90]).collect();
+        let points: Vec<u64> = hot_last.iter().map(|e| e + 2).collect();
+        // At four tasks the last one gathers 19 · 2 + 92 = 130 points.
+        assert_eq!(GzkpMsm::balanced_ranges(&points, 4).last(), Some(&(22, 41)));
+        check(&hot_last, 100);
+        assert_eq!(check(&[5, 300, 5, 5], 100)[1], (1, 2));
     }
 
     /// The counters an MSM's telemetry emits.

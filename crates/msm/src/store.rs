@@ -7,7 +7,9 @@
 //! doublings per point — are built once and reused by every later MSM
 //! over the same vector: the paper's setup/execution split. Entries are
 //! keyed by the point vector and table shape, charged the bytes of their
-//! compact entries ([`Tables`]), and
+//! compact entries ([`Tables`]: `x` and `y` of every non-identity point
+//! at every level; an unused key column is one bit of the position index
+//! and costs no entry), and
 //! evicted least-recently-used once the byte budget is exceeded; hits,
 //! misses and evictions are counted per store. A proving service, which
 //! juggles many `(curve, proving-key)` pairs at once, owns a store sized
@@ -22,8 +24,9 @@
 //! coefficients than the SRS holds — is served by the longer entry, so
 //! one SRS keeps one table set; a request longer than the stored entry
 //! misses, and its tables replace the shorter ones. Every hit is checked
-//! against content: the requested points are compared with the stored
-//! level 0's prefix — O(n), tens of µs per MSM, against
+//! against content: the requested points and their identity pattern are
+//! compared with the stored level 0's prefix — O(n), tens of µs per MSM,
+//! against
 //! `(levels − 1)·M·k` doublings per point for a rebuild — and a vector
 //! mutated in place, or freed and reallocated at the same address, is a
 //! miss that replaces the entry. A content digest carried on the key
@@ -85,45 +88,92 @@ impl PreKey {
     }
 }
 
-/// Checkpoint tables in compact form: level `c` holds `2^{c·M·k}·Pᵢ` as
-/// its `x` and `y` coordinates only, and which of its points are the
-/// identity (unused key columns) is one bit per point beside them. A
-/// BN254 G1 entry is 64 bytes, not the 72 of an [`Affine`].
+/// Checkpoint tables in compact form, holding only what the fold reads:
+/// level `c` stores `2^{c·M·k}·Pᵢ` of every *non-identity* `Pᵢ`, as its
+/// `x` and `y` coordinates, in position order. Unused key columns (the
+/// identity) are stored at no level: `2^j·P` is the identity only if `P`
+/// is — the groups here have odd order — so one presence bit per
+/// position, with the count of points before each 64-bit word, maps a
+/// position to its slot at every level. A BN254 G1 entry is 64 bytes, not
+/// the 72 of an [`Affine`], and an identity costs one bit, not a 64-byte
+/// entry per level.
 #[derive(Debug)]
 pub struct Tables<C: CurveParams> {
     levels: Vec<Vec<[C::Base; 2]>>,
-    /// Level `c`'s identity bits, 64 points per word.
-    identity: Vec<Vec<u64>>,
+    /// Which positions hold a point, 64 per word.
+    present: Vec<u64>,
+    /// Points at positions before each word of `present`.
+    before: Vec<u32>,
+    /// Positions covered, identities included.
+    len: usize,
 }
 
 impl<C: CurveParams> Tables<C> {
     /// Tables whose level 0 is `points`.
     pub(crate) fn new(points: &[Affine<C>]) -> Self {
-        let mut tables = Self {
-            levels: Vec::new(),
-            identity: Vec::new(),
-        };
-        tables.push(points);
-        tables
+        let mut present = vec![0u64; points.len().div_ceil(64)];
+        for (i, p) in points.iter().enumerate() {
+            present[i / 64] |= u64::from(!p.infinity) << (i % 64);
+        }
+        let mut count = 0u32;
+        let before = present
+            .iter()
+            .map(|word| {
+                let at = count;
+                count += word.count_ones();
+                at
+            })
+            .collect();
+        let level = points.iter().filter(|p| !p.infinity).map(|p| [p.x, p.y]);
+        Self {
+            levels: vec![level.collect()],
+            present,
+            before,
+            len: points.len(),
+        }
     }
 
-    /// Appends the next level.
+    /// Appends the next level: one point per stored point of level 0, in
+    /// slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the level is not as long as level 0, or holds the
+    /// identity (a multiple `2^j·P` of a point `P ≠ O` in a group of odd
+    /// order never is).
     pub(crate) fn push(&mut self, level: &[Affine<C>]) {
-        let mut identity = vec![0u64; level.len().div_ceil(64)];
-        for (i, p) in level.iter().enumerate() {
-            identity[i / 64] |= u64::from(p.infinity) << (i % 64);
-        }
-        self.identity.push(identity);
+        assert_eq!(level.len(), self.levels[0].len(), "one point per slot");
+        assert!(
+            level.iter().all(|p| !p.infinity),
+            "a doubled point of an odd-order group is never the identity"
+        );
         self.levels.push(level.iter().map(|p| [p.x, p.y]).collect());
     }
 
-    fn is_identity(&self, c: usize, i: usize) -> bool {
-        self.identity[c][i / 64] >> (i % 64) & 1 == 1
+    /// Whether position `i` holds a point, not the identity.
+    fn present(&self, i: usize) -> bool {
+        self.present[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of points per level.
-    fn len(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
+    /// Points at positions `0..i`, i.e. the slot of position `i` if it
+    /// holds one (`i ≤` the vector's length).
+    fn rank(&self, i: usize) -> usize {
+        let (word, bit) = (i / 64, i % 64);
+        self.before.get(word).map_or(self.levels[0].len(), |&at| {
+            at as usize + (self.present[word] & ((1u64 << bit) - 1)).count_ones() as usize
+        })
+    }
+
+    /// The slot position `i` is stored at — its index in
+    /// [`Self::stored`] — `None` for an identity.
+    #[inline]
+    pub(crate) fn slot(&self, i: usize) -> Option<usize> {
+        self.present(i).then(|| self.rank(i))
+    }
+
+    fn affine(&self, c: usize, slot: usize) -> Affine<C> {
+        let [x, y] = self.levels[c][slot];
+        Affine::new_unchecked(x, y)
     }
 
     /// Number of stored levels (level 0 is the input itself).
@@ -134,31 +184,44 @@ impl<C: CurveParams> Tables<C> {
     /// Point `i` of level `c`, `None` for the identity.
     #[inline]
     pub fn point(&self, c: usize, i: usize) -> Option<Affine<C>> {
-        let [x, y] = self.levels[c][i];
-        (!self.is_identity(c, i)).then(|| Affine::new_unchecked(x, y))
+        self.slot(i).map(|slot| self.affine(c, slot))
+    }
+
+    /// Level `c`'s stored points at positions `0..n`, in position order
+    /// and without the identities: what the fold's streamed weight vector
+    /// starts from, indexed by [`Self::slot`].
+    pub(crate) fn stored(&self, c: usize, n: usize) -> impl Iterator<Item = Affine<C>> + '_ {
+        (0..self.rank(n)).map(move |slot| self.affine(c, slot))
     }
 
     /// Level `c` as affine points, identities included.
     pub fn level(&self, c: usize) -> impl Iterator<Item = Affine<C>> + '_ {
-        (0..self.len()).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
+        (0..self.len).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
     }
 
-    /// Bytes of the stored entries, what the store charges:
-    /// `Σ level length × size_of` of an entry (the identity bits beside
-    /// them, 1/512 of that on BN254 G1, are not charged).
+    /// Bytes of the stored entries, what the store charges: levels ×
+    /// non-identity points × `size_of` of an entry. The position index
+    /// beside them — 12 bytes per 64 positions, 1.2 KiB for a 6 447-point
+    /// vector — is not charged.
     pub fn bytes(&self) -> u64 {
         let entry = std::mem::size_of::<[C::Base; 2]>();
-        self.levels.iter().map(|l| (l.len() * entry) as u64).sum()
+        (self.levels.len() * self.levels[0].len() * entry) as u64
     }
 
     /// Whether level 0 starts with `points`, identities included: the
-    /// content check of every store hit, on the requested prefix.
+    /// content check of every store hit, on the requested prefix. Every
+    /// requested position must be an identity exactly where the stored
+    /// vector's is, and every other one must equal its stored point.
     pub fn holds(&self, points: &[Affine<C>]) -> bool {
-        points.len() <= self.len()
-            && points.iter().enumerate().all(|(i, p)| {
-                p.infinity == self.is_identity(0, i)
-                    && (p.infinity || self.levels[0][i] == [p.x, p.y])
-            })
+        let mut slots = self.levels[0].iter();
+        points.len() <= self.len
+            && points
+                .iter()
+                .enumerate()
+                .all(|(i, p)| match (self.present(i), p.infinity) {
+                    (true, false) => slots.next() == Some(&[p.x, p.y]),
+                    (present, identity) => !present && identity,
+                })
     }
 }
 
@@ -420,7 +483,10 @@ mod tests {
                 tables_for(&pts)
             });
             assert!(rebuilt && got.holds(&pts), "point {i} changed");
-            assert_eq!((store.len(), store.bytes_used()), (1, 8 * 64));
+            // The identity is stored at no level.
+            let points = pts.iter().filter(|p| !p.infinity).count() as u64;
+            assert_eq!(points, if i == 6 { 7 } else { 8 });
+            assert_eq!((store.len(), store.bytes_used()), (1, points * 64));
         }
         store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
         assert_eq!((store.hits(), store.misses(), store.evictions()), (1, 3, 0));
@@ -518,7 +584,7 @@ mod tests {
     fn the_store_charges_the_entries_it_holds() {
         // x and y only: 64 / 128 / 96 bytes per BN254 G1 / BN254 G2 /
         // BLS12-381 G1 point and level, against the 72 / 136 / 104 of an
-        // `Affine`.
+        // `Affine`, and nothing for the identity.
         fn check<C: CurveParams>(entry: usize) {
             let mut rng = StdRng::seed_from_u64(8);
             let mut pts = random_points::<C, _>(40, &mut rng);
@@ -532,8 +598,9 @@ mod tests {
             assert_eq!(std::mem::size_of::<[C::Base; 2]>(), entry, "{}", C::NAME);
             assert!(std::mem::size_of::<Affine<C>>() > entry, "{}", C::NAME);
             let held: usize = (0..tables.levels())
-                .map(|c| tables.level(c).count() * entry)
+                .map(|c| tables.level(c).filter(|p| !p.infinity).count() * entry)
                 .sum();
+            assert_eq!(held, tables.levels() * 39 * entry, "{}", C::NAME);
             assert_eq!(store.bytes_used(), held as u64, "{}", C::NAME);
             assert_eq!(tables.bytes(), held as u64, "{}", C::NAME);
         }

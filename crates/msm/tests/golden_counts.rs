@@ -27,8 +27,22 @@ fn counts<C: CurveParams>(n: usize, seed: u64, sparse: bool) -> Golden
 where
     C::Base: CoordField,
 {
+    counts_unused::<C>(n, seed, sparse, 0)
+}
+
+/// [`counts`] over a key vector whose columns `i` with `i % 8 < unused`
+/// are unused — the identity, as in a Groth16 `a_query` or `b_g2`.
+fn counts_unused<C: CurveParams>(n: usize, seed: u64, sparse: bool, unused: usize) -> Golden
+where
+    C::Base: CoordField,
+{
     let mut rng = StdRng::seed_from_u64(seed);
-    let points = random_points::<C, _>(n, &mut rng);
+    let mut points = random_points::<C, _>(n, &mut rng);
+    for (i, p) in points.iter_mut().enumerate() {
+        if i % 8 < unused {
+            *p = gzkp_curves::Affine::identity();
+        }
+    }
     let scalars: Vec<C::Scalar> = (0..n)
         .map(|i| match i % 3 {
             0 | 1 if sparse => C::Scalar::from_u64((i % 2) as u64),
@@ -89,6 +103,19 @@ fn bls12_381_g1_fold_counts() {
         (8, 2542, 22, 393216),
         "0/1-heavy"
     );
+}
+
+#[test]
+fn groth16_like_key_with_unused_columns() {
+    // Three in eight columns unused (a 2¹² key's `a_query` leaves 2 349 of
+    // 6 447): the tables charge the five stored points per eight at each
+    // level, 64 / 128 bytes per G1 / G2 point — 13 and 16 levels.
+    let g1 = counts_unused::<bn254::G1Config>(512, 87, true, 3);
+    assert_eq!(g1.3, 13 * 320 * 64);
+    assert_eq!(g1, (10, 1936, 18, 266240), "G1");
+    let g2 = counts_unused::<bn254::G2Config>(256, 88, true, 3);
+    assert_eq!(g2.3, 16 * 160 * 128);
+    assert_eq!(g2, (8, 1495, 20, 327680), "G2");
 }
 
 #[test]

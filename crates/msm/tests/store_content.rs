@@ -2,7 +2,8 @@
 //! vector's tables by its address, and serves a prefix of a stored vector
 //! from the longer entry, so a key vector mutated in place — at any index
 //! — still finds its old entry; the hit must notice that level 0 no longer
-//! holds the requested points, rebuild, and give the MSM of the new points.
+//! holds the requested points or their identity pattern, rebuild, and give
+//! the MSM of the new points.
 
 use gzkp_curves::bn254::{Fr, G1Config};
 use gzkp_curves::{compress, random_points};
@@ -126,4 +127,28 @@ fn a_prefix_of_another_shape_misses() {
         oracle_of(&points[..117], &scalars[..117])
     );
     assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 2));
+}
+
+#[test]
+fn a_vector_whose_identity_pattern_moved_misses() {
+    // The tables store only the non-identity points, in order. Moving an
+    // unused column one place — `[P, O]` becomes `[O, P]` at the same
+    // address — leaves that stored list the same; the hit must still
+    // compare the identity pattern, rebuild, and give the new MSM.
+    let (mut points, scalars) = prefix_fixture(76, 120);
+    points[40] = gzkp_curves::Affine::identity();
+    let (engine, store) = pinned(6);
+    engine.msm(&points, &ScalarVec::from_field(&scalars));
+    let bytes = store.bytes_used();
+    points.swap(39, 40);
+    let got = engine.msm(&points, &ScalarVec::from_field(&scalars));
+    assert_eq!(
+        compress(&got.result.to_affine()),
+        oracle_of(&points, &scalars),
+        "the MSM after the move must read the new pattern"
+    );
+    assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 1));
+    assert_eq!(store.bytes_used(), bytes, "the same points are stored");
+    engine.msm(&points, &ScalarVec::from_field(&scalars));
+    assert_eq!((store.hits(), store.misses()), (1, 2));
 }

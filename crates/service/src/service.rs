@@ -50,7 +50,8 @@ struct Job {
     /// spent of its retry budget: a killed domain stays dead, so moves
     /// are bounded by the domain count already.
     moves: u32,
-    /// Stage re-executions performed for this job.
+    /// Stage re-executions performed for this job after an injected
+    /// fault or a verify reject; a move is none.
     retries: u32,
     /// Injected faults this job absorbed.
     faults: u32,
@@ -187,7 +188,8 @@ pub struct ServiceStats {
     /// Jobs whose stage errored or panicked (including jobs that
     /// exhausted their retry budget).
     pub failed: u64,
-    /// Stage re-executions performed recovering from faults.
+    /// Stage re-runs after an injected fault or a verify reject. A move
+    /// off a killed domain is not one.
     pub retries: u64,
     /// Faults the chaos injector fired (dead-device hits not included).
     pub faults_injected: u64,
@@ -678,8 +680,8 @@ fn roll_fault(
 /// reject): updates device health, parks the job for an exponential
 /// backoff, and requeues it. A job whose POLY artifacts survived
 /// (`poly_done`) re-runs only its MSM stage; any other restarts from
-/// POLY. A job whose domain was killed instead moves, without backoff or
-/// a device-health mark, to another schedulable domain
+/// POLY. A job whose domain was killed instead moves, without backoff, a
+/// device-health mark or a retry count, to another schedulable domain
 /// ([`FleetRuntime::pin`]), where its task is rebound
 /// ([`ProofTask::bind_domain`]). Jobs that exhausted the retry budget
 /// resolve as [`JobError::Failed`].
@@ -712,12 +714,6 @@ fn retry_or_fail_locked(inner: &Inner, q: &mut Queue, mut job: Job, reason: &str
             ))),
         );
     }
-    job.retries += 1;
-    inner.metrics.retries.inc();
-    if let Some(rec) = &job.recorder {
-        rec.span_start(names::SPAN_RETRY);
-        rec.span_end(names::SPAN_RETRY);
-    }
     if moving {
         let Some(pin) = fleet.pin(Avoid::Domain(job.domain())) else {
             let reason = format!("{reason}: no live domain to move to");
@@ -730,6 +726,14 @@ fn retry_or_fail_locked(inner: &Inner, q: &mut Queue, mut job: Job, reason: &str
             return resolve_locked(inner, q, job, Err(JobError::Failed(e)));
         }
     } else {
+        // Only a stage re-run in a live domain is a retry; a move is
+        // counted where the cluster sees it, as a resume.
+        job.retries += 1;
+        inner.metrics.retries.inc();
+        if let Some(rec) = &job.recorder {
+            rec.span_start(names::SPAN_RETRY);
+            rec.span_end(names::SPAN_RETRY);
+        }
         let policy = &inner.cfg.retry;
         let exp = job.retries.saturating_sub(1).min(16);
         let delay = policy

@@ -415,6 +415,8 @@ fn every_layer_counts_each_event_once_in_its_registry() {
 
     // A two-host cluster with one host killed right after dispatch: the
     // interrupted job fails on the dead host and resumes on the other.
+    // The kill is the run's only fault, so the move is one resume and no
+    // retry.
     let mut rng = StdRng::seed_from_u64(23);
     let cs = Arc::new(synthetic_circuit::<Fr, _>(64, &mut rng));
     let (pk, vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
@@ -448,11 +450,34 @@ fn every_layer_counts_each_event_once_in_its_registry() {
             .job_host(ids[0])
             .expect("dispatched on the first pump");
         cluster.kill_host(host);
-        cluster_rows(&cluster.drain(Duration::from_secs(120)))
+        let outcome = cluster.drain(Duration::from_secs(120));
+        let mut rows = cluster_rows(&outcome);
+        let s = &outcome.service;
+        rows.push(row(
+            "service.retries",
+            s.retries,
+            names::SERVICE_RETRIES,
+            true,
+        ));
+        rows.push(row(
+            "service.faults_injected",
+            s.faults_injected,
+            names::FAULT_INJECTED,
+            true,
+        ));
+        rows
     });
     assert_eq!(cluster["completed"], 2);
     assert_eq!(cluster["resumes"], 1);
     assert_eq!(cluster["h0.failed"] + cluster["h1.failed"], 1);
+    assert_eq!(
+        (
+            cluster["service.retries"],
+            cluster["service.faults_injected"]
+        ),
+        (0, 0),
+        "a move is a resume, not a retry"
+    );
 }
 
 #[test]
