@@ -169,11 +169,6 @@ pub fn cpu_ntt_ms(log_n: u32, limbs: usize) -> f64 {
     fixed_ms + macs / thr / 1e6
 }
 
-/// Simulated host↔device transfer time for `bytes` on one card, in ms.
-pub fn h2d_ms(dev: &DeviceConfig, bytes: u64) -> f64 {
-    bytes as f64 / dev.interconnect_bytes_per_ns / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -209,67 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn wnaf_matches_double_and_add() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let g = G1Projective::generator();
-        for w in [2u32, 4, 5, 8] {
-            let s = Fr::random(&mut rng);
-            assert_eq!(g.mul_wnaf(&s, w), g.mul(&s), "w={w}");
-        }
-        // Edge scalars.
-        assert!(g.mul_wnaf(&Fr::zero(), 4).is_identity());
-        assert_eq!(g.mul_wnaf(&Fr::one(), 4), g);
-    }
-
-    #[test]
-    fn wnaf_digits_reconstruct() {
-        // Sum of d_i * 2^i over the wNAF digits equals the scalar.
-        let mut rng = StdRng::seed_from_u64(18);
-        let s = Fr::random(&mut rng);
-        let limbs = gzkp_ff::PrimeField::to_limbs(&s);
-        let naf = crate::group::wnaf_digits(&limbs, 5);
-        // Reconstruct via i128 chunks over a wide accumulator.
-        let mut acc = vec![0u64; limbs.len() + 1];
-        for &d in naf.iter().rev() {
-            // acc = acc*2 + d
-            let mut carry = 0u64;
-            for limb in acc.iter_mut() {
-                let next = *limb >> 63;
-                *limb = (*limb << 1) | carry;
-                carry = next;
-            }
-            if d >= 0 {
-                let mut c = d as u64;
-                for limb in acc.iter_mut() {
-                    let (r, o) = limb.overflowing_add(c);
-                    *limb = r;
-                    c = u64::from(o);
-                    if c == 0 {
-                        break;
-                    }
-                }
-            } else {
-                let mut b = (-d) as u64;
-                for limb in acc.iter_mut() {
-                    let (r, o) = limb.overflowing_sub(b);
-                    *limb = r;
-                    b = u64::from(o);
-                    if b == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        assert_eq!(&acc[..limbs.len()], &limbs[..]);
-        assert_eq!(acc[limbs.len()], 0);
-        // Non-adjacency: no two nonzero digits within w positions.
-        for win in naf.windows(5) {
-            let nz = win.iter().filter(|&&d| d != 0).count();
-            assert!(nz <= 1, "NAF property violated");
-        }
-    }
-
-    #[test]
     fn mixed_add_matches_full_add() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = G1Projective::generator();

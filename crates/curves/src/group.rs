@@ -352,41 +352,6 @@ impl<C: CurveParams> Projective<C> {
         self.mul_limbs(&[scalar])
     }
 
-    /// Scalar multiplication with a width-`w` signed sliding window (wNAF):
-    /// precomputes the odd multiples `{1, 3, …, 2^{w-1}−1}·P` and uses
-    /// signed digits, cutting additions by ~2× over plain double-and-add.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= w <= 8`.
-    pub fn mul_wnaf(&self, scalar: &C::Scalar, w: u32) -> Self {
-        assert!((2..=8).contains(&w), "window width out of range");
-        let limbs = scalar.to_limbs();
-        let naf = wnaf_digits(&limbs, w);
-        // Odd multiples table: table[i] = (2i+1)·P.
-        let two_p = self.double();
-        let mut table = Vec::with_capacity(1 << (w - 2));
-        let mut cur = *self;
-        for _ in 0..(1usize << (w - 2)) {
-            table.push(cur);
-            cur = cur.add(&two_p);
-        }
-        let mut acc = Self::identity();
-        for &d in naf.iter().rev() {
-            acc = acc.double();
-            match d.cmp(&0) {
-                core::cmp::Ordering::Greater => {
-                    acc = acc.add(&table[(d as usize - 1) / 2]);
-                }
-                core::cmp::Ordering::Less => {
-                    acc = acc.add(&table[((-d) as usize - 1) / 2].neg());
-                }
-                core::cmp::Ordering::Equal => {}
-            }
-        }
-        acc
-    }
-
     /// Converts to affine coordinates (one field inversion).
     pub fn to_affine(&self) -> Affine<C> {
         if self.is_identity() {
@@ -517,58 +482,6 @@ pub fn affine_add_with_inverse<C: CurveParams>(
     let x3 = lambda.square() - p.x - q.x;
     let y3 = lambda * (p.x - x3) - p.y;
     Affine::new_unchecked(x3, y3)
-}
-
-/// Computes the width-`w` non-adjacent form of a little-endian limb
-/// scalar: digits in `(−2^{w−1}, 2^{w−1})`, all odd or zero, no two
-/// adjacent non-zeros within `w` positions.
-pub fn wnaf_digits(limbs: &[u64], w: u32) -> Vec<i64> {
-    let mut k = limbs.to_vec();
-    let mut out = Vec::with_capacity(64 * limbs.len() + 1);
-    let window = 1i64 << w;
-    let half = 1i64 << (w - 1);
-    let is_zero = |v: &[u64]| v.iter().all(|&l| l == 0);
-    while !is_zero(&k) {
-        if k[0] & 1 == 1 {
-            let mut d = (k[0] & ((window - 1) as u64)) as i64;
-            if d >= half {
-                d -= window;
-            }
-            out.push(d);
-            // k -= d
-            if d > 0 {
-                let mut borrow = d as u64;
-                for limb in k.iter_mut() {
-                    let (r, b) = limb.overflowing_sub(borrow);
-                    *limb = r;
-                    borrow = u64::from(b);
-                    if borrow == 0 {
-                        break;
-                    }
-                }
-            } else {
-                let mut carry = (-d) as u64;
-                for limb in k.iter_mut() {
-                    let (r, c) = limb.overflowing_add(carry);
-                    *limb = r;
-                    carry = u64::from(c);
-                    if carry == 0 {
-                        break;
-                    }
-                }
-            }
-        } else {
-            out.push(0);
-        }
-        // k >>= 1
-        let mut top = 0u64;
-        for limb in k.iter_mut().rev() {
-            let next = *limb & 1;
-            *limb = (*limb >> 1) | (top << 63);
-            top = next;
-        }
-    }
-    out
 }
 
 /// Generates `n` pseudo-random curve points cheaply: a random-scalar base

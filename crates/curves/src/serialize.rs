@@ -148,16 +148,6 @@ where
     Affine::new(x, y)
 }
 
-/// Serialized size of a compressed Groth16 proof on this curve pair:
-/// two G1 points plus one G2 point.
-pub fn proof_encoded_len<G1: CurveParams, G2: CurveParams>() -> usize
-where
-    G1::Base: CoordField,
-    G2::Base: CoordField,
-{
-    2 * (1 + G1::Base::encoded_len()) + (1 + G2::Base::encoded_len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,13 +214,19 @@ mod tests {
 
     #[test]
     fn groth16_proof_fits_in_1kb() {
-        // The §2.1 succinctness property, as a compile-time-ish fact.
-        assert!(proof_encoded_len::<bn254::G1Config, bn254::G2Config>() < 1024);
-        assert!(proof_encoded_len::<bls12_381::G1Config, bls12_381::G2Config>() < 1024);
-        assert_eq!(
-            proof_encoded_len::<bn254::G1Config, bn254::G2Config>(),
-            2 * 33 + 65
-        );
+        // The §2.1 succinctness property: two compressed G1 points and one
+        // compressed G2 point.
+        fn proof_len<G1: CurveParams, G2: CurveParams>() -> usize
+        where
+            G1::Base: CoordField,
+            G2::Base: CoordField,
+        {
+            2 * compress(&Affine::<G1>::generator()).len()
+                + compress(&Affine::<G2>::generator()).len()
+        }
+        assert!(proof_len::<bn254::G1Config, bn254::G2Config>() < 1024);
+        assert!(proof_len::<bls12_381::G1Config, bls12_381::G2Config>() < 1024);
+        assert_eq!(proof_len::<bn254::G1Config, bn254::G2Config>(), 2 * 33 + 65);
     }
 
     #[test]

@@ -64,8 +64,6 @@ proptest! {
         let b = bn254::Fr::random(&mut rng);
         let g = Projective::<bn254::G1Config>::generator();
         prop_assert_eq!(g.mul(&(a * b)), g.mul(&a).mul(&b));
-        // wNAF agrees too.
-        prop_assert_eq!(g.mul_wnaf(&a, 5), g.mul(&a));
     }
 
     #[test]

@@ -185,13 +185,6 @@ impl<const N: usize> BigInt<N> {
         }
     }
 
-    /// Multiplies by two in place, returning the shifted-out top bit.
-    pub fn mul2(&mut self) -> u64 {
-        let (r, c) = self.const_double();
-        *self = r;
-        c
-    }
-
     /// Returns the bit at position `i` (little-endian bit order).
     pub const fn bit(&self, i: usize) -> bool {
         if i >= 64 * N {
@@ -210,48 +203,6 @@ impl<const N: usize> BigInt<N> {
             }
         }
         0
-    }
-
-    /// Extracts `count` bits starting at bit offset `start` as a `u64`.
-    /// `count` must be at most 64. Bits past the top are zero.
-    ///
-    /// This is the window extraction used by Pippenger-style MSM.
-    pub fn bits_at(&self, start: usize, count: usize) -> u64 {
-        debug_assert!(count <= 64);
-        if start >= 64 * N || count == 0 {
-            return 0;
-        }
-        let limb = start / 64;
-        let shift = start % 64;
-        let mut v = self.0[limb] >> shift;
-        if shift != 0 && limb + 1 < N {
-            v |= self.0[limb + 1] << (64 - shift);
-        }
-        if count < 64 {
-            v &= (1u64 << count) - 1;
-        }
-        v
-    }
-
-    /// Little-endian bytes of the integer.
-    pub fn to_bytes_le(&self) -> Vec<u8> {
-        self.0.iter().flat_map(|l| l.to_le_bytes()).collect()
-    }
-
-    /// Parses from little-endian bytes, ignoring missing high bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is longer than `8 * N`.
-    pub fn from_bytes_le(bytes: &[u8]) -> Self {
-        assert!(bytes.len() <= 8 * N, "too many bytes for BigInt<{N}>");
-        let mut limbs = [0u64; N];
-        for (i, chunk) in bytes.chunks(8).enumerate() {
-            let mut b = [0u8; 8];
-            b[..chunk.len()].copy_from_slice(chunk);
-            limbs[i] = u64::from_le_bytes(b);
-        }
-        Self(limbs)
     }
 
     /// Parses a hexadecimal string (optionally `0x`-prefixed, big-endian
@@ -342,11 +293,6 @@ impl<const N: usize> BigInt<N> {
         lo.copy_from_slice(&t[..N]);
         hi.copy_from_slice(&t[N..]);
         (Self(lo), Self(hi))
-    }
-
-    /// Interprets the limbs as a dynamic-width integer (see [`crate::dynmont`]).
-    pub fn to_dyn(&self) -> Vec<u64> {
-        self.0.to_vec()
     }
 }
 
@@ -461,20 +407,12 @@ mod tests {
     }
 
     #[test]
-    fn bits_at_window_extraction() {
-        let a = B4::from_hex("0xabcdef0123456789abcdef0123456789");
-        assert_eq!(a.bits_at(0, 4), 0x9);
-        assert_eq!(a.bits_at(4, 8), 0x78);
-        // Window crossing a limb boundary.
-        assert_eq!(a.bits_at(60, 8), ((a.0[1] << 4) | (a.0[0] >> 60)) & 0xff);
-    }
-
-    #[test]
     fn double_and_div2() {
         let mut a = B4::from_hex("0x8000000000000000000000000000000000000001");
         let orig = a;
-        let top = a.mul2();
+        let (doubled, top) = a.const_double();
         assert_eq!(top, 0);
+        a = doubled;
         a.div2();
         assert_eq!(a, orig);
     }
@@ -486,13 +424,6 @@ mod tests {
         // (2^64-1)^2 = 2^128 - 2^65 + 1
         assert_eq!(lo.0, [1, u64::MAX - 1, 0, 0]);
         assert!(hi.is_zero());
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let a = B4::from_hex("0x123456789abcdef0fedcba9876543210");
-        let b = B4::from_bytes_le(&a.to_bytes_le());
-        assert_eq!(a, b);
     }
 
     #[test]

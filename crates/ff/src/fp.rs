@@ -105,19 +105,6 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     /// The one element (Montgomery form of 1).
     pub const ONE: Self = Self(Self::R, PhantomData);
 
-    /// Constructs from a raw Montgomery-form representation.
-    ///
-    /// Intended for constants and serialization internals; prefer
-    /// [`Field::from_u64`] / [`PrimeField::from_limbs`] elsewhere.
-    pub const fn from_mont_limbs(limbs: [u64; N]) -> Self {
-        Self(BigInt(limbs), PhantomData)
-    }
-
-    /// The raw Montgomery representation.
-    pub const fn mont_limbs(&self) -> &BigInt<N> {
-        &self.0
-    }
-
     /// Montgomery multiplication: computes `a * b * R^{-1} mod p` as the
     /// CIOS core plus one conditional subtraction of `p`.
     #[inline]

@@ -143,35 +143,6 @@ impl<F: PrimeField> DensePolynomial<F> {
         (Self::new(quot), Self::new(rem))
     }
 
-    /// Exact division by the vanishing polynomial `x^n − 1`, exploiting
-    /// its sparse structure (O(len) instead of O(len·n)).
-    ///
-    /// Returns `None` if the division is not exact — which is precisely
-    /// the Groth16 soundness condition: `A·B − C` divides by `Z` iff the
-    /// witness satisfies every constraint.
-    pub fn divide_by_vanishing(&self, n: usize) -> Option<Self> {
-        if self.is_zero() {
-            return Some(Self::zero());
-        }
-        if self.coeffs.len() <= n {
-            return None; // degree < n and nonzero: not divisible
-        }
-        // For x^n − 1: q[i] = a[i+n] + q[i+n] working from the top.
-        let qlen = self.coeffs.len() - n;
-        let mut q = vec![F::zero(); qlen];
-        for i in (0..qlen).rev() {
-            q[i] = self.coeffs[i + n] + if i + n < qlen { q[i + n] } else { F::zero() };
-        }
-        // Remainder check: r[i] = a[i] + q[i] must vanish for i < n.
-        for (i, &ci) in self.coeffs.iter().enumerate().take(n) {
-            let qi = if i < qlen { q[i] } else { F::zero() };
-            if ci + qi != F::zero() {
-                return None;
-            }
-        }
-        Some(Self::new(q))
-    }
-
     /// Lagrange interpolation through `(x_i, y_i)` pairs with distinct
     /// `x_i`. O(n²); test/setup scale only.
     ///
@@ -302,12 +273,15 @@ mod tests {
         let n = 8;
         let q = random_poly(5, 7);
         let prod = &q * &P::vanishing(n);
-        let q2 = prod.divide_by_vanishing(n).expect("exact");
+        let (q2, r) = prod.div_rem(&P::vanishing(n));
         assert_eq!(q2, q);
+        assert!(r.is_zero());
     }
 
     #[test]
     fn vanishing_division_detects_nonexact() {
+        // The Groth16 soundness condition: `A·B − C` divides by `Z` iff
+        // the witness satisfies every constraint.
         let n = 8;
         let q = random_poly(5, 8);
         let mut prod = &q * &P::vanishing(n);
@@ -315,22 +289,7 @@ mod tests {
         let mut coeffs = prod.coeffs().to_vec();
         coeffs[2] += Fr254::one();
         prod = P::new(coeffs);
-        assert!(prod.divide_by_vanishing(n).is_none());
-    }
-
-    #[test]
-    fn vanishing_matches_long_division() {
-        let n = 4;
-        let a = random_poly(11, 9);
-        let z = P::vanishing(n);
-        let (q, r) = a.div_rem(&z);
-        match a.divide_by_vanishing(n) {
-            Some(q2) => {
-                assert!(r.is_zero());
-                assert_eq!(q2, q);
-            }
-            None => assert!(!r.is_zero()),
-        }
+        assert!(!prod.div_rem(&P::vanishing(n)).1.is_zero());
     }
 
     #[test]

@@ -158,16 +158,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn window_extraction_consistent(a in arb_bigint4(), k in 1usize..17, t in 0usize..40) {
-        // bits_at must match a shift-and-mask reference via dynmont.
-        let start = t * k;
-        let got = a.bits_at(start, k);
-        let shifted = dynmont::shr(&a.0, start as u32);
-        let expect = shifted.first().copied().unwrap_or(0) & ((1u64 << k) - 1);
-        prop_assert_eq!(got, expect);
-    }
 }
 
 proptest! {

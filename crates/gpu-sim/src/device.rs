@@ -177,21 +177,6 @@ pub fn field_add_macs(m: usize) -> f64 {
     m as f64 * 0.35
 }
 
-/// MAC-equivalents of a Jacobian point addition (PADD): 11M + 5S.
-pub fn padd_macs(m: usize) -> f64 {
-    16.0 * field_mul_macs(m) + 7.0 * field_add_macs(m)
-}
-
-/// MAC-equivalents of a mixed (Jacobian+affine) addition: 7M + 4S.
-pub fn padd_mixed_macs(m: usize) -> f64 {
-    11.0 * field_mul_macs(m) + 7.0 * field_add_macs(m)
-}
-
-/// MAC-equivalents of a Jacobian doubling: 2M + 5S.
-pub fn pdbl_macs(m: usize) -> f64 {
-    7.0 * field_mul_macs(m) + 11.0 * field_add_macs(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,8 +195,6 @@ mod tests {
     fn cost_tables_monotone() {
         assert!(field_mul_macs(12) > field_mul_macs(6));
         assert!(field_mul_macs(6) > field_mul_macs(4));
-        assert!(padd_macs(4) > padd_mixed_macs(4));
-        assert!(padd_mixed_macs(4) > pdbl_macs(4) * 0.5);
     }
 
     #[test]

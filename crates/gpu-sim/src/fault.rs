@@ -286,9 +286,10 @@ impl FaultInjector {
 
     /// Uniform draw in `[0, 1)` for one `(job, stage, attempt, kind)`
     /// decision — device-independent, so the fault sequence survives
-    /// placement races.
+    /// placement races. The seed is hashed on its own before the job id
+    /// goes in, so no two `(seed, job)` pairs share a stream.
     fn unit(&self, job: u64, stage: &str, attempt: u32, kind: FaultKind) -> f64 {
-        let mut h = self.plan.seed;
+        let mut h = splitmix64(self.plan.seed);
         for word in [job, fnv1a(stage), u64::from(attempt), kind.index()] {
             h = splitmix64(h ^ word);
         }
@@ -344,20 +345,6 @@ impl FaultInjector {
             }
         }
         None
-    }
-
-    /// [`FaultInjector::roll`] keyed by a propagated [`crate::TraceContext`].
-    ///
-    /// Delegates to `roll` with the context's fields, so the draw
-    /// sequence is identical to calling `roll` directly — existing chaos
-    /// seeds keep producing the same fault logs.
-    pub fn roll_ctx(
-        &self,
-        ctx: &crate::context::TraceContext,
-        attempt: u32,
-        corruptible: bool,
-    ) -> Option<FaultKind> {
-        self.roll(ctx.device, ctx.job, ctx.stage, attempt, corruptible)
     }
 
     /// Decides whether the cluster kills `host` at scheduler tick
@@ -454,6 +441,36 @@ mod tests {
     }
 
     #[test]
+    fn neighbouring_seeds_draw_different_streams() {
+        // Seeds 4–7 over jobs 0–3: were the seed to enter the first hash
+        // as `seed ^ job`, each seed would replay the same four job
+        // streams under permuted job ids, and the logs read without the
+        // job ids would be equal.
+        let log = |seed: u64| {
+            let inj = FaultInjector::new(FaultPlan::uniform(seed, 0.2));
+            for job in 0..4u64 {
+                for attempt in 0..8 {
+                    inj.roll(None, job, "poly", attempt, false);
+                    inj.roll(None, job, "msm", attempt, true);
+                }
+            }
+            let mut log: Vec<_> = inj
+                .events()
+                .into_iter()
+                .map(|e| (e.stage, e.attempt, e.kind))
+                .collect();
+            log.sort();
+            log
+        };
+        let logs: Vec<_> = (4..8).map(log).collect();
+        for (i, a) in logs.iter().enumerate() {
+            for b in &logs[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
     fn rate_zero_never_fires_rate_one_always_fires() {
         let never = FaultInjector::new(FaultPlan::uniform(7, 0.0));
         let always = FaultInjector::new(FaultPlan::uniform(7, 1.0));
@@ -523,23 +540,6 @@ mod tests {
             assert_eq!(inj.roll(Some(1), job, "msm", 0, false), None);
         }
         assert!(dev0_fired > 0, "scale 1.0 must keep firing");
-    }
-
-    #[test]
-    fn roll_ctx_matches_roll() {
-        use crate::context::TraceContext;
-        let a = FaultInjector::new(FaultPlan::uniform(42, 0.3));
-        let b = FaultInjector::new(FaultPlan::uniform(42, 0.3));
-        for job in 0..30u64 {
-            for stage in ["poly", "msm"] {
-                let ctx = TraceContext::new(job, stage).on_device(Some(0));
-                assert_eq!(
-                    a.roll_ctx(&ctx, 0, stage == "msm"),
-                    b.roll(Some(0), job, stage, 0, stage == "msm"),
-                );
-            }
-        }
-        assert_eq!(a.events(), b.events());
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl KernelSpec {
             blocks: vec![per_block; num_blocks],
         }
     }
-
-    /// Total DRAM bytes this kernel moves.
-    pub fn dram_bytes(&self, dev: &DeviceConfig) -> u64 {
-        self.blocks.iter().map(|b| b.dram_sectors).sum::<u64>() * dev.sector_bytes
-    }
 }
 
 /// Simulated execution report for one kernel.

@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod context;
 pub mod device;
 pub mod fault;
 pub mod kernel;
@@ -49,7 +48,6 @@ pub mod report;
 pub mod stream;
 pub mod transfer;
 
-pub use context::TraceContext;
 pub use device::{cpu_xeon, gtx1080ti, v100, Backend, DeviceConfig};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultSummary};
 pub use kernel::{

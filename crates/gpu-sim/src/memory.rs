@@ -3,12 +3,13 @@
 //! The engines (NTT/MSM) describe their access patterns; this module turns
 //! them into DRAM sector counts. Two levels of fidelity are provided:
 //!
-//! * **Analytic** — [`coalesced_sectors`] / [`strided_warp_sectors`] compute
-//!   exact sector counts for the regular patterns ZKP kernels use. This is
-//!   what the cost model consumes (fast enough for 2²⁶-element sweeps).
-//! * **Stateful** — [`L2Cache`], a set-associative LRU model used by tests
-//!   to validate the analytic formulas on small instances, and by the
-//!   bucket-scatter analysis of the MSM preprocessing.
+//! * **Analytic** — [`strided_warp_sectors`] computes exact sector counts
+//!   for the strided patterns ZKP kernels use, and the cost model consumes
+//!   it through [`strided_phase_sectors`] (fast enough for 2²⁶-element
+//!   sweeps). [`coalesced_sectors`] is the contiguous case.
+//! * **Stateful** — [`L2Cache`], a set-associative LRU model the tests use
+//!   to validate the analytic formulas on small instances. Nothing outside
+//!   the tests runs it.
 
 /// Number of DRAM sectors touched by a fully coalesced transfer of `bytes`.
 pub fn coalesced_sectors(bytes: u64, sector_bytes: u64) -> u64 {
@@ -142,22 +143,6 @@ impl L2Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Resets counters (not contents).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-}
-
-/// Shared-memory bank-conflict model: given the bank index each lane of a
-/// warp touches, the access replays once per maximum bank multiplicity.
-pub fn bank_conflict_factor(lane_banks: &[u32], num_banks: u32) -> u32 {
-    let mut counts = vec![0u32; num_banks as usize];
-    for &b in lane_banks {
-        counts[(b % num_banks) as usize] += 1;
-    }
-    counts.into_iter().max().unwrap_or(1).max(1)
 }
 
 #[cfg(test)]
@@ -212,17 +197,5 @@ mod tests {
         assert!(!l2.access(2 * set_stride)); // evicts addr 0 (LRU)
         assert!(!l2.access(0)); // miss again
         assert_eq!(l2.misses(), 4);
-    }
-
-    #[test]
-    fn bank_conflicts() {
-        // All lanes on distinct banks: factor 1.
-        let distinct: Vec<u32> = (0..32).collect();
-        assert_eq!(bank_conflict_factor(&distinct, 32), 1);
-        // All lanes on the same bank: factor 32.
-        assert_eq!(bank_conflict_factor(&[5; 32], 32), 32);
-        // Stride-2: pairs collide.
-        let stride2: Vec<u32> = (0..32).map(|i| (i * 2) % 32).collect();
-        assert_eq!(bank_conflict_factor(&stride2, 32), 2);
     }
 }

@@ -2,7 +2,6 @@
 //! bottleneck attribution, and device-utilization summaries. Used by the
 //! examples and handy when debugging a cost model.
 
-use crate::device::DeviceConfig;
 use crate::kernel::{KernelReport, StageReport};
 use std::fmt::Write as _;
 
@@ -108,18 +107,6 @@ pub fn utilization(stage: &StageReport) -> Utilization {
     u
 }
 
-/// One-line device summary ("V100: 80 SMs, 900 GB/s, 32 GB").
-pub fn device_summary(dev: &DeviceConfig) -> String {
-    format!(
-        "{}: {} SMs, {:.0} GB/s DRAM, {} GB global, {} KB shared/SM",
-        dev.name,
-        dev.num_sms,
-        dev.dram_bytes_per_ns,
-        dev.global_mem_bytes >> 30,
-        dev.shared_mem_per_sm >> 10,
-    )
-}
-
 fn truncate(s: &str, n: usize) -> String {
     if s.chars().count() <= n {
         s.to_string()
@@ -212,10 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn device_summary_mentions_name() {
-        let s = device_summary(&v100());
-        assert!(s.contains("V100") && s.contains("80 SMs"));
-        // Regression: kernel simulation is deterministic.
+    fn kernel_simulation_is_deterministic() {
         let dev = v100();
         let spec = KernelSpec::uniform(
             "det",

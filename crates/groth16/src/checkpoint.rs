@@ -84,23 +84,6 @@ fn take(msm_report: &mut StageReport, step: usize, report: StageReport) {
     }
 }
 
-/// Prices the five MSMs from the digit distributions of `z⃗`, aux, `h⃗`,
-/// without touching a point: the cost-only counterpart of the steps.
-pub(crate) fn plan_steps<P: PairingConfig>(
-    scalars: &[ScalarVec; 3],
-    engines: &ProverEngines<'_, P>,
-) -> StageReport {
-    let mut msm_report = StageReport::new("MSM");
-    for (step, &vector) in STEP_SCALARS.iter().enumerate() {
-        let planned = match step {
-            4 => engines.msm_g2.plan(&scalars[vector]),
-            _ => engines.msm_g1.plan(&scalars[vector]),
-        };
-        take(&mut msm_report, step, planned);
-    }
-    msm_report
-}
-
 /// Runs one step's MSM under its span.
 fn step_msm<C: CurveParams>(
     engine: &dyn MsmEngine<C>,

@@ -61,8 +61,8 @@ pub use batch::{batch_verify, proof_from_bytes, proof_to_bytes, PreparedVerifyin
 pub use checkpoint::{ProofCheckpoint, MSM_STEPS};
 pub use gzkp_proof_system::MsmSteps;
 pub use prove::{
-    prove, prove_msm, prove_plan, prove_poly, prove_with_telemetry, PolyArtifacts, Proof,
-    ProveReport, ProverEngines,
+    prove, prove_msm, prove_poly, prove_with_telemetry, PolyArtifacts, Proof, ProveReport,
+    ProverEngines,
 };
 pub use r1cs::{Circuit, ConstraintSystem, LinearCombination, SynthesisError, Variable};
 pub use setup::{setup, ProvingKey, VerifyingKey};

@@ -4,8 +4,8 @@
 //! with pluggable NTT and MSM engines so every paper configuration
 //! (Best-CPU, BG, GZKP, ablations) runs through the same code path.
 
-use crate::checkpoint::{plan_steps, ProofCheckpoint};
-use crate::qap::{poly_stage, poly_stage_traced, QapWitness};
+use crate::checkpoint::ProofCheckpoint;
+use crate::qap::{poly_stage_traced, QapWitness};
 use crate::r1cs::{ConstraintSystem, SynthesisError};
 use crate::setup::ProvingKey;
 use gzkp_curves::pairing::PairingConfig;
@@ -173,26 +173,4 @@ pub fn prove_msm<P: PairingConfig, R: Rng + ?Sized>(
     run_msm_steps(&mut ckpt, pk, engines, sink, |_, _| Ok(()))
         .expect("POLY artifacts match the proving key");
     ckpt.finish(pk, rng).expect("every MSM step has run")
-}
-
-/// Cost-only proof-generation plan: runs the POLY stage functionally (it
-/// is cheap) but prices the five MSMs from the actual scalar digit
-/// distributions without performing curve arithmetic. This is what the
-/// Table 2/3/4 harnesses use at paper-scale vector sizes.
-pub fn prove_plan<P: PairingConfig>(
-    cs: &ConstraintSystem<P::Fr>,
-    engines: &ProverEngines<'_, P>,
-) -> Result<ProveReport, SynthesisError> {
-    let qap = QapWitness::from_r1cs(cs)?;
-    let poly = poly_stage(&qap, engines.ntt);
-
-    let scalars = [
-        ScalarVec::from_field(&cs.full_assignment()),
-        ScalarVec::from_field(&cs.aux_assignment),
-        ScalarVec::from_field(&poly.h[..qap.domain.size - 1]),
-    ];
-    Ok(ProveReport {
-        poly: poly.report,
-        msm: plan_steps(&scalars, engines),
-    })
 }

@@ -4,13 +4,10 @@
 //! homomorphic encryption wants *throughput* over many small independent
 //! NTTs ("NTT batching"). §7 observes that GZKP's small-group task
 //! granularity makes it suitable for the batched regime; this module
-//! realizes that: `B` independent transforms are fused into one kernel
-//! per iteration-batch, multiplying the grid size and keeping the device
+//! prices that: `B` independent transforms are fused into one kernel per
+//! iteration-batch, multiplying the grid size and keeping the device
 //! saturated where a lone small NTT would leave most SMs idle.
 
-use crate::batch::{batched_transform, fixed_batches};
-use crate::cpu::Direction;
-use crate::domain::Radix2Domain;
 use crate::gpu::GzkpNtt;
 use gzkp_ff::PrimeField;
 use gzkp_gpu_sim::kernel::{simulate_kernel, KernelSpec, StageReport};
@@ -27,25 +24,6 @@ impl BatchedNtt {
     /// Wraps an engine.
     pub fn new(engine: GzkpNtt) -> Self {
         Self { engine }
-    }
-
-    /// Functional transform of `count` independent vectors (all must have
-    /// the domain's length), returning the fused-execution report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector length differs from the domain size.
-    pub fn transform_many<F: PrimeField>(
-        &self,
-        domain: &Radix2Domain<F>,
-        data: &mut [Vec<F>],
-        dir: Direction,
-    ) -> StageReport {
-        let batches = fixed_batches(domain.log_n, self.engine.batch_iters);
-        for v in data.iter_mut() {
-            batched_transform(domain, v, dir, &batches);
-        }
-        self.cost::<F>(domain.log_n, data.len())
     }
 
     /// Fused-execution cost for `count` transforms of size `2^log_n`:
@@ -87,33 +65,9 @@ impl BatchedNtt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuNtt;
     use crate::gpu::GpuNttEngine;
     use gzkp_ff::fields::Fr254;
-    use gzkp_ff::Field;
     use gzkp_gpu_sim::v100;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn functional_matches_single() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let d = Radix2Domain::<Fr254>::new(256).unwrap();
-        let mut data: Vec<Vec<Fr254>> = (0..4)
-            .map(|_| (0..256).map(|_| Fr254::random(&mut rng)).collect())
-            .collect();
-        let expect: Vec<Vec<Fr254>> = data
-            .iter()
-            .map(|v| {
-                let mut w = v.clone();
-                CpuNtt::reference().transform(&d, &mut w, Direction::Forward);
-                w
-            })
-            .collect();
-        let b = BatchedNtt::new(GzkpNtt::auto::<Fr254>(v100()));
-        b.transform_many(&d, &mut data, Direction::Forward);
-        assert_eq!(data, expect);
-    }
 
     #[test]
     fn fused_consistent_with_single() {

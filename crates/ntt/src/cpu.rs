@@ -1,14 +1,8 @@
-//! CPU NTT engines — the paper's "Best-CPU" baselines and the workspace's
-//! functional reference.
-//!
-//! Two modes model the two CPU systems the paper compares against:
-//!
-//! * **Precomputed twiddles** (bellman-like): one table of `N/2` roots,
-//!   classic iterative Cooley–Tukey. Scales as `N log N`.
-//! * **Recomputed twiddles** (libsnark-like): the per-butterfly `ω^j`
-//!   recomputation the paper identifies as libsnark's redundant work
-//!   ("GZKP avoids this cost by preprocessing … libsnark fails to scale
-//!   linearly", §5.3). Each butterfly pays an extra multiplication chain.
+//! The CPU reference NTT: sequential, iterative radix-2 Cooley–Tukey over
+//! one precomputed table of `N/2` roots. Every other engine is checked
+//! against it, and the Groth16 CPU POLY oracle runs on it. The paper's
+//! Best-CPU columns are not measured here: they come from
+//! `gzkp_bench::cpu_ntt_ms`'s analytic model.
 
 use crate::domain::{bit_reverse_permute, reverse_for_inverse, Radix2Domain};
 use gzkp_ff::PrimeField;
@@ -22,39 +16,14 @@ pub enum Direction {
     Inverse,
 }
 
-/// Twiddle-factor strategy of the CPU engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TwiddleMode {
-    /// Single precomputed table of `N/2` roots (bellman-like; also the
-    /// strategy GZKP's GPU preprocessing uses).
-    Precomputed,
-    /// Recompute `ω^j` by a running product per (iteration, sub-block) —
-    /// the libsnark behaviour whose cost the paper calls out.
-    Recompute,
-}
-
-/// The CPU NTT engine.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuNtt {
-    /// Twiddle strategy.
-    pub mode: TwiddleMode,
-    /// Use all cores (the paper's CPU baselines are parallel).
-    pub parallel: bool,
-}
-
-impl Default for CpuNtt {
-    fn default() -> Self {
-        Self {
-            mode: TwiddleMode::Precomputed,
-            parallel: false,
-        }
-    }
-}
+/// The CPU reference NTT engine.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CpuNtt;
 
 impl CpuNtt {
-    /// Reference sequential engine with precomputed twiddles.
+    /// The reference engine.
     pub fn reference() -> Self {
-        Self::default()
+        Self
     }
 
     /// In-place NTT over the domain.
@@ -69,40 +38,17 @@ impl CpuNtt {
         dir: Direction,
     ) {
         assert_eq!(data.len(), domain.size, "data length must match domain");
-        let n = data.len();
-        if n == 1 {
+        if data.len() == 1 {
             return;
         }
-        if dir == Direction::Inverse && self.mode == TwiddleMode::Precomputed {
+        if dir == Direction::Inverse {
             reverse_for_inverse(data);
         }
         bit_reverse_permute(data);
-        match self.mode {
-            TwiddleMode::Precomputed => self.iterations_precomputed(data, &domain.twiddles()),
-            TwiddleMode::Recompute => {
-                let omega = match dir {
-                    Direction::Forward => domain.omega,
-                    Direction::Inverse => domain.omega_inv,
-                };
-                self.iterations_recompute(data, omega);
-            }
-        }
+        iterations(data, &domain.twiddles());
         if dir == Direction::Inverse {
             let s = domain.size_inv;
-            rayon::for_each(data.chunks_mut(self.share(n, 1)), |vals| {
-                vals.iter_mut().for_each(|v| *v *= s)
-            });
-        }
-    }
-
-    /// Elements per fan-out item when a size-`n` vector is cut at multiples
-    /// of `unit`: shares of units across cores, or the whole vector as one
-    /// item (serial, in place) for the sequential engine and small `n`.
-    fn share(&self, n: usize, unit: usize) -> usize {
-        if self.parallel && n >= 1 << 14 {
-            rayon::share_len(n / unit) * unit
-        } else {
-            n
+            data.iter_mut().for_each(|v| *v *= s);
         }
     }
 
@@ -117,49 +63,23 @@ impl CpuNtt {
         self.transform(domain, data, Direction::Inverse);
         domain.coset_unscale(data);
     }
+}
 
-    fn iterations_precomputed<F: PrimeField>(&self, data: &mut [F], tw: &[F]) {
-        let n = data.len();
-        let log_n = n.trailing_zeros();
-        for i in 0..log_n {
-            let half = 1usize << i; // butterfly distance
-            let step = n / (2 * half); // twiddle index stride
-            let chunk = 2 * half;
-            let work = |block: &mut [F]| {
-                for j in 0..half {
-                    let w = tw[j * step];
-                    let t = block[j + half] * w;
-                    block[j + half] = block[j] - t;
-                    block[j] += t;
-                }
-            };
-            rayon::for_each(data.chunks_mut(self.share(n, chunk)), |blocks| {
-                blocks.chunks_mut(chunk).for_each(work)
-            });
-        }
-    }
-
-    fn iterations_recompute<F: PrimeField>(&self, data: &mut [F], omega: F) {
-        let n = data.len();
-        let log_n = n.trailing_zeros();
-        for i in 0..log_n {
-            let half = 1usize << i;
-            // ω for this iteration: primitive 2^{i+1}-th root.
-            let w_len = omega.pow(&[(n / (2 * half)) as u64]);
-            let chunk = 2 * half;
-            let work = |block: &mut [F]| {
-                // libsnark-style: running product recomputed per sub-block.
-                let mut w = F::one();
-                for j in 0..half {
-                    let t = block[j + half] * w;
-                    block[j + half] = block[j] - t;
-                    block[j] += t;
-                    w *= w_len;
-                }
-            };
-            rayon::for_each(data.chunks_mut(self.share(n, chunk)), |blocks| {
-                blocks.chunks_mut(chunk).for_each(work)
-            });
+/// The `log N` butterfly levels over bit-reversed `data`, by the forward
+/// table `tw`.
+fn iterations<F: PrimeField>(data: &mut [F], tw: &[F]) {
+    let n = data.len();
+    let log_n = n.trailing_zeros();
+    for i in 0..log_n {
+        let half = 1usize << i; // butterfly distance
+        let step = n / (2 * half); // twiddle index stride
+        for block in data.chunks_mut(2 * half) {
+            for j in 0..half {
+                let w = tw[j * step];
+                let t = block[j + half] * w;
+                block[j + half] = block[j] - t;
+                block[j] += t;
+            }
         }
     }
 }
@@ -186,48 +106,6 @@ mod tests {
         let mut got = coeffs.clone();
         CpuNtt::reference().transform(&d, &mut got, Direction::Forward);
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn recompute_mode_matches_precomputed() {
-        // The inverse too: `Precomputed` reads it off the stored forward
-        // table, `Recompute` multiplies by `ω⁻¹` itself.
-        let d = Radix2Domain::<Fr254>::new(256).unwrap();
-        let coeffs = random_vec::<Fr254>(256, 2);
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let mut a = coeffs.clone();
-            let mut b = coeffs.clone();
-            CpuNtt {
-                mode: TwiddleMode::Precomputed,
-                parallel: false,
-            }
-            .transform(&d, &mut a, dir);
-            CpuNtt {
-                mode: TwiddleMode::Recompute,
-                parallel: false,
-            }
-            .transform(&d, &mut b, dir);
-            assert_eq!(a, b, "{dir:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let d = Radix2Domain::<Fr254>::new(1 << 14).unwrap();
-        let coeffs = random_vec::<Fr254>(1 << 14, 3);
-        let mut a = coeffs.clone();
-        let mut b = coeffs;
-        CpuNtt {
-            mode: TwiddleMode::Precomputed,
-            parallel: false,
-        }
-        .transform(&d, &mut a, Direction::Forward);
-        CpuNtt {
-            mode: TwiddleMode::Precomputed,
-            parallel: true,
-        }
-        .transform(&d, &mut b, Direction::Forward);
-        assert_eq!(a, b);
     }
 
     #[test]

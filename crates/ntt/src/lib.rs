@@ -3,8 +3,9 @@
 //! Number-theoretic transforms over the paper's scalar fields, in three
 //! engine families (all bit-identical, cross-validated):
 //!
-//! * [`cpu::CpuNtt`] — sequential/parallel CPU reference with precomputed
-//!   or per-butterfly-recomputed twiddles (the "Best-CPU" baselines);
+//! * [`cpu::CpuNtt`] — the sequential CPU reference with precomputed
+//!   twiddles (the paper's Best-CPU columns are `gzkp_bench::cpu_ntt_ms`'s
+//!   analytic model, not this engine);
 //! * [`gpu::BaselineGpuNtt`] — the shuffle-based GPU baseline
 //!   (bellperson-like, "BG" in Figure 8);
 //! * [`gpu::GzkpNtt`] — the paper's §3 shuffle-less, cache-friendly design
@@ -39,6 +40,6 @@ pub mod domain;
 pub mod gpu;
 
 pub use batched::BatchedNtt;
-pub use cpu::{CpuNtt, Direction, TwiddleMode};
+pub use cpu::{CpuNtt, Direction};
 pub use domain::Radix2Domain;
 pub use gpu::{BaselineGpuNtt, GpuNttEngine, GzkpNtt};

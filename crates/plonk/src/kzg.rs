@@ -57,11 +57,6 @@ impl<P: PairingConfig> KzgSrs<P> {
         }
     }
 
-    /// Highest polynomial degree the SRS can commit to.
-    pub fn max_degree(&self) -> usize {
-        self.g1_powers.len().saturating_sub(1)
-    }
-
     /// The G1 generator (`τ⁰ · G1`, whatever the SRS length).
     pub fn g1(&self) -> Affine<P::G1> {
         Affine::generator()
@@ -288,7 +283,6 @@ mod tests {
         let empty = KzgSrs::<Bn254>::setup_with_tau(tau, 0);
         assert!(empty.g1_powers.is_empty());
         assert_eq!(empty.g1(), G1Affine::generator());
-        assert_eq!(empty.max_degree(), 0);
 
         let srs = KzgSrs::<Bn254>::setup_with_tau(tau, 3);
         let expect = [1u64, 5, 25].map(|p| G1Affine::generator().mul(&Fr::from_u64(p)).to_affine());

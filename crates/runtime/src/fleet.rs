@@ -774,24 +774,6 @@ impl FleetRuntime {
         last
     }
 
-    /// [`FleetRuntime::record_stage`] keyed by a propagated
-    /// [`gzkp_gpu_sim::TraceContext`]: the stage's timeline ops are
-    /// labeled `job{id}.{stage}.{h2d,kernel,d2h}`, so the command
-    /// streams, the fault log and the metrics all name the same unit of
-    /// work.
-    pub fn record_stage_ctx(
-        &self,
-        ctx: &gzkp_gpu_sim::TraceContext,
-        h2d_bytes: u64,
-        kernel_ns: f64,
-        d2h_bytes: u64,
-    ) -> f64 {
-        let dev = ctx
-            .device
-            .expect("record_stage_ctx requires a placed context");
-        self.record_stage(dev, &ctx.op_label(), h2d_bytes, kernel_ns, d2h_bytes)
-    }
-
     /// Utilization snapshot: per-device engine busy times and counters
     /// against the fleet makespan.
     pub fn utilization(&self) -> FleetUtilization {

@@ -111,11 +111,10 @@ pub trait ProofTask: Send {
 
     /// Verify-before-return guard: checks the finished proof before the
     /// service publishes it. `Some(false)` marks the output corrupt — the
-    /// scheduler re-executes the job from POLY until one run's proof
-    /// verifies, and surfaces [`JobError::Failed`] only once
-    /// [`crate::VERIFY_VOTE_RUNS`] runs have all been rejected. `None`
-    /// (the default) means the task cannot self-verify and the output is
-    /// returned as-is.
+    /// scheduler re-executes the job from POLY as one retry, like an
+    /// injected fault, and surfaces [`JobError::Failed`] once the retry
+    /// budget is spent. `None` (the default) means the task cannot
+    /// self-verify and the output is returned as-is.
     fn verify_output(&self, output: &TaskOutput) -> Option<bool> {
         let _ = output;
         None

@@ -80,7 +80,7 @@ pub use job::{
     CheckpointSlot, JobError, JobHandle, JobResult, ProofTask, StageProfile, SystemTask, TaskOutput,
 };
 pub use replay::{prepare, run_sequential, run_service, PreparedWorkload, ReplayOutcome};
-pub use service::{ProvingService, ServiceStats, VERIFY_VOTE_RUNS};
+pub use service::{ProvingService, ServiceStats};
 
 use std::time::Duration;
 

@@ -3,7 +3,7 @@
 
 use crate::job::{JobError, JobHandle, JobResult, JobShared, ProofTask, StageProfile, TaskOutput};
 use crate::{JobOptions, Priority, ServiceConfig, SubmitError};
-use gzkp_gpu_sim::{FaultInjector, FaultKind, TraceContext};
+use gzkp_gpu_sim::{FaultInjector, FaultKind};
 use gzkp_msm::PreprocessStore;
 use gzkp_runtime::{Avoid, FleetRuntime, FleetUtilization, Pin};
 use gzkp_telemetry::{
@@ -196,9 +196,8 @@ pub struct ServiceStats {
     /// Proofs the verify-before-return guard rejected.
     pub verify_rejects: u64,
     /// Verification votes cast by the guard (one per produced proof it
-    /// checked; a rejected proof triggers re-execution until a run's
-    /// proof verifies or [`VERIFY_VOTE_RUNS`] runs have all been
-    /// rejected).
+    /// checked; a rejected proof is re-proven from POLY as one retry,
+    /// within the retry budget).
     pub verify_votes: u64,
     /// Devices quarantined by the fleet's circuit breaker.
     pub quarantines: u64,
@@ -224,12 +223,6 @@ struct Inner {
     injector: Option<Arc<FaultInjector>>,
     metrics: ServiceMetrics,
 }
-
-/// Error-correcting re-execution: a proof the verify-before-return guard
-/// rejects is re-proven (from POLY, with fresh placement) until one run's
-/// proof verifies; only when this many runs have *all* been rejected does
-/// the job fail. Each verification is counted in `verify.votes`.
-pub const VERIFY_VOTE_RUNS: u32 = 3;
 
 /// Publishes the live queue depth. Queue lock held by the caller, so the
 /// gauge is always a value the queue actually had.
@@ -641,33 +634,23 @@ fn pick(list: &mut Vec<Job>, last_key: Option<u64>, serves: impl Fn(&Job) -> boo
     Some(list.remove(idx))
 }
 
-/// The job's propagated trace context for one stage execution:
-/// job id → stage → current device binding.
-fn stage_ctx(job: &Job, stage: &'static str) -> TraceContext {
-    TraceContext::new(job.id, stage).on_device(job.device())
-}
-
-/// Records a finished stage's transfer/compute profile on the placed
-/// job's device timeline.
-fn record_stage(inner: &Inner, job: &Job, stage: &'static str, p: StageProfile) {
-    let ctx = stage_ctx(job, stage);
+/// Records a finished stage's transfer/compute profile on device `dev`'s
+/// timeline. Its ops are labelled `job{id}.{stage}`: device lanes already
+/// name the device, so the label stays the same across re-placements.
+fn record_stage(inner: &Inner, job: &Job, dev: usize, stage: &str, p: StageProfile) {
+    let label = format!("job{}.{stage}", job.id);
     inner
         .fleet
-        .record_stage_ctx(&ctx, p.h2d_bytes, p.kernel_ns, p.d2h_bytes);
+        .record_stage(dev, &label, p.h2d_bytes, p.kernel_ns, p.d2h_bytes);
 }
 
 /// Rolls the chaos oracle for one stage execution. Returns the injected
 /// fault, distinguishing dead-device hits (placement events that neither
 /// consume a draw nor advance the job's attempt index) from drawn faults.
-fn roll_fault(
-    inner: &Inner,
-    job: &mut Job,
-    stage: &'static str,
-    corruptible: bool,
-) -> Option<FaultKind> {
+fn roll_fault(inner: &Inner, job: &mut Job, stage: &str, corruptible: bool) -> Option<FaultKind> {
     let inj = inner.injector.as_deref()?;
     let dead_hit = job.device().is_some_and(|d| inj.is_dead(d));
-    let kind = inj.roll_ctx(&stage_ctx(job, stage), job.attempt, corruptible)?;
+    let kind = inj.roll(job.device(), job.id, stage, job.attempt, corruptible)?;
     if !dead_hit {
         job.attempt += 1;
         job.faults += 1;
@@ -801,7 +784,7 @@ fn run_poly(inner: &Inner, mut job: Job) -> Option<Job> {
     }) {
         Ok(()) => {
             if let Some(dev) = job.device() {
-                record_stage(inner, &job, names::SPAN_POLY, job.task.poly_profile());
+                record_stage(inner, &job, dev, names::SPAN_POLY, job.task.poly_profile());
                 inner.fleet.record_success(dev);
             }
             job.poly_done = true;
@@ -866,7 +849,7 @@ fn run_msm(inner: &Inner, mut job: Job) {
             // re-recording the aggregate profile here would double-count.
             if let Some(dev) = job.pin.device.filter(|_| job.grant.is_empty()) {
                 let p = job.task.msm_profile(&output);
-                record_stage(inner, &job, names::SPAN_MSM, p);
+                record_stage(inner, &job, dev, names::SPAN_MSM, p);
                 if p.shards > 0 {
                     inner.fleet.record_shards(dev, p.shards);
                 }
@@ -886,20 +869,8 @@ fn run_msm(inner: &Inner, mut job: Job) {
                     // roll time.
                     job.attempt += 1;
                 }
-                if job.verify_rejects >= VERIFY_VOTE_RUNS {
-                    if let Some(dev) = job.device() {
-                        inner.fleet.record_failure(dev, false);
-                    }
-                    return resolve(
-                        inner,
-                        job,
-                        Err(JobError::Failed(format!(
-                            "proof failed verification in {VERIFY_VOTE_RUNS}-run vote"
-                        ))),
-                    );
-                }
                 // The artifacts were consumed producing the bad proof:
-                // a full re-execution from POLY casts the next vote.
+                // the retry re-executes from POLY and casts the next vote.
                 job.poly_done = false;
                 return retry_or_fail(inner, job, "verify reject", false);
             }

@@ -37,10 +37,9 @@ pub const SPAN_HEALTH: &str = "health";
 
 // -- per-backend stage names ------------------------------------------------
 //
-// The MSM stage's child spans are backend-specific: `zkprof render/diff`
-// and `zkserve top` look stage names up through `msm_stage_spans` keyed by
-// the `system=` label, so a PLONK trace is never mislabeled with Groth16
-// query names (and vice versa).
+// The MSM stage's child spans are backend-specific: each prover names its
+// steps from its own list, so a PLONK trace is never mislabeled with
+// Groth16 query names (and vice versa).
 
 /// `system=` label value for Groth16 series.
 pub const SYSTEM_GROTH16: &str = "groth16";
@@ -59,26 +58,15 @@ pub const PLONK_MSM_STAGES: [&str; 9] = [
     "wires_a", "wires_b", "wires_c", "perm_z", "t_lo", "t_mid", "t_hi", "open_z", "open_zw",
 ];
 
-/// MSM-stage child span names for a `system=` label value, defaulting to
-/// Groth16 for unlabeled (pre-multi-backend) traces.
-pub fn msm_stage_spans(system: &str) -> &'static [&'static str] {
-    if system == SYSTEM_PLONK {
-        &PLONK_MSM_STAGES
-    } else {
-        &GROTH16_MSM_STAGES
-    }
-}
-
 // -- device-lane names ------------------------------------------------------
 //
-// These mirror `gzkp_gpu_sim::EngineKind::label()`; a telemetry unit test
-// asserts they stay equal (gpu-sim sits below this crate and cannot
-// reference it).
+// These mirror `gzkp_gpu_sim::EngineKind::label()` for the lanes the
+// timeline draws with a glyph of their own (the compute lane takes the
+// default); a telemetry unit test asserts they stay equal (gpu-sim sits
+// below this crate and cannot reference it).
 
 /// Host→device copy-engine lane.
 pub const LANE_H2D: &str = "h2d";
-/// Compute-engine lane.
-pub const LANE_KERNEL: &str = "kernel";
 /// Device→host copy-engine lane.
 pub const LANE_D2H: &str = "d2h";
 /// Device→device copy-engine lane (NVLink P2P or host-staged merges).
@@ -246,7 +234,6 @@ mod tests {
     #[test]
     fn lane_names_match_engine_labels() {
         assert_eq!(EngineKind::H2d.label(), super::LANE_H2D);
-        assert_eq!(EngineKind::Compute.label(), super::LANE_KERNEL);
         assert_eq!(EngineKind::D2h.label(), super::LANE_D2H);
         assert_eq!(EngineKind::P2p.label(), super::LANE_P2P);
     }

@@ -224,21 +224,27 @@ impl ProofTask for CountingTask {
 
 #[test]
 fn msm_fault_retry_keeps_the_poly_artifacts() {
-    // Seed 19 at a 50 % kernel-fault rate draws, for job 0: a clean POLY
+    // Seed 32 at a 50 % kernel-fault rate draws, for job 0: a clean POLY
     // roll (attempt 0), a faulted first MSM roll (attempt 0), and a clean
     // second MSM roll (attempt 1). Draws are pure hashes of (seed, job,
-    // stage, attempt), so this holds on every run.
+    // stage, attempt), so this holds on every run; the probe checks it.
+    let plan = FaultPlan {
+        seed: 32,
+        rates: FaultRates {
+            kernel: 0.5,
+            ..FaultRates::default()
+        },
+        device_scale: Vec::new(),
+        dead: Vec::new(),
+    };
+    let probe = gzkp_gpu_sim::FaultInjector::new(plan.clone());
+    let kernel = Some(gzkp_gpu_sim::FaultKind::KernelFault);
+    assert_eq!(probe.roll(Some(0), 0, "poly", 0, false), None);
+    assert_eq!(probe.roll(Some(0), 0, "msm", 0, true), kernel);
+    assert_eq!(probe.roll(Some(0), 0, "msm", 1, true), None);
     let service = ProvingService::start(ServiceConfig {
         devices: gzkp_runtime::parse_devices("1").unwrap(),
-        chaos: Some(FaultPlan {
-            seed: 19,
-            rates: FaultRates {
-                kernel: 0.5,
-                ..FaultRates::default()
-            },
-            device_scale: Vec::new(),
-            dead: Vec::new(),
-        }),
+        chaos: Some(plan),
         retry: RetryPolicy {
             max_retries: 4,
             backoff: Duration::from_millis(1),

@@ -345,11 +345,10 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
 /// The cluster's chaos plan is its service's: stage faults fire (and
 /// are retried) inside a cluster run as in a plain one, counted in the
 /// one fault summary, and every proof still verifies byte-identical. So
-/// is its retry budget: at twice the fault rate, where job 0 draws nine
-/// faults and the default budget of 8 loses it, a raised `max_retries`
-/// carries every job through. (At seed 5 and rate 0.2 no budget would:
-/// job 0 draws three injected corruptions before its first clean MSM,
-/// and the verify vote fails it after `VERIFY_VOTE_RUNS` rejects.)
+/// is its retry budget, which the second case raises to 64 at twice the
+/// fault rate. (There the four jobs draw 5, 0, 2 and 3 faults, so the
+/// default budget of 8 would carry them too. A verify reject spends the
+/// same budget as any other fault.)
 #[test]
 fn cluster_chaos_injects_stage_faults_and_proofs_survive() {
     let keyed = keyed_circuit(64, 31);

@@ -9,11 +9,10 @@ use gzkp_ff::Field;
 use gzkp_gpu_sim::{gtx1080ti, v100};
 use gzkp_groth16::gadgets::{mimc_constants, MerkleMembership};
 use gzkp_groth16::r1cs::{Circuit, ConstraintSystem, LinearCombination};
-use gzkp_groth16::{prove, prove_plan, setup, verify, ProverEngines};
+use gzkp_groth16::{prove, setup, verify, ProverEngines};
 use gzkp_msm::{CpuMsm, GzkpMsm, MsmEngine, StrausMsm, SubMsmPippenger};
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{BaselineGpuNtt, GzkpNtt};
-use gzkp_workloads::synthetic::synthetic_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -145,31 +144,4 @@ fn unsatisfied_circuit_cannot_prove() {
     };
     assert!(prove(&cs, &pk, &engines, &mut rng).is_err());
     let _ = &mut cs;
-}
-
-#[test]
-fn prove_plan_reports_both_stages() {
-    let mut rng = StdRng::seed_from_u64(10);
-    let cs: ConstraintSystem<gzkp_curves::bn254::Fr> = synthetic_circuit(512, &mut rng);
-    let ntt = GzkpNtt::auto::<gzkp_curves::bn254::Fr>(v100());
-    let msm1 = GzkpMsm::new(v100());
-    let msm2 = GzkpMsm::new(v100());
-    let engines = ProverEngines::<Bn254> {
-        ntt: &ntt,
-        msm_g1: &msm1,
-        msm_g2: &msm2,
-    };
-    let report = prove_plan(&cs, &engines).unwrap();
-    assert!(report.poly_ms() > 0.0);
-    assert!(report.msm_ms() > 0.0);
-    // Five MSMs must be present in the report.
-    let labels: Vec<&str> = report
-        .msm
-        .kernels
-        .iter()
-        .map(|k| k.name.split('.').next().unwrap())
-        .collect();
-    for want in ["a_query", "b_g1", "h_query", "l_query", "b_g2"] {
-        assert!(labels.contains(&want), "missing MSM {want}");
-    }
 }

@@ -16,7 +16,7 @@ use gzkp_ntt::gpu::GzkpNtt;
 use gzkp_runtime::HealthPolicy;
 use gzkp_service::{
     JobError, JobOptions, Priority, ProofTask, ProvingService, RetryPolicy, ServiceConfig,
-    StageProfile, SubmitError, SystemTask, TaskOutput, VERIFY_VOTE_RUNS,
+    StageProfile, SubmitError, SystemTask, TaskOutput,
 };
 use gzkp_telemetry::{names, MetricsRegistry, TelemetrySink};
 use gzkp_workloads::synthetic::synthetic_circuit;
@@ -577,10 +577,40 @@ fn verify_reject_recovers_with_one_reexecution() {
 }
 
 #[test]
+fn verify_rejects_spend_the_retry_budget_like_faults() {
+    // Three rejects, then a proof that verifies: the rejects are three
+    // retries out of the default budget of 8, with no cap of their own.
+    let service = ProvingService::start(ServiceConfig {
+        workers: 1,
+        retry: RetryPolicy {
+            backoff: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let handle = service
+        .submit(
+            Box::new(RejectingTask {
+                rejects: 3,
+                checks: AtomicU32::new(0),
+            }),
+            JobOptions::default(),
+        )
+        .unwrap();
+    assert!(handle.wait().outcome.is_ok());
+    let stats = service.shutdown();
+    assert_eq!(stats.verify_rejects, 3);
+    assert_eq!(stats.verify_votes, 4);
+    assert_eq!(stats.retries, 3);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
 fn verify_reject_fails_only_after_all_votes_reject() {
     let service = ProvingService::start(ServiceConfig {
         workers: 1,
         retry: RetryPolicy {
+            max_retries: 2,
             backoff: Duration::from_millis(1),
             ..RetryPolicy::default()
         },
@@ -597,15 +627,14 @@ fn verify_reject_fails_only_after_all_votes_reject() {
         .unwrap();
     assert_eq!(
         handle.wait().outcome.unwrap_err(),
-        JobError::Failed(format!(
-            "proof failed verification in {VERIFY_VOTE_RUNS}-run vote"
-        ))
+        JobError::Failed("verify reject (retry budget of 2 exhausted)".into())
     );
     let stats = service.shutdown();
-    // Every one of the voted runs was produced, verified, and rejected.
-    assert_eq!(stats.verify_rejects, u64::from(VERIFY_VOTE_RUNS));
-    assert_eq!(stats.verify_votes, u64::from(VERIFY_VOTE_RUNS));
-    assert_eq!(stats.retries, u64::from(VERIFY_VOTE_RUNS) - 1);
+    // The first run and both retries were produced, verified, and
+    // rejected.
+    assert_eq!(stats.verify_rejects, 3);
+    assert_eq!(stats.verify_votes, 3);
+    assert_eq!(stats.retries, 2);
     assert_eq!(stats.failed, 1);
 }
 

@@ -143,10 +143,9 @@ fn plonk_span_tree_uses_per_backend_stage_labels() {
     let trace = recorder.finish();
 
     // The MSM stage carries PLONK's nine commitment/opening MSMs under
-    // the per-backend labels `zkprof render`/`zkserve top` look up via
-    // `msm_stage_spans`, not Groth16's five (the stage also nests its
+    // PLONK's own labels, not Groth16's five (the stage also nests its
     // coset-NTT helper spans, which we skip here).
-    let stages = names::msm_stage_spans(names::SYSTEM_PLONK);
+    let stages = names::PLONK_MSM_STAGES;
     let msm_span = trace.find(&["prove", "msm"]).expect("msm span");
     let commits: Vec<_> = msm_span
         .children
