@@ -3,7 +3,7 @@
 //! -sum reduction, optionally window-parallel across cores.
 
 use crate::batch_affine::{accumulate_batch_affine, BatchAffineStats};
-use crate::engine::{bucket_reduce, CurveCost, MsmEngine, MsmRun, MsmStats};
+use crate::engine::{bucket_reduce, bucket_reduce_range, CurveCost, MsmEngine, MsmRun, MsmStats};
 use crate::scalars::{default_window_size, ScalarVec};
 use gzkp_curves::{Affine, CurveParams, Projective};
 use gzkp_gpu_sim::device::{cpu_xeon, Backend, DeviceConfig};
@@ -67,9 +67,7 @@ impl CpuMsm {
                 })
                 .collect();
             accumulate_batch_affine(&mut buckets, points, &entries, &mut stats);
-            let projective: Vec<Projective<C>> =
-                buckets.iter().map(Affine::to_projective).collect();
-            return (bucket_reduce(&projective), stats);
+            return (bucket_reduce_range(&buckets, 0), stats);
         }
         let mut buckets = vec![Projective::<C>::identity(); (1usize << k) - 1];
         for (i, p) in points.iter().enumerate() {

@@ -204,24 +204,33 @@ pub fn naive_msm<C: CurveParams>(points: &[Affine<C>], scalars: &ScalarVec) -> P
     acc
 }
 
-/// The running-sum ("bucket reduction") identity: given bucket sums
-/// `B_1..B_m`, computes `Σ j·B_j` with `2(m−1)` PADDs instead of `m` PMULs.
+/// The running-sum ("bucket reduction") identity over Jacobian bucket
+/// sums: given `B_1..B_m`, computes `Σ j·B_j` with `2(m−1)` PADDs instead
+/// of `m` PMULs — the classic path of [`crate::CpuMsm::serial`], the
+/// oracle, and of the sub-MSM baseline.
 pub fn bucket_reduce<C: CurveParams>(buckets: &[Projective<C>]) -> Projective<C> {
-    bucket_reduce_range(buckets, 0)
-}
-
-/// Bucket reduction of a *shifted* bucket slice: given the sums of buckets
-/// `lo+1..lo+len` (so `buckets[i]` holds bucket `lo+1+i`), computes
-/// `Σ_j (lo+1+i)·B_{lo+1+i}` via the identity
-/// `Σ (lo+i)·Bᵢ = lo·ΣBᵢ + Σ i·Bᵢ` — the running sum over the slice
-/// (which ends as the slice total `ΣBᵢ`) plus one `lo`-weighted PMUL of
-/// it. This is what lets a bucket task reduce locally and hand back an
-/// exact partial.
-pub fn bucket_reduce_range<C: CurveParams>(buckets: &[Projective<C>], lo: u64) -> Projective<C> {
     let mut running = Projective::<C>::identity();
     let mut total = Projective::<C>::identity();
     for b in buckets.iter().rev() {
         running = running.add(b);
+        total = total.add(&running);
+    }
+    total
+}
+
+/// Bucket reduction of a *shifted* slice of affine bucket sums: given
+/// the sums of buckets `lo+1..lo+len` (so `buckets[i]` holds bucket
+/// `lo+1+i`), computes `Σ_j (lo+1+i)·B_{lo+1+i}` via the identity
+/// `Σ (lo+i)·Bᵢ = lo·ΣBᵢ + Σ i·Bᵢ` — the running sum over the slice,
+/// one mixed PADD per bucket (it ends as the slice total `ΣBᵢ`), the
+/// total one full PADD per bucket, plus one `lo`-weighted PMUL of the
+/// running sum. This is what lets a bucket task reduce locally and hand
+/// back an exact partial.
+pub fn bucket_reduce_range<C: CurveParams>(buckets: &[Affine<C>], lo: u64) -> Projective<C> {
+    let mut running = Projective::<C>::identity();
+    let mut total = Projective::<C>::identity();
+    for b in buckets.iter().rev() {
+        running = running.add_mixed(b);
         total = total.add(&running);
     }
     if lo == 0 {
@@ -255,13 +264,14 @@ mod tests {
     #[test]
     fn bucket_range_partials_recompose() {
         let mut rng = StdRng::seed_from_u64(3);
-        let pts = random_points::<G1Config, _>(9, &mut rng);
+        let mut pts = random_points::<G1Config, _>(9, &mut rng);
+        pts[6] = Affine::identity();
         let buckets: Vec<Projective<G1Config>> = pts.iter().map(|p| p.to_projective()).collect();
         let whole = bucket_reduce(&buckets);
         for splits in [vec![0usize, 9], vec![0, 4, 9], vec![0, 1, 2, 5, 9]] {
             let mut acc = Projective::<G1Config>::identity();
             for w in splits.windows(2) {
-                acc = acc.add(&bucket_reduce_range(&buckets[w[0]..w[1]], w[0] as u64));
+                acc = acc.add(&bucket_reduce_range(&pts[w[0]..w[1]], w[0] as u64));
             }
             assert_eq!(acc, whole, "splits {splits:?}");
         }

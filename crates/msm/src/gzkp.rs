@@ -21,24 +21,25 @@
 //! bucket tasks sized by entry load alone → per task, one gather of its
 //! entries into a CSR buffer reduced in place with one batched inversion
 //! per round ([`crate::batch_affine::reduce_segments`]) → the task's own
-//! bucket-range reduction, so only one partial sum per task is merged
-//! serially.
+//! bucket-range reduction over its affine bucket sums, so only one
+//! partial sum per task is merged serially.
 //!
 //! The two clocks split at the scalar side. The host recodes it: a curve
 //! with a GLV endomorphism ([`gzkp_curves::Glv`]) splits every scalar
 //! into two halves of about half its bits, and both halves are written in
 //! balanced signed digits — so the tables hold `⌈(bound + 1)/k⌉` windows
 //! instead of `⌈l/k⌉`, the buckets are the `2^{k−1}` digit magnitudes,
-//! the gather negates a stored point where its digit is negative, and a
-//! bucket's `s₂` digits are summed apart and mapped by `φ` once (one
-//! multiplication by β per bucket). The recoded shape has its own
+//! a digit's sign travels beside its stored point into the reducer's
+//! first round, and a bucket's `s₂` digits are summed apart and mapped by
+//! `φ` once (one multiplication by β per bucket). The recoded shape has
+//! its own
 //! cheapest window, so the host folds at [`host_window_size`] (12 against
 //! the simulated 9 on a 2¹² key) and stores its levels compactly
 //! ([`Tables`]: `x` and `y` of the non-identity points only, one position
 //! index for all levels). The paper did not recode,
-//! so everything that prices — `plan`, `plan_dense`, `plan_preprocess`,
-//! `memory_bytes`, `bucket_loads`, the telemetry counts and a
-//! [`ShardTask`]'s loads, ranges and kernels — stays Algorithm 1 as
+//! so everything that prices — `plan`, `plan_dense`, `memory_bytes`,
+//! `bucket_loads`, the telemetry counts and a [`ShardTask`]'s loads,
+//! ranges and kernels — stays Algorithm 1 as
 //! published, at [`default_window_size`] over unsigned unsplit digits and
 //! `2^k − 1` buckets. A pinned [`GzkpMsm::window`] pins both windows. A
 //! shard task cuts the recoded buckets into as many host ranges as it has
@@ -52,7 +53,7 @@ use crate::scalars::{
 use crate::store::{PreKey, PreprocessStore, Tables};
 use gzkp_curves::group::{affine_add_denominator, affine_add_with_inverse};
 use gzkp_curves::{Affine, CurveParams, Projective};
-use gzkp_ff::{batch_inverse_scratch, PrimeField};
+use gzkp_ff::{batch_inverse_scratch, Field, PrimeField};
 use gzkp_gpu_sim::device::{Backend, DeviceConfig};
 use gzkp_gpu_sim::kernel::{simulate_kernel, BlockCost, KernelSpec, StageReport};
 use gzkp_gpu_sim::stream::DeviceTimeline;
@@ -172,9 +173,8 @@ impl GzkpMsm {
     /// doubled: an unused key column is the identity at every level.
     ///
     /// This corresponds to the paper's setup-time preprocessing (the point
-    /// vector is fixed per application); its cost is reported separately by
-    /// [`Self::plan_preprocess`] and excluded from MSM stage time, matching
-    /// the paper's accounting.
+    /// vector is fixed per application); like the paper's, its cost is
+    /// excluded from MSM stage time.
     pub fn preprocess<C: CurveParams>(&self, points: &[Affine<C>], k: u32, m: u32) -> Tables<C> {
         let levels = Self::levels(recoded_windows::<C>(k), m);
         let mut tables = Tables::new(points);
@@ -402,40 +402,6 @@ impl GzkpMsm {
         // Parallel-prefix bucket reduction over 2^k buckets.
         let reduce = format!("gzkp.bucket-reduce(2^{k})");
         stage.run(dev, &self.reduce_kernel::<C>(reduce, (1 << k) - 1));
-        stage
-    }
-
-    /// Cost of the one-time checkpoint preprocessing (setup phase; excluded
-    /// from the MSM stage, like the paper's).
-    pub fn plan_preprocess<C: CurveParams>(&self, n: usize) -> StageReport {
-        let cost = CurveCost::of::<C>();
-        let k = self.k_for(n);
-        let bits = <C::Scalar as PrimeField>::MODULUS_BITS;
-        let windows = bits.div_ceil(k) as usize;
-        let m = self.interval_for::<C>(n, windows);
-        let levels = Self::levels(windows, m);
-        let mut stage = StageReport::new("msm-gzkp-preprocess");
-        if levels <= 1 {
-            return stage;
-        }
-        let blocks = (n / 256).max(1);
-        stage.run(
-            &self.device,
-            &KernelSpec::uniform(
-                format!("gzkp.preprocess({levels} levels, M={m})"),
-                256,
-                0,
-                self.backend,
-                cost.speedup_limbs(),
-                blocks,
-                BlockCost {
-                    mac_ops: 256.0 * ((levels - 1) as f64) * (m * k) as f64 * cost.pdbl(),
-                    dram_sectors: 256 * (levels as u64) * cost.affine_bytes()
-                        / self.device.sector_bytes,
-                    shared_bytes: 0,
-                },
-            ),
-        );
         stage
     }
 
@@ -735,11 +701,12 @@ impl<C: CurveParams> MsmEngine<C> for GzkpMsm {
 }
 
 /// Scratch budget of one fold worker, in bytes: what one bucket task may
-/// gather. A task's scratch is its CSR gather buffer — one [`Affine`] per
-/// point it gathers: each bucket's two carried sums and its entries — and
-/// the reducer's `dens` and `prods`, one base-field element per pair
-/// each, so a point costs `size_of::<Affine<C>>() + size_of::<C::Base>()`
-/// bytes: 640 KiB is 6 301 points on BN254 G1, 3 276 on G2 and 4 311 on
+/// gather. A task's scratch is its CSR gather buffer — per point it
+/// gathers (each bucket's two carried sums and its entries) the `x` and
+/// `y` the tables store and a sign — and the reducer's `dens` and
+/// `prods`, one base-field element per pair each, so a point costs
+/// `size_of::<[C::Base; 2]>() + size_of::<bool>() + size_of::<C::Base>()`
+/// bytes: 640 KiB is 6 756 points on BN254 G1, 3 395 on G2 and 4 519 on
 /// BLS12-381 G1. Every task fits unless it is a single bucket that does
 /// not (a bucket is never split), and a task still amortizes its
 /// `⌈log₂(max bucket load)⌉` inversions over thousands of additions.
@@ -748,7 +715,9 @@ const TASK_SCRATCH_BYTES: usize = 640 << 10;
 /// The points one bucket task may gather on `C` within
 /// [`TASK_SCRATCH_BYTES`].
 fn task_points<C: CurveParams>() -> u64 {
-    let point = std::mem::size_of::<Affine<C>>() + std::mem::size_of::<C::Base>();
+    let point = std::mem::size_of::<[C::Base; 2]>()
+        + std::mem::size_of::<bool>()
+        + std::mem::size_of::<C::Base>();
     (TASK_SCRATCH_BYTES / point) as u64
 }
 
@@ -775,13 +744,65 @@ fn bucket_tasks(sizes: &[u64], cap: u64) -> Vec<(usize, usize)> {
 }
 
 /// What one worker of the fold owns: the buffers its bucket tasks reuse —
-/// the CSR gather buffer, its segment offsets, the reducer's scratch —
-/// and the counters of the tasks it ran.
+/// the CSR gather buffer of stored coordinates and the signs beside it,
+/// sized by the largest task and written by index, its segment offsets,
+/// the reducer's scratch — and the counters of the tasks it ran.
 struct TaskScratch<C: CurveParams> {
-    flat: Vec<Affine<C>>,
+    flat: Vec<[C::Base; 2]>,
+    neg: Vec<bool>,
     offsets: Vec<usize>,
     reduce: ReduceScratch<C>,
     stats: BatchAffineStats,
+}
+
+impl<C: CurveParams> TaskScratch<C> {
+    /// Lays `segments` out as the CSR buffer's segments, unsigned and
+    /// without their identities.
+    fn load<S: Iterator<Item = Affine<C>>>(&mut self, segments: impl Iterator<Item = S>) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut at = 0;
+        for segment in segments {
+            for p in segment.filter(|p| !p.infinity) {
+                (self.flat[at], self.neg[at]) = ([p.x, p.y], false);
+                at += 1;
+            }
+            self.offsets.push(at);
+        }
+    }
+
+    /// Sums the buffer's segments into `sums` ([`reduce_segments`]).
+    fn reduce(&mut self, sums: &mut [Affine<C>]) {
+        let Self {
+            flat,
+            neg,
+            offsets,
+            reduce,
+            stats,
+        } = self;
+        reduce_segments(flat, neg, offsets, sums, reduce, stats);
+    }
+}
+
+/// Writes every entry's `(x, y)` as `read` finds it and its sign at
+/// `flat[at..]` and `neg[at..]`, keeping the entries `read` marks as read
+/// in this pass: each one is written, and the end moves past the kept
+/// ones only, so the loop neither branches on an entry nor negates. The
+/// signs are [`reduce_segments`]' to resolve. Returns the new end.
+#[inline]
+fn gather<F: Copy>(
+    flat: &mut [[F; 2]],
+    neg: &mut [bool],
+    mut at: usize,
+    entries: impl Iterator<Item = Entry>,
+    read: impl Fn(Entry) -> ([F; 2], bool),
+) -> usize {
+    for e in entries {
+        let (xy, keep) = read(e);
+        (flat[at], neg[at]) = (xy, e.neg);
+        at += usize::from(keep);
+    }
+    at
 }
 
 /// Doubles every point `times` times in place, shares of the vector
@@ -924,24 +945,30 @@ impl<C: CurveParams> ShardTask<C> {
     /// worker's buffers are sized by the largest task, and the tasks of a
     /// pass are the items of one fan-out. A task gathers the `p_index`
     /// entries of its buckets into one CSR buffer — each entry's stored
-    /// point, negated if the entry says so — reduces every segment in place
-    /// ([`reduce_segments`]), adds to each bucket's `s₁` sum φ of its `s₂`
-    /// sum and finishes with its own [`bucket_reduce_range`]; the task
+    /// `x, y` as the tables hold it, its sign beside it, with no negation
+    /// and no branch on the entry — and reduces every segment in place
+    /// ([`reduce_segments`], whose first round resolves the signs). After
+    /// the last pass it forms every bucket's `B_b = s₁ + φ(s₂)` in one
+    /// more batch-affine round, one inversion per task, and finishes with
+    /// its own [`bucket_reduce_range`] over the affine `B_b`; the task
     /// sums are merged in range order.
     /// Bucket sums are exact affine points, so the result and the stats
     /// are the same at every thread count.
     ///
     /// Algorithm 1 with `M > 1`: the windows on the checkpoint grid read
-    /// the stored levels and are gathered together in a first pass; every
+    /// the stored levels and are gathered together in a first pass (at
+    /// `M = 1`, every window, each entry reading level `window`); every
     /// other window is one more pass over a streamed weight vector that
     /// is advanced by `k` doublings per window (shared by that window's
     /// entries), with the bucket sums carried from pass to pass.
     pub fn partial(&self, scalars: &ScalarVec, index: usize) -> (Projective<C>, MsmStats) {
         let (lo, hi) = self.host_ranges[index];
-        if lo == hi {
+        // No point among the MSM's columns: every entry reads the identity.
+        if lo == hi || self.pre.rank(self.n) == 0 {
             return (Projective::identity(), MsmStats::default());
         }
         let (k, m) = (self.host_k, self.m as usize);
+        let pre = &*self.pre;
         let p_index = scalars.p_index::<C>(k);
         let glv = C::glv();
         let tasks = bucket_tasks(&p_index.bucket_sizes()[lo..hi], task_points::<C>());
@@ -964,7 +991,8 @@ impl<C: CurveParams> ShardTask<C> {
             .unwrap_or(0);
         let mut scratch: Vec<TaskScratch<C>> = (0..workers)
             .map(|_| TaskScratch {
-                flat: Vec::with_capacity(task_points),
+                flat: vec![[C::Base::zero(); 2]; task_points],
+                neg: vec![false; task_points],
                 offsets: Vec::new(),
                 reduce: ReduceScratch::with_capacity(task_points),
                 stats: BatchAffineStats::default(),
@@ -979,22 +1007,11 @@ impl<C: CurveParams> ShardTask<C> {
                     weights.clear();
                     // The tables may serve a longer vector this MSM
                     // reads a prefix of.
-                    weights.extend(self.pre.stored(t / m, self.n));
+                    weights.extend(pre.stored(t / m, self.n));
                 }
                 double_each(&mut weights, k);
             }
-            // The entry's summand `±P` (φ waits for the segment's sum), if
-            // its window is read in this pass; identity sources (unused key
-            // columns) are stored nowhere and add nothing.
-            let summand = |e: Entry| {
-                let p = match window {
-                    None if e.window.is_multiple_of(m) => self.pre.point(e.window / m, e.point),
-                    None => None,
-                    Some(w) if e.window == w => self.pre.slot(e.point).map(|s| weights[s]),
-                    Some(_) => None,
-                }?;
-                Some(if e.neg { p.neg() } else { p })
-            };
+            let weights = &weights;
             let last = pass == streamed.len();
 
             // One item per task, in range order: its first bucket, its
@@ -1007,29 +1024,48 @@ impl<C: CurveParams> ShardTask<C> {
                 rest = tail;
             }
             rayon::fan_out(parts, &mut scratch, |s, (first, sums, partial)| {
-                s.flat.clear();
                 s.offsets.clear();
                 s.offsets.push(0);
+                let mut at = 0;
                 for (j, sum) in sums.iter().enumerate() {
                     if !sum.infinity {
-                        s.flat.push(*sum);
+                        (s.flat[at], s.neg[at]) = ([sum.x, sum.y], false);
+                        at += 1;
                     }
-                    s.flat
-                        .extend(p_index.segment(2 * first + j).filter_map(&summand));
-                    s.offsets.push(s.flat.len());
+                    // The entries whose window this pass reads: on the
+                    // grid of M = 1 every one, at level `window`.
+                    let entries = p_index.segment(2 * first + j);
+                    let (flat, neg) = (&mut s.flat[..], &mut s.neg[..]);
+                    at = match window {
+                        None if m == 1 => gather(flat, neg, at, entries, |e| {
+                            let (slot, present) = pre.locate(e.point);
+                            (pre.coords(e.window)[slot], present)
+                        }),
+                        None => gather(flat, neg, at, entries, |e| {
+                            let (slot, present) = pre.locate(e.point);
+                            let on_grid = e.window % m == 0;
+                            (pre.coords(e.window / m)[slot], present && on_grid)
+                        }),
+                        Some(w) => gather(flat, neg, at, entries, |e| {
+                            let (slot, present) = pre.locate(e.point);
+                            let p = &weights[slot];
+                            ([p.x, p.y], present && e.window == w)
+                        }),
+                    };
+                    s.offsets.push(at);
                 }
-                reduce_segments(&mut s.flat, &s.offsets, sums, &mut s.reduce, &mut s.stats);
+                s.reduce(sums);
                 if last {
-                    // B_b = (s₁ sum) + φ(s₂ sum): φ is a homomorphism, so
-                    // once per bucket equals once per entry.
-                    let sums: Vec<Projective<C>> = sums
-                        .chunks_exact(2)
-                        .map(|seg| {
-                            let phi = glv.map_or(seg[1], |glv| glv.phi(&seg[1]));
-                            seg[0].to_projective().add_mixed(&phi)
-                        })
-                        .collect();
-                    *partial = bucket_reduce_range(&sums, first as u64);
+                    // B_b = s₁ + φ(s₂) for all the task's buckets in one
+                    // more round — φ is a homomorphism, so once per bucket
+                    // equals once per entry — written over the first half
+                    // of the sums, which no pass reads again.
+                    let l = sums.len() / 2;
+                    s.load(sums.chunks_exact(2).map(|seg| {
+                        [seg[0], glv.map_or(seg[1], |glv| glv.phi(&seg[1]))].into_iter()
+                    }));
+                    s.reduce(&mut sums[..l]);
+                    *partial = bucket_reduce_range(&sums[..l], first as u64);
                 }
             });
         }
@@ -1180,7 +1216,7 @@ mod tests {
             task_points::<gzkp_curves::bn254::G2Config>(),
             900,
         ];
-        assert_eq!(caps[..2], [6301, 3276]);
+        assert_eq!(caps[..2], [6756, 3395]);
         for scalars in [dense, sparse] {
             let sizes = ScalarVec::from_field(&scalars)
                 .p_index::<G1Config>(12)
@@ -1259,10 +1295,12 @@ mod tests {
             };
             let before = priced(&sv.clone());
             engine.msm(&pts, &sv);
-            // The memo holds signed and φ entries.
+            // The memo holds signed entries and φ entries, which are the
+            // odd segments'.
             let index = sv.p_index::<G1Config>(8);
             let entries: Vec<Entry> = (0..256).flat_map(|j| index.segment(j)).collect();
-            assert!(entries.iter().any(|e| e.neg) && entries.iter().any(|e| e.phi));
+            assert!(entries.iter().any(|e| e.neg));
+            assert!((0..256).any(|j| j % 2 == 1 && index.segment(j).next().is_some()));
             assert_eq!(priced(&sv), before, "M={m}");
         }
     }

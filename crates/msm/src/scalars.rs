@@ -42,8 +42,8 @@ impl Clone for ScalarVec {
 /// Bucket `b` holds the digits with `|d| = b + 1`: its `s₁` digits in
 /// segment `2b`, its `s₂` digits in segment `2b + 1` — summed apart, so
 /// `φ` is applied once to a bucket's `s₂` sum rather than to each entry.
-/// An entry carries the point, the window, whether the summand is negated
-/// and whether it is `φ` of the stored point.
+/// An entry carries the point, the window and whether the summand is
+/// negated; whether it is `φ` of the stored point is its segment's parity.
 #[derive(Debug)]
 pub struct PIndex {
     k: u32,
@@ -51,13 +51,13 @@ pub struct PIndex {
     windows: usize,
     /// Segment `j` owns `entries[offsets[j]..offsets[j + 1]]`.
     offsets: Vec<usize>,
-    /// `point << 18 | φ << 17 | negated << 16 | window`, in point-then-
-    /// window order per segment.
+    /// `point << 17 | negated << 16 | window`, in point-then-window order
+    /// per segment.
     entries: Vec<u64>,
 }
 
-/// One [`PIndex`] entry: the summand `±P` or `±φ(P)` of stored point
-/// `point` at window `window`.
+/// One [`PIndex`] entry: the summand `±P` (in an even segment) or
+/// `±φ(P)` (in an odd one) of stored point `point` at window `window`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Entry {
     /// Window of the digit, i.e. the table level it reads.
@@ -66,8 +66,6 @@ pub struct Entry {
     pub point: usize,
     /// The summand is negated (`−P`).
     pub neg: bool,
-    /// The summand is the endomorphism image (`φ(P) = λ·P`).
-    pub phi: bool,
 }
 
 /// Number of `k`-bit signed-digit windows of `C`'s recoded scalars: a
@@ -86,10 +84,15 @@ pub(crate) fn recoded_windows<C: CurveParams>(k: u32) -> usize {
 /// scalars. Every non-zero recoded digit — `n` points × halves ×
 /// `⌈(bound + 1)/k⌉` windows, each non-zero with probability `1 − 2^{−k}` —
 /// costs one batch-affine addition; every one of the `2^{k−1}` buckets
-/// costs one finish: the two running-sum PADDs, plus with a GLV split the
-/// φ merge (a mixed PADD and a multiplication by β). A function of `n`
-/// and the split alone, so G1 and G2 of one family share it, and with it
-/// one [`PIndex`]; at most 16, the cap of the simulated window too.
+/// costs one finish, priced as two full PADDs plus, with a GLV split, a
+/// mixed PADD and a multiplication by β (44 multiplications). That is the
+/// Jacobian finish the window was fitted to; the fold's affine finish —
+/// a batch-affine addition, the β multiplication, a mixed and a full PADD
+/// — costs 34, which would move the optimum up one step for part of the
+/// range (6 447 points to k = 13), and is left to a window re-fit. A
+/// function of `n` and the split alone, so G1 and G2 of one family share
+/// it, and with it one [`PIndex`]; at most 16, the cap of the simulated
+/// window too.
 pub fn host_window_size<C: CurveParams>(n: usize) -> u32 {
     let running_sum = 2.0 * CurveCost::PADD_MULS;
     let (halves, finish) = match C::glv() {
@@ -153,7 +156,7 @@ impl<'a> Halves<'a> {
         let top = 1i64 << (k - 1);
         for (h, mag) in self.mags.chunks_exact(self.width).enumerate() {
             let phi = h % self.per_point;
-            let half = ((self.first + h / self.per_point) as u64) << 18 | (phi as u64) << 17;
+            let point = ((self.first + h / self.per_point) as u64) << 17;
             let mut carry = 0i64;
             // One window past the top bit takes the last carry.
             for (t, d) in windows_of(mag, k).chain([0]).take(windows).enumerate() {
@@ -164,7 +167,7 @@ impl<'a> Halves<'a> {
                     let neg = u64::from((d < 0) != self.negs[h]);
                     emit(
                         2 * (d.unsigned_abs() as usize - 1) + phi,
-                        half | neg << 16 | t as u64,
+                        point | neg << 16 | t as u64,
                     );
                 }
             }
@@ -179,7 +182,7 @@ impl PIndex {
         split: Option<&'static ScalarSplit>,
         windows: usize,
     ) -> Self {
-        assert!(windows <= 1 << 16 && (scalars.len() as u64) < 1 << 46);
+        assert!(windows <= 1 << 16 && (scalars.len() as u64) < 1 << 47);
         let per = scalars.per_scalar;
         let share = rayon::share_len(scalars.len());
         let segments = 1 << k;
@@ -236,9 +239,8 @@ impl PIndex {
             .iter()
             .map(|&e| Entry {
                 window: (e & 0xffff) as usize,
-                point: (e >> 18) as usize,
+                point: (e >> 17) as usize,
                 neg: e >> 16 & 1 == 1,
-                phi: e >> 17 & 1 == 1,
             })
     }
 
@@ -508,11 +510,13 @@ mod tests {
             let weight = C::Scalar::from_u64(1 << k);
             let mut acc = vec![C::Scalar::zero(); scalars.len()];
             for j in 0..1 << k {
+                // An odd segment holds a bucket's s₂ digits: φ entries.
+                let phi = j % 2 == 1;
+                assert!(!phi || C::glv().is_some() || index.segment(j).next().is_none());
                 for e in index.segment(j) {
-                    assert_eq!(e.phi, j % 2 == 1);
                     let mut v =
                         C::Scalar::from_u64(j as u64 / 2 + 1) * weight.pow(&[e.window as u64]);
-                    if e.phi {
+                    if phi {
                         v *= lambda;
                     }
                     acc[e.point] += if e.neg { -v } else { v };

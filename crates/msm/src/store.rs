@@ -8,8 +8,8 @@
 //! over the same vector: the paper's setup/execution split. Entries are
 //! keyed by the point vector and table shape, charged the bytes of their
 //! compact entries ([`Tables`]: `x` and `y` of every non-identity point
-//! at every level; an unused key column is one bit of the position index
-//! and costs no entry), and
+//! at every level; an unused key column is one byte of the position
+//! index and costs no entry), and
 //! evicted least-recently-used once the byte budget is exceeded; hits,
 //! misses and evictions are counted per store. A proving service, which
 //! juggles many `(curve, proving-key)` pairs at once, owns a store sized
@@ -92,44 +92,45 @@ impl PreKey {
 /// level `c` stores `2^{c·M·k}·Pᵢ` of every *non-identity* `Pᵢ`, as its
 /// `x` and `y` coordinates, in position order. Unused key columns (the
 /// identity) are stored at no level: `2^j·P` is the identity only if `P`
-/// is — the groups here have odd order — so one presence bit per
-/// position, with the count of points before each 64-bit word, maps a
-/// position to its slot at every level. A BN254 G1 entry is 64 bytes, not
-/// the 72 of an [`Affine`], and an identity costs one bit, not a 64-byte
-/// entry per level.
+/// is — the groups here have odd order — so a position index maps a
+/// position to its slot at every level with two reads: one byte per
+/// position, its rank within its run of 64 and whether it holds a point,
+/// and one count of the points before each run. A BN254 G1 entry is 64
+/// bytes, not the 72 of an [`Affine`], and an identity costs its index
+/// byte, not a 64-byte entry per level.
 #[derive(Debug)]
 pub struct Tables<C: CurveParams> {
     levels: Vec<Vec<[C::Base; 2]>>,
-    /// Which positions hold a point, 64 per word.
-    present: Vec<u64>,
-    /// Points at positions before each word of `present`.
-    before: Vec<u32>,
-    /// Positions covered, identities included.
-    len: usize,
+    /// Points at the positions before each run of 64.
+    runs: Vec<u32>,
+    /// Per position, `rank << 1 | present`: the points before it in its
+    /// run of 64, and whether it holds one.
+    index: Vec<u8>,
 }
 
 impl<C: CurveParams> Tables<C> {
     /// Tables whose level 0 is `points`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `2³²` points or more.
     pub(crate) fn new(points: &[Affine<C>]) -> Self {
-        let mut present = vec![0u64; points.len().div_ceil(64)];
+        assert!(u32::try_from(points.len()).is_ok(), "a slot fits 32 bits");
+        let (mut runs, mut index) = (Vec::new(), Vec::with_capacity(points.len()));
+        let mut rank = 0u32;
         for (i, p) in points.iter().enumerate() {
-            present[i / 64] |= u64::from(!p.infinity) << (i % 64);
+            if i % 64 == 0 {
+                runs.push(rank);
+            }
+            let within = rank - runs[i / 64];
+            index.push((within << 1) as u8 | u8::from(!p.infinity));
+            rank += u32::from(!p.infinity);
         }
-        let mut count = 0u32;
-        let before = present
-            .iter()
-            .map(|word| {
-                let at = count;
-                count += word.count_ones();
-                at
-            })
-            .collect();
         let level = points.iter().filter(|p| !p.infinity).map(|p| [p.x, p.y]);
         Self {
             levels: vec![level.collect()],
-            present,
-            before,
-            len: points.len(),
+            runs,
+            index,
         }
     }
 
@@ -152,16 +153,16 @@ impl<C: CurveParams> Tables<C> {
 
     /// Whether position `i` holds a point, not the identity.
     fn present(&self, i: usize) -> bool {
-        self.present[i / 64] >> (i % 64) & 1 == 1
+        self.index[i] & 1 == 1
     }
 
     /// Points at positions `0..i`, i.e. the slot of position `i` if it
     /// holds one (`i ≤` the vector's length).
-    fn rank(&self, i: usize) -> usize {
-        let (word, bit) = (i / 64, i % 64);
-        self.before.get(word).map_or(self.levels[0].len(), |&at| {
-            at as usize + (self.present[word] & ((1u64 << bit) - 1)).count_ones() as usize
-        })
+    pub(crate) fn rank(&self, i: usize) -> usize {
+        match self.index.get(i) {
+            Some(&byte) => self.runs[i / 64] as usize + usize::from(byte >> 1),
+            None => self.levels[0].len(),
+        }
     }
 
     /// The slot position `i` is stored at — its index in
@@ -169,6 +170,21 @@ impl<C: CurveParams> Tables<C> {
     #[inline]
     pub(crate) fn slot(&self, i: usize) -> Option<usize> {
         self.present(i).then(|| self.rank(i))
+    }
+
+    /// Where a gather reads position `i`: its slot at every level if it
+    /// holds a point, else slot 0 — some point's, so the read needs no
+    /// branch — and whether it holds one.
+    #[inline]
+    pub(crate) fn locate(&self, i: usize) -> (usize, bool) {
+        let byte = self.index[i];
+        let rank = self.runs[i / 64] as usize + usize::from(byte >> 1);
+        (rank * usize::from(byte & 1), byte & 1 == 1)
+    }
+
+    /// Level `c`'s stored `x` and `y`, in slot order.
+    pub(crate) fn coords(&self, c: usize) -> &[[C::Base; 2]] {
+        &self.levels[c]
     }
 
     fn affine(&self, c: usize, slot: usize) -> Affine<C> {
@@ -196,13 +212,13 @@ impl<C: CurveParams> Tables<C> {
 
     /// Level `c` as affine points, identities included.
     pub fn level(&self, c: usize) -> impl Iterator<Item = Affine<C>> + '_ {
-        (0..self.len).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
+        (0..self.index.len()).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
     }
 
     /// Bytes of the stored entries, what the store charges: levels ×
     /// non-identity points × `size_of` of an entry. The position index
-    /// beside them — 12 bytes per 64 positions, 1.2 KiB for a 6 447-point
-    /// vector — is not charged.
+    /// beside them — a byte per position and 4 bytes per 64, 6.7 KiB for a
+    /// 6 447-point vector — is not charged.
     pub fn bytes(&self) -> u64 {
         let entry = std::mem::size_of::<[C::Base; 2]>();
         (self.levels.len() * self.levels[0].len() * entry) as u64
@@ -214,7 +230,7 @@ impl<C: CurveParams> Tables<C> {
     /// vector's is, and every other one must equal its stored point.
     pub fn holds(&self, points: &[Affine<C>]) -> bool {
         let mut slots = self.levels[0].iter();
-        points.len() <= self.len
+        points.len() <= self.index.len()
             && points
                 .iter()
                 .enumerate()

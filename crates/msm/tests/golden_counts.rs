@@ -73,12 +73,12 @@ fn bn254_g1_fold_counts() {
     type C = bn254::G1Config;
     assert_eq!(
         counts::<C>(512, 81, false),
-        (10, 12264, 21, 425984),
+        (10, 12776, 25, 425984),
         "dense"
     );
     assert_eq!(
         counts::<C>(512, 82, true),
-        (10, 3569, 20, 425984),
+        (10, 4070, 24, 425984),
         "0/1-heavy"
     );
 }
@@ -86,10 +86,10 @@ fn bn254_g1_fold_counts() {
 #[test]
 fn bn254_g2_fold_counts() {
     type C = bn254::G2Config;
-    assert_eq!(counts::<C>(256, 83, false), (8, 7900, 24, 524288), "dense");
+    assert_eq!(counts::<C>(256, 83, false), (8, 8028, 28, 524288), "dense");
     assert_eq!(
         counts::<C>(256, 84, true),
-        (8, 2533, 22, 524288),
+        (8, 2661, 26, 524288),
         "0/1-heavy"
     );
 }
@@ -97,10 +97,10 @@ fn bn254_g2_fold_counts() {
 #[test]
 fn bls12_381_g1_fold_counts() {
     type C = bls12_381::G1Config;
-    assert_eq!(counts::<C>(256, 85, false), (8, 7909, 24, 393216), "dense");
+    assert_eq!(counts::<C>(256, 85, false), (8, 8037, 28, 393216), "dense");
     assert_eq!(
         counts::<C>(256, 86, true),
-        (8, 2542, 22, 393216),
+        (8, 2670, 26, 393216),
         "0/1-heavy"
     );
 }
@@ -112,10 +112,10 @@ fn groth16_like_key_with_unused_columns() {
     // level, 64 / 128 bytes per G1 / G2 point — 13 and 16 levels.
     let g1 = counts_unused::<bn254::G1Config>(512, 87, true, 3);
     assert_eq!(g1.3, 13 * 320 * 64);
-    assert_eq!(g1, (10, 1936, 18, 266240), "G1");
+    assert_eq!(g1, (10, 2375, 22, 266240), "G1");
     let g2 = counts_unused::<bn254::G2Config>(256, 88, true, 3);
     assert_eq!(g2.3, 16 * 160 * 128);
-    assert_eq!(g2, (8, 1495, 20, 327680), "G2");
+    assert_eq!(g2, (8, 1623, 24, 327680), "G2");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use gzkp_cluster::{AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, TenantSpec};
 use gzkp_curves::bn254::{Bn254, Fr};
-use gzkp_gpu_sim::{v100, DeviceConfig, FaultPlan};
+use gzkp_gpu_sim::{v100, DeviceConfig, FaultInjector, FaultKind, FaultPlan};
 use gzkp_groth16::{
     proof_to_bytes,
     prove::{prove, ProverEngines},
@@ -342,22 +342,67 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     assert_eq!(metered.rate_limited, 4);
 }
 
+/// The faults job `job` draws under `plan` before its first clean MSM,
+/// rolled as the service rolls them, at most `cap`: POLY until it
+/// passes, then MSM, each fault one attempt more. An MSM fault retries the
+/// MSM alone; an injected corruption, which the verify guard rejects,
+/// restarts from POLY. Job ids are the service's, 0 up in submission
+/// order.
+fn fault_draws(plan: &FaultPlan, job: u64, cap: u32) -> u32 {
+    let injector = FaultInjector::new(plan.clone());
+    let (mut attempt, mut poly_done) = (0, false);
+    while attempt < cap {
+        let stage = if poly_done {
+            names::SPAN_MSM
+        } else {
+            names::SPAN_POLY
+        };
+        match injector.roll(Some(0), job, stage, attempt, poly_done) {
+            None if poly_done => break,
+            None => poly_done = true,
+            Some(kind) => {
+                attempt += 1;
+                poly_done &= kind != FaultKind::SilentCorruption;
+            }
+        }
+    }
+    attempt
+}
+
 /// The cluster's chaos plan is its service's: stage faults fire (and
 /// are retried) inside a cluster run as in a plain one, counted in the
 /// one fault summary, and every proof still verifies byte-identical. So
 /// is its retry budget, which the second case raises to 64 at twice the
-/// fault rate. (There the four jobs draw 5, 0, 2 and 3 faults, so the
-/// default budget of 8 would carry them too. A verify reject spends the
-/// same budget as any other fault.)
+/// fault rate. Its seed is the first from 63 up whose draws, replayed on
+/// a probe injector before the cluster starts, exhaust the default
+/// budget of 8 on some job and stay within 64: 66, where the four jobs
+/// draw 11, 0, 3 and 3 faults. So the case fails at the default budget
+/// and passes only because the budget was raised. (A verify reject
+/// spends the same budget as any other fault.)
 #[test]
 fn cluster_chaos_injects_stage_faults_and_proofs_survive() {
     let keyed = keyed_circuit(64, 31);
     let default_budget = RetryPolicy::default().max_retries;
-    for (fault_seed, rate, max_retries) in [(5, 0.1, default_budget), (63, 0.2, 64)] {
+    for (fault_seed, rate, max_retries) in [(5, 0.1, default_budget), (66, 0.2, 64)] {
+        let plan = FaultPlan::uniform(fault_seed, rate);
+        let draws: Vec<u32> = (0..4)
+            .map(|job| fault_draws(&plan, job, max_retries + 1))
+            .collect();
+        let most = *draws.iter().max().unwrap();
+        assert!(
+            most <= max_retries,
+            "seed {fault_seed}: draws {draws:?} exceed the budget of {max_retries}"
+        );
+        assert_eq!(
+            most > default_budget,
+            max_retries > default_budget,
+            "seed {fault_seed}: draws {draws:?} must exhaust the default budget exactly \
+             when the case raises it"
+        );
         let mut cluster = Cluster::start(ClusterConfig {
             hosts: 2,
             service: ServiceConfig {
-                chaos: Some(FaultPlan::uniform(fault_seed, rate)),
+                chaos: Some(plan),
                 retry: RetryPolicy {
                     max_retries,
                     ..RetryPolicy::default()

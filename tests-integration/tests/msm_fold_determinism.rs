@@ -7,8 +7,9 @@
 //! compressed result **and the `MsmStats`** must be the same at every
 //! thread count, and every configuration must agree with the serial
 //! mixed-addition oracle (`CpuMsm::serial()`: window-serial Pippenger on
-//! one thread — no `p_index`, no batch-affine reducer; all it shares with
-//! the fold is the running-sum `bucket_reduce`). Checked on BN254 G1, G2,
+//! one thread — no `p_index`, no batch-affine reducer, its running sum
+//! over Jacobian buckets; it shares nothing with the fold but the group
+//! law). Checked on BN254 G1, G2,
 //! BLS12-381 G1 — whose recoded `p_index` holds negated and φ entries
 //! (GLV halves in signed digits) — and the 753-bit curve, whose recoding
 //! is signed digits over the unsplit scalar; over scalars with a hot
@@ -116,8 +117,9 @@ where
         "{} has negated entries",
         C::NAME
     );
+    // φ entries are a bucket's s₂ digits, the odd segments.
     assert_eq!(
-        entries.iter().any(|e| e.phi),
+        (0..1 << window).any(|j| j % 2 == 1 && index.segment(j).next().is_some()),
         lambda.is_some(),
         "{} has φ entries exactly when it has a split",
         C::NAME
