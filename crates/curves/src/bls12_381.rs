@@ -160,6 +160,10 @@ impl PairingConfig for Bls12_381 {
     const LOOP_NEG: bool = true;
     const BN_FINAL_STEPS: bool = false;
     const TWIST_IS_D: bool = false;
+    fn hard_exponent() -> &'static [u64] {
+        static EXPONENT: OnceLock<Vec<u64>> = OnceLock::new();
+        EXPONENT.get_or_init(pairing::hard_part_exponent::<Self>)
+    }
 }
 
 /// Computes the ate pairing `e(P, Q)`.

@@ -170,6 +170,10 @@ impl PairingConfig for Bn254 {
     const LOOP_NEG: bool = false;
     const BN_FINAL_STEPS: bool = true;
     const TWIST_IS_D: bool = true;
+    fn hard_exponent() -> &'static [u64] {
+        static EXPONENT: OnceLock<Vec<u64>> = OnceLock::new();
+        EXPONENT.get_or_init(pairing::hard_part_exponent::<Self>)
+    }
 }
 
 /// Computes the optimal ate pairing `e(P, Q)`.

@@ -8,7 +8,31 @@
 //!
 //! The multiplication kernel is the CIOS (Coarsely Integrated Operand
 //! Scanning) Montgomery multiplication the paper's finite-field library is
-//! built around (§4.3), specialized per limb count by monomorphization.
+//! built around (§4.3), specialized per limb count by monomorphization, in
+//! its "no-carry" form (Botrel and El Housni, "Faster big-integer modular
+//! multiplication for most moduli", as in gnark-crypto): no word above the
+//! limbs is carried from round to round. That needs a modulus with spare
+//! top bits — `a + p < 2^(64N)` for every left operand `a`, so `5p <
+//! 2^(64N)` on a field whose NTT hands the product values up to `4p` and
+//! `2p < 2^(64N)` on the others — and a field without them fails to build
+//! at its first multiplication rather than multiply wrongly:
+//!
+//! ```compile_fail
+//! use gzkp_ff::bigint::BigInt;
+//! use gzkp_ff::{Field, Fp, FpParams};
+//!
+//! /// 2²⁵⁶ − 189: a prime with no spare bit.
+//! #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+//! struct Full256;
+//! impl FpParams<4> for Full256 {
+//!     const MODULUS: BigInt<4> = BigInt([u64::MAX - 188, u64::MAX, u64::MAX, u64::MAX]);
+//!     const TWO_ADICITY: u32 = 1;
+//!     const GENERATOR: u64 = 2;
+//!     const NAME: &'static str = "Full256";
+//! }
+//! let two = Fp::<Full256, 4>::one().double();
+//! let _ = two * two;
+//! ```
 
 use crate::bigint::{adc, mac, BigInt};
 use crate::traits::{Field, PrimeField};
@@ -109,44 +133,52 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     /// CIOS core plus one conditional subtraction of `p`.
     #[inline]
     fn mont_mul(a: &BigInt<N>, b: &BigInt<N>) -> BigInt<N> {
-        let (t, t_n) = Self::cios(a, b);
-        Self::reduce(t, t_n)
+        Self::reduce(Self::cios(a, b), 0)
     }
 
-    /// CIOS (Coarsely Integrated Operand Scanning) Montgomery product with
-    /// no final subtraction: `(a·b + m·p) / R` for the `m < R` that makes
-    /// the division exact, as `N` limbs and the carry above them. For
+    /// Whether the modulus leaves [`Self::cios`] its spare bits: `a + p <
+    /// 2^(64N)` for the largest left operand `a` it is handed — `4p − 1`
+    /// on a [`Self::LAZY`] field, `p − 1` otherwise.
+    const fn no_carry_fits() -> bool {
+        let (p2, c2) = P::MODULUS.const_double();
+        if !Self::LAZY {
+            return c2 == 0;
+        }
+        let (p4, c4) = p2.const_double();
+        let (_, c5) = p4.const_add(&P::MODULUS);
+        c2 | c4 | c5 == 0
+    }
+
+    /// The no-carry CIOS (Coarsely Integrated Operand Scanning) Montgomery
+    /// product with no final subtraction: `(a·b + m·p) / R` for the `m < R`
+    /// that makes the division exact. A round maps `t < a + p` to `(t +
+    /// a·bᵢ + mᵢ·p) / 2⁶⁴ < a + p`, so while `a + p < R` the value fits the
+    /// limbs: the carry chains of `a·bᵢ` and `mᵢ·p` meet in the top limb
+    /// without overflowing it, and no word above the limbs is kept. For
     /// `a·b < R·p` the value is below `2p`.
     #[inline(always)]
-    fn cios(a: &BigInt<N>, b: &BigInt<N>) -> (BigInt<N>, u64) {
+    fn cios(a: &BigInt<N>, b: &BigInt<N>) -> BigInt<N> {
+        const {
+            assert!(
+                Self::no_carry_fits(),
+                "the no-carry product needs 5p < 2^(64N) on a field with two \
+                 spare bits and 2p < 2^(64N) on the others"
+            )
+        };
         let m = &P::MODULUS.0;
         let mut t = [0u64; N];
-        let mut t_n = 0u64;
-        let mut t_n1;
-        for i in 0..N {
-            let bi = b.0[i];
-            let mut carry = 0u64;
-            for (tj, &aj) in t.iter_mut().zip(a.0.iter()) {
-                let (lo, hi) = mac(*tj, aj, bi, carry);
-                *tj = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t_n, carry, 0);
-            t_n = lo;
-            t_n1 = hi;
-
-            let k = t[0].wrapping_mul(Self::INV);
-            let (_, mut carry) = mac(t[0], k, m[0], 0);
+        for &bi in &b.0 {
+            let (t0, mut carry_ab) = mac(t[0], a.0[0], bi, 0);
+            let k = t0.wrapping_mul(Self::INV);
+            let (_, mut carry_mp) = mac(t0, k, m[0], 0);
             for j in 1..N {
-                let (lo, hi) = mac(t[j], k, m[j], carry);
-                t[j - 1] = lo;
-                carry = hi;
+                let (tj, hi) = mac(t[j], a.0[j], bi, carry_ab);
+                carry_ab = hi;
+                (t[j - 1], carry_mp) = mac(tj, k, m[j], carry_mp);
             }
-            let (lo, hi) = adc(t_n, carry, 0);
-            t[N - 1] = lo;
-            t_n = t_n1 + hi;
+            t[N - 1] = carry_ab + carry_mp;
         }
-        (BigInt(t), t_n)
+        BigInt(t)
     }
 
     /// Reduces the output of the CIOS or SOS core, `carry·2^(64N) + v <
@@ -533,8 +565,7 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
             *x += t;
             return;
         }
-        let (q, carry) = Self::cios(&y.0, &w.0);
-        debug_assert_eq!(carry, 0, "y·w < 4p² keeps the product below 2p");
+        let q = Self::cios(&y.0, &w.0);
         (*x, *y) = Self::lazy_pair(Self::sub_if_ge(x.0, 0, &Self::TWO_P), q);
     }
 
