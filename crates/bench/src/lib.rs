@@ -33,7 +33,7 @@ pub fn full_mode() -> bool {
 
 /// One printed/recorded result row.
 #[derive(Debug, Clone, Serialize)]
-pub struct ResultRow {
+pub(crate) struct ResultRow {
     /// Experiment id, e.g. `"table5"`.
     pub experiment: String,
     /// Row label, e.g. `"2^20"` or `"Sprout"`.

@@ -44,7 +44,7 @@ impl Default for AutoscalePolicy {
 
 /// The controller: pure target computation plus cooldown state.
 #[derive(Debug)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     policy: AutoscalePolicy,
     last_change: Option<Instant>,
 }

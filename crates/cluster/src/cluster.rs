@@ -28,7 +28,7 @@ const MAX_CHAOS_KILLS: u64 = 1;
 /// fleet (dead, schedulable) and the cluster's warm-up clock; never
 /// stored. Numeric values double as the `host.state` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostState {
+pub(crate) enum HostState {
     /// Started but still paying its warm-up cost; takes no work.
     Warming,
     /// Accepting and executing work.
@@ -40,7 +40,7 @@ pub enum HostState {
 
 impl HostState {
     /// Gauge encoding (0 warming, 1 up, 3 dead).
-    pub fn as_gauge(self) -> f64 {
+    pub(crate) fn as_gauge(self) -> f64 {
         match self {
             HostState::Warming => 0.0,
             HostState::Up => 1.0,
@@ -655,7 +655,7 @@ impl Cluster {
     }
 
     /// Jobs admitted but not yet resolved.
-    pub fn open_jobs(&self) -> usize {
+    pub(crate) fn open_jobs(&self) -> usize {
         self.door.depth() + self.open.len()
     }
 

@@ -46,12 +46,6 @@ impl TenantSpec {
             rate: None,
         }
     }
-
-    /// Attaches a token-bucket rate limit.
-    pub fn with_rate(mut self, per_sec: f64, burst: f64) -> Self {
-        self.rate = Some(RateLimit { per_sec, burst });
-        self
-    }
 }
 
 /// Why the front door refused a submission. Typed so callers can
@@ -155,7 +149,7 @@ struct TenantState<T> {
 
 /// The front door itself: rate limits, then a weighted-fair queue of `T`
 /// (the cluster queues admitted jobs).
-pub struct FrontDoor<T> {
+pub(crate) struct FrontDoor<T> {
     tenants: BTreeMap<String, TenantState<T>>,
     /// Current virtual time: the finish time of the last released job.
     v_now: f64,
@@ -211,7 +205,12 @@ impl<T> FrontDoor<T> {
     /// # Errors
     ///
     /// Typed backpressure; see [`AdmissionError`].
-    pub fn admit_at(&mut self, tenant: &str, item: T, now: Instant) -> Result<(), AdmissionError> {
+    pub(crate) fn admit_at(
+        &mut self,
+        tenant: &str,
+        item: T,
+        now: Instant,
+    ) -> Result<(), AdmissionError> {
         if self.stopped {
             return Err(AdmissionError::ShuttingDown);
         }
@@ -272,7 +271,7 @@ impl<T> FrontDoor<T> {
     }
 
     /// Admission counters of every tenant, by name.
-    pub fn tenant_stats(&self) -> BTreeMap<String, TenantStats> {
+    pub(crate) fn tenant_stats(&self) -> BTreeMap<String, TenantStats> {
         self.tenants
             .iter()
             .map(|(name, s)| (name.clone(), s.stats))
@@ -324,7 +323,13 @@ mod tests {
 
     #[test]
     fn token_bucket_limits_and_reports_retry_after() {
-        let tenants = [TenantSpec::new("a", 1.0).with_rate(10.0, 2.0)];
+        let tenants = [TenantSpec {
+            rate: Some(RateLimit {
+                per_sec: 10.0,
+                burst: 2.0,
+            }),
+            ..TenantSpec::new("a", 1.0)
+        }];
         let mut door = FrontDoor::new(&tenants, 1024);
         let t0 = Instant::now();
         door.admit_at("a", 0u64, t0).unwrap();

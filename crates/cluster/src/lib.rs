@@ -15,7 +15,7 @@
 //! of whether a host is dead or takes work. This crate keeps only the
 //! cluster's policy:
 //!
-//! * **The front door** ([`FrontDoor`]) — per-tenant token-bucket rate
+//! * **The front door** (`FrontDoor`) — per-tenant token-bucket rate
 //!   limiting in front of weighted-fair queuing, with typed backpressure
 //!   ([`AdmissionError`]) so clients can tell "slow down" from "shed
 //!   load". Work is released to the service while fewer jobs are open
@@ -34,7 +34,7 @@
 //!   travels inside the checkpoint). Each pump counts the moves it sees
 //!   on the host the job left (`host.failed{host=hN}`) and in
 //!   `cluster.resumes`, while the moved job still runs.
-//! * **The autoscaler** ([`Autoscaler`]) — queue-depth scaling with
+//! * **The autoscaler** (`Autoscaler`) — queue-depth scaling with
 //!   modeled warm-up (new hosts spend a window taking no work) and
 //!   cooldown hysteresis. Every host the autoscaler may ever run is a
 //!   domain of the fleet from the start; a warming or retired one is
@@ -95,8 +95,8 @@ pub mod autoscale;
 pub mod cluster;
 pub mod frontdoor;
 
-pub use autoscale::{AutoscalePolicy, Autoscaler};
+pub use autoscale::AutoscalePolicy;
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterOutcome, ClusterResult, ClusterStats, HostReport, HostState,
+    Cluster, ClusterConfig, ClusterOutcome, ClusterResult, ClusterStats, HostReport,
 };
-pub use frontdoor::{AdmissionError, FrontDoor, RateLimit, TenantSpec, TenantStats};
+pub use frontdoor::{AdmissionError, RateLimit, TenantSpec, TenantStats};

@@ -7,7 +7,7 @@
 //! * Ate pairing with loop count `|x|`, `x = -0xd201000000010000`.
 
 use crate::glv::{Glv, ScalarSplit};
-use crate::group::{Affine, CurveParams, Projective};
+use crate::group::{Affine, CurveParams};
 use crate::pairing::{self, frobenius_coeffs, PairingConfig};
 use gzkp_ff::ext::{Fp12, Fp12Config, Fp2, Fp2Config, Fp6Config};
 use gzkp_ff::fields::{Fq381, Fr381};
@@ -15,7 +15,7 @@ use gzkp_ff::{BigInt, Field, PrimeField};
 use std::sync::OnceLock;
 
 /// Magnitude of the (negative) BLS parameter `x`.
-pub const BLS_X: u64 = 0xd201000000010000;
+pub(crate) const BLS_X: u64 = 0xd201000000010000;
 
 /// The base field `Fq` of BLS12-381.
 pub type Fq = Fq381;
@@ -31,7 +31,7 @@ impl Fp2Config for Fq2Config {
 /// The quadratic extension `Fq2`.
 pub type Fq2 = Fp2<Fq2Config>;
 
-/// `Fq6 = Fq2[v]/(v³ − (1+u))` configuration.
+/// The sextic tower `Fq2[v]/(v³ − (1+u))`'s configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Fq6Config;
 
@@ -54,10 +54,7 @@ impl Fp6Config for Fq6Config {
         Self::frobenius_c1(power).square()
     }
 }
-/// The sextic sub-tower `Fq6`.
-pub type Fq6 = gzkp_ff::ext::Fp6<Fq6Config>;
-
-/// `Fq12 = Fq6[w]/(w² − v)` configuration.
+/// The `Fq12` configuration: the sextic tower extended by `w`, `w² = v`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Fq12Config;
 impl Fp12Config for Fq12Config {
@@ -106,8 +103,6 @@ fn fr_split() -> &'static ScalarSplit {
 }
 /// Affine G1 point.
 pub type G1Affine = Affine<G1Config>;
-/// Jacobian G1 point.
-pub type G1Projective = Projective<G1Config>;
 
 /// G2 curve parameters (on the sextic twist).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -141,8 +136,6 @@ impl CurveParams for G2Config {
 }
 /// Affine G2 point.
 pub type G2Affine = Affine<G2Config>;
-/// Jacobian G2 point.
-pub type G2Projective = Projective<G2Config>;
 
 /// The BLS12-381 pairing engine.
 #[derive(Debug, Clone, Copy)]
@@ -174,6 +167,10 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fq12 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::Projective;
+
+    type G1Projective = Projective<G1Config>;
+    type G2Projective = Projective<G2Config>;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -14,7 +14,7 @@ use gzkp_ff::{Field, PrimeField};
 use std::sync::OnceLock;
 
 /// BN curve parameter `x` (the "BN parameter", not a coordinate).
-pub const BN_X: u64 = 4965661367192848881;
+pub(crate) const BN_X: u64 = 4965661367192848881;
 
 /// The base field `Fq` of BN254.
 pub type Fq = Fq254;
@@ -30,7 +30,7 @@ impl Fp2Config for Fq2Config {
 /// The quadratic extension `Fq2`.
 pub type Fq2 = Fp2<Fq2Config>;
 
-/// `Fq6 = Fq2[v]/(v³ − (9+u))` configuration.
+/// The sextic tower `Fq2[v]/(v³ − (9+u))`'s configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Fq6Config;
 
@@ -54,10 +54,7 @@ impl Fp6Config for Fq6Config {
         c1.square()
     }
 }
-/// The sextic sub-tower `Fq6`.
-pub type Fq6 = gzkp_ff::ext::Fp6<Fq6Config>;
-
-/// `Fq12 = Fq6[w]/(w² − v)` configuration.
+/// The `Fq12` configuration: the sextic tower extended by `w`, `w² = v`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Fq12Config;
 impl Fp12Config for Fq12Config {
@@ -149,8 +146,6 @@ impl CurveParams for G2Config {
 }
 /// Affine G2 point.
 pub type G2Affine = Affine<G2Config>;
-/// Jacobian G2 point.
-pub type G2Projective = Projective<G2Config>;
 
 /// The BN254 pairing engine.
 #[derive(Debug, Clone, Copy)]
@@ -184,6 +179,8 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fq12 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type G2Projective = Projective<G2Config>;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -29,11 +29,6 @@ pub struct Glv<C: CurveParams> {
 }
 
 impl<C: CurveParams> Glv<C> {
-    /// The cube root of unity β.
-    pub fn beta(&self) -> C::Base {
-        self.beta
-    }
-
     /// The scalar field's decomposition. G1 and G2 over one scalar field
     /// share it, so a scalar vector is recoded once for both.
     pub fn split(&self) -> &'static ScalarSplit {

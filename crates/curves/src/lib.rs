@@ -44,5 +44,5 @@ pub mod t753;
 pub use fixed_base::FixedBaseTable;
 pub use glv::{Glv, ScalarSplit};
 pub use group::{batch_to_affine, random_points, Affine, CurveParams, Projective};
-pub use pairing::{final_exponentiation, miller_loop, multi_pairing, PairingConfig};
+pub use pairing::{multi_pairing, PairingConfig};
 pub use serialize::{compress, decompress, CoordField};

@@ -132,7 +132,7 @@ where
     Fp12::new(Fp6::new(v, Fp2::zero(), Fp2::zero()), Fp6::zero())
 }
 
-/// The generator `w` of `Fq12 = Fq6[w]`.
+/// The generator `w` of `Fq12` over its sextic sub-tower.
 fn omega<C: Fp12Config>() -> Fp12<C> {
     Fp12::new(Fp6::zero(), Fp6::one())
 }
@@ -163,7 +163,7 @@ where
 /// Computes the Miller loop `f_{c,Q}(P)` (with BN final steps if configured).
 ///
 /// Returns `Gt::one()` when either input is the identity.
-pub fn miller_loop<P: PairingConfig>(p: &Affine<P::G1>, q: &Affine<P::G2>) -> Gt<P>
+pub(crate) fn miller_loop<P: PairingConfig>(p: &Affine<P::G1>, q: &Affine<P::G2>) -> Gt<P>
 where
     <P::Fq12C as Fp12Config>::Fp6C: Fp6Config<Fp2C = P::Fq2C>,
 {
@@ -206,7 +206,7 @@ where
 }
 
 /// The final exponentiation `f^((q^12 - 1)/r)`.
-pub fn final_exponentiation<P: PairingConfig>(f: &Gt<P>) -> Gt<P> {
+pub(crate) fn final_exponentiation<P: PairingConfig>(f: &Gt<P>) -> Gt<P> {
     // Easy part: f^((q^6 - 1)(q^2 + 1)).
     let f_inv = f.inverse().expect("Miller output nonzero");
     let f1 = f.conjugate() * f_inv; // f^(q^6 - 1)
@@ -246,7 +246,7 @@ where
 }
 
 /// One `(G1, G2)` input of a product-of-pairings.
-pub type PairingPair<P> = (
+pub(crate) type PairingPair<P> = (
     Affine<<P as PairingConfig>::G1>,
     Affine<<P as PairingConfig>::G2>,
 );
@@ -271,7 +271,11 @@ where
 ///
 /// Panics if `divisor` does not divide `q^i − 1` (i.e. the tower is
 /// misconfigured).
-pub fn frobenius_coeffs<C: Fp2Config>(xi: Fp2<C>, divisor: u64, count: usize) -> Vec<Fp2<C>> {
+pub(crate) fn frobenius_coeffs<C: Fp2Config>(
+    xi: Fp2<C>,
+    divisor: u64,
+    count: usize,
+) -> Vec<Fp2<C>> {
     let q = C::Fp::characteristic();
     let mut out = Vec::with_capacity(count);
     let mut qi = vec![1u64]; // q^0

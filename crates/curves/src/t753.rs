@@ -14,7 +14,7 @@
 //! pipeline on T753 exercises proving cost only; end-to-end verified proofs
 //! use BN254/BLS12-381.
 
-use crate::group::{Affine, CurveParams, Projective};
+use crate::group::CurveParams;
 use gzkp_ff::ext::{Fp2, Fp2Config};
 use gzkp_ff::fields::{Fq753, Fr753};
 use gzkp_ff::Field;
@@ -42,10 +42,6 @@ impl CurveParams for G1Config {
         (Fq::from_u64(1), Fq::from_u64(2))
     }
 }
-/// Affine G1 point.
-pub type G1Affine = Affine<G1Config>;
-/// Jacobian G1 point.
-pub type G1Projective = Projective<G1Config>;
 
 /// `Fq2 = Fq[u]/(u² + 1)` (−1 is a non-residue: q ≡ 3 mod 4 by
 /// construction in `genparams`).
@@ -81,17 +77,19 @@ impl CurveParams for G2Config {
         )
     }
 }
-/// Affine G2 point.
-pub type G2Affine = Affine<G2Config>;
-/// Jacobian G2 point.
-pub type G2Projective = Projective<G2Config>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::{Affine, Projective};
     use gzkp_ff::PrimeField;
     use rand::SeedableRng;
     use rand::{rngs::StdRng, Rng};
+
+    type G1Affine = Affine<G1Config>;
+    type G1Projective = Projective<G1Config>;
+    type G2Affine = Affine<G2Config>;
+    type G2Projective = Projective<G2Config>;
 
     #[test]
     fn generators_on_curve() {

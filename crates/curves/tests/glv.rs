@@ -140,11 +140,12 @@ proptest! {
 /// canonical `β₀ = g^{(q−1)/3}` on the group: `"λ"` or `"λ²"`.
 fn eigenvalue<C: CurveParams>(seed: u64) -> &'static str {
     let glv = C::glv().expect("a j = 0 pairing curve has a GLV endomorphism");
-    let beta = glv.beta();
+    let g = Affine::<C>::generator();
+    // β as `φ` applies it: `φ(g) = (β·x, y)`.
+    let beta = glv.phi(&g).x * g.x.inverse().expect("the generator's x is not zero");
     assert!(beta != C::Base::one(), "{}", C::NAME);
     assert_eq!(beta.square() * beta, C::Base::one(), "{}", C::NAME);
     let lambda = glv.split().lambda();
-    let g = Affine::<C>::generator();
     let p = Projective::<C>::generator()
         .mul(&C::Scalar::random(&mut StdRng::seed_from_u64(seed)))
         .to_affine();

@@ -40,7 +40,7 @@ pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
 
 /// `(a - b - borrow)` returning `(low, borrow_out)` with `borrow_out` in {0,1}.
 #[inline(always)]
-pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+pub(crate) const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
     let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
     (t as u64, ((t >> 64) as u64) & 1)
 }
@@ -93,13 +93,8 @@ impl<const N: usize> BigInt<N> {
         self.0[0] & 1 == 0
     }
 
-    /// Returns true if the integer is odd.
-    pub const fn is_odd(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
-
     /// Constant-friendly comparison: -1, 0, 1 as i8.
-    pub const fn const_cmp(&self, other: &Self) -> i8 {
+    pub(crate) const fn const_cmp(&self, other: &Self) -> i8 {
         let mut i = N;
         while i > 0 {
             i -= 1;
@@ -140,7 +135,7 @@ impl<const N: usize> BigInt<N> {
     }
 
     /// Doubles the integer, returning the carry-out bit.
-    pub const fn const_double(mut self) -> (Self, u64) {
+    pub(crate) const fn const_double(mut self) -> (Self, u64) {
         let mut carry = 0;
         let mut i = 0;
         while i < N {
@@ -153,7 +148,7 @@ impl<const N: usize> BigInt<N> {
     }
 
     /// Adds `other` in place, returning the carry out.
-    pub fn add_with_carry(&mut self, other: &Self) -> u64 {
+    pub(crate) fn add_with_carry(&mut self, other: &Self) -> u64 {
         let (r, c) = self.const_add(other);
         *self = r;
         c
@@ -178,19 +173,11 @@ impl<const N: usize> BigInt<N> {
 
     /// Halves the integer with an incoming top bit (used after an addition
     /// that overflowed into a carry).
-    pub fn div2_with_top_bit(&mut self, top: u64) {
+    pub(crate) fn div2_with_top_bit(&mut self, top: u64) {
         self.div2();
         if top != 0 {
             self.0[N - 1] |= 1u64 << 63;
         }
-    }
-
-    /// Returns the bit at position `i` (little-endian bit order).
-    pub const fn bit(&self, i: usize) -> bool {
-        if i >= 64 * N {
-            return false;
-        }
-        (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Number of significant bits (position of the highest set bit + 1).
@@ -259,7 +246,7 @@ impl<const N: usize> BigInt<N> {
     }
 
     /// Formats as a `0x`-prefixed big-endian hex string without leading zeros.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::from("0x");
         let mut started = false;
         for limb in self.0.iter().rev() {
@@ -347,7 +334,7 @@ mod tests {
         assert!(B4::ZERO.is_zero());
         assert!(!B4::ONE.is_zero());
         assert!(B4::ZERO.is_even());
-        assert!(B4::ONE.is_odd());
+        assert!(!B4::ONE.is_even());
         assert_eq!(B4::from_u64(42).0[0], 42);
     }
 
@@ -398,12 +385,8 @@ mod tests {
     #[test]
     fn bit_access() {
         let a = B4::from_u64(0b1011);
-        assert!(a.bit(0));
-        assert!(a.bit(1));
-        assert!(!a.bit(2));
-        assert!(a.bit(3));
-        assert!(!a.bit(200));
         assert_eq!(a.num_bits(), 4);
+        assert_eq!(B4::new([0, 0, 1, 0]).num_bits(), 129);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Floating-point large-integer multiplication backend (paper §4.3).
+//! Floating-point large-integer multiplication (paper §4.3), built and
+//! checked only under test.
 //!
 //! GZKP's finite-field library exploits the GPU's floating-point units —
 //! otherwise idle during integer-heavy ZKP workloads — for modular
@@ -6,29 +7,30 @@
 //! to `f64`, and multiplied with *error-free transformations* (Dekker's
 //! two-product, realized here through FMA), so no rounding is ever lost.
 //!
-//! This module is the CPU realization of that backend:
+//! This module is the CPU realization of that multiplier:
 //!
 //! * [`two_product`] / [`two_sum`] — the error-free building blocks;
 //! * [`DfpInt`] — a base-2⁵² float-limb integer;
 //! * [`dfp_full_mul`] — exact widening multiplication where every partial
 //!   product is formed by the FP pipeline;
-//! * [`DfpField`] — a wrapper executing a full modular multiplication with
-//!   the FP multiplier plus integer Montgomery reduction, bit-for-bit equal
-//!   to [`crate::fp::Fp`] (property-tested).
+//! * [`DfpField`] — a full modular multiplication with the FP multiplier
+//!   plus integer Montgomery reduction, bit-for-bit equal to
+//!   [`crate::fp::Fp`] (property-tested below).
 //!
-//! In the GPU simulator the backend choice only changes the per-operation
-//! *cost* (the "BG w. lib" and "w. lib" ablations of Figures 8 and 10); the
-//! functional kernels always run the integer path. This module exists so the
-//! claimed technique is actually implemented and verified, not just priced.
+//! Nothing outside the tests runs it: the GPU simulator prices the
+//! multiplier by `gzkp_gpu_sim::Backend::speedup` (the "BG w. lib" and
+//! "w. lib" ablations of Figures 8 and 10), and the functional kernels
+//! always run the integer path. The module shows that the technique it
+//! prices is exact.
 
 use crate::bigint::BigInt;
 use crate::fp::{Fp, FpParams};
 use core::marker::PhantomData;
 
 /// Number of bits per floating-point limb (the paper chooses base `2^52`).
-pub const DFP_LIMB_BITS: u32 = 52;
+pub(crate) const DFP_LIMB_BITS: u32 = 52;
 /// Mask with the low 52 bits set.
-pub const DFP_LIMB_MASK: u64 = (1u64 << DFP_LIMB_BITS) - 1;
+pub(crate) const DFP_LIMB_MASK: u64 = (1u64 << DFP_LIMB_BITS) - 1;
 
 /// Dekker/FMA two-product: returns `(hi, lo)` with `hi + lo == a * b`
 /// exactly, where `hi = fl(a*b)`.
@@ -36,7 +38,7 @@ pub const DFP_LIMB_MASK: u64 = (1u64 << DFP_LIMB_BITS) - 1;
 /// Requires `a`, `b` integral with at most 52 significant bits each so that
 /// both halves are exactly representable.
 #[inline]
-pub fn two_product(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_product(a: f64, b: f64) -> (f64, f64) {
     let hi = a * b;
     let lo = a.mul_add(b, -hi);
     (hi, lo)
@@ -45,7 +47,7 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
 /// Knuth two-sum: returns `(s, e)` with `s + e == a + b` exactly,
 /// where `s = fl(a+b)`.
 #[inline]
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let bb = s - a;
     let e = (a - (s - bb)) + (b - bb);
@@ -56,14 +58,14 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 ///
 /// Every limb is an integer in `[0, 2^52)`, hence exactly representable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DfpInt {
+pub(crate) struct DfpInt {
     /// Little-endian base-2⁵² limbs.
     pub limbs: Vec<f64>,
 }
 
 impl DfpInt {
     /// Converts from 64-bit limbs (little-endian) into 52-bit float limbs.
-    pub fn from_u64_limbs(limbs: &[u64]) -> Self {
+    pub(crate) fn from_u64_limbs(limbs: &[u64]) -> Self {
         let total_bits = limbs.len() * 64;
         let n_limbs = total_bits.div_ceil(DFP_LIMB_BITS as usize);
         let mut out = Vec::with_capacity(n_limbs);
@@ -85,7 +87,7 @@ impl DfpInt {
     /// # Panics
     ///
     /// Panics if the value does not fit in `out_len` limbs.
-    pub fn to_u64_limbs(&self, out_len: usize) -> Vec<u64> {
+    pub(crate) fn to_u64_limbs(&self, out_len: usize) -> Vec<u64> {
         let mut out = vec![0u64; out_len];
         for (k, &f) in self.limbs.iter().enumerate() {
             let v = f as u64;
@@ -117,7 +119,7 @@ impl DfpInt {
 /// [`two_product`]; the exact `(hi, lo)` halves are accumulated per output
 /// column in `i128` (the role the paper's carry-resolution pass plays on the
 /// GPU) and carry-propagated back into base-2⁵² limbs.
-pub fn dfp_full_mul(a: &DfpInt, b: &DfpInt) -> DfpInt {
+pub(crate) fn dfp_full_mul(a: &DfpInt, b: &DfpInt) -> DfpInt {
     let n = a.limbs.len() + b.limbs.len();
     let mut cols = vec![0i128; n + 2];
     let scale = (1u128 << DFP_LIMB_BITS) as f64; // 2^52
@@ -157,7 +159,7 @@ pub fn dfp_full_mul(a: &DfpInt, b: &DfpInt) -> DfpInt {
 ///
 /// Produces results bit-identical to [`Fp`]'s integer CIOS path.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DfpField<P, const N: usize>(PhantomData<P>);
+pub(crate) struct DfpField<P, const N: usize>(PhantomData<P>);
 
 impl<P: FpParams<N>, const N: usize> DfpField<P, N> {
     /// Multiplies two field elements using the floating-point multiplier.
@@ -202,33 +204,14 @@ impl<P: FpParams<N>, const N: usize> DfpField<P, N> {
         }
         r
     }
-
-    /// Squares a field element on the FP pipeline.
-    pub fn square(a: Fp<P, N>) -> Fp<P, N> {
-        Self::mul(a, a)
-    }
-}
-
-/// Relative cost model of the two multiplier backends, by limb count.
-///
-/// The FP path issues `ceil(64m/52)²` FMA pairs against the integer path's
-/// `m² + m(m+1)` 64×64 MULs, but on Volta-class parts the FP64/FP32 pipes
-/// add throughput the integer units don't have, for a net gain the paper
-/// reports as ~1.3–1.6× at ZKP bit widths. The GPU simulator consumes this
-/// ratio; see `gzkp-gpu-sim::device`.
-pub fn fp_backend_speedup(limbs_64: usize) -> f64 {
-    match limbs_64 {
-        0..=4 => 1.35, // 256-bit
-        5..=6 => 1.45, // 381-bit
-        _ => 1.6,      // 753-bit: integer-pipe pressure highest
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::{Fq254, Fr254};
+    use crate::fields::{Fq254, Fq753, Fr254};
     use crate::traits::Field;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -305,9 +288,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn speedup_monotone_in_width() {
-        assert!(fp_backend_speedup(12) >= fp_backend_speedup(6));
-        assert!(fp_backend_speedup(6) >= fp_backend_speedup(4));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dfp_matches_integer_backend(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (Fr254::random(&mut rng), Fr254::random(&mut rng));
+            prop_assert_eq!(DfpField::mul(a, b), a * b);
+        }
+
+        #[test]
+        fn dfp_full_mul_matches_widening(
+            a in prop::array::uniform4(any::<u64>()),
+            b in prop::array::uniform4(any::<u64>()),
+        ) {
+            let fa = DfpInt::from_u64_limbs(&a);
+            let fb = DfpInt::from_u64_limbs(&b);
+            let prod = dfp_full_mul(&fa, &fb).to_u64_limbs(8);
+            let (lo, hi) = BigInt(a).widening_mul(&BigInt(b));
+            prop_assert_eq!(&prod[..4], &lo.0[..]);
+            prop_assert_eq!(&prod[4..], &hi.0[..]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn dfp_matches_integer_backend_753(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (Fq753::random(&mut rng), Fq753::random(&mut rng));
+            prop_assert_eq!(DfpField::mul(a, b), a * b);
+        }
     }
 }

@@ -238,11 +238,6 @@ impl MontCtx {
         }
     }
 
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &[u64] {
-        &self.modulus
-    }
-
     fn limbs(&self) -> usize {
         self.modulus.len()
     }
@@ -293,7 +288,7 @@ impl MontCtx {
     }
 
     /// Converts to Montgomery form.
-    pub fn to_mont(&self, a: &[u64]) -> Vec<u64> {
+    pub(crate) fn to_mont(&self, a: &[u64]) -> Vec<u64> {
         let a = rem(a, &self.modulus);
         self.mont_mul(&self.pad(&a), &self.pad(&self.r2))
     }
@@ -308,7 +303,7 @@ impl MontCtx {
     }
 
     /// Modular multiplication of plain (non-Montgomery) values.
-    pub fn mulmod(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    pub(crate) fn mulmod(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let am = self.to_mont(a);
         let bm = self.to_mont(b);
         self.from_mont(&self.mont_mul(&am, &bm))

@@ -287,7 +287,7 @@ impl<C: Fp6Config> Fp6<C> {
     }
 
     /// Multiplication by `v`: `(c0,c1,c2) ↦ (ξ·c2, c0, c1)`.
-    pub fn mul_by_nonresidue(&self) -> Self {
+    pub(crate) fn mul_by_nonresidue(&self) -> Self {
         Self::new(C::nonresidue() * self.c2, self.c0, self.c1)
     }
 

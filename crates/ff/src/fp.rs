@@ -71,7 +71,7 @@ pub trait FpParams<const N: usize>:
 }
 
 /// `-p^{-1} mod 2^64` for CIOS reduction.
-pub const fn mont_inv<const N: usize>(modulus: &BigInt<N>) -> u64 {
+pub(crate) const fn mont_inv<const N: usize>(modulus: &BigInt<N>) -> u64 {
     // Newton iteration doubles correct low bits each step; p0 is odd.
     let p0 = modulus.0[0];
     let mut inv = 1u64;
@@ -84,7 +84,7 @@ pub const fn mont_inv<const N: usize>(modulus: &BigInt<N>) -> u64 {
 }
 
 /// `2^(64·N·pow) mod p` computed by repeated doubling (const-friendly).
-pub const fn compute_r<const N: usize>(modulus: &BigInt<N>, pow: usize) -> BigInt<N> {
+pub(crate) const fn compute_r<const N: usize>(modulus: &BigInt<N>, pow: usize) -> BigInt<N> {
     // Start from 1 and double 64*N*pow times, reducing mod p.
     let mut acc = BigInt::<N>::ONE;
     // Reduce the initial 1 is unnecessary (p > 1).
@@ -286,8 +286,9 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     ///
     /// Panics if the parameters are inconsistent (wrong 2-adicity, generator
     /// is a quadratic residue, modulus even, ...).
-    pub fn self_check() {
-        assert!(P::MODULUS.is_odd(), "{}: modulus must be odd", P::NAME);
+    #[cfg(test)]
+    pub(crate) fn self_check() {
+        assert!(!P::MODULUS.is_even(), "{}: modulus must be odd", P::NAME);
         // 2-adicity: 2^TWO_ADICITY divides p-1, 2^(TWO_ADICITY+1) does not.
         let (pm1, _) = P::MODULUS.const_sub(&BigInt::ONE);
         let mut t = pm1;
@@ -295,7 +296,7 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
             assert!(t.is_even(), "{}: 2-adicity overstated", P::NAME);
             t.div2();
         }
-        assert!(t.is_odd(), "{}: 2-adicity understated", P::NAME);
+        assert!(!t.is_even(), "{}: 2-adicity understated", P::NAME);
         // Generator must be a non-residue: g^((p-1)/2) == -1.
         let mut half = pm1;
         half.div2();

@@ -10,9 +10,12 @@
 //!   constants, instantiated for all paper fields in [`fields`];
 //! * [`dynmont`] — dynamic-modulus arithmetic (parameter generation,
 //!   pairing exponents);
-//! * [`dfp`] — the paper's §4.3 floating-point multiplier backend
-//!   (Dekker/FMA error-free transforms), bit-equal to the integer path;
 //! * [`ext`] — the `Fp2`/`Fp6`/`Fp12` towers pairings are built on.
+//!
+//! The paper's §4.3 floating-point multiplier (Dekker/FMA error-free
+//! transforms) is a test-only module here, property-tested bit-equal to
+//! the integer path; the simulator prices it by
+//! `gzkp_gpu_sim::Backend::speedup`.
 //!
 //! ## Quickstart
 //!
@@ -32,12 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod bigint;
-pub mod dfp;
+#[cfg(test)]
+mod dfp;
 pub mod dynmont;
 pub mod ext;
 pub mod fields;
 pub mod fp;
-pub mod poly;
 pub mod traits;
 
 pub use bigint::BigInt;

@@ -199,7 +199,7 @@ fn oracle_pow<P: FpParams<N>, const N: usize>(base: Fp<P, N>, exp: &BigInt<N>) -
     let mut acc = Fp::<P, N>::one();
     for i in (0..exp.num_bits() as usize).rev() {
         acc = oracle_mul(acc, acc);
-        if exp.bit(i) {
+        if exp.0[i / 64] >> (i % 64) & 1 == 1 {
             acc = oracle_mul(acc, base);
         }
     }
@@ -210,13 +210,13 @@ fn oracle_pow<P: FpParams<N>, const N: usize>(base: Fp<P, N>, exp: &BigInt<N>) -
 /// odd, `TWO_ADICITY` is exact, `GENERATOR` is a non-residue and its
 /// `(p−1)/2^s`-th power has order exactly `2^s`.
 fn oracle_self_check<P: FpParams<N>, const N: usize>() {
-    assert!(P::MODULUS.is_odd(), "{}: modulus must be odd", P::NAME);
+    assert!(!P::MODULUS.is_even(), "{}: modulus must be odd", P::NAME);
     let mut t = p_minus::<P, N>(1);
     for _ in 0..P::TWO_ADICITY {
         assert!(t.is_even(), "{}: 2-adicity overstated", P::NAME);
         t.div2();
     }
-    assert!(t.is_odd(), "{}: 2-adicity understated", P::NAME);
+    assert!(!t.is_even(), "{}: 2-adicity understated", P::NAME);
     let g = BigInt::from_u64(P::GENERATOR);
     let g: Fp<P, N> = raw(oracle::mont_mul::<P, N>(&g, &Fp::<P, N>::R2));
     let legendre = oracle_pow(g, &half::<P, N>());

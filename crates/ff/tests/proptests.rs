@@ -1,10 +1,10 @@
 //! Property-based tests of the finite-field substrate: bigint arithmetic
 //! against the dynamic-width reference, field axioms under random
-//! operation sequences, Montgomery-domain consistency, and the Dekker
-//! floating-point multiplier against the integer CIOS path.
+//! operation sequences and Montgomery-domain consistency. (The Dekker
+//! floating-point multiplier's properties sit in its test-only module,
+//! `src/dfp.rs`.)
 
 use gzkp_ff::bigint::BigInt;
-use gzkp_ff::dfp::{dfp_full_mul, DfpField, DfpInt};
 use gzkp_ff::dynmont;
 use gzkp_ff::fields::{Fq381, Fq753, Fr254};
 use gzkp_ff::{Field, PrimeField};
@@ -108,21 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn dfp_matches_integer_backend(a in arb_fr254(), b in arb_fr254()) {
-        prop_assert_eq!(DfpField::mul(a, b), a * b);
-    }
-
-    #[test]
-    fn dfp_full_mul_matches_widening(a in arb_bigint4(), b in arb_bigint4()) {
-        let fa = DfpInt::from_u64_limbs(&a.0);
-        let fb = DfpInt::from_u64_limbs(&b.0);
-        let prod = dfp_full_mul(&fa, &fb).to_u64_limbs(8);
-        let (lo, hi) = a.widening_mul(&b);
-        prop_assert_eq!(&prod[..4], &lo.0[..]);
-        prop_assert_eq!(&prod[4..], &hi.0[..]);
-    }
-
-    #[test]
     fn batch_inverse_matches_elementwise(seed in any::<u64>(), n in 0usize..40) {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -187,6 +172,5 @@ proptest! {
         if !a.is_zero() {
             prop_assert_eq!(a * a.inverse().unwrap(), Fq753::one());
         }
-        prop_assert_eq!(DfpField::mul(a, b), a * b);
     }
 }

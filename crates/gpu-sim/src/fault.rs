@@ -121,16 +121,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with the same rate for every kind and no dead devices.
-    pub fn uniform(seed: u64, rate: f64) -> Self {
-        Self {
-            seed,
-            rates: FaultRates::uniform(rate),
-            device_scale: Vec::new(),
-            dead: Vec::new(),
-        }
-    }
-
     /// Parses the `zkserve --chaos` spec: `seed[,key=value...]` with keys
     /// `rate` (all kinds), `kernel`, `transfer`, `hang`, `corrupt`
     /// (fractions) and `dead` (`+`-separated device indices).
@@ -409,10 +399,20 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// A plan with the same rate for every stage-level kind and no dead
+    /// devices.
+    fn uniform(seed: u64, rate: f64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            rates: FaultRates::uniform(rate),
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn decisions_are_deterministic_and_placement_independent() {
-        let a = FaultInjector::new(FaultPlan::uniform(42, 0.3));
-        let b = FaultInjector::new(FaultPlan::uniform(42, 0.3));
+        let a = FaultInjector::new(uniform(42, 0.3));
+        let b = FaultInjector::new(uniform(42, 0.3));
         for job in 0..50u64 {
             for stage in ["poly", "msm"] {
                 for attempt in 0..4 {
@@ -431,8 +431,8 @@ mod tests {
 
     #[test]
     fn seed_changes_the_sequence() {
-        let a = FaultInjector::new(FaultPlan::uniform(1, 0.3));
-        let b = FaultInjector::new(FaultPlan::uniform(2, 0.3));
+        let a = FaultInjector::new(uniform(1, 0.3));
+        let b = FaultInjector::new(uniform(2, 0.3));
         for job in 0..60u64 {
             a.roll(None, job, "msm", 0, true);
             b.roll(None, job, "msm", 0, true);
@@ -447,7 +447,7 @@ mod tests {
         // streams under permuted job ids, and the logs read without the
         // job ids would be equal.
         let log = |seed: u64| {
-            let inj = FaultInjector::new(FaultPlan::uniform(seed, 0.2));
+            let inj = FaultInjector::new(uniform(seed, 0.2));
             for job in 0..4u64 {
                 for attempt in 0..8 {
                     inj.roll(None, job, "poly", attempt, false);
@@ -472,8 +472,8 @@ mod tests {
 
     #[test]
     fn rate_zero_never_fires_rate_one_always_fires() {
-        let never = FaultInjector::new(FaultPlan::uniform(7, 0.0));
-        let always = FaultInjector::new(FaultPlan::uniform(7, 1.0));
+        let never = FaultInjector::new(uniform(7, 0.0));
+        let always = FaultInjector::new(uniform(7, 1.0));
         for job in 0..20u64 {
             assert_eq!(never.roll(Some(0), job, "poly", 0, true), None);
             // Hang has the highest priority in the draw order.
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn device_scale_shifts_the_threshold_not_the_draw() {
-        let mut plan = FaultPlan::uniform(11, 0.5);
+        let mut plan = uniform(11, 0.5);
         plan.device_scale = vec![1.0, 0.0];
         let inj = FaultInjector::new(plan);
         let mut dev0_fired = 0;
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_cli_spec() {
-        assert_eq!(FaultPlan::parse("5").unwrap(), FaultPlan::uniform(5, 0.0));
+        assert_eq!(FaultPlan::parse("5").unwrap(), uniform(5, 0.0));
         let plan = FaultPlan::parse("42,rate=0.1,hang=0.02,dead=1+3").unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rates.kernel, 0.1);
@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn host_kill_draws_are_deterministic_and_separate_from_stage_faults() {
-        let mut plan = FaultPlan::uniform(13, 0.0);
+        let mut plan = uniform(13, 0.0);
         plan.rates.host_kill = 0.3;
         let a = FaultInjector::new(plan.clone());
         let b = FaultInjector::new(plan);
@@ -579,7 +579,7 @@ mod tests {
         // Stage rolls stay untouched by the host-kill rate.
         assert_eq!(a.roll(Some(0), 1, "msm", 0, true), None);
         // And a zero host-kill rate never fires or logs.
-        let quiet = FaultInjector::new(FaultPlan::uniform(13, 0.0));
+        let quiet = FaultInjector::new(uniform(13, 0.0));
         for tick in 0..50 {
             assert!(!quiet.roll_host_kill(0, tick));
         }

@@ -53,8 +53,6 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, Fau
 pub use kernel::{
     multi_gpu_time_ns, simulate_kernel, BlockCost, KernelReport, KernelSpec, StageReport,
 };
-pub use report::{render_stage, utilization, Bottleneck, Utilization};
+pub use report::{render_stage, utilization, Utilization};
 pub use stream::{DeviceTimeline, EngineKind, Event, StreamId, StreamOp};
-pub use transfer::{
-    d2d_time_ns, link_kind, transfer_bandwidth, transfer_time_ns, CopyDir, HostMem, LinkKind,
-};
+pub use transfer::{d2d_time_ns, link_kind, transfer_time_ns, HostMem, LinkKind};

@@ -3,18 +3,13 @@
 //! The engines (NTT/MSM) describe their access patterns; this module turns
 //! them into DRAM sector counts. Two levels of fidelity are provided:
 //!
-//! * **Analytic** — [`strided_warp_sectors`] computes exact sector counts
-//!   for the strided patterns ZKP kernels use, and the cost model consumes
-//!   it through [`strided_phase_sectors`] (fast enough for 2²⁶-element
-//!   sweeps). [`coalesced_sectors`] is the contiguous case.
+//! * **Analytic** — `strided_warp_sectors` computes exact sector counts
+//!   for the strided patterns ZKP kernels use (stride one is the coalesced
+//!   case), and the cost model consumes it through
+//!   [`strided_phase_sectors`] (fast enough for 2²⁶-element sweeps).
 //! * **Stateful** — [`L2Cache`], a set-associative LRU model the tests use
 //!   to validate the analytic formulas on small instances. Nothing outside
 //!   the tests runs it.
-
-/// Number of DRAM sectors touched by a fully coalesced transfer of `bytes`.
-pub fn coalesced_sectors(bytes: u64, sector_bytes: u64) -> u64 {
-    bytes.div_ceil(sector_bytes)
-}
 
 /// Sectors touched by one warp reading `warp_size` words of `word_bytes`
 /// each, where consecutive lanes' addresses are `stride_words` words apart.
@@ -22,7 +17,7 @@ pub fn coalesced_sectors(bytes: u64, sector_bytes: u64) -> u64 {
 /// With the paper's column-major layout, lane `k` of a warp reads word `w`
 /// of element `i + k·s`; addresses are `s · word_bytes` apart. A 32 B sector
 /// then covers `max(1, sector/word/s)` useful lanes.
-pub fn strided_warp_sectors(
+pub(crate) fn strided_warp_sectors(
     warp_size: u64,
     word_bytes: u64,
     stride_words: u64,
@@ -148,13 +143,6 @@ impl L2Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coalesced_is_minimal() {
-        assert_eq!(coalesced_sectors(256, 32), 8);
-        assert_eq!(coalesced_sectors(1, 32), 1);
-        assert_eq!(coalesced_sectors(0, 32), 0);
-    }
 
     #[test]
     fn stride_one_is_coalesced() {

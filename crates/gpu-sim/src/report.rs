@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 
 /// Which resource bounded a kernel's wave time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
+pub(crate) enum Bottleneck {
     /// MAC throughput (or a straggler block).
     Compute,
     /// DRAM bandwidth.

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Effective-bandwidth factor of a pageable-host copy relative to pinned:
 /// the driver memcpy through its bounce buffer roughly halves throughput.
-pub const PAGEABLE_BW_FACTOR: f64 = 0.45;
+pub(crate) const PAGEABLE_BW_FACTOR: f64 = 0.45;
 
 /// Where the host side of a copy lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ pub enum HostMem {
 
 impl HostMem {
     /// Bandwidth factor relative to the link's pinned-copy rate.
-    pub fn bandwidth_factor(self) -> f64 {
+    pub(crate) fn bandwidth_factor(self) -> f64 {
         match self {
             HostMem::Pinned => 1.0,
             HostMem::Pageable => PAGEABLE_BW_FACTOR,
@@ -38,18 +38,9 @@ impl HostMem {
     }
 }
 
-/// Direction of a copy across the interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CopyDir {
-    /// Host to device (uploads: points, scalars, checkpoint tables).
-    H2d,
-    /// Device to host (downloads: MSM results, proofs).
-    D2h,
-}
-
 /// Effective copy bandwidth in bytes/ns for `dev`'s link and host memory
 /// kind.
-pub fn transfer_bandwidth(dev: &DeviceConfig, mem: HostMem) -> f64 {
+pub(crate) fn transfer_bandwidth(dev: &DeviceConfig, mem: HostMem) -> f64 {
     dev.interconnect_bytes_per_ns * mem.bandwidth_factor()
 }
 
@@ -62,12 +53,12 @@ pub fn transfer_time_ns(dev: &DeviceConfig, bytes: u64, mem: HostMem) -> f64 {
 /// Minimum `interconnect_bytes_per_ns` at which an endpoint is considered
 /// NVLink-attached. V100 presets carry 25 B/ns (NVLink), GTX 1080 Ti 12
 /// B/ns (PCIe 3.0 x16): the classification splits exactly between them.
-pub const NVLINK_MIN_BW: f64 = 20.0;
+pub(crate) const NVLINK_MIN_BW: f64 = 20.0;
 
 /// Submission latency of a direct NVLink P2P copy. Far below the PCIe
 /// host-copy latency: no host round-trip, no driver bounce buffer — just
 /// a cudaMemcpyPeer enqueue over the fabric.
-pub const NVLINK_P2P_LATENCY_NS: f64 = 2_000.0;
+pub(crate) const NVLINK_P2P_LATENCY_NS: f64 = 2_000.0;
 
 /// How a device-to-device copy is routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

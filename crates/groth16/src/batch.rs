@@ -1,121 +1,10 @@
-//! Verification accelerators: prepared verification keys (caching the
-//! statement-independent pairing `e(α, β)`), randomized batch
-//! verification of many proofs, and the compressed proof wire format.
-//!
-//! These are the verifier-side counterparts of the paper's prover focus:
-//! a chain node verifying a block of shielded transactions checks many
-//! Groth16 proofs against the same key, and the batched equation trades
-//! `4n` Miller loops for `3n + 1`-ish work with one final exponentiation.
+//! The compressed proof wire format: `A ‖ B ‖ C`, what the service's
+//! jobs return and `verify_proof_bytes` reads.
 
 use crate::prove::Proof;
-use crate::setup::VerifyingKey;
-use gzkp_curves::pairing::{final_exponentiation, miller_loop, Gt, PairingConfig};
+use gzkp_curves::pairing::PairingConfig;
 use gzkp_curves::serialize::{compress, decompress, CoordField};
-use gzkp_curves::{CurveParams, Projective};
-use gzkp_ff::ext::{Fp12Config, Fp2Config, Fp6Config};
-use gzkp_ff::{Field, PrimeField};
-use rand::Rng;
-
-/// A verification key with the statement-independent work done once.
-#[derive(Debug, Clone)]
-pub struct PreparedVerifyingKey<P: PairingConfig> {
-    /// The underlying key.
-    pub vk: VerifyingKey<P>,
-    /// Cached `e(α, β)` (skips one Miller loop per verification).
-    pub alpha_beta: Gt<P>,
-}
-
-impl<P: PairingConfig> PreparedVerifyingKey<P>
-where
-    <P::Fq12C as Fp12Config>::Fp6C: Fp6Config<Fp2C = P::Fq2C>,
-    P::Fq2C: Fp2Config,
-{
-    /// Prepares a verification key.
-    pub fn new(vk: VerifyingKey<P>) -> Self {
-        let alpha_beta = final_exponentiation::<P>(&miller_loop::<P>(&vk.alpha_g1, &vk.beta_g2));
-        Self { vk, alpha_beta }
-    }
-
-    /// Verifies one proof using the cached `e(α, β)`:
-    /// checks `e(A,B) · e(−acc, γ) · e(−C, δ) == e(α, β)`.
-    pub fn verify(&self, proof: &Proof<P>, public_inputs: &[P::Fr]) -> bool {
-        if public_inputs.len() + 1 != self.vk.ic.len() {
-            return false;
-        }
-        let mut acc = self.vk.ic[0].to_projective();
-        for (x, ic) in public_inputs.iter().zip(&self.vk.ic[1..]) {
-            acc = acc.add(&ic.mul(x));
-        }
-        let f = miller_loop::<P>(&proof.a, &proof.b)
-            * miller_loop::<P>(&acc.to_affine().neg(), &self.vk.gamma_g2)
-            * miller_loop::<P>(&proof.c.neg(), &self.vk.delta_g2);
-        final_exponentiation::<P>(&f) == self.alpha_beta
-    }
-}
-
-/// Randomized batch verification: checks `n` (proof, inputs) pairs with
-/// one combined pairing product. Each proof is scaled by an independent
-/// random coefficient so a single invalid proof fails the batch except
-/// with probability `~1/r`.
-///
-/// Returns `true` iff (w.h.p.) **all** proofs verify. An empty batch is
-/// vacuously valid.
-pub fn batch_verify<P: PairingConfig, R: Rng + ?Sized>(
-    vk: &VerifyingKey<P>,
-    items: &[(Proof<P>, Vec<P::Fr>)],
-    rng: &mut R,
-) -> bool
-where
-    <P::Fq12C as Fp12Config>::Fp6C: Fp6Config<Fp2C = P::Fq2C>,
-    P::Fq2C: Fp2Config,
-{
-    if items.is_empty() {
-        return true;
-    }
-    // Random 126-bit coefficients (r_0 = 1 is fine and saves a scaling).
-    let coeffs: Vec<P::Fr> = std::iter::once(P::Fr::one())
-        .chain((1..items.len()).map(|_| {
-            P::Fr::from_limbs(&[rng.gen(), rng.gen::<u64>() >> 2, 0, 0][..P::Fr::NUM_LIMBS.min(4)])
-                .unwrap_or_else(P::Fr::one)
-        }))
-        .collect();
-
-    // Σ rᵢ·e(Aᵢ, Bᵢ) = e(α,β)^{Σrᵢ} · e(Σ rᵢ·accᵢ, γ) · e(Σ rᵢ·Cᵢ, δ)
-    let mut f = Gt::<P>::one();
-    let mut acc_sum = Projective::<P::G1>::identity();
-    let mut c_sum = Projective::<P::G1>::identity();
-    let mut alpha_scale = P::Fr::zero();
-    for ((proof, inputs), r) in items.iter().zip(&coeffs) {
-        if inputs.len() + 1 != vk.ic.len() {
-            return false;
-        }
-        let mut acc = vk.ic[0].to_projective();
-        for (x, ic) in inputs.iter().zip(&vk.ic[1..]) {
-            acc = acc.add(&ic.mul(x));
-        }
-        // e(A,B)^r = e(r·A, B).
-        let ra = proof.a.mul(r).to_affine();
-        f *= miller_loop::<P>(&ra, &proof.b);
-        acc_sum = acc_sum.add(&acc.mul(r));
-        c_sum = c_sum.add(&proof.c.mul(r));
-        alpha_scale += *r;
-    }
-    let alpha_side = Projective::<P::G1>::from_affine_mul(&vk.alpha_g1, &alpha_scale);
-    f *= miller_loop::<P>(&alpha_side.to_affine().neg(), &vk.beta_g2);
-    f *= miller_loop::<P>(&acc_sum.to_affine().neg(), &vk.gamma_g2);
-    f *= miller_loop::<P>(&c_sum.to_affine().neg(), &vk.delta_g2);
-    final_exponentiation::<P>(&f) == Gt::<P>::one()
-}
-
-// Small helper so batch_verify reads cleanly.
-trait FromAffineMul<C: CurveParams> {
-    fn from_affine_mul(p: &gzkp_curves::Affine<C>, s: &C::Scalar) -> Projective<C>;
-}
-impl<C: CurveParams> FromAffineMul<C> for Projective<C> {
-    fn from_affine_mul(p: &gzkp_curves::Affine<C>, s: &C::Scalar) -> Projective<C> {
-        p.mul(s)
-    }
-}
+use gzkp_curves::CurveParams;
 
 /// Compressed proof encoding: `A ‖ B ‖ C`, each point x-coordinate plus a
 /// flag byte (see [`gzkp_curves::serialize`]). Under 1 KB on every curve.
@@ -151,8 +40,10 @@ where
 mod tests {
     use super::*;
     use crate::r1cs::{ConstraintSystem, LinearCombination};
+    use crate::setup::VerifyingKey;
     use crate::{prove, setup, verify, ProverEngines};
     use gzkp_curves::bn254::{Bn254, Fr};
+    use gzkp_ff::Field;
     use gzkp_gpu_sim::v100;
     use gzkp_msm::GzkpMsm;
     use gzkp_ntt::GzkpNtt;
@@ -197,39 +88,6 @@ mod tests {
             LinearCombination::from_var(out),
         );
         cs
-    }
-
-    #[test]
-    fn prepared_vk_matches_plain_verify() {
-        let (vk, items) = make_proofs(2, 1);
-        let pvk = PreparedVerifyingKey::new(vk.clone());
-        for (proof, inputs) in &items {
-            assert_eq!(
-                pvk.verify(proof, inputs),
-                verify::<Bn254>(&vk, proof, inputs)
-            );
-            assert!(pvk.verify(proof, inputs));
-            assert!(!pvk.verify(proof, &[inputs[0] + Fr::one()]));
-        }
-    }
-
-    #[test]
-    fn batch_verify_accepts_valid_batch() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let (vk, items) = make_proofs(3, 3);
-        assert!(batch_verify::<Bn254, _>(&vk, &items, &mut rng));
-        assert!(batch_verify::<Bn254, _>(&vk, &[], &mut rng));
-    }
-
-    #[test]
-    fn batch_verify_rejects_one_bad_proof() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (vk, mut items) = make_proofs(3, 5);
-        items[1].1[0] += Fr::one(); // corrupt one statement
-        assert!(!batch_verify::<Bn254, _>(&vk, &items, &mut rng));
-        let (_, mut items2) = make_proofs(2, 6);
-        items2[0].0.c = items2[0].0.c.neg(); // corrupt one proof point
-        assert!(!batch_verify::<Bn254, _>(&vk, &items2, &mut rng));
     }
 
     #[test]

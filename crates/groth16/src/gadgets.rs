@@ -44,7 +44,7 @@ pub fn alloc_ranged<F: PrimeField>(
 }
 
 /// Number of rounds of the MiMC permutation gadget.
-pub const MIMC_ROUNDS: usize = 91;
+pub(crate) const MIMC_ROUNDS: usize = 91;
 
 /// Deterministic round constants (a fixed LCG keyed by the round index —
 /// nothing-up-my-sleeve is not required for a reproduction workload).
@@ -119,12 +119,12 @@ pub fn mimc_gadget<F: PrimeField>(
 /// Two-to-one compression for Merkle trees: `H(l, r) = MiMC(l + 3r; key=0)`.
 /// A toy binding (documented as such) — sufficient for a reproduction
 /// workload; swap in a sponge for production use.
-pub fn mimc_compress<F: PrimeField>(l: F, r: F, constants: &[F]) -> F {
+pub(crate) fn mimc_compress<F: PrimeField>(l: F, r: F, constants: &[F]) -> F {
     mimc_hash(l + r.double() + r, F::zero(), constants)
 }
 
 /// In-circuit counterpart of [`mimc_compress`].
-pub fn mimc_compress_gadget<F: PrimeField>(
+pub(crate) fn mimc_compress_gadget<F: PrimeField>(
     cs: &mut ConstraintSystem<F>,
     l: (Variable, F),
     r: (Variable, F),

@@ -57,7 +57,7 @@ pub mod setup;
 pub mod system;
 pub mod verify;
 
-pub use batch::{batch_verify, proof_from_bytes, proof_to_bytes, PreparedVerifyingKey};
+pub use batch::{proof_from_bytes, proof_to_bytes};
 pub use checkpoint::{ProofCheckpoint, MSM_STEPS};
 pub use gzkp_proof_system::MsmSteps;
 pub use prove::{
@@ -67,4 +67,4 @@ pub use prove::{
 pub use r1cs::{Circuit, ConstraintSystem, LinearCombination, SynthesisError, Variable};
 pub use setup::{setup, ProvingKey, VerifyingKey};
 pub use system::Groth16System;
-pub use verify::{verify, verify_proof_bytes};
+pub use verify::verify;

@@ -11,7 +11,7 @@ use gzkp_ff::PrimeField;
 use gzkp_gpu_sim::StageReport;
 use gzkp_ntt::gpu::GpuNttEngine;
 use gzkp_ntt::{CpuNtt, Direction, Radix2Domain};
-use gzkp_telemetry::{self as telemetry, NoopSink, TelemetrySink};
+use gzkp_telemetry::{self as telemetry, TelemetrySink};
 
 /// The constraint-matrix evaluations `⟨A_i, z⟩, ⟨B_i, z⟩, ⟨C_i, z⟩` padded
 /// to the evaluation domain.
@@ -60,17 +60,9 @@ pub struct PolyOutput<F: PrimeField> {
     pub report: StageReport,
 }
 
-/// Runs the POLY stage with a GPU NTT engine (functional + simulated cost).
-pub fn poly_stage<F: PrimeField>(
-    qap: &QapWitness<F>,
-    engine: &dyn GpuNttEngine<F>,
-) -> PolyOutput<F> {
-    poly_stage_traced(qap, engine, &NoopSink)
-}
-
-/// [`poly_stage`] with telemetry: each of the seven NTTs runs inside its
-/// own `ntt[i]` span on `sink`, carrying the kernel reports and counters
-/// the engine emits.
+/// Runs the POLY stage with a GPU NTT engine (functional + simulated
+/// cost). Each of the seven NTTs runs inside its own `ntt[i]` span on
+/// `sink`, carrying the kernel reports and counters the engine emits.
 pub fn poly_stage_traced<F: PrimeField>(
     qap: &QapWitness<F>,
     engine: &dyn GpuNttEngine<F>,
@@ -164,6 +156,7 @@ mod tests {
     use gzkp_ff::Field;
     use gzkp_gpu_sim::v100;
     use gzkp_ntt::GzkpNtt;
+    use gzkp_telemetry::NoopSink;
 
     fn sample_cs() -> ConstraintSystem<Fr254> {
         // A few multiplication constraints.
@@ -225,7 +218,7 @@ mod tests {
         let qap = QapWitness::from_r1cs(&cs).unwrap();
         let expect = poly_stage_cpu(&qap);
         let engine = GzkpNtt::auto::<Fr254>(v100());
-        let out = poly_stage(&qap, &engine);
+        let out = poly_stage_traced(&qap, &engine, &NoopSink);
         assert_eq!(out.h, expect);
         // Seven NTT kernel groups must appear in the report.
         assert!(out.report.kernels.len() >= 7);

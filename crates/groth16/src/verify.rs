@@ -51,7 +51,7 @@ where
 /// buffer fails here instead of at the client. Malformed bytes (wrong
 /// length, non-canonical coordinates, point off the curve) return
 /// `false` rather than panicking.
-pub fn verify_proof_bytes<P: PairingConfig>(
+pub(crate) fn verify_proof_bytes<P: PairingConfig>(
     vk: &VerifyingKey<P>,
     proof_bytes: &[u8],
     public_inputs: &[<P as PairingConfig>::Fr],
@@ -65,5 +65,58 @@ where
     match crate::batch::proof_from_bytes::<P>(proof_bytes) {
         Some(proof) => verify(vk, &proof, public_inputs),
         None => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::r1cs::{ConstraintSystem, LinearCombination};
+    use crate::{proof_to_bytes, prove, setup, ProverEngines};
+    use gzkp_curves::bn254::{Bn254, Fr};
+    use gzkp_gpu_sim::v100;
+    use gzkp_msm::GzkpMsm;
+    use gzkp_ntt::GzkpNtt;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn every_single_bit_flip_of_a_proof_is_rejected() {
+        // Knowledge of the factors of 35.
+        let mut cs = ConstraintSystem::<Fr>::new();
+        let n = cs.alloc_input(Fr::from_u64(35));
+        let p = cs.alloc(Fr::from_u64(5));
+        let q = cs.alloc(Fr::from_u64(7));
+        cs.enforce(
+            LinearCombination::from_var(p),
+            LinearCombination::from_var(q),
+            LinearCombination::from_var(n),
+        );
+        let mut rng = StdRng::seed_from_u64(17);
+        let (pk, vk) = setup::<Bn254, _>(&cs, &mut rng).unwrap();
+        let ntt = GzkpNtt::auto::<Fr>(v100());
+        let (msm_g1, msm_g2) = (GzkpMsm::new(v100()), GzkpMsm::new(v100()));
+        let engines = ProverEngines::<Bn254> {
+            ntt: &ntt,
+            msm_g1: &msm_g1,
+            msm_g2: &msm_g2,
+        };
+        let (proof, _) = prove(&cs, &pk, &engines, &mut rng).unwrap();
+        let bytes = proof_to_bytes(&proof);
+        let inputs = [Fr::from_u64(35)];
+        // A ‖ B ‖ C: 33 + 65 + 33 bytes, a flag byte before each x.
+        assert_eq!(bytes.len(), 131);
+        assert!(verify_proof_bytes(&vk, &bytes, &inputs));
+        // One flip per byte, the bit walking through every position: each
+        // lands in a flag, an x limb or past the modulus, and each either
+        // fails to decode or decodes to a point the equation rejects.
+        for (i, bit) in (0..bytes.len()).map(|i| (i, i % 8)) {
+            let mut bad = bytes.clone();
+            bad[i] ^= 1 << bit;
+            assert!(
+                !verify_proof_bytes(&vk, &bad, &inputs),
+                "bit {bit} of byte {i} flipped still verifies"
+            );
+        }
     }
 }

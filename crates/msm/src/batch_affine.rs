@@ -45,11 +45,6 @@ pub struct BatchAffineStats {
 }
 
 impl BatchAffineStats {
-    /// Inversions amortized away by Montgomery batching.
-    pub fn saved(&self) -> u64 {
-        self.padds.saturating_sub(self.inversions)
-    }
-
     /// Accumulates another task's counters into this one.
     pub fn merge(&mut self, other: &Self) {
         self.padds += other.padds;

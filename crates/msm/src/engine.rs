@@ -36,7 +36,7 @@ pub struct MsmStats {
 impl MsmStats {
     /// Field inversions amortized away by batching (each batched PADD
     /// would otherwise need its own inversion).
-    pub fn inversions_saved(&self) -> u64 {
+    pub(crate) fn inversions_saved(&self) -> u64 {
         self.batch_padds.saturating_sub(self.batch_inversions)
     }
 }
@@ -135,7 +135,7 @@ impl CurveCost {
     }
 
     /// MACs per coordinate-field multiplication (Karatsuba for Fp2: 3 muls).
-    pub fn field_mul(&self) -> f64 {
+    pub(crate) fn field_mul(&self) -> f64 {
         let base = field_mul_macs(self.base_limbs);
         match self.ext_degree {
             1 => base,
@@ -145,34 +145,34 @@ impl CurveCost {
     }
 
     /// MACs per coordinate-field addition.
-    pub fn field_add(&self) -> f64 {
+    pub(crate) fn field_add(&self) -> f64 {
         self.ext_degree as f64 * field_add_macs(self.base_limbs)
     }
 
     /// Field multiplications per full Jacobian PADD (11M + 5S).
-    pub const PADD_MULS: f64 = 16.0;
+    pub(crate) const PADD_MULS: f64 = 16.0;
 
     /// Field multiplications per mixed (Jacobian + affine) addition
     /// (7M + 4S).
-    pub const PADD_MIXED_MULS: f64 = 11.0;
+    pub(crate) const PADD_MIXED_MULS: f64 = 11.0;
 
     /// Field multiplications per batch-affine addition once Montgomery's
     /// trick has amortized its inversion: the slope, `λ²` and `y₃` (3M)
     /// plus three for its share of the batched inversion.
-    pub const BATCH_AFFINE_ADD_MULS: f64 = 6.0;
+    pub(crate) const BATCH_AFFINE_ADD_MULS: f64 = 6.0;
 
     /// MACs per full Jacobian PADD.
-    pub fn padd(&self) -> f64 {
+    pub(crate) fn padd(&self) -> f64 {
         Self::PADD_MULS * self.field_mul() + 7.0 * self.field_add()
     }
 
     /// MACs per mixed (Jacobian + affine) addition.
-    pub fn padd_mixed(&self) -> f64 {
+    pub(crate) fn padd_mixed(&self) -> f64 {
         Self::PADD_MIXED_MULS * self.field_mul() + 7.0 * self.field_add()
     }
 
     /// MACs per Jacobian doubling (2M + 5S ≈ 7 muls).
-    pub fn pdbl(&self) -> f64 {
+    pub(crate) fn pdbl(&self) -> f64 {
         7.0 * self.field_mul() + 11.0 * self.field_add()
     }
 
@@ -188,7 +188,7 @@ impl CurveCost {
 
     /// Equivalent "limbs" key for the backend-speedup table (an Fq2 element
     /// behaves like a wider integer for throughput purposes).
-    pub fn speedup_limbs(&self) -> usize {
+    pub(crate) fn speedup_limbs(&self) -> usize {
         self.base_limbs
     }
 }
@@ -208,7 +208,7 @@ pub fn naive_msm<C: CurveParams>(points: &[Affine<C>], scalars: &ScalarVec) -> P
 /// sums: given `B_1..B_m`, computes `Σ j·B_j` with `2(m−1)` PADDs instead
 /// of `m` PMULs — the classic path of [`crate::CpuMsm::serial`], the
 /// oracle, and of the sub-MSM baseline.
-pub fn bucket_reduce<C: CurveParams>(buckets: &[Projective<C>]) -> Projective<C> {
+pub(crate) fn bucket_reduce<C: CurveParams>(buckets: &[Projective<C>]) -> Projective<C> {
     let mut running = Projective::<C>::identity();
     let mut total = Projective::<C>::identity();
     for b in buckets.iter().rev() {
@@ -226,7 +226,7 @@ pub fn bucket_reduce<C: CurveParams>(buckets: &[Projective<C>]) -> Projective<C>
 /// total one full PADD per bucket, plus one `lo`-weighted PMUL of the
 /// running sum. This is what lets a bucket task reduce locally and hand
 /// back an exact partial.
-pub fn bucket_reduce_range<C: CurveParams>(buckets: &[Affine<C>], lo: u64) -> Projective<C> {
+pub(crate) fn bucket_reduce_range<C: CurveParams>(buckets: &[Affine<C>], lo: u64) -> Projective<C> {
     let mut running = Projective::<C>::identity();
     let mut total = Projective::<C>::identity();
     for b in buckets.iter().rev() {

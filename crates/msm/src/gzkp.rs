@@ -71,14 +71,14 @@ pub const MSM_HOST_OVERHEAD_NS: f64 = 3.0e6;
 /// and gather stalls on the scattered preprocessed-point reads.
 /// Calibration anchor: the paper's absolute GZKP MSM times (Table 7,
 /// e.g. 381-bit 2²⁴ ≈ 1.1 s; 256-bit 2²² ≈ 0.17 s).
-pub const MERGE_CG_OVERHEAD: f64 = 4.5;
+pub(crate) const MERGE_CG_OVERHEAD: f64 = 4.5;
 
 /// Fraction of the on-the-fly doubling work (Algorithm 1) that shows up as
 /// extra latency: the doubling chains of the streamed weight vector execute
 /// while the warp waits on its scattered point gathers, so most of their
 /// cost is hidden. Anchor: the paper's 753-bit column stays scale-linear
 /// across the checkpoint-interval transition (Table 7, 2²⁰ → 2²⁶).
-pub const DOUBLING_HIDE_FACTOR: f64 = 0.15;
+pub(crate) const DOUBLING_HIDE_FACTOR: f64 = 0.15;
 
 /// The GZKP MSM engine.
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ pub struct GzkpMsm {
     pub load_balance: bool,
     /// The byte-budgeted LRU table store this engine caches its
     /// checkpoint tables in; `None` means the process-wide default
-    /// ([`PreprocessStore::process_default`]). A proving service sets its
+    /// (`PreprocessStore::process_default`). A proving service sets its
     /// own to bound table memory across many proving keys explicitly.
     pub store: Option<Arc<PreprocessStore>>,
     /// Proof-system tag folded into preprocess-cache keys
@@ -146,7 +146,7 @@ impl GzkpMsm {
 
     /// Auto-sizes the checkpoint interval `M` so the preprocessed point
     /// levels fit in (80% of) device memory alongside the inputs.
-    pub fn interval_for<C: CurveParams>(&self, n: usize, windows: usize) -> u32 {
+    pub(crate) fn interval_for<C: CurveParams>(&self, n: usize, windows: usize) -> u32 {
         if let Some(m) = self.checkpoint_interval {
             return m.max(1);
         }
@@ -410,7 +410,7 @@ impl GzkpMsm {
     /// sources, scalars, `p_index` and weight workspace through
     /// double-buffered chunks of `n/shards` points, and keeps only its
     /// own bucket range resident.
-    pub fn sharded_memory_bytes<C: CurveParams>(&self, n: usize, shards: usize) -> u64 {
+    pub(crate) fn sharded_memory_bytes<C: CurveParams>(&self, n: usize, shards: usize) -> u64 {
         let cost = CurveCost::of::<C>();
         let shards = shards.max(1) as u64;
         let bits = <C::Scalar as PrimeField>::MODULUS_BITS as u64;
@@ -423,7 +423,7 @@ impl GzkpMsm {
     /// Memory plan for an MSM of size `n`: 1 when checkpoint tables +
     /// point vectors fit [`DeviceConfig::global_mem_bytes`] whole,
     /// otherwise the smallest shard count whose per-pass footprint
-    /// ([`Self::sharded_memory_bytes`]) fits. A task that exceeds device
+    /// (`Self::sharded_memory_bytes`) fits. A task that exceeds device
     /// memory is always split at least once so that pass `i+1`'s uploads
     /// can double-buffer under pass `i`'s merge kernel.
     pub fn shard_plan<C: CurveParams>(&self, n: usize) -> usize {
@@ -853,11 +853,6 @@ pub struct ShardTask<C: CurveParams> {
 }
 
 impl<C: CurveParams> ShardTask<C> {
-    /// The bucket-index ranges, one per shard, in merge order.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
     /// Number of bucket-range shards.
     pub fn num_ranges(&self) -> usize {
         self.ranges.len()
@@ -873,16 +868,11 @@ impl<C: CurveParams> ShardTask<C> {
         self.host_k
     }
 
-    /// Checkpoint interval `M` frozen by the reference engine.
-    pub fn checkpoint_interval(&self) -> u32 {
-        self.m
-    }
-
     /// Bytes a device must stream to execute one range: every pass reads
     /// all checkpoint levels, the scalars, and the `p_index` (bucket
     /// ranges filter by digit value, not point index, so the full point
     /// stream is needed regardless of the range).
-    pub fn pass_bytes(&self) -> u64 {
+    pub(crate) fn pass_bytes(&self) -> u64 {
         let cost = CurveCost::of::<C>();
         let levels = GzkpMsm::levels(self.windows, self.m) as u64;
         let sbytes = <C::Scalar as PrimeField>::MODULUS_BITS.div_ceil(64) as u64 * 8;
@@ -893,7 +883,7 @@ impl<C: CurveParams> ShardTask<C> {
     /// pre-partitions the entry stream by bucket range (the cross-device
     /// schedule): only the checkpoint rows whose digit lands in the range
     /// travel, so the upload scales with the range's share of the total
-    /// entry load. This asymmetry with [`Self::pass_bytes`] is
+    /// entry load. This asymmetry with `Self::pass_bytes` is
     /// deliberate — a *single* device running every pass cannot hold the
     /// partition and must re-stream everything, while distinct devices
     /// each hold exactly their slice. Never less than the scalars +
@@ -950,7 +940,7 @@ impl<C: CurveParams> ShardTask<C> {
     /// ([`reduce_segments`], whose first round resolves the signs). After
     /// the last pass it forms every bucket's `B_b = s₁ + φ(s₂)` in one
     /// more batch-affine round, one inversion per task, and finishes with
-    /// its own [`bucket_reduce_range`] over the affine `B_b`; the task
+    /// its own `bucket_reduce_range` over the affine `B_b`; the task
     /// sums are merged in range order.
     /// Bucket sums are exact affine points, so the result and the stats
     /// are the same at every thread count.
@@ -1283,7 +1273,10 @@ mod tests {
                     .collect();
                 assert_eq!(counted.len(), 3);
                 let plan = MsmEngine::<G1Config>::plan(&engine, sv).total_ns();
-                let figure6 = (crate::bucket_histogram(sv, 8), crate::window_loads(sv, 8));
+                let figure6 = (
+                    crate::bucket_histogram(sv, 8),
+                    crate::scalars::window_loads(sv, 8),
+                );
                 let loads = GzkpMsm::bucket_loads(sv, 8, m);
                 // Built last: constructing the task memoises the p_index.
                 let task = engine.shard_task::<G1Config>(&pts, sv, 3);

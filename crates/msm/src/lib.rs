@@ -44,13 +44,9 @@ pub mod submsm;
 
 pub use batch_affine::{accumulate_batch_affine, reduce_segments, BatchAffineStats, ReduceScratch};
 pub use cpu::CpuMsm;
-pub use engine::{
-    bucket_reduce, bucket_reduce_range, naive_msm, CurveCost, MsmEngine, MsmRun, MsmStats,
-};
+pub use engine::{naive_msm, CurveCost, MsmEngine, MsmRun, MsmStats};
 pub use gzkp::{profile_window_size, GzkpMsm, ShardTask};
-pub use scalars::{
-    bucket_histogram, default_window_size, host_window_size, window_loads, PIndex, ScalarVec,
-};
+pub use scalars::{bucket_histogram, default_window_size, host_window_size, PIndex, ScalarVec};
 pub use store::{PreprocessStore, Tables};
 pub use straus::StrausMsm;
 pub use submsm::SubMsmPippenger;

@@ -289,13 +289,13 @@ impl PIndex {
     }
 
     /// Number of entries in buckets `lo..hi`.
-    pub fn range_len(&self, lo: usize, hi: usize) -> usize {
+    pub(crate) fn range_len(&self, lo: usize, hi: usize) -> usize {
         self.offsets[2 * hi] - self.offsets[2 * lo]
     }
 
     /// Entries per bucket, `2^{k−1}` of them: the load profile the host
     /// cuts its bucket tasks and ranges by.
-    pub fn bucket_sizes(&self) -> Vec<u64> {
+    pub(crate) fn bucket_sizes(&self) -> Vec<u64> {
         self.offsets
             .windows(3)
             .step_by(2)
@@ -409,7 +409,7 @@ impl ScalarVec {
     }
 
     /// Raw limbs of scalar `i`.
-    pub fn scalar_limbs(&self, i: usize) -> &[u64] {
+    pub(crate) fn scalar_limbs(&self, i: usize) -> &[u64] {
         &self.limbs[i * self.per_scalar..(i + 1) * self.per_scalar]
     }
 
@@ -478,7 +478,7 @@ pub fn bucket_histogram(scalars: &ScalarVec, k: u32) -> Vec<u64> {
 
 /// Per-window non-zero digit counts — the load profile of window-parallel
 /// (sub-MSM) engines. Sparse workloads concentrate work in low windows.
-pub fn window_loads(scalars: &ScalarVec, k: u32) -> Vec<u64> {
+pub(crate) fn window_loads(scalars: &ScalarVec, k: u32) -> Vec<u64> {
     let windows = scalars.num_windows(k);
     let mut loads = vec![0u64; windows];
     for i in 0..scalars.len() {

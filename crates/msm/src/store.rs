@@ -15,7 +15,7 @@
 //! juggles many `(curve, proving-key)` pairs at once, owns a store sized
 //! by its configuration and attaches it to its engines
 //! ([`crate::GzkpMsm::with_store`]); an engine without one uses
-//! [`PreprocessStore::process_default`].
+//! `PreprocessStore::process_default`.
 //!
 //! Lookup is address-keyed: a point vector is named by its address, so
 //! the same key loaded at another address (another host, a resumed
@@ -192,11 +192,6 @@ impl<C: CurveParams> Tables<C> {
         Affine::new_unchecked(x, y)
     }
 
-    /// Number of stored levels (level 0 is the input itself).
-    pub fn levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Point `i` of level `c`, `None` for the identity.
     #[inline]
     pub fn point(&self, c: usize, i: usize) -> Option<Affine<C>> {
@@ -208,11 +203,6 @@ impl<C: CurveParams> Tables<C> {
     /// starts from, indexed by [`Self::slot`].
     pub(crate) fn stored(&self, c: usize, n: usize) -> impl Iterator<Item = Affine<C>> + '_ {
         (0..self.rank(n)).map(move |slot| self.affine(c, slot))
-    }
-
-    /// Level `c` as affine points, identities included.
-    pub fn level(&self, c: usize) -> impl Iterator<Item = Affine<C>> + '_ {
-        (0..self.index.len()).map(move |i| self.point(c, i).unwrap_or_else(Affine::identity))
     }
 
     /// Bytes of the stored entries, what the store charges: levels ×
@@ -305,13 +295,13 @@ impl std::fmt::Debug for PreprocessStore {
 }
 
 impl PreprocessStore {
-    /// Budget of [`PreprocessStore::process_default`], and the proving
+    /// Budget of `PreprocessStore::process_default`, and the proving
     /// service's default: 256 MiB.
     pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 
     /// The process-wide store of engines built without
     /// [`crate::GzkpMsm::with_store`].
-    pub fn process_default() -> &'static PreprocessStore {
+    pub(crate) fn process_default() -> &'static PreprocessStore {
         static STORE: OnceLock<PreprocessStore> = OnceLock::new();
         STORE.get_or_init(|| PreprocessStore::new(Self::DEFAULT_BUDGET_BYTES))
     }
@@ -329,11 +319,6 @@ impl PreprocessStore {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
     }
 
     /// Locks the entry map, recovering from poison: the store is shared
@@ -581,7 +566,7 @@ mod tests {
         assert!(store.inner.is_poisoned(), "precondition: lock is poisoned");
         // …but other provers must keep hitting the cache, not panic.
         let hit = store.get_or_insert(key(&pts, 8, 0), &pts, must_hit);
-        assert_eq!(hit.levels(), 1);
+        assert_eq!(hit.levels.len(), 1);
         assert_eq!(store.len(), 1);
         assert_eq!(store.bytes_used(), 8 * 64);
     }
@@ -592,7 +577,7 @@ mod tests {
         let pts = random_points::<G1Config, _>(4, &mut rng);
         let store = PreprocessStore::new(10);
         let t = store.get_or_insert(key(&pts, 8, 0), &pts, || tables_for(&pts));
-        assert_eq!(t.levels(), 1);
+        assert_eq!(t.levels.len(), 1);
         assert_eq!(store.len(), 1, "sole entry may exceed the budget");
     }
 
@@ -610,13 +595,18 @@ mod tests {
             let tables = store.get_or_insert(PreKey::of(&pts, 7, 1, 19, 0), &pts, || {
                 engine.preprocess(&pts, 7, 1)
             });
-            assert!(tables.levels() > 1, "{}", C::NAME);
+            assert!(tables.levels.len() > 1, "{}", C::NAME);
             assert_eq!(std::mem::size_of::<[C::Base; 2]>(), entry, "{}", C::NAME);
             assert!(std::mem::size_of::<Affine<C>>() > entry, "{}", C::NAME);
-            let held: usize = (0..tables.levels())
-                .map(|c| tables.level(c).filter(|p| !p.infinity).count() * entry)
+            let held: usize = (0..tables.levels.len())
+                .map(|c| {
+                    (0..pts.len())
+                        .filter(|&i| tables.point(c, i).is_some())
+                        .count()
+                        * entry
+                })
                 .sum();
-            assert_eq!(held, tables.levels() * 39 * entry, "{}", C::NAME);
+            assert_eq!(held, tables.levels.len() * 39 * entry, "{}", C::NAME);
             assert_eq!(store.bytes_used(), held as u64, "{}", C::NAME);
             assert_eq!(tables.bytes(), held as u64, "{}", C::NAME);
         }

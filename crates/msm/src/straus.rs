@@ -21,7 +21,7 @@ use gzkp_gpu_sim::kernel::{BlockCost, KernelSpec, StageReport};
 /// add → next lookup), which cannot pipeline the way Pippenger's
 /// independent bucket merges can. Calibration anchor: Table 7's MINA row
 /// at 2²² (≈28 s) vs. the raw operation count.
-pub const SERIAL_CHAIN_PENALTY: f64 = 5.0;
+pub(crate) const SERIAL_CHAIN_PENALTY: f64 = 5.0;
 
 /// The MINA-like Straus MSM engine.
 #[derive(Debug, Clone)]

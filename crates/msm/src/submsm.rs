@@ -13,7 +13,7 @@
 //!   read `⌈l/k⌉` times, and bucket updates are read-modify-write traffic
 //!   against global memory;
 //! * dependent global-memory bucket updates serialize: consecutive adds to
-//!   the same bucket cannot pipeline. [`BUCKET_RMW_PENALTY`] prices this
+//!   the same bucket cannot pipeline. `BUCKET_RMW_PENALTY` prices this
 //!   (calibrated so the Fig. 10 "BG → GZKP-no-LB = 3.25×" step holds);
 //! * the per-thread bucket reduction (`2·2^k` PADDs per window thread per
 //!   sub-MSM) is paid *unconditionally* — with sparse real-world scalars
@@ -32,7 +32,7 @@ use gzkp_gpu_sim::kernel::{BlockCost, KernelSpec, StageReport};
 /// Serialization penalty on dependent global-memory bucket updates
 /// (read-modify-write chains that the hardware cannot coalesce or
 /// pipeline). Calibration anchor: Figure 10's BG → GZKP-no-LB = 3.25×.
-pub const BUCKET_RMW_PENALTY: f64 = 1.3;
+pub(crate) const BUCKET_RMW_PENALTY: f64 = 1.3;
 
 /// The bellperson-like GPU MSM baseline.
 #[derive(Debug, Clone)]

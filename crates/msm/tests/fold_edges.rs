@@ -156,8 +156,8 @@ where
     agree("empty s₁ or s₂ segment", &p, &halves);
     // φ(s₂) = s₁ in one bucket — point 1 is φ⁻¹(P₀) = (β²x, y) — so
     // the finish round's pair is a tangent, and with it negated a cancel.
-    let beta = C::glv().expect("a j = 0 curve has a GLV split").beta();
-    let unphi = Affine::<C>::new_unchecked(p[0].x * beta * beta, p[0].y);
+    let glv = C::glv().expect("a j = 0 curve has a GLV split");
+    let unphi = glv.phi(&glv.phi(&p[0]));
     let both = [small::<C>(d), small::<C>(d) * lambda];
     agree("finish tangent", &[p[0], unphi], &both);
     agree("finish cancel", &[p[0], unphi.neg()], &both);

@@ -90,12 +90,9 @@ fn check_vector<C: CurveParams>(points: &[Affine<C>], windows: usize, rng: &mut 
     assert_eq!((bound + 1).div_ceil(K) as usize, windows, "{}", C::NAME);
     for m in [1u32, 3] {
         let pre = engine.preprocess(points, K, m);
-        assert_eq!(
-            pre.levels(),
-            windows.div_ceil(m as usize),
-            "{} M={m}",
-            C::NAME
-        );
+        // One level per `M` windows; the byte count below pins that no
+        // more are held.
+        let levels = windows.div_ceil(m as usize);
         // Every prefix is held — identities inside it included — and
         // nothing longer, nor a prefix whose identity pattern differs.
         for len in 0..=points.len() {
@@ -116,7 +113,7 @@ fn check_vector<C: CurveParams>(points: &[Affine<C>], windows: usize, rng: &mut 
                 C::NAME
             );
         }
-        for c in 0..pre.levels() {
+        for c in 0..levels {
             // 2^{c·M·k} as little-endian limbs.
             let bit = c * (m * K) as usize;
             let mut weight = vec![0u64; bit / 64 + 1];
@@ -125,11 +122,9 @@ fn check_vector<C: CurveParams>(points: &[Affine<C>], windows: usize, rng: &mut 
                 .iter()
                 .map(|p| p.to_projective().mul_limbs(&weight).to_affine())
                 .collect();
-            let level: Vec<Affine<C>> = pre.level(c).collect();
-            assert_eq!(level, expect, "{} M={m} level {c}", C::NAME);
-            // Every position reads back: a point where the input has one
-            // (a doubled point is never the identity), nothing where it
-            // has the identity.
+            // Every position reads back its level-`c` point where the
+            // input has one (a doubled point is never the identity), and
+            // nothing where it has the identity.
             for (i, (p, input)) in expect.iter().zip(points).enumerate() {
                 assert_eq!(p.infinity, input.infinity, "{} M={m} level {c}", C::NAME);
                 assert_eq!(pre.point(c, i), (!p.infinity).then_some(*p));
@@ -139,7 +134,7 @@ fn check_vector<C: CurveParams>(points: &[Affine<C>], windows: usize, rng: &mut 
         // no level.
         let entry = std::mem::size_of::<[C::Base; 2]>();
         assert!(entry < std::mem::size_of::<Affine<C>>());
-        assert_eq!(pre.bytes(), (pre.levels() * stored * entry) as u64);
+        assert_eq!(pre.bytes(), (levels * stored * entry) as u64);
     }
 
     let scalars: Vec<C::Scalar> = points.iter().map(|_| C::Scalar::random(rng)).collect();

@@ -44,12 +44,12 @@ pub struct Batch {
 
 impl Batch {
     /// Elements per independent group.
-    pub fn group_size(&self) -> usize {
+    pub(crate) fn group_size(&self) -> usize {
         1 << self.iters
     }
 
     /// Number of independent groups at scale `n`.
-    pub fn num_groups(&self, n: usize) -> usize {
+    pub(crate) fn num_groups(&self, n: usize) -> usize {
         n >> self.iters
     }
 

@@ -158,7 +158,7 @@ pub(crate) fn reverse_for_inverse<T>(data: &mut [T]) {
 
 /// In-place bit-reversal permutation (the standard pre-pass of the
 /// iterative Cooley–Tukey schedule in Figure 2 of the paper).
-pub fn bit_reverse_permute<T>(data: &mut [T]) {
+pub(crate) fn bit_reverse_permute<T>(data: &mut [T]) {
     let n = data.len();
     debug_assert!(n.is_power_of_two());
     let log_n = n.trailing_zeros();
@@ -171,7 +171,8 @@ pub fn bit_reverse_permute<T>(data: &mut [T]) {
 }
 
 /// Naive O(N²) DFT used as the ground-truth oracle in tests.
-pub fn naive_dft<F: PrimeField>(coeffs: &[F], omega: F) -> Vec<F> {
+#[cfg(test)]
+pub(crate) fn naive_dft<F: PrimeField>(coeffs: &[F], omega: F) -> Vec<F> {
     let n = coeffs.len();
     (0..n)
         .map(|k| {

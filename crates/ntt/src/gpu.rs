@@ -26,7 +26,7 @@ use gzkp_telemetry::{emit_stage, names, TelemetrySink};
 /// drives each shuffle/butterfly batch from the host with a device sync in
 /// between. Calibration anchor: Table 5's bellperson floor (~0.37 ms at
 /// 2^14 across 3 kernels).
-pub const BASELINE_HOST_SYNC_NS: f64 = 100_000.0;
+pub(crate) const BASELINE_HOST_SYNC_NS: f64 = 100_000.0;
 
 /// Common interface of the simulated GPU NTT engines.
 pub trait GpuNttEngine<F: PrimeField>: Send + Sync {

@@ -80,7 +80,7 @@ pub struct PlonkCircuit<F: PrimeField> {
 /// Smallest domain the quotient construction supports: the coset
 /// division needs `deg t = 3n + 5 < 4n`, i.e. `n > 5`, and domains are
 /// powers of two.
-pub const MIN_DOMAIN: usize = 8;
+pub(crate) const MIN_DOMAIN: usize = 8;
 
 /// Combinations of two or more variables already accumulated by one
 /// lowering — `(merged variable terms, constant)` — and the variable
@@ -130,7 +130,7 @@ impl<F: PrimeField> PlonkCircuit<F> {
     }
 
     /// Domain size: gate count rounded up to a power of two, at least
-    /// [`MIN_DOMAIN`]. Padding rows are all-zero gates wired to the zero
+    /// `MIN_DOMAIN`. Padding rows are all-zero gates wired to the zero
     /// variable.
     pub fn domain_size(&self) -> usize {
         self.gates.len().max(MIN_DOMAIN).next_power_of_two()
@@ -143,7 +143,7 @@ impl<F: PrimeField> PlonkCircuit<F> {
 
     /// The PI contribution on row `row`: `−pub_row` on PI rows, zero
     /// elsewhere.
-    pub fn pi_at(&self, row: usize) -> F {
+    pub(crate) fn pi_at(&self, row: usize) -> F {
         if row < self.num_public {
             -self.values[1 + row]
         } else {

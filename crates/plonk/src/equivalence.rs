@@ -119,9 +119,11 @@ fn lagrange_matches_coefficients<P: PairingConfig>(
     GzkpNtt::auto::<P::Fr>(v100()).transform(&domain, &mut coeffs, Direction::Inverse);
     blind(&mut coeffs, pk.n, &blinds);
     let msm = GzkpMsm::new(v100());
-    let from_coeffs = pk.srs.commit(&coeffs, &msm).result.to_affine();
-    let scalars = [values, &blinds].concat();
     let sink = gzkp_telemetry::NoopSink;
+    let from_coeffs = commit_in::<P>(&pk.srs.g1_powers, &coeffs, &msm, &sink)
+        .result
+        .to_affine();
+    let scalars = [values, &blinds].concat();
     let from_values = commit_in::<P>(&pk.lagrange_g1, &scalars, &msm, &sink)
         .result
         .to_affine();

@@ -22,7 +22,8 @@
 //! Modules:
 //!
 //! * [`kzg`] — the polynomial-commitment scheme: SRS, commit (an engine
-//!   MSM), open, verify, batch-verify.
+//!   MSM) and the opening quotient; [`verify`](mod@verify) checks the
+//!   openings.
 //! * [`circuit`] — PLONK gates plus the R1CS → PLONK lowering (one fused
 //!   gate per single-term constraint) so every existing workload circuit
 //!   runs under both backends.
@@ -47,9 +48,9 @@ pub mod verify;
 #[cfg(test)]
 mod equivalence;
 
-pub use circuit::{PlonkCircuit, PlonkGate, MIN_DOMAIN};
+pub use circuit::{PlonkCircuit, PlonkGate};
 pub use gzkp_proof_system::MsmSteps;
-pub use kzg::{KzgOpening, KzgSrs};
+pub use kzg::KzgSrs;
 pub use proof::{PlonkEvals, PlonkProof};
 pub use prove::{prove, prove_bytes, prove_poly, PlonkCheckpoint, PlonkPolyArtifacts, MSM_STEPS};
 pub use setup::{setup, PlonkProvingKey, PlonkVerifyingKey};
@@ -148,9 +149,14 @@ mod tests {
             msm_g2: &msm_g2,
         };
         let (bytes, _) = prove_bytes(&circuit, &pk, &engines, 7, &NoopSink).unwrap();
-        // Flip one bit in each region (a point early on, a scalar at the
-        // end): decoding either fails or the proof no longer verifies.
-        for pos in [1, bytes.len() - 3] {
+        // Flip one bit in every encoded field — a byte of each of the nine
+        // points' x, and a low byte of each of the fourteen scalars (so the
+        // value stays canonical): decoding either fails or the proof no
+        // longer verifies.
+        let point = (PlonkProof::<Bn254>::encoded_len() - 14 * 32) / 9;
+        let points = (0..9).map(|i| i * point + 1 + i);
+        let scalars = (0..14).map(|j| 9 * point + 32 * j + j % 8);
+        for pos in points.chain(scalars) {
             let mut bad = bytes.clone();
             bad[pos] ^= 1;
             assert!(

@@ -42,7 +42,7 @@ pub struct PlonkEvals<F: PrimeField> {
 impl<F: PrimeField> PlonkEvals<F> {
     /// The evaluations in their canonical (batch/transcript) order, the
     /// shifted opening last.
-    pub fn in_order(&self) -> [F; 14] {
+    pub(crate) fn in_order(&self) -> [F; 14] {
         [
             self.a,
             self.b,
@@ -63,7 +63,7 @@ impl<F: PrimeField> PlonkEvals<F> {
 
     /// Rebuilds from the canonical order (inverse of
     /// [`PlonkEvals::in_order`]).
-    pub fn from_order(v: [F; 14]) -> Self {
+    pub(crate) fn from_order(v: [F; 14]) -> Self {
         Self {
             a: v[0],
             b: v[1],

@@ -28,7 +28,7 @@ use rand::Rng;
 /// Degree headroom the SRS needs beyond the domain size: the blinded
 /// permutation accumulator has `n + 3` coefficients (degree `n + 2`),
 /// the largest polynomial any stage commits.
-pub const SRS_HEADROOM: usize = 3;
+pub(crate) const SRS_HEADROOM: usize = 3;
 
 /// Verifier-side key material for one circuit shape.
 #[derive(Clone)]

@@ -27,7 +27,7 @@ fn mix(mut z: u64) -> u64 {
 /// into four 64-bit lanes; every challenge squeezes two lanes (under a
 /// fresh label) into a 126-bit field element.
 #[derive(Debug, Clone)]
-pub struct Transcript {
+pub(crate) struct Transcript {
     state: [u64; 4],
     counter: u64,
 }
@@ -49,7 +49,7 @@ impl Transcript {
     }
 
     /// Folds `bytes` (with its domain-separating `label`) into the state.
-    pub fn absorb_bytes(&mut self, label: &str, bytes: &[u8]) {
+    pub(crate) fn absorb_bytes(&mut self, label: &str, bytes: &[u8]) {
         for (i, chunk) in label
             .as_bytes()
             .chunks(8)
@@ -69,7 +69,7 @@ impl Transcript {
     }
 
     /// Absorbs a scalar field element via its canonical limbs.
-    pub fn absorb_scalar<F: PrimeField>(&mut self, label: &str, value: &F) {
+    pub(crate) fn absorb_scalar<F: PrimeField>(&mut self, label: &str, value: &F) {
         let mut bytes = Vec::with_capacity(F::NUM_LIMBS * 8);
         for limb in value.to_limbs() {
             bytes.extend(limb.to_le_bytes());
@@ -78,7 +78,7 @@ impl Transcript {
     }
 
     /// Absorbs a curve point via its compressed encoding.
-    pub fn absorb_point<C: CurveParams>(&mut self, label: &str, point: &Affine<C>)
+    pub(crate) fn absorb_point<C: CurveParams>(&mut self, label: &str, point: &Affine<C>)
     where
         C::Base: CoordField,
     {
@@ -87,7 +87,7 @@ impl Transcript {
 
     /// Squeezes a challenge: a uniform-ish 126-bit field element, never
     /// zero (zero challenges would degenerate the permutation argument).
-    pub fn challenge<F: PrimeField>(&mut self, label: &str) -> F {
+    pub(crate) fn challenge<F: PrimeField>(&mut self, label: &str) -> F {
         self.absorb_bytes(label, b"");
         let lo = mix(self.state[0].wrapping_add(self.counter));
         let hi = mix(self.state[1] ^ lo);

@@ -1,5 +1,5 @@
 //! The checkpoint wire framing every backend shares: a backend writes
-//! the header with [`begin`], appends its own body with [`put_bytes`] /
+//! the header with [`begin`], appends its own body with `put_bytes` /
 //! [`put_point`], and decodes through a [`Reader`].
 //!
 //! ```text
@@ -26,7 +26,7 @@ use gzkp_gpu_sim::StageReport;
 use gzkp_telemetry::{stage_report_from_json, stage_report_to_json};
 
 /// Current checkpoint wire-format version, for every backend's magic.
-pub const CHECKPOINT_VERSION: u8 = 1;
+pub(crate) const CHECKPOINT_VERSION: u8 = 1;
 
 fn curve_shape<P: PairingConfig>() -> [u32; 4]
 where
@@ -70,7 +70,7 @@ where
 }
 
 /// Appends a length-prefixed section.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend((bytes.len() as u64).to_le_bytes());
     out.extend(bytes);
 }
@@ -186,7 +186,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed section written by [`put_bytes`].
-    pub fn section(&mut self) -> Result<&'a [u8], String> {
+    pub(crate) fn section(&mut self) -> Result<&'a [u8], String> {
         let len = self.count()?;
         self.take(len)
     }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// Simulated time of one partial-sum merge addition on the primary
 /// device: a single full Jacobian PADD is launch-latency-dominated.
-pub const P2P_MERGE_KERNEL_NS: f64 = 10_000.0;
+pub(crate) const P2P_MERGE_KERNEL_NS: f64 = 10_000.0;
 
 /// An [`MsmEngine`] that runs each MSM as bucket-range shards across the
 /// devices it was bound to, recording uploads/kernels on every device's
@@ -64,11 +64,6 @@ impl CrossDeviceMsm {
             label: label.into(),
             calls: AtomicU64::new(0),
         }
-    }
-
-    /// The devices this engine schedules onto, primary first.
-    pub fn devices(&self) -> &[usize] {
-        &self.devices
     }
 
     /// The device owning each shard of an `n`-point MSM, in range (and

@@ -96,7 +96,7 @@ impl DeviceCells {
 /// Relative sustained throughput of a device: SM count times per-SM MAC
 /// rate. Only ratios matter — it weights the least-loaded placement so a
 /// V100 absorbs ~4x the jobs of a 1080 Ti before the fleet looks balanced.
-pub fn throughput_weight(config: &DeviceConfig) -> f64 {
+pub(crate) fn throughput_weight(config: &DeviceConfig) -> f64 {
     f64::from(config.num_sms) * config.mac64_per_ns_per_sm
 }
 
@@ -120,7 +120,7 @@ fn least_loaded(candidates: impl Iterator<Item = (usize, u64, f64)>) -> Option<u
 /// cost times this margin (queueing, retries and host overhead are not
 /// in the model, so cutting it to 1.0 would declare urgency only after
 /// the deadline is already at risk).
-pub const URGENCY_MARGIN: f64 = 2.0;
+pub(crate) const URGENCY_MARGIN: f64 = 2.0;
 
 /// The four streams a device schedules stages onto.
 struct Lanes {
@@ -415,7 +415,7 @@ impl FleetRuntime {
     /// The one placement function: a domain — the job's own for
     /// [`Avoid::Device`], else the least-loaded schedulable one — then an
     /// available device inside it, both by one key: idle (no unresolved
-    /// pins) first, then `(pinned + 1)` over [`throughput_weight`] (summed
+    /// pins) first, then `(pinned + 1)` over `throughput_weight` (summed
     /// over a domain), then the lowest index. A device to avoid is taken
     /// only when no other is available; with none available the job is
     /// pinned to the host CPU. Counts the pin and one placement on its
@@ -579,19 +579,6 @@ impl FleetRuntime {
         newly
     }
 
-    /// Quarantines `dev` immediately (operator action). Returns `true`
-    /// when the device was not already quarantined.
-    pub fn force_quarantine(&self, dev: usize) -> bool {
-        let now = Instant::now();
-        let newly = self.health(dev).force_quarantine(now);
-        if newly {
-            self.push_event(dev, HealthEventKind::Quarantined, self.elapsed_sim_ns(dev));
-            self.devices[dev].cells.quarantines.inc();
-        }
-        self.refresh_quarantine_gauge(dev, now);
-        newly
-    }
-
     /// Whether `dev` currently accepts placements (healthy, or due for
     /// its probation probe).
     pub fn available(&self, dev: usize) -> bool {
@@ -599,7 +586,7 @@ impl FleetRuntime {
     }
 
     /// Times `dev` has entered quarantine.
-    pub fn quarantine_count(&self, dev: usize) -> u64 {
+    pub(crate) fn quarantine_count(&self, dev: usize) -> u64 {
         self.devices[dev].cells.quarantines.get()
     }
 
@@ -614,7 +601,7 @@ impl FleetRuntime {
     /// modeled remaining work (simulated nanoseconds on one device);
     /// `slack_ns` is the wall-clock budget left before its deadline. A
     /// job whose slack is tighter than `remaining_cost_ns ×`
-    /// [`URGENCY_MARGIN`] is *urgent* and claims every available device
+    /// `URGENCY_MARGIN` is *urgent* and claims every available device
     /// of its `domain` — fastest first — so a near-deadline large proof
     /// can take the whole domain and split its MSMs across it. Grants
     /// never cross domains: a merge between two would model a P2P link
@@ -1272,7 +1259,7 @@ mod tests {
     #[test]
     fn whole_domain_quarantine_pins_the_cpu_fallback() {
         let fleet = four_v100s_in(2);
-        assert!(fleet.force_quarantine(2) && fleet.force_quarantine(3));
+        assert!(fleet.record_failure(2, true) && fleet.record_failure(3, true));
         // The domain is still chosen by its pins; inside it, no device.
         let pins: Vec<Pin> = (0..2).map(|_| fleet.pin(Avoid::Nothing).unwrap()).collect();
         assert_eq!(

@@ -49,7 +49,7 @@ impl Default for HealthPolicy {
 
 /// Where a device sits in the circuit-breaker state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthState {
+pub(crate) enum HealthState {
     /// Accepting placements normally.
     Healthy,
     /// Rejecting placements until the probation window elapses.
@@ -61,7 +61,7 @@ pub enum HealthState {
 /// Per-device circuit-breaker state. Not thread-safe by itself — the
 /// fleet wraps each cell in a mutex.
 #[derive(Debug, Clone)]
-pub struct DeviceHealth {
+pub(crate) struct DeviceHealth {
     policy: HealthPolicy,
     consecutive: u32,
     state: HealthState,
@@ -109,7 +109,7 @@ impl DeviceHealth {
     /// Records a successful stage: closes the breaker and resets the
     /// backoff window. Returns `true` when this success *recovered* the
     /// device (it was quarantined or probing rather than healthy).
-    pub fn on_success(&mut self, now: Instant) -> bool {
+    pub(crate) fn on_success(&mut self, now: Instant) -> bool {
         let recovered = self.state(now) != HealthState::Healthy;
         if let Some(since) = self.degraded_since.take() {
             self.degraded_total += now.saturating_duration_since(since);
@@ -123,7 +123,7 @@ impl DeviceHealth {
     /// Records a failed stage. `hard` marks faults that indicate the
     /// device itself is gone (a hang) and trips the breaker immediately.
     /// Returns `true` when this failure newly quarantined the device.
-    pub fn on_failure(&mut self, now: Instant, hard: bool) -> bool {
+    pub(crate) fn on_failure(&mut self, now: Instant, hard: bool) -> bool {
         let probing = self.state(now) == HealthState::Probation;
         self.consecutive += 1;
         let trip = hard || probing || self.consecutive >= self.policy.quarantine_after;
@@ -134,16 +134,6 @@ impl DeviceHealth {
             // A failed probe doubles the window — a dead device converges
             // to one probe per max_probation.
             self.window = (self.window * 2).min(self.policy.max_probation);
-        }
-        self.enter_quarantine(now);
-        true
-    }
-
-    /// Quarantines immediately regardless of failure history (operator
-    /// action, or a fault plan marking the device dead).
-    pub fn force_quarantine(&mut self, now: Instant) -> bool {
-        if self.state == HealthState::Quarantined {
-            return false;
         }
         self.enter_quarantine(now);
         true
@@ -161,7 +151,7 @@ impl DeviceHealth {
     /// Total wall-clock nanoseconds the device has spent degraded
     /// (quarantined or awaiting its recovery probe), including the
     /// still-open interval if it is degraded at `now`.
-    pub fn quarantined_ns(&self, now: Instant) -> u64 {
+    pub(crate) fn quarantined_ns(&self, now: Instant) -> u64 {
         let open = self
             .degraded_since
             .map(|since| now.saturating_duration_since(since))
@@ -262,10 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn force_quarantine_is_idempotent() {
+    fn hard_fault_quarantine_is_idempotent() {
         let mut h = DeviceHealth::new(policy());
         let t0 = Instant::now();
-        assert!(h.force_quarantine(t0));
-        assert!(!h.force_quarantine(t0), "already quarantined");
+        assert!(h.on_failure(t0, true));
+        assert!(!h.on_failure(t0, true), "already quarantined");
     }
 }

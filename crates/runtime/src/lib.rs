@@ -25,7 +25,7 @@
 //!   proof's shards across devices with P2P partial-sum merging — the
 //!   reference engine's shard plan, at least one shard per device, dealt
 //!   round-robin;
-//! * [`health`] — [`DeviceHealth`]: the consecutive-failure circuit
+//! * [`health`] — `DeviceHealth`: the consecutive-failure circuit
 //!   breaker (quarantine + probation re-probe) that
 //!   [`FleetRuntime::pin`] consults.
 //!
@@ -54,7 +54,6 @@ pub mod spec;
 pub use crossdev::CrossDeviceMsm;
 pub use fleet::{
     Avoid, DeviceUtilization, FleetRuntime, FleetUtilization, HealthEvent, HealthEventKind, Pin,
-    URGENCY_MARGIN,
 };
-pub use health::{DeviceHealth, HealthPolicy, HealthState};
-pub use spec::{device_by_name, fleet_label, parse_devices};
+pub use health::HealthPolicy;
+pub use spec::parse_devices;

@@ -9,11 +9,11 @@ use gzkp_gpu_sim::device::{cpu_xeon, gtx1080ti, v100, DeviceConfig};
 
 /// Upper bound on fleet size; a typo like `--devices 21080ti` should fail,
 /// not allocate two thousand timelines.
-pub const MAX_DEVICES: usize = 64;
+pub(crate) const MAX_DEVICES: usize = 64;
 
 /// Looks up a device preset by its spec name (case-insensitive).
 /// Accepted: `v100`, `1080ti`/`gtx1080ti`, `cpu`/`xeon`.
-pub fn device_by_name(name: &str) -> Option<DeviceConfig> {
+pub(crate) fn device_by_name(name: &str) -> Option<DeviceConfig> {
     match name.trim().to_ascii_lowercase().as_str() {
         "v100" => Some(v100()),
         "1080ti" | "gtx1080ti" => Some(gtx1080ti()),
@@ -31,7 +31,7 @@ pub fn device_by_name(name: &str) -> Option<DeviceConfig> {
 /// # Errors
 ///
 /// A human-readable message naming the offending token: unknown model
-/// names, a zero or over-[`MAX_DEVICES`] count, or an empty spec.
+/// names, a zero or over-`MAX_DEVICES` count, or an empty spec.
 pub fn parse_devices(spec: &str) -> Result<Vec<DeviceConfig>, String> {
     let tokens: Vec<&str> = spec.split(',').map(str::trim).collect();
     if tokens.iter().any(|t| t.is_empty()) {
@@ -76,7 +76,7 @@ pub fn parse_devices(spec: &str) -> Result<Vec<DeviceConfig>, String> {
 }
 
 /// Short human label for a fleet, e.g. `"2xV100"` or `"V100+GTX1080Ti"`.
-pub fn fleet_label(devices: &[DeviceConfig]) -> String {
+pub(crate) fn fleet_label(devices: &[DeviceConfig]) -> String {
     if devices.is_empty() {
         return "empty".to_string();
     }

@@ -506,7 +506,7 @@ impl std::error::Error for JobError {}
 /// Final record of one job.
 #[derive(Debug)]
 pub struct JobResult {
-    /// Service-assigned job id (matches [`JobHandle::id`]).
+    /// Service-assigned job id.
     pub id: u64,
     /// The proof (and report) or the reason there is none.
     pub outcome: Result<TaskOutput, JobError>,
@@ -574,11 +574,6 @@ impl std::fmt::Debug for JobHandle {
 }
 
 impl JobHandle {
-    /// The service-assigned job id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The failure domain the job is pinned to right now.
     pub fn domain(&self) -> usize {
         self.shared.domain()

@@ -200,7 +200,7 @@ pub struct ServiceConfig {
     /// per-device utilization available through
     /// [`ProvingService::fleet_utilization`]. In a failure domain of more
     /// than one device, a job with a deadline whose slack is under
-    /// [`gzkp_runtime::URGENCY_MARGIN`]× its modeled MSM cost claims
+    /// `gzkp_runtime::URGENCY_MARGIN`× its modeled MSM cost claims
     /// several devices of its domain for its MSM stage
     /// ([`gzkp_runtime::FleetRuntime::place_for_deadline`]) and runs each
     /// MSM as bucket-range shards across them; proof bytes are identical

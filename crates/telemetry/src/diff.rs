@@ -6,7 +6,7 @@
 //! performed, so an *increase* is a regression; a counter that vanishes
 //! from the new trace is flagged too (lost instrumentation must not read
 //! as a win), while a brand-new counter is informational — except the
-//! *recovery* counters ([`STRICT_COUNTERS`]): retries and verify rejects
+//! *recovery* counters (`STRICT_COUNTERS`): retries and verify rejects
 //! appearing in a trace whose baseline had none mean the system started
 //! failing and recovering where it used to run clean, so they gate as
 //! regressions even though the baseline never emitted them. This is the
@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 /// Counters gated strictly: a non-zero value appearing on the new side of
 /// a matched span regresses even when the baseline never emitted the
 /// counter (`base` is taken as 0, so any occurrence is infinite growth).
-pub const STRICT_COUNTERS: &[&str] = &[names::SERVICE_RETRIES, names::VERIFY_REJECTS];
+pub(crate) const STRICT_COUNTERS: &[&str] = &[names::SERVICE_RETRIES, names::VERIFY_REJECTS];
 
 /// What a [`Delta`] compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl Delta {
     /// Whether the value grew by more than `threshold` (fractional: 0.05
     /// = 5%). Time and work both only count against a change when they
     /// grow.
-    pub fn regressed(&self, threshold: f64) -> bool {
+    pub(crate) fn regressed(&self, threshold: f64) -> bool {
         self.ratio() > 1.0 + threshold
     }
 

@@ -1,5 +1,5 @@
 //! What a snapshot is rendered into: the Prometheus text exposition
-//! ([`MetricsSnapshot::to_prometheus`]), the exporter thread that keeps
+//! (`MetricsSnapshot::to_prometheus`), the exporter thread that keeps
 //! the JSON and `.prom` files of a run current ([`SnapshotExporter`]),
 //! and one frame of the `zkserve top` dashboard ([`render_top`]), whose
 //! SLO lines are [`SloPolicy::default`]'s verdict on that frame.
@@ -17,7 +17,7 @@ impl MetricsSnapshot {
     /// `gzkp_`-prefixed underscored names, one `# TYPE` line per metric,
     /// cumulative `le` buckets with `+Inf`, `_sum` and `_count` for
     /// histograms.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE gzkp_uptime_ns gauge");
         let _ = writeln!(out, "gzkp_uptime_ns {}", self.uptime_ns);

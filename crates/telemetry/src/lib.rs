@@ -34,7 +34,6 @@ pub use export::{render_top, SnapshotExporter};
 pub use flame::folded_stacks;
 pub use metrics::{
     Counter, Gauge, HistogramSample, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
-    METRICS_SCHEMA_VERSION,
 };
 pub use slo::{ClusterSloRow, SloAlert, SloPolicy, SloReport};
 pub use trace::{
@@ -284,7 +283,7 @@ impl TelemetrySink for TraceRecorder {
 
     fn histogram(&self, name: &str, buckets: &[(u64, u64)]) {
         self.with_current(|n| {
-            n.histograms.push(Histogram {
+            n.histograms.push(trace::Histogram {
                 name: name.to_string(),
                 buckets: buckets.to_vec(),
             });

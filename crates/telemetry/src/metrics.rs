@@ -26,7 +26,7 @@ use crate::log2_bucket;
 /// Version of the snapshot wire format. [`MetricsSnapshot::from_json`]
 /// rejects any other, the same way traces do. Version 1 snapshots also
 /// carried an SLO report; version 2 leaves judging to the reader.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+pub(crate) const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// Inclusive upper bound of log2 bucket `b` — the value a quantile in
 /// the bucket reports. Saturates at `u64::MAX` from the top bucket on.
@@ -217,7 +217,7 @@ impl MetricsRegistry {
     }
 
     /// Nanoseconds since the registry was created.
-    pub fn uptime_ns(&self) -> u64 {
+    pub(crate) fn uptime_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 
@@ -321,7 +321,7 @@ impl HistogramSample {
     /// single sample answers every quantile, out-of-range or NaN `q`
     /// clamps to the nearest valid rank, and samples of `u64::MAX`
     /// report `u64::MAX`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -338,18 +338,18 @@ impl HistogramSample {
         self.buckets.last().map(|&(b, _)| bucket_upper(b))
     }
 
-    /// Median (see [`HistogramSample::quantile`]).
+    /// Median (see `HistogramSample::quantile`).
     pub fn p50(&self) -> Option<u64> {
         self.quantile(0.50)
     }
 
     /// 95th percentile.
-    pub fn p95(&self) -> Option<u64> {
+    pub(crate) fn p95(&self) -> Option<u64> {
         self.quantile(0.95)
     }
 
     /// 99th percentile.
-    pub fn p99(&self) -> Option<u64> {
+    pub(crate) fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
     }
 }
@@ -384,7 +384,7 @@ fn find<'a, S: Sample>(list: &'a [S], name: &str, label: Option<(&str, &str)>) -
 /// to SLO evaluation and dashboards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Wire-format version; see [`METRICS_SCHEMA_VERSION`].
+    /// Wire-format version; see `METRICS_SCHEMA_VERSION`.
     pub schema_version: u32,
     /// Nanoseconds the registry had been alive when sampled.
     pub uptime_ns: u64,
@@ -419,23 +419,13 @@ impl MetricsSnapshot {
     }
 
     /// Value of a labeled gauge.
-    pub fn gauge_labeled(&self, name: &str, key: &str, value: &str) -> Option<f64> {
+    pub(crate) fn gauge_labeled(&self, name: &str, key: &str, value: &str) -> Option<f64> {
         find(&self.gauges, name, Some((key, value))).map(|g| g.value)
     }
 
     /// An unlabeled histogram series.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSample> {
         find(&self.histograms, name, None)
-    }
-
-    /// A labeled histogram series.
-    pub fn histogram_labeled(
-        &self,
-        name: &str,
-        key: &str,
-        value: &str,
-    ) -> Option<&HistogramSample> {
-        find(&self.histograms, name, Some((key, value)))
     }
 
     /// Distinct values of `label_key` across all series, sorted —
@@ -594,7 +584,7 @@ mod tests {
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("ops"), Some(THREADS * PER_THREAD));
-        let h = snap.histogram_labeled("lat", "stage", "msm").unwrap();
+        let h = find(&snap.histograms, "lat", Some(("stage", "msm"))).unwrap();
         assert_eq!(h.count, THREADS * PER_THREAD);
         let expect_sum: u64 = (1..=THREADS * PER_THREAD).sum();
         assert_eq!(h.sum, expect_sum);

@@ -66,11 +66,11 @@ pub const PLONK_MSM_STAGES: [&str; 9] = [
 // below this crate and cannot reference it).
 
 /// Host→device copy-engine lane.
-pub const LANE_H2D: &str = "h2d";
+pub(crate) const LANE_H2D: &str = "h2d";
 /// Device→host copy-engine lane.
-pub const LANE_D2H: &str = "d2h";
+pub(crate) const LANE_D2H: &str = "d2h";
 /// Device→device copy-engine lane (NVLink P2P or host-staged merges).
-pub const LANE_P2P: &str = "p2p";
+pub(crate) const LANE_P2P: &str = "p2p";
 
 // -- engine counters --------------------------------------------------------
 

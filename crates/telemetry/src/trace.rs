@@ -74,18 +74,8 @@ impl TraceNode {
         self.children.iter().find(|c| c.name == name)
     }
 
-    /// Sums a counter over this span and all descendants.
-    pub fn counter_deep(&self, name: &str) -> f64 {
-        self.counter(name).unwrap_or(0.0)
-            + self
-                .children
-                .iter()
-                .map(|c| c.counter_deep(name))
-                .sum::<f64>()
-    }
-
     /// This span's kernels as a [`StageReport`] (for the text tables).
-    pub fn as_stage(&self) -> StageReport {
+    pub(crate) fn as_stage(&self) -> StageReport {
         StageReport {
             name: self.name.clone(),
             kernels: self.kernels.clone(),

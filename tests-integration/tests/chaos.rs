@@ -155,8 +155,10 @@ impl ProofTask for NopTask {
 fn fault_trace(seed: u64) -> (Vec<gzkp_gpu_sim::FaultEvent>, [u64; 4]) {
     let service = ProvingService::start(ServiceConfig {
         chaos: Some(FaultPlan {
+            seed,
+            rates: FaultRates::uniform(0.2),
             dead: vec![1],
-            ..FaultPlan::uniform(seed, 0.2)
+            ..FaultPlan::default()
         }),
         devices: gzkp_runtime::parse_devices("2").unwrap(),
         retry: RetryPolicy {

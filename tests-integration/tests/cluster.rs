@@ -8,9 +8,11 @@
 //! and the front door's weighted fair queuing and per-tenant rate limits
 //! hold under saturation without starving anyone.
 
-use gzkp_cluster::{AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, TenantSpec};
+use gzkp_cluster::{
+    AdmissionError, AutoscalePolicy, Cluster, ClusterConfig, RateLimit, TenantSpec,
+};
 use gzkp_curves::bn254::{Bn254, Fr};
-use gzkp_gpu_sim::{v100, DeviceConfig, FaultInjector, FaultKind, FaultPlan};
+use gzkp_gpu_sim::{v100, DeviceConfig, FaultInjector, FaultKind, FaultPlan, FaultRates};
 use gzkp_groth16::{
     proof_to_bytes,
     prove::{prove, ProverEngines},
@@ -291,7 +293,13 @@ fn rate_limited_tenant_gets_typed_backpressure_without_starving_others() {
     let mut cluster = Cluster::start(ClusterConfig {
         hosts: 1,
         tenants: vec![
-            TenantSpec::new("metered", 1.0).with_rate(1.0, 2.0),
+            TenantSpec {
+                rate: Some(RateLimit {
+                    per_sec: 1.0,
+                    burst: 2.0,
+                }),
+                ..TenantSpec::new("metered", 1.0)
+            },
             TenantSpec::new("unmetered", 1.0),
         ],
         ..ClusterConfig::default()
@@ -384,7 +392,11 @@ fn cluster_chaos_injects_stage_faults_and_proofs_survive() {
     let keyed = keyed_circuit(64, 31);
     let default_budget = RetryPolicy::default().max_retries;
     for (fault_seed, rate, max_retries) in [(5, 0.1, default_budget), (66, 0.2, 64)] {
-        let plan = FaultPlan::uniform(fault_seed, rate);
+        let plan = FaultPlan {
+            seed: fault_seed,
+            rates: FaultRates::uniform(rate),
+            ..FaultPlan::default()
+        };
         let draws: Vec<u32> = (0..4)
             .map(|job| fault_draws(&plan, job, max_retries + 1))
             .collect();

@@ -136,7 +136,8 @@ proptest! {
 fn poly_pipeline_cross_engine() {
     // The full 7-NTT POLY stage must agree between the CPU reference and
     // both GPU engines for a real constraint system.
-    use gzkp_groth16::qap::{poly_stage, poly_stage_cpu, QapWitness};
+    use gzkp_groth16::qap::{poly_stage_cpu, poly_stage_traced, QapWitness};
+    use gzkp_telemetry::NoopSink;
     use gzkp_workloads::synthetic::synthetic_circuit;
     let mut rng = StdRng::seed_from_u64(55);
     let cs = synthetic_circuit::<Fr254, _>(700, &mut rng);
@@ -144,6 +145,6 @@ fn poly_pipeline_cross_engine() {
     let expect = poly_stage_cpu(&qap);
     let gz = GzkpNtt::auto::<Fr254>(v100());
     let bg = BaselineGpuNtt::new(v100());
-    assert_eq!(poly_stage(&qap, &gz).h, expect);
-    assert_eq!(poly_stage(&qap, &bg).h, expect);
+    assert_eq!(poly_stage_traced(&qap, &gz, &NoopSink).h, expect);
+    assert_eq!(poly_stage_traced(&qap, &bg, &NoopSink).h, expect);
 }

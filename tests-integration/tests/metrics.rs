@@ -103,8 +103,9 @@ fn metrics_snapshot_is_consistent_with_job_traces_and_stats() {
 
     // Both stages recorded one wall-time sample per job.
     for stage in [names::SPAN_POLY, names::SPAN_MSM] {
-        let h = snapshot
-            .histogram_labeled(names::STAGE_LATENCY_NS, "stage", stage)
+        let label = Some(("stage".to_string(), stage.to_string()));
+        let h = (snapshot.histograms.iter())
+            .find(|h| h.name == names::STAGE_LATENCY_NS && h.label == label)
             .unwrap_or_else(|| panic!("stage histogram for {stage}"));
         assert_eq!(h.count, jobs as u64, "one {stage} sample per job");
     }

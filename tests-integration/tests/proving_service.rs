@@ -482,7 +482,7 @@ fn backpressure_still_applies_with_a_quarantined_device() {
         },
         ..ServiceConfig::default()
     });
-    assert!(service.fleet().force_quarantine(1));
+    assert!(service.fleet().record_failure(1, true));
 
     let gates: Vec<_> = (0..2)
         .map(|_| {
@@ -664,7 +664,7 @@ fn retry_lands_on_a_different_device() {
         },
         ..ServiceConfig::default()
     });
-    assert!(service.fleet().force_quarantine(1));
+    assert!(service.fleet().record_failure(1, true));
     let handle = service
         .submit(Box::new(NopTask(9)), JobOptions::default())
         .unwrap();
